@@ -18,6 +18,7 @@
 
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs_flags.hpp"
@@ -26,6 +27,7 @@
 #include "common/table.hpp"
 #include "macro/imc_macro.hpp"
 #include "macro/program.hpp"
+#include "macro/verifier.hpp"
 
 using namespace bpim;
 using array::RowRef;
@@ -71,14 +73,17 @@ SweepPoint run_point(unsigned bits, int sparsity_pct, std::size_t ops) {
   Rng rng(0x5BA5 + bits * 1000 + static_cast<std::uint64_t>(sparsity_pct));
   macro::ImcMacro dense_m{bench_macro_cfg()};
   macro::ImcMacro adapt_m{bench_macro_cfg()};
-  macro::MacroController dense_ctl(dense_m, macro::VerifyMode::VerifyFirst);
-  macro::MacroController adapt_ctl(adapt_m, macro::VerifyMode::VerifyFirst);
+  macro::MacroController dense_ctl(dense_m);
+  macro::MacroController adapt_ctl(adapt_m);
   const macro::AdaptivePolicy policy{true, true};
   const std::size_t units = dense_m.mult_units_per_row(bits);
   const std::uint64_t mask = (1ull << bits) - 1;
 
-  macro::Program prog;
-  prog.mult(RowRef::main(0), RowRef::main(1), bits);
+  // Verified once; every op then runs it without re-verification.
+  macro::Program mult;
+  mult.mult(RowRef::main(0), RowRef::main(1), bits);
+  const macro::VerifiedProgram prog =
+      macro::VerifiedProgram::verify(std::move(mult), dense_m.config().geometry);
 
   std::uint64_t dense_cycles = 0, adapt_cycles = 0;
   const double sparsity = static_cast<double>(sparsity_pct) / 100.0;

@@ -32,6 +32,7 @@ struct ArrayGeometry {
   /// Column interleaving of the peripheral units (addressing/layout only;
   /// compute engages all columns -- see DESIGN.md).
   std::size_t interleave = 4;
+  friend bool operator==(const ArrayGeometry&, const ArrayGeometry&) = default;
 };
 
 /// Addresses either a main-array row or a dummy row.

@@ -132,8 +132,8 @@ void ExecutionEngine::materialize(ResidencyManager::Entry& entry) {
   }
 }
 
-const macro::Program& ExecutionEngine::program_for(const VecOp& op, std::size_t r_a,
-                                                   std::size_t r_b) {
+const macro::VerifiedProgram& ExecutionEngine::program_for(const VecOp& op, std::size_t r_a,
+                                                           std::size_t r_b) {
   const RowRef a = RowRef::main(r_a);
   const RowRef b = RowRef::main(r_b);
   switch (op.kind) {
@@ -240,9 +240,9 @@ OpResult ExecutionEngine::run_one(const VecOp& op, OpAccount& acct) {
   };
 
   // Compile (or fetch) the per-layer single-op programs up front, on the
-  // submitting thread: workers share the verified Program objects by
-  // reference and never touch the compiler cache.
-  std::vector<const macro::Program*> progs;
+  // submitting thread: workers share the verified programs by reference
+  // and never touch the compiler cache.
+  std::vector<const macro::VerifiedProgram*> progs;
   progs.reserve(layers);
   for (std::size_t rp = 0; rp < layers; ++rp) {
     const auto [pr_a, pr_b] = place(rp);
@@ -252,19 +252,15 @@ OpResult ExecutionEngine::run_one(const VecOp& op, OpAccount& acct) {
   // Shard: macro m owns chunks m, m + M, m + 2M, ... -- the same per-macro
   // chunk sequence as the serial layer walk, so RNG streams and ledgers
   // advance identically and any thread count gives bit-identical results.
-  // Each worker runs its macro's programs through a VerifyFirst controller;
-  // the ProgramStats it returns (priced per instruction by macro::CostModel)
-  // are the op's accounting source.
+  // The macro ledgers are the op's account; each worker only keeps the
+  // adaptive savings its controller reports.
   const std::span<const std::uint64_t> av = a;
   const std::span<const std::uint64_t> bv = b;
   const macro::AdaptivePolicy pol = adaptive_policy();
-  std::vector<std::uint64_t> cycles_m(macros, 0);
   std::vector<std::uint64_t> adaptive_m(macros, 0);
-  std::vector<std::uint64_t> insts_m(macros, 0);
-  std::vector<Joule> energy_m(macros, Joule(0.0));
   pool_.parallel_for(std::min(chunks, macros), [&](std::size_t m) {
     auto& mac = mem_.macro(m);
-    macro::MacroController ctl(mac, macro::VerifyMode::VerifyFirst);
+    macro::MacroController ctl(mac);
     std::vector<macro::TraceEntry> trace;
     for (std::size_t c = m; c < chunks; c += macros) {
       const std::size_t row_pair = c / macros;
@@ -279,12 +275,8 @@ OpResult ExecutionEngine::run_one(const VecOp& op, OpAccount& acct) {
         if (!unary && res_b == nullptr) mac.poke_words(r_b, 0, op.bits, bv.subspan(pos, len));
       }
       trace.clear();
-      const macro::ProgramStats ps = ctl.run(*progs[row_pair], &trace,
-                                             /*fuse_mac_chains=*/false, pol);
-      cycles_m[m] += ps.cycles;
-      adaptive_m[m] += ps.adaptive_cycles_saved;
-      insts_m[m] += ps.instructions;
-      energy_m[m] += ps.energy;
+      adaptive_m[m] +=
+          ctl.run(*progs[row_pair], &trace, /*fuse_mac_chains=*/false, pol).adaptive_cycles_saved;
       const BitVector& result = trace.back().result;
       if (mult_layout) {
         for (std::size_t i = 0; i < len; ++i)
@@ -296,33 +288,14 @@ OpResult ExecutionEngine::run_one(const VecOp& op, OpAccount& acct) {
     }
   });
 
-  // Deterministic merge of the instruction-stream account: cycles are the
-  // lock-step max across macros, energy the fixed bank-then-macro nested sum
-  // -- the exact association the legacy ledger walk (Bank::total_energy
-  // inside ImcMemory::total_energy) uses, so the doubles are bit-identical
-  // to mem_.total_energy(). Cycle agreement with the ledger is asserted
-  // here; the energy half of the conservation law is asserted in tests.
+  // The memory ledger (counters reset above, pokes uncharged) is the op's
+  // account: cycles are the lock-step max across macros, energy the fixed
+  // bank-then-macro sum. Each chunk ran one single-instruction program.
   res.stats.elements = n;
-  std::uint64_t dense_elapsed = 0;  // the policy-off makespan of this stream
-  for (std::size_t m = 0; m < macros; ++m) {
-    res.stats.elapsed_cycles = std::max(res.stats.elapsed_cycles, cycles_m[m]);
-    dense_elapsed = std::max(dense_elapsed, cycles_m[m] + adaptive_m[m]);
-    res.stats.instructions += insts_m[m];
-  }
-  // Adaptive savings at the makespan level: unfused single-op programs have
-  // cycles_m + adaptive_m == static cycles exactly (per-instruction
-  // conservation), so dense_elapsed IS what a policy-off run would take and
-  // the law dense == elapsed + adaptive_cycles_saved holds exactly.
-  res.stats.adaptive_cycles_saved = dense_elapsed - res.stats.elapsed_cycles;
-  const std::size_t per_bank = mem_.config().macros_per_bank;
-  for (std::size_t bk = 0; bk < mem_.bank_count(); ++bk) {
-    Joule bank_energy{0.0};
-    for (std::size_t i = 0; i < mem_.bank(bk).macro_count(); ++i)
-      bank_energy += energy_m[bk * per_bank + i];
-    res.stats.energy += bank_energy;
-  }
-  BPIM_REQUIRE(res.stats.elapsed_cycles == mem_.elapsed_cycles(),
-               "instruction-stream cycles diverge from the memory ledger");
+  res.stats.instructions = chunks;
+  res.stats.elapsed_cycles = mem_.elapsed_cycles();
+  res.stats.adaptive_cycles_saved = dense_elapsed(adaptive_m) - res.stats.elapsed_cycles;
+  res.stats.energy = mem_.total_energy();
   res.stats.elapsed_time =
       Second(static_cast<double>(res.stats.elapsed_cycles) * mem_.macro(0).cycle_time().si());
 
@@ -340,6 +313,17 @@ OpResult ExecutionEngine::run_one(const VecOp& op, OpAccount& acct) {
   res.stats.load_cycles = acct.load_cycles;
   res.stats.load_cycles_saved = acct.saved_cycles;
   return res;
+}
+
+std::uint64_t ExecutionEngine::dense_elapsed(std::span<const std::uint64_t> adaptive_m) {
+  // Per macro, ledger cycles plus the adaptive savings of its programs is
+  // its policy-off walk under the same fusion pattern (per-instruction
+  // conservation is exact), so the max over macros is the policy-off
+  // makespan and dense == elapsed + adaptive_cycles_saved holds exactly.
+  std::uint64_t dense = 0;
+  for (std::size_t m = 0; m < adaptive_m.size(); ++m)
+    dense = std::max(dense, mem_.macro(m).total_cycles() + adaptive_m[m]);
+  return dense;
 }
 
 OpResult ExecutionEngine::run(const VecOp& op) {
@@ -485,6 +469,7 @@ FusedForward& ExecutionEngine::fused_program_for(const ForwardPlan& plan) {
                       {"layers", static_cast<double>(plan.layers)}});
 
   const std::size_t macros = mem_.macro_count();
+  const std::size_t active = std::min(plan.chunks, macros);
   const macro::FusionCompiler compiler(mem_.macro(0).config().geometry, pinned_rows());
   FusedForward next;
   next.bits = plan.bits;
@@ -494,22 +479,20 @@ FusedForward& ExecutionEngine::fused_program_for(const ForwardPlan& plan) {
     next.ids.push_back(e->handle.id);
     next.base_pairs.push_back(e->base_pair);
   }
-  next.programs.reserve(macros);
-  for (std::size_t m = 0; m < macros; ++m) {
+  next.programs.reserve(active);
+  for (std::size_t m = 0; m < active; ++m) {
     // Macro m owns chunks m, m + M, ... (the run_one shard); its program
     // walks them layer-major with the op loop inside, so every MULT of a
     // layer shares the staged activation row and the chained datapath's
     // D1-staging discount applies to all but the first.
-    const std::size_t layers_m = plan.chunks > m ? (plan.chunks - m - 1) / macros + 1 : 0;
+    const std::size_t layers_m = (plan.chunks - m - 1) / macros + 1;
     macro::MacForwardSpec spec;
     spec.bits = plan.bits;
     for (std::size_t l = 0; l < layers_m; ++l)
       for (const ResidencyManager::Entry* e : plan.entries)
         spec.steps.push_back(macro::MacStep{2 * l, 2 * (e->base_pair + l)});
-    next.programs.push_back(spec.steps.empty() ? macro::Program{}
-                                               : compiler.compile_mac_forward(spec));
+    next.programs.push_back(compiler.compile_mac_forward(spec));
   }
-  next.fused_static_cycles = macro::FusionCompiler::fused_static_cycles(next.programs.front());
   ff = std::move(next);
   if (rebuild)
     ++fusion_stats_.recompiles;
@@ -563,8 +546,8 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
   // Per-macro programs and RNG streams are independent, so the parallel walk
   // stays bit-identical to a serial one.
   const macro::AdaptivePolicy pol = adaptive_policy();
-  std::vector<std::vector<macro::TraceEntry>> traces(macros);
-  std::vector<macro::ProgramStats> ps_m(macros);
+  std::vector<std::vector<macro::TraceEntry>> traces(active);
+  std::vector<std::uint64_t> adaptive_m(active, 0);
   pool_.parallel_for(active, [&](std::size_t m) {
     auto& mac = mem_.macro(m);
     for (std::size_t c = m; c < plan.chunks; c += macros) {
@@ -572,9 +555,10 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
       const std::size_t len = std::min(plan.per_op, plan.elements - pos);
       mac.poke_mult_operands(2 * (c / macros), 0, plan.bits, activation.subspan(pos, len));
     }
-    macro::MacroController ctl(mac, macro::VerifyMode::VerifyFirst);
+    macro::MacroController ctl(mac);
     traces[m].reserve(ff.programs[m].size());
-    ps_m[m] = ctl.run(ff.programs[m], &traces[m], /*fuse_mac_chains=*/true, pol);
+    adaptive_m[m] =
+        ctl.run(ff.programs[m], &traces[m], /*fuse_mac_chains=*/true, pol).adaptive_cycles_saved;
   });
 
   // Extraction: macro m's trace entry l*J + j is layer l of op j, covering
@@ -645,13 +629,7 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
   // across, and nothing to hide the single activation load behind.
   batch_.pipelined_cycles = batch_.serial_cycles;
   batch_.fused_cycles_saved = fused_saved_total;
-  // Makespan-level adaptive account: per-macro cycles + adaptive equals the
-  // same-fusion-pattern policy-off walk, so the max-over-macros difference
-  // is exactly what the policy took off the batch's critical path.
-  std::uint64_t dense_elapsed = 0;
-  for (std::size_t m = 0; m < active; ++m)
-    dense_elapsed = std::max(dense_elapsed, ps_m[m].cycles + ps_m[m].adaptive_cycles_saved);
-  batch_.adaptive_cycles_saved = dense_elapsed - batch_.compute_cycles;
+  batch_.adaptive_cycles_saved = dense_elapsed(adaptive_m) - batch_.compute_cycles;
   batch_.energy = mem_.total_energy();
   batch_.elapsed_time = Second(static_cast<double>(batch_.pipelined_cycles) * tick);
   ++fusion_stats_.fused_runs;
@@ -684,11 +662,12 @@ OpResult ExecutionEngine::run_chain(const ChainRequest& req) {
   BPIM_REQUIRE(pairs_per_layer * layers <= row_pair_capacity(), "chain exceeds memory capacity");
   residency_.reserve_transient(pairs_per_layer * layers);
 
+  const std::size_t active = std::min(chunks, macros);
   const macro::FusionCompiler compiler(mem_.macro(0).config().geometry, pinned_rows());
-  std::vector<macro::Program> programs;
-  programs.reserve(macros);
-  for (std::size_t m = 0; m < macros; ++m) {
-    const std::size_t layers_m = chunks > m ? (chunks - m - 1) / macros + 1 : 0;
+  std::vector<macro::VerifiedProgram> programs;
+  programs.reserve(active);
+  for (std::size_t m = 0; m < active; ++m) {
+    const std::size_t layers_m = (chunks - m - 1) / macros + 1;
     macro::ChainSpec spec;
     spec.bits = req.bits;
     for (std::size_t l = 0; l < layers_m; ++l) {
@@ -699,14 +678,13 @@ OpResult ExecutionEngine::run_chain(const ChainRequest& req) {
         layer.links.emplace_back(req.links[j].kind, layer.a_row + 2 + j);
       spec.layers.push_back(std::move(layer));
     }
-    programs.push_back(spec.layers.empty() ? macro::Program{} : compiler.compile_chain(spec));
+    programs.push_back(compiler.compile_chain(spec));
   }
   mem_.reset_counters();
 
   const macro::AdaptivePolicy pol = adaptive_policy();
-  std::vector<std::vector<macro::TraceEntry>> traces(macros);
-  std::vector<macro::ProgramStats> ps_m(macros);
-  const std::size_t active = std::min(chunks, macros);
+  std::vector<std::vector<macro::TraceEntry>> traces(active);
+  std::vector<std::uint64_t> adaptive_m(active, 0);
   pool_.parallel_for(active, [&](std::size_t m) {
     auto& mac = mem_.macro(m);
     for (std::size_t c = m; c < chunks; c += macros) {
@@ -720,9 +698,10 @@ OpResult ExecutionEngine::run_chain(const ChainRequest& req) {
       for (std::size_t j = 0; j < links; ++j)
         mac.poke_words(base + 2 + j, 0, 2 * req.bits, req.links[j].values.subspan(pos, len));
     }
-    macro::MacroController ctl(mac, macro::VerifyMode::VerifyFirst);
+    macro::MacroController ctl(mac);
     traces[m].reserve(programs[m].size());
-    ps_m[m] = ctl.run(programs[m], &traces[m], /*fuse_mac_chains=*/true, pol);
+    adaptive_m[m] =
+        ctl.run(programs[m], &traces[m], /*fuse_mac_chains=*/true, pol).adaptive_cycles_saved;
   });
 
   // The last link of each layer block drives the chain's value out.
@@ -757,10 +736,7 @@ OpResult ExecutionEngine::run_chain(const ChainRequest& req) {
   res.stats.elapsed_time = Second(static_cast<double>(res.stats.elapsed_cycles) * tick);
   res.stats.load_cycles = load;
   res.stats.load_cycles_saved = saved;
-  std::uint64_t dense_elapsed = 0;  // same-fusion-pattern policy-off makespan
-  for (std::size_t m = 0; m < active; ++m)
-    dense_elapsed = std::max(dense_elapsed, ps_m[m].cycles + ps_m[m].adaptive_cycles_saved);
-  res.stats.adaptive_cycles_saved = dense_elapsed - res.stats.elapsed_cycles;
+  res.stats.adaptive_cycles_saved = dense_elapsed(adaptive_m) - res.stats.elapsed_cycles;
 
   batch_ = BatchStats{};
   batch_.ops = 1;

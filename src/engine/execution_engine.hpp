@@ -12,14 +12,12 @@
 // lock-step max (cycles) and fixed-order sum (energy).
 //
 // Unified execution model: every dispatched op -- run()/run_batch() exactly
-// like the fused paths -- is compiled to a verified macro ISA program
+// like the fused paths -- is compiled to a macro::VerifiedProgram
 // (macro::OpCompiler emits + caches the single-instruction program per
-// (kind, bits, row placement)) and executed through MacroController in
-// VerifyFirst mode. The engine never calls the macro row-op datapath
-// directly (a CI grep gate enforces this); RunStats are derived from the
-// instruction stream the controller prices through macro::CostModel, and
-// agree with the legacy per-macro ledgers exactly -- cycles are asserted
-// per run, the bitwise energy half lives in the conservation tests.
+// (kind, bits, row placement)) and executed through MacroController, which
+// runs it without verifying it again. The engine never calls the macro
+// row-op datapath directly (a CI grep gate enforces this); RunStats come
+// from the memory ledger, the one runtime account.
 //
 // run_batch() executes several independent ops as one batch and models a
 // double-buffered schedule in the cycle model: operands of op k+1 are
@@ -224,7 +222,10 @@ class ExecutionEngine {
   OpResult run_one(const VecOp& op, OpAccount& acct);
   /// The cached single-instruction program for `op` at one concrete row
   /// placement (compiled + verified on first use).
-  const macro::Program& program_for(const VecOp& op, std::size_t r_a, std::size_t r_b);
+  const macro::VerifiedProgram& program_for(const VecOp& op, std::size_t r_a, std::size_t r_b);
+  /// Policy-off makespan of the dispatch just run, from the memory ledger
+  /// and the adaptive cycles each macro's controller reported.
+  std::uint64_t dense_elapsed(std::span<const std::uint64_t> adaptive_m);
   /// Write a pinned operand's values into its allocated rows (same chunk
   /// walk as run_one, one row per pair).
   void materialize(ResidencyManager::Entry& entry);

@@ -4,7 +4,7 @@
 //
 // run_forward() executes a whole-forward MAC program: J resident weight
 // handles against one shared activation, compiled per macro into a single
-// verified Program whose back-to-back MULTs run on the chained datapath.
+// VerifiedProgram whose back-to-back MULTs run on the chained datapath.
 // run_chain() executes one MULT->ADD(->ADD-Shift) dependency chain without
 // spilling the intermediate product. FusionStats counts how often each path
 // compiled, recompiled (after eviction moved a weight), ran fused, or fell
@@ -54,8 +54,7 @@ struct FusedForward {
   std::size_t layers = 0;               ///< row-pair layers per handle
   std::vector<std::uint64_t> ids;       ///< weight handle ids, op order
   std::vector<std::size_t> base_pairs;  ///< per-handle base at compile time
-  std::vector<macro::Program> programs;  ///< one per macro (possibly empty)
-  std::uint64_t fused_static_cycles = 0;  ///< macro-0 cost on the chained path
+  std::vector<macro::VerifiedProgram> programs;  ///< one per macro that owns a chunk
 };
 
 }  // namespace bpim::engine

@@ -30,7 +30,7 @@ obs::Counter& compile_rejected_counter() {
 
 }  // namespace
 
-Program FusionCompiler::compile_mac_forward(const MacForwardSpec& spec) const {
+VerifiedProgram FusionCompiler::compile_mac_forward(const MacForwardSpec& spec) const {
   BPIM_REQUIRE(!spec.steps.empty(), "fused forward needs at least one MAC");
   BPIM_REQUIRE(is_supported_precision(spec.bits), "unsupported MAC precision");
   Program p;
@@ -38,11 +38,10 @@ Program FusionCompiler::compile_mac_forward(const MacForwardSpec& spec) const {
     BPIM_REQUIRE(s.a_row != s.b_row, "MAC needs two distinct rows");
     p.mult(RowRef::main(s.a_row), RowRef::main(s.b_row), spec.bits);
   }
-  verify_emitted(p, "compile_mac_forward");
-  return p;
+  return seal(std::move(p), "compile_mac_forward");
 }
 
-Program FusionCompiler::compile_chain(const ChainSpec& spec) const {
+VerifiedProgram FusionCompiler::compile_chain(const ChainSpec& spec) const {
   BPIM_REQUIRE(!spec.layers.empty(), "chain needs at least one layer");
   BPIM_REQUIRE(is_supported_precision(spec.bits), "unsupported chain head precision");
   BPIM_REQUIRE(is_supported_precision(2 * spec.bits),
@@ -69,8 +68,7 @@ Program FusionCompiler::compile_chain(const ChainSpec& spec) const {
       }
     }
   }
-  verify_emitted(p, "compile_chain");
-  return p;
+  return seal(std::move(p), "compile_chain");
 }
 
 std::uint64_t FusionCompiler::fused_static_cycles(const Program& p) {
@@ -88,14 +86,14 @@ std::uint64_t FusionCompiler::fused_static_cycles(const Program& p) {
   return c;
 }
 
-void FusionCompiler::verify_emitted(const Program& p, const char* what) const {
+VerifiedProgram FusionCompiler::seal(Program p, const char* what) const {
   const VerifyReport rep = verify_program(p, geom_, pinned_);
   if (rep.errors == 0 && rep.warnings == 0) {
     programs_compiled_counter().add();
     BPIM_TRACE_INSTANT("macro.program.compile", 0,
                        obs::EventArgs{{"instructions", static_cast<double>(p.size())},
                                       {"fused", 1.0}});
-    return;
+    return VerifiedProgram(std::move(p), geom_);
   }
   compile_rejected_counter().add();
   throw std::invalid_argument(std::string(what) +
@@ -132,7 +130,7 @@ std::size_t OpCompiler::KeyHash::operator()(const Key& k) const {
   return static_cast<std::size_t>(h);
 }
 
-const Program& OpCompiler::single(const Instruction& inst) {
+const VerifiedProgram& OpCompiler::single(const Instruction& inst) {
   Key key;
   key.op = static_cast<std::uint8_t>(inst.op);
   key.fn = static_cast<std::uint8_t>(inst.logic_fn);
@@ -160,67 +158,37 @@ const Program& OpCompiler::single(const Instruction& inst) {
   BPIM_TRACE_INSTANT("macro.program.compile", 0,
                      obs::EventArgs{{"instructions", 1.0}, {"fused", 0.0}});
   // unordered_map references are stable under rehash and nothing is ever
-  // erased outside set_pinned(), so the mapped Program can be handed out.
-  return cache_.emplace(key, std::move(p)).first->second;
+  // erased outside set_pinned(), so the mapped program can be handed out.
+  return cache_.emplace(key, VerifiedProgram(std::move(p), geom_)).first->second;
 }
 
-const Program& OpCompiler::add(RowRef a, RowRef b, unsigned bits) {
-  Instruction i;
-  i.op = Op::Add;
-  i.a = a;
-  i.b = b;
-  i.bits = bits;
-  return single(i);
+const VerifiedProgram& OpCompiler::add(RowRef a, RowRef b, unsigned bits) {
+  return single({.op = Op::Add, .a = a, .b = b, .bits = bits});
 }
 
-const Program& OpCompiler::sub(RowRef a, RowRef b, unsigned bits) {
-  Instruction i;
-  i.op = Op::Sub;
-  i.a = a;
-  i.b = b;
-  i.bits = bits;
-  return single(i);
+const VerifiedProgram& OpCompiler::sub(RowRef a, RowRef b, unsigned bits) {
+  return single({.op = Op::Sub, .a = a, .b = b, .bits = bits});
 }
 
-const Program& OpCompiler::mult(RowRef a, RowRef b, unsigned bits) {
-  Instruction i;
-  i.op = Op::Mult;
-  i.a = a;
-  i.b = b;
-  i.bits = bits;
-  return single(i);
+const VerifiedProgram& OpCompiler::mult(RowRef a, RowRef b, unsigned bits) {
+  return single({.op = Op::Mult, .a = a, .b = b, .bits = bits});
 }
 
-const Program& OpCompiler::add_shift(RowRef a, RowRef b, unsigned bits, RowRef dest) {
-  Instruction i;
-  i.op = Op::AddShift;
-  i.a = a;
-  i.b = b;
-  i.bits = bits;
-  i.dest = dest;
-  return single(i);
+const VerifiedProgram& OpCompiler::add_shift(RowRef a, RowRef b, unsigned bits, RowRef dest) {
+  return single({.op = Op::AddShift, .a = a, .b = b, .dest = dest, .bits = bits});
 }
 
-const Program& OpCompiler::unary(Op op, RowRef src, RowRef dest, unsigned bits) {
+const VerifiedProgram& OpCompiler::unary(Op op, RowRef src, RowRef dest, unsigned bits) {
   BPIM_REQUIRE(op == Op::Not || op == Op::Copy || op == Op::Shift,
                "unary() takes NOT/COPY/SHIFT");
-  Instruction i;
-  i.op = op;
-  i.a = src;
-  i.dest = dest;
-  i.bits = bits;
-  return single(i);
+  return single({.op = op, .a = src, .dest = dest, .bits = bits});
 }
 
-const Program& OpCompiler::logic(periph::LogicFn fn, RowRef a, RowRef b) {
+const VerifiedProgram& OpCompiler::logic(periph::LogicFn fn, RowRef a, RowRef b) {
   BPIM_REQUIRE(fn != periph::LogicFn::PassA && fn != periph::LogicFn::NotA,
                "PassA/NotA are single-WL paths; use unary(COPY/NOT)");
-  Instruction i;
-  i.op = Op::And;  // representative dual-WL logic op; fn carries the function
-  i.logic_fn = fn;
-  i.a = a;
-  i.b = b;
-  return single(i);
+  // Op::And is the representative dual-WL logic op; fn carries the function.
+  return single({.op = Op::And, .logic_fn = fn, .a = a, .b = b});
 }
 
 void OpCompiler::set_pinned(std::vector<PinnedRows> pinned) {

@@ -26,7 +26,8 @@
 // pinned intervals (DiagKind::ResidentClobber) and must come back with ZERO
 // diagnostics -- warnings included -- or compilation throws with the
 // annotated disassembly. Nothing here depends on the engine layer; the
-// engine hands in geometry + pinned intervals and gets Programs back.
+// engine hands in geometry + pinned intervals and gets VerifiedPrograms
+// back, which MacroController runs without verifying them again.
 
 #include <cstdint>
 #include <stdexcept>
@@ -84,13 +85,13 @@ class FusionCompiler {
   /// Emit and verify the fused whole-forward MAC program. Throws
   /// std::invalid_argument (with annotated disassembly) if the emitted
   /// program draws any verifier diagnostic.
-  [[nodiscard]] Program compile_mac_forward(const MacForwardSpec& spec) const;
+  [[nodiscard]] VerifiedProgram compile_mac_forward(const MacForwardSpec& spec) const;
 
   /// Emit and verify a MULT->ADD(->ADD-Shift) chain program. The last link
   /// of an ADD chain carries no dest (result driven out and captured from
   /// the trace); a final ADD-Shift retires into the layer's own `a_row`,
   /// dead since the head MULT consumed it.
-  [[nodiscard]] Program compile_chain(const ChainSpec& spec) const;
+  [[nodiscard]] VerifiedProgram compile_chain(const ChainSpec& spec) const;
 
   /// Cycle cost of `p` on the chained-MAC execution path -- Table 1 minus
   /// the discounts MacroController::run applies with fuse_mac_chains set.
@@ -100,7 +101,8 @@ class FusionCompiler {
   [[nodiscard]] const std::vector<PinnedRows>& pinned() const { return pinned_; }
 
  private:
-  void verify_emitted(const Program& p, const char* what) const;
+  /// Verify an emitted program to zero diagnostics and seal it.
+  [[nodiscard]] VerifiedProgram seal(Program p, const char* what) const;
 
   array::ArrayGeometry geom_;
   std::vector<PinnedRows> pinned_;
@@ -127,20 +129,23 @@ class OpCompiler {
   explicit OpCompiler(array::ArrayGeometry g, std::vector<PinnedRows> pinned = {})
       : geom_(g), pinned_(std::move(pinned)) {}
 
-  const Program& add(array::RowRef a, array::RowRef b, unsigned bits) BPIM_EXCLUDES(mutex_);
-  const Program& sub(array::RowRef a, array::RowRef b, unsigned bits) BPIM_EXCLUDES(mutex_);
-  const Program& mult(array::RowRef a, array::RowRef b, unsigned bits) BPIM_EXCLUDES(mutex_);
-  const Program& add_shift(array::RowRef a, array::RowRef b, unsigned bits,
-                           array::RowRef dest) BPIM_EXCLUDES(mutex_);
-  const Program& unary(Op op, array::RowRef src, array::RowRef dest, unsigned bits)
+  const VerifiedProgram& add(array::RowRef a, array::RowRef b, unsigned bits)
       BPIM_EXCLUDES(mutex_);
-  const Program& logic(periph::LogicFn fn, array::RowRef a, array::RowRef b)
+  const VerifiedProgram& sub(array::RowRef a, array::RowRef b, unsigned bits)
+      BPIM_EXCLUDES(mutex_);
+  const VerifiedProgram& mult(array::RowRef a, array::RowRef b, unsigned bits)
+      BPIM_EXCLUDES(mutex_);
+  const VerifiedProgram& add_shift(array::RowRef a, array::RowRef b, unsigned bits,
+                                   array::RowRef dest) BPIM_EXCLUDES(mutex_);
+  const VerifiedProgram& unary(Op op, array::RowRef src, array::RowRef dest, unsigned bits)
+      BPIM_EXCLUDES(mutex_);
+  const VerifiedProgram& logic(periph::LogicFn fn, array::RowRef a, array::RowRef b)
       BPIM_EXCLUDES(mutex_);
 
   /// Generic entry: build/fetch the verified single-instruction program for
   /// `inst`. Throws std::invalid_argument (with annotated disassembly) when
   /// the instruction draws any verifier diagnostic.
-  const Program& single(const Instruction& inst) BPIM_EXCLUDES(mutex_);
+  const VerifiedProgram& single(const Instruction& inst) BPIM_EXCLUDES(mutex_);
 
   /// Replace the residency map. Clears the cache (programs verified against
   /// the old map are stale); must not race executions.
@@ -172,7 +177,7 @@ class OpCompiler {
   array::ArrayGeometry geom_;
   mutable Mutex mutex_;
   std::vector<PinnedRows> pinned_ BPIM_GUARDED_BY(mutex_);
-  std::unordered_map<Key, Program, KeyHash> cache_ BPIM_GUARDED_BY(mutex_);
+  std::unordered_map<Key, VerifiedProgram, KeyHash> cache_ BPIM_GUARDED_BY(mutex_);
   CacheStats stats_ BPIM_GUARDED_BY(mutex_);
 };
 

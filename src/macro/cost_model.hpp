@@ -8,11 +8,11 @@
 // would issue (dummy-row traffic, per-bit activities and all), in the exact
 // order ImcMacro charges it, so the statically priced totals equal the
 // executed ledger totals *bitwise* -- double accumulation order included.
-// That conservation law (program_cost == ledger) is the contract that lets
-// the instruction stream replace the ledgers as the accounting source of
-// truth; MacroController::run asserts the cycle half on every instruction
-// and the tests in test_macro_accounting/test_macro_energy assert the
-// energy half exactly.
+// The ledger is the runtime account (MacroController reads it back per
+// instruction); this model is the static reference it is checked against.
+// test_macro_accounting, test_macro_energy and test_hot_path_diff hold the
+// conservation law (priced == executed) on every instruction: cycles
+// exactly, energy bitwise.
 //
 // Chained-MAC pricing: pass the predecessor instruction to instruction_cost
 // (or set fuse_mac_chains on program_cost) and back-to-back MULTs at one

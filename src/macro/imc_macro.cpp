@@ -35,7 +35,7 @@ ImcMacro::ImcMacro(const MacroConfig& cfg)
     : cfg_(cfg),
       array_(cfg.geometry),
       energy_(cfg.energy_params),
-      freq_(cfg.freq),
+      cycle_time_(scheme_cycle_time(cfg, timing::FreqModel(cfg.freq))),
       disturb_(DisturbModel::for_scheme(cfg.wl_scheme)),
       rng_(cfg.seed) {
   BPIM_REQUIRE(cfg.geometry.dummy_rows >= 3, "the sequencer needs three dummy rows");
@@ -229,8 +229,6 @@ Second scheme_cycle_time(const MacroConfig& cfg, const timing::FreqModel& freq) 
   }
   return period_of(freq.fmax(cfg.vdd, sep));
 }
-
-Second ImcMacro::cycle_time() const { return scheme_cycle_time(cfg_, freq_); }
 
 Hertz ImcMacro::fmax() const { return frequency_of(cycle_time()); }
 

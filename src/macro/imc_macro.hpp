@@ -167,8 +167,9 @@ class ImcMacro {
   [[nodiscard]] Joule component_energy(energy::Component c) const;
   void reset_counters();
 
-  /// Cycle time / fmax for this macro's scheme and separator mode.
-  [[nodiscard]] Second cycle_time() const;
+  /// Cycle time / fmax for this macro's scheme and separator mode (fixed
+  /// by the config, so computed once at construction).
+  [[nodiscard]] Second cycle_time() const { return cycle_time_; }
   [[nodiscard]] Hertz fmax() const;
 
   /// Count of cells corrupted by injected read disturb so far.
@@ -194,7 +195,7 @@ class ImcMacro {
   MacroConfig cfg_;
   array::SramArray array_;
   energy::EnergyModel energy_;
-  timing::FreqModel freq_;
+  Second cycle_time_;
   DisturbModel disturb_;
   Rng rng_;
 

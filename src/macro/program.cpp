@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "common/require.hpp"
-#include "macro/cost_model.hpp"
 #include "macro/verifier.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -13,14 +12,8 @@ namespace bpim::macro {
 namespace {
 
 // Program-path instruments, resolved once (stable addresses, lock-free
-// updates thereafter). Rejections and per-program cycles are the adoption
-// signals of the unified execution model.
-obs::Counter& verify_rejected_counter() {
-  static obs::Counter& c = obs::MetricsRegistry::global().counter(
-      "macro.verify.rejected", "programs rejected before execution (VerifyFirst or compile)");
-  return c;
-}
-
+// updates thereafter). Per-program cycles are the adoption signal of the
+// unified execution model.
 obs::Histogram& program_cycles_histogram() {
   static obs::Histogram& h = obs::MetricsRegistry::global().histogram(
       "macro.program.cycles", "modeled cycles per executed macro program");
@@ -62,7 +55,8 @@ std::string to_string(const Instruction& inst) {
       inst.op == Op::Xnor || inst.op == Op::Xor)
     os << "(" << periph::to_string(inst.logic_fn) << ")";
   auto row = [](const array::RowRef& r) {
-    return std::string(r.is_dummy() ? "D" : "R") + std::to_string(r.index);
+    std::string name(r.is_dummy() ? "D" : "R");
+    return name += std::to_string(r.index);
   };
   os << " " << row(inst.a);
   if (is_dual_wl(inst.op)) os << ", " << row(inst.b);
@@ -74,69 +68,32 @@ std::string to_string(const Instruction& inst) {
 Program& Program::logic(periph::LogicFn fn, array::RowRef a, array::RowRef b) {
   BPIM_REQUIRE(fn != periph::LogicFn::PassA && fn != periph::LogicFn::NotA,
                "PassA/NotA are single-WL paths; use unary(COPY/NOT)");
-  Instruction i;
-  i.op = Op::And;  // representative dual-WL logic op; fn carries the function
-  i.logic_fn = fn;
-  i.a = a;
-  i.b = b;
-  instructions_.push_back(i);
-  return *this;
+  // Op::And is the representative dual-WL logic op; fn carries the function.
+  return push({.op = Op::And, .logic_fn = fn, .a = a, .b = b});
 }
 
 Program& Program::unary(Op op, array::RowRef src, array::RowRef dest, unsigned bits) {
   BPIM_REQUIRE(op == Op::Not || op == Op::Copy || op == Op::Shift,
                "unary() takes NOT/COPY/SHIFT");
-  Instruction i;
-  i.op = op;
-  i.a = src;
-  i.dest = dest;
-  i.bits = bits;
-  instructions_.push_back(i);
-  return *this;
+  return push({.op = op, .a = src, .dest = dest, .bits = bits});
 }
 
 Program& Program::add(array::RowRef a, array::RowRef b, unsigned bits,
                       std::optional<array::RowRef> dest) {
-  Instruction i;
-  i.op = Op::Add;
-  i.a = a;
-  i.b = b;
-  i.bits = bits;
-  i.dest = dest;
-  instructions_.push_back(i);
-  return *this;
+  return push({.op = Op::Add, .a = a, .b = b, .dest = dest, .bits = bits});
 }
 
 Program& Program::add_shift(array::RowRef a, array::RowRef b, unsigned bits,
                             array::RowRef dest) {
-  Instruction i;
-  i.op = Op::AddShift;
-  i.a = a;
-  i.b = b;
-  i.bits = bits;
-  i.dest = dest;
-  instructions_.push_back(i);
-  return *this;
+  return push({.op = Op::AddShift, .a = a, .b = b, .dest = dest, .bits = bits});
 }
 
 Program& Program::sub(array::RowRef a, array::RowRef b, unsigned bits) {
-  Instruction i;
-  i.op = Op::Sub;
-  i.a = a;
-  i.b = b;
-  i.bits = bits;
-  instructions_.push_back(i);
-  return *this;
+  return push({.op = Op::Sub, .a = a, .b = b, .bits = bits});
 }
 
 Program& Program::mult(array::RowRef a, array::RowRef b, unsigned bits) {
-  Instruction i;
-  i.op = Op::Mult;
-  i.a = a;
-  i.b = b;
-  i.bits = bits;
-  instructions_.push_back(i);
-  return *this;
+  return push({.op = Op::Mult, .a = a, .b = b, .bits = bits});
 }
 
 std::uint64_t Program::static_cycles() const {
@@ -171,66 +128,24 @@ std::string Program::dump() const {
   return os.str();
 }
 
-void MacroController::check_row(const array::RowRef& r, std::size_t index) const {
-  const auto& g = macro_.config().geometry;
-  const std::size_t limit = r.is_dummy() ? g.dummy_rows : g.rows;
-  if (r.index >= limit)
-    throw std::invalid_argument("instruction " + std::to_string(index) +
-                                ": row out of range: " + std::to_string(r.index));
-}
-
-void MacroController::validate(const Program& p) const {
-  for (std::size_t k = 0; k < p.instructions().size(); ++k) {
-    const Instruction& i = p.instructions()[k];
-    check_row(i.a, k);
-    if (is_dual_wl(i.op)) {
-      check_row(i.b, k);
-      if (i.a == i.b)
-        throw std::invalid_argument("instruction " + std::to_string(k) +
-                                    ": dual-WL op needs two distinct rows");
-    }
-    if (i.dest) check_row(*i.dest, k);
-    const bool needs_dest = i.op == Op::Not || i.op == Op::Copy || i.op == Op::Shift ||
-                            i.op == Op::AddShift;
-    if (needs_dest && !i.dest)
-      throw std::invalid_argument("instruction " + std::to_string(k) + ": " +
-                                  std::string(to_string(i.op)) + " requires a destination");
-    if (i.op != Op::And || i.logic_fn == periph::LogicFn::PassA ||
-        i.logic_fn == periph::LogicFn::NotA) {
-      // Arithmetic ops and single-WL paths carry a precision.
-      if (i.op == Op::Add || i.op == Op::AddShift || i.op == Op::Sub || i.op == Op::Mult ||
-          needs_dest) {
-        if (!is_supported_precision(i.bits))
-          throw std::invalid_argument("instruction " + std::to_string(k) +
-                                      ": unsupported precision " + std::to_string(i.bits));
-        const unsigned span = i.op == Op::Mult ? 2 * i.bits : i.bits;
-        if (macro_.cols() % span != 0)
-          throw std::invalid_argument("instruction " + std::to_string(k) +
-                                      ": precision does not divide the row width");
-      }
-    }
-  }
-}
-
 ProgramStats MacroController::run(const Program& p, std::vector<TraceEntry>* trace,
                                   bool fuse_mac_chains, const AdaptivePolicy& policy) {
-  if (mode_ == VerifyMode::VerifyFirst) {
-    const VerifyReport report = verify_program(p, macro_);
-    if (!report.ok()) {
-      verify_rejected_counter().add();
-      throw std::invalid_argument("program rejected by verifier: " + report.error_summary() +
-                                  "\n" + report.annotate(p));
-    }
-  } else {
-    validate(p);
-  }
-  // The instruction stream is the accounting source: every instruction is
-  // priced by the cost model (cycles from timing/, joules from energy/) and
-  // cross-checked against the executing datapath's ledger. Cycles are
-  // asserted here on every instruction; the energy half of the conservation
-  // law (bitwise ledger equality) is asserted in test_macro_accounting /
-  // test_macro_energy.
-  const CostModel cost(macro_.config());
+  verify_program(p, macro_).require_ok(p);
+  return execute(p, trace, fuse_mac_chains, policy);
+}
+
+ProgramStats MacroController::run(const VerifiedProgram& p, std::vector<TraceEntry>* trace,
+                                  bool fuse_mac_chains, const AdaptivePolicy& policy) {
+  BPIM_REQUIRE(p.geometry() == macro_.config().geometry,
+               "program was verified for a different array geometry");
+  return execute(p, trace, fuse_mac_chains, policy);
+}
+
+ProgramStats MacroController::execute(const Program& p, std::vector<TraceEntry>* trace,
+                                      bool fuse_mac_chains, const AdaptivePolicy& policy) {
+  // The macro ledger is the account: each instruction's cycles and energy
+  // are read back from last_op(). CostModel prices the same stream
+  // statically, and the conservation tests hold the two equal.
   ProgramStats stats;
   const Instruction* prev = nullptr;
   // What the masked-copy dummy row D1 currently holds. A MULT whose staging
@@ -248,7 +163,6 @@ ProgramStats MacroController::run(const Program& p, std::vector<TraceEntry>* tra
   const array::RowRef d1_row = array::RowRef::dummy(ImcMacro::kDummyOperand);
   for (const Instruction& i : p.instructions()) {
     BitVector result;
-    InstructionCost priced;
     MultPlan plan;
     unsigned adaptive = 0;
     switch (i.op) {
@@ -258,25 +172,20 @@ ProgramStats MacroController::run(const Program& p, std::vector<TraceEntry>* tra
       case Op::Or:
       case Op::Xnor:
       case Op::Xor:
-        priced = cost.instruction_cost(i, fuse_mac_chains ? prev : nullptr);
         result = macro_.logic_rows(i.logic_fn, i.a, i.b);
         break;
       case Op::Not:
       case Op::Copy:
       case Op::Shift:
-        priced = cost.instruction_cost(i, fuse_mac_chains ? prev : nullptr);
         result = macro_.unary_row(i.op, i.a, *i.dest, i.bits);
         break;
       case Op::Add:
-        priced = cost.instruction_cost(i, fuse_mac_chains ? prev : nullptr);
         result = macro_.add_rows(i.a, i.b, i.bits, i.dest);
         break;
       case Op::AddShift:
-        priced = cost.instruction_cost(i, fuse_mac_chains ? prev : nullptr);
         result = macro_.add_shift_rows(i.a, i.b, i.bits, *i.dest);
         break;
       case Op::Sub:
-        priced = cost.instruction_cost(i, fuse_mac_chains ? prev : nullptr);
         result = macro_.sub_rows(i.a, i.b, i.bits);
         break;
       case Op::Mult: {
@@ -284,28 +193,24 @@ ProgramStats MacroController::run(const Program& p, std::vector<TraceEntry>* tra
         // loads its FF while the predecessor's final D2 write-back drains;
         // if D1 still holds this multiplicand's masked copy, the staging
         // cycle drops out as well. The adaptive policy then narrows/skips
-        // against the operand data; the one resolved plan drives pricing,
-        // execution, and the savings split alike.
+        // against the operand data; the one resolved plan drives execution
+        // and the savings split alike.
         const bool pipelined =
             fuse_mac_chains && prev != nullptr && prev->op == Op::Mult && prev->bits == i.bits;
         const bool d1_staged =
             pipelined && staged.valid && staged.row == i.a && staged.bits == i.bits;
         plan = macro_.plan_mult(i.a, i.b, i.bits, policy, d1_staged, pipelined);
-        priced = cost.instruction_cost(i, plan);
         result = macro_.mult_rows_planned(i.a, i.b, i.bits, plan);
         adaptive = plan.adaptive_cycles_saved(i.bits);
         break;
       }
     }
     const ExecStats es = macro_.last_op();
-    BPIM_REQUIRE(priced.cycles == es.cycles,
-                 "cost model cycles diverge from the executed datapath");
     ++stats.instructions;
-    stats.cycles += priced.cycles;
-    const unsigned table_cycles = op_cycles(i.op, i.bits);
+    stats.cycles += es.cycles;
     if (i.op == Op::Mult) {
       const unsigned fused = plan.fused_cycles_saved();
-      BPIM_REQUIRE(priced.cycles + fused + adaptive == table_cycles,
+      BPIM_REQUIRE(es.cycles + fused + adaptive == op_cycles(i.op, i.bits),
                    "MULT cycle conservation violated (static != cycles + fused + adaptive)");
       stats.fused_cycles_saved += fused;
       stats.adaptive_cycles_saved += adaptive;
@@ -323,14 +228,13 @@ ProgramStats MacroController::run(const Program& p, std::vector<TraceEntry>* tra
       }
     } else if (i.op == Op::Sub || (i.dest && *i.dest == d1_row)) {
       staged.valid = false;  // D1 clobbered (SUB stages ~b there; dest hit it)
-    } else {
-      if (table_cycles > priced.cycles) stats.fused_cycles_saved += table_cycles - priced.cycles;
     }
-    stats.energy += priced.energy;
-    if (trace) trace->push_back(TraceEntry{i, es.cycles, es.op_energy, result, adaptive});
+    stats.energy += es.op_energy;
+    if (trace)
+      trace->push_back(TraceEntry{i, es.cycles, es.op_energy, std::move(result), adaptive, plan});
     prev = &i;
   }
-  stats.elapsed = cost.cycle_time() * static_cast<double>(stats.cycles);
+  stats.elapsed = macro_.cycle_time() * static_cast<double>(stats.cycles);
   program_cycles_histogram().observe(stats.cycles);
 #if BPIM_OBS_ENABLED
   // Per-program events are high volume (one per macro per batch step), so

@@ -49,8 +49,8 @@ class Program {
   /// Append a raw instruction with none of the builder methods' argument
   /// checks -- the entry point for code that assembles Instructions itself
   /// (a macro compiler, fuzzers, verifier tests). Such programs carry no
-  /// validity guarantee: check them with macro::verify_program (or run them
-  /// through a VerifyFirst controller) before execution.
+  /// validity guarantee: MacroController::run(const Program&) verifies them
+  /// whole before execution.
   Program& push(Instruction inst) {
     instructions_.push_back(std::move(inst));
     return *this;
@@ -72,7 +72,8 @@ class Program {
   std::vector<Instruction> instructions_;
 };
 
-/// Per-instruction execution record.
+/// Per-instruction execution record; cycles and energy are the macro
+/// ledger's entry for the instruction (ImcMacro::last_op()).
 struct TraceEntry {
   Instruction inst;
   unsigned cycles = 0;
@@ -81,12 +82,14 @@ struct TraceEntry {
   /// Cycles the adaptive policy saved on this instruction (MULT narrowing/
   /// skipping; 0 for other ops or when the policy is off).
   unsigned adaptive_cycles_saved = 0;
+  /// The resolved plan a MULT executed under (default for other ops): what
+  /// CostModel::instruction_cost(inst, plan) prices to exactly this entry.
+  MultPlan plan{};
 };
 
-/// Per-program account, derived from the instruction stream: run() prices
-/// every instruction through macro::CostModel (cycles from timing/, joules
-/// from energy/) and cross-checks the executing macro's ledger -- the two
-/// agree exactly (cycles asserted per instruction, energy bitwise in tests).
+/// Per-program account, summed from the macro ledger instruction by
+/// instruction. macro::CostModel prices the same stream statically; the
+/// tests hold the two equal (cycles exactly, energy bitwise).
 struct ProgramStats {
   std::uint64_t instructions = 0;
   std::uint64_t cycles = 0;
@@ -102,31 +105,27 @@ struct ProgramStats {
   Second elapsed{0.0};
 };
 
-/// How MacroController checks a program before execution.
+class VerifiedProgram;  // macro/verifier.hpp
+
+/// How MacroController checks a program before execution. One mode is
+/// left: run the static verifier (macro/verifier.hpp) over the whole
+/// program first and reject it with every error listed.
 enum class VerifyMode {
-  /// The original first-fault walk (validate()): throws at the first
-  /// malformed instruction with just its index.
-  Legacy,
-  /// Run the static verifier (macro/verifier.hpp) over the whole program
-  /// first; reject with every error listed. Catches everything Legacy does
-  /// plus scratch-row role violations and budget faults.
   VerifyFirst,
 };
 
-/// Executes programs against a macro; validates rows/precision before any
-/// state is touched (a bad program is rejected whole).
+/// Executes programs against a macro. A raw Program is verified whole
+/// before any state is touched; a VerifiedProgram was verified when it was
+/// made and only has its geometry checked. The macro ledger is the one
+/// runtime account: each instruction's cycles and energy are read back from
+/// ImcMacro::last_op().
 class MacroController {
  public:
-  explicit MacroController(ImcMacro& m, VerifyMode mode = VerifyMode::Legacy)
-      : macro_(m), mode_(mode) {}
+  explicit MacroController(ImcMacro& m, VerifyMode = VerifyMode::VerifyFirst) : macro_(m) {}
 
-  /// Throws std::invalid_argument (with the offending instruction index) if
-  /// any instruction is malformed for this macro.
-  void validate(const Program& p) const;
-
-  /// Checks (per VerifyMode) and runs; returns stats. If `trace` is
-  /// non-null, appends one entry per instruction. Rejected programs leave
-  /// the macro untouched.
+  /// Verifies `p` against the macro's geometry, then runs it; returns
+  /// stats. If `trace` is non-null, appends one entry per instruction.
+  /// Rejected programs leave the macro untouched.
   ///
   /// With `fuse_mac_chains` set, back-to-back MULTs at one precision run on
   /// the chained datapath: the FF load of cycle 1 overlaps the predecessor's
@@ -144,13 +143,17 @@ class MacroController {
   ProgramStats run(const Program& p, std::vector<TraceEntry>* trace = nullptr,
                    bool fuse_mac_chains = false, const AdaptivePolicy& policy = {});
 
-  [[nodiscard]] VerifyMode mode() const { return mode_; }
+  /// Runs an already-verified program without verifying it again. Throws
+  /// std::invalid_argument, leaving the macro untouched, when `p` was
+  /// verified for a different array geometry.
+  ProgramStats run(const VerifiedProgram& p, std::vector<TraceEntry>* trace = nullptr,
+                   bool fuse_mac_chains = false, const AdaptivePolicy& policy = {});
 
  private:
-  void check_row(const array::RowRef& r, std::size_t index) const;
+  ProgramStats execute(const Program& p, std::vector<TraceEntry>* trace, bool fuse_mac_chains,
+                       const AdaptivePolicy& policy);
 
   ImcMacro& macro_;
-  const VerifyMode mode_;
 };
 
 }  // namespace bpim::macro

@@ -1,7 +1,10 @@
 #include "macro/verifier.hpp"
 
 #include <sstream>
+#include <stdexcept>
 #include <unordered_map>
+
+#include "obs/metrics.hpp"
 
 namespace bpim::macro {
 
@@ -35,7 +38,8 @@ bool field_structured_read(Op op) {
 }
 
 std::string row_name(const array::RowRef& r) {
-  return std::string(r.is_dummy() ? "D" : "R") + std::to_string(r.index);
+  std::string name(r.is_dummy() ? "D" : "R");
+  return name += std::to_string(r.index);
 }
 
 /// What the verifier remembers about one row between instructions.
@@ -332,6 +336,15 @@ std::string VerifyReport::annotate(const Program& p) const {
   return os.str();
 }
 
+void VerifyReport::require_ok(const Program& p) const {
+  if (ok()) return;
+  static obs::Counter& rejected = obs::MetricsRegistry::global().counter(
+      "macro.verify.rejected", "programs rejected before execution (VerifyFirst or compile)");
+  rejected.add();
+  throw std::invalid_argument("program rejected by verifier: " + error_summary() + "\n" +
+                              annotate(p));
+}
+
 VerifyReport verify_program(const Program& p, const array::ArrayGeometry& g,
                             const VerifyLimits& limits) {
   return Checker(p, g, limits).run();
@@ -344,6 +357,13 @@ VerifyReport verify_program(const Program& p, const array::ArrayGeometry& g,
 
 VerifyReport verify_program(const Program& p, const ImcMacro& m, const VerifyLimits& limits) {
   return verify_program(p, m.config().geometry, limits);
+}
+
+VerifiedProgram VerifiedProgram::verify(Program p, const array::ArrayGeometry& g,
+                                        std::span<const PinnedRows> pinned,
+                                        const VerifyLimits& limits) {
+  verify_program(p, g, pinned, limits).require_ok(p);
+  return VerifiedProgram(std::move(p), g);
 }
 
 }  // namespace bpim::macro

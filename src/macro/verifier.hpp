@@ -1,12 +1,14 @@
 #pragma once
 // Static verifier for macro::Program -- the compile-time contract of the
-// row-level ISA. Where MacroController::validate throws on the first
-// malformed instruction, the verifier checks a whole program against an
-// array geometry *before* any state is touched and returns a structured
+// row-level ISA. The verifier checks a whole program against an array
+// geometry *before* any state is touched and returns a structured
 // diagnostics list (severity, instruction index, message), so a macro
-// compiler (the planned fusion path that emits Programs at pin time) can
-// report every fault of an emitted program at once and tests can assert on
-// diagnostic kinds instead of string-matching exception text.
+// compiler can report every fault of an emitted program at once and tests
+// can assert on diagnostic kinds instead of string-matching exception text.
+//
+// A program that passed is sealed as a VerifiedProgram: the verification
+// travels with the program, and MacroController runs it without verifying
+// it again.
 //
 // Checked, per instruction:
 //   * row bounds against the geometry (main rows and dummy rows);
@@ -35,6 +37,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "array/sram_array.hpp"
@@ -101,6 +104,10 @@ struct VerifyReport {
   /// Program::dump() with each instruction's diagnostics interleaved under
   /// it -- the debuggable form of a rejected fused program.
   [[nodiscard]] std::string annotate(const Program& p) const;
+  /// Unless ok(), count the rejection (macro.verify.rejected) and throw
+  /// std::invalid_argument with the errors and the annotated listing of
+  /// `p`, the program this report covers.
+  void require_ok(const Program& p) const;
 };
 
 /// Verify `p` against an array geometry (no macro instance needed -- a
@@ -117,5 +124,34 @@ struct VerifyReport {
 /// Convenience: verify against a live macro's geometry.
 [[nodiscard]] VerifyReport verify_program(const Program& p, const ImcMacro& m,
                                           const VerifyLimits& limits = {});
+
+/// An immutable Program that passed verify_program against one array
+/// geometry, which it records. Only VerifiedProgram::verify, OpCompiler and
+/// FusionCompiler make one, so holding one is proof the check ran;
+/// MacroController::run then only compares geometries. It reads as a const
+/// Program, but exposes none of Program's mutators.
+class VerifiedProgram {
+ public:
+  /// Verify `p` against `g` (and the pinned map) and seal it. Throws
+  /// std::invalid_argument, with the errors and the annotated listing, when
+  /// the report has Errors; Warnings pass.
+  [[nodiscard]] static VerifiedProgram verify(Program p, const array::ArrayGeometry& g,
+                                              std::span<const PinnedRows> pinned = {},
+                                              const VerifyLimits& limits = {});
+
+  operator const Program&() const { return program_; }
+  [[nodiscard]] const Program& program() const { return program_; }
+  [[nodiscard]] const array::ArrayGeometry& geometry() const { return geometry_; }
+  [[nodiscard]] std::size_t size() const { return program_.size(); }
+
+ private:
+  friend class OpCompiler;
+  friend class FusionCompiler;
+  VerifiedProgram(Program p, const array::ArrayGeometry& g)
+      : program_(std::move(p)), geometry_(g) {}
+
+  Program program_;
+  array::ArrayGeometry geometry_;
+};
 
 }  // namespace bpim::macro

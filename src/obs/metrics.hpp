@@ -95,12 +95,7 @@ class Histogram {
   void observe(std::uint64_t v) {
     buckets_[HistogramBuckets::index_of(v)].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
-    // Double-valued sum under concurrent adds: CAS loop, still lock-free.
-    double cur = sum_.load(std::memory_order_relaxed);
-    while (!sum_.compare_exchange_weak(cur, cur + static_cast<double>(v),
-                                       std::memory_order_relaxed,
-                                       std::memory_order_relaxed)) {
-    }
+    sum_.fetch_add(v, std::memory_order_relaxed);
   }
 
   [[nodiscard]] HistogramSnapshot snapshot() const;
@@ -108,7 +103,7 @@ class Histogram {
  private:
   std::array<std::atomic<std::uint64_t>, HistogramBuckets::kBucketCount> buckets_{};
   std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
+  std::atomic<std::uint64_t> sum_{0};  ///< exact; reported as a double
 };
 
 /// Process-wide instrument registry. Lookup-or-create by name; exposition

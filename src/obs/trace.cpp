@@ -62,24 +62,34 @@ TraceSession& TraceSession::global() {
 
 std::uint64_t TraceSession::now_ns() const { return steady_ns() - epoch_ns_; }
 
+/// The calling thread's ring in one session, and the row name it was given
+/// before its first event. Cached per thread *per session*: a thread that
+/// alternates between two sessions starts over (a fresh ring) on each
+/// switch -- benign, and only test code ever holds more than the global
+/// session.
+struct TraceSession::ThreadRow {
+  TraceSession* owner = nullptr;
+  Ring* ring = nullptr;
+  std::string name;
+};
+
+TraceSession::ThreadRow& TraceSession::thread_row() {
+  thread_local ThreadRow row;
+  if (row.owner != this) row = ThreadRow{this, nullptr, {}};
+  return row;
+}
+
 TraceSession::Ring& TraceSession::local_ring() {
-  // Cached per thread *per session*: a thread that alternates between two
-  // sessions re-registers (gaining a fresh ring) on each switch -- benign,
-  // and only test code ever holds more than the global session.
-  struct Cache {
-    TraceSession* owner = nullptr;
-    Ring* ring = nullptr;
-  };
-  thread_local Cache cache;
-  if (cache.owner != this) {
+  ThreadRow& row = thread_row();
+  if (row.ring == nullptr) {
     MutexLock lk(mutex_);
     auto ring = std::make_unique<Ring>();
     ring->tid = next_tid_++;
-    ring->name = "thread " + std::to_string(ring->tid);
-    cache = {this, ring.get()};
+    ring->name = row.name.empty() ? "thread " + std::to_string(ring->tid) : std::move(row.name);
+    row.ring = ring.get();
     rings_.push_back(std::move(ring));
   }
-  return *cache.ring;
+  return *row.ring;
 }
 
 void TraceSession::emit(const Event& ev) {
@@ -94,9 +104,20 @@ TrackId TraceSession::register_track(std::string name) {
 }
 
 void TraceSession::set_thread_name(std::string name) {
-  Ring& ring = local_ring();
+  // A thread without a ring keeps the name until its first event registers
+  // one, so naming a thread that never records allocates nothing.
+  ThreadRow& row = thread_row();
+  if (row.ring == nullptr) {
+    row.name = std::move(name);
+    return;
+  }
   MutexLock lk(mutex_);
-  ring.name = std::move(name);
+  row.ring->name = std::move(name);
+}
+
+std::size_t TraceSession::thread_count() const {
+  MutexLock lk(mutex_);
+  return rings_.size();
 }
 
 void TraceSession::complete_event(const char* name, TrackId track,

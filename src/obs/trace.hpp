@@ -115,7 +115,9 @@ class TraceSession {
   /// Any thread may then record events onto the returned id.
   [[nodiscard]] TrackId register_track(std::string name) BPIM_EXCLUDES(mutex_);
 
-  /// Name the calling thread's own row in the exported timeline.
+  /// Name the calling thread's own row in the exported timeline. Applied
+  /// when the thread records its first event; a thread that never records
+  /// registers no ring.
   void set_thread_name(std::string name) BPIM_EXCLUDES(mutex_);
 
   /// Nanoseconds since the session epoch (steady clock).
@@ -146,10 +148,14 @@ class TraceSession {
 
   /// Events lost to full rings since construction.
   [[nodiscard]] std::uint64_t dropped() const BPIM_EXCLUDES(mutex_);
+  /// Threads that have registered a ring (recorded at least one event).
+  [[nodiscard]] std::size_t thread_count() const BPIM_EXCLUDES(mutex_);
 
  private:
   struct Ring;
+  struct ThreadRow;
 
+  ThreadRow& thread_row();
   Ring& local_ring() BPIM_EXCLUDES(mutex_);
   void emit(const Event& ev) BPIM_EXCLUDES(mutex_);
 

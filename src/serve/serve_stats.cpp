@@ -35,6 +35,8 @@ ServeLedger::ServeLedger(std::size_t memories)
                    "serve.requests.expired", "requests failed with DeadlineExceeded"),
                obs::MetricsRegistry::global().counter(
                    "serve.requests.completed", "futures fulfilled with a result"),
+               obs::MetricsRegistry::global().counter(
+                   "serve.requests.failed", "futures failed because execution threw"),
                obs::MetricsRegistry::global().counter("serve.batches",
                                                       "run_batch calls issued"),
                obs::MetricsRegistry::global().histogram(
@@ -70,6 +72,12 @@ void ServeLedger::on_expired(std::size_t n) {
   metrics_.expired.add(n);
   MutexLock lk(mutex_);
   totals_.expired += n;
+}
+
+void ServeLedger::on_failed(std::size_t n) {
+  metrics_.failed.add(n);
+  MutexLock lk(mutex_);
+  totals_.failed += n;
 }
 
 void ServeLedger::on_batch(const BatchRecord& rec, const engine::BatchStats& bs,

@@ -67,6 +67,10 @@ struct ServeStats {
   std::uint64_t rejected = 0;   ///< try_submit() refused: queue full
   std::uint64_t expired = 0;    ///< failed with DeadlineExceeded
   std::uint64_t completed = 0;  ///< futures fulfilled with a result
+  /// Futures failed because execution threw (a defect: validation happens
+  /// at submit). Settles the ledger: submitted == completed + expired +
+  /// failed once the server has drained.
+  std::uint64_t failed = 0;
   std::uint64_t batches = 0;    ///< run_batch calls issued
 
   std::size_t queue_depth = 0;       ///< at snapshot time
@@ -148,6 +152,8 @@ class ServeLedger {
   void on_submit_rescinded() BPIM_EXCLUDES(mutex_);
   void on_rejected() BPIM_EXCLUDES(mutex_);
   void on_expired(std::size_t n) BPIM_EXCLUDES(mutex_);
+  /// `n` requests whose execution threw; their futures carry the error.
+  void on_failed(std::size_t n) BPIM_EXCLUDES(mutex_);
   /// Record one executed batch: its shape (rec.memory selects the lane), the
   /// engine's BatchStats, the per-request latency samples (host
   /// microseconds, one per request) and per-request row-pair layers. Each
@@ -172,6 +178,7 @@ class ServeLedger {
     obs::Counter& rejected;
     obs::Counter& expired;
     obs::Counter& completed;
+    obs::Counter& failed;
     obs::Counter& batches;
     obs::Histogram& host_us;
     obs::Histogram& batch_ops;

@@ -557,8 +557,10 @@ void Server::execute_group(std::vector<std::vector<detail::Ticket>>& subs,
       results = eng.run_batch(ops);
     } catch (...) {
       // Validation happens at submit, so this is a defect; surface it on
-      // every rider's future rather than killing the scheduler.
+      // every rider's future rather than killing the scheduler. Ledger
+      // before promises, as on success.
       const std::exception_ptr err = std::current_exception();
+      ledger_.on_failed(batch.size());
       for (auto& t : batch) {
         trace_request_dropped(trace_id(t.seq), "error");
         t.promise.set_exception(err);
@@ -657,6 +659,7 @@ void Server::execute_fused(detail::Ticket& t, engine::ExecutionEngine& eng, std:
   } catch (...) {
     // Validation happens at submit, so this is a defect; surface it on the
     // client's future rather than killing the scheduler.
+    ledger_.on_failed(1);
     trace_request_dropped(trace_id(t.seq), "error");
     t.fail(std::current_exception());
     return;

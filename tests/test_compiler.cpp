@@ -107,7 +107,7 @@ TEST(FusionCompiler, DumpNamesOpsRowsAndRoles) {
   MacForwardSpec spec;
   spec.bits = 8;
   spec.steps = {{0, 10}};
-  const std::string text = fc.compile_mac_forward(spec).dump();
+  const std::string text = fc.compile_mac_forward(spec).program().dump();
   EXPECT_NE(text.find("MULT"), std::string::npos) << text;
   EXPECT_NE(text.find("R0"), std::string::npos) << text;
   EXPECT_NE(text.find("R10"), std::string::npos) << text;
@@ -206,11 +206,11 @@ TEST(FusionCompiler, FuzzedForwardExecutesBitIdenticalToReference) {
       spec.steps.push_back({0, 2 * (j + 1)});
     }
     const FusionCompiler fc(m.config().geometry);
-    const Program p = fc.compile_mac_forward(spec);
-    MacroController ctl(m, VerifyMode::VerifyFirst);
+    const VerifiedProgram p = fc.compile_mac_forward(spec);
+    MacroController ctl(m);
     std::vector<TraceEntry> trace;
     const ProgramStats stats = ctl.run(p, &trace, /*fuse_mac_chains=*/true);
-    EXPECT_EQ(stats.cycles + stats.fused_cycles_saved, p.static_cycles());
+    EXPECT_EQ(stats.cycles + stats.fused_cycles_saved, p.program().static_cycles());
     ASSERT_EQ(trace.size(), ops);
     for (std::size_t j = 0; j < ops; ++j)
       for (std::size_t i = 0; i < units; ++i)
@@ -225,7 +225,7 @@ TEST(OpCompiler, EmitsVerifiedSingleOpProgramsForEveryKind) {
   OpCompiler oc(g);
   const RowRef d1 = RowRef::dummy(1);
   const RowRef d2 = RowRef::dummy(2);
-  const Program* programs[] = {
+  const VerifiedProgram* programs[] = {
       &oc.add(RowRef::main(0), RowRef::main(1), 8),
       &oc.sub(RowRef::main(0), RowRef::main(1), 8),
       &oc.mult(RowRef::main(0), RowRef::main(1), 8),
@@ -233,7 +233,7 @@ TEST(OpCompiler, EmitsVerifiedSingleOpProgramsForEveryKind) {
       &oc.unary(Op::Not, RowRef::main(0), d1, 8),
       &oc.logic(periph::LogicFn::Xor, RowRef::main(0), RowRef::main(1)),
   };
-  for (const Program* p : programs) {
+  for (const VerifiedProgram* p : programs) {
     ASSERT_EQ(p->size(), 1u);
     const VerifyReport rep = verify_program(*p, g);
     EXPECT_EQ(rep.errors, 0u) << rep.annotate(*p);
@@ -246,7 +246,7 @@ TEST(OpCompiler, EmitsVerifiedSingleOpProgramsForEveryKind) {
 TEST(OpCompiler, CachesByKindBitsAndPlacement) {
   const ArrayGeometry g{};
   OpCompiler oc(g);
-  const Program& first = oc.add(RowRef::main(0), RowRef::main(1), 8);
+  const VerifiedProgram& first = oc.add(RowRef::main(0), RowRef::main(1), 8);
   // Same (kind, bits, rows) -> the identical cached object, counted as a hit.
   EXPECT_EQ(&oc.add(RowRef::main(0), RowRef::main(1), 8), &first);
   // Different bits or placement -> distinct programs, counted as misses.

@@ -10,6 +10,7 @@
 #include "common/rng.hpp"
 #include "macro/program.hpp"
 #include "macro/verifier.hpp"
+#include "priced_ledger.hpp"
 
 namespace bpim::macro {
 namespace {
@@ -163,6 +164,7 @@ TEST(FuzzPrograms, RandomStreamsMatchReferenceMachine) {
     std::vector<TraceEntry> trace;
     ctl.run(p, &trace);
     ASSERT_EQ(trace.size(), p.size());
+    expect_priced_as_executed(macro.config(), trace, "round " + std::to_string(round));
     for (std::size_t k = 0; k < trace.size(); ++k) {
       const BitVector want = ref.exec(trace[k].inst);
       EXPECT_EQ(trace[k].result, want)

@@ -4,10 +4,11 @@
 // storage word and precisions that do not divide 64 (the chunked fallback).
 //
 // The program-path sweep at the bottom runs every op kind through the
-// unified execution model (OpCompiler -> VerifyFirst MacroController)
-// against a twin macro driven by direct datapath calls AND against the
-// naive per-bit oracles -- the differential that keeps the refactored
-// dispatch honest.
+// unified execution model (OpCompiler -> MacroController) against a twin
+// macro driven by direct datapath calls AND against the naive per-bit
+// oracles -- the differential that keeps the refactored dispatch honest.
+// Every program-path instruction is also priced by macro::CostModel to its
+// ledger entry exactly (macro::expect_priced_as_executed).
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "macro/imc_macro.hpp"
 #include "macro/program.hpp"
 #include "periph/falogics.hpp"
+#include "priced_ledger.hpp"
 
 namespace bpim {
 namespace {
@@ -197,7 +199,7 @@ TEST(HotPathDiff, ProgramPathMatchesDirectDatapathAndOracles) {
         }
         const RowRef a = RowRef::main(ri_a);
         const RowRef b = RowRef::main(ri_b);
-        const macro::Program* prog = nullptr;
+        const macro::VerifiedProgram* prog = nullptr;
         BitVector want;
         switch (kind) {
           case K::Add:
@@ -235,6 +237,7 @@ TEST(HotPathDiff, ProgramPathMatchesDirectDatapathAndOracles) {
         EXPECT_EQ(got, want) << what;
         EXPECT_EQ(trace.back().cycles, direct.last_op().cycles) << what;
         EXPECT_EQ(trace.back().op_energy.si(), direct.last_op().op_energy.si()) << what;
+        macro::expect_priced_as_executed(cfg, trace, what);
 
         switch (kind) {
           case K::Add:
@@ -355,7 +358,7 @@ TEST(HotPathDiff, AdaptiveExecutionIsBitIdenticalAcrossOpsAndSparsity) {
             }
             const BitVector row_a = full.peek_row(0);
             const BitVector row_b = full.peek_row(1);
-            const macro::Program* prog = nullptr;
+            const macro::VerifiedProgram* prog = nullptr;
             switch (kind) {
               case K::Add: prog = &compiler.add(a, b, bits); break;
               case K::Sub: prog = &compiler.sub(a, b, bits); break;
@@ -376,10 +379,12 @@ TEST(HotPathDiff, AdaptiveExecutionIsBitIdenticalAcrossOpsAndSparsity) {
                                      " narrow=" + std::to_string(policy.narrow_precision) +
                                      " skip=" + std::to_string(policy.skip_zero);
             EXPECT_EQ(at.back().result, ft.back().result) << what;
+            macro::expect_priced_as_executed(cfg, ft, what);
+            macro::expect_priced_as_executed(cfg, at, what);
             // Exact cycle conservation: the policy-off twin pays Table 1 in
             // full, and the adaptive run splits the same total.
             EXPECT_EQ(fs.adaptive_cycles_saved, 0u) << what;
-            EXPECT_EQ(fs.cycles, prog->static_cycles()) << what;
+            EXPECT_EQ(fs.cycles, prog->program().static_cycles()) << what;
             EXPECT_EQ(as.cycles + as.adaptive_cycles_saved, fs.cycles) << what;
             EXPECT_EQ(at.back().adaptive_cycles_saved, as.adaptive_cycles_saved) << what;
             EXPECT_LE(as.energy.si(), fs.energy.si()) << what;
@@ -416,6 +421,8 @@ TEST(HotPathDiff, AdaptiveNarrowingAndSkipSaveExactCycles) {
   EXPECT_EQ(s.cycles, 1u);
   EXPECT_EQ(s.adaptive_cycles_saved, bits + 1u);
   EXPECT_EQ(t.back().result.popcount(), 0u);
+  EXPECT_TRUE(t.back().plan.skip);
+  macro::expect_priced_as_executed(cfg, t, "skip");
 
   // Narrow multiplier: every effectual product has b <= 3, so only the two
   // low add-shift iterations run (staging still pays its cycle).
@@ -427,6 +434,8 @@ TEST(HotPathDiff, AdaptiveNarrowingAndSkipSaveExactCycles) {
   s = ctl.run(prog, &t, false, policy);
   EXPECT_EQ(s.cycles, 4u);  // zero-init + staging + 2 iterations
   EXPECT_EQ(s.adaptive_cycles_saved, bits - 2u);
+  EXPECT_EQ(t.back().plan.depth, 2u);
+  macro::expect_priced_as_executed(cfg, t, "narrow");
   for (std::size_t u = 0; u < units; ++u)
     EXPECT_EQ(m.peek_mult_product(t.back().result, u, bits), 15u);
 }
@@ -465,6 +474,8 @@ TEST(HotPathDiff, AdaptiveFusedChainStaysBitIdenticalAndConserving) {
       adapt_ctl.run(prog, &at, /*fuse_mac_chains=*/true, macro::AdaptivePolicy{true, true});
   ASSERT_EQ(ft.size(), 3u);
   ASSERT_EQ(at.size(), 3u);
+  macro::expect_priced_as_executed(cfg, ft, "dense");
+  macro::expect_priced_as_executed(cfg, at, "adaptive fused");
   for (std::size_t k = 0; k < 3; ++k) {
     EXPECT_EQ(at[k].result, ft[k].result) << "link " << k;
     EXPECT_EQ(at[k].result,

@@ -1,7 +1,7 @@
 // Per-component energy breakdown and charged standard SRAM accesses, plus
-// the conservation law of the unified execution model: program execution is
-// priced instruction-by-instruction through macro::CostModel, and those
-// totals must equal the legacy cycle/energy ledger EXACTLY -- integer
+// the conservation law of the unified execution model: the controller's
+// account is the macro ledger, and macro::CostModel must price every
+// executed instruction -- and so every program -- to it EXACTLY: integer
 // cycles, bitwise-identical energy doubles.
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include "macro/cost_model.hpp"
 #include "macro/imc_macro.hpp"
 #include "macro/program.hpp"
+#include "priced_ledger.hpp"
 
 namespace bpim::macro {
 namespace {
@@ -66,9 +67,9 @@ TEST(MacroAccounting, ResetClearsBreakdown) {
 }
 
 TEST(MacroAccounting, ProgramTotalsConserveLedgerTotalsExactly) {
-  // One instruction of every kind; the instruction-stream account returned
-  // by run() must equal the executing macro's ledger: cycles as integers,
-  // energy bitwise (the CostModel replays the exact charge fold).
+  // One instruction of every kind; each is priced by the CostModel to its
+  // ledger entry, and the account run() returns equals the macro's ledger
+  // totals: cycles as integers, energy bitwise.
   ImcMacro m{MacroConfig{}};
   MacroController ctl(m, VerifyMode::VerifyFirst);
   Program p;
@@ -79,7 +80,10 @@ TEST(MacroAccounting, ProgramTotalsConserveLedgerTotalsExactly) {
   p.unary(Op::Not, RowRef::main(8), RowRef::dummy(ImcMacro::kDummyOperand), 8);
   p.unary(Op::Shift, RowRef::main(9), RowRef::dummy(ImcMacro::kDummyOperand), 8);
   p.logic(periph::LogicFn::Xor, RowRef::main(10), RowRef::main(11));
-  const ProgramStats stats = ctl.run(p);
+  std::vector<TraceEntry> trace;
+  const ProgramStats stats = ctl.run(p, &trace);
+  ASSERT_EQ(trace.size(), 7u);
+  expect_priced_as_executed(m.config(), trace);
   EXPECT_EQ(stats.instructions, 7u);
   EXPECT_EQ(stats.cycles, m.total_cycles());
   EXPECT_EQ(stats.energy.si(), m.total_energy().si());  // bitwise, not NEAR
@@ -104,7 +108,12 @@ TEST(MacroAccounting, FusedChainTotalsConserveLedgerTotals) {
   p.mult(RowRef::main(0), RowRef::main(1), 8);  // full price (N + 2)
   p.mult(RowRef::main(0), RowRef::main(3), 8);  // pipelined + D1-staged (-2)
   p.mult(RowRef::main(4), RowRef::main(5), 8);  // pipelined only (-1)
-  const ProgramStats stats = ctl.run(p, nullptr, /*fuse_mac_chains=*/true);
+  std::vector<TraceEntry> trace;
+  const ProgramStats stats = ctl.run(p, &trace, /*fuse_mac_chains=*/true);
+  ASSERT_EQ(trace.size(), 3u);
+  expect_priced_as_executed(m.config(), trace);
+  EXPECT_TRUE(trace[1].plan.d1_staged && trace[1].plan.pipelined);
+  EXPECT_TRUE(!trace[2].plan.d1_staged && trace[2].plan.pipelined);
   EXPECT_EQ(stats.cycles, m.total_cycles());
   EXPECT_EQ(stats.energy.si(), m.total_energy().si());
   EXPECT_EQ(stats.fused_cycles_saved, 3u);

@@ -8,6 +8,7 @@
 #include "macro/cost_model.hpp"
 #include "macro/imc_macro.hpp"
 #include "macro/program.hpp"
+#include "priced_ledger.hpp"
 
 namespace bpim::macro {
 namespace {
@@ -170,6 +171,64 @@ TEST(MacroEnergyConservation, InstructionCostMatchesLedgerBitwise) {
         const InstructionCost st = cost.instruction_cost(staged, &prev);
         EXPECT_EQ(st.cycles, m.last_op().cycles) << "MULT staged bits=" << bits;
         EXPECT_EQ(st.energy.si(), m.last_op().op_energy.si()) << "MULT staged bits=" << bits;
+      }
+    }
+  }
+}
+
+std::uint64_t sparse_operand(Rng& rng, unsigned bits, int zero_pct) {
+  if (static_cast<int>(rng.next_u64() % 100) < zero_pct) return 0;
+  return rng.next_u64() & ((1ull << bits) - 1);
+}
+
+TEST(MacroEnergyConservation, ControllerLedgerPricesExactlyOnEveryInstruction) {
+  // The same law through the controller, whose account is the ledger alone:
+  // every executed instruction, priced under the MULT plan it resolved to,
+  // matches its ledger entry exactly -- across separator modes, supply
+  // voltages, operand sparsity, fused chains and the adaptive policy.
+  const RowRef d1 = RowRef::dummy(ImcMacro::kDummyOperand);
+  const RowRef d2 = RowRef::dummy(ImcMacro::kDummyAccum);
+  const auto m = [](std::size_t r) { return RowRef::main(r); };
+  Rng rng(0xC057);
+  for (const auto sep : {SeparatorMode::Enabled, SeparatorMode::Disabled}) {
+    for (const double vdd : {0.9, 0.6}) {
+      MacroConfig cfg;
+      cfg.separator = sep;
+      cfg.vdd = Volt(vdd);
+      for (const int zero_pct : {0, 50, 95}) {
+        for (const bool fuse : {false, true}) {
+          for (const AdaptivePolicy policy : {AdaptivePolicy{}, AdaptivePolicy{true, true}}) {
+            for (const unsigned bits : {4u, 8u}) {
+              ImcMacro macro{cfg};
+              for (std::size_t r = 0; r < 6; ++r)
+                for (std::size_t u = 0; u < macro.mult_units_per_row(bits); ++u)
+                  macro.poke_mult_operand(r, u, bits, sparse_operand(rng, bits, zero_pct));
+              // MULT links that reuse D1, re-stage it, and lose it to a SUB
+              // or a NOT into D1, around every other op kind.
+              Program p;
+              p.mult(m(0), m(1), bits).mult(m(0), m(2), bits).mult(m(3), m(4), bits);
+              p.sub(m(1), m(2), bits).mult(m(3), m(5), bits).mult(m(3), m(1), bits);
+              p.add(m(0), m(1), bits, d2).add_shift(m(2), m(3), bits, d2);
+              p.unary(Op::Not, m(4), d1, bits).mult(m(0), m(5), bits);
+              p.logic(periph::LogicFn::Xor, m(0), m(1)).add(m(2), m(3), bits);
+              std::vector<TraceEntry> trace;
+              const ProgramStats st = MacroController(macro).run(p, &trace, fuse, policy);
+              ASSERT_EQ(trace.size(), p.size());
+              const std::string what =
+                  "sep=" + std::to_string(sep == SeparatorMode::Enabled) +
+                  " vdd=" + std::to_string(vdd) + " zero%=" + std::to_string(zero_pct) +
+                  " fuse=" + std::to_string(fuse) +
+                  " adaptive=" + std::to_string(policy.enabled()) +
+                  " bits=" + std::to_string(bits);
+              expect_priced_as_executed(cfg, trace, what);
+              EXPECT_EQ(st.cycles + st.fused_cycles_saved + st.adaptive_cycles_saved,
+                        p.static_cycles())
+                  << what;
+              EXPECT_EQ(st.cycles, macro.total_cycles()) << what;
+              EXPECT_EQ(st.energy.si(), macro.total_energy().si()) << what;
+            }
+          }
+        }
       }
     }
   }

@@ -1,8 +1,9 @@
-// Program / MacroController: validation, execution, tracing.
+// Program / MacroController: verification, execution, tracing.
 
 #include <gtest/gtest.h>
 
 #include "macro/program.hpp"
+#include "macro/verifier.hpp"
 
 namespace bpim::macro {
 namespace {
@@ -33,21 +34,25 @@ TEST(Program, UnaryBuilderRejectsArithmetic) {
   EXPECT_THROW(p.unary(Op::Add, RowRef::main(0), RowRef::dummy(0), 8), std::invalid_argument);
 }
 
-TEST(Controller, ValidatesRowsAndPrecisionUpfront) {
-  ImcMacro m{MacroConfig{}};
-  MacroController ctl(m);
+TEST(Controller, VerifierChecksRowsUpfront) {
+  const ImcMacro m{MacroConfig{}};
+  const auto kinds = [&](const Program& p) {
+    std::vector<DiagKind> out;
+    for (const Diagnostic& d : verify_program(p, m).diagnostics) out.push_back(d.kind);
+    return out;
+  };
 
   Program bad_row;
   bad_row.add(RowRef::main(0), RowRef::main(200), 8);
-  EXPECT_THROW(ctl.validate(bad_row), std::invalid_argument);
+  EXPECT_EQ(kinds(bad_row), std::vector<DiagKind>{DiagKind::RowOutOfRange});
 
   Program same_row;
   same_row.add(RowRef::main(3), RowRef::main(3), 8);
-  EXPECT_THROW(ctl.validate(same_row), std::invalid_argument);
+  EXPECT_EQ(kinds(same_row), std::vector<DiagKind>{DiagKind::IdenticalRows});
 
   Program ok;
   ok.add(RowRef::main(0), RowRef::main(1), 8);
-  EXPECT_NO_THROW(ctl.validate(ok));
+  EXPECT_TRUE(kinds(ok).empty());
 }
 
 TEST(Controller, RejectionLeavesMacroUntouched) {

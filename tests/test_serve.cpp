@@ -17,6 +17,8 @@
 #include "app/vector_engine.hpp"
 #include "common/rng.hpp"
 #include "engine/execution_engine.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "serve/server.hpp"
 
 namespace bpim::serve {
@@ -400,6 +402,45 @@ TEST(Server, VectorEngineRoutesThroughServer) {
   for (const auto& r : results)
     for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(r.values[i], a[i] * b[i]);
   EXPECT_EQ(ve.last_run().elements, 600u);
+}
+
+TEST(Server, ExecutionFailureIsCountedAndSettlesTheLedger) {
+  // Unpinning a handle that a queued op references makes the engine throw
+  // at dispatch: the rider's future carries the error, and the ledger
+  // counts it, so submitted == completed + expired + failed still holds.
+  Harness h;
+  obs::Counter& failed_counter = obs::MetricsRegistry::global().counter("serve.requests.failed");
+  const std::uint64_t failed_before = failed_counter.value();
+  const auto w = random_vec(64, 8, 41);
+  const auto x = random_vec(64, 8, 42);
+  VecOp op{OpKind::Mult, 8, periph::LogicFn::And, {}, x};
+  op.ra = h.server.pin(w, 8, engine::OperandLayout::MultUnit);
+  h.server.pause();
+  auto fut = h.server.submit(op);
+  ASSERT_TRUE(h.server.unpin(op.ra));
+  h.server.resume();
+  EXPECT_THROW((void)fut.get(), std::invalid_argument);
+
+  const ServeStats s = h.server.stats();
+  EXPECT_EQ(s.submitted, 1u);
+  EXPECT_EQ(s.completed, 0u);
+  EXPECT_EQ(s.failed, 1u);
+  EXPECT_EQ(s.submitted, s.completed + s.expired + s.failed);
+  EXPECT_EQ(failed_counter.value() - failed_before, 1u);
+}
+
+TEST(Server, TracingOffRegistersNoTraceRing) {
+  // Every scheduler thread names its trace row. With tracing off that must
+  // not register a ring for the thread (8K slots the session keeps for good).
+  obs::TraceSession& session = obs::TraceSession::global();
+  session.disable();
+  const std::size_t before = session.thread_count();
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    Harness h;
+    const auto a = random_vec(64, 8, 50 + i);
+    (void)h.server.submit(VecOp{OpKind::Add, 8, periph::LogicFn::And, a, a}).get();
+  }
+  EXPECT_EQ(session.thread_count(), before);
 }
 
 }  // namespace

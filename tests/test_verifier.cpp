@@ -1,15 +1,17 @@
 // Static program verifier: every diagnostic kind has a program that
-// triggers it, builder-produced programs are accepted, and the controller's
-// verify-first mode matches legacy execution on valid programs while
-// rejecting bad ones before the macro is touched.
+// triggers it, builder-produced programs are accepted, the controller
+// rejects bad programs before the macro is touched, and a VerifiedProgram
+// can only come out of the verifier and runs only on its own geometry.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/rng.hpp"
+#include "macro/compiler.hpp"
 #include "macro/program.hpp"
 #include "macro/verifier.hpp"
 
@@ -267,35 +269,6 @@ TEST(Verifier, AcceptsRandomBuilderPrograms) {
   }
 }
 
-TEST(Verifier, VerifyFirstControllerMatchesLegacy) {
-  Program p;
-  p.add(RowRef::main(0), RowRef::main(1), 8, RowRef::dummy(0))
-      .sub(RowRef::main(2), RowRef::main(3), 8)
-      .mult(RowRef::main(4), RowRef::main(5), 8)
-      .unary(Op::Not, RowRef::main(0), RowRef::dummy(0), 8);
-
-  ImcMacro legacy_macro{MacroConfig{}};
-  ImcMacro verified_macro{MacroConfig{}};
-  Rng rng(0xBEEF);
-  for (std::size_t r = 0; r < 6; ++r) {
-    BitVector data(legacy_macro.cols());
-    data.randomize(rng);
-    legacy_macro.poke_row(r, data);
-    verified_macro.poke_row(r, data);
-  }
-
-  MacroController legacy(legacy_macro);
-  MacroController verified(verified_macro, VerifyMode::VerifyFirst);
-  std::vector<TraceEntry> lt, vt;
-  const ProgramStats ls = legacy.run(p, &lt);
-  const ProgramStats vs = verified.run(p, &vt);
-
-  EXPECT_EQ(ls.cycles, vs.cycles);
-  EXPECT_EQ(ls.instructions, vs.instructions);
-  ASSERT_EQ(lt.size(), vt.size());
-  for (std::size_t k = 0; k < lt.size(); ++k) EXPECT_EQ(lt[k].result, vt[k].result);
-}
-
 TEST(Verifier, VerifyFirstRejectsBeforeTouchingTheMacro) {
   Program p;
   p.add(RowRef::main(0), RowRef::main(1), 8)
@@ -305,11 +278,74 @@ TEST(Verifier, VerifyFirstRejectsBeforeTouchingTheMacro) {
   MacroController ctl(macro, VerifyMode::VerifyFirst);
   EXPECT_THROW(ctl.run(p), std::invalid_argument);
   EXPECT_EQ(macro.total_cycles(), 0u);  // nothing executed, not even #0
+}
 
-  // Legacy validate() does not know role rules: this program would have
-  // started executing. VerifyFirst is strictly stricter.
-  MacroController legacy(macro);
-  EXPECT_NO_THROW(legacy.validate(p));
+// A VerifiedProgram only comes out of the verifier or a compiler, and none
+// of Program's mutators reach it.
+template <class T>
+concept ProgramMutable = requires(T& t, Instruction i) { t.push(i); } ||
+                         requires(T& t) { t.add(RowRef::main(0), RowRef::main(1), 8u); };
+static_assert(!std::is_constructible_v<VerifiedProgram, Program>);
+static_assert(!std::is_constructible_v<VerifiedProgram, const Program&>);
+static_assert(!std::is_convertible_v<Program, VerifiedProgram>);
+static_assert(!std::is_default_constructible_v<VerifiedProgram>);
+static_assert(ProgramMutable<Program>);
+static_assert(!ProgramMutable<VerifiedProgram>);
+static_assert(!ProgramMutable<const Program>);
+
+TEST(VerifiedProgram, VerifySealsOnlyAcceptedPrograms) {
+  const ArrayGeometry g = default_geometry();
+  Program bad;
+  bad.add(RowRef::main(3), RowRef::main(3), 8);  // IdenticalRows: an Error
+  try {
+    (void)VerifiedProgram::verify(bad, g);
+    FAIL() << "expected the verifier to reject the program";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("identical-rows"), std::string::npos) << e.what();
+  }
+
+  // Warnings pass, as they do for MacroController::run(const Program&).
+  Program warned;
+  Instruction sub;
+  sub.op = Op::Sub;
+  sub.a = RowRef::main(0);
+  sub.b = RowRef::main(1);
+  sub.dest = RowRef::main(2);  // DestIgnored: a Warning
+  warned.push(sub);
+  ASSERT_TRUE(has(verify_program(warned, g), DiagKind::DestIgnored));
+  const VerifiedProgram v = VerifiedProgram::verify(warned, g);
+  EXPECT_EQ(v.size(), 1u);
+  EXPECT_EQ(v.geometry(), g);
+}
+
+TEST(VerifiedProgram, RunRejectsAnotherGeometryBeforeTouchingTheMacro) {
+  ArrayGeometry wide = default_geometry();
+  wide.cols = 256;
+  OpCompiler oc(wide);
+  const VerifiedProgram& p = oc.mult(RowRef::main(0), RowRef::main(1), 8);
+  EXPECT_EQ(p.geometry(), wide);
+
+  ImcMacro narrow{MacroConfig{}};
+  ASSERT_NE(narrow.config().geometry, wide);
+  narrow.poke_mult_operand(0, 0, 8, 7);
+  narrow.poke_mult_operand(1, 0, 8, 6);
+  MacroController ctl(narrow);
+  std::vector<TraceEntry> trace;
+  EXPECT_THROW(ctl.run(p, &trace), std::invalid_argument);
+  EXPECT_TRUE(trace.empty());
+  EXPECT_EQ(narrow.total_cycles(), 0u);
+  EXPECT_EQ(narrow.total_energy().si(), 0.0);
+  EXPECT_EQ(narrow.sram().row(RowRef::dummy(ImcMacro::kDummyAccum)).popcount(), 0u);
+
+  // On its own geometry the same program runs.
+  MacroConfig cfg;
+  cfg.geometry = wide;
+  ImcMacro match{cfg};
+  match.poke_mult_operand(0, 0, 8, 7);
+  match.poke_mult_operand(1, 0, 8, 6);
+  MacroController match_ctl(match);
+  EXPECT_EQ(match_ctl.run(p, &trace).cycles, 10u);
+  EXPECT_EQ(match.peek_mult_product(trace.back().result, 0, 8), 42u);
 }
 
 }  // namespace
