@@ -10,31 +10,14 @@ SramArray::SramArray(const ArrayGeometry& g) : geom_(g) {
   dummy_.assign(g.dummy_rows, BitVector(g.cols));
 }
 
-const BitVector& SramArray::row(RowRef r) const {
-  if (r.kind == RowRef::Kind::Main) {
-    BPIM_REQUIRE(r.index < main_.size(), "main row out of range");
-    return main_[r.index];
-  }
-  BPIM_REQUIRE(r.index < dummy_.size(), "dummy row out of range");
-  return dummy_[r.index];
-}
-
 void SramArray::write_row(RowRef r, const BitVector& data) {
   BPIM_REQUIRE(data.size() == geom_.cols, "row width mismatch");
-  if (r.kind == RowRef::Kind::Main) {
-    BPIM_REQUIRE(r.index < main_.size(), "main row out of range");
-    main_[r.index] = data;
-  } else {
-    BPIM_REQUIRE(r.index < dummy_.size(), "dummy row out of range");
-    dummy_[r.index] = data;
-  }
+  row_mut(r) = data;
 }
 
 void SramArray::set(RowRef r, std::size_t col, bool v) {
   BPIM_REQUIRE(col < geom_.cols, "column out of range");
-  auto& target = (r.kind == RowRef::Kind::Main) ? main_ : dummy_;
-  BPIM_REQUIRE(r.index < target.size(), "row out of range");
-  target[r.index].set(col, v);
+  row_mut(r).set(col, v);
 }
 
 std::uint64_t SramArray::extract_bits(RowRef r, std::size_t col, std::size_t len) const {
@@ -44,31 +27,31 @@ std::uint64_t SramArray::extract_bits(RowRef r, std::size_t col, std::size_t len
 
 void SramArray::deposit_bits(RowRef r, std::size_t col, std::size_t len, std::uint64_t value) {
   BPIM_REQUIRE(len <= 64 && col + len <= geom_.cols, "column range out of range");
-  auto& target = (r.kind == RowRef::Kind::Main) ? main_ : dummy_;
-  BPIM_REQUIRE(r.index < target.size(), "row out of range");
-  target[r.index].deposit_bits(col, len, value);
+  row_mut(r).deposit_bits(col, len, value);
 }
 
-void SramArray::check_access(RowRef r) const {
-  // While the separator is open, only same-segment WL pairs share a BL; a
-  // cross-segment dual access cannot produce a valid wired-AND result.
-  (void)r;
-}
-
-BlReadout SramArray::compute_dual(RowRef a, RowRef b) const {
+void SramArray::compute_dual(RowRef a, RowRef b, BlReadout& out) const {
   BPIM_REQUIRE(!(a == b), "dual-WL compute needs two distinct rows");
   if (separated_) {
     BPIM_REQUIRE(a.is_dummy() == b.is_dummy(),
                  "cross-segment dual-WL access while BL separator is open");
   }
-  const BitVector& ra = row(a);
-  const BitVector& rb = row(b);
-  return BlReadout{ra & rb, ~(ra | rb)};
+  sense(row(a), row(b), out);
 }
 
-BlReadout SramArray::read_single(RowRef r) const {
+void SramArray::read_single(RowRef r, BlReadout& out) const {
   const BitVector& data = row(r);
-  return BlReadout{data, ~data};
+  sense(data, data, out);  // one cell per column: AND = A, NOR = NOT A
+}
+
+void SramArray::sense(const BitVector& ra, const BitVector& rb, BlReadout& out) {
+  // Both SA outputs in one pass over the words, straight into the latch.
+  out.bl_and.reset(ra.size());
+  out.bl_nor.reset(ra.size());
+  for (std::size_t k = 0, n = ra.word_count(); k < n; ++k) {
+    out.bl_and.set_word(k, ra.word(k) & rb.word(k));
+    out.bl_nor.set_word(k, ~(ra.word(k) | rb.word(k)));
+  }
 }
 
 std::size_t SramArray::toggle_count(RowRef r, const BitVector& incoming) const {

@@ -18,6 +18,7 @@
 // accesses while separated are caught.
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "common/bitvec.hpp"
@@ -59,7 +60,11 @@ class SramArray {
   [[nodiscard]] const ArrayGeometry& geometry() const { return geom_; }
 
   // ---- plain storage access --------------------------------------------
-  [[nodiscard]] const BitVector& row(RowRef r) const;
+  [[nodiscard]] const BitVector& row(RowRef r) const {
+    const auto& rows = r.kind == RowRef::Kind::Main ? main_ : dummy_;
+    BPIM_REQUIRE(r.index < rows.size(), "row out of range");
+    return rows[r.index];
+  }
   void write_row(RowRef r, const BitVector& data);
   [[nodiscard]] bool get(RowRef r, std::size_t col) const { return row(r).get(col); }
   void set(RowRef r, std::size_t col, bool v);
@@ -75,18 +80,21 @@ class SramArray {
   [[nodiscard]] bool separated() const { return separated_; }
 
   // ---- bit-line compute primitives ---------------------------------------
-  /// Dual-WL compute. Both rows must be on the same (connected) segment:
-  /// while separated, main+dummy combinations are rejected.
-  [[nodiscard]] BlReadout compute_dual(RowRef a, RowRef b) const;
-  /// Single-WL read of one row.
-  [[nodiscard]] BlReadout read_single(RowRef r) const;
+  /// Dual-WL compute into `out`, the caller's SA latch (its storage is
+  /// reused). Both rows must be on the same (connected) segment: while
+  /// separated, main+dummy combinations are rejected.
+  void compute_dual(RowRef a, RowRef b, BlReadout& out) const;
+  /// Single-WL read of one row into `out`.
+  void read_single(RowRef r, BlReadout& out) const;
 
   /// Number of bits that differ from the currently stored row -- the
   /// write-back switching activity used by the energy ledger.
   [[nodiscard]] std::size_t toggle_count(RowRef r, const BitVector& incoming) const;
 
  private:
-  void check_access(RowRef r) const;
+  BitVector& row_mut(RowRef r) { return const_cast<BitVector&>(std::as_const(*this).row(r)); }
+  /// SA outputs of the cells ra and rb sharing every column's BL pair.
+  static void sense(const BitVector& ra, const BitVector& rb, BlReadout& out);
 
   ArrayGeometry geom_;
   std::vector<BitVector> main_;

@@ -7,13 +7,13 @@
 namespace bpim {
 
 void BitVector::randomize(Rng& rng) {
-  for (auto& w : words_) w = rng.next_u64();
+  for (auto& w : words()) w = rng.next_u64();
   trim();
 }
 
 std::size_t BitVector::popcount() const {
   std::size_t n = 0;
-  for (const auto w : words_) n += static_cast<std::size_t>(std::popcount(w));
+  for (const auto w : words()) n += static_cast<std::size_t>(std::popcount(w));
   return n;
 }
 

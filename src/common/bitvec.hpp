@@ -12,12 +12,20 @@
 // with whole-word bitwise arithmetic instead of per-bit loops. The word
 // accessors bounds-check with BPIM_DCHECK (debug builds only); the per-bit
 // get/set and slice/patch keep their throwing BPIM_REQUIRE contract.
+//
+// Rows up to kInlineWords * 64 columns (the paper's 128-column macro and the
+// 256-column bench geometry) live in inline storage, so the per-cycle
+// datapath -- BL readouts, sums, select masks, write-backs -- never touches
+// the heap; wider vectors fall back to one heap block. A moved-from vector is
+// empty (size 0) and reusable.
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstddef>
+#include <memory>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "common/require.hpp"
 
@@ -27,14 +35,30 @@ class Rng;
 
 class BitVector {
  public:
+  /// Words held without a heap allocation.
+  static constexpr std::size_t kInlineWords = 4;
+
   BitVector() = default;
   /// All-zero vector of `size` bits.
-  explicit BitVector(std::size_t size) : size_(size), words_((size + 63) / 64, 0) {}
+  explicit BitVector(std::size_t size) { reset(size); }
   /// Vector of `size` bits initialised from the low bits of `value`.
   BitVector(std::size_t size, std::uint64_t value) : BitVector(size) {
     BPIM_REQUIRE(fits_u64(value, size), "value does not fit in size bits");
-    if (!words_.empty()) words_[0] = value;
-    trim();
+    if (size != 0) words_[0] = value;
+  }
+
+  BitVector(const BitVector& o) { copy_from(o); }
+  BitVector(BitVector&& o) noexcept { steal(o); }
+  BitVector& operator=(const BitVector& o) {
+    if (this != &o) copy_from(o);
+    return *this;
+  }
+  BitVector& operator=(BitVector&& o) noexcept {
+    if (this != &o) {
+      release();
+      steal(o);
+    }
+    return *this;
   }
 
   /// True when `value` fits in `bits` bits. Shift-safe for every width
@@ -49,8 +73,8 @@ class BitVector {
 
   /// Resize to `size` bits, all zero; reuses the existing word storage.
   void reset(std::size_t size) {
-    size_ = size;
-    words_.assign((size + 63) / 64, 0);
+    resize_storage(size);
+    std::ranges::fill(words(), 0ull);
   }
 
   [[nodiscard]] bool get(std::size_t i) const {
@@ -70,19 +94,19 @@ class BitVector {
   // ---- word-level access (the SWAR hot path) ------------------------------
 
   /// Number of 64-bit storage words.
-  [[nodiscard]] std::size_t word_count() const { return words_.size(); }
+  [[nodiscard]] std::size_t word_count() const { return words_of(size_); }
 
   /// 64-bit storage word k; bits past size() in the last word are zero.
   [[nodiscard]] std::uint64_t word(std::size_t k) const {
-    BPIM_DCHECK(k < words_.size(), "word index out of range");
+    BPIM_DCHECK(k < word_count(), "word index out of range");
     return words_[k];
   }
 
   /// Overwrite storage word k. Bits past size() are masked off.
   void set_word(std::size_t k, std::uint64_t w) {
-    BPIM_DCHECK(k < words_.size(), "word index out of range");
+    BPIM_DCHECK(k < word_count(), "word index out of range");
     words_[k] = w;
-    if (k + 1 == words_.size()) trim();
+    if (k + 1 == word_count()) trim();
   }
 
   /// Bits [pos, pos+len) as a u64 (len <= 64), crossing word boundaries.
@@ -114,7 +138,7 @@ class BitVector {
   /// Call fn(index) for every set bit, in ascending index order.
   template <class F>
   void for_each_set_bit(F&& fn) const {
-    for (std::size_t k = 0; k < words_.size(); ++k) {
+    for (std::size_t k = 0, n = word_count(); k < n; ++k) {
       std::uint64_t w = words_[k];
       while (w != 0) {
         fn(k * 64 + static_cast<std::size_t>(std::countr_zero(w)));
@@ -124,7 +148,7 @@ class BitVector {
   }
 
   void fill(bool v) {
-    for (auto& w : words_) w = v ? ~0ull : 0ull;
+    std::ranges::fill(words(), v ? ~0ull : 0ull);
     trim();
   }
 
@@ -132,7 +156,7 @@ class BitVector {
 
   /// Low 64 bits as an integer (vector may be shorter than 64 bits).
   [[nodiscard]] std::uint64_t to_u64() const {
-    return words_.empty() ? 0 : words_[0];
+    return size_ == 0 ? 0 : words_[0];
   }
 
   /// Bits [pos, pos+len) as a new vector.
@@ -158,7 +182,7 @@ class BitVector {
   /// Logical shift left by one (bit i+1 <- bit i, bit 0 <- 0), in place.
   void shl1() {
     std::uint64_t carry = 0;
-    for (auto& w : words_) {
+    for (auto& w : words()) {
       const std::uint64_t next_carry = w >> 63;
       w = (w << 1) | carry;
       carry = next_carry;
@@ -176,7 +200,7 @@ class BitVector {
       // Fields never straddle a word, so no cross-word carry exists and one
       // mask clears every field-LSB position.
       const std::uint64_t lsb_mask = periodic_mask(field);
-      for (auto& w : words_) w = (w << 1) & ~lsb_mask;
+      for (auto& w : words()) w = (w << 1) & ~lsb_mask;
       trim();
       return;
     }
@@ -207,7 +231,7 @@ class BitVector {
     BPIM_REQUIRE(field >= 1 && size_ % field == 0, "field width must divide the vector size");
     if (field <= 64 && 64 % field == 0) {
       std::uint64_t acc = 0;
-      for (const auto w : words_) acc |= w;
+      for (const auto w : words()) acc |= w;
       if (acc == 0) return npos;
       // Fields never straddle a word: fold every field down onto bits
       // [0, field) (the shifts are field multiples, so in-field positions
@@ -238,7 +262,7 @@ class BitVector {
       // invert, keep the LSB lattice. set_word trims phantom fields past
       // size() in the last word.
       const std::uint64_t lsb_mask = periodic_mask(field);
-      for (std::size_t k = 0; k < words_.size(); ++k) {
+      for (std::size_t k = 0, n = word_count(); k < n; ++k) {
         std::uint64_t w = words_[k];
         for (std::size_t s = 1; s < field; s <<= 1) w |= w >> s;
         out.set_word(k, ~w & lsb_mask);
@@ -267,14 +291,14 @@ class BitVector {
   friend BitVector operator^(BitVector a, const BitVector& b) { return a ^= b; }
 
   [[nodiscard]] BitVector operator~() const {
-    BitVector out = *this;
-    for (auto& w : out.words_) w = ~w;
+    BitVector out(size_);
+    std::ranges::transform(words(), out.words_, [](std::uint64_t w) { return ~w; });
     out.trim();
     return out;
   }
 
   friend bool operator==(const BitVector& a, const BitVector& b) {
-    return a.size_ == b.size_ && a.words_ == b.words_;
+    return a.size_ == b.size_ && std::ranges::equal(a.words(), b.words());
   }
 
   /// MSB-first binary string, e.g. "1010" for the 4-bit value 10.
@@ -284,18 +308,68 @@ class BitVector {
   template <class F>
   BitVector& apply(const BitVector& o, F f) {
     BPIM_REQUIRE(size_ == o.size_, "size mismatch in bitwise op");
-    for (std::size_t k = 0; k < words_.size(); ++k) words_[k] = f(words_[k], o.words_[k]);
+    std::ranges::transform(words(), o.words(), words_, f);
     trim();
     return *this;
   }
 
   void trim() {
     const std::size_t rem = size_ % 64;
-    if (rem != 0 && !words_.empty()) words_.back() &= (~0ull >> (64 - rem));
+    if (rem != 0) words_[size_ / 64] &= (~0ull >> (64 - rem));
+  }
+
+  [[nodiscard]] static constexpr std::size_t words_of(std::size_t bits) { return (bits + 63) / 64; }
+  [[nodiscard]] std::span<std::uint64_t> words() { return {words_, word_count()}; }
+  [[nodiscard]] std::span<const std::uint64_t> words() const { return {words_, word_count()}; }
+
+  /// Point words_ at storage for `size` bits (contents unspecified): inline
+  /// up to kInlineWords, else a heap block, kept while it is large enough.
+  void resize_storage(std::size_t size) {
+    const std::size_t n = words_of(size);
+    if (n > kInlineWords && n > heap_cap_) {
+      heap_ = std::make_unique_for_overwrite<std::uint64_t[]>(n);
+      words_ = heap_.get();
+      heap_cap_ = n;
+    } else if (n <= kInlineWords && heap_) {
+      release();
+    }
+    size_ = size;
+  }
+
+  void copy_from(const BitVector& o) {
+    resize_storage(o.size_);
+    std::ranges::copy(o.words(), words_);
+  }
+
+  /// Take o's contents and leave o empty: a heap block changes owner, inline
+  /// words are copied.
+  void steal(BitVector& o) noexcept {
+    size_ = o.size_;
+    if (o.heap_) {
+      heap_ = std::move(o.heap_);
+      words_ = heap_.get();
+      heap_cap_ = o.heap_cap_;
+      o.words_ = o.inline_;
+      o.heap_cap_ = 0;
+    } else {
+      std::copy_n(o.inline_, word_count(), inline_);
+    }
+    o.size_ = 0;
+  }
+
+  /// Return to empty inline storage, freeing any heap block.
+  void release() noexcept {
+    heap_.reset();
+    words_ = inline_;
+    heap_cap_ = 0;
+    size_ = 0;
   }
 
   std::size_t size_ = 0;
-  std::vector<std::uint64_t> words_;
+  std::size_t heap_cap_ = 0;  ///< words in the heap block; 0 while inline
+  std::unique_ptr<std::uint64_t[]> heap_;
+  std::uint64_t* words_ = inline_;
+  std::uint64_t inline_[kInlineWords] = {};
 };
 
 }  // namespace bpim

@@ -279,8 +279,7 @@ OpResult ExecutionEngine::run_one(const VecOp& op, OpAccount& acct) {
           ctl.run(*progs[row_pair], &trace, /*fuse_mac_chains=*/false, pol).adaptive_cycles_saved;
       const BitVector& result = trace.back().result;
       if (mult_layout) {
-        for (std::size_t i = 0; i < len; ++i)
-          res.values[pos + i] = mac.peek_mult_product(result, i, op.bits);
+        mac.peek_mult_products(result, op.bits, std::span(res.values).subspan(pos, len));
       } else {
         for (std::size_t i = 0; i < len; ++i)
           res.values[pos + i] = result.extract_bits(i * op.bits, op.bits);
@@ -572,9 +571,8 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
       const std::size_t pos = (l * macros + m) * plan.per_op;
       const std::size_t len = std::min(plan.per_op, plan.elements - pos);
       for (std::size_t j = 0; j < ops; ++j) {
-        const BitVector& product = traces[m][l * ops + j].result;
-        for (std::size_t i = 0; i < len; ++i)
-          results[j].values[pos + i] = mac.peek_mult_product(product, i, plan.bits);
+        mac.peek_mult_products(traces[m][l * ops + j].result, plan.bits,
+                               std::span(results[j].values).subspan(pos, len));
       }
     }
   }
@@ -714,9 +712,8 @@ OpResult ExecutionEngine::run_chain(const ChainRequest& req) {
     for (std::size_t l = 0; l < layers_m; ++l) {
       const std::size_t pos = (l * macros + m) * per_op;
       const std::size_t len = std::min(per_op, n - pos);
-      const BitVector& out = traces[m][l * block + links].result;
-      for (std::size_t i = 0; i < len; ++i)
-        res.values[pos + i] = mac.peek_mult_product(out, i, req.bits);
+      mac.peek_mult_products(traces[m][l * block + links].result, req.bits,
+                             std::span(res.values).subspan(pos, len));
     }
   }
 

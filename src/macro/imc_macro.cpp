@@ -14,6 +14,39 @@ using energy::SeparatorMode;
 using periph::FaLogics;
 using periph::LogicFn;
 
+namespace {
+
+// SWAR masks of one MULT precision N over a 64-bit storage word. The 2N-bit
+// units divide 64 at every supported precision, so one word of each mask
+// covers every unit of every word.
+struct UnitMasks {
+  std::uint64_t low_halves = 0;  ///< the low N bits (operand half) of every unit
+  std::uint64_t unit_lsbs = 0;   ///< bit 0 of every unit
+  std::uint64_t field_fill = 0;  ///< one whole unit: flag-at-LSB * fill == full-unit mask
+};
+
+constexpr UnitMasks unit_masks_of(unsigned bits) {
+  const unsigned unit_bits = 2 * bits;
+  UnitMasks m;
+  m.field_fill = unit_bits >= 64 ? ~0ull : (1ull << unit_bits) - 1;  // disjoint fields: no carry
+  for (unsigned i = 0; i < 64; i += unit_bits) {
+    m.low_halves |= ((1ull << bits) - 1) << i;
+    m.unit_lsbs |= 1ull << i;
+  }
+  return m;
+}
+
+// Indexed by log2(N) - 1 over the supported precisions 2..32.
+constexpr std::array<UnitMasks, 5> kUnitMasks = {unit_masks_of(2), unit_masks_of(4),
+                                                 unit_masks_of(8), unit_masks_of(16),
+                                                 unit_masks_of(32)};
+
+const UnitMasks& unit_masks(unsigned bits) {
+  return kUnitMasks[static_cast<std::size_t>(std::countr_zero(bits)) - 1];
+}
+
+}  // namespace
+
 DisturbModel DisturbModel::for_scheme(WlScheme scheme) {
   switch (scheme) {
     case WlScheme::ShortPulseBoost:
@@ -39,18 +72,8 @@ ImcMacro::ImcMacro(const MacroConfig& cfg)
       disturb_(DisturbModel::for_scheme(cfg.wl_scheme)),
       rng_(cfg.seed) {
   BPIM_REQUIRE(cfg.geometry.dummy_rows >= 3, "the sequencer needs three dummy rows");
-}
-
-std::size_t ImcMacro::words_per_row(unsigned bits) const {
-  BPIM_REQUIRE(is_supported_precision(bits), "unsupported precision");
-  BPIM_REQUIRE(cols() % bits == 0, "precision must divide the row width");
-  return cols() / bits;
-}
-
-std::size_t ImcMacro::mult_units_per_row(unsigned bits) const {
-  BPIM_REQUIRE(is_supported_precision(bits), "unsupported precision");
-  BPIM_REQUIRE(cols() % (2 * bits) == 0, "2N-bit units must divide the row width");
-  return cols() / (2 * static_cast<std::size_t>(bits));
+  for (std::size_t c = 0; c < price_.size(); ++c)
+    price_[c] = energy_.price(static_cast<Component>(c), cfg.vdd);
 }
 
 // ---- uncharged data access --------------------------------------------------
@@ -106,6 +129,14 @@ std::uint64_t ImcMacro::peek_mult_product(const BitVector& row, std::size_t unit
   return row.extract_bits(unit * 2 * bits, 2 * bits);
 }
 
+void ImcMacro::peek_mult_products(const BitVector& row, unsigned bits,
+                                  std::span<std::uint64_t> out) const {
+  BPIM_REQUIRE(out.size() <= mult_units_per_row(bits), "unit range out of range");
+  BPIM_REQUIRE(row.size() == cols(), "row width mismatch");
+  const std::size_t unit_bits = 2 * static_cast<std::size_t>(bits);
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = row.extract_bits(i * unit_bits, unit_bits);
+}
+
 // ---- accounting helpers -----------------------------------------------------
 
 Component ImcMacro::compute_price(RowRef a, RowRef b) const {
@@ -121,7 +152,7 @@ Component ImcMacro::wb_price() const {
 }
 
 void ImcMacro::charge(Component c, double bits) {
-  const Joule e = energy_.price(c, cfg_.vdd) * bits;
+  const Joule e = price_[static_cast<std::size_t>(c)] * bits;
   pending_energy_ += e;
   component_energy_[static_cast<std::size_t>(c)] += e;
 }
@@ -146,13 +177,13 @@ void ImcMacro::write_back(RowRef dest, const BitVector& data, double charged_bit
   charge(wb, charged_bits);
 }
 
-BlReadout ImcMacro::sense_dual(RowRef a, RowRef b) {
+const BlReadout& ImcMacro::sense_dual(RowRef a, RowRef b) {
   if (cfg_.separator == SeparatorMode::Enabled && a.is_dummy() && b.is_dummy())
     array_.set_separated(true);
-  BlReadout r = array_.compute_dual(a, b);
+  array_.compute_dual(a, b, sense_);
   array_.set_separated(false);
   maybe_disturb(a, b);
-  return r;
+  return sense_;
 }
 
 void ImcMacro::maybe_disturb(RowRef a, RowRef b) {
@@ -195,10 +226,10 @@ void ImcMacro::reset_counters() {
 }
 
 BitVector ImcMacro::read_row(std::size_t r) {
-  const BlReadout out = array_.read_single(RowRef::main(r));
+  array_.read_single(RowRef::main(r), sense_);
   charge(Component::SingleWlRead, static_cast<double>(cols()));
   finish_op(1);
-  return out.bl_and;
+  return sense_.bl_and;
 }
 
 void ImcMacro::write_row(std::size_t r, const BitVector& data) {
@@ -235,7 +266,7 @@ Hertz ImcMacro::fmax() const { return frequency_of(cycle_time()); }
 // ---- compute operations -----------------------------------------------------
 
 BitVector ImcMacro::logic_rows(LogicFn fn, RowRef a, RowRef b) {
-  const BlReadout r = sense_dual(a, b);
+  const BlReadout& r = sense_dual(a, b);
   BitVector out = FaLogics::logic(r, fn);
   const double n = static_cast<double>(cols());
   charge(compute_price(a, b), n);
@@ -246,15 +277,15 @@ BitVector ImcMacro::logic_rows(LogicFn fn, RowRef a, RowRef b) {
 
 BitVector ImcMacro::unary_row(Op op, RowRef src, RowRef dest, unsigned bits) {
   BPIM_REQUIRE(op == Op::Not || op == Op::Copy || op == Op::Shift, "not a single-WL op");
-  const BlReadout r = array_.read_single(src);
+  array_.read_single(src, sense_);
   BitVector out(cols());
   switch (op) {
-    case Op::Not: out = r.bl_nor; break;
-    case Op::Copy: out = r.bl_and; break;
+    case Op::Not: out = sense_.bl_nor; break;
+    case Op::Copy: out = sense_.bl_and; break;
     case Op::Shift:
       // <<1 within every precision word via the carry-propagation path.
       (void)words_per_row(bits);  // precision validation, as the seed path had
-      out = r.bl_and;
+      out = sense_.bl_and;
       out.shl1_in_fields(bits);
       break;
     default: break;
@@ -270,23 +301,21 @@ BitVector ImcMacro::unary_row(Op op, RowRef src, RowRef dest, unsigned bits) {
 BitVector ImcMacro::add_rows(RowRef a, RowRef b, unsigned bits, std::optional<RowRef> dest,
                              bool carry_in) {
   BPIM_REQUIRE(is_supported_precision(bits), "unsupported precision");
-  const BlReadout r = sense_dual(a, b);
-  periph::AddResult res = FaLogics::add(r, bits, carry_in);
+  FaLogics::add_into(sense_dual(a, b), bits, carry_in, fa_);
   const double n = static_cast<double>(cols());
   charge(compute_price(a, b), n);
   charge(Component::FaLogic, n);
-  if (dest) write_back(*dest, res.sum, n);
+  if (dest) write_back(*dest, fa_.sum, n);
   finish_op(1);
-  return std::move(res.sum);
+  return fa_.sum;
 }
 
 BitVector ImcMacro::add_shift_rows(RowRef a, RowRef b, unsigned bits, RowRef dest) {
   BPIM_REQUIRE(is_supported_precision(bits), "unsupported precision");
-  const BlReadout r = sense_dual(a, b);
-  periph::AddResult res = FaLogics::add(r, bits, false);
+  FaLogics::add_into(sense_dual(a, b), bits, false, fa_);
   // The propagated-sum path writes S[n-1] into column n (MX0 + Y-path FF).
   const std::size_t words = words_per_row(bits);
-  BitVector out = std::move(res.sum);
+  BitVector out = fa_.sum;
   out.shl1_in_fields(bits);
   const double n = static_cast<double>(cols());
   charge(compute_price(a, b), n);
@@ -301,18 +330,17 @@ BitVector ImcMacro::sub_rows(RowRef a, RowRef b, unsigned bits) {
   BPIM_REQUIRE(is_supported_precision(bits), "unsupported precision");
   // Cycle 1: NOT(b) -> dummy operand row.
   const RowRef d1 = RowRef::dummy(kDummyOperand);
-  const BlReadout rb = array_.read_single(b);
+  array_.read_single(b, sense_);
   const double n = static_cast<double>(cols());
   charge(Component::SingleWlRead, n);
   charge(Component::Inverter, n);
-  write_back(d1, rb.bl_nor, n);
+  write_back(d1, sense_.bl_nor, n);
   // Cycle 2: a + ~b + 1 (two's complement).
-  const BlReadout r = sense_dual(a, d1);
-  periph::AddResult res = FaLogics::add(r, bits, true);
+  FaLogics::add_into(sense_dual(a, d1), bits, true, fa_);
   charge(compute_price(a, d1), n);
   charge(Component::FaLogic, n);
   finish_op(2);
-  return std::move(res.sum);
+  return fa_.sum;
 }
 
 BitVector ImcMacro::mult_rows(RowRef a, RowRef b, unsigned bits, const AdaptivePolicy& policy) {
@@ -338,29 +366,23 @@ MultPlan ImcMacro::plan_mult(RowRef a, RowRef b, unsigned bits, const AdaptivePo
   if (!policy.enabled()) return plan;
   (void)mult_units_per_row(bits);  // precision/width validation
   const std::size_t unit_bits = 2 * static_cast<std::size_t>(bits);
-  // Effectual operand view: the low half of every 2N-bit unit (unit_bits
-  // divides 64 for every supported precision, so one mask word covers all).
-  std::uint64_t low_halves = 0;
-  for (std::size_t i = 0; i < 64; i += unit_bits) low_halves |= ((1ull << bits) - 1) << i;
-  const std::uint64_t field_fill =
-      unit_bits >= 64 ? ~0ull : ((1ull << unit_bits) - 1);  // disjoint fields: no carry
-  const std::uint64_t unit_lsbs = BitVector::periodic_mask(unit_bits);
+  // Effectual operand view: the low half of every 2N-bit unit.
+  const auto [low_halves, unit_lsbs, field_fill] = unit_masks(bits);
   const BitVector& row_a = array_.row(a);
   const BitVector& row_b = array_.row(b);
   // A zero multiplicand unit makes every multiplier bit of that unit
   // ineffectual (sum == accumulator == 0 whatever the select bit says).
   // One allocation-free pass (the planner sits on the MULT hot path): per
-  // word, OR-fold each multiplicand field onto its LSB (sub-field shifts
-  // cannot push a higher field's bits down to a lower field's LSB), expand
-  // the zero flags to full-field masks, drop those multiplier fields, and
-  // accumulate the surviving multiplier bits. Phantom fields past the row
+  // word, adding 2^N - 1 to every masked low half carries into bit N of its
+  // unit iff that half is nonzero, and never out of the unit (the sum stays
+  // below 2^(N+1) <= 2^2N). Those flags keep the effectual units' multiplier
+  // fields, and the surviving bits accumulate. Phantom fields past the row
   // end hold zero multiplier bits, so they cannot contribute.
   std::uint64_t acc = 0;
-  for (std::size_t w = 0; w < row_a.word_count(); ++w) {
-    std::uint64_t aw = row_a.word(w) & low_halves;
-    const std::uint64_t bw = row_b.word(w) & low_halves;
-    for (std::size_t s = 1; s < unit_bits; s <<= 1) aw |= aw >> s;
-    acc |= bw & ~((~aw & unit_lsbs) * field_fill);
+  for (std::size_t w = 0, n = row_a.word_count(); w < n; ++w) {
+    const std::uint64_t effectual =
+        (((row_a.word(w) & low_halves) + low_halves) >> bits) & unit_lsbs;
+    acc |= row_b.word(w) & low_halves & (effectual * field_fill);
   }
   unsigned eff = 0;
   if (acc != 0) {
@@ -379,9 +401,9 @@ MultPlan ImcMacro::plan_mult(RowRef a, RowRef b, unsigned bits, const AdaptivePo
 }
 
 BitVector ImcMacro::mult_impl(RowRef a, RowRef b, unsigned bits, const MultPlan& plan) {
-  BPIM_REQUIRE(is_supported_precision(bits), "unsupported precision");
   const std::size_t units = mult_units_per_row(bits);
   const unsigned unit_bits = 2 * bits;
+  const auto [low_halves, unit_lsbs, field_fill] = unit_masks(bits);
   const RowRef d1 = RowRef::dummy(kDummyOperand);
   const RowRef d2 = RowRef::dummy(kDummyAccum);
   const auto& p = energy_.params();
@@ -389,14 +411,13 @@ BitVector ImcMacro::mult_impl(RowRef a, RowRef b, unsigned bits, const MultPlan&
 
   // Cycle 1: zero-init the accumulator row; load the multiplier FFs
   // (MSB-first release order -- the reversed B[3:0] -> B[0:3] of Fig 5).
-  BitVector zeros(cols());
-  write_back(d2, zeros, static_cast<double>(cols()) * p.zero_init_activity);
-  const BlReadout rb = array_.read_single(b);
+  // The FFs hold row b as read after the zero-init; only the low half of
+  // each unit is ever selected from it.
+  wb_.reset(cols());
+  write_back(d2, wb_, static_cast<double>(cols()) * p.zero_init_activity);
+  ff_ = array_.row(b);
   charge(Component::SingleWlRead, static_cast<double>(bits) * n_units);
   charge(Component::FlipFlop, static_cast<double>(bits) * n_units);
-  std::vector<std::uint64_t> ff(units, 0);
-  for (std::size_t u = 0; u < units; ++u)
-    ff[u] = rb.bl_and.extract_bits(u * unit_bits, bits);
 
   // Cycle 2: copy the multiplicand into the dummy operand row (low halves):
   // mask off the high half of every unit in one word-parallel AND. A
@@ -406,46 +427,39 @@ BitVector ImcMacro::mult_impl(RowRef a, RowRef b, unsigned bits, const MultPlan&
   // write-back happens. A skipped MULT (all products provably zero) elides
   // it too: the zero-initialised accumulator row already IS the result.
   if (!plan.skip && !plan.d1_staged) {
-    const BlReadout ra = array_.read_single(a);
-    std::uint64_t low_halves = 0;  // low `bits` of each unit set (unit_bits divides 64)
-    for (std::size_t i = 0; i < 64; i += unit_bits) low_halves |= ((1ull << bits) - 1) << i;
-    BitVector a_copy = ra.bl_and;
-    for (std::size_t w = 0; w < a_copy.word_count(); ++w)
-      a_copy.set_word(w, a_copy.word(w) & low_halves);
+    const BitVector& row_a = array_.row(a);
+    for (std::size_t w = 0, n = wb_.word_count(); w < n; ++w)
+      wb_.set_word(w, row_a.word(w) & low_halves);
     charge(Component::SingleWlRead, static_cast<double>(bits) * n_units);
-    write_back(d1, a_copy, static_cast<double>(bits) * n_units);
+    write_back(d1, wb_, static_cast<double>(bits) * n_units);
   }
 
   // Cycles 3..N+2: (N-1) add-and-shift iterations plus the final ADD.
   // acc <- (ff_bit ? acc + A : acc), shifted left except on the last cycle.
-  // The per-unit FF bit selects between sum and accumulator through a
-  // broadcast field mask; the <<1 is the word-parallel in-field shift. All
-  // scratch (AddResult, select mask, next row) is reused across iterations.
+  // Per word, the select mask is the FF bit of iteration k moved to each
+  // unit's LSB and broadcast across the unit:
+  //   ((ff_word >> (N-1-k)) & unit_lsbs) * field_fill
+  // (a shift below N only brings a unit's own low-half bit onto its LSB).
+  // The <<1 is the word-parallel in-field shift. The SA, FA, FF and
+  // write-back latches are macro members, reused across iterations and ops.
   // An adaptive plan starts at k = bits - depth: every dropped leading
   // iteration is a per-unit no-op (multiplier bit zero keeps the still-zero
   // accumulator, and a shift of zero is zero; zero-multiplicand units see
   // sum == accumulator == 0 either way), so products are bit-identical.
-  periph::AddResult res;
-  BitVector sel(cols());
-  BitVector next(cols());
   for (unsigned k = bits - plan.depth; k < bits; ++k) {
     const bool last = (k + 1 == bits);
-    const BlReadout r = sense_dual(d1, d2);
-    FaLogics::add_into(r, unit_bits, false, res);
+    const unsigned ff_shift = bits - 1 - k;  // MSB-first
+    FaLogics::add_into(sense_dual(d1, d2), unit_bits, false, fa_);
     const BitVector& acc = array_.row(d2);
-    for (std::size_t u = 0; u < units; ++u) {
-      const bool take_sum = (ff[u] >> (bits - 1 - k)) & 1u;  // MSB-first
-      sel.deposit_bits(u * unit_bits, unit_bits, take_sum ? ~0ull : 0);
+    for (std::size_t w = 0, n = wb_.word_count(); w < n; ++w) {
+      const std::uint64_t sel = ((ff_.word(w) >> ff_shift) & unit_lsbs) * field_fill;
+      const std::uint64_t v = (fa_.sum.word(w) & sel) | (acc.word(w) & ~sel);
+      wb_.set_word(w, last ? v : (v << 1) & ~unit_lsbs);  // <<1 via the propagation path
     }
-    for (std::size_t w = 0; w < next.word_count(); ++w) {
-      const std::uint64_t s = sel.word(w);
-      next.set_word(w, (res.sum.word(w) & s) | (acc.word(w) & ~s));
-    }
-    if (!last) next.shl1_in_fields(unit_bits);  // <<1 via the propagation path
     charge(compute_price(d1, d2), static_cast<double>(cols()));
     charge(Component::FaLogic, static_cast<double>(cols()));
     charge(Component::FlipFlop, n_units);
-    write_back(d2, next, static_cast<double>(cols()) * p.mult_wb_activity);
+    write_back(d2, wb_, static_cast<double>(cols()) * p.mult_wb_activity);
   }
 
   // The plan owns the cycle split; op_cycles(MULT, bits) == plan.cycles()

@@ -26,12 +26,14 @@
 // the program path (alongside baseline/naive_datapath).
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <span>
 
 #include "array/sram_array.hpp"
 #include "common/bitvec.hpp"
+#include "common/require.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "energy/energy_model.hpp"
@@ -81,10 +83,20 @@ class ImcMacro {
   [[nodiscard]] const MacroConfig& config() const { return cfg_; }
   [[nodiscard]] std::size_t cols() const { return cfg_.geometry.cols; }
   [[nodiscard]] std::size_t rows() const { return cfg_.geometry.rows; }
-  /// Words per row at a given precision.
-  [[nodiscard]] std::size_t words_per_row(unsigned bits) const;
+  /// Words per row at a given precision. Supported precisions are powers
+  /// of two, so the width checks and counts here and below are masks and
+  /// shifts (they run on every MULT).
+  [[nodiscard]] std::size_t words_per_row(unsigned bits) const {
+    BPIM_REQUIRE(is_supported_precision(bits), "unsupported precision");
+    BPIM_REQUIRE((cols() & (bits - 1)) == 0, "precision must divide the row width");
+    return cols() >> std::countr_zero(bits);
+  }
   /// MULT units per row at a given precision (each 2*bits wide).
-  [[nodiscard]] std::size_t mult_units_per_row(unsigned bits) const;
+  [[nodiscard]] std::size_t mult_units_per_row(unsigned bits) const {
+    BPIM_REQUIRE(is_supported_precision(bits), "unsupported precision");
+    BPIM_REQUIRE((cols() & (2 * bits - 1)) == 0, "2N-bit units must divide the row width");
+    return cols() >> (std::countr_zero(bits) + 1);
+  }
 
   // ---- uncharged data access (test/benchmark setup) ----------------------
   void poke_row(std::size_t r, const BitVector& data);
@@ -102,6 +114,10 @@ class ImcMacro {
                           std::span<const std::uint64_t> values);
   [[nodiscard]] std::uint64_t peek_mult_product(const BitVector& row, std::size_t unit,
                                                 unsigned bits) const;
+  /// Bulk extraction of the 2N-bit products: out[i] = product of unit i.
+  /// One range/precision validation for the whole span (the engine's
+  /// result-extraction path, mirroring poke_mult_operands).
+  void peek_mult_products(const BitVector& row, unsigned bits, std::span<std::uint64_t> out) const;
   [[nodiscard]] const array::SramArray& sram() const { return array_; }
 
   // ---- standard SRAM access (charged; the macro is still a memory) --------
@@ -188,7 +204,9 @@ class ImcMacro {
   void finish_op(unsigned cycles);
   /// Write with separator management + write-back energy for `bits` bits.
   void write_back(array::RowRef dest, const BitVector& data, double charged_bits);
-  array::BlReadout sense_dual(array::RowRef a, array::RowRef b);
+  /// Dual-WL sense into the SA latch (sense_), valid until the next sense.
+  /// Single-WL reads (array_.read_single) land in the same latch.
+  const array::BlReadout& sense_dual(array::RowRef a, array::RowRef b);
   /// Apply stochastic disturb to vulnerable columns of a dual-WL access.
   void maybe_disturb(array::RowRef a, array::RowRef b);
 
@@ -196,8 +214,20 @@ class ImcMacro {
   array::SramArray array_;
   energy::EnergyModel energy_;
   Second cycle_time_;
+  /// Per-bit price of each component at cfg_.vdd (fixed by the config).
+  std::array<Joule, 8> price_{};
   DisturbModel disturb_;
   Rng rng_;
+
+  // Peripheral latches, reused cycle to cycle so no cycle allocates (only
+  // the result row an op returns may): SA outputs, FA-Logics outputs, the
+  // MULT multiplier FFs, and
+  // the row a MULT cycle writes back (zero-init, masked multiplicand, next
+  // accumulator).
+  array::BlReadout sense_;
+  periph::AddResult fa_;
+  BitVector ff_;
+  BitVector wb_;
 
   ExecStats last_{};
   Joule pending_energy_{0.0};

@@ -32,15 +32,6 @@ bool is_dual_wl(Op op) {
   }
 }
 
-unsigned op_cycles(Op op, unsigned bits) {
-  BPIM_REQUIRE(bits >= 1, "precision must be positive");
-  switch (op) {
-    case Op::Sub: return 2;
-    case Op::Mult: return bits + 2;
-    default: return 1;
-  }
-}
-
 const char* to_string(WlScheme s) {
   switch (s) {
     case WlScheme::ShortPulseBoost: return "Short WL + BL Boost";
@@ -48,10 +39,6 @@ const char* to_string(WlScheme s) {
     case WlScheme::FullSwingLong: return "Full-swing long WL (unprotected)";
   }
   return "??";
-}
-
-bool is_supported_precision(unsigned bits) {
-  return bits == 2 || bits == 4 || bits == 8 || bits == 16 || bits == 32;
 }
 
 }  // namespace bpim::macro

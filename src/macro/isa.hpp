@@ -30,7 +30,14 @@ enum class Op {
 [[nodiscard]] bool is_dual_wl(Op op);
 
 /// Cycle count of `op` at operand precision `bits` (Table 1).
-[[nodiscard]] unsigned op_cycles(Op op, unsigned bits);
+[[nodiscard]] inline unsigned op_cycles(Op op, unsigned bits) {
+  BPIM_REQUIRE(bits >= 1, "precision must be positive");
+  switch (op) {
+    case Op::Sub: return 2;
+    case Op::Mult: return bits + 2;
+    default: return 1;
+  }
+}
 
 /// Word-line scheme the macro is built with; decides disturb behaviour and
 /// the achievable cycle time.
@@ -44,7 +51,9 @@ enum class WlScheme {
 
 /// Supported operand precisions (the paper implements 2/4/8 and states the
 /// same method extends to 16/32).
-[[nodiscard]] bool is_supported_precision(unsigned bits);
+[[nodiscard]] constexpr bool is_supported_precision(unsigned bits) {
+  return bits == 2 || bits == 4 || bits == 8 || bits == 16 || bits == 32;
+}
 
 /// Sparsity/precision-adaptive execution policy (DynamicStripes-style
 /// narrowing + zero-operand skipping). Data-dependent and bit-exact: the

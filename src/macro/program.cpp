@@ -162,49 +162,45 @@ ProgramStats MacroController::execute(const Program& p, std::vector<TraceEntry>*
   } staged;
   const array::RowRef d1_row = array::RowRef::dummy(ImcMacro::kDummyOperand);
   for (const Instruction& i : p.instructions()) {
-    BitVector result;
     MultPlan plan;
-    unsigned adaptive = 0;
-    switch (i.op) {
-      case Op::Nand:
-      case Op::And:
-      case Op::Nor:
-      case Op::Or:
-      case Op::Xnor:
-      case Op::Xor:
-        result = macro_.logic_rows(i.logic_fn, i.a, i.b);
-        break;
-      case Op::Not:
-      case Op::Copy:
-      case Op::Shift:
-        result = macro_.unary_row(i.op, i.a, *i.dest, i.bits);
-        break;
-      case Op::Add:
-        result = macro_.add_rows(i.a, i.b, i.bits, i.dest);
-        break;
-      case Op::AddShift:
-        result = macro_.add_shift_rows(i.a, i.b, i.bits, *i.dest);
-        break;
-      case Op::Sub:
-        result = macro_.sub_rows(i.a, i.b, i.bits);
-        break;
-      case Op::Mult: {
-        // Chain discount: a MULT directly after a MULT at the same precision
-        // loads its FF while the predecessor's final D2 write-back drains;
-        // if D1 still holds this multiplicand's masked copy, the staging
-        // cycle drops out as well. The adaptive policy then narrows/skips
-        // against the operand data; the one resolved plan drives execution
-        // and the savings split alike.
-        const bool pipelined =
-            fuse_mac_chains && prev != nullptr && prev->op == Op::Mult && prev->bits == i.bits;
-        const bool d1_staged =
-            pipelined && staged.valid && staged.row == i.a && staged.bits == i.bits;
-        plan = macro_.plan_mult(i.a, i.b, i.bits, policy, d1_staged, pipelined);
-        result = macro_.mult_rows_planned(i.a, i.b, i.bits, plan);
-        adaptive = plan.adaptive_cycles_saved(i.bits);
-        break;
+    BitVector result = [&] {
+      switch (i.op) {
+        case Op::Nand:
+        case Op::And:
+        case Op::Nor:
+        case Op::Or:
+        case Op::Xnor:
+        case Op::Xor:
+          return macro_.logic_rows(i.logic_fn, i.a, i.b);
+        case Op::Not:
+        case Op::Copy:
+        case Op::Shift:
+          return macro_.unary_row(i.op, i.a, *i.dest, i.bits);
+        case Op::Add:
+          return macro_.add_rows(i.a, i.b, i.bits, i.dest);
+        case Op::AddShift:
+          return macro_.add_shift_rows(i.a, i.b, i.bits, *i.dest);
+        case Op::Sub:
+          return macro_.sub_rows(i.a, i.b, i.bits);
+        case Op::Mult:
+          break;
       }
-    }
+      // Chain discount: a MULT directly after a MULT at the same precision
+      // loads its FF while the predecessor's final D2 write-back drains; if
+      // D1 still holds this multiplicand's masked copy, the staging cycle
+      // drops out as well. The adaptive policy then narrows/skips against
+      // the operand data; the one resolved plan drives execution and the
+      // savings split alike. With the policy off the plan is the static one
+      // and the operands need no scan.
+      const bool pipelined =
+          fuse_mac_chains && prev != nullptr && prev->op == Op::Mult && prev->bits == i.bits;
+      const bool d1_staged =
+          pipelined && staged.valid && staged.row == i.a && staged.bits == i.bits;
+      plan = policy.enabled() ? macro_.plan_mult(i.a, i.b, i.bits, policy, d1_staged, pipelined)
+                              : MultPlan::full(i.bits, d1_staged, pipelined);
+      return macro_.mult_rows_planned(i.a, i.b, i.bits, plan);
+    }();
+    const unsigned adaptive = i.op == Op::Mult ? plan.adaptive_cycles_saved(i.bits) : 0;
     const ExecStats es = macro_.last_op();
     ++stats.instructions;
     stats.cycles += es.cycles;

@@ -56,11 +56,12 @@ double HistogramSnapshot::quantile(double q) const {
 
 HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot snap;
-  snap.count = count_.load(std::memory_order_relaxed);
   snap.sum = static_cast<double>(sum_.load(std::memory_order_relaxed));
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     const std::uint64_t n = buckets_[i].load(std::memory_order_relaxed);
-    if (n != 0) snap.buckets.push_back({HistogramBuckets::upper_bound(i), n});
+    if (n == 0) continue;
+    snap.buckets.push_back({HistogramBuckets::upper_bound(i), n});
+    snap.count += n;
   }
   return snap;
 }

@@ -92,9 +92,10 @@ class Histogram {
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
+  /// Two relaxed atomic adds. The event count is not kept apart:
+  /// snapshot() sums the buckets.
   void observe(std::uint64_t v) {
     buckets_[HistogramBuckets::index_of(v)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
   }
 
@@ -102,7 +103,6 @@ class Histogram {
 
  private:
   std::array<std::atomic<std::uint64_t>, HistogramBuckets::kBucketCount> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};  ///< exact; reported as a double
 };
 

@@ -16,9 +16,27 @@ const char* to_string(LogicFn fn) {
   return "??";
 }
 
-BitVector FaLogics::xor_bits(const array::BlReadout& r) { return ~(r.bl_and | r.bl_nor); }
+namespace {
 
-BitVector FaLogics::xnor_bits(const array::BlReadout& r) { return r.bl_and | r.bl_nor; }
+// f(bl_and word, bl_nor word) over every word, written straight into the
+// result (no intermediate vectors).
+template <class F>
+BitVector combine(const array::BlReadout& r, F f) {
+  BitVector out(r.bl_and.size());
+  for (std::size_t k = 0, n = out.word_count(); k < n; ++k)
+    out.set_word(k, f(r.bl_and.word(k), r.bl_nor.word(k)));
+  return out;
+}
+
+}  // namespace
+
+BitVector FaLogics::xor_bits(const array::BlReadout& r) {
+  return combine(r, [](std::uint64_t a, std::uint64_t n) { return ~(a | n); });
+}
+
+BitVector FaLogics::xnor_bits(const array::BlReadout& r) {
+  return combine(r, [](std::uint64_t a, std::uint64_t n) { return a | n; });
+}
 
 BitVector FaLogics::logic(const array::BlReadout& r, LogicFn fn) {
   switch (fn) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/bitvec.hpp"
 #include "common/rng.hpp"
 
@@ -213,6 +215,122 @@ TEST(BitVector, ResetReusesStorageAndZeroes) {
   v.reset(256);
   EXPECT_EQ(v.size(), 256u);
   EXPECT_EQ(v.popcount(), 0u);
+}
+
+// Storage modes: rows up to kInlineWords * 64 bits live inline, wider ones
+// on the heap. Every copy/move/reset must behave the same on both sides of
+// that boundary and across it.
+constexpr std::size_t kModeSizes[] = {0, 64, 128, 256, 257, 1000};
+
+BitVector random_vector(std::size_t size, Rng& rng) {
+  BitVector v(size);
+  v.randomize(rng);
+  return v;
+}
+
+TEST(BitVectorStorage, InlineCapacityCoversThePaperAndBenchRows) {
+  EXPECT_EQ(BitVector::kInlineWords * 64, 256u);
+}
+
+TEST(BitVectorStorage, CopyAcrossModes) {
+  Rng rng(0xC0);
+  for (const std::size_t from : kModeSizes) {
+    const BitVector src = random_vector(from, rng);
+    const BitVector src_before = src;
+    const BitVector constructed(src);
+    EXPECT_EQ(constructed, src) << from;
+    for (const std::size_t to : kModeSizes) {
+      BitVector dst = random_vector(to, rng);
+      dst = src;
+      EXPECT_EQ(dst, src) << from << " -> " << to;
+      EXPECT_EQ(src, src_before) << "copy changed its source, " << from << " -> " << to;
+    }
+  }
+}
+
+TEST(BitVectorStorage, CopiesAreIndependent) {
+  Rng rng(0xC1);
+  for (const std::size_t size : {64u, 256u, 257u, 1000u}) {
+    const BitVector src = random_vector(size, rng);
+    BitVector copy = src;
+    copy.set(size - 1, !copy.get(size - 1));
+    EXPECT_NE(copy, src) << size;
+    EXPECT_EQ(copy.get(size - 1), !src.get(size - 1)) << size;
+  }
+}
+
+TEST(BitVectorStorage, MoveAcrossModesLeavesSourceEmptyAndReusable) {
+  Rng rng(0x30);
+  for (const std::size_t from : kModeSizes) {
+    for (const std::size_t to : kModeSizes) {
+      BitVector src = random_vector(from, rng);
+      const BitVector expect = src;
+      BitVector dst = random_vector(to, rng);
+      dst = std::move(src);
+      EXPECT_EQ(dst, expect) << from << " -> " << to;
+      EXPECT_EQ(src.size(), 0u) << from << " -> " << to;  // NOLINT(bugprone-use-after-move)
+      EXPECT_TRUE(src.empty());                            // NOLINT(bugprone-use-after-move)
+      src.reset(to);  // NOLINT(bugprone-use-after-move)
+      EXPECT_EQ(src.size(), to);
+      EXPECT_EQ(src.popcount(), 0u);
+      if (to != 0) {
+        src.set(to - 1, true);
+        EXPECT_EQ(src.popcount(), 1u);
+      }
+    }
+    BitVector src = random_vector(from, rng);
+    const BitVector expect = src;
+    const BitVector constructed(std::move(src));
+    EXPECT_EQ(constructed, expect) << from;
+    EXPECT_EQ(src.size(), 0u) << from;  // NOLINT(bugprone-use-after-move)
+  }
+}
+
+TEST(BitVectorStorage, SelfAssignmentKeepsContents) {
+  Rng rng(0x5E1F);
+  for (const std::size_t size : kModeSizes) {
+    BitVector v = random_vector(size, rng);
+    const BitVector expect = v;
+    BitVector& alias = v;
+    v = alias;
+    EXPECT_EQ(v, expect) << size;
+    v = std::move(alias);
+    EXPECT_EQ(v, expect) << size;
+  }
+}
+
+TEST(BitVectorStorage, ResetGrowsAndShrinksAcrossTheBoundary) {
+  BitVector v;
+  for (const std::size_t size : {64u, 1000u, 128u, 257u, 0u, 256u, 1000u, 257u, 64u}) {
+    v.fill(true);
+    v.reset(size);
+    EXPECT_EQ(v.size(), size);
+    EXPECT_EQ(v.popcount(), 0u) << size;
+    EXPECT_EQ(v, BitVector(size)) << size;
+    if (size != 0) {
+      v.set(size - 1, true);
+      v.set(0, true);
+      EXPECT_EQ(v.popcount(), size == 1 ? 1u : 2u);
+    }
+  }
+}
+
+TEST(BitVectorStorage, EqualityAcrossModes) {
+  // Same low 256 bits, one bit apart in size: inline vs heap never compare
+  // equal; equal contents compare equal however the vector got them.
+  Rng rng(0xE0);
+  const BitVector wide = random_vector(257, rng);
+  BitVector narrow = wide.slice(0, 256);
+  BitVector regrown(257);
+  regrown.patch(0, narrow);
+  regrown.set(256, wide.get(256));
+  EXPECT_EQ(regrown, wide);
+  EXPECT_NE(narrow, wide);
+  BitVector reused(1000);  // heap block, then copied into at inline size
+  reused = narrow;
+  EXPECT_EQ(reused, narrow);
+  reused = wide;  // and back up to a heap size
+  EXPECT_EQ(reused, wide);
 }
 
 // Reference scans for the adaptive-path field helpers: per-bit walks with

@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "baseline/naive_datapath.hpp"
 #include "common/rng.hpp"
 #include "macro/compiler.hpp"
@@ -110,28 +113,43 @@ macro::MacroConfig geometry_cfg(std::size_t cols) {
 }
 
 TEST(HotPathDiff, MultRowsMatchesReferenceAndHostProducts) {
+  // 512 columns take BitVector's heap storage; 2-bit is the MLP's narrowest
+  // layer. With `garbage`, the high half of every unit of both operand rows
+  // holds random bits: the datapath must read only the low halves (the
+  // multiplier's FF bits, the masked multiplicand), plain and adaptive alike.
   Rng rng(0x3117);
-  for (const std::size_t cols : {128u, 96u, 256u}) {
-    for (const unsigned bits : {4u, 8u, 16u}) {
+  for (const std::size_t cols : {128u, 96u, 256u, 512u}) {
+    for (const unsigned bits : {2u, 4u, 8u, 16u}) {
       if (cols % (2 * bits) != 0) continue;
       macro::ImcMacro m{geometry_cfg(cols)};
       const std::size_t units = m.mult_units_per_row(bits);
-      for (int rep = 0; rep < 10; ++rep) {
-        std::vector<std::uint64_t> va(units), vb(units);
-        for (std::size_t u = 0; u < units; ++u) {
-          va[u] = rng.next_u64() & ((1ull << bits) - 1);
-          vb[u] = rng.next_u64() & ((1ull << bits) - 1);
-          m.poke_mult_operand(0, u, bits, va[u]);
-          m.poke_mult_operand(1, u, bits, vb[u]);
+      const std::uint64_t low = (1ull << bits) - 1;
+      for (const bool garbage : {false, true}) {
+        for (int rep = 0; rep < 10; ++rep) {
+          std::vector<std::uint64_t> va(units), vb(units);
+          BitVector row_a(cols), row_b(cols);
+          if (garbage) {
+            row_a.randomize(rng);
+            row_b.randomize(rng);
+          }
+          for (std::size_t u = 0; u < units; ++u) {
+            va[u] = rng.next_u64() & low;
+            vb[u] = rng.next_u64() & low;
+            row_a.deposit_bits(u * 2 * bits, bits, va[u]);
+            row_b.deposit_bits(u * 2 * bits, bits, vb[u]);
+          }
+          m.poke_row(0, row_a);
+          m.poke_row(1, row_b);
+          const std::string what = "cols=" + std::to_string(cols) + " bits=" +
+                                   std::to_string(bits) + (garbage ? " garbage" : "");
+          const BitVector product = m.mult_rows(RowRef::main(0), RowRef::main(1), bits);
+          EXPECT_EQ(product, naive_mult_datapath(row_a, row_b, bits)) << what;
+          for (std::size_t u = 0; u < units; ++u)
+            EXPECT_EQ(m.peek_mult_product(product, u, bits), va[u] * vb[u])
+                << what << " unit=" << u;
+          EXPECT_EQ(m.mult_rows(RowRef::main(0), RowRef::main(1), bits, {true, true}), product)
+              << what << " adaptive";
         }
-        const BitVector row_a = m.peek_row(0);
-        const BitVector row_b = m.peek_row(1);
-        const BitVector product = m.mult_rows(RowRef::main(0), RowRef::main(1), bits);
-        EXPECT_EQ(product, naive_mult_datapath(row_a, row_b, bits))
-            << "cols=" << cols << " bits=" << bits;
-        for (std::size_t u = 0; u < units; ++u)
-          EXPECT_EQ(m.peek_mult_product(product, u, bits), va[u] * vb[u])
-              << "cols=" << cols << " bits=" << bits << " unit=" << u;
       }
     }
   }

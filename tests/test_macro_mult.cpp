@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
 #include "macro/imc_macro.hpp"
 
@@ -84,6 +86,29 @@ TEST_P(MacroMult, ProductPersistsInAccumulatorRow) {
   macro_.poke_mult_operand(1, 0, bits, 2);
   const BitVector prod = macro_.mult_rows(RowRef::main(0), RowRef::main(1), bits);
   EXPECT_EQ(macro_.sram().row(RowRef::dummy(ImcMacro::kDummyAccum)), prod);
+}
+
+TEST_P(MacroMult, BulkProductExtractionMatchesPerUnit) {
+  const unsigned bits = GetParam();
+  const std::size_t units = macro_.mult_units_per_row(bits);
+  const std::uint64_t mask = (1ull << bits) - 1;
+  for (std::size_t u = 0; u < units; ++u) {
+    macro_.poke_mult_operand(0, u, bits, rng_.next_u64() & mask);
+    macro_.poke_mult_operand(1, u, bits, rng_.next_u64() & mask);
+  }
+  const BitVector prod = macro_.mult_rows(RowRef::main(0), RowRef::main(1), bits);
+  std::vector<std::uint64_t> all(units), head(units / 2);
+  macro_.peek_mult_products(prod, bits, all);
+  macro_.peek_mult_products(prod, bits, head);
+  for (std::size_t u = 0; u < units; ++u) {
+    EXPECT_EQ(all[u], macro_.peek_mult_product(prod, u, bits)) << "unit " << u;
+    if (u < head.size()) {
+      EXPECT_EQ(head[u], all[u]) << "unit " << u;
+    }
+  }
+  std::vector<std::uint64_t> too_many(units + 1);
+  EXPECT_THROW(macro_.peek_mult_products(prod, bits, too_many), std::invalid_argument);
+  EXPECT_THROW(macro_.peek_mult_products(BitVector(64), bits, head), std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(Precisions, MacroMult, ::testing::Values(2u, 4u, 8u, 16u, 32u));

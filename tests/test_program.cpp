@@ -4,6 +4,7 @@
 
 #include "macro/program.hpp"
 #include "macro/verifier.hpp"
+#include "obs/metrics.hpp"
 
 namespace bpim::macro {
 namespace {
@@ -106,6 +107,24 @@ TEST(Controller, MultThroughProgramMatchesDirectCall) {
   std::vector<TraceEntry> trace;
   ctl.run(p, &trace);
   EXPECT_EQ(m.peek_mult_product(trace[0].result, 0, 8), 143u);
+}
+
+TEST(Controller, ProgramCyclesHistogramSeesEveryProgram) {
+  // One observation per executed program; the count is the bucket total.
+  obs::Histogram& h = obs::MetricsRegistry::global().histogram("macro.program.cycles");
+  const obs::HistogramSnapshot before = h.snapshot();
+  ImcMacro m{MacroConfig{}};
+  Program mult;
+  mult.mult(RowRef::main(0), RowRef::main(1), 8);
+  Program add;
+  add.add(RowRef::main(0), RowRef::main(1), 8);
+  MacroController ctl(m);
+  ctl.run(mult);
+  ctl.run(add);
+  ctl.run(mult);
+  const obs::HistogramSnapshot after = h.snapshot();
+  EXPECT_EQ(after.count - before.count, 3u);
+  EXPECT_DOUBLE_EQ(after.sum - before.sum, 2 * 10.0 + 1.0);
 }
 
 TEST(Controller, InstructionToStringReadable) {

@@ -49,7 +49,8 @@ TEST(SramArray, DualWlComputesAndAndNor) {
   SramArray a(small());
   a.write_row(RowRef::main(0), BitVector(16, 0b1100));
   a.write_row(RowRef::main(1), BitVector(16, 0b1010));
-  const BlReadout r = a.compute_dual(RowRef::main(0), RowRef::main(1));
+  BlReadout r;
+  a.compute_dual(RowRef::main(0), RowRef::main(1), r);
   EXPECT_EQ(r.bl_and.to_u64(), 0b1000u);
   // NOR over 16 columns: complement of OR.
   EXPECT_EQ(r.bl_nor.to_u64(), (~0b1110ull) & 0xFFFFull);
@@ -57,13 +58,15 @@ TEST(SramArray, DualWlComputesAndAndNor) {
 
 TEST(SramArray, DualWlNeedsDistinctRows) {
   SramArray a(small());
-  EXPECT_THROW(a.compute_dual(RowRef::main(1), RowRef::main(1)), std::invalid_argument);
+  BlReadout r;
+  EXPECT_THROW(a.compute_dual(RowRef::main(1), RowRef::main(1), r), std::invalid_argument);
 }
 
 TEST(SramArray, SingleWlReadsRowAndComplement) {
   SramArray a(small());
   a.write_row(RowRef::main(5), BitVector(16, 0x00F0));
-  const BlReadout r = a.read_single(RowRef::main(5));
+  BlReadout r;
+  a.read_single(RowRef::main(5), r);
   EXPECT_EQ(r.bl_and.to_u64(), 0x00F0u);
   EXPECT_EQ(r.bl_nor.to_u64(), 0xFF0Fu);
 }
@@ -72,19 +75,21 @@ TEST(SramArray, MainDummyPairSharesBitlines) {
   SramArray a(small());
   a.write_row(RowRef::main(0), BitVector(16, 0b0110));
   a.write_row(RowRef::dummy(0), BitVector(16, 0b0011));
-  const BlReadout r = a.compute_dual(RowRef::main(0), RowRef::dummy(0));
+  BlReadout r;
+  a.compute_dual(RowRef::main(0), RowRef::dummy(0), r);
   EXPECT_EQ(r.bl_and.to_u64(), 0b0010u);
 }
 
 TEST(SramArray, SeparatorBlocksCrossSegmentDual) {
   SramArray a(small());
+  BlReadout r;
   a.set_separated(true);
-  EXPECT_THROW(a.compute_dual(RowRef::main(0), RowRef::dummy(0)), std::invalid_argument);
+  EXPECT_THROW(a.compute_dual(RowRef::main(0), RowRef::dummy(0), r), std::invalid_argument);
   // Same-segment pairs remain legal.
-  EXPECT_NO_THROW(a.compute_dual(RowRef::dummy(0), RowRef::dummy(1)));
-  EXPECT_NO_THROW(a.compute_dual(RowRef::main(0), RowRef::main(1)));
+  EXPECT_NO_THROW(a.compute_dual(RowRef::dummy(0), RowRef::dummy(1), r));
+  EXPECT_NO_THROW(a.compute_dual(RowRef::main(0), RowRef::main(1), r));
   a.set_separated(false);
-  EXPECT_NO_THROW(a.compute_dual(RowRef::main(0), RowRef::dummy(0)));
+  EXPECT_NO_THROW(a.compute_dual(RowRef::main(0), RowRef::dummy(0), r));
 }
 
 TEST(SramArray, ToggleCountCountsHammingDistance) {
