@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <ranges>
 #include <thread>
 
 #include "common/require.hpp"
@@ -68,6 +69,22 @@ OperandLayout layout_of(OpKind kind) {
   return kind == OpKind::Mult ? OperandLayout::MultUnit : OperandLayout::Word;
 }
 
+/// Visit the chunks of an n-element vector in order: chunk c covers
+/// elements [c * per_op, ...) and goes to macro c % M at layer c / M.
+template <class Fn>
+void for_each_chunk(std::size_t n, std::size_t per_op, std::size_t macros, Fn&& fn) {
+  for (std::size_t c = 0, pos = 0; pos < n; ++c, pos += per_op)
+    fn(c % macros, c / macros, pos, std::min(per_op, n - pos));
+}
+
+void stage_row(macro::ImcMacro& mac, std::size_t row, unsigned bits, OperandLayout layout,
+               std::span<const std::uint64_t> src) {
+  if (layout == OperandLayout::MultUnit)
+    mac.poke_mult_operands(row, 0, bits, src);
+  else
+    mac.poke_words(row, 0, bits, src);
+}
+
 }  // namespace
 
 std::size_t ExecutionEngine::elements_per_chunk(const VecOp& op) const {
@@ -108,28 +125,146 @@ bool ExecutionEngine::unpin(const ResidentOperand& handle) {
   return handle ? residency_.unpin(handle.id) : false;
 }
 
+std::size_t validate(const VecOp& op, const ExecutionEngine& shape) {
+  BPIM_REQUIRE(!op.ra || op.a.empty(), "operand side has both a span and a resident handle");
+  BPIM_REQUIRE(!op.rb || op.b.empty(), "operand side has both a span and a resident handle");
+  if (op.kind == OpKind::Not)
+    BPIM_REQUIRE(op.b.empty() && !op.rb, "NOT is unary: operand side b must stay empty");
+  else
+    BPIM_REQUIRE((op.ra ? op.ra.elements : op.a.size()) == (op.rb ? op.rb.elements : op.b.size()),
+                 "operand vectors must have equal length");
+  BPIM_REQUIRE(macro::is_supported_precision(op.bits), "unsupported precision");
+  for (const ResidentOperand* h : {&op.ra, &op.rb}) {
+    if (!*h) continue;
+    BPIM_REQUIRE(h->bits == op.bits, "resident operand precision mismatch");
+    BPIM_REQUIRE(h->layout == layout_of(op.kind),
+                 "resident operand layout does not fit the op kind");
+  }
+  BPIM_REQUIRE(!op.ra || op.ra.id != op.rb.id,
+               "a resident operand cannot be both sides of one op");
+  // Each handle passed the per-handle bound at pin(); their pair sum is
+  // only known here.
+  BPIM_REQUIRE(!op.ra || !op.rb || op.ra.layers + op.rb.layers <= shape.row_pair_capacity(),
+               "resident operand pair exceeds memory capacity");
+  const std::size_t layers = shape.layers_for(op);
+  BPIM_REQUIRE(layers <= shape.row_pair_capacity(), "vector exceeds memory capacity");
+  return layers;
+}
+
+std::size_t validate(const ChainRequest& req, const ExecutionEngine& shape) {
+  BPIM_REQUIRE(!req.links.empty(), "a chain needs at least one link");
+  BPIM_REQUIRE(macro::is_supported_precision(req.bits), "unsupported precision");
+  BPIM_REQUIRE(macro::is_supported_precision(2 * req.bits),
+               "chain links run at 2x the head precision, which the ISA lacks here");
+  BPIM_REQUIRE(!req.a.empty(), "chain operands must be non-empty");
+  BPIM_REQUIRE(req.a.size() == req.b.size(), "operand vectors must have equal length");
+  for (const ChainLink& link : req.links)
+    BPIM_REQUIRE(link.values.size() == req.a.size(),
+                 "link operand length must match the head operands");
+  // Rows per layer: head operands a + b plus one row per link operand.
+  const std::size_t layers = (2 + req.links.size() + 1) / 2 *
+                             shape.layers_for_elements(req.a.size(), req.bits,
+                                                       OperandLayout::MultUnit);
+  BPIM_REQUIRE(layers <= shape.row_pair_capacity(), "chain exceeds memory capacity");
+  return layers;
+}
+
+std::size_t validate_forward(std::span<const ResidentOperand> weights,
+                             std::size_t activation_elements) {
+  BPIM_REQUIRE(!weights.empty(), "fused forward needs at least one weight");
+  const ResidentOperand& w0 = weights.front();
+  for (const ResidentOperand& w : weights) {
+    BPIM_REQUIRE(static_cast<bool>(w), "fused forward weight has no handle");
+    BPIM_REQUIRE(w.bits == w0.bits, "fused forward weights must share one precision");
+    BPIM_REQUIRE(w.layout == OperandLayout::MultUnit,
+                 "fused forward weights must be pinned in MULT-unit layout");
+    BPIM_REQUIRE(w.elements == w0.elements, "fused forward weights must share one length");
+  }
+  BPIM_REQUIRE(macro::is_supported_precision(w0.bits), "unsupported precision");
+  BPIM_REQUIRE(activation_elements == w0.elements,
+               "activation length must match the pinned weights");
+  return w0.layers;
+}
+
 void ExecutionEngine::materialize(ResidencyManager::Entry& entry) {
   BPIM_TRACE_INSTANT("residency.materialize", trace_track_,
                      {{"handle", static_cast<double>(entry.handle.id)},
                       {"layers", static_cast<double>(entry.handle.layers)}});
-  const unsigned bits = entry.handle.bits;
-  const bool mult_layout = entry.handle.layout == OperandLayout::MultUnit;
-  const std::size_t per_op = elements_per_chunk(bits, entry.handle.layout);
-  const std::size_t macros = mem_.macro_count();
-  const std::size_t n = entry.values.size();
-  const std::size_t chunks = (n + per_op - 1) / per_op;
+  const ResidentOperand& h = entry.handle;
   const std::span<const std::uint64_t> values(entry.values);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    auto& mac = mem_.macro(c % macros);
-    const std::size_t row = 2 * (entry.base_pair + c / macros);
-    const std::size_t pos = c * per_op;
-    const std::size_t len = std::min(per_op, n - pos);
-    if (mult_layout) {
-      mac.poke_mult_operands(row, 0, bits, values.subspan(pos, len));
-    } else {
-      mac.poke_words(row, 0, bits, values.subspan(pos, len));
-    }
+  for_each_chunk(values.size(), elements_per_chunk(h.bits, h.layout), mem_.macro_count(),
+                 [&](std::size_t m, std::size_t l, std::size_t pos, std::size_t len) {
+                   stage_row(mem_.macro(m), 2 * (entry.base_pair + l), h.bits, h.layout,
+                             values.subspan(pos, len));
+                 });
+}
+
+ResidencyManager::Entry* ExecutionEngine::resolve(const ResidentOperand& handle) {
+  if (!handle) return nullptr;
+  ResidencyManager::Entry* e = residency_.touch(handle.id);
+  BPIM_REQUIRE(e != nullptr, "unknown resident operand (unpinned, or pinned on another engine)");
+  return e;
+}
+
+Second ExecutionEngine::cycles_to_time(std::uint64_t cycles) const {
+  return Second(static_cast<double>(cycles) * mem_.macro(0).cycle_time().si());
+}
+
+ExecutionEngine::ExecPlan& ExecutionEngine::begin_plan(std::size_t active) {
+  plan_.macros.resize(std::max(plan_.macros.size(), active));
+  for (std::size_t m = 0; m < active; ++m) {
+    MacroPlan& mp = plan_.macros[m];
+    mp.stage.clear();
+    mp.programs.clear();
+    mp.extract.clear();
   }
+  plan_.active = active;
+  return plan_;
+}
+
+std::uint64_t ExecutionEngine::execute(ExecPlan& plan) {
+  mem_.reset_counters();
+  // Macro m owns its chunks outright (own rows, RNG stream and ledger), so
+  // any thread count gives bit-identical results. The memory ledger is the
+  // dispatch's account; each worker only keeps the adaptive savings its
+  // controller reports. The chained-MAC discount applies only between
+  // back-to-back MULTs inside one program, so it leaves single-instruction
+  // programs alone.
+  const macro::AdaptivePolicy pol = adaptive_policy();
+  pool_.parallel_for(plan.active, [&](std::size_t m) {
+    auto& mac = mem_.macro(m);
+    MacroPlan& mp = plan.macros[m];
+    for (const auto& s : mp.stage) stage_row(mac, s.index, s.bits, s.layout, s.values);
+    macro::MacroController ctl(mac);
+    mp.trace.clear();
+    mp.adaptive = 0;
+    for (const macro::VerifiedProgram* p : mp.programs)
+      mp.adaptive += ctl.run(*p, &mp.trace, /*fuse_mac_chains=*/true, pol).adaptive_cycles_saved;
+    for (const auto& x : mp.extract) {
+      const BitVector& result = mp.trace[x.index].result;
+      if (x.layout == OperandLayout::MultUnit) {
+        mac.peek_mult_products(result, x.bits, x.values);
+      } else {
+        for (std::size_t i = 0; i < x.values.size(); ++i)
+          x.values[i] = result.extract_bits(i * x.bits, x.bits);
+      }
+    }
+  });
+  // Per macro, ledger cycles plus the adaptive savings of its programs is
+  // its policy-off walk under the same fusion pattern (per-instruction
+  // conservation is exact), so the max over macros is the policy-off
+  // makespan and dense == elapsed + adaptive_cycles_saved holds exactly.
+  std::uint64_t dense = 0;
+  for (std::size_t m = 0; m < plan.active; ++m)
+    dense = std::max(dense, mem_.macro(m).total_cycles() + plan.macros[m].adaptive);
+  return dense - mem_.elapsed_cycles();
+}
+
+void ExecutionEngine::publish_fused(BatchStats b) {
+  b.serial_cycles = b.load_cycles + b.compute_cycles;
+  b.pipelined_cycles = b.serial_cycles;
+  b.elapsed_time = cycles_to_time(b.pipelined_cycles);
+  batch_ = b;
 }
 
 const macro::VerifiedProgram& ExecutionEngine::program_for(const VecOp& op, std::size_t r_a,
@@ -159,51 +294,24 @@ const macro::VerifiedProgram& ExecutionEngine::program_for(const VecOp& op, std:
   return op_compiler_.logic(op.fn, a, b);
 }
 
-OpResult ExecutionEngine::run_one(const VecOp& op, OpAccount& acct) {
-  const bool mult_layout = op.kind == OpKind::Mult;
+OpResult ExecutionEngine::run_one(const VecOp& op) {
   const bool unary = op.kind == OpKind::Not;
-  const OperandLayout want = mult_layout ? OperandLayout::MultUnit : OperandLayout::Word;
-
-  // Resolve each side to a data span plus (for handles) the live entry.
-  const auto resolve = [&](std::span<const std::uint64_t> s, const ResidentOperand& h)
-      -> std::pair<std::span<const std::uint64_t>, ResidencyManager::Entry*> {
-    if (!h) return {s, nullptr};
-    BPIM_REQUIRE(s.empty(), "operand side has both a span and a resident handle");
-    ResidencyManager::Entry* e = residency_.touch(h.id);
-    BPIM_REQUIRE(e != nullptr, "unknown resident operand (unpinned, or pinned on another engine)");
-    BPIM_REQUIRE(e->handle.bits == op.bits, "resident operand precision mismatch");
-    BPIM_REQUIRE(e->handle.layout == want, "resident operand layout does not fit the op kind");
-    return {std::span<const std::uint64_t>(e->values), e};
-  };
-  const auto [a, ea] = resolve(op.a, op.ra);
-  const auto [b, eb] = resolve(op.b, op.rb);
-  if (unary)
-    BPIM_REQUIRE(b.empty() && eb == nullptr, "NOT is unary: operand side b must stay empty");
-  else
-    BPIM_REQUIRE(a.size() == b.size(), "operand vectors must have equal length");
-  BPIM_REQUIRE(macro::is_supported_precision(op.bits), "unsupported precision");
-  BPIM_REQUIRE(ea == nullptr || ea != eb, "a resident operand cannot be both sides of one op");
-  // Two handles must fit the array together -- each side passed the
-  // per-handle bound at pin(), but their pair sum is only known here.
-  if (ea != nullptr && eb != nullptr)
-    BPIM_REQUIRE(ea->handle.layers + eb->handle.layers <= row_pair_capacity(),
-                 "resident operand pair exceeds memory capacity");
-  mem_.reset_counters();
-
+  const OperandLayout layout = layout_of(op.kind);
+  ResidencyManager::Entry* ea = resolve(op.ra);
+  ResidencyManager::Entry* eb = resolve(op.rb);
+  const std::span<const std::uint64_t> a = ea != nullptr ? ea->values : op.a;
+  const std::span<const std::uint64_t> b = eb != nullptr ? eb->values : op.b;
   const std::size_t n = a.size();
   const std::size_t per_op = elements_per_chunk(op);
   const std::size_t macros = mem_.macro_count();
   const std::size_t chunks = (n + per_op - 1) / per_op;
-  // Single source of truth with the serve scheduler's residency budget.
   const std::size_t layers = layers_for(op);
-  if (layers > 0)
-    BPIM_REQUIRE(2 * (layers - 1) + 1 < mem_.macro(0).rows(), "vector exceeds memory capacity");
 
-  // Row residency: a fully-transient op stages in pairs [0, layers) exactly
-  // as before; an op with a resident side computes in the handle's own
-  // pairs (activation in the odd row) and consumes no transient pairs.
-  // Eviction (LRU) happens here when the pinned set and the transient
-  // region collide, and evicted handles re-materialize on use.
+  // Row residency: a fully-transient op stages in pairs [0, layers); an op
+  // with a resident side computes in the handle's own pairs (activation in
+  // the odd row) and consumes no transient pairs. Eviction (LRU) happens
+  // here when the pinned set and the transient region collide, and evicted
+  // handles re-materialize on use.
   const std::uint64_t rows_per_layer = unary ? 1 : 2;  // staged operand rows
   const std::size_t transient = (ea != nullptr || eb != nullptr) ? 0 : layers;
   if (transient > 0) residency_.reserve_transient(transient);
@@ -218,111 +326,52 @@ OpResult ExecutionEngine::run_one(const VecOp& op, OpAccount& acct) {
   }
   if (!unary && (ea != nullptr) != (eb != nullptr)) load += layers;  // the activation side
 
+  // Row placement by layer -- identical for every macro of the layer, so
+  // the whole op dispatches through `layers` cached programs, compiled (or
+  // fetched) here on the submitting thread.
+  const auto place = [&](std::size_t l) -> std::pair<std::size_t, std::size_t> {
+    if (ea != nullptr && eb != nullptr) return {2 * (ea->base_pair + l), 2 * (eb->base_pair + l)};
+    if (ea != nullptr) return {2 * (ea->base_pair + l), 2 * (ea->base_pair + l) + 1};
+    if (eb != nullptr) return {2 * (eb->base_pair + l) + 1, 2 * (eb->base_pair + l)};
+    return {2 * l, 2 * l + 1};
+  };
   OpResult res;
   res.values.assign(n, 0);
+  ExecPlan& plan = begin_plan(std::min(chunks, macros));
+  const macro::VerifiedProgram* prog = nullptr;
+  for_each_chunk(n, per_op, macros,
+                 [&](std::size_t m, std::size_t l, std::size_t pos, std::size_t len) {
+                   const auto [r_a, r_b] = place(l);
+                   if (m == 0) prog = &program_for(op, r_a, r_b);
+                   MacroPlan& mp = plan.macros[m];
+                   if (ea == nullptr)
+                     mp.stage.push_back({r_a, op.bits, layout, a.subspan(pos, len)});
+                   if (!unary && eb == nullptr)
+                     mp.stage.push_back({r_b, op.bits, layout, b.subspan(pos, len)});
+                   mp.extract.push_back({mp.programs.size(), op.bits, layout,
+                                         std::span(res.values).subspan(pos, len)});
+                   mp.programs.push_back(prog);
+                 });
+  const std::uint64_t adaptive = execute(plan);
 
-  // Row placement by layer -- identical for every macro of the layer, so
-  // the whole op dispatches through `layers` cached programs.
-  const std::size_t base_a = ea != nullptr ? ea->base_pair : 0;
-  const std::size_t base_b = eb != nullptr ? eb->base_pair : 0;
-  const ResidencyManager::Entry* res_a = ea;
-  const ResidencyManager::Entry* res_b = eb;
-  const auto place = [&](std::size_t row_pair) -> std::pair<std::size_t, std::size_t> {
-    if (res_a == nullptr && res_b == nullptr) return {2 * row_pair, 2 * row_pair + 1};
-    if (res_a != nullptr && res_b != nullptr)
-      return {2 * (base_a + row_pair), 2 * (base_b + row_pair)};
-    if (res_a != nullptr) {
-      const std::size_t r = 2 * (base_a + row_pair);
-      return {r, r + 1};
-    }
-    const std::size_t r = 2 * (base_b + row_pair);
-    return {r + 1, r};
-  };
-
-  // Compile (or fetch) the per-layer single-op programs up front, on the
-  // submitting thread: workers share the verified programs by reference
-  // and never touch the compiler cache.
-  std::vector<const macro::VerifiedProgram*> progs;
-  progs.reserve(layers);
-  for (std::size_t rp = 0; rp < layers; ++rp) {
-    const auto [pr_a, pr_b] = place(rp);
-    progs.push_back(&program_for(op, pr_a, pr_b));
-  }
-
-  // Shard: macro m owns chunks m, m + M, m + 2M, ... -- the same per-macro
-  // chunk sequence as the serial layer walk, so RNG streams and ledgers
-  // advance identically and any thread count gives bit-identical results.
-  // The macro ledgers are the op's account; each worker only keeps the
-  // adaptive savings its controller reports.
-  const std::span<const std::uint64_t> av = a;
-  const std::span<const std::uint64_t> bv = b;
-  const macro::AdaptivePolicy pol = adaptive_policy();
-  std::vector<std::uint64_t> adaptive_m(macros, 0);
-  pool_.parallel_for(std::min(chunks, macros), [&](std::size_t m) {
-    auto& mac = mem_.macro(m);
-    macro::MacroController ctl(mac);
-    std::vector<macro::TraceEntry> trace;
-    for (std::size_t c = m; c < chunks; c += macros) {
-      const std::size_t row_pair = c / macros;
-      const auto [r_a, r_b] = place(row_pair);
-      const std::size_t pos = c * per_op;
-      const std::size_t len = std::min(per_op, n - pos);
-      if (mult_layout) {
-        if (res_a == nullptr) mac.poke_mult_operands(r_a, 0, op.bits, av.subspan(pos, len));
-        if (res_b == nullptr) mac.poke_mult_operands(r_b, 0, op.bits, bv.subspan(pos, len));
-      } else {
-        if (res_a == nullptr) mac.poke_words(r_a, 0, op.bits, av.subspan(pos, len));
-        if (!unary && res_b == nullptr) mac.poke_words(r_b, 0, op.bits, bv.subspan(pos, len));
-      }
-      trace.clear();
-      adaptive_m[m] +=
-          ctl.run(*progs[row_pair], &trace, /*fuse_mac_chains=*/false, pol).adaptive_cycles_saved;
-      const BitVector& result = trace.back().result;
-      if (mult_layout) {
-        mac.peek_mult_products(result, op.bits, std::span(res.values).subspan(pos, len));
-      } else {
-        for (std::size_t i = 0; i < len; ++i)
-          res.values[pos + i] = result.extract_bits(i * op.bits, op.bits);
-      }
-    }
-  });
-
-  // The memory ledger (counters reset above, pokes uncharged) is the op's
-  // account: cycles are the lock-step max across macros, energy the fixed
-  // bank-then-macro sum. Each chunk ran one single-instruction program.
+  // The memory ledger is the op's account: cycles are the lock-step max
+  // across macros, energy the fixed bank-then-macro sum. Each chunk ran one
+  // single-instruction program.
   res.stats.elements = n;
   res.stats.instructions = chunks;
   res.stats.elapsed_cycles = mem_.elapsed_cycles();
-  res.stats.adaptive_cycles_saved = dense_elapsed(adaptive_m) - res.stats.elapsed_cycles;
+  res.stats.adaptive_cycles_saved = adaptive;
   res.stats.energy = mem_.total_energy();
-  res.stats.elapsed_time =
-      Second(static_cast<double>(res.stats.elapsed_cycles) * mem_.macro(0).cycle_time().si());
+  res.stats.elapsed_time = cycles_to_time(res.stats.elapsed_cycles);
 
   // Operand load in the cycle model: one staged row = one lock-step
   // row-write cycle per layer (pokes carry no cycle cost in the seed
   // semantics; this feeds only the batch double-buffering account).
   // Resident sides load nothing beyond their one materializing write.
-  acct.load_cycles = load;
-  acct.saved_cycles = rows_per_layer * layers - load;
-  acct.layers = layers;
-  acct.transient_layers = transient;
-  acct.handle_a = op.ra.id;
-  acct.handle_b = op.rb.id;
-  if (acct.saved_cycles > 0) residency_.note_saved(acct.saved_cycles);
-  res.stats.load_cycles = acct.load_cycles;
-  res.stats.load_cycles_saved = acct.saved_cycles;
+  res.stats.load_cycles = load;
+  res.stats.load_cycles_saved = rows_per_layer * layers - load;
+  if (res.stats.load_cycles_saved > 0) residency_.note_saved(res.stats.load_cycles_saved);
   return res;
-}
-
-std::uint64_t ExecutionEngine::dense_elapsed(std::span<const std::uint64_t> adaptive_m) {
-  // Per macro, ledger cycles plus the adaptive savings of its programs is
-  // its policy-off walk under the same fusion pattern (per-instruction
-  // conservation is exact), so the max over macros is the policy-off
-  // makespan and dense == elapsed + adaptive_cycles_saved holds exactly.
-  std::uint64_t dense = 0;
-  for (std::size_t m = 0; m < adaptive_m.size(); ++m)
-    dense = std::max(dense, mem_.macro(m).total_cycles() + adaptive_m[m]);
-  return dense;
 }
 
 OpResult ExecutionEngine::run(const VecOp& op) {
@@ -336,55 +385,53 @@ std::vector<OpResult> ExecutionEngine::run_batch(std::span<const VecOp> ops) {
     return {};
   }
   BPIM_TRACE_SPAN(span, "engine.run_batch", trace_track_);
+  for (const VecOp& op : ops) (void)validate(op, *this);
 
   std::vector<OpResult> results;
   results.reserve(ops.size());
-
-  batch_ = BatchStats{};
-  batch_.ops = ops.size();
-  const std::size_t total_row_pairs = mem_.macro(0).rows() / 2;
+  // Accumulated locally and published only when every op ran.
+  BatchStats bs;
+  bs.ops = ops.size();
   std::uint64_t prev_compute = 0;
-  OpAccount prev{};
+  std::size_t prev_transient = 0;
   for (std::size_t k = 0; k < ops.size(); ++k) {
-    OpAccount acct;
-    results.push_back(run_one(ops[k], acct));
+    const VecOp& op = ops[k];
+    results.push_back(run_one(op));
     const RunStats& s = results.back().stats;
-    batch_.elements += s.elements;
-    batch_.instructions += s.instructions;
-    batch_.load_cycles += acct.load_cycles;
-    batch_.load_cycles_saved += acct.saved_cycles;
-    batch_.compute_cycles += s.elapsed_cycles;
-    batch_.adaptive_cycles_saved += s.adaptive_cycles_saved;
-    batch_.energy += s.energy;
+    bs.elements += s.elements;
+    bs.instructions += s.instructions;
+    bs.load_cycles += s.load_cycles;
+    bs.load_cycles_saved += s.load_cycles_saved;
+    bs.compute_cycles += s.elapsed_cycles;
+    bs.adaptive_cycles_saved += s.adaptive_cycles_saved;
+    bs.energy += s.energy;
     // Double-buffered schedule: op k's load hides behind op k-1's compute --
     // but only when both ops fit in the array at once (their transient
     // regions plus the materialized pinned set), since the ping-pong load
     // needs row pairs that op k-1 is not still computing on. Two ops on
     // the same resident handle can never overlap: op k's activation write
     // targets the very pair op k-1 is computing on.
-    const bool shares_handle =
-        (acct.handle_a != 0 &&
-         (acct.handle_a == prev.handle_a || acct.handle_a == prev.handle_b)) ||
-        (acct.handle_b != 0 &&
-         (acct.handle_b == prev.handle_a || acct.handle_b == prev.handle_b));
-    const bool fits = prev.transient_layers + acct.transient_layers +
-                          residency_.resident_layers() <=
-                      total_row_pairs;
-    const bool can_overlap = k > 0 && fits && !shares_handle;
+    const std::size_t transient = op.ra || op.rb ? 0 : layers_for(op);
+    const auto shared = [&](const ResidentOperand& h) {
+      return h && (h.id == ops[k - 1].ra.id || h.id == ops[k - 1].rb.id);
+    };
+    const bool can_overlap =
+        k > 0 && !shared(op.ra) && !shared(op.rb) &&
+        prev_transient + transient + residency_.resident_layers() <= row_pair_capacity();
     // prev_compute is 0 at k == 0, so the no-overlap arm also covers "the
     // first load has nothing to hide behind".
-    batch_.pipelined_cycles += can_overlap ? std::max(prev_compute, acct.load_cycles)
-                                           : prev_compute + acct.load_cycles;
+    bs.pipelined_cycles += can_overlap ? std::max(prev_compute, s.load_cycles)
+                                       : prev_compute + s.load_cycles;
     prev_compute = s.elapsed_cycles;
-    prev = acct;
+    prev_transient = transient;
   }
-  batch_.pipelined_cycles += prev_compute;  // last compute has nothing to hide behind
-  batch_.serial_cycles = batch_.load_cycles + batch_.compute_cycles;
-  batch_.elapsed_time = Second(static_cast<double>(batch_.pipelined_cycles) *
-                               mem_.macro(0).cycle_time().si());
-  span.arg("ops", static_cast<double>(batch_.ops));
-  span.arg("pipelined_cycles", static_cast<double>(batch_.pipelined_cycles));
-  span.arg("load_cycles_saved", static_cast<double>(batch_.load_cycles_saved));
+  bs.pipelined_cycles += prev_compute;  // last compute has nothing to hide behind
+  bs.serial_cycles = bs.load_cycles + bs.compute_cycles;
+  bs.elapsed_time = cycles_to_time(bs.pipelined_cycles);
+  batch_ = bs;
+  span.arg("ops", static_cast<double>(bs.ops));
+  span.arg("pipelined_cycles", static_cast<double>(bs.pipelined_cycles));
+  span.arg("load_cycles_saved", static_cast<double>(bs.load_cycles_saved));
   return results;
 }
 
@@ -397,98 +444,72 @@ std::vector<macro::PinnedRows> ExecutionEngine::pinned_rows() const {
   return out;
 }
 
-ExecutionEngine::ForwardPlan ExecutionEngine::prepare_forward(
+ExecutionEngine::ForwardLayout ExecutionEngine::prepare_forward(
     std::span<const ResidentOperand> weights) {
-  BPIM_REQUIRE(!weights.empty(), "fused forward needs at least one weight");
-  ForwardPlan plan;
-  plan.bits = weights.front().bits;
-  plan.entries.reserve(weights.size());
-  for (const ResidentOperand& w : weights) {
-    BPIM_REQUIRE(static_cast<bool>(w), "fused forward weight has no handle");
-    ResidencyManager::Entry* e = residency_.touch(w.id);
-    BPIM_REQUIRE(e != nullptr,
-                 "unknown resident operand (unpinned, or pinned on another engine)");
-    BPIM_REQUIRE(e->handle.bits == plan.bits, "fused forward weights must share one precision");
-    BPIM_REQUIRE(e->handle.layout == OperandLayout::MultUnit,
-                 "fused forward weights must be pinned in MULT-unit layout");
-    BPIM_REQUIRE(e->handle.elements == weights.front().elements,
-                 "fused forward weights must share one length");
-    plan.entries.push_back(e);
-  }
-  plan.elements = static_cast<std::size_t>(weights.front().elements);
-  plan.per_op = mult_units_per_row(plan.bits);
-  plan.chunks = (plan.elements + plan.per_op - 1) / plan.per_op;
-  plan.layers = layers_for_elements(plan.elements, plan.bits, OperandLayout::MultUnit);
-  plan.loaded.assign(weights.size(), 0);
+  ForwardLayout fl;
+  fl.bits = weights.front().bits;
+  fl.entries.reserve(weights.size());
+  for (const ResidentOperand& w : weights) fl.entries.push_back(resolve(w));
+  fl.elements = static_cast<std::size_t>(weights.front().elements);
+  fl.per_op = mult_units_per_row(fl.bits);
+  fl.chunks = (fl.elements + fl.per_op - 1) / fl.per_op;
+  fl.layers = layers_for_elements(fl.elements, fl.bits, OperandLayout::MultUnit);
+  fl.loaded.assign(weights.size(), 0);
 
   // The fused layout needs the activation region plus every weight resident
   // at once; op-at-a-time dispatch has no such requirement, so an oversized
   // shape simply stays unfusable and run_forward falls back.
-  if ((weights.size() + 1) * plan.layers > row_pair_capacity()) return plan;
+  if ((weights.size() + 1) * fl.layers > row_pair_capacity()) return fl;
 
-  residency_.reserve_transient(plan.layers);
-  for (std::size_t j = 0; j < plan.entries.size(); ++j) {
-    if (residency_.ensure_rows(*plan.entries[j])) {
-      materialize(*plan.entries[j]);
-      plan.load_cycles += plan.layers;
-      plan.loaded[j] = 1;
+  residency_.reserve_transient(fl.layers);
+  for (std::size_t j = 0; j < fl.entries.size(); ++j) {
+    if (residency_.ensure_rows(*fl.entries[j])) {
+      materialize(*fl.entries[j]);
+      fl.load_cycles += fl.layers;
+      fl.loaded[j] = 1;
     }
   }
   // Fragmentation -- or a sibling evicted while materializing a later
   // weight -- can still break the layout; check before committing to it.
-  for (const ResidencyManager::Entry* e : plan.entries)
-    if (!e->materialized || e->base_pair < plan.layers) return plan;
-  plan.fusable = true;
-  return plan;
+  for (const ResidencyManager::Entry* e : fl.entries)
+    if (!e->materialized || e->base_pair < fl.layers) return fl;
+  fl.fusable = true;
+  return fl;
 }
 
-FusedForward& ExecutionEngine::fused_program_for(const ForwardPlan& plan) {
+FusedForward& ExecutionEngine::fused_program_for(const ForwardLayout& fl) {
   // FNV-1a over the handle ids; a (vanishingly rare) colliding id list just
   // recompiles every call, it can never run the wrong program.
   std::uint64_t key = 1469598103934665603ull;
-  for (const ResidencyManager::Entry* e : plan.entries) {
+  for (const ResidencyManager::Entry* e : fl.entries) {
     key ^= e->handle.id;
     key *= 1099511628211ull;
   }
   FusedForward& ff = fused_[key];
-  const auto fresh = [&] {
-    if (ff.programs.empty() || ff.bits != plan.bits || ff.elements != plan.elements ||
-        ff.layers != plan.layers || ff.ids.size() != plan.entries.size())
-      return false;
-    for (std::size_t j = 0; j < plan.entries.size(); ++j)
-      if (ff.ids[j] != plan.entries[j]->handle.id ||
-          ff.base_pairs[j] != plan.entries[j]->base_pair)
-        return false;
-    return true;
-  };
-  if (fresh()) return ff;
+  const auto placements = fl.entries | std::views::transform([](const ResidencyManager::Entry* e) {
+                            return std::pair(e->handle.id, e->base_pair);
+                          });
+  if (!ff.programs.empty() && std::ranges::equal(ff.placements, placements)) return ff;
   const bool rebuild = !ff.programs.empty();
   BPIM_TRACE_INSTANT(rebuild ? "fusion.recompile" : "fusion.compile", trace_track_,
-                     {{"weights", static_cast<double>(plan.entries.size())},
-                      {"layers", static_cast<double>(plan.layers)}});
+                     {{"weights", static_cast<double>(fl.entries.size())},
+                      {"layers", static_cast<double>(fl.layers)}});
 
   const std::size_t macros = mem_.macro_count();
-  const std::size_t active = std::min(plan.chunks, macros);
+  const std::size_t active = std::min(fl.chunks, macros);
   const macro::FusionCompiler compiler(mem_.macro(0).config().geometry, pinned_rows());
-  FusedForward next;
-  next.bits = plan.bits;
-  next.elements = plan.elements;
-  next.layers = plan.layers;
-  for (const ResidencyManager::Entry* e : plan.entries) {
-    next.ids.push_back(e->handle.id);
-    next.base_pairs.push_back(e->base_pair);
-  }
+  FusedForward next{.placements = {placements.begin(), placements.end()}, .programs = {}};
   next.programs.reserve(active);
   for (std::size_t m = 0; m < active; ++m) {
-    // Macro m owns chunks m, m + M, ... (the run_one shard); its program
-    // walks them layer-major with the op loop inside, so every MULT of a
-    // layer shares the staged activation row and the chained datapath's
-    // D1-staging discount applies to all but the first.
-    const std::size_t layers_m = (plan.chunks - m - 1) / macros + 1;
+    // Macro m owns chunks m, m + M, ...; its program walks them layer-major
+    // with the op loop inside, so every MULT of a layer shares the staged
+    // activation row and the chained datapath's D1-staging discount applies
+    // to all but the first.
+    const std::size_t layers_m = (fl.chunks - m - 1) / macros + 1;
     macro::MacForwardSpec spec;
-    spec.bits = plan.bits;
+    spec.bits = fl.bits;
     for (std::size_t l = 0; l < layers_m; ++l)
-      for (const ResidencyManager::Entry* e : plan.entries)
+      for (const ResidencyManager::Entry* e : fl.entries)
         spec.steps.push_back(macro::MacStep{2 * l, 2 * (e->base_pair + l)});
     next.programs.push_back(compiler.compile_mac_forward(spec));
   }
@@ -501,81 +522,56 @@ FusedForward& ExecutionEngine::fused_program_for(const ForwardPlan& plan) {
 }
 
 bool ExecutionEngine::compile_forward(std::span<const ResidentOperand> weights) {
-  ForwardPlan plan = prepare_forward(weights);
-  if (!plan.fusable) return false;
-  (void)fused_program_for(plan);
-  pending_load_ += plan.load_cycles;
+  // No activation yet: check the weights against the length they declare.
+  (void)validate_forward(weights, weights.empty() ? 0 : weights.front().elements);
+  ForwardLayout fl = prepare_forward(weights);
+  if (!fl.fusable) return false;
+  (void)fused_program_for(fl);
+  pending_load_ += fl.load_cycles;
   return true;
 }
 
 std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOperand> weights,
                                                    std::span<const std::uint64_t> activation) {
   BPIM_TRACE_SPAN(span, "engine.run_forward", trace_track_);
-  ForwardPlan plan = prepare_forward(weights);
-  BPIM_REQUIRE(activation.size() == plan.elements,
-               "activation length must match the pinned weights");
-  if (!plan.fusable) {
+  (void)validate_forward(weights, activation.size());
+  ForwardLayout fl = prepare_forward(weights);
+  if (!fl.fusable) {
     ++fusion_stats_.fallback_runs;
     BPIM_TRACE_INSTANT("fusion.fallback", trace_track_,
                        {{"weights", static_cast<double>(weights.size())}});
     std::vector<VecOp> ops(weights.size());
-    for (std::size_t j = 0; j < weights.size(); ++j) {
-      ops[j].kind = OpKind::Mult;
-      ops[j].bits = plan.bits;
-      ops[j].ra = weights[j];
-      ops[j].b = activation;
-    }
+    for (std::size_t j = 0; j < weights.size(); ++j)
+      ops[j] = VecOp{
+          .kind = OpKind::Mult, .bits = fl.bits, .a = {}, .b = activation, .ra = weights[j]};
     std::vector<OpResult> out = run_batch(ops);
     // Weights prepare_forward already materialized load nothing inside
     // run_batch; keep their writes on this batch's account.
-    batch_.load_cycles += plan.load_cycles;
-    batch_.serial_cycles += plan.load_cycles;
-    batch_.pipelined_cycles += plan.load_cycles;
+    batch_.load_cycles += fl.load_cycles;
+    batch_.serial_cycles += fl.load_cycles;
+    batch_.pipelined_cycles += fl.load_cycles;
     return out;
   }
 
-  FusedForward& ff = fused_program_for(plan);
+  // Stage the shared activation in the even row of transient pair l and run
+  // each macro's fused program on the chained datapath; macro m's trace
+  // entry l*J + j is layer l of op j.
+  FusedForward& ff = fused_program_for(fl);
   const std::size_t ops = weights.size();
-  const std::size_t macros = mem_.macro_count();
-  const std::size_t active = std::min(plan.chunks, macros);
-  mem_.reset_counters();
-
-  // Stage the shared activation (even row of transient pair l for chunk
-  // c = l*M + m) and run each macro's fused program on the chained datapath.
-  // Per-macro programs and RNG streams are independent, so the parallel walk
-  // stays bit-identical to a serial one.
-  const macro::AdaptivePolicy pol = adaptive_policy();
-  std::vector<std::vector<macro::TraceEntry>> traces(active);
-  std::vector<std::uint64_t> adaptive_m(active, 0);
-  pool_.parallel_for(active, [&](std::size_t m) {
-    auto& mac = mem_.macro(m);
-    for (std::size_t c = m; c < plan.chunks; c += macros) {
-      const std::size_t pos = c * plan.per_op;
-      const std::size_t len = std::min(plan.per_op, plan.elements - pos);
-      mac.poke_mult_operands(2 * (c / macros), 0, plan.bits, activation.subspan(pos, len));
-    }
-    macro::MacroController ctl(mac);
-    traces[m].reserve(ff.programs[m].size());
-    adaptive_m[m] =
-        ctl.run(ff.programs[m], &traces[m], /*fuse_mac_chains=*/true, pol).adaptive_cycles_saved;
-  });
-
-  // Extraction: macro m's trace entry l*J + j is layer l of op j, covering
-  // elements of chunk c = l*M + m.
   std::vector<OpResult> results(ops);
-  for (OpResult& r : results) r.values.assign(plan.elements, 0);
-  for (std::size_t m = 0; m < active; ++m) {
-    auto& mac = mem_.macro(m);
-    const std::size_t layers_m = traces[m].size() / ops;
-    for (std::size_t l = 0; l < layers_m; ++l) {
-      const std::size_t pos = (l * macros + m) * plan.per_op;
-      const std::size_t len = std::min(plan.per_op, plan.elements - pos);
-      for (std::size_t j = 0; j < ops; ++j) {
-        mac.peek_mult_products(traces[m][l * ops + j].result, plan.bits,
-                               std::span(results[j].values).subspan(pos, len));
-      }
-    }
-  }
+  for (OpResult& r : results) r.values.assign(fl.elements, 0);
+  ExecPlan& plan = begin_plan(ff.programs.size());
+  for_each_chunk(fl.elements, fl.per_op, mem_.macro_count(),
+                 [&](std::size_t m, std::size_t l, std::size_t pos, std::size_t len) {
+                   MacroPlan& mp = plan.macros[m];
+                   mp.stage.push_back({2 * l, fl.bits, OperandLayout::MultUnit,
+                                       activation.subspan(pos, len)});
+                   for (std::size_t j = 0; j < ops; ++j)
+                     mp.extract.push_back({l * ops + j, fl.bits, OperandLayout::MultUnit,
+                                           std::span(results[j].values).subspan(pos, len)});
+                 });
+  for (std::size_t m = 0; m < plan.active; ++m) plan.macros[m].programs.push_back(&ff.programs[m]);
+  const std::uint64_t adaptive = execute(plan);
 
   // Per-op accounting: cycles from macro 0 (the max-layer macro; instruction
   // costs match across macros, so its walk is the lock-step critical path
@@ -583,53 +579,45 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
   // fixed macro-then-layer order. Load: the activation (plus any weights
   // compile_forward staged early) bills to op 0, a weight materialized this
   // call bills to its own op; the baseline is 2 row writes per layer per op.
-  const double tick = mem_.macro(0).cycle_time().si();
-  const std::uint64_t table_mult = macro::op_cycles(macro::Op::Mult, plan.bits);
-  const std::uint64_t pending = pending_load_;
-  pending_load_ = 0;
-  const std::size_t layers0 = traces[0].size() / ops;
+  const std::uint64_t table_mult = macro::op_cycles(macro::Op::Mult, fl.bits);
+  const std::uint64_t pending = std::exchange(pending_load_, 0);
+  const std::vector<macro::TraceEntry>& trace0 = plan.macros[0].trace;
+  const std::size_t layers0 = trace0.size() / ops;
   std::uint64_t saved_total = 0;
   std::uint64_t fused_saved_total = 0;
   for (std::size_t j = 0; j < ops; ++j) {
     RunStats& s = results[j].stats;
-    s.elements = plan.elements;
+    s.elements = fl.elements;
+    s.instructions = fl.chunks;  // one MULT per chunk
     for (std::size_t l = 0; l < layers0; ++l) {
-      s.elapsed_cycles += traces[0][l * ops + j].cycles;
-      s.adaptive_cycles_saved += traces[0][l * ops + j].adaptive_cycles_saved;
+      s.elapsed_cycles += trace0[l * ops + j].cycles;
+      s.adaptive_cycles_saved += trace0[l * ops + j].adaptive_cycles_saved;
     }
-    for (std::size_t m = 0; m < active; ++m) {
-      const std::size_t layers_m = traces[m].size() / ops;
-      s.instructions += layers_m;  // one MULT per layer per macro
-      for (std::size_t l = 0; l < layers_m; ++l) s.energy += traces[m][l * ops + j].op_energy;
+    for (std::size_t m = 0; m < plan.active; ++m) {
+      const std::vector<macro::TraceEntry>& trace = plan.macros[m].trace;
+      for (std::size_t e = j; e < trace.size(); e += ops) s.energy += trace[e].op_energy;
     }
-    s.elapsed_time = Second(static_cast<double>(s.elapsed_cycles) * tick);
+    s.elapsed_time = cycles_to_time(s.elapsed_cycles);
     // Per-instruction conservation splits each MULT's Table 1 cost three
     // ways exactly: executed + fused discount + adaptive discount.
     s.fused_cycles_saved = table_mult * layers0 - s.elapsed_cycles - s.adaptive_cycles_saved;
     fused_saved_total += s.fused_cycles_saved;
-    s.load_cycles = (plan.loaded[j] ? plan.layers : 0) +
-                    (j == 0 ? plan.layers + pending : 0);
-    const std::uint64_t baseline = 2 * plan.layers;
+    s.load_cycles = (fl.loaded[j] ? fl.layers : 0) + (j == 0 ? fl.layers + pending : 0);
+    const std::uint64_t baseline = 2 * fl.layers;
     s.load_cycles_saved = s.load_cycles >= baseline ? 0 : baseline - s.load_cycles;
     saved_total += s.load_cycles_saved;
   }
   if (saved_total > 0) residency_.note_saved(saved_total);
 
-  batch_ = BatchStats{};
-  batch_.ops = ops;
-  batch_.elements = static_cast<std::uint64_t>(ops) * plan.elements;
-  for (const OpResult& r : results) batch_.instructions += r.stats.instructions;
-  batch_.load_cycles = plan.load_cycles + pending + plan.layers;
-  batch_.load_cycles_saved = saved_total;
-  batch_.compute_cycles = mem_.elapsed_cycles();
-  batch_.serial_cycles = batch_.load_cycles + batch_.compute_cycles;
-  // One fused program: there is no op boundary left to ping-pong loads
-  // across, and nothing to hide the single activation load behind.
-  batch_.pipelined_cycles = batch_.serial_cycles;
-  batch_.fused_cycles_saved = fused_saved_total;
-  batch_.adaptive_cycles_saved = dense_elapsed(adaptive_m) - batch_.compute_cycles;
-  batch_.energy = mem_.total_energy();
-  batch_.elapsed_time = Second(static_cast<double>(batch_.pipelined_cycles) * tick);
+  publish_fused({.ops = ops,
+                 .elements = static_cast<std::uint64_t>(ops) * fl.elements,
+                 .instructions = ops * fl.chunks,
+                 .load_cycles = fl.load_cycles + pending + fl.layers,
+                 .load_cycles_saved = saved_total,
+                 .compute_cycles = mem_.elapsed_cycles(),
+                 .fused_cycles_saved = fused_saved_total,
+                 .adaptive_cycles_saved = adaptive,
+                 .energy = mem_.total_energy()});
   ++fusion_stats_.fused_runs;
   span.arg("ops", static_cast<double>(ops));
   span.arg("pipelined_cycles", static_cast<double>(batch_.pipelined_cycles));
@@ -639,83 +627,48 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
 
 OpResult ExecutionEngine::run_chain(const ChainRequest& req) {
   BPIM_TRACE_SPAN(span, "engine.run_chain", trace_track_);
-  BPIM_REQUIRE(!req.links.empty(), "a chain needs at least one link");
-  BPIM_REQUIRE(macro::is_supported_precision(req.bits), "unsupported precision");
-  BPIM_REQUIRE(macro::is_supported_precision(2 * req.bits),
-               "chain links run at 2x the head precision, which the ISA lacks here");
-  BPIM_REQUIRE(!req.a.empty(), "chain operands must be non-empty");
-  BPIM_REQUIRE(req.a.size() == req.b.size(), "operand vectors must have equal length");
-  for (const ChainLink& link : req.links)
-    BPIM_REQUIRE(link.values.size() == req.a.size(),
-                 "link operand length must match the head operands");
-
+  (void)validate(req, *this);
   const std::size_t n = req.a.size();
   const std::size_t per_op = mult_units_per_row(req.bits);
   const std::size_t macros = mem_.macro_count();
   const std::size_t chunks = (n + per_op - 1) / per_op;
   const std::size_t layers = (chunks + macros - 1) / macros;
   const std::size_t links = req.links.size();
-  // Rows per layer: head operands a + b plus one row per link operand.
-  const std::size_t pairs_per_layer = (2 + links + 1) / 2;
-  BPIM_REQUIRE(pairs_per_layer * layers <= row_pair_capacity(), "chain exceeds memory capacity");
+  const std::size_t pairs_per_layer = (2 + links + 1) / 2;  // a, b and one row per link
   residency_.reserve_transient(pairs_per_layer * layers);
 
+  // Layer l of macro m stages a, b and the link operands from row
+  // 2 * pairs_per_layer * l up; the last link of each layer block drives
+  // the chain's value out.
   const std::size_t active = std::min(chunks, macros);
+  OpResult res;
+  res.values.assign(n, 0);
+  ExecPlan& plan = begin_plan(active);
+  std::vector<macro::ChainSpec> specs(active, macro::ChainSpec{.bits = req.bits, .layers = {}});
+  for_each_chunk(n, per_op, macros,
+                 [&](std::size_t m, std::size_t l, std::size_t pos, std::size_t len) {
+                   MacroPlan& mp = plan.macros[m];
+                   const std::size_t base = 2 * pairs_per_layer * l;
+                   const auto head = OperandLayout::MultUnit;
+                   specs[m].layers.push_back({.a_row = base, .b_row = base + 1, .links = {}});
+                   mp.stage.push_back({base, req.bits, head, req.a.subspan(pos, len)});
+                   mp.stage.push_back({base + 1, req.bits, head, req.b.subspan(pos, len)});
+                   // Link operands are full 2N-bit fields, aligned with the
+                   // product units (words_per_row(2N) == mult_units_per_row(N)).
+                   for (std::size_t j = 0; j < links; ++j) {
+                     specs[m].layers.back().links.emplace_back(req.links[j].kind, base + 2 + j);
+                     mp.stage.push_back({base + 2 + j, 2 * req.bits, OperandLayout::Word,
+                                         req.links[j].values.subspan(pos, len)});
+                   }
+                   mp.extract.push_back({l * (1 + links) + links, req.bits, head,
+                                         std::span(res.values).subspan(pos, len)});
+                 });
   const macro::FusionCompiler compiler(mem_.macro(0).config().geometry, pinned_rows());
   std::vector<macro::VerifiedProgram> programs;
   programs.reserve(active);
-  for (std::size_t m = 0; m < active; ++m) {
-    const std::size_t layers_m = (chunks - m - 1) / macros + 1;
-    macro::ChainSpec spec;
-    spec.bits = req.bits;
-    for (std::size_t l = 0; l < layers_m; ++l) {
-      macro::ChainLayerSpec layer;
-      layer.a_row = 2 * pairs_per_layer * l;
-      layer.b_row = layer.a_row + 1;
-      for (std::size_t j = 0; j < links; ++j)
-        layer.links.emplace_back(req.links[j].kind, layer.a_row + 2 + j);
-      spec.layers.push_back(std::move(layer));
-    }
-    programs.push_back(compiler.compile_chain(spec));
-  }
-  mem_.reset_counters();
-
-  const macro::AdaptivePolicy pol = adaptive_policy();
-  std::vector<std::vector<macro::TraceEntry>> traces(active);
-  std::vector<std::uint64_t> adaptive_m(active, 0);
-  pool_.parallel_for(active, [&](std::size_t m) {
-    auto& mac = mem_.macro(m);
-    for (std::size_t c = m; c < chunks; c += macros) {
-      const std::size_t base = 2 * pairs_per_layer * (c / macros);
-      const std::size_t pos = c * per_op;
-      const std::size_t len = std::min(per_op, n - pos);
-      mac.poke_mult_operands(base, 0, req.bits, req.a.subspan(pos, len));
-      mac.poke_mult_operands(base + 1, 0, req.bits, req.b.subspan(pos, len));
-      // Link operands are full 2N-bit fields, aligned with the product
-      // units (words_per_row(2N) == mult_units_per_row(N)).
-      for (std::size_t j = 0; j < links; ++j)
-        mac.poke_words(base + 2 + j, 0, 2 * req.bits, req.links[j].values.subspan(pos, len));
-    }
-    macro::MacroController ctl(mac);
-    traces[m].reserve(programs[m].size());
-    adaptive_m[m] =
-        ctl.run(programs[m], &traces[m], /*fuse_mac_chains=*/true, pol).adaptive_cycles_saved;
-  });
-
-  // The last link of each layer block drives the chain's value out.
-  OpResult res;
-  res.values.assign(n, 0);
-  const std::size_t block = 1 + links;
-  for (std::size_t m = 0; m < active; ++m) {
-    auto& mac = mem_.macro(m);
-    const std::size_t layers_m = traces[m].size() / block;
-    for (std::size_t l = 0; l < layers_m; ++l) {
-      const std::size_t pos = (l * macros + m) * per_op;
-      const std::size_t len = std::min(per_op, n - pos);
-      mac.peek_mult_products(traces[m][l * block + links].result, req.bits,
-                             std::span(res.values).subspan(pos, len));
-    }
-  }
+  for (std::size_t m = 0; m < active; ++m)
+    plan.macros[m].programs.push_back(&programs.emplace_back(compiler.compile_chain(specs[m])));
+  const std::uint64_t adaptive = execute(plan);
 
   // Load account: a, b and each link operand stage once per layer. The
   // op-at-a-time equivalent re-stages the spilled intermediate next to every
@@ -725,28 +678,22 @@ OpResult ExecutionEngine::run_chain(const ChainRequest& req) {
   const std::uint64_t saved = links * layers;
   residency_.note_saved(saved);
 
-  const double tick = mem_.macro(0).cycle_time().si();
   res.stats.elements = n;
-  for (const auto& t : traces) res.stats.instructions += t.size();
+  res.stats.instructions = chunks * (1 + links);  // a MULT and the links per chunk
   res.stats.elapsed_cycles = mem_.elapsed_cycles();
   res.stats.energy = mem_.total_energy();
-  res.stats.elapsed_time = Second(static_cast<double>(res.stats.elapsed_cycles) * tick);
+  res.stats.elapsed_time = cycles_to_time(res.stats.elapsed_cycles);
   res.stats.load_cycles = load;
   res.stats.load_cycles_saved = saved;
-  res.stats.adaptive_cycles_saved = dense_elapsed(adaptive_m) - res.stats.elapsed_cycles;
-
-  batch_ = BatchStats{};
-  batch_.ops = 1;
-  batch_.elements = n;
-  batch_.instructions = res.stats.instructions;
-  batch_.load_cycles = load;
-  batch_.load_cycles_saved = saved;
-  batch_.compute_cycles = res.stats.elapsed_cycles;
-  batch_.serial_cycles = load + batch_.compute_cycles;
-  batch_.pipelined_cycles = batch_.serial_cycles;
-  batch_.adaptive_cycles_saved = res.stats.adaptive_cycles_saved;
-  batch_.energy = res.stats.energy;
-  batch_.elapsed_time = Second(static_cast<double>(batch_.pipelined_cycles) * tick);
+  res.stats.adaptive_cycles_saved = adaptive;
+  publish_fused({.ops = 1,
+                 .elements = n,
+                 .instructions = res.stats.instructions,
+                 .load_cycles = load,
+                 .load_cycles_saved = saved,
+                 .compute_cycles = res.stats.elapsed_cycles,
+                 .adaptive_cycles_saved = adaptive,
+                 .energy = res.stats.energy});
   ++fusion_stats_.chain_runs;
   return res;
 }

@@ -2,39 +2,39 @@
 // ExecutionEngine: sharded, multi-threaded dispatch of vector workloads
 // across the macros of an ImcMemory.
 //
-// The unit of parallelism is the macro. A vector op is cut into chunks of
-// one row pair each; chunk c goes to macro c % M at row pair c / M --
-// exactly the layer-by-layer round-robin the serial VectorEngine used, so
-// every macro sees the same chunk sequence in the same order regardless of
-// thread count. Each macro is an independent object (its own SRAM state,
-// RNG stream and energy ledger), so per-macro execution on a thread pool is
-// bit-identical to the serial walk; RunStats are merged after the join as
-// lock-step max (cycles) and fixed-order sum (energy).
+// One dispatch core. run()/run_batch() (one op at a time), run_forward()
+// and run_chain() (fused) each validate their request, then build an
+// ExecPlan: per active macro, the operand rows to stage, the
+// macro::VerifiedPrograms to run (cached single-instruction programs from
+// macro::OpCompiler, or one fused program from macro::FusionCompiler) and
+// the trace entries to extract into which output positions. execute()
+// resets the memory ledger and, per macro on the thread pool, stages, runs
+// one MacroController and extracts. The entry points keep only their plan
+// building and their accounting; RunStats come from the memory ledger, the
+// one runtime account. The engine never calls the macro row-op datapath
+// directly (a CI grep gate enforces this).
 //
-// Unified execution model: every dispatched op -- run()/run_batch() exactly
-// like the fused paths -- is compiled to a macro::VerifiedProgram
-// (macro::OpCompiler emits + caches the single-instruction program per
-// (kind, bits, row placement)) and executed through MacroController, which
-// runs it without verifying it again. The engine never calls the macro
-// row-op datapath directly (a CI grep gate enforces this); RunStats come
-// from the memory ledger, the one runtime account.
+// Chunk c of a vector goes to macro c % M at row-pair layer c / M, so every
+// macro sees the same chunk sequence at any thread count. Each macro is an
+// independent object (SRAM state, RNG stream, energy ledger), so the
+// parallel walk is bit-identical to a serial one; stats merge after the
+// join as lock-step max (cycles) and fixed-order sum (energy). Staging
+// every chunk before running is safe: single-op programs write no main row
+// (see OpKind), and a fused chain writes back only into its own layer's
+// consumed activation row, never into another chunk's operands.
 //
-// run_batch() executes several independent ops as one batch and models a
-// double-buffered schedule in the cycle model: operands of op k+1 are
-// written to ping-pong row pairs while op k computes, so the batch costs
-// load(0) + sum max(compute(k), load(k+1)) + compute(last) instead of the
-// serial sum of both. Overlap is only credited when consecutive ops fit in
-// the array together (their transient layer counts plus the materialized
-// resident set sum to at most rows/2 pairs) -- a full-capacity op leaves
-// no rows to ping-pong into -- and never between two ops sharing a
-// resident handle (the activation row of a pinned pair cannot be rewritten
-// while that pair computes). Per-op RunStats stay compute-only (seed
-// semantics); the overlap shows up in BatchStats.
+// run_batch() models a double-buffered schedule: operands of op k+1 load
+// into ping-pong row pairs while op k computes, so the batch costs load(0)
+// + sum max(compute(k), load(k+1)) + compute(last). Overlap is credited
+// only when consecutive ops fit in the array together (transient layers
+// plus the materialized resident set) and never between two ops sharing a
+// resident handle. Per-op RunStats stay compute-only; the overlap shows up
+// in BatchStats. pin() (engine/residency.hpp) keeps an operand's rows in
+// the array across calls, and ops referencing the handle skip its loads.
 //
-// Operand residency (engine/residency.hpp): pin() keeps an operand's rows
-// in the array across run_batch() calls; ops referencing the handle skip
-// that side's load cycles, and BatchStats::load_cycles_saved records the
-// win.
+// Validation: one validate() per request shape, judged from spans and
+// ResidentOperand metadata alone; every entry point runs it before its
+// first side effect, and serve::Server runs the same checks at admission.
 
 #include <atomic>
 #include <cstdint>
@@ -145,8 +145,8 @@ class ExecutionEngine {
   /// model, see file header). Results are in submission order.
   [[nodiscard]] std::vector<OpResult> run_batch(std::span<const VecOp> ops);
 
-  /// Accounting of the last run_batch() (a lone run() counts as a batch
-  /// of one).
+  /// Accounting of the last dispatch that returned (a lone run() counts as
+  /// a batch of one); a call that throws leaves it unchanged.
   [[nodiscard]] const BatchStats& last_batch() const { return batch_; }
 
   // ---- adaptive execution (macro::AdaptivePolicy) -------------------------
@@ -207,34 +207,57 @@ class ExecutionEngine {
   }
 
  private:
-  /// Cycle-model footprint of one executed op, for the batch scheduler's
-  /// overlap-feasibility check and the load/saved accounting.
-  struct OpAccount {
-    std::uint64_t load_cycles = 0;
-    std::uint64_t saved_cycles = 0;
-    std::size_t layers = 0;            ///< row-pair layers the op occupies
-    std::size_t transient_layers = 0;  ///< staged in the bottom region (0 if resident)
-    std::uint64_t handle_a = 0;        ///< resident handle ids (0 = span side)
-    std::uint64_t handle_b = 0;
+  /// One row of a macro's dispatch in `layout` at `bits`: main row `index`
+  /// staged from `values`, or trace entry `index` extracted into `values`.
+  template <class T>
+  struct RowIo {
+    std::size_t index;
+    unsigned bits;
+    OperandLayout layout;
+    std::span<T> values;
+  };
+  /// One macro's share of a dispatch; `trace` and `adaptive` are outputs.
+  struct MacroPlan {
+    std::vector<RowIo<const std::uint64_t>> stage;
+    std::vector<const macro::VerifiedProgram*> programs;
+    std::vector<RowIo<std::uint64_t>> extract;
+    std::vector<macro::TraceEntry> trace;
+    std::uint64_t adaptive = 0;  ///< adaptive cycles its controller reported
+  };
+  /// What one dispatch does on macros [0, active). Engine-owned scratch:
+  /// the vectors keep their capacity across calls.
+  struct ExecPlan {
+    std::vector<MacroPlan> macros;
+    std::size_t active = 0;
   };
 
-  /// Execute one op and fill its footprint account.
-  OpResult run_one(const VecOp& op, OpAccount& acct);
+  /// Clear the scratch plan for a dispatch over `active` macros.
+  ExecPlan& begin_plan(std::size_t active);
+  /// The dispatch core: reset the memory ledger, then per active macro (on
+  /// the pool) stage, run on the chained datapath and extract. Returns the
+  /// lock-step cycles the adaptive policy took off the makespan.
+  std::uint64_t execute(ExecPlan& plan);
+
+  /// Execute one validated op of a batch.
+  OpResult run_one(const VecOp& op);
+  /// Resolve a handle to its live entry (null for "no handle").
+  ResidencyManager::Entry* resolve(const ResidentOperand& handle);
   /// The cached single-instruction program for `op` at one concrete row
   /// placement (compiled + verified on first use).
   const macro::VerifiedProgram& program_for(const VecOp& op, std::size_t r_a, std::size_t r_b);
-  /// Policy-off makespan of the dispatch just run, from the memory ledger
-  /// and the adaptive cycles each macro's controller reported.
-  std::uint64_t dense_elapsed(std::span<const std::uint64_t> adaptive_m);
-  /// Write a pinned operand's values into its allocated rows (same chunk
-  /// walk as run_one, one row per pair).
+  /// Write a pinned operand's values into its allocated rows.
   void materialize(ResidencyManager::Entry& entry);
+  [[nodiscard]] Second cycles_to_time(std::uint64_t cycles) const;
+  /// Publish a fused dispatch's account: one program per macro leaves no op
+  /// boundary to ping-pong loads across, so pipelined == serial == load +
+  /// compute.
+  void publish_fused(BatchStats b);
 
   /// Residency state of one run_forward()/compile_forward() call: the
   /// resolved weight entries, the shared chunk geometry, and whether the
   /// fused layout holds (all weights materialized above the activation's
   /// transient region).
-  struct ForwardPlan {
+  struct ForwardLayout {
     std::vector<ResidencyManager::Entry*> entries;
     unsigned bits = 0;
     std::size_t elements = 0;  ///< per op
@@ -245,12 +268,13 @@ class ExecutionEngine {
     std::vector<std::uint8_t> loaded;  ///< per weight: materialized this call
     bool fusable = false;
   };
-  /// Resolve + validate the weights, then (when the shape fits) reserve the
-  /// activation region and materialize every weight for the fused layout.
-  ForwardPlan prepare_forward(std::span<const ResidentOperand> weights);
-  /// Cached per-macro programs for the plan, (re)compiled when the weights
-  /// moved since the last compile.
-  FusedForward& fused_program_for(const ForwardPlan& plan);
+  /// Resolve the (validated) weights, then, when the shape fits, reserve
+  /// the activation region and materialize every weight for the fused
+  /// layout.
+  ForwardLayout prepare_forward(std::span<const ResidentOperand> weights);
+  /// Cached per-macro programs for the layout, (re)compiled when the
+  /// weights moved since the last compile.
+  FusedForward& fused_program_for(const ForwardLayout& fl);
   /// The materialized pinned set as verifier row intervals.
   [[nodiscard]] std::vector<macro::PinnedRows> pinned_rows() const;
 
@@ -274,6 +298,23 @@ class ExecutionEngine {
   /// Load cycles of weights materialized inside compile_forward(), charged
   /// to the next run_forward() so the account never loses the writes.
   std::uint64_t pending_load_ = 0;
+  ExecPlan plan_;
 };
+
+// ---- request validation -----------------------------------------------------
+// One check per request shape, shared by the engine entry points and
+// serve::Server admission. Each judges the request from its spans and
+// ResidentOperand metadata alone (no residency lookup, no side effect) and
+// throws std::invalid_argument when it is malformed.
+
+/// Returns the row-pair layers `op` occupies per macro of `shape`.
+std::size_t validate(const VecOp& op, const ExecutionEngine& shape);
+/// Returns the row-pair layers the chain stages per macro of `shape`.
+std::size_t validate(const ChainRequest& req, const ExecutionEngine& shape);
+/// Fused-forward weights (one precision, MULT-unit layout, one length)
+/// against an activation of `activation_elements`; returns the weights'
+/// per-handle layers.
+std::size_t validate_forward(std::span<const ResidentOperand> weights,
+                             std::size_t activation_elements);
 
 }  // namespace bpim::engine

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "macro/compiler.hpp"
@@ -47,13 +48,11 @@ struct FusionStats {
 
 /// One cached whole-forward compilation: the per-macro programs plus the
 /// residency snapshot they were emitted against (a weight that has moved
-/// since -- eviction and re-materialization -- invalidates the cache).
+/// since -- eviction and re-materialization -- invalidates the cache). A
+/// handle id fixes its precision and shape, so the placements say it all.
 struct FusedForward {
-  unsigned bits = 0;
-  std::size_t elements = 0;             ///< elements per op
-  std::size_t layers = 0;               ///< row-pair layers per handle
-  std::vector<std::uint64_t> ids;       ///< weight handle ids, op order
-  std::vector<std::size_t> base_pairs;  ///< per-handle base at compile time
+  /// (weight handle id, base pair at compile time), op order.
+  std::vector<std::pair<std::uint64_t, std::size_t>> placements;
   std::vector<macro::VerifiedProgram> programs;  ///< one per macro that owns a chunk
 };
 

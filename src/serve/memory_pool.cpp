@@ -99,10 +99,6 @@ std::size_t MemoryPool::row_pair_capacity() const {
   return engines_.front()->row_pair_capacity();
 }
 
-std::size_t MemoryPool::layers_for(const engine::VecOp& op) const {
-  return engines_.front()->layers_for(op);
-}
-
 std::size_t MemoryPool::resident_layers(std::size_t m) const {
   BPIM_REQUIRE(m < engines_.size(), "pool memory index out of range");
   return engines_[m]->resident_layers();

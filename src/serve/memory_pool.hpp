@@ -72,8 +72,6 @@ class MemoryPool {
   /// Row pairs available per memory -- the residency budget of one
   /// sub-batch (identical across nodes; enforced at construction).
   [[nodiscard]] std::size_t row_pair_capacity() const;
-  /// Row-pair layers `op` occupies (same on every node).
-  [[nodiscard]] std::size_t layers_for(const engine::VecOp& op) const;
   /// Row-pair layers pinned operands currently hold on memory `m` (what
   /// the coalescer subtracts from row_pair_capacity() when budgeting
   /// transient operands).

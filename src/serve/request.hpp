@@ -68,14 +68,15 @@ namespace detail {
 /// as one verified macro program and always dispatch as their own group.
 enum class ReqKind { Op, Chain, Forward };
 
-/// One admitted request in flight. Move-only; the op's spans point into
-/// this ticket's own a/b storage.
+/// One admitted request in flight. Move-only; the op's and the chain's
+/// spans point into this ticket's own a/b/link storage.
 struct Ticket {
   ReqKind kind = ReqKind::Op;
   engine::VecOp op;  ///< the op; fused kinds use only its kind/bits labels
   std::vector<std::uint64_t> a, b;
-  /// Chain requests: the owned link operands, in fold order.
-  std::vector<std::pair<engine::ChainLinkKind, std::vector<std::uint64_t>>> links;
+  /// Chain requests: the request, and the owned link operands it spans.
+  engine::ChainRequest chain;
+  std::vector<std::vector<std::uint64_t>> link_values;
   /// Forward requests: the pinned weight handles, in op order.
   std::vector<engine::ResidentOperand> fwd_weights;
   int priority = 0;
@@ -96,8 +97,7 @@ struct Ticket {
   /// exactly that region) even though its weights are resident; a Chain is
   /// fully transient (the coalescer's budget math packs against this).
   [[nodiscard]] std::size_t transient_layers() const {
-    if (kind == ReqKind::Op) return home ? 0 : layers;
-    return layers;
+    return kind == ReqKind::Op && home ? 0 : layers;
   }
 
   /// Surface a scheduling failure on whichever promise the client holds.

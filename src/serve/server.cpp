@@ -110,66 +110,84 @@ Server::Server(MemoryPool& pool, ServerConfig cfg)
 
 Server::~Server() { stop(); }
 
-detail::Ticket Server::make_ticket(const VecOp& op, SubmitOptions opts) {
-  // Validate at admission so malformed ops throw on the client's thread,
-  // not inside the scheduler.
-  const std::size_t len_a = op.ra ? static_cast<std::size_t>(op.ra.elements) : op.a.size();
-  const std::size_t len_b = op.rb ? static_cast<std::size_t>(op.rb.elements) : op.b.size();
-  if (op.kind == OpKind::Not)
-    BPIM_REQUIRE(len_b == 0 && !op.rb, "NOT is unary: operand side b must stay empty");
-  else
-    BPIM_REQUIRE(len_a == len_b, "operand vectors must have equal length");
-  BPIM_REQUIRE(macro::is_supported_precision(op.bits), "unsupported precision");
-  BPIM_REQUIRE(!op.ra || op.a.empty(), "operand side has both a span and a resident handle");
-  BPIM_REQUIRE(!op.rb || op.b.empty(), "operand side has both a span and a resident handle");
+std::optional<std::size_t> Server::home_of(std::span<const engine::ResidentOperand> handles,
+                                           const char* split_error) {
+  // Resident operands anchor the request to the memory that holds them;
+  // every handle of one request must agree.
+  std::optional<std::size_t> home;
+  MutexLock lk(pin_mutex_);
+  for (const engine::ResidentOperand& h : handles) {
+    if (!h) continue;
+    const auto it = pin_home_.find(h.id);
+    BPIM_REQUIRE(it != pin_home_.end(), "resident operand was not pinned through this server");
+    BPIM_REQUIRE(!home || *home == it->second, split_error);
+    home = it->second;
+  }
+  return home;
+}
 
+detail::Ticket Server::make_ticket(const VecOp& op) {
+  // Validate at admission so malformed ops throw on the client's thread,
+  // not inside the scheduler. One op never splits across memories (its
+  // chunk walk is per-memory), so it must fit a single array.
   detail::Ticket t;
+  t.layers = engine::validate(op, pool_->engine(0));
+  const engine::ResidentOperand handles[] = {op.ra, op.rb};
+  t.home = home_of(handles, "op references resident operands on different pool memories");
   t.a.assign(op.a.begin(), op.a.end());
   t.b.assign(op.b.begin(), op.b.end());
   t.op = op;
   t.op.a = t.a;
   t.op.b = t.b;
-  // Resident operands anchor the request to the memory that holds them;
-  // two handles on one op must agree.
-  if (op.ra || op.rb) {
-    MutexLock lk(pin_mutex_);
-    const auto home_of = [&](const engine::ResidentOperand& h) -> std::optional<std::size_t> {
-      if (!h) return std::nullopt;
-      const auto it = pin_home_.find(h.id);
-      BPIM_REQUIRE(it != pin_home_.end(),
-                   "resident operand was not pinned through this server");
-      return it->second;
-    };
-    const auto home_a = home_of(op.ra);
-    const auto home_b = home_of(op.rb);
-    BPIM_REQUIRE(!home_a || !home_b || *home_a == *home_b,
-                 "op references resident operands on different pool memories");
-    t.home = home_a ? home_a : home_b;
-  }
-  t.layers = pool_->layers_for(t.op);
-  // One op never splits across memories (its chunk walk is per-memory), so
-  // it must fit a single array whatever the pool size -- and a two-handle
-  // op needs both residents in the array at once.
-  BPIM_REQUIRE(t.layers <= pool_->row_pair_capacity(), "vector exceeds memory capacity");
-  if (op.ra && op.rb)
-    BPIM_REQUIRE(op.ra.layers + op.rb.layers <= pool_->row_pair_capacity(),
-                 "resident operand pair exceeds memory capacity");
   // Only sticky placement reads the hash; spare the other policies the
   // extra operand pass on the client's critical path.
-  if (pool_->placement() == Placement::StickyByOperand)
-    t.operand_hash = hash_operands(t.op);
+  if (pool_->placement() == Placement::StickyByOperand) t.operand_hash = hash_operands(t.op);
+  return t;
+}
+
+detail::Ticket Server::make_forward_ticket(std::span<const engine::ResidentOperand> weights,
+                                           std::span<const std::uint64_t> activation) {
+  detail::Ticket t;
+  // The budget the ticket occupies is its transient activation region; the
+  // weights' rows are already down on the home memory.
+  t.layers = engine::validate_forward(weights, activation.size());
+  t.home = home_of(weights,
+                   "fused forward weights live on different pool memories -- pin them under "
+                   "one colocate_key");
+  t.kind = detail::ReqKind::Forward;
+  t.op.kind = OpKind::Mult;  // labels for BatchRecord/compatibility checks
+  t.op.bits = weights.front().bits;
+  t.a.assign(activation.begin(), activation.end());
+  t.fwd_weights.assign(weights.begin(), weights.end());
+  return t;
+}
+
+detail::Ticket Server::make_chain_ticket(const engine::ChainRequest& chain) {
+  detail::Ticket t;
+  t.layers = engine::validate(chain, pool_->engine(0));
+  t.kind = detail::ReqKind::Chain;
+  t.a.assign(chain.a.begin(), chain.a.end());
+  t.b.assign(chain.b.begin(), chain.b.end());
+  t.op = engine::VecOp{.kind = OpKind::Mult, .bits = chain.bits, .a = t.a, .b = t.b};
+  t.chain = chain;
+  t.chain.a = t.a;
+  t.chain.b = t.b;
+  t.link_values.reserve(chain.links.size());
+  for (engine::ChainLink& link : t.chain.links)
+    link.values = t.link_values.emplace_back(link.values.begin(), link.values.end());
+  if (pool_->placement() == Placement::StickyByOperand) t.operand_hash = hash_operands(t.op);
+  return t;
+}
+
+void Server::stamp(detail::Ticket& t, SubmitOptions opts) {
   t.priority = opts.priority;
   t.deadline = opts.deadline;
   t.seq = seq_.fetch_add(1, std::memory_order_relaxed);
   t.submit_time = Clock::now();
-  return t;
 }
 
-std::future<OpResult> Server::submit(const VecOp& op, SubmitOptions opts) {
-  if (stopped()) throw ServerStopped();
-  BPIM_TRACE_SPAN(span, "serve.submit");
-  detail::Ticket t = make_ticket(op, opts);
-  std::future<OpResult> fut = t.promise.get_future();
+void Server::admit(detail::Ticket&& t, SubmitOptions opts) {
+  stamp(t, opts);
   const std::uint64_t rid = trace_id(t.seq);
   trace_request_admitted(rid, t);
   // Count before the push: once the ticket is in the queue the scheduler may
@@ -180,98 +198,17 @@ std::future<OpResult> Server::submit(const VecOp& op, SubmitOptions opts) {
     // was never accepted, so its future carries the stop.
     ledger_.on_submit_rescinded();
     trace_request_dropped(rid, "rescinded");
-    t.promise.set_exception(std::make_exception_ptr(ServerStopped()));
+    t.fail(std::make_exception_ptr(ServerStopped()));
   }
+}
+
+std::future<OpResult> Server::submit(const VecOp& op, SubmitOptions opts) {
+  if (stopped()) throw ServerStopped();
+  BPIM_TRACE_SPAN(span, "serve.submit");
+  detail::Ticket t = make_ticket(op);
+  std::future<OpResult> fut = t.promise.get_future();
+  admit(std::move(t), opts);
   return fut;
-}
-
-detail::Ticket Server::make_forward_ticket(std::span<const engine::ResidentOperand> weights,
-                                           std::span<const std::uint64_t> activation,
-                                           SubmitOptions opts) {
-  BPIM_REQUIRE(!weights.empty(), "fused forward needs at least one weight");
-  const unsigned bits = weights.front().bits;
-  BPIM_REQUIRE(macro::is_supported_precision(bits), "unsupported precision");
-  std::optional<std::size_t> home;
-  {
-    MutexLock lk(pin_mutex_);
-    for (const engine::ResidentOperand& w : weights) {
-      BPIM_REQUIRE(static_cast<bool>(w), "fused forward weight has no handle");
-      BPIM_REQUIRE(w.bits == bits, "fused forward weights must share one precision");
-      BPIM_REQUIRE(w.layout == engine::OperandLayout::MultUnit,
-                   "fused forward weights must be pinned in MULT-unit layout");
-      BPIM_REQUIRE(w.elements == weights.front().elements,
-                   "fused forward weights must share one length");
-      const auto it = pin_home_.find(w.id);
-      BPIM_REQUIRE(it != pin_home_.end(), "resident operand was not pinned through this server");
-      BPIM_REQUIRE(!home || *home == it->second,
-                   "fused forward weights live on different pool memories -- pin them "
-                   "under one colocate_key");
-      home = it->second;
-    }
-  }
-  BPIM_REQUIRE(activation.size() == weights.front().elements,
-               "activation length must match the pinned weights");
-
-  detail::Ticket t;
-  t.kind = detail::ReqKind::Forward;
-  t.op.kind = OpKind::Mult;  // labels for BatchRecord/compatibility checks
-  t.op.bits = bits;
-  t.a.assign(activation.begin(), activation.end());
-  t.fwd_weights.assign(weights.begin(), weights.end());
-  t.home = home;
-  // The budget the ticket occupies is its transient activation region; the
-  // weights' rows are already down on the home memory.
-  t.layers = weights.front().layers;
-  t.priority = opts.priority;
-  t.deadline = opts.deadline;
-  t.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-  t.submit_time = Clock::now();
-  return t;
-}
-
-detail::Ticket Server::make_chain_ticket(const engine::ChainRequest& chain,
-                                         SubmitOptions opts) {
-  BPIM_REQUIRE(!chain.links.empty(), "a chain needs at least one link");
-  BPIM_REQUIRE(macro::is_supported_precision(chain.bits), "unsupported precision");
-  BPIM_REQUIRE(macro::is_supported_precision(2 * chain.bits),
-               "chain links run at 2x the head precision, which the ISA lacks here");
-  BPIM_REQUIRE(!chain.a.empty(), "chain operands must be non-empty");
-  BPIM_REQUIRE(chain.a.size() == chain.b.size(), "operand vectors must have equal length");
-  for (const engine::ChainLink& link : chain.links)
-    BPIM_REQUIRE(link.values.size() == chain.a.size(),
-                 "link operand length must match the head operands");
-
-  detail::Ticket t;
-  t.kind = detail::ReqKind::Chain;
-  t.op.kind = OpKind::Mult;
-  t.op.bits = chain.bits;
-  t.a.assign(chain.a.begin(), chain.a.end());
-  t.b.assign(chain.b.begin(), chain.b.end());
-  t.links.reserve(chain.links.size());
-  for (const engine::ChainLink& link : chain.links)
-    t.links.emplace_back(link.kind,
-                         std::vector<std::uint64_t>(link.values.begin(), link.values.end()));
-  // One chain layer stages the head pair plus one row per link operand.
-  const std::size_t pairs_per_layer = (2 + chain.links.size() + 1) / 2;
-  VecOp head;
-  head.kind = OpKind::Mult;
-  head.bits = chain.bits;
-  head.a = t.a;
-  head.b = t.b;
-  t.layers = pairs_per_layer * pool_->layers_for(head);
-  BPIM_REQUIRE(t.layers <= pool_->row_pair_capacity(), "chain exceeds memory capacity");
-  if (pool_->placement() == Placement::StickyByOperand) {
-    t.op.a = t.a;
-    t.op.b = t.b;
-    t.operand_hash = hash_operands(t.op);
-    t.op.a = {};
-    t.op.b = {};
-  }
-  t.priority = opts.priority;
-  t.deadline = opts.deadline;
-  t.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-  t.submit_time = Clock::now();
-  return t;
 }
 
 std::future<std::vector<OpResult>> Server::submit_forward(
@@ -279,16 +216,9 @@ std::future<std::vector<OpResult>> Server::submit_forward(
     std::span<const std::uint64_t> activation, SubmitOptions opts) {
   if (stopped()) throw ServerStopped();
   BPIM_TRACE_SPAN(span, "serve.submit_forward");
-  detail::Ticket t = make_forward_ticket(weights, activation, opts);
+  detail::Ticket t = make_forward_ticket(weights, activation);
   std::future<std::vector<OpResult>> fut = t.fwd_promise.get_future();
-  const std::uint64_t rid = trace_id(t.seq);
-  trace_request_admitted(rid, t);
-  ledger_.on_submitted();
-  if (!queue_.push(std::move(t))) {
-    ledger_.on_submit_rescinded();
-    trace_request_dropped(rid, "rescinded");
-    t.fwd_promise.set_exception(std::make_exception_ptr(ServerStopped()));
-  }
+  admit(std::move(t), opts);
   return fut;
 }
 
@@ -296,16 +226,9 @@ std::future<OpResult> Server::submit_chain(const engine::ChainRequest& chain,
                                            SubmitOptions opts) {
   if (stopped()) throw ServerStopped();
   BPIM_TRACE_SPAN(span, "serve.submit_chain");
-  detail::Ticket t = make_chain_ticket(chain, opts);
+  detail::Ticket t = make_chain_ticket(chain);
   std::future<OpResult> fut = t.promise.get_future();
-  const std::uint64_t rid = trace_id(t.seq);
-  trace_request_admitted(rid, t);
-  ledger_.on_submitted();
-  if (!queue_.push(std::move(t))) {
-    ledger_.on_submit_rescinded();
-    trace_request_dropped(rid, "rescinded");
-    t.promise.set_exception(std::make_exception_ptr(ServerStopped()));
-  }
+  admit(std::move(t), opts);
   return fut;
 }
 
@@ -319,7 +242,8 @@ std::optional<std::future<OpResult>> Server::try_submit(const VecOp& op, SubmitO
     return std::nullopt;
   }
   BPIM_TRACE_SPAN(span, "serve.submit");
-  detail::Ticket t = make_ticket(op, opts);
+  detail::Ticket t = make_ticket(op);
+  stamp(t, opts);
   std::future<OpResult> fut = t.promise.get_future();
   const std::uint64_t rid = trace_id(t.seq);
   trace_request_admitted(rid, t);
@@ -444,21 +368,6 @@ void Server::scheduler_loop() {
     }
     if (backlog.empty()) continue;
 
-    // A fused request at the head (Chain/Forward) dispatches as its own
-    // group: it is already one whole program, there is nothing to coalesce
-    // it with. Its home memory (a Forward's weights) binds placement.
-    if (backlog.front().kind != detail::ReqKind::Op) {
-      std::vector<std::vector<detail::Ticket>> subs(1);
-      std::vector<MemoryPool::Slot> slots(1);
-      slots[0].layers = backlog.front().layers;
-      slots[0].operand_hash = backlog.front().operand_hash;
-      slots[0].home = backlog.front().home;
-      subs[0].push_back(std::move(backlog.front()));
-      backlog.erase(backlog.begin());
-      execute_group(subs, pool_->place(slots));
-      continue;
-    }
-
     // Budgets account for pinned layers: transient (span) operands can only
     // stage into capacity minus each memory's resident set, while requests
     // referencing a handle ride free -- their rows are already down on
@@ -473,7 +382,10 @@ void Server::scheduler_loop() {
     // Coalesce from the head: every compatible request (same kind and
     // precision, same logic fn) that still fits the group budget rides
     // along; the rest wait for a later group. The head always goes (the
-    // engine evicts pinned rows LRU-first if it must).
+    // engine evicts pinned rows LRU-first if it must). A fused head
+    // (Chain/Forward) is already one whole program: nothing coalesces with
+    // it, and its home memory (a Forward's weights) binds placement.
+    const bool fused_head = backlog.front().kind != detail::ReqKind::Op;
     const OpKind kind = backlog.front().op.kind;
     const unsigned bits = backlog.front().op.bits;
     const periph::LogicFn fn = backlog.front().op.fn;
@@ -481,12 +393,12 @@ void Server::scheduler_loop() {
     std::vector<detail::Ticket> rest;
     std::size_t transient_layers = 0;
     for (auto& t : backlog) {
-      const bool compatible = t.kind == detail::ReqKind::Op && t.op.kind == kind &&
-                              t.op.bits == bits && (kind != OpKind::Logic || t.op.fn == fn);
-      if (compatible &&
-          (selected.empty() ||
-           (selected.size() < group_op_budget &&
-            transient_layers + t.transient_layers() <= group_layer_budget))) {
+      const bool compatible = !fused_head && t.kind == detail::ReqKind::Op &&
+                              t.op.kind == kind && t.op.bits == bits &&
+                              (kind != OpKind::Logic || t.op.fn == fn);
+      if (selected.empty() ||
+          (compatible && selected.size() < group_op_budget &&
+           transient_layers + t.transient_layers() <= group_layer_budget)) {
         transient_layers += t.transient_layers();
         selected.push_back(std::move(t));
       } else {
@@ -531,30 +443,35 @@ void Server::execute_group(std::vector<std::vector<detail::Ticket>>& subs,
   // Runs one sub-batch end to end -- engine call, accounting, promises --
   // so a lane releases its clients the moment it finishes instead of
   // waiting out the group's slowest lane, and the recorded host latency is
-  // exactly what the client waited. Ledger and pool accounts are
-  // mutex-guarded, so lanes may complete concurrently. Never throws.
+  // exactly what the client waited. A fused request (Chain/Forward) is a
+  // sub-batch of one; only its engine call and promise type differ. Ledger
+  // and pool accounts are mutex-guarded, so lanes may complete
+  // concurrently. Never throws.
   const auto run_sub = [&](std::size_t i) {
     auto& batch = subs[i];
-    engine::ExecutionEngine& eng = pool_->engine(where[i]);
-    if (batch.front().kind != detail::ReqKind::Op) {
-      execute_fused(batch.front(), eng, where[i]);
-      return;
-    }
+    const std::size_t mem = where[i];
+    engine::ExecutionEngine& eng = pool_->engine(mem);
+    const detail::Ticket& head = batch.front();
     const auto started = Clock::now();
-    BPIM_TRACE_SPAN(lane_span, "serve.batch", lane_tracks_[where[i]]);
+    BPIM_TRACE_SPAN(lane_span, head.kind == detail::ReqKind::Op ? "serve.batch" : "serve.fused",
+                    lane_tracks_[mem]);
     if (BPIM_TRACE_ON()) {
       // Arrow heads from every rider's submit span into this batch.
       auto& trace = obs::TraceSession::global();
-      for (const auto& t : batch)
-        trace.flow_finish("req", trace_id(t.seq), lane_tracks_[where[i]]);
+      for (const auto& t : batch) trace.flow_finish("req", trace_id(t.seq), lane_tracks_[mem]);
     }
-    std::vector<VecOp> ops;
-    ops.reserve(batch.size());
-    for (const auto& t : batch) ops.push_back(t.op);
-
     std::vector<OpResult> results;
     try {
-      results = eng.run_batch(ops);
+      if (head.kind == detail::ReqKind::Forward) {
+        results = eng.run_forward(head.fwd_weights, head.a);
+      } else if (head.kind == detail::ReqKind::Chain) {
+        results.push_back(eng.run_chain(head.chain));
+      } else {
+        std::vector<VecOp> ops;
+        ops.reserve(batch.size());
+        for (const auto& t : batch) ops.push_back(t.op);
+        results = eng.run_batch(ops);
+      }
     } catch (...) {
       // Validation happens at submit, so this is a defect; surface it on
       // every rider's future rather than killing the scheduler. Ledger
@@ -563,13 +480,20 @@ void Server::execute_group(std::vector<std::vector<detail::Ticket>>& subs,
       ledger_.on_failed(batch.size());
       for (auto& t : batch) {
         trace_request_dropped(trace_id(t.seq), "error");
-        t.promise.set_exception(err);
+        t.fail(err);
       }
       return;
     }
     const engine::BatchStats bs = eng.last_batch();
     const auto done = Clock::now();
 
+    BatchRecord rec{.kind = head.op.kind,
+                    .bits = head.op.bits,
+                    .ops = batch.size(),
+                    .layers = 0,
+                    .memory = mem,
+                    .pipelined_cycles = bs.pipelined_cycles,
+                    .serial_cycles = bs.serial_cycles};
     std::vector<double> host_us;
     std::vector<std::size_t> op_layers;
     host_us.reserve(batch.size());
@@ -578,18 +502,9 @@ void Server::execute_group(std::vector<std::vector<detail::Ticket>>& subs,
       host_us.push_back(
           std::chrono::duration<double, std::micro>(done - t.submit_time).count());
       op_layers.push_back(t.layers);
+      rec.layers += t.layers;
     }
-
-    BatchRecord rec;
-    rec.kind = batch.front().op.kind;
-    rec.bits = batch.front().op.bits;
-    rec.ops = batch.size();
-    rec.layers = 0;
-    for (const std::size_t l : op_layers) rec.layers += l;
-    rec.memory = where[i];
-    rec.pipelined_cycles = bs.pipelined_cycles;
-    rec.serial_cycles = bs.serial_cycles;
-    pool_->on_batch_done(where[i], rec.layers, bs.pipelined_cycles);
+    pool_->on_batch_done(mem, rec.layers, bs.pipelined_cycles);
     // Ledger before promises: a client that wakes on its future and asks for
     // stats() must already see its own batch.
     ledger_.on_batch(rec, bs, host_us, op_layers);
@@ -598,6 +513,7 @@ void Server::execute_group(std::vector<std::vector<detail::Ticket>>& subs,
     lane_span.arg("memory", static_cast<double>(rec.memory));
     lane_span.arg("pipelined_cycles", static_cast<double>(bs.pipelined_cycles));
     lane_span.arg("load_cycles_saved", static_cast<double>(bs.load_cycles_saved));
+    lane_span.arg("fused_cycles_saved", static_cast<double>(bs.fused_cycles_saved));
     if (BPIM_TRACE_ON()) {
       // Settle each rider's request bar with its waiting/served breakdown:
       // queue_us up to dispatch, host_us end to end, batch_share its
@@ -617,6 +533,10 @@ void Server::execute_group(std::vector<std::vector<detail::Ticket>>& subs,
       }
     }
 
+    if (head.kind == detail::ReqKind::Forward) {
+      batch.front().fwd_promise.set_value(std::move(results));
+      return;
+    }
     for (std::size_t k = 0; k < batch.size(); ++k)
       batch[k].promise.set_value(std::move(results[k]));
   };
@@ -631,71 +551,6 @@ void Server::execute_group(std::vector<std::vector<detail::Ticket>>& subs,
   lane_pool_.parallel_for(by_memory.size(), [&](std::size_t l) {
     for (const std::size_t i : by_memory[l]) run_sub(i);
   });
-}
-
-void Server::execute_fused(detail::Ticket& t, engine::ExecutionEngine& eng, std::size_t mem) {
-  // One fused request is one engine call; like run_sub it accounts before
-  // settling the promise and never throws into the scheduler.
-  const auto started = Clock::now();
-  BPIM_TRACE_SPAN(lane_span, "serve.fused", lane_tracks_[mem]);
-  if (BPIM_TRACE_ON())
-    obs::TraceSession::global().flow_finish("req", trace_id(t.seq), lane_tracks_[mem]);
-  engine::BatchStats bs;
-  std::vector<OpResult> fwd_results;
-  OpResult chain_result;
-  try {
-    if (t.kind == detail::ReqKind::Forward) {
-      fwd_results = eng.run_forward(t.fwd_weights, t.a);
-    } else {
-      engine::ChainRequest req;
-      req.bits = t.op.bits;
-      req.a = t.a;
-      req.b = t.b;
-      req.links.reserve(t.links.size());
-      for (const auto& [kind, values] : t.links)
-        req.links.push_back(engine::ChainLink{kind, values});
-      chain_result = eng.run_chain(req);
-    }
-  } catch (...) {
-    // Validation happens at submit, so this is a defect; surface it on the
-    // client's future rather than killing the scheduler.
-    ledger_.on_failed(1);
-    trace_request_dropped(trace_id(t.seq), "error");
-    t.fail(std::current_exception());
-    return;
-  }
-  bs = eng.last_batch();
-  const auto done = Clock::now();
-
-  BatchRecord rec;
-  rec.kind = t.op.kind;
-  rec.bits = t.op.bits;
-  rec.ops = 1;
-  rec.layers = t.layers;
-  rec.memory = mem;
-  rec.pipelined_cycles = bs.pipelined_cycles;
-  rec.serial_cycles = bs.serial_cycles;
-  pool_->on_batch_done(mem, rec.layers, bs.pipelined_cycles);
-  const std::vector<double> host_us = {
-      std::chrono::duration<double, std::micro>(done - t.submit_time).count()};
-  // Ledger before promises, as everywhere: a woken client sees its batch.
-  ledger_.on_batch(rec, bs, host_us, {t.layers});
-
-  lane_span.arg("memory", static_cast<double>(mem));
-  lane_span.arg("pipelined_cycles", static_cast<double>(bs.pipelined_cycles));
-  lane_span.arg("fused_cycles_saved", static_cast<double>(bs.fused_cycles_saved));
-  if (BPIM_TRACE_ON()) {
-    const double queue_us =
-        std::chrono::duration<double, std::micro>(started - t.submit_time).count();
-    obs::TraceSession::global().async_end(
-        "request", trace_id(t.seq),
-        obs::EventArgs{{"queue_us", queue_us}, {"host_us", host_us[0]}});
-  }
-
-  if (t.kind == detail::ReqKind::Forward)
-    t.fwd_promise.set_value(std::move(fwd_results));
-  else
-    t.promise.set_value(std::move(chain_result));
 }
 
 }  // namespace bpim::serve

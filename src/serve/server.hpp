@@ -154,17 +154,24 @@ class Server {
   [[nodiscard]] const ServerConfig& config() const { return cfg_; }
 
  private:
-  /// Validate + package one request (throws std::invalid_argument).
-  detail::Ticket make_ticket(const engine::VecOp& op, SubmitOptions opts)
-      BPIM_EXCLUDES(pin_mutex_);
+  /// Validate + package one request (throws std::invalid_argument); the
+  /// checks are the engine's (engine::validate), plus the pin-home lookup.
+  detail::Ticket make_ticket(const engine::VecOp& op) BPIM_EXCLUDES(pin_mutex_);
   detail::Ticket make_forward_ticket(std::span<const engine::ResidentOperand> weights,
-                                     std::span<const std::uint64_t> activation,
-                                     SubmitOptions opts) BPIM_EXCLUDES(pin_mutex_);
-  detail::Ticket make_chain_ticket(const engine::ChainRequest& chain, SubmitOptions opts);
+                                     std::span<const std::uint64_t> activation)
+      BPIM_EXCLUDES(pin_mutex_);
+  detail::Ticket make_chain_ticket(const engine::ChainRequest& chain);
+  /// The pool memory holding `handles` (nullopt when none is set); throws
+  /// unless every handle was pinned here, and `split_error` unless on one
+  /// memory.
+  std::optional<std::size_t> home_of(std::span<const engine::ResidentOperand> handles,
+                                     const char* split_error) BPIM_EXCLUDES(pin_mutex_);
+  /// Stamp the scheduling fields: priority, deadline, seq, submit time.
+  void stamp(detail::Ticket& t, SubmitOptions opts);
+  /// Stamp, count and push (blocking on backpressure); a queue closed
+  /// meanwhile rescinds the admission and fails the ticket's future.
+  void admit(detail::Ticket&& t, SubmitOptions opts);
   void scheduler_loop();
-  /// Run one fused (Chain/Forward) ticket on its memory's engine and settle
-  /// its promise; fused requests always dispatch as their own group.
-  void execute_fused(detail::Ticket& t, engine::ExecutionEngine& eng, std::size_t mem);
   /// Run one dispatch group: sub-batch i on pool memory where[i], distinct
   /// memories concurrently; each lane accounts and fulfills its own
   /// promises as it finishes (no cross-lane barrier for clients).

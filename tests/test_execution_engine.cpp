@@ -41,10 +41,81 @@ OpResult run_fresh(const VecOp& op, std::size_t threads) {
 void expect_identical(const OpResult& want, const OpResult& got, const char* what) {
   EXPECT_EQ(want.values, got.values) << what;
   EXPECT_EQ(want.stats.elements, got.stats.elements) << what;
+  EXPECT_EQ(want.stats.instructions, got.stats.instructions) << what;
   EXPECT_EQ(want.stats.elapsed_cycles, got.stats.elapsed_cycles) << what;
   // Bit-identical doubles, not approximately equal: the merge order is fixed.
   EXPECT_EQ(want.stats.energy.si(), got.stats.energy.si()) << what;
   EXPECT_EQ(want.stats.elapsed_time.si(), got.stats.elapsed_time.si()) << what;
+  EXPECT_EQ(want.stats.load_cycles, got.stats.load_cycles) << what;
+  EXPECT_EQ(want.stats.load_cycles_saved, got.stats.load_cycles_saved) << what;
+  EXPECT_EQ(want.stats.fused_cycles_saved, got.stats.fused_cycles_saved) << what;
+  EXPECT_EQ(want.stats.adaptive_cycles_saved, got.stats.adaptive_cycles_saved) << what;
+}
+
+void expect_identical(const BatchStats& want, const BatchStats& got, const char* what) {
+  EXPECT_EQ(want.ops, got.ops) << what;
+  EXPECT_EQ(want.elements, got.elements) << what;
+  EXPECT_EQ(want.instructions, got.instructions) << what;
+  EXPECT_EQ(want.load_cycles, got.load_cycles) << what;
+  EXPECT_EQ(want.load_cycles_saved, got.load_cycles_saved) << what;
+  EXPECT_EQ(want.compute_cycles, got.compute_cycles) << what;
+  EXPECT_EQ(want.serial_cycles, got.serial_cycles) << what;
+  EXPECT_EQ(want.pipelined_cycles, got.pipelined_cycles) << what;
+  EXPECT_EQ(want.fused_cycles_saved, got.fused_cycles_saved) << what;
+  EXPECT_EQ(want.adaptive_cycles_saved, got.adaptive_cycles_saved) << what;
+  EXPECT_EQ(want.energy.si(), got.energy.si()) << what;
+  EXPECT_EQ(want.elapsed_time.si(), got.elapsed_time.si()) << what;
+}
+
+/// Every result of one fused call plus the engine's batch account.
+struct FusedRun {
+  std::vector<OpResult> results;
+  BatchStats batch;
+  FusionStats fusion;
+};
+
+void expect_identical(const FusedRun& want, const FusedRun& got, const std::string& what) {
+  ASSERT_EQ(want.results.size(), got.results.size()) << what;
+  for (std::size_t j = 0; j < want.results.size(); ++j)
+    expect_identical(want.results[j], got.results[j], (what + " op " + std::to_string(j)).c_str());
+  expect_identical(want.batch, got.batch, what.c_str());
+  EXPECT_EQ(want.fusion.fused_runs, got.fusion.fused_runs) << what;
+  EXPECT_EQ(want.fusion.fallback_runs, got.fusion.fallback_runs) << what;
+}
+
+/// `ops` weights of `elements` pinned on a fresh memory, forwarded twice
+/// (compile, then cache hit) against one activation.
+FusedRun forward_fresh(std::size_t ops, std::size_t elements, bool adaptive,
+                       std::size_t threads) {
+  macro::ImcMemory mem(tiny_memory());
+  ExecutionEngine eng(mem, EngineConfig{threads});
+  if (adaptive) eng.set_adaptive_policy({.narrow_precision = true, .skip_zero = true});
+  std::vector<std::vector<std::uint64_t>> w;
+  std::vector<ResidentOperand> handles;
+  for (std::size_t j = 0; j < ops; ++j) {
+    w.push_back(random_vec(elements, 8, 0xF0 + j));
+    // Sparse high bits so the adaptive policy has something to narrow.
+    if (adaptive)
+      for (std::size_t i = 0; i < elements; i += 3) w.back()[i] &= 0x0F;
+    handles.push_back(eng.pin(w.back(), 8, OperandLayout::MultUnit));
+  }
+  const auto x = random_vec(elements, 8, 0xE0 + ops);
+  FusedRun run;
+  (void)eng.run_forward(handles, x);
+  run.results = eng.run_forward(handles, x);
+  run.batch = eng.last_batch();
+  run.fusion = eng.fusion_stats();
+  return run;
+}
+
+FusedRun chain_fresh(const ChainRequest& req, std::size_t threads) {
+  macro::ImcMemory mem(tiny_memory());
+  ExecutionEngine eng(mem, EngineConfig{threads});
+  FusedRun run;
+  run.results.push_back(eng.run_chain(req));
+  run.batch = eng.last_batch();
+  run.fusion = eng.fusion_stats();
+  return run;
 }
 
 class EngineDeterminismP : public ::testing::TestWithParam<std::size_t> {};
@@ -77,6 +148,48 @@ TEST_P(EngineDeterminismP, AllOpsMatchSerialExactly) {
     const VecOp not_op{OpKind::Not, bits, periph::LogicFn::And, a, {}};
     expect_identical(run_fresh(not_op, 1), run_fresh(not_op, threads),
                      ("NOT n=" + std::to_string(n)).c_str());
+  }
+}
+
+TEST_P(EngineDeterminismP, FusedForwardMatchesSerialExactly) {
+  const std::size_t threads = GetParam();
+  // 32 MULT units per layer over 4 macros: 100 elements leave a partial last
+  // chunk on one macro. 2 x 699 elements need (2 + 1) x 22 > 64 row pairs,
+  // so that shape cannot fuse and falls back to op-at-a-time.
+  struct Shape {
+    std::size_t ops, elements;
+    bool adaptive;
+  };
+  for (const Shape& s : {Shape{3, 100, false}, Shape{3, 100, true}, Shape{1, 7, false},
+                         Shape{2, 699, false}, Shape{2, 699, true}}) {
+    const FusedRun serial = forward_fresh(s.ops, s.elements, s.adaptive, 1);
+    const FusedRun parallel = forward_fresh(s.ops, s.elements, s.adaptive, threads);
+    EXPECT_EQ(serial.fusion.fallback_runs, s.elements == 699 ? 2u : 0u);
+    expect_identical(serial, parallel,
+                     "forward " + std::to_string(s.ops) + "x" + std::to_string(s.elements) +
+                         (s.adaptive ? " adaptive" : ""));
+  }
+}
+
+TEST_P(EngineDeterminismP, ChainMatchesSerialExactly) {
+  const std::size_t threads = GetParam();
+  const unsigned bits = 4;
+  // 16 MULT units per row at 4 bits: 133 elements end in a partial chunk.
+  for (const std::size_t n : {5u, 133u}) {
+    const auto a = random_vec(n, bits, 0xC0 + n);
+    const auto b = random_vec(n, bits, 0xC1 + n);
+    const auto c = random_vec(n, 2 * bits, 0xC2 + n);
+    const auto d = random_vec(n, bits, 0xC3 + n);
+    for (const bool shift : {false, true}) {
+      ChainRequest req;
+      req.bits = bits;
+      req.a = a;
+      req.b = b;
+      req.links = {{ChainLinkKind::Add, c}};
+      if (shift) req.links.push_back({ChainLinkKind::AddShift, d});
+      expect_identical(chain_fresh(req, 1), chain_fresh(req, threads),
+                       "chain n=" + std::to_string(n) + (shift ? " add-shift" : " add"));
+    }
   }
 }
 
@@ -377,6 +490,41 @@ TEST(ExecutionEngine, ConcurrentBatchOverProgramPath) {
       expect_identical(run_fresh(ops[k], 1), results[k], to_string(ops[k].kind));
     EXPECT_GT(eng.last_batch().instructions, 0u);
   }
+}
+
+TEST(ExecutionEngine, ThrowingBatchLeavesLastBatchUnchanged) {
+  macro::ImcMemory mem(tiny_memory());
+  ExecutionEngine eng(mem, EngineConfig{2});
+  const auto a = random_vec(100, 8, 27);
+  const auto b = random_vec(100, 8, 28);
+  const VecOp add{OpKind::Add, 8, periph::LogicFn::And, a, b};
+  (void)eng.run_batch(std::vector<VecOp>{add, add, add});
+  const BatchStats before = eng.last_batch();
+  ASSERT_EQ(before.ops, 3u);
+
+  // The second op references a handle that is no longer pinned: the batch
+  // throws after its first op ran, and must not publish a partial account.
+  const ResidentOperand gone = eng.pin(b, 8, OperandLayout::Word);
+  ASSERT_TRUE(eng.unpin(gone));
+  VecOp stale = add;
+  stale.b = {};
+  stale.rb = gone;
+  EXPECT_THROW((void)eng.run_batch(std::vector<VecOp>{add, stale}), std::invalid_argument);
+  const BatchStats& after = eng.last_batch();
+  EXPECT_EQ(after.ops, before.ops);
+  EXPECT_EQ(after.elements, before.elements);
+  EXPECT_EQ(after.instructions, before.instructions);
+  EXPECT_EQ(after.compute_cycles, before.compute_cycles);
+  EXPECT_EQ(after.pipelined_cycles, before.pipelined_cycles);
+  EXPECT_EQ(after.energy.si(), before.energy.si());
+
+  // A malformed op is rejected before any op of the batch runs.
+  const std::vector<std::uint64_t> short_b(99, 1);
+  const VecOp ragged{OpKind::Add, 8, periph::LogicFn::And, a, short_b};
+  const auto cache = eng.op_program_cache_stats();
+  EXPECT_THROW((void)eng.run_batch(std::vector<VecOp>{add, ragged}), std::invalid_argument);
+  EXPECT_EQ(eng.op_program_cache_stats().hits, cache.hits);
+  EXPECT_EQ(eng.last_batch().ops, before.ops);
 }
 
 TEST(ExecutionEngine, CapacityOverflowRejected) {

@@ -220,6 +220,42 @@ TEST(Fusion, ChainAddShiftAccumulatesInField) {
     EXPECT_EQ(res.values[i], ((a[i] * b[i] + c[i]) << 1) & mask) << i;
 }
 
+TEST(Fusion, RejectedForwardLeavesNoSideEffects) {
+  // A forward rejected for its activation length must not materialize the
+  // weights first: the next good forward then bills the same loads as on a
+  // fresh engine.
+  const unsigned bits = 8;
+  const auto w0 = random_codes(48, bits, 920);
+  const auto w1 = random_codes(48, bits, 921);
+  const auto x = random_codes(48, bits, 922);
+  const auto short_x = random_codes(47, bits, 923);
+  const auto forward = [&](bool reject_first) {
+    macro::ImcMemory mem(small_mem());
+    ExecutionEngine eng(mem);
+    const std::vector<ResidentOperand> handles = {eng.pin(w0, bits, OperandLayout::MultUnit),
+                                                  eng.pin(w1, bits, OperandLayout::MultUnit)};
+    if (reject_first) {
+      EXPECT_THROW((void)eng.run_forward(handles, short_x), std::invalid_argument);
+      EXPECT_EQ(eng.residency_stats().materializations, 0u);
+    }
+    const auto results = eng.run_forward(handles, x);
+    return std::make_pair(results, eng.last_batch());
+  };
+  const auto [fresh_results, fresh] = forward(false);
+  const auto [results, bs] = forward(true);
+  ASSERT_EQ(results.size(), fresh_results.size());
+  for (std::size_t j = 0; j < results.size(); ++j) {
+    EXPECT_EQ(results[j].values, fresh_results[j].values);
+    EXPECT_EQ(results[j].stats.load_cycles, fresh_results[j].stats.load_cycles);
+  }
+  EXPECT_EQ(bs.load_cycles, fresh.load_cycles);
+  EXPECT_EQ(bs.load_cycles_saved, fresh.load_cycles_saved);
+  EXPECT_EQ(bs.serial_cycles, fresh.serial_cycles);
+  EXPECT_EQ(bs.pipelined_cycles, fresh.pipelined_cycles);
+  EXPECT_EQ(bs.compute_cycles, fresh.compute_cycles);
+  EXPECT_EQ(bs.energy.si(), fresh.energy.si());
+}
+
 TEST(Fusion, ValidatesChainRequests) {
   macro::ImcMemory mem(small_mem());
   ExecutionEngine eng(mem);

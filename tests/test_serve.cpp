@@ -380,6 +380,13 @@ TEST(Server, MalformedOpsThrowAtSubmit) {
   const auto big = random_vec(5000, 8, 25);  // 4 macros x 64 pairs x 16 words = 4096 max
   EXPECT_THROW((void)h.server.submit(VecOp{OpKind::Add, 8, periph::LogicFn::And, big, big}),
                std::invalid_argument);
+  // Admission runs the engine's own checks: a handle whose precision or
+  // layout does not fit the op is refused here, not on the future.
+  VecOp wrong{OpKind::Add, 8, periph::LogicFn::And, a, {}};
+  wrong.rb = h.server.pin(random_vec(4, 4, 26), 4, engine::OperandLayout::Word);
+  EXPECT_THROW((void)h.server.submit(wrong), std::invalid_argument);
+  wrong.rb = h.server.pin(a, 8, engine::OperandLayout::MultUnit);
+  EXPECT_THROW((void)h.server.submit(wrong), std::invalid_argument);
   EXPECT_EQ(h.server.stats().submitted, 0u);
 }
 

@@ -130,6 +130,38 @@ TEST(ServeFusion, SplitHomesAreRejectedWithColocateHint) {
   server.stop();
 }
 
+TEST(ServeFusion, FusedFailureSettlesLikeABatch) {
+  // A forward whose weight was unpinned after admission throws inside the
+  // engine: the one settle path fails the forward's future and counts it,
+  // and a chain queued behind it still completes.
+  macro::ImcMemory mem(tiny_memory());
+  ExecutionEngine eng(mem, EngineConfig{1});
+  Server server(eng);
+  const auto w = random_vec(32, 8, 60);
+  const auto x = random_vec(32, 8, 61);
+  const std::vector<ResidentOperand> handles{server.pin(w, 8, OperandLayout::MultUnit)};
+  ChainRequest chain;
+  chain.bits = 4;
+  const auto a = random_vec(16, 4, 62);
+  const auto c = random_vec(16, 8, 63);
+  chain.a = a;
+  chain.b = a;
+  chain.links = {{ChainLinkKind::Add, c}};
+  server.pause();
+  auto fwd = server.submit_forward(handles, x);
+  auto fut = server.submit_chain(chain);
+  ASSERT_TRUE(server.unpin(handles[0]));
+  server.resume();
+  EXPECT_THROW((void)fwd.get(), std::invalid_argument);
+  const OpResult r = fut.get();
+  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(r.values[i], (a[i] * a[i] + c[i]) & 0xFF);
+  server.stop();
+  const ServeStats s = server.stats();
+  EXPECT_EQ(s.failed, 1u);
+  EXPECT_EQ(s.completed, 1u);
+  EXPECT_EQ(s.submitted, s.completed + s.expired + s.failed);
+}
+
 TEST(ServeFusion, SubmitChainMatchesDirectEngine) {
   macro::ImcMemory direct_mem(tiny_memory());
   ExecutionEngine direct(direct_mem, EngineConfig{1});
