@@ -3,70 +3,20 @@
 #include <utility>
 
 #include "common/require.hpp"
-#include "serve/server.hpp"
 
 namespace bpim::app {
 
 FirFilter::FirFilter(std::vector<std::int64_t> taps, unsigned bits)
     : taps_(std::move(taps)), bits_(bits) {
   BPIM_REQUIRE(!taps_.empty(), "filter needs at least one tap");
+  BPIM_REQUIRE(bits >= 2 && bits <= 63, "signed width out of range");
   for (const auto t : taps_)
     BPIM_REQUIRE(fits_signed(t, bits), "tap out of signed range for the precision");
 }
 
-FirFilter::FirFilter(std::vector<std::int64_t> taps, unsigned bits,
-                     engine::ExecutionEngine& eng, std::size_t block_len)
-    : FirFilter(std::move(taps), bits) {
-  SignedVectorOps ops(eng, bits_);
-  pin_taps(ops, block_len);
-  pinned_engine_ = &eng;
-  // Compile-at-pin: the fused whole-filter program is built now, so the
-  // first pinned-block apply() already runs fused.
-  (void)ops.compile_forward(tap_handles_);
-}
-
-FirFilter::FirFilter(std::vector<std::int64_t> taps, unsigned bits, serve::Server& server,
+FirFilter::FirFilter(std::vector<std::int64_t> taps, unsigned bits, engine::Executor& exec,
                      std::size_t block_len)
     : FirFilter(std::move(taps), bits) {
-  SignedVectorOps ops(server, bits_);
-  pin_taps(ops, block_len);
-  pinned_server_ = &server;
-}
-
-FirFilter::~FirFilter() { release_handles(); }
-
-FirFilter::FirFilter(FirFilter&& other) noexcept
-    : taps_(std::move(other.taps_)),
-      bits_(other.bits_),
-      stats_(other.stats_),
-      tap_handles_(std::move(other.tap_handles_)),
-      block_len_(other.block_len_),
-      pinned_engine_(other.pinned_engine_),
-      pinned_server_(other.pinned_server_) {
-  other.tap_handles_.clear();
-  other.block_len_ = 0;
-  other.pinned_engine_ = nullptr;
-  other.pinned_server_ = nullptr;
-}
-
-FirFilter& FirFilter::operator=(FirFilter&& other) noexcept {
-  if (this == &other) return *this;
-  release_handles();
-  taps_ = std::move(other.taps_);
-  bits_ = other.bits_;
-  stats_ = other.stats_;
-  tap_handles_ = std::move(other.tap_handles_);
-  block_len_ = other.block_len_;
-  pinned_engine_ = other.pinned_engine_;
-  pinned_server_ = other.pinned_server_;
-  other.tap_handles_.clear();
-  other.block_len_ = 0;
-  other.pinned_engine_ = nullptr;
-  other.pinned_server_ = nullptr;
-  return *this;
-}
-
-void FirFilter::pin_taps(SignedVectorOps& ops, std::size_t block_len) {
   BPIM_REQUIRE(block_len > 0, "FIR block length must be positive");
   block_len_ = block_len;
   // One colocate key per filter so a multi-memory server homes every tap
@@ -79,22 +29,13 @@ void FirFilter::pin_taps(SignedVectorOps& ops, std::size_t block_len) {
   mix(bits_);
   mix(block_len);
   for (const auto t : taps_) mix(static_cast<std::uint64_t>(t));
+  SignedVectorOps ops(exec, bits_);
+  tap_handles_ = PinnedHandles(exec);
   for (const auto t : taps_) {
     if (t == 0) continue;  // zero taps never reach the memory
     tap_handles_.push_back(
         ops.pin_mult_magnitudes(std::vector<std::int64_t>(block_len, t), key));
   }
-}
-
-void FirFilter::release_handles() noexcept {
-  for (const auto& h : tap_handles_) {
-    if (pinned_server_ != nullptr) {
-      (void)pinned_server_->unpin(h);
-    } else if (pinned_engine_ != nullptr) {
-      (void)pinned_engine_->unpin(h);
-    }
-  }
-  tap_handles_.clear();
 }
 
 std::vector<std::int64_t> FirFilter::apply(macro::ImcMemory& mem,
@@ -103,21 +44,8 @@ std::vector<std::int64_t> FirFilter::apply(macro::ImcMemory& mem,
   return apply(eng, x);
 }
 
-std::vector<std::int64_t> FirFilter::apply(engine::ExecutionEngine& eng,
+std::vector<std::int64_t> FirFilter::apply(engine::Executor& exec,
                                            const std::vector<std::int64_t>& x) {
-  SignedVectorOps ops(eng, bits_);
-  return apply_on(ops, x, pinned_engine_ == &eng && x.size() == block_len_);
-}
-
-std::vector<std::int64_t> FirFilter::apply(serve::Server& server,
-                                           const std::vector<std::int64_t>& x) {
-  SignedVectorOps ops(server, bits_);
-  return apply_on(ops, x, pinned_server_ == &server && x.size() == block_len_);
-}
-
-std::vector<std::int64_t> FirFilter::apply_on(SignedVectorOps& ops,
-                                              const std::vector<std::int64_t>& x,
-                                              bool resident) {
   stats_ = FirStats{};
   std::vector<std::int64_t> y(x.size(), 0);
 
@@ -130,50 +58,36 @@ std::vector<std::int64_t> FirFilter::apply_on(SignedVectorOps& ops,
   }
   if (delays.empty()) return y;
 
-  if (resident) {
+  SignedVectorOps ops(exec, bits_);
+  if (tap_handles_.on(exec) && x.size() == block_len_) {
     // Fused: each pinned tap row is a broadcast constant, so the undelayed
     // block |x| staged once against every tap row gives the complete
     // product streams p[k][n] = x[n] * taps[k]; the delay is pure host
     // reindexing (y[n] += p[k][n-k]). One compiled macro program, same
     // products the delayed op-at-a-time path computes.
-    const auto partials = ops.mult_forward_resident(x, tap_handles_, negative);
+    const auto partials = ops.mult_forward_resident(x, tap_handles_.handles(), negative);
     for (std::size_t k = 0; k < partials.size(); ++k) {
-      const RunStats& run = ops.last_batch_runs()[k];
-      stats_.macs += x.size();
-      stats_.cycles += run.elapsed_cycles;
-      stats_.load_cycles += run.load_cycles;
-      stats_.load_cycles_saved += run.load_cycles_saved;
-      stats_.fused_cycles_saved += run.fused_cycles_saved;
-      stats_.adaptive_cycles_saved += run.adaptive_cycles_saved;
-      stats_.energy += run.energy;
       const std::size_t d = delays[k];
       for (std::size_t n = d; n < x.size(); ++n) y[n] += partials[k][n - d];
     }
-    if (ops.server() == nullptr) stats_.pipelined_cycles = ops.last_batch().pipelined_cycles;
-    return y;
+  } else {
+    // Unpinned: each non-zero tap multiplies the stream delayed by k against
+    // the broadcast tap; all taps go down as one double-buffered engine
+    // batch.
+    std::vector<std::vector<std::int64_t>> delayed_streams, tap_vectors;
+    for (const std::size_t k : delays) {
+      std::vector<std::int64_t> delayed(x.size(), 0);
+      for (std::size_t n = k; n < x.size(); ++n) delayed[n] = x[n - k];
+      delayed_streams.push_back(std::move(delayed));
+      tap_vectors.emplace_back(x.size(), taps_[k]);
+    }
+    const auto partials = ops.mult_batch(delayed_streams, tap_vectors);
+    for (std::size_t k = 0; k < partials.size(); ++k)
+      for (std::size_t n = 0; n < x.size(); ++n) y[n] += partials[k][n];
   }
-
-  // Unpinned: each non-zero tap multiplies the stream delayed by k against
-  // the broadcast tap; all taps go down as one double-buffered engine batch.
-  std::vector<std::vector<std::int64_t>> delayed_streams, tap_vectors;
-  for (const std::size_t k : delays) {
-    std::vector<std::int64_t> delayed(x.size(), 0);
-    for (std::size_t n = k; n < x.size(); ++n) delayed[n] = x[n - k];
-    delayed_streams.push_back(std::move(delayed));
-    tap_vectors.emplace_back(x.size(), taps_[k]);
-  }
-  const auto partials = ops.mult_batch(delayed_streams, tap_vectors);
-  for (std::size_t k = 0; k < partials.size(); ++k) {
-    const RunStats& run = ops.last_batch_runs()[k];
-    stats_.macs += x.size();
-    stats_.cycles += run.elapsed_cycles;
-    stats_.load_cycles += run.load_cycles;
-    stats_.load_cycles_saved += run.load_cycles_saved;
-    stats_.adaptive_cycles_saved += run.adaptive_cycles_saved;
-    stats_.energy += run.energy;
-    for (std::size_t n = 0; n < x.size(); ++n) y[n] += partials[k][n];
-  }
-  if (ops.server() == nullptr) stats_.pipelined_cycles = ops.last_batch().pipelined_cycles;
+  for (const RunStats& run : ops.last_batch_runs()) stats_.add_op(run, x.size());
+  if (const engine::BatchStats* b = exec.private_batch())
+    stats_.pipelined_cycles = b->pipelined_cycles;
   return y;
 }
 

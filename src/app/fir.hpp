@@ -12,32 +12,20 @@
 #include <cstdint>
 #include <vector>
 
+#include "app/nn.hpp"
 #include "app/signed_ops.hpp"
 
 namespace bpim::app {
 
-struct FirStats {
-  std::uint64_t macs = 0;
-  std::uint64_t cycles = 0;  ///< sum of per-tap compute cycles (no load overlap)
-  /// Double-buffered schedule: tap k+1's operand load overlaps tap k's
-  /// compute (see engine::BatchStats). Direct-engine route only.
-  std::uint64_t pipelined_cycles = 0;
-  /// Operand-load traffic, and what resident tap rows saved vs re-poking.
-  std::uint64_t load_cycles = 0;
-  std::uint64_t load_cycles_saved = 0;
-  /// Compute cycles the fused whole-filter program saved vs op-at-a-time
-  /// Table-1 issue (pinned blocks only; `cycles` is already net of this).
-  std::uint64_t fused_cycles_saved = 0;
-  /// Compute cycles the adaptive policy (MULT operand narrowing / zero
-  /// skipping) saved across the taps; `cycles` is already net of this.
-  std::uint64_t adaptive_cycles_saved = 0;
-  Joule energy{0.0};
-};
+/// Per-apply account: the LayerStats fields, per tap instead of per neuron
+/// (cycles sum the per-tap compute; pipelined_cycles overlaps tap k+1's
+/// operand load with tap k's compute).
+using FirStats = LayerStats;
 
-/// Streaming FIR over the IMC memory. Constructed with an engine or server
-/// plus a block length, the filter pins each non-zero tap's broadcast
-/// magnitude rows resident (engine/residency.hpp): apply() calls on
-/// blocks of that length reference the handles instead of re-poking the
+/// Streaming FIR over the IMC memory. Constructed with an executor (engine
+/// or server) plus a block length, the filter pins each non-zero tap's
+/// broadcast magnitude rows resident (engine/residency.hpp): apply() calls
+/// on blocks of that length reference the handles instead of re-poking the
 /// same tap rows every block -- the steady-state shape of a streaming
 /// filter. A pinned filter's apply is also *fused*: because each pinned
 /// tap row is a broadcast constant, the block's |x| is staged once and
@@ -45,30 +33,21 @@ struct FirStats {
 /// (engine::ExecutionEngine::run_forward); the host assembles the tap
 /// delays from the undelayed product streams. Outputs are bit-identical to
 /// the op-at-a-time path; only the cycle account improves
-/// (FirStats::fused_cycles_saved). Other block lengths (or other engines)
-/// transparently fall back to the re-poke path with identical results.
-/// Pinning makes the filter move-only; destroy it before the engine/server
-/// it pinned on.
+/// (FirStats::fused_cycles_saved). Other block lengths (or other
+/// executors) transparently fall back to the re-poke path with identical
+/// results. Pinning makes the filter move-only; destroy it before the
+/// executor it pinned on.
 class FirFilter {
  public:
   /// `taps` are signed integer coefficients fitting `bits` (two's complement).
   FirFilter(std::vector<std::int64_t> taps, unsigned bits);
-  /// Pin the tap rows resident on `eng` for blocks of `block_len` samples.
-  FirFilter(std::vector<std::int64_t> taps, unsigned bits, engine::ExecutionEngine& eng,
+  /// Pin the tap rows resident on `exec` for blocks of `block_len` samples.
+  FirFilter(std::vector<std::int64_t> taps, unsigned bits, engine::Executor& exec,
             std::size_t block_len);
-  /// Same, pinned behind a serving frontend.
-  FirFilter(std::vector<std::int64_t> taps, unsigned bits, serve::Server& server,
-            std::size_t block_len);
-  ~FirFilter();
-
-  FirFilter(const FirFilter&) = delete;
-  FirFilter& operator=(const FirFilter&) = delete;
-  FirFilter(FirFilter&& other) noexcept;
-  FirFilter& operator=(FirFilter&& other) noexcept;
 
   [[nodiscard]] std::size_t order() const { return taps_.size(); }
   [[nodiscard]] unsigned bits() const { return bits_; }
-  [[nodiscard]] bool pinned() const { return !tap_handles_.empty(); }
+  [[nodiscard]] bool pinned() const { return !tap_handles_.handles().empty(); }
   /// Block length the tap rows were pinned for (0 when not pinned).
   [[nodiscard]] std::size_t block_len() const { return block_len_; }
 
@@ -77,12 +56,10 @@ class FirFilter {
   /// tap is one op of a single double-buffered ExecutionEngine batch.
   [[nodiscard]] std::vector<std::int64_t> apply(macro::ImcMemory& mem,
                                                 const std::vector<std::int64_t>& x);
-  /// Same, on a shared engine (reuses its thread pool across calls; uses
-  /// the resident tap rows when pinned on this engine and x is one block).
-  [[nodiscard]] std::vector<std::int64_t> apply(engine::ExecutionEngine& eng,
-                                                const std::vector<std::int64_t>& x);
-  /// Same, submitted through a serving frontend.
-  [[nodiscard]] std::vector<std::int64_t> apply(serve::Server& server,
+  /// Same, on a shared executor (an engine reuses its thread pool across
+  /// calls); uses the resident tap rows when pinned on `exec` and x is one
+  /// block.
+  [[nodiscard]] std::vector<std::int64_t> apply(engine::Executor& exec,
                                                 const std::vector<std::int64_t>& x);
 
   /// Host-only reference implementation.
@@ -92,19 +69,12 @@ class FirFilter {
   [[nodiscard]] const FirStats& last_stats() const { return stats_; }
 
  private:
-  void pin_taps(SignedVectorOps& ops, std::size_t block_len);
-  void release_handles() noexcept;
-  std::vector<std::int64_t> apply_on(SignedVectorOps& ops, const std::vector<std::int64_t>& x,
-                                     bool resident);
-
   std::vector<std::int64_t> taps_;
   unsigned bits_;
   FirStats stats_{};
   /// One handle per non-zero tap, in tap order, when pinned.
-  std::vector<engine::ResidentOperand> tap_handles_;
+  PinnedHandles tap_handles_;
   std::size_t block_len_ = 0;
-  engine::ExecutionEngine* pinned_engine_ = nullptr;
-  serve::Server* pinned_server_ = nullptr;
 };
 
 }  // namespace bpim::app

@@ -6,33 +6,26 @@
 
 namespace bpim::app {
 
-void Mlp::build(std::vector<MlpLayerSpec> layers, engine::ExecutionEngine* eng,
-                serve::Server* server) {
+void Mlp::build(std::vector<MlpLayerSpec> layers, engine::Executor* exec) {
   BPIM_REQUIRE(!layers.empty(), "MLP needs at least one layer");
+  BPIM_REQUIRE(!layers.front().weights.empty(), "layer has no neurons");
   std::size_t expected_in = layers.front().weights.front().size();
   for (auto& spec : layers) {
     BPIM_REQUIRE(!spec.weights.empty(), "layer has no neurons");
     BPIM_REQUIRE(spec.weights.front().size() == expected_in,
                  "layer input size does not match previous layer output");
     expected_in = spec.weights.size();
-    if (server != nullptr) {
-      layers_.emplace_back(spec.weights, spec.bits, *server);
-    } else if (eng != nullptr) {
-      layers_.emplace_back(spec.weights, spec.bits, *eng);
-    } else {
+    if (exec != nullptr)
+      layers_.emplace_back(spec.weights, spec.bits, *exec);
+    else
       layers_.emplace_back(spec.weights, spec.bits);
-    }
   }
 }
 
-Mlp::Mlp(std::vector<MlpLayerSpec> layers) { build(std::move(layers), nullptr, nullptr); }
+Mlp::Mlp(std::vector<MlpLayerSpec> layers) { build(std::move(layers), nullptr); }
 
-Mlp::Mlp(std::vector<MlpLayerSpec> layers, engine::ExecutionEngine& eng) {
-  build(std::move(layers), &eng, nullptr);
-}
-
-Mlp::Mlp(std::vector<MlpLayerSpec> layers, serve::Server& server) {
-  build(std::move(layers), nullptr, &server);
+Mlp::Mlp(std::vector<MlpLayerSpec> layers, engine::Executor& exec) {
+  build(std::move(layers), &exec);
 }
 
 std::size_t Mlp::in_features() const { return layers_.front().in_features(); }
@@ -49,42 +42,14 @@ std::vector<double> Mlp::forward(macro::ImcMemory& mem, const std::vector<double
   return forward(eng, x);
 }
 
-namespace {
-
-void merge_layer(LayerStats& total, const LayerStats& s) {
-  total.macs += s.macs;
-  total.cycles += s.cycles;
-  total.pipelined_cycles += s.pipelined_cycles;
-  total.load_cycles += s.load_cycles;
-  total.load_cycles_saved += s.load_cycles_saved;
-  total.fused_cycles_saved += s.fused_cycles_saved;
-  total.adaptive_cycles_saved += s.adaptive_cycles_saved;
-  total.energy += s.energy;
-  total.elapsed += s.elapsed;
-}
-
-}  // namespace
-
-std::vector<double> Mlp::forward(engine::ExecutionEngine& eng, const std::vector<double>& x) {
+std::vector<double> Mlp::forward(engine::Executor& exec, const std::vector<double>& x) {
   stats_ = LayerStats{};
   per_layer_.clear();
   std::vector<double> act = x;
   for (auto& layer : layers_) {
-    act = layer.forward(eng, act);  // ReLU applied inside the layer
+    act = layer.forward(exec, act);  // ReLU applied inside the layer
     per_layer_.push_back(layer.last_stats());
-    merge_layer(stats_, per_layer_.back());
-  }
-  return act;
-}
-
-std::vector<double> Mlp::forward(serve::Server& server, const std::vector<double>& x) {
-  stats_ = LayerStats{};
-  per_layer_.clear();
-  std::vector<double> act = x;
-  for (auto& layer : layers_) {
-    act = layer.forward(server, act);
-    per_layer_.push_back(layer.last_stats());
-    merge_layer(stats_, per_layer_.back());
+    stats_ += per_layer_.back();
   }
   return act;
 }

@@ -19,14 +19,12 @@ class Mlp {
  public:
   /// Layer i's input size must equal layer i-1's output size.
   explicit Mlp(std::vector<MlpLayerSpec> layers);
-  /// Pin every layer's weights resident on `eng` at construction: repeated
-  /// forward(eng, ...) calls reference the handles instead of re-poking
+  /// Pin every layer's weights resident on `exec` at construction: repeated
+  /// forward(exec, ...) calls reference the handles instead of re-poking
   /// identical weight rows (engine/residency.hpp), and each layer runs as
   /// one fused compiled macro program (QuantizedLinear). Bit-identical
-  /// results; destroy the Mlp before the engine.
-  Mlp(std::vector<MlpLayerSpec> layers, engine::ExecutionEngine& eng);
-  /// Same, pinned behind a serving frontend (single- or multi-memory).
-  Mlp(std::vector<MlpLayerSpec> layers, serve::Server& server);
+  /// results; destroy the Mlp before the executor.
+  Mlp(std::vector<MlpLayerSpec> layers, engine::Executor& exec);
 
   [[nodiscard]] std::size_t depth() const { return layers_.size(); }
   [[nodiscard]] std::size_t in_features() const;
@@ -37,13 +35,9 @@ class Mlp {
   /// ExecutionEngine (thread pool) is shared by every layer.
   [[nodiscard]] std::vector<double> forward(macro::ImcMemory& mem,
                                             const std::vector<double>& x);
-  /// Same, on a caller-provided engine (reused across forward() calls;
-  /// resident weights when the Mlp was pinned on this engine).
-  [[nodiscard]] std::vector<double> forward(engine::ExecutionEngine& eng,
-                                            const std::vector<double>& x);
-  /// Same, submitted through a serving frontend (resident weights when the
-  /// Mlp was pinned on this server).
-  [[nodiscard]] std::vector<double> forward(serve::Server& server,
+  /// Same, on a caller-provided executor (reused across forward() calls;
+  /// resident weights when the Mlp was pinned on it).
+  [[nodiscard]] std::vector<double> forward(engine::Executor& exec,
                                             const std::vector<double>& x);
   /// Host-side reference with the same quantisation.
   [[nodiscard]] std::vector<double> forward_reference(const std::vector<double>& x) const;
@@ -54,8 +48,7 @@ class Mlp {
   [[nodiscard]] const std::vector<LayerStats>& layer_stats() const { return per_layer_; }
 
  private:
-  void build(std::vector<MlpLayerSpec> layers, engine::ExecutionEngine* eng,
-             serve::Server* server);
+  void build(std::vector<MlpLayerSpec> layers, engine::Executor* exec);
 
   std::vector<QuantizedLinear> layers_;
   LayerStats stats_{};

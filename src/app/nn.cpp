@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/require.hpp"
-#include "serve/server.hpp"
 
 namespace bpim::app {
 
@@ -43,57 +42,8 @@ QuantizedLinear::QuantizedLinear(std::vector<std::vector<double>> weights, unsig
 }
 
 QuantizedLinear::QuantizedLinear(std::vector<std::vector<double>> weights, unsigned bits,
-                                 engine::ExecutionEngine& eng)
+                                 engine::Executor& exec)
     : QuantizedLinear(std::move(weights), bits) {
-  VectorEngine ve(eng, bits_);
-  pin_weights(ve);
-  pinned_engine_ = &eng;
-  // Compile-at-pin: the fused whole-forward program is built (and the
-  // weights materialized) now, so the first forward already runs fused.
-  // Unfusable shapes simply stay on the op-at-a-time path.
-  (void)ve.compile_forward(weight_handles_);
-}
-
-QuantizedLinear::QuantizedLinear(std::vector<std::vector<double>> weights, unsigned bits,
-                                 serve::Server& server)
-    : QuantizedLinear(std::move(weights), bits) {
-  VectorEngine ve(server, bits_);
-  pin_weights(ve);
-  pinned_server_ = &server;
-}
-
-QuantizedLinear::~QuantizedLinear() { release_handles(); }
-
-QuantizedLinear::QuantizedLinear(QuantizedLinear&& other) noexcept
-    : weights_raw_(std::move(other.weights_raw_)),
-      weights_(std::move(other.weights_)),
-      bits_(other.bits_),
-      stats_(other.stats_),
-      weight_handles_(std::move(other.weight_handles_)),
-      pinned_engine_(other.pinned_engine_),
-      pinned_server_(other.pinned_server_) {
-  other.weight_handles_.clear();
-  other.pinned_engine_ = nullptr;
-  other.pinned_server_ = nullptr;
-}
-
-QuantizedLinear& QuantizedLinear::operator=(QuantizedLinear&& other) noexcept {
-  if (this == &other) return *this;
-  release_handles();
-  weights_raw_ = std::move(other.weights_raw_);
-  weights_ = std::move(other.weights_);
-  bits_ = other.bits_;
-  stats_ = other.stats_;
-  weight_handles_ = std::move(other.weight_handles_);
-  pinned_engine_ = other.pinned_engine_;
-  pinned_server_ = other.pinned_server_;
-  other.weight_handles_.clear();
-  other.pinned_engine_ = nullptr;
-  other.pinned_server_ = nullptr;
-  return *this;
-}
-
-void QuantizedLinear::pin_weights(VectorEngine& ve) {
   // All rows of one layer pin under one colocate key so a multi-memory
   // server homes them together -- the fused forward needs every weight on
   // the memory that runs the program.
@@ -105,20 +55,10 @@ void QuantizedLinear::pin_weights(VectorEngine& ve) {
   mix(bits_);
   for (const auto& w : weights_)
     for (const std::uint64_t v : w.values) mix(v);
-  weight_handles_.reserve(weights_.size());
+  VectorEngine ve(exec, bits_);
+  weight_handles_ = PinnedHandles(exec);
   for (const auto& w : weights_)
     weight_handles_.push_back(ve.pin_operand(w.values, engine::OperandLayout::MultUnit, key));
-}
-
-void QuantizedLinear::release_handles() noexcept {
-  for (const auto& h : weight_handles_) {
-    if (pinned_server_ != nullptr) {
-      (void)pinned_server_->unpin(h);
-    } else if (pinned_engine_ != nullptr) {
-      (void)pinned_engine_->unpin(h);
-    }
-  }
-  weight_handles_.clear();
 }
 
 std::size_t QuantizedLinear::in_features() const { return weights_raw_.front().size(); }
@@ -129,62 +69,37 @@ std::vector<double> QuantizedLinear::forward(macro::ImcMemory& mem,
   return forward(eng, x);
 }
 
-std::vector<double> QuantizedLinear::forward(engine::ExecutionEngine& eng,
+std::vector<double> QuantizedLinear::forward(engine::Executor& exec,
                                              const std::vector<double>& x) {
-  VectorEngine ve(eng, bits_);
-  const auto y = forward_on(ve, x, pinned_engine_ == &eng);
-  stats_.pipelined_cycles = eng.last_batch().pipelined_cycles;
-  return y;
-}
-
-std::vector<double> QuantizedLinear::forward(serve::Server& server,
-                                             const std::vector<double>& x) {
-  VectorEngine ve(server, bits_);
-  return forward_on(ve, x, pinned_server_ == &server);
-}
-
-std::vector<double> QuantizedLinear::forward_on(VectorEngine& ve,
-                                                const std::vector<double>& x,
-                                                bool resident) {
   BPIM_REQUIRE(x.size() == in_features(), "input size mismatch");
   const Quantized qx = quantize(x, bits_);
+  VectorEngine ve(exec, bits_);
 
   // Resident weights run as one fused whole-forward program (the engine
   // falls back to op-at-a-time transparently when the shape is unfusable).
   // Otherwise, one engine batch: every output neuron's product vector is an
   // independent op, so loads double-buffer against computes across neurons.
   std::vector<engine::OpResult> results;
-  if (resident) {
-    results = ve.run_forward(weight_handles_, qx.values);
+  if (weight_handles_.on(exec)) {
+    results = ve.run_forward(weight_handles_.handles(), qx.values);
   } else {
     std::vector<engine::VecOp> ops;
     ops.reserve(weights_.size());
-    for (std::size_t j = 0; j < weights_.size(); ++j) {
-      engine::VecOp op;
-      op.kind = engine::OpKind::Mult;
-      op.bits = bits_;
-      op.a = weights_[j].values;
-      op.b = qx.values;
-      ops.push_back(op);
-    }
+    for (const Quantized& w : weights_)
+      ops.push_back({.kind = engine::OpKind::Mult, .bits = bits_, .a = w.values, .b = qx.values});
     results = ve.run_ops(ops);
   }
 
   stats_ = LayerStats{};
+  if (const engine::BatchStats* b = exec.private_batch())
+    stats_.pipelined_cycles = b->pipelined_cycles;
   std::vector<double> y;
   y.reserve(out_features());
   for (std::size_t j = 0; j < weights_.size(); ++j) {
     // In-memory products, host-side accumulate (see header).
     std::uint64_t acc = 0;
     for (const auto p : results[j].values) acc += p;
-    stats_.macs += x.size();
-    stats_.cycles += results[j].stats.elapsed_cycles;
-    stats_.load_cycles += results[j].stats.load_cycles;
-    stats_.load_cycles_saved += results[j].stats.load_cycles_saved;
-    stats_.fused_cycles_saved += results[j].stats.fused_cycles_saved;
-    stats_.adaptive_cycles_saved += results[j].stats.adaptive_cycles_saved;
-    stats_.energy += results[j].stats.energy;
-    stats_.elapsed += results[j].stats.elapsed_time;
+    stats_.add_op(results[j].stats, x.size());
     const double real = static_cast<double>(acc) * weights_[j].scale * qx.scale;
     y.push_back(std::max(0.0, real));  // ReLU
   }

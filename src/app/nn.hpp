@@ -30,9 +30,8 @@ struct LayerStats {
   std::uint64_t macs = 0;
   std::uint64_t cycles = 0;  ///< sum of per-op compute cycles (no load overlap)
   /// Double-buffered schedule: operand load of neuron k+1 overlaps the
-  /// compute of neuron k (see engine::BatchStats). Direct-engine route
-  /// only (a server batches across clients, so the layer has no private
-  /// pipelined account there).
+  /// compute of neuron k (see engine::BatchStats). 0 behind a server,
+  /// whose batches are shared across clients (Executor::private_batch).
   std::uint64_t pipelined_cycles = 0;
   /// Operand-load traffic of the layer's ops, and what pinned weights
   /// saved against re-poking (both routes; see engine/residency.hpp).
@@ -47,58 +46,69 @@ struct LayerStats {
   std::uint64_t adaptive_cycles_saved = 0;
   Joule energy{0.0};
   Second elapsed{0.0};
+
+  /// Fold in one op's account; the op performed `op_macs` MACs.
+  void add_op(const RunStats& r, std::uint64_t op_macs) {
+    macs += op_macs;
+    cycles += r.elapsed_cycles;
+    load_cycles += r.load_cycles;
+    load_cycles_saved += r.load_cycles_saved;
+    fused_cycles_saved += r.fused_cycles_saved;
+    adaptive_cycles_saved += r.adaptive_cycles_saved;
+    energy += r.energy;
+    elapsed += r.elapsed_time;
+  }
+  LayerStats& operator+=(const LayerStats& o) {
+    macs += o.macs;
+    cycles += o.cycles;
+    pipelined_cycles += o.pipelined_cycles;
+    load_cycles += o.load_cycles;
+    load_cycles_saved += o.load_cycles_saved;
+    fused_cycles_saved += o.fused_cycles_saved;
+    adaptive_cycles_saved += o.adaptive_cycles_saved;
+    energy += o.energy;
+    elapsed += o.elapsed;
+    return *this;
+  }
 };
 
 /// Fully-connected layer with unsigned quantised weights and activations.
 ///
-/// Constructed with an engine or server, the layer pins its quantised
-/// weight rows resident (engine/residency.hpp): repeated forward() calls
-/// on that engine/server reference the handles instead of re-poking the
-/// same rows, and last_stats() shows the saved load cycles. A pinned
-/// layer's forward is also *fused*: the whole layer compiles into one
-/// verified macro program per macro (compiled eagerly at pin time on the
-/// direct-engine route, lazily on first use behind a server), executed on
-/// the chained-MAC datapath with the activation staged once -- see
-/// engine::ExecutionEngine::run_forward. Results are bit-identical on
-/// every route; only the cycle/energy account improves
-/// (LayerStats::fused_cycles_saved). Pinning makes the layer move-only; it
-/// unpins on destruction, so destroy it before the engine/server it
-/// pinned on.
+/// Constructed with an executor (engine or server), the layer pins its
+/// quantised weight rows resident (engine/residency.hpp): repeated
+/// forward() calls on that executor reference the handles instead of
+/// re-poking the same rows, and last_stats() shows the saved load cycles.
+/// A pinned layer's forward is also *fused*: the whole layer compiles into
+/// one verified macro program per macro (compiled on the first forward),
+/// executed on the
+/// chained-MAC datapath with the activation staged once -- see
+/// engine::ExecutionEngine::run_forward. Results and stats are identical
+/// on every executor, apart from pipelined_cycles (0 behind a server); only
+/// the cycle/energy account improves (LayerStats::fused_cycles_saved).
+/// Pinning makes the layer move-only; it unpins on destruction, so destroy
+/// it before the executor it pinned on.
 class QuantizedLinear {
  public:
   /// `weights[j]` is the j-th output neuron's weight row.
   QuantizedLinear(std::vector<std::vector<double>> weights, unsigned bits);
-  /// Pin the weights resident on `eng` at construction.
+  /// Pin the weights resident on `exec` at construction.
   QuantizedLinear(std::vector<std::vector<double>> weights, unsigned bits,
-                  engine::ExecutionEngine& eng);
-  /// Pin the weights resident behind a serving frontend at construction.
-  QuantizedLinear(std::vector<std::vector<double>> weights, unsigned bits,
-                  serve::Server& server);
-  ~QuantizedLinear();
-
-  QuantizedLinear(const QuantizedLinear&) = delete;
-  QuantizedLinear& operator=(const QuantizedLinear&) = delete;
-  QuantizedLinear(QuantizedLinear&& other) noexcept;
-  QuantizedLinear& operator=(QuantizedLinear&& other) noexcept;
+                  engine::Executor& exec);
 
   [[nodiscard]] unsigned bits() const { return bits_; }
   [[nodiscard]] std::size_t in_features() const;
   [[nodiscard]] std::size_t out_features() const { return weights_.size(); }
   /// True when the weights are pinned resident somewhere.
-  [[nodiscard]] bool pinned() const { return !weight_handles_.empty(); }
+  [[nodiscard]] bool pinned() const { return !weight_handles_.handles().empty(); }
 
   /// Runs inference on the IMC memory; returns dequantised outputs (ReLU).
   /// All per-neuron multiplies are submitted as one ExecutionEngine batch
   /// (sharded across macros and threads, double-buffered row-pair loads).
   [[nodiscard]] std::vector<double> forward(macro::ImcMemory& mem,
                                             const std::vector<double>& x);
-  /// Same, on a shared engine (reuses its thread pool across layers/calls).
-  /// Uses the resident weights when pinned on this very engine.
-  [[nodiscard]] std::vector<double> forward(engine::ExecutionEngine& eng,
-                                            const std::vector<double>& x);
-  /// Same, submitted through a serving frontend (single- or multi-memory).
-  /// Uses the resident weights when pinned on this very server.
-  [[nodiscard]] std::vector<double> forward(serve::Server& server,
+  /// Same, on a shared executor (an engine reuses its thread pool across
+  /// layers and calls). Uses the resident weights when pinned on `exec`.
+  [[nodiscard]] std::vector<double> forward(engine::Executor& exec,
                                             const std::vector<double>& x);
 
   /// Reference (double-precision, same quantised codes) for accuracy checks.
@@ -107,19 +117,12 @@ class QuantizedLinear {
   [[nodiscard]] const LayerStats& last_stats() const { return stats_; }
 
  private:
-  void pin_weights(VectorEngine& ve);
-  void release_handles() noexcept;
-  std::vector<double> forward_on(VectorEngine& ve, const std::vector<double>& x,
-                                 bool resident);
-
   std::vector<std::vector<double>> weights_raw_;
   std::vector<Quantized> weights_;
   unsigned bits_;
   LayerStats stats_{};
   /// One handle per output neuron when pinned (same order as weights_).
-  std::vector<engine::ResidentOperand> weight_handles_;
-  engine::ExecutionEngine* pinned_engine_ = nullptr;
-  serve::Server* pinned_server_ = nullptr;
+  PinnedHandles weight_handles_;
 };
 
 }  // namespace bpim::app

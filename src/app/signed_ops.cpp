@@ -121,22 +121,12 @@ std::vector<std::vector<std::int64_t>> SignedVectorOps::mult_batch_resident(
     op.rb = b_handles[k];
     ops.push_back(op);
   }
-  const auto results = engine_.run_ops(ops);
-
+  const std::vector<engine::OpResult> results = engine_.run_ops(ops);
   batch_runs_.clear();
   std::vector<std::vector<std::int64_t>> out;
   out.reserve(results.size());
-  for (std::size_t k = 0; k < results.size(); ++k) {
-    batch_runs_.push_back(results[k].stats);
-    std::vector<std::int64_t> signed_out;
-    signed_out.reserve(results[k].values.size());
-    for (std::size_t i = 0; i < results[k].values.size(); ++i) {
-      const bool neg = (as[k][i] < 0) != b_negative[k];
-      const auto mag = static_cast<std::int64_t>(results[k].values[i]);
-      signed_out.push_back(neg ? -mag : mag);
-    }
-    out.push_back(std::move(signed_out));
-  }
+  for (std::size_t k = 0; k < results.size(); ++k)
+    out.push_back(signed_product(results[k], as[k], b_negative[k]));
   return out;
 }
 
@@ -146,28 +136,27 @@ std::vector<std::vector<std::int64_t>> SignedVectorOps::mult_forward_resident(
     const std::vector<bool>& b_negative) {
   BPIM_REQUIRE(b_handles.size() == b_negative.size(),
                "handle and sign lists must have equal length");
-  const auto ma = magnitudes(a, bits_);
-  const auto results = engine_.run_forward(b_handles, ma);
-
+  const std::vector<engine::OpResult> results =
+      engine_.run_forward(b_handles, magnitudes(a, bits_));
   batch_runs_.clear();
   std::vector<std::vector<std::int64_t>> out;
   out.reserve(results.size());
-  for (std::size_t k = 0; k < results.size(); ++k) {
-    batch_runs_.push_back(results[k].stats);
-    std::vector<std::int64_t> signed_out;
-    signed_out.reserve(results[k].values.size());
-    for (std::size_t i = 0; i < results[k].values.size(); ++i) {
-      const bool neg = (a[i] < 0) != b_negative[k];
-      const auto mag = static_cast<std::int64_t>(results[k].values[i]);
-      signed_out.push_back(neg ? -mag : mag);
-    }
-    out.push_back(std::move(signed_out));
-  }
+  for (std::size_t k = 0; k < results.size(); ++k)
+    out.push_back(signed_product(results[k], a, b_negative[k]));
   return out;
 }
 
-bool SignedVectorOps::compile_forward(const std::vector<engine::ResidentOperand>& handles) {
-  return engine_.compile_forward(handles);
+std::vector<std::int64_t> SignedVectorOps::signed_product(const engine::OpResult& result,
+                                                          const std::vector<std::int64_t>& a,
+                                                          bool b_negative) {
+  batch_runs_.push_back(result.stats);
+  std::vector<std::int64_t> out;
+  out.reserve(result.values.size());
+  for (std::size_t i = 0; i < result.values.size(); ++i) {
+    const auto mag = static_cast<std::int64_t>(result.values[i]);
+    out.push_back((a[i] < 0) != b_negative ? -mag : mag);
+  }
+  return out;
 }
 
 std::vector<std::vector<std::int64_t>> SignedVectorOps::mult_batch(

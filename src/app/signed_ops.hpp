@@ -28,12 +28,8 @@ namespace bpim::app {
 class SignedVectorOps {
  public:
   SignedVectorOps(macro::ImcMemory& mem, unsigned bits) : engine_(mem, bits), bits_(bits) {}
-  /// Shares the given engine's thread pool instead of owning one.
-  SignedVectorOps(engine::ExecutionEngine& eng, unsigned bits)
-      : engine_(eng, bits), bits_(bits) {}
-  /// Routes every op through a serving frontend (see VectorEngine).
-  SignedVectorOps(serve::Server& server, unsigned bits)
-      : engine_(server, bits), bits_(bits) {}
+  /// Routes every op through `exec` (see VectorEngine).
+  SignedVectorOps(engine::Executor& exec, unsigned bits) : engine_(exec, bits), bits_(bits) {}
 
   [[nodiscard]] std::vector<std::int64_t> add(const std::vector<std::int64_t>& a,
                                               const std::vector<std::int64_t>& b);
@@ -45,7 +41,7 @@ class SignedVectorOps {
 
   /// Batched sign-magnitude multiply: pairs (as[k], bs[k]) run as one
   /// double-buffered engine batch. Per-pair stats via last_batch_runs();
-  /// overlap accounting via last_batch().
+  /// overlap accounting via the executor's private_batch().
   [[nodiscard]] std::vector<std::vector<std::int64_t>> mult_batch(
       const std::vector<std::vector<std::int64_t>>& as,
       const std::vector<std::vector<std::int64_t>>& bs);
@@ -81,20 +77,16 @@ class SignedVectorOps {
       const std::vector<engine::ResidentOperand>& b_handles,
       const std::vector<bool>& b_negative);
 
-  /// Eagerly compile the fused forward for the handles (direct-engine route
-  /// only; see VectorEngine::compile_forward).
-  bool compile_forward(const std::vector<engine::ResidentOperand>& handles);
-
-  /// The serving frontend ops route through, or nullptr on a direct engine.
-  [[nodiscard]] serve::Server* server() const { return engine_.server(); }
-
   [[nodiscard]] const RunStats& last_run() const { return engine_.last_run(); }
   [[nodiscard]] const std::vector<RunStats>& last_batch_runs() const { return batch_runs_; }
-  [[nodiscard]] const engine::BatchStats& last_batch() const {
-    return engine_.engine().last_batch();
-  }
 
  private:
+  /// One resident op's magnitudes signed by a[i] XOR b_negative; records
+  /// the op's stats in last_batch_runs().
+  std::vector<std::int64_t> signed_product(const engine::OpResult& result,
+                                           const std::vector<std::int64_t>& a,
+                                           bool b_negative);
+
   VectorEngine engine_;
   unsigned bits_;
   std::vector<RunStats> batch_runs_;

@@ -2,45 +2,31 @@
 
 #include "common/require.hpp"
 #include "macro/isa.hpp"
-#include "serve/server.hpp"
 
 namespace bpim::app {
 
 VectorEngine::VectorEngine(macro::ImcMemory& memory, unsigned bits)
-    : owned_(std::make_unique<engine::ExecutionEngine>(memory)),
-      engine_(owned_.get()),
-      bits_(bits) {
+    : owned_(std::make_unique<engine::ExecutionEngine>(memory)), exec_(owned_.get()), bits_(bits) {
   BPIM_REQUIRE(macro::is_supported_precision(bits), "unsupported precision");
 }
 
-VectorEngine::VectorEngine(engine::ExecutionEngine& engine, unsigned bits)
-    : engine_(&engine), bits_(bits) {
+VectorEngine::VectorEngine(engine::Executor& exec, unsigned bits) : exec_(&exec), bits_(bits) {
   BPIM_REQUIRE(macro::is_supported_precision(bits), "unsupported precision");
 }
 
-VectorEngine::VectorEngine(serve::Server& server, unsigned bits)
-    : engine_(&server.engine()), server_(&server), bits_(bits) {
-  BPIM_REQUIRE(macro::is_supported_precision(bits), "unsupported precision");
-}
-
-std::size_t VectorEngine::words_per_row() const { return engine_->words_per_row(bits_); }
+std::size_t VectorEngine::words_per_row() const { return engine().words_per_row(bits_); }
 
 std::size_t VectorEngine::mult_units_per_row() const {
-  return engine_->mult_units_per_row(bits_);
+  return engine().mult_units_per_row(bits_);
 }
 
-std::size_t VectorEngine::layer_capacity() const { return engine_->layer_capacity(bits_); }
+std::size_t VectorEngine::layer_capacity() const { return engine().layer_capacity(bits_); }
 
 std::vector<std::uint64_t> VectorEngine::run_op(engine::OpKind kind, periph::LogicFn fn,
-                                                const std::vector<std::uint64_t>& a,
-                                                const std::vector<std::uint64_t>& b) {
-  engine::VecOp op;
-  op.kind = kind;
-  op.bits = bits_;
-  op.fn = fn;
-  op.a = a;
-  op.b = b;
-  engine::OpResult res = server_ ? server_->submit(op).get() : engine_->run(op);
+                                                std::span<const std::uint64_t> a,
+                                                std::span<const std::uint64_t> b) {
+  const engine::VecOp op{.kind = kind, .bits = bits_, .fn = fn, .a = a, .b = b};
+  engine::OpResult res = std::move(exec_->run_batch(std::span(&op, 1)).front());
   last_ = res.stats;
   return std::move(res.values);
 }
@@ -72,13 +58,7 @@ std::vector<std::uint64_t> VectorEngine::add_shift(const std::vector<std::uint64
 }
 
 std::vector<std::uint64_t> VectorEngine::bit_not(const std::vector<std::uint64_t>& a) {
-  engine::VecOp op;
-  op.kind = engine::OpKind::Not;
-  op.bits = bits_;
-  op.a = a;
-  engine::OpResult res = server_ ? server_->submit(op).get() : engine_->run(op);
-  last_ = res.stats;
-  return std::move(res.values);
+  return run_op(engine::OpKind::Not, periph::LogicFn::And, a, {});
 }
 
 std::vector<engine::OpResult> VectorEngine::mult_batch(
@@ -98,71 +78,29 @@ std::vector<engine::OpResult> VectorEngine::mult_batch(
 }
 
 std::vector<engine::OpResult> VectorEngine::run_ops(const std::vector<engine::VecOp>& ops) {
-  std::vector<engine::OpResult> results;
-  if (server_) {
-    // Submit every op before waiting on any, so the scheduler can coalesce
-    // them (with each other and with other clients' work).
-    std::vector<std::future<engine::OpResult>> futs;
-    futs.reserve(ops.size());
-    for (const auto& op : ops) futs.push_back(server_->submit(op));
-    results.reserve(futs.size());
-    for (auto& f : futs) results.push_back(f.get());
-  } else {
-    results = engine_->run_batch(ops);
-  }
+  std::vector<engine::OpResult> results = exec_->run_batch(ops);
   // last_run() aggregates the whole batch, as a seed-era caller looping the
   // ops and summing per-op stats would have seen.
   last_ = RunStats{};
-  for (const auto& r : results) {
-    last_.elements += r.stats.elements;
-    last_.instructions += r.stats.instructions;
-    last_.elapsed_cycles += r.stats.elapsed_cycles;
-    last_.energy += r.stats.energy;
-    last_.elapsed_time += r.stats.elapsed_time;
-    last_.load_cycles += r.stats.load_cycles;
-    last_.load_cycles_saved += r.stats.load_cycles_saved;
-    last_.adaptive_cycles_saved += r.stats.adaptive_cycles_saved;
-  }
+  for (const auto& r : results) last_ += r.stats;
   return results;
 }
 
 std::vector<engine::OpResult> VectorEngine::run_forward(
     std::span<const engine::ResidentOperand> weights,
     std::span<const std::uint64_t> activation) {
-  std::vector<engine::OpResult> results =
-      server_ ? server_->submit_forward(weights, activation).get()
-              : engine_->run_forward(weights, activation);
+  std::vector<engine::OpResult> results = exec_->run_forward(weights, activation);
   last_ = RunStats{};
-  for (const auto& r : results) {
-    last_.elements += r.stats.elements;
-    last_.instructions += r.stats.instructions;
-    last_.elapsed_cycles += r.stats.elapsed_cycles;
-    last_.energy += r.stats.energy;
-    last_.elapsed_time += r.stats.elapsed_time;
-    last_.load_cycles += r.stats.load_cycles;
-    last_.load_cycles_saved += r.stats.load_cycles_saved;
-    last_.fused_cycles_saved += r.stats.fused_cycles_saved;
-    last_.adaptive_cycles_saved += r.stats.adaptive_cycles_saved;
-  }
+  for (const auto& r : results) last_ += r.stats;
   return results;
-}
-
-bool VectorEngine::compile_forward(std::span<const engine::ResidentOperand> weights) {
-  // A serving engine belongs to its scheduler; its lazy compile on first
-  // submit_forward is race-free because the lane thread is the run thread.
-  if (server_ != nullptr) return false;
-  return engine_->compile_forward(weights);
 }
 
 engine::ResidentOperand VectorEngine::pin_operand(std::span<const std::uint64_t> values,
                                                   engine::OperandLayout layout,
                                                   std::optional<std::uint64_t> colocate_key) {
-  return server_ ? server_->pin(values, bits_, layout, colocate_key)
-                 : engine_->pin(values, bits_, layout);
+  return exec_->pin(values, bits_, layout, colocate_key);
 }
 
-bool VectorEngine::unpin(const engine::ResidentOperand& handle) {
-  return server_ ? server_->unpin(handle) : engine_->unpin(handle);
-}
+bool VectorEngine::unpin(const engine::ResidentOperand& handle) { return exec_->unpin(handle); }
 
 }  // namespace bpim::app

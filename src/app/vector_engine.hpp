@@ -11,29 +11,23 @@
 // macro (dual-WL operands must share columns). MULT uses the 2N-bit unit
 // layout (operands in unit low halves).
 //
-// Execution is delegated to engine::ExecutionEngine, which shards the
-// per-macro chunks over a persistent thread pool. Results and RunStats are
-// bit-identical to a serial walk at any thread count (see the engine
-// header). Construct from an ExecutionEngine to share its pool across
-// precisions and call sites; the (memory, bits) constructor keeps the seed
-// API and owns a private engine. Construct from a serve::Server to submit
-// through its admission queue instead -- same results, but the op may
-// coalesce with other clients' work (serve/server.hpp), and on a
-// multi-memory server it may run on any memory of the serve::MemoryPool
-// (placement never changes values or RunStats; geometry queries below use
-// the pool's first engine, which is shape-identical to the rest).
+// Execution goes through one engine::Executor (engine/executor.hpp): an
+// engine::ExecutionEngine shards the per-macro chunks over its persistent
+// thread pool, and a serve::Server submits through its admission queue,
+// where the op may coalesce with other clients' work and, on a multi-memory
+// server, run on any memory of the serve::MemoryPool. Results and RunStats
+// are bit-identical on either, and to a serial walk at any thread count.
+// The (memory, bits) constructor keeps the seed API and owns a private
+// engine.
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "engine/execution_engine.hpp"
 #include "macro/memory.hpp"
-
-namespace bpim::serve {
-class Server;
-}
 
 namespace bpim::app {
 
@@ -42,16 +36,12 @@ using RunStats = engine::RunStats;
 class VectorEngine {
  public:
   VectorEngine(macro::ImcMemory& memory, unsigned bits);
-  VectorEngine(engine::ExecutionEngine& engine, unsigned bits);
-  /// Route every op through a serving frontend: ops are submitted to the
-  /// server's admission queue and may coalesce with other clients' work.
-  VectorEngine(serve::Server& server, unsigned bits);
+  /// Route every op through `exec` (an engine, or a server's queue).
+  VectorEngine(engine::Executor& exec, unsigned bits);
 
   [[nodiscard]] unsigned bits() const { return bits_; }
-  [[nodiscard]] engine::ExecutionEngine& engine() { return *engine_; }
-  [[nodiscard]] const engine::ExecutionEngine& engine() const { return *engine_; }
-  /// The serving frontend ops route through, or nullptr on a direct engine.
-  [[nodiscard]] serve::Server* server() const { return server_; }
+  /// The engine geometry queries use (shape-identical across a pool).
+  [[nodiscard]] const engine::ExecutionEngine& engine() const { return exec_->shape(); }
   /// Elements processed by one macro op (one row pair).
   [[nodiscard]] std::size_t words_per_row() const;
   [[nodiscard]] std::size_t mult_units_per_row() const;
@@ -77,37 +67,30 @@ class VectorEngine {
   [[nodiscard]] std::vector<std::uint64_t> bit_not(const std::vector<std::uint64_t>& a);
 
   /// Batched multiply: pairs[k] = (a_k, b_k) run as one double-buffered
-  /// engine batch (per-op stats via the results; overlap via
-  /// engine().last_batch()).
+  /// engine batch (per-op stats via the results; overlap via the
+  /// executor's private_batch()).
   [[nodiscard]] std::vector<engine::OpResult> mult_batch(
       const std::vector<std::pair<std::span<const std::uint64_t>,
                                   std::span<const std::uint64_t>>>& pairs);
 
-  /// Run a pre-built op list (resident handles allowed) as one batch,
-  /// routed through the server when constructed from one. Results are in
-  /// submission order; last_run() aggregates the whole batch.
+  /// Run a pre-built op list (resident handles allowed) as one batch.
+  /// Results are in submission order; last_run() aggregates the whole batch.
   [[nodiscard]] std::vector<engine::OpResult> run_ops(const std::vector<engine::VecOp>& ops);
 
   /// Fused whole-forward: every pinned weight against one shared activation
-  /// as a single compiled macro program (ExecutionEngine::run_forward;
-  /// submit_forward through a server). Bit-identical to running the
-  /// equivalent MULT op per weight; only the cycle/energy account improves.
+  /// as a single compiled macro program (ExecutionEngine::run_forward).
+  /// Bit-identical to running the equivalent MULT op per weight; only the
+  /// cycle/energy account improves.
   [[nodiscard]] std::vector<engine::OpResult> run_forward(
       std::span<const engine::ResidentOperand> weights,
       std::span<const std::uint64_t> activation);
-
-  /// Eagerly compile the fused forward program for `weights` (direct-engine
-  /// route only -- a serving engine belongs to its scheduler thread, which
-  /// compiles lazily on first use). False when unavailable or unfusable.
-  bool compile_forward(std::span<const engine::ResidentOperand> weights);
 
   // ---- persistent operand residency ---------------------------------------
   /// Pin a constant operand (e.g. a weight row) resident at this engine's
   /// precision; the handle goes into VecOp::ra / rb. Layout must match the
   /// op kind it will be used with (MultUnit for mult, Word otherwise).
-  /// Routed through the server when constructed from one. `colocate_key`
-  /// (server route) makes handles pinned under one key share a pool memory
-  /// -- what a fused forward's weights need (Server::pin).
+  /// `colocate_key` makes handles pinned under one key share a pool memory
+  /// -- what a fused forward's weights need (Executor::pin).
   [[nodiscard]] engine::ResidentOperand pin_operand(
       std::span<const std::uint64_t> values, engine::OperandLayout layout,
       std::optional<std::uint64_t> colocate_key = std::nullopt);
@@ -116,19 +99,52 @@ class VectorEngine {
 
   /// Stats of the last op -- or, after mult_batch(), the sum over the whole
   /// batch (per-op compute cycles, no load overlap; the pipelined view is
-  /// engine().last_batch()).
+  /// the executor's private_batch()).
   [[nodiscard]] const RunStats& last_run() const { return last_; }
 
  private:
   std::vector<std::uint64_t> run_op(engine::OpKind kind, periph::LogicFn fn,
-                                    const std::vector<std::uint64_t>& a,
-                                    const std::vector<std::uint64_t>& b);
+                                    std::span<const std::uint64_t> a,
+                                    std::span<const std::uint64_t> b);
 
   std::unique_ptr<engine::ExecutionEngine> owned_;  ///< set by the (memory, bits) ctor
-  engine::ExecutionEngine* engine_;
-  serve::Server* server_ = nullptr;  ///< when set, ops go through the server
+  engine::Executor* exec_;
   unsigned bits_;
   RunStats last_{};
+};
+
+/// Operands pinned on one executor, unpinned on destruction or when moved
+/// over: the move-only ownership of the pinned app classes. Destroy it
+/// before the executor it pinned on.
+class PinnedHandles {
+ public:
+  PinnedHandles() = default;
+  explicit PinnedHandles(engine::Executor& on) : pinned_on_(&on) {}
+  PinnedHandles(PinnedHandles&& o) noexcept
+      : pinned_on_(std::exchange(o.pinned_on_, nullptr)),
+        handles_(std::exchange(o.handles_, {})) {}
+  PinnedHandles& operator=(PinnedHandles&& o) noexcept {
+    if (this != &o) {
+      release();
+      pinned_on_ = std::exchange(o.pinned_on_, nullptr);
+      handles_ = std::exchange(o.handles_, {});
+    }
+    return *this;
+  }
+  ~PinnedHandles() { release(); }
+
+  void push_back(const engine::ResidentOperand& h) { handles_.push_back(h); }
+  [[nodiscard]] bool on(const engine::Executor& exec) const { return pinned_on_ == &exec; }
+  [[nodiscard]] const std::vector<engine::ResidentOperand>& handles() const { return handles_; }
+
+ private:
+  void release() noexcept {
+    for (const auto& h : handles_) (void)pinned_on_->unpin(h);
+    handles_.clear();
+  }
+
+  engine::Executor* pinned_on_ = nullptr;
+  std::vector<engine::ResidentOperand> handles_;
 };
 
 }  // namespace bpim::app

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <ranges>
 #include <thread>
+#include <utility>
 
 #include "common/require.hpp"
 #include "macro/isa.hpp"
@@ -113,7 +114,7 @@ std::size_t ExecutionEngine::layers_for(const VecOp& op) const {
 std::size_t ExecutionEngine::row_pair_capacity() const { return mem_.macro(0).rows() / 2; }
 
 ResidentOperand ExecutionEngine::pin(std::span<const std::uint64_t> values, unsigned bits,
-                                     OperandLayout layout) {
+                                     OperandLayout layout, std::optional<std::uint64_t>) {
   BPIM_REQUIRE(macro::is_supported_precision(bits), "unsupported precision");
   for (const std::uint64_t v : values)
     BPIM_REQUIRE(BitVector::fits_u64(v, bits), "value does not fit precision");
@@ -527,7 +528,8 @@ bool ExecutionEngine::compile_forward(std::span<const ResidentOperand> weights) 
   ForwardLayout fl = prepare_forward(weights);
   if (!fl.fusable) return false;
   (void)fused_program_for(fl);
-  pending_load_ += fl.load_cycles;
+  for (std::size_t j = 0; j < weights.size(); ++j)
+    if (fl.loaded[j]) fl.entries[j]->unbilled_load += fl.layers;
   return true;
 }
 
@@ -576,13 +578,13 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
   // Per-op accounting: cycles from macro 0 (the max-layer macro; instruction
   // costs match across macros, so its walk is the lock-step critical path
   // and the per-op shares sum to mem_.elapsed_cycles()); energy merged in
-  // fixed macro-then-layer order. Load: the activation (plus any weights
-  // compile_forward staged early) bills to op 0, a weight materialized this
-  // call bills to its own op; the baseline is 2 row writes per layer per op.
+  // fixed macro-then-layer order. Load: the activation bills to op 0, a
+  // weight materialized this call or by compile_forward to its own op; the
+  // baseline is 2 row writes per layer per op.
   const std::uint64_t table_mult = macro::op_cycles(macro::Op::Mult, fl.bits);
-  const std::uint64_t pending = std::exchange(pending_load_, 0);
   const std::vector<macro::TraceEntry>& trace0 = plan.macros[0].trace;
   const std::size_t layers0 = trace0.size() / ops;
+  std::uint64_t load_total = 0;
   std::uint64_t saved_total = 0;
   std::uint64_t fused_saved_total = 0;
   for (std::size_t j = 0; j < ops; ++j) {
@@ -602,7 +604,9 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
     // ways exactly: executed + fused discount + adaptive discount.
     s.fused_cycles_saved = table_mult * layers0 - s.elapsed_cycles - s.adaptive_cycles_saved;
     fused_saved_total += s.fused_cycles_saved;
-    s.load_cycles = (fl.loaded[j] ? fl.layers : 0) + (j == 0 ? fl.layers + pending : 0);
+    s.load_cycles = (j == 0 ? fl.layers : 0) + (fl.loaded[j] ? fl.layers : 0) +
+                    std::exchange(fl.entries[j]->unbilled_load, 0);
+    load_total += s.load_cycles;
     const std::uint64_t baseline = 2 * fl.layers;
     s.load_cycles_saved = s.load_cycles >= baseline ? 0 : baseline - s.load_cycles;
     saved_total += s.load_cycles_saved;
@@ -612,7 +616,7 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
   publish_fused({.ops = ops,
                  .elements = static_cast<std::uint64_t>(ops) * fl.elements,
                  .instructions = ops * fl.chunks,
-                 .load_cycles = fl.load_cycles + pending + fl.layers,
+                 .load_cycles = load_total,
                  .load_cycles_saved = saved_total,
                  .compute_cycles = mem_.elapsed_cycles(),
                  .fused_cycles_saved = fused_saved_total,

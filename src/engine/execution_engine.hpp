@@ -32,6 +32,9 @@
 // in BatchStats. pin() (engine/residency.hpp) keeps an operand's rows in
 // the array across calls, and ops referencing the handle skip its loads.
 //
+// ExecutionEngine is the direct engine::Executor (engine/executor.hpp), the
+// interface the app layer dispatches through; serve::Server is the other.
+//
 // Validation: one validate() per request shape, judged from spans and
 // ResidentOperand metadata alone; every entry point runs it before its
 // first side effect, and serve::Server runs the same checks at admission.
@@ -42,6 +45,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "engine/executor.hpp"
 #include "engine/fusion.hpp"
 #include "engine/residency.hpp"
 #include "engine/run_stats.hpp"
@@ -52,42 +56,6 @@
 
 namespace bpim::engine {
 
-/// Every macro ISA op kind the engine dispatches. AddShift retires its
-/// shifted sum into the dummy accumulator (D2) and Not drives the inverted
-/// row out via the dummy operand row (D1), so no single-op program ever
-/// writes a main row -- resident operands cannot be clobbered by dispatch.
-enum class OpKind { Add, Sub, Mult, AddShift, Not, Logic };
-
-[[nodiscard]] const char* to_string(OpKind kind);
-
-/// One element-wise vector operation. Each operand is either a borrowed
-/// span (today's path: spans must stay valid until the run()/run_batch()
-/// call returns) or a resident handle from ExecutionEngine::pin(); a side
-/// with a handle must leave its span empty. Handle-backed ops compute in
-/// the handle's own row pairs and skip that side's operand-load cycles.
-/// Not is unary: side b (span and handle) must stay empty.
-struct VecOp {
-  OpKind kind = OpKind::Add;
-  unsigned bits = 8;
-  periph::LogicFn fn = periph::LogicFn::And;  ///< Logic ops only
-  std::span<const std::uint64_t> a;
-  std::span<const std::uint64_t> b;
-  ResidentOperand ra{};  ///< resident operand a (span a must be empty)
-  ResidentOperand rb{};  ///< resident operand b (span b must be empty)
-
-  /// Element count, whichever way the operands are given.
-  [[nodiscard]] std::size_t length() const {
-    if (ra) return static_cast<std::size_t>(ra.elements);
-    if (rb) return static_cast<std::size_t>(rb.elements);
-    return a.size();
-  }
-};
-
-struct OpResult {
-  std::vector<std::uint64_t> values;
-  RunStats stats;
-};
-
 struct EngineConfig {
   /// Worker parallelism including the submitting thread; 0 means
   /// std::thread::hardware_concurrency(). Capped at the memory's macro
@@ -96,7 +64,7 @@ struct EngineConfig {
   std::size_t threads = 0;
 };
 
-class ExecutionEngine {
+class ExecutionEngine : public Executor {
  public:
   explicit ExecutionEngine(macro::ImcMemory& mem, EngineConfig cfg = {});
 
@@ -128,11 +96,14 @@ class ExecutionEngine {
   /// one materializing write happens on first use inside run()/run_batch()
   /// and is charged to that batch's load cycles; later uses load nothing.
   /// Thread-safe (may race run_batch on a serving engine).
+  /// One memory: `colocate_key` has nothing to place and is ignored.
   [[nodiscard]] ResidentOperand pin(std::span<const std::uint64_t> values, unsigned bits,
-                                    OperandLayout layout);
+                                    OperandLayout layout,
+                                    std::optional<std::uint64_t> colocate_key =
+                                        std::nullopt) override;
   /// Drop a pinned operand (false when unknown). Must not race ops that
   /// still reference the handle.
-  bool unpin(const ResidentOperand& handle);
+  bool unpin(const ResidentOperand& handle) override;
   /// Row-pair layers currently materialized -- what batch schedulers
   /// subtract from row_pair_capacity() to budget transient operands.
   [[nodiscard]] std::size_t resident_layers() const { return residency_.resident_layers(); }
@@ -143,11 +114,13 @@ class ExecutionEngine {
 
   /// Execute a batch of independent ops (double-buffered in the cycle
   /// model, see file header). Results are in submission order.
-  [[nodiscard]] std::vector<OpResult> run_batch(std::span<const VecOp> ops);
+  [[nodiscard]] std::vector<OpResult> run_batch(std::span<const VecOp> ops) override;
 
   /// Accounting of the last dispatch that returned (a lone run() counts as
   /// a batch of one); a call that throws leaves it unchanged.
   [[nodiscard]] const BatchStats& last_batch() const { return batch_; }
+  [[nodiscard]] const BatchStats* private_batch() const override { return &batch_; }
+  [[nodiscard]] const ExecutionEngine& shape() const override { return *this; }
 
   // ---- adaptive execution (macro::AdaptivePolicy) -------------------------
   /// Set the sparsity/precision-adaptive policy every subsequent dispatch
@@ -183,13 +156,15 @@ class ExecutionEngine {
   /// run_batch() transparently when the shape cannot fuse (weights +
   /// activation exceed capacity, or fragmentation scattered the weights).
   /// Results are in `weights` order; last_batch() covers the whole forward.
-  [[nodiscard]] std::vector<OpResult> run_forward(std::span<const ResidentOperand> weights,
-                                                  std::span<const std::uint64_t> activation);
+  [[nodiscard]] std::vector<OpResult> run_forward(
+      std::span<const ResidentOperand> weights,
+      std::span<const std::uint64_t> activation) override;
 
   /// Compile (and cache) the fused program for `weights` ahead of the first
-  /// forward -- the compile-at-pin path. Materializes the weights now; the
-  /// load cycles are charged to the next run_forward()'s account. False when
-  /// the shape cannot fuse (run_forward would fall back anyway).
+  /// forward (run_forward otherwise compiles on first use). Materializes the
+  /// weights now; each weight's load cycles are charged to its own op of the
+  /// first fused run_forward() that uses it. False when the shape cannot
+  /// fuse (run_forward would fall back anyway).
   bool compile_forward(std::span<const ResidentOperand> weights);
 
   /// Execute one MULT->ADD(->ADD-Shift) dependency chain as a single fused
@@ -295,9 +270,6 @@ class ExecutionEngine {
   /// dispatch -- each run snapshots it once.
   std::atomic<std::uint8_t> adaptive_policy_{0};
   std::unordered_map<std::uint64_t, FusedForward> fused_;  ///< by id-list hash
-  /// Load cycles of weights materialized inside compile_forward(), charged
-  /// to the next run_forward() so the account never loses the writes.
-  std::uint64_t pending_load_ = 0;
   ExecPlan plan_;
 };
 

@@ -109,6 +109,9 @@ class ResidencyManager {
     bool materialized = false;
     std::size_t base_pair = 0;  ///< first row pair (per macro) when materialized
     std::uint64_t last_use = 0;
+    /// Materializing writes made ahead of any op (compile_forward), charged
+    /// to the first fused forward that uses the handle. Run thread only.
+    std::uint64_t unbilled_load = 0;
   };
 
   /// Resolve a handle for execution and bump its LRU clock. Null if the id

@@ -44,6 +44,21 @@ struct RunStats {
   [[nodiscard]] Joule energy_per_element() const {
     return elements == 0 ? Joule(0.0) : Joule(energy.si() / static_cast<double>(elements));
   }
+
+  /// Field-wise sum: the account of running `o` after this op, with no
+  /// load overlap (the pipelined view is BatchStats').
+  RunStats& operator+=(const RunStats& o) {
+    elements += o.elements;
+    instructions += o.instructions;
+    elapsed_cycles += o.elapsed_cycles;
+    energy += o.energy;
+    elapsed_time += o.elapsed_time;
+    load_cycles += o.load_cycles;
+    load_cycles_saved += o.load_cycles_saved;
+    fused_cycles_saved += o.fused_cycles_saved;
+    adaptive_cycles_saved += o.adaptive_cycles_saved;
+    return *this;
+  }
 };
 
 /// Accounting for a run_batch() call. Per-op RunStats stay compute-only (the

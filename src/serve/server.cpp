@@ -232,6 +232,20 @@ std::future<OpResult> Server::submit_chain(const engine::ChainRequest& chain,
   return fut;
 }
 
+std::vector<OpResult> Server::run_batch(std::span<const VecOp> ops) {
+  std::vector<OpResult> results;
+  results.reserve(ops.size());
+  if (ops.size() == 1) {  // one op (VectorEngine::add etc.): no futures vector
+    results.push_back(submit(ops[0]).get());
+    return results;
+  }
+  std::vector<std::future<OpResult>> futs;
+  futs.reserve(ops.size());
+  for (const VecOp& op : ops) futs.push_back(submit(op));
+  for (auto& f : futs) results.push_back(f.get());
+  return results;
+}
+
 std::optional<std::future<OpResult>> Server::try_submit(const VecOp& op, SubmitOptions opts) {
   if (stopped()) throw ServerStopped();
   // Fail fast before the operand deep-copy; try_push below stays the

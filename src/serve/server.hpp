@@ -56,7 +56,12 @@
 
 namespace bpim::serve {
 
-class Server {
+/// As an engine::Executor (the app layer's route), run_batch submits every
+/// op before waiting on any, so they coalesce with each other and with other
+/// clients' work; run_forward is submit_forward().get() (the lane compiles
+/// the fused program on first use); and there is no private batch account,
+/// since a served batch is shared with other clients.
+class Server : public engine::Executor {
  public:
   /// Single-memory server: wraps the engine in a non-owning pool of one.
   /// The engine (and its memory) must outlive the server; the server is the
@@ -65,7 +70,7 @@ class Server {
   /// Multi-memory server: route dispatch groups across the pool. The pool
   /// must outlive the server; the server is its only user while running.
   explicit Server(MemoryPool& pool, ServerConfig cfg = {});
-  ~Server();  ///< stop()s: drains accepted work, then joins.
+  ~Server() override;  ///< stop()s: drains accepted work, then joins.
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
@@ -102,6 +107,17 @@ class Server {
                                                            SubmitOptions opts = {})
       BPIM_EXCLUDES(pin_mutex_);
 
+  // ---- engine::Executor ----------------------------------------------------
+  [[nodiscard]] std::vector<engine::OpResult> run_batch(std::span<const engine::VecOp> ops)
+      BPIM_EXCLUDES(pin_mutex_) override;
+  [[nodiscard]] std::vector<engine::OpResult> run_forward(
+      std::span<const engine::ResidentOperand> weights,
+      std::span<const std::uint64_t> activation) BPIM_EXCLUDES(pin_mutex_) override {
+    return submit_forward(weights, activation).get();
+  }
+  [[nodiscard]] const engine::ExecutionEngine& shape() const override { return engine(); }
+  [[nodiscard]] const engine::BatchStats* private_batch() const override { return nullptr; }
+
   /// Pin an operand resident behind the serving frontend: a deterministic
   /// operand hash picks the pool memory (so re-pinning the same values
   /// lands on the same node), the handle is registered there, and every
@@ -115,10 +131,11 @@ class Server {
   [[nodiscard]] engine::ResidentOperand pin(std::span<const std::uint64_t> values,
                                             unsigned bits, engine::OperandLayout layout,
                                             std::optional<std::uint64_t> colocate_key =
-                                                std::nullopt) BPIM_EXCLUDES(pin_mutex_);
+                                                std::nullopt)
+      BPIM_EXCLUDES(pin_mutex_) override;
   /// Drop a pinned operand (false when unknown). Safe after stop() as long
   /// as the pool is alive; must not race requests that reference it.
-  bool unpin(const engine::ResidentOperand& handle) BPIM_EXCLUDES(pin_mutex_);
+  bool unpin(const engine::ResidentOperand& handle) BPIM_EXCLUDES(pin_mutex_) override;
   /// Pool memory holding `handle_id`, if pinned through this server.
   [[nodiscard]] std::optional<std::size_t> memory_of(std::uint64_t handle_id) const
       BPIM_EXCLUDES(pin_mutex_);

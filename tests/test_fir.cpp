@@ -79,6 +79,7 @@ TEST(Fir, StatsCountMacs) {
 TEST(Fir, ValidatesTaps) {
   EXPECT_THROW(FirFilter({}, 8), std::invalid_argument);
   EXPECT_THROW(FirFilter({300}, 8), std::invalid_argument);
+  EXPECT_THROW(FirFilter({1}, 0), std::invalid_argument);
 }
 
 TEST(Fir, PinnedTapsBitIdenticalAndCheaperToLoad) {

@@ -22,6 +22,7 @@ std::vector<std::vector<double>> rand_w(std::size_t out, std::size_t in, std::ui
 
 TEST(Mlp, ShapeValidation) {
   EXPECT_THROW(Mlp({}), std::invalid_argument);
+  EXPECT_THROW(Mlp({{{}, 8}}), std::invalid_argument);  // a first layer with no neurons
   // 8 -> 4 followed by a layer expecting 5 inputs: mismatch.
   EXPECT_THROW(Mlp({{rand_w(4, 8, 1), 8}, {rand_w(2, 5, 2), 8}}), std::invalid_argument);
   const Mlp ok({{rand_w(4, 8, 1), 8}, {rand_w(2, 4, 2), 8}});

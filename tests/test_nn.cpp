@@ -130,8 +130,8 @@ TEST(QuantizedLinear, PinnedRepeatedForwardBitIdentical) {
     EXPECT_GT(pinned.last_stats().fused_cycles_saved, 0u);
     EXPECT_LE(pinned.last_stats().energy.si(), fresh.last_stats().energy.si());
     if (i == 0) {
-      // Compile-at-pin materialized the weights (their deferred load lands
-      // on this first call), but the activation stages once, not per-op.
+      // The first forward materializes the weights (their load lands on
+      // this call), but the activation stages once, not per-op.
       EXPECT_LE(pinned.last_stats().load_cycles, fresh.last_stats().load_cycles);
       EXPECT_GT(pinned.last_stats().load_cycles, 0u);
     } else {
