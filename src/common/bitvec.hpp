@@ -219,67 +219,6 @@ class BitVector {
     return m;
   }
 
-  /// Sentinel for "no set bit anywhere" (field_max_set_bit).
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-  /// Highest in-field index of any set bit, maximised over all `field`-bit
-  /// fields (fields start at bit 0; `field` must divide size()). Returns
-  /// npos when the vector is all zero. The word-parallel effectual-bit scan
-  /// of the adaptive MULT path: OR every word together, fold fields onto the
-  /// low field, take the msb -- O(words), no per-field loop.
-  [[nodiscard]] std::size_t field_max_set_bit(std::size_t field) const {
-    BPIM_REQUIRE(field >= 1 && size_ % field == 0, "field width must divide the vector size");
-    if (field <= 64 && 64 % field == 0) {
-      std::uint64_t acc = 0;
-      for (const auto w : words()) acc |= w;
-      if (acc == 0) return npos;
-      // Fields never straddle a word: fold every field down onto bits
-      // [0, field) (the shifts are field multiples, so in-field positions
-      // are preserved), then the msb of the residue is the answer.
-      for (std::size_t s = field; s < 64; s <<= 1) acc |= acc >> s;
-      const std::uint64_t low = field == 64 ? acc : acc & ((1ull << field) - 1);
-      return static_cast<std::size_t>(std::bit_width(low)) - 1;
-    }
-    // Fields straddle words: walk the set bits (the fallback mirrors
-    // shl1_in_fields' split; exercised only by tests, never the datapath).
-    std::size_t best = npos;
-    for_each_set_bit([&](std::size_t i) {
-      const std::size_t in_field = i % field;
-      if (best == npos || in_field > best) best = in_field;
-    });
-    return best;
-  }
-
-  /// One-bit-per-field zero detector: a vector of size() bits whose bit
-  /// k*field is set iff field k (bits [k*field, (k+1)*field)) is all zero.
-  /// All other positions are zero. `field` must divide size().
-  [[nodiscard]] BitVector zero_field_mask(std::size_t field) const {
-    BPIM_REQUIRE(field >= 1 && size_ % field == 0, "field width must divide the vector size");
-    BitVector out(size_);
-    if (field <= 64 && 64 % field == 0) {
-      // Per word: OR-fold each field onto its own LSB (shifts below `field`
-      // never import a *lower*-indexed field's bits into an LSB position),
-      // invert, keep the LSB lattice. set_word trims phantom fields past
-      // size() in the last word.
-      const std::uint64_t lsb_mask = periodic_mask(field);
-      for (std::size_t k = 0, n = word_count(); k < n; ++k) {
-        std::uint64_t w = words_[k];
-        for (std::size_t s = 1; s < field; s <<= 1) w |= w >> s;
-        out.set_word(k, ~w & lsb_mask);
-      }
-      return out;
-    }
-    for (std::size_t p = 0; p < size_; p += field) {
-      bool zero = true;
-      for (std::size_t o = 0; o < field && zero; o += 64) {
-        const std::size_t n = field - o < 64 ? field - o : 64;
-        zero = extract_bits(p + o, n) == 0;
-      }
-      if (zero) out.set(p, true);
-    }
-    return out;
-  }
-
   [[nodiscard]] std::size_t popcount() const;
 
   BitVector& operator&=(const BitVector& o) { return apply(o, [](std::uint64_t a, std::uint64_t b) { return a & b; }); }

@@ -103,7 +103,7 @@ InstructionCost CostModel::instruction_cost(const Instruction& inst, const MultP
 }
 
 InstructionCost CostModel::mult_cost(unsigned bits, const MultPlan& plan) const {
-  // Mirrors ImcMacro::mult_impl's charge sequence under the same plan,
+  // Mirrors ImcMacro::execute_mult's charge sequence under the same plan,
   // charge for charge and in order (the bitwise-energy conservation law).
   InstructionCost c;
   Joule e{0.0};

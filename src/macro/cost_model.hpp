@@ -45,12 +45,12 @@ class CostModel {
   [[nodiscard]] InstructionCost instruction_cost(const Instruction& inst,
                                                  const Instruction* prev = nullptr) const;
 
-  /// Price one instruction under a resolved adaptive MULT plan (the
-  /// controller's path when an AdaptivePolicy is active: ImcMacro::plan_mult
-  /// resolves the data-dependent depth/skip once, and this overload prices
-  /// exactly the micro-actions mult_rows_planned will charge -- the cost
-  /// model itself stays data-oblivious). Non-MULT instructions ignore the
-  /// plan and price as the static overload does.
+  /// Price one instruction under the MULT plan it executed with (the
+  /// controller's path when an AdaptivePolicy is active:
+  /// ImcMacro::execute_mult resolves the data-dependent depth/skip, charges
+  /// exactly the micro-actions this overload prices, and returns the plan
+  /// -- the cost model itself stays data-oblivious). Non-MULT instructions
+  /// ignore the plan and price as the static overload does.
   [[nodiscard]] InstructionCost instruction_cost(const Instruction& inst,
                                                  const MultPlan& plan) const;
 

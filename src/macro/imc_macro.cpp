@@ -18,10 +18,11 @@ namespace {
 
 // SWAR masks of one MULT precision N over a 64-bit storage word. The 2N-bit
 // units divide 64 at every supported precision, so one word of each mask
-// covers every unit of every word.
+// covers every unit of every word, and no unit straddles a word.
 struct UnitMasks {
   std::uint64_t low_halves = 0;  ///< the low N bits (operand half) of every unit
   std::uint64_t unit_lsbs = 0;   ///< bit 0 of every unit
+  std::uint64_t unit_msbs = 0;   ///< bit 2N-1 of every unit
   std::uint64_t field_fill = 0;  ///< one whole unit: flag-at-LSB * fill == full-unit mask
 };
 
@@ -32,6 +33,7 @@ constexpr UnitMasks unit_masks_of(unsigned bits) {
   for (unsigned i = 0; i < 64; i += unit_bits) {
     m.low_halves |= ((1ull << bits) - 1) << i;
     m.unit_lsbs |= 1ull << i;
+    m.unit_msbs |= 1ull << (i + unit_bits - 1);
   }
   return m;
 }
@@ -44,6 +46,51 @@ constexpr std::array<UnitMasks, 5> kUnitMasks = {unit_masks_of(2), unit_masks_of
 const UnitMasks& unit_masks(unsigned bits) {
   return kUnitMasks[static_cast<std::size_t>(std::countr_zero(bits)) - 1];
 }
+
+/// The 2N-bit unit whose field starts at bit `shift` of a storage word.
+constexpr std::uint64_t unit_field(std::uint64_t word, unsigned shift, std::uint64_t fill) {
+  return (word >> shift) & fill;
+}
+
+/// The MULT product pass at precision N, one storage word at a time:
+///   stage[w] = mcand[w] & mcand_keep        (the multiplicand as multiplied)
+///   prod[w]  = per unit, stage * (mplier & mplier_keep) mod 2^2N
+/// Returns the OR of the multiplier halves of every unit whose multiplicand
+/// is nonzero, folded onto unit 0: its bit width is the max effectual depth.
+/// Templated on N so the per-unit loop unrolls over constant shifts.
+template <unsigned N>
+std::uint64_t product_pass(const BitVector& mcand, std::uint64_t mcand_keep,
+                           const BitVector& mplier, std::uint64_t mplier_keep, BitVector& stage,
+                           BitVector& prod) {
+  constexpr unsigned kUnitBits = 2 * N;
+  constexpr UnitMasks m = unit_masks_of(N);
+  std::uint64_t acc = 0;
+  for (std::size_t w = 0, n = mcand.word_count(); w < n; ++w) {
+    const std::uint64_t a = mcand.word(w) & mcand_keep;
+    const std::uint64_t b = mplier.word(w) & mplier_keep;
+    // Nonzero-unit flags: adding (2^(2N-1) - 1) to every unit's low 2N-1
+    // bits carries into the unit's MSB iff they are nonzero, and never out
+    // of the unit; OR-ing the unit's own MSB covers the rest.
+    const std::uint64_t nonzero = ((((a & ~m.unit_msbs) + ~m.unit_msbs) | a) & m.unit_msbs);
+    acc |= b & ((nonzero >> (kUnitBits - 1)) * m.field_fill);
+    std::uint64_t p = 0;
+    for (unsigned s = 0; s < 64; s += kUnitBits)
+      p |= ((unit_field(a, s, m.field_fill) * unit_field(b, s, m.field_fill)) & m.field_fill)
+           << s;
+    stage.set_word(w, a);
+    prod.set_word(w, p);
+  }
+  // Fold every unit onto the low one (unit-multiple shifts preserve in-field
+  // positions).
+  for (unsigned s = kUnitBits; s < 64; s <<= 1) acc |= acc >> s;
+  return acc & m.field_fill;
+}
+
+using ProductPass = std::uint64_t (*)(const BitVector&, std::uint64_t, const BitVector&,
+                                      std::uint64_t, BitVector&, BitVector&);
+constexpr std::array<ProductPass, 5> kProductPass = {&product_pass<2>, &product_pass<4>,
+                                                     &product_pass<8>, &product_pass<16>,
+                                                     &product_pass<32>};
 
 }  // namespace
 
@@ -133,8 +180,14 @@ void ImcMacro::peek_mult_products(const BitVector& row, unsigned bits,
                                   std::span<std::uint64_t> out) const {
   BPIM_REQUIRE(out.size() <= mult_units_per_row(bits), "unit range out of range");
   BPIM_REQUIRE(row.size() == cols(), "row width mismatch");
-  const std::size_t unit_bits = 2 * static_cast<std::size_t>(bits);
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = row.extract_bits(i * unit_bits, unit_bits);
+  const unsigned unit_bits = 2 * bits;
+  const std::uint64_t fill = unit_masks(bits).field_fill;
+  std::size_t i = 0;
+  for (std::size_t w = 0; i < out.size(); ++w) {
+    const std::uint64_t word = row.word(w);
+    for (unsigned s = 0; s < 64 && i < out.size(); s += unit_bits)
+      out[i++] = unit_field(word, s, fill);
+  }
 }
 
 // ---- accounting helpers -----------------------------------------------------
@@ -344,66 +397,73 @@ BitVector ImcMacro::sub_rows(RowRef a, RowRef b, unsigned bits) {
 }
 
 BitVector ImcMacro::mult_rows(RowRef a, RowRef b, unsigned bits, const AdaptivePolicy& policy) {
-  return mult_impl(a, b, bits, plan_mult(a, b, bits, policy));
+  execute_mult(a, b, bits, policy);
+  return array_.row(RowRef::dummy(kDummyAccum));
 }
 
-BitVector ImcMacro::mult_rows_chained(RowRef a, RowRef b, unsigned bits, bool d1_staged,
-                                      bool pipelined, const AdaptivePolicy& policy) {
-  BPIM_REQUIRE(!d1_staged || pipelined, "D1 staging implies a pipelined chain link");
-  return mult_impl(a, b, bits, plan_mult(a, b, bits, policy, d1_staged, pipelined));
-}
+MultPlan ImcMacro::execute_mult(const RowRef& a, const RowRef& b, unsigned bits,
+                                const AdaptivePolicy& policy, MacLink link) {
+  const bool d1_staged = link == MacLink::D1Staged;
+  const std::size_t units = mult_units_per_row(bits);
+  const std::uint64_t low_halves = unit_masks(bits).low_halves;
+  const RowRef d1 = RowRef::dummy(kDummyOperand);
+  const RowRef d2 = RowRef::dummy(kDummyAccum);
 
-BitVector ImcMacro::mult_rows_planned(RowRef a, RowRef b, unsigned bits, const MultPlan& plan) {
-  BPIM_REQUIRE(plan.depth <= bits, "plan depth exceeds the operand precision");
-  BPIM_REQUIRE(!plan.skip || plan.depth == 0, "a skipped MULT runs no iterations");
-  BPIM_REQUIRE(!plan.d1_staged || plan.pipelined, "D1 staging implies a pipelined chain link");
-  return mult_impl(a, b, bits, plan);
-}
+  // Read the operands as the sequencer would: the multiplier FFs and the
+  // staging read both see row b / row a *after* cycle 1 zero-initialises
+  // D2, and a d1-staged link multiplies D1 as it stands. Every write-back
+  // happens after the pass has read both rows, so aliasing is harmless.
+  const std::uint64_t mcand_keep = d1_staged ? ~0ull : (a == d2 ? 0 : low_halves);
+  const std::uint64_t mplier_keep = b == d2 ? 0 : low_halves;
+  wb_.reset(cols());
+  stage_.reset(cols());
+  const std::uint64_t effectual =
+      kProductPass[static_cast<std::size_t>(std::countr_zero(bits)) - 1](
+          array_.row(d1_staged ? d1 : a), mcand_keep, array_.row(b), mplier_keep, stage_, wb_);
 
-MultPlan ImcMacro::plan_mult(RowRef a, RowRef b, unsigned bits, const AdaptivePolicy& policy,
-                             bool d1_staged, bool pipelined) const {
-  MultPlan plan = MultPlan::full(bits, d1_staged, pipelined);
-  if (!policy.enabled()) return plan;
-  (void)mult_units_per_row(bits);  // precision/width validation
-  const std::size_t unit_bits = 2 * static_cast<std::size_t>(bits);
-  // Effectual operand view: the low half of every 2N-bit unit.
-  const auto [low_halves, unit_lsbs, field_fill] = unit_masks(bits);
-  const BitVector& row_a = array_.row(a);
-  const BitVector& row_b = array_.row(b);
-  // A zero multiplicand unit makes every multiplier bit of that unit
-  // ineffectual (sum == accumulator == 0 whatever the select bit says).
-  // One allocation-free pass (the planner sits on the MULT hot path): per
-  // word, adding 2^N - 1 to every masked low half carries into bit N of its
-  // unit iff that half is nonzero, and never out of the unit (the sum stays
-  // below 2^(N+1) <= 2^2N). Those flags keep the effectual units' multiplier
-  // fields, and the surviving bits accumulate. Phantom fields past the row
-  // end hold zero multiplier bits, so they cannot contribute.
-  std::uint64_t acc = 0;
-  for (std::size_t w = 0, n = row_a.word_count(); w < n; ++w) {
-    const std::uint64_t effectual =
-        (((row_a.word(w) & low_halves) + low_halves) >> bits) & unit_lsbs;
-    acc |= row_b.word(w) & low_halves & (effectual * field_fill);
-  }
-  unsigned eff = 0;
-  if (acc != 0) {
-    // Fold every unit onto the low one (unit-multiple shifts preserve
-    // in-field positions); the residue's bit width is the max effectual
-    // multiplier depth across the row.
-    for (std::size_t s = unit_bits; s < 64; s <<= 1) acc |= acc >> s;
-    eff = static_cast<unsigned>(std::bit_width(unit_bits >= 64 ? acc : acc & field_fill));
-  }
+  MultPlan plan = MultPlan::full(bits, d1_staged, link != MacLink::Head);
+  const auto eff = static_cast<unsigned>(std::bit_width(effectual));
   if (policy.narrow_precision) plan.depth = eff;
   if (policy.skip_zero && eff == 0) {
     plan.skip = true;
     plan.depth = 0;
   }
+
+  if (cfg_.inject_disturb && disturb_.flip_probability > 0.0) {
+    mult_loop(a, b, bits, plan);
+    return plan;
+  }
+
+  // Closed form: the loop's charges in its order, then D1/D2 written once.
+  // The leading iterations a narrowed or skipped plan drops are per-unit
+  // no-ops (a zero multiplier bit keeps the still-zero accumulator, whose
+  // shift is zero; a zero-multiplicand unit sees sum == accumulator == 0
+  // either way), so the pass's full-depth products are the plan's products.
+  const auto& p = energy_.params();
+  const double n = static_cast<double>(cols());
+  const double n_units = static_cast<double>(units);
+  charge(wb_price(), n * p.zero_init_activity);
+  charge(Component::SingleWlRead, static_cast<double>(bits) * n_units);
+  charge(Component::FlipFlop, static_cast<double>(bits) * n_units);
+  if (plan.staging_cycles() > 0) {
+    charge(Component::SingleWlRead, static_cast<double>(bits) * n_units);
+    write_back(d1, stage_, static_cast<double>(bits) * n_units);
+  }
+  for (unsigned k = 0; k < plan.depth; ++k) {
+    charge(compute_price(d1, d2), n);
+    charge(Component::FaLogic, n);
+    charge(Component::FlipFlop, n_units);
+    charge(wb_price(), n * p.mult_wb_activity);
+  }
+  array_.write_row(d2, wb_);
+  finish_op(plan.cycles());
   return plan;
 }
 
-BitVector ImcMacro::mult_impl(RowRef a, RowRef b, unsigned bits, const MultPlan& plan) {
+void ImcMacro::mult_loop(RowRef a, RowRef b, unsigned bits, const MultPlan& plan) {
   const std::size_t units = mult_units_per_row(bits);
   const unsigned unit_bits = 2 * bits;
-  const auto [low_halves, unit_lsbs, field_fill] = unit_masks(bits);
+  const auto [low_halves, unit_lsbs, unit_msbs, field_fill] = unit_masks(bits);
   const RowRef d1 = RowRef::dummy(kDummyOperand);
   const RowRef d2 = RowRef::dummy(kDummyAccum);
   const auto& p = energy_.params();
@@ -426,7 +486,7 @@ BitVector ImcMacro::mult_impl(RowRef a, RowRef b, unsigned bits, const MultPlan&
   // iterations only write D2), so neither the read nor the staging
   // write-back happens. A skipped MULT (all products provably zero) elides
   // it too: the zero-initialised accumulator row already IS the result.
-  if (!plan.skip && !plan.d1_staged) {
+  if (plan.staging_cycles() > 0) {
     const BitVector& row_a = array_.row(a);
     for (std::size_t w = 0, n = wb_.word_count(); w < n; ++w)
       wb_.set_word(w, row_a.word(w) & low_halves);
@@ -440,12 +500,9 @@ BitVector ImcMacro::mult_impl(RowRef a, RowRef b, unsigned bits, const MultPlan&
   // unit's LSB and broadcast across the unit:
   //   ((ff_word >> (N-1-k)) & unit_lsbs) * field_fill
   // (a shift below N only brings a unit's own low-half bit onto its LSB).
-  // The <<1 is the word-parallel in-field shift. The SA, FA, FF and
-  // write-back latches are macro members, reused across iterations and ops.
-  // An adaptive plan starts at k = bits - depth: every dropped leading
-  // iteration is a per-unit no-op (multiplier bit zero keeps the still-zero
-  // accumulator, and a shift of zero is zero; zero-multiplicand units see
-  // sum == accumulator == 0 either way), so products are bit-identical.
+  // The <<1 is the word-parallel in-field shift. Every sense is a dual-WL
+  // access of D1 and D2, so injected flips land in the rows the next
+  // iteration reads. An adaptive plan starts at k = bits - depth.
   for (unsigned k = bits - plan.depth; k < bits; ++k) {
     const bool last = (k + 1 == bits);
     const unsigned ff_shift = bits - 1 - k;  // MSB-first
@@ -466,7 +523,6 @@ BitVector ImcMacro::mult_impl(RowRef a, RowRef b, unsigned bits, const MultPlan&
   // + plan.fused_cycles_saved() + plan.adaptive_cycles_saved(bits) exactly
   // (the controller asserts it per instruction).
   finish_op(plan.cycles());
-  return array_.row(d2);
 }
 
 }  // namespace bpim::macro

@@ -13,10 +13,12 @@
 // the N-bit inputs live in the unit's low half and the 2N-bit product fills
 // the unit.
 //
-// Every compute entry point mutates state exactly as the hardware sequence
-// would (dummy-row traffic included), charges the energy ledger with the
-// same component prices the closed-form EnergyModel uses, and advances the
-// cycle counter per Table 1.
+// Every compute entry point leaves the array in the state the hardware
+// sequence would (dummy-row traffic included), charges the energy ledger
+// with the same component prices, in the same order, as the sequence's
+// micro-actions, and advances the cycle counter per Table 1. MULT computes
+// its products in closed form and writes D1/D2 once, replaying the
+// add-shift cycles only when injected disturb can change D1/D2 between them.
 //
 // Execution contract: the compute entry points below are the *controller's*
 // surface. Everything above the macro layer (engine/serve/app) executes
@@ -141,38 +143,37 @@ class ImcMacro {
   /// Two's-complement SUB: a - b (2 cycles: NOT -> dummy, ADD with cin=1).
   BitVector sub_rows(array::RowRef a, array::RowRef b, unsigned bits);
   /// Bit-parallel MULT on 2N-bit units (N+2 cycles static; fewer under an
-  /// enabled AdaptivePolicy -- see plan_mult). Operands in the low halves of
-  /// each unit of rows a (multiplicand) and b (multiplier); returns the row
-  /// of 2N-bit products (also left in dummy row D2).
+  /// enabled AdaptivePolicy -- see execute_mult). Operands in the low halves
+  /// of each unit of rows a (multiplicand) and b (multiplier); returns the
+  /// row of 2N-bit products (also left in dummy row D2).
   BitVector mult_rows(array::RowRef a, array::RowRef b, unsigned bits,
                       const AdaptivePolicy& policy = {});
-  /// MULT as the non-head link of a fused MAC chain. `pipelined` overlaps
-  /// cycle 1 (D2 zero-init + FF load) with the predecessor MULT's final
-  /// write-back (-1 cycle, same energy); `d1_staged` additionally skips the
-  /// D1 staging cycle -- valid only when the immediately preceding op was a
+  /// The controller's MULT entry: resolves the plan from the operand data,
+  /// executes it, and returns it; the products are left in dummy row D2.
+  ///
+  /// Chain links: a pipelined link overlaps cycle 1 (D2 zero-init + FF load)
+  /// with the predecessor MULT's final write-back (-1 cycle, same energy); a
+  /// d1-staged link additionally skips the D1 staging cycle and multiplies
+  /// D1 as it stands -- valid only when the immediately preceding op was a
   /// MULT of the same multiplicand row at the same precision, so D1 still
-  /// holds the masked copy (-1 cycle and its staging energy). Products are
-  /// bit-identical to mult_rows().
-  BitVector mult_rows_chained(array::RowRef a, array::RowRef b, unsigned bits,
-                              bool d1_staged, bool pipelined,
-                              const AdaptivePolicy& policy = {});
-  /// Resolve the adaptive execution plan of one MULT from the operand data:
-  /// SWAR-scan the unit fields (zero_field_mask on the multiplicand,
-  /// field_max_set_bit on the effectual multiplier bits) for the max
-  /// effectual depth E, then narrow the iteration count to E
-  /// (narrow_precision) and/or skip the op body when E == 0 (skip_zero).
-  /// The scan itself is uncharged: it models the peripheral's zero/msb
-  /// detectors reading the operands as they stream through the FF load and
-  /// staging cycles the op performs anyway.
-  [[nodiscard]] MultPlan plan_mult(array::RowRef a, array::RowRef b, unsigned bits,
-                                   const AdaptivePolicy& policy, bool d1_staged = false,
-                                   bool pipelined = false) const;
-  /// Execute a MULT under an already-resolved plan (the controller's path:
-  /// plan once, price it, execute it). The plan must come from plan_mult on
-  /// the current operand data -- a stale or hand-built plan that skips
-  /// effectual iterations yields wrong products.
-  BitVector mult_rows_planned(array::RowRef a, array::RowRef b, unsigned bits,
-                              const MultPlan& plan);
+  /// holds the masked copy (-1 cycle and its staging energy).
+  ///
+  /// Planning: one pass over the operand words computes every unit's product
+  /// and the max effectual multiplier depth E (the widest multiplier half of
+  /// any unit whose multiplicand is nonzero). An enabled `policy` narrows the
+  /// iterations to E (narrow_precision) and/or skips staging and iterations
+  /// when E == 0 (skip_zero). The scan is uncharged: it models the
+  /// peripheral's zero/msb detectors reading the operands as they stream
+  /// through the FF load and staging cycles the op performs anyway.
+  ///
+  /// Execution: the ledger is charged the plan's micro-actions in sequencer
+  /// order (zero-init, FF load, staging, `depth` add-shift iterations), and
+  /// D1/D2 are written once from the closed-form products. Only under live
+  /// disturb injection (inject_disturb with a nonzero flip probability),
+  /// where flips change D1/D2 between iterations, is the loop replayed cycle
+  /// by cycle.
+  MultPlan execute_mult(const array::RowRef& a, const array::RowRef& b, unsigned bits,
+                        const AdaptivePolicy& policy = {}, MacLink link = MacLink::Head);
 
   // ---- accounting ---------------------------------------------------------
   [[nodiscard]] ExecStats last_op() const { return last_; }
@@ -197,7 +198,8 @@ class ImcMacro {
   static constexpr std::size_t kDummyAccum = 2;    ///< MULT accumulator / results
 
  private:
-  BitVector mult_impl(array::RowRef a, array::RowRef b, unsigned bits, const MultPlan& plan);
+  /// The add-shift loop replayed cycle by cycle (disturb injection only).
+  void mult_loop(array::RowRef a, array::RowRef b, unsigned bits, const MultPlan& plan);
   [[nodiscard]] energy::Component compute_price(array::RowRef a, array::RowRef b) const;
   [[nodiscard]] energy::Component wb_price() const;
   void charge(energy::Component c, double bits);
@@ -221,13 +223,14 @@ class ImcMacro {
 
   // Peripheral latches, reused cycle to cycle so no cycle allocates (only
   // the result row an op returns may): SA outputs, FA-Logics outputs, the
-  // MULT multiplier FFs, and
-  // the row a MULT cycle writes back (zero-init, masked multiplicand, next
-  // accumulator).
+  // MULT multiplier FFs, the row a MULT cycle writes back (zero-init,
+  // masked multiplicand, next accumulator or closed-form products), and the
+  // masked multiplicand the closed form stages into D1.
   array::BlReadout sense_;
   periph::AddResult fa_;
   BitVector ff_;
   BitVector wb_;
+  BitVector stage_;
 
   ExecStats last_{};
   Joule pending_energy_{0.0};

@@ -70,11 +70,19 @@ struct AdaptivePolicy {
   [[nodiscard]] constexpr bool enabled() const { return narrow_precision || skip_zero; }
 };
 
+/// Where a MULT sits in a fused MAC chain. A head pays Table 1's cycles; a
+/// pipelined link hides its cycle 1 (D2 zero-init + FF load) behind the
+/// predecessor MULT's final write-back; a d1-staged link is also pipelined
+/// and skips the D1 staging cycle, reusing the masked multiplicand the
+/// predecessor left there.
+enum class MacLink { Head, Pipelined, D1Staged };
+
 /// Resolved execution plan of one MULT: how many add-shift iterations run
-/// and which setup cycles are elided. Produced by ImcMacro::plan_mult from
-/// the operand data + policy; consumed identically by the executing
-/// datapath (mult_impl), the cost model, and the controller's accounting,
-/// so priced == executed cycles holds by construction and the split
+/// and which setup cycles are elided. Resolved by ImcMacro::execute_mult
+/// from the operand data + policy in the same pass that executes it and
+/// returned to the controller, which books the savings split and traces the
+/// plan for CostModel to price -- so priced == executed cycles holds by
+/// construction and the split
 ///   op_cycles(MULT, bits) == cycles() + fused_cycles_saved()
 ///                                     + adaptive_cycles_saved(bits)
 /// is exact in every case (asserted per instruction by the controller).

@@ -13,37 +13,34 @@ namespace {
 
 // Program-path instruments, resolved once (stable addresses, lock-free
 // updates thereafter). Per-program cycles are the adoption signal of the
-// unified execution model.
-obs::Histogram& program_cycles_histogram() {
-  static obs::Histogram& h = obs::MetricsRegistry::global().histogram(
-      "macro.program.cycles", "modeled cycles per executed macro program");
-  return h;
+// unified execution model; the adaptive ones show how often the policy
+// fires, what it saves, and the narrowed-depth distribution (full-depth
+// MULTs observe bits). One struct behind one guard: one lookup per program.
+struct Instruments {
+  obs::Histogram& program_cycles;
+  obs::Counter& adaptive_mults;
+  obs::Counter& adaptive_skipped;
+  obs::Counter& adaptive_saved;
+  obs::Histogram& adaptive_depth;
+  obs::TraceSession& session;
+};
+
+Instruments resolve_instruments() {
+  obs::MetricsRegistry& r = obs::MetricsRegistry::global();
+  return {
+      r.histogram("macro.program.cycles", "modeled cycles per executed macro program"),
+      r.counter("engine.adaptive.mults", "MULTs executed under an enabled adaptive policy"),
+      r.counter("engine.adaptive.skipped", "MULTs skipped outright (all products provably zero)"),
+      r.counter("engine.adaptive.cycles_saved",
+                "modeled cycles saved by adaptive narrowing/skipping"),
+      r.histogram("engine.adaptive.narrowed_depth", "executed add-shift depth per adaptive MULT"),
+      obs::TraceSession::global(),
+  };
 }
 
-// Adaptive-execution instruments: how often the policy fires, what it saves,
-// and the narrowed-depth distribution (full-depth MULTs observe bits).
-obs::Counter& adaptive_mults_counter() {
-  static obs::Counter& c = obs::MetricsRegistry::global().counter(
-      "engine.adaptive.mults", "MULTs executed under an enabled adaptive policy");
-  return c;
-}
-
-obs::Counter& adaptive_skipped_counter() {
-  static obs::Counter& c = obs::MetricsRegistry::global().counter(
-      "engine.adaptive.skipped", "MULTs skipped outright (all products provably zero)");
-  return c;
-}
-
-obs::Counter& adaptive_saved_counter() {
-  static obs::Counter& c = obs::MetricsRegistry::global().counter(
-      "engine.adaptive.cycles_saved", "modeled cycles saved by adaptive narrowing/skipping");
-  return c;
-}
-
-obs::Histogram& adaptive_depth_histogram() {
-  static obs::Histogram& h = obs::MetricsRegistry::global().histogram(
-      "engine.adaptive.narrowed_depth", "executed add-shift depth per adaptive MULT");
-  return h;
+const Instruments& instruments() {
+  static const Instruments i = resolve_instruments();
+  return i;
 }
 
 }  // namespace
@@ -141,109 +138,128 @@ ProgramStats MacroController::run(const VerifiedProgram& p, std::vector<TraceEnt
   return execute(p, trace, fuse_mac_chains, policy);
 }
 
+namespace {
+
+/// Executes one non-MULT instruction; returns the row it drives out.
+BitVector row_op(ImcMacro& m, const Instruction& i) {
+  switch (i.op) {
+    case Op::Nand:
+    case Op::And:
+    case Op::Nor:
+    case Op::Or:
+    case Op::Xnor:
+    case Op::Xor:
+      return m.logic_rows(i.logic_fn, i.a, i.b);
+    case Op::Not:
+    case Op::Copy:
+    case Op::Shift:
+      return m.unary_row(i.op, i.a, *i.dest, i.bits);
+    case Op::Add:
+      return m.add_rows(i.a, i.b, i.bits, i.dest);
+    case Op::AddShift:
+      return m.add_shift_rows(i.a, i.b, i.bits, *i.dest);
+    case Op::Sub:
+      return m.sub_rows(i.a, i.b, i.bits);
+    case Op::Mult:
+      break;
+  }
+  BPIM_REQUIRE(false, "MULT is not a row op");
+  return {};
+}
+
+void record(std::vector<TraceEntry>& trace, const Instruction& i, const ExecStats& es,
+            BitVector result, unsigned adaptive, const MultPlan& plan) {
+  trace.push_back(TraceEntry{i, es.cycles, es.op_energy, std::move(result), adaptive, plan});
+}
+
+}  // namespace
+
 ProgramStats MacroController::execute(const Program& p, std::vector<TraceEntry>* trace,
                                       bool fuse_mac_chains, const AdaptivePolicy& policy) {
   // The macro ledger is the account: each instruction's cycles and energy
   // are read back from last_op(). CostModel prices the same stream
-  // statically, and the conservation tests hold the two equal.
-  ProgramStats stats;
-  const Instruction* prev = nullptr;
-  // What the masked-copy dummy row D1 currently holds. A MULT whose staging
-  // cycle executes records its multiplicand here; a skipped or d1-staged
-  // MULT leaves it alone (the add-shift iterations only write D2); SUB and
-  // any explicit write to D1 clobber it. Fusion's D1-reuse discount keys off
-  // this rather than just the previous instruction, because under zero-skip
-  // the MULT that *would* have staged may not have -- reusing D1 then would
-  // multiply by stale data.
-  struct {
-    array::RowRef row{};
-    unsigned bits = 0;
-    bool valid = false;
-  } staged;
+  // statically, and the conservation tests hold the two equal. The sums
+  // live in locals until the end, so the loop's calls do not force every
+  // update through memory.
+  std::uint64_t cycles = 0, fused_saved = 0, adaptive_saved = 0;
+  Joule energy{0.0};
+  const bool adaptive_on = policy.enabled();
+  if (adaptive_on) tally_ = {};
+  // Precision of the immediately preceding instruction if it was a MULT
+  // (0 otherwise): a chain link must follow a MULT at its own precision.
+  unsigned prev_mult_bits = 0;
+  // The MULT whose masked multiplicand the dummy row D1 currently holds
+  // (null: none). A MULT whose staging cycle executes records itself here;
+  // a skipped or d1-staged MULT leaves it alone (the add-shift iterations
+  // only write D2); SUB and any explicit write to D1 clobber it. Fusion's
+  // D1-reuse discount keys off this rather than just the previous
+  // instruction, because under zero-skip the MULT that *would* have staged
+  // may not have -- reusing D1 then would multiply by stale data.
+  const Instruction* staged = nullptr;
   const array::RowRef d1_row = array::RowRef::dummy(ImcMacro::kDummyOperand);
   for (const Instruction& i : p.instructions()) {
-    MultPlan plan;
-    BitVector result = [&] {
-      switch (i.op) {
-        case Op::Nand:
-        case Op::And:
-        case Op::Nor:
-        case Op::Or:
-        case Op::Xnor:
-        case Op::Xor:
-          return macro_.logic_rows(i.logic_fn, i.a, i.b);
-        case Op::Not:
-        case Op::Copy:
-        case Op::Shift:
-          return macro_.unary_row(i.op, i.a, *i.dest, i.bits);
-        case Op::Add:
-          return macro_.add_rows(i.a, i.b, i.bits, i.dest);
-        case Op::AddShift:
-          return macro_.add_shift_rows(i.a, i.b, i.bits, *i.dest);
-        case Op::Sub:
-          return macro_.sub_rows(i.a, i.b, i.bits);
-        case Op::Mult:
-          break;
-      }
+    if (i.op == Op::Mult) {
       // Chain discount: a MULT directly after a MULT at the same precision
       // loads its FF while the predecessor's final D2 write-back drains; if
       // D1 still holds this multiplicand's masked copy, the staging cycle
-      // drops out as well. The adaptive policy then narrows/skips against
-      // the operand data; the one resolved plan drives execution and the
-      // savings split alike. With the policy off the plan is the static one
-      // and the operands need no scan.
-      const bool pipelined =
-          fuse_mac_chains && prev != nullptr && prev->op == Op::Mult && prev->bits == i.bits;
-      const bool d1_staged =
-          pipelined && staged.valid && staged.row == i.a && staged.bits == i.bits;
-      plan = policy.enabled() ? macro_.plan_mult(i.a, i.b, i.bits, policy, d1_staged, pipelined)
-                              : MultPlan::full(i.bits, d1_staged, pipelined);
-      return macro_.mult_rows_planned(i.a, i.b, i.bits, plan);
-    }();
-    const unsigned adaptive = i.op == Op::Mult ? plan.adaptive_cycles_saved(i.bits) : 0;
-    const ExecStats es = macro_.last_op();
-    ++stats.instructions;
-    stats.cycles += es.cycles;
-    if (i.op == Op::Mult) {
+      // drops out as well. The macro resolves the adaptive plan against the
+      // operand data as it executes; the plan it returns drives the split.
+      MacLink link = MacLink::Head;
+      if (fuse_mac_chains && prev_mult_bits == i.bits)
+        link = staged != nullptr && staged->a == i.a && staged->bits == i.bits
+                   ? MacLink::D1Staged
+                   : MacLink::Pipelined;
+      const MultPlan plan = macro_.execute_mult(i.a, i.b, i.bits, policy, link);
+      const ExecStats es = macro_.last_op();
+      const unsigned adaptive = plan.adaptive_cycles_saved(i.bits);
       const unsigned fused = plan.fused_cycles_saved();
-      BPIM_REQUIRE(es.cycles + fused + adaptive == op_cycles(i.op, i.bits),
+      BPIM_REQUIRE(es.cycles + fused + adaptive == op_cycles(Op::Mult, i.bits),
                    "MULT cycle conservation violated (static != cycles + fused + adaptive)");
-      stats.fused_cycles_saved += fused;
-      stats.adaptive_cycles_saved += adaptive;
-      if (policy.enabled()) {
-        adaptive_mults_counter().add();
-        if (plan.skip) adaptive_skipped_counter().add();
-        if (adaptive > 0) adaptive_saved_counter().add(adaptive);
-        adaptive_depth_histogram().observe(plan.depth);
-      }
-      // Track what D1 holds after this MULT for the next link's reuse test.
-      if (plan.staging_cycles() > 0) {
-        staged.row = i.a;
-        staged.bits = i.bits;
-        staged.valid = true;
-      }
-    } else if (i.op == Op::Sub || (i.dest && *i.dest == d1_row)) {
-      staged.valid = false;  // D1 clobbered (SUB stages ~b there; dest hit it)
+      cycles += es.cycles;
+      energy += es.op_energy;
+      fused_saved += fused;
+      adaptive_saved += adaptive;
+      if (plan.staging_cycles() > 0) staged = &i;
+      prev_mult_bits = i.bits;
+      if (adaptive_on) tally_.add(plan);
+      // The product row (D2) is copied out only for a trace.
+      if (trace)
+        record(*trace, i, es, macro_.sram().row(array::RowRef::dummy(ImcMacro::kDummyAccum)),
+               adaptive, plan);
+    } else {
+      BitVector result = row_op(macro_, i);
+      if (i.op == Op::Sub || (i.dest && *i.dest == d1_row))
+        staged = nullptr;  // D1 clobbered (SUB stages ~b there; dest hit it)
+      prev_mult_bits = 0;
+      const ExecStats es = macro_.last_op();
+      cycles += es.cycles;
+      energy += es.op_energy;
+      if (trace) record(*trace, i, es, std::move(result), 0, {});
     }
-    stats.energy += es.op_energy;
-    if (trace)
-      trace->push_back(TraceEntry{i, es.cycles, es.op_energy, std::move(result), adaptive, plan});
-    prev = &i;
   }
-  stats.elapsed = macro_.cycle_time() * static_cast<double>(stats.cycles);
-  program_cycles_histogram().observe(stats.cycles);
+  const ProgramStats stats{p.size(), cycles, fused_saved, adaptive_saved, energy,
+                           macro_.cycle_time() * static_cast<double>(cycles)};
+  const Instruments& ins = instruments();
+  if (adaptive_on) {
+    ins.adaptive_mults.add(tally_.mults);
+    if (tally_.skipped > 0) ins.adaptive_skipped.add(tally_.skipped);
+    if (adaptive_saved > 0) ins.adaptive_saved.add(adaptive_saved);
+    for (std::size_t d = 0; d < tally_.depth_counts.size(); ++d)
+      if (tally_.depth_counts[d] > 0) ins.adaptive_depth.observe(d, tally_.depth_counts[d]);
+  }
+  ins.program_cycles.observe(stats.cycles);
 #if BPIM_OBS_ENABLED
   // Per-program events are high volume (one per macro per batch step), so
   // they stay behind the extra macro-events gate; a bench opts in when it
   // wants the microscope view.
-  if (auto& session = obs::TraceSession::global(); session.macro_events_on()) {
-    session.instant("macro.program", 0,
-                    obs::EventArgs{{"instructions", static_cast<double>(stats.instructions)},
-                                   {"cycles", static_cast<double>(stats.cycles)},
-                                   {"fused_cycles_saved",
-                                    static_cast<double>(stats.fused_cycles_saved)},
-                                   {"adaptive_cycles_saved",
-                                    static_cast<double>(stats.adaptive_cycles_saved)}});
+  if (ins.session.macro_events_on()) {
+    ins.session.instant("macro.program", 0,
+                        obs::EventArgs{{"instructions", static_cast<double>(stats.instructions)},
+                                       {"cycles", static_cast<double>(stats.cycles)},
+                                       {"fused_cycles_saved",
+                                        static_cast<double>(stats.fused_cycles_saved)},
+                                       {"adaptive_cycles_saved",
+                                        static_cast<double>(stats.adaptive_cycles_saved)}});
   }
 #endif
   return stats;

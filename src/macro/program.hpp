@@ -8,6 +8,7 @@
 // is how a host integrates the macro: build row-level programs, run them,
 // read results -- without touching the per-op C++ API directly.
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -134,12 +135,13 @@ class MacroController {
   /// only the cycle/energy account changes (fused_cycles_saved reports the
   /// discount).
   ///
-  /// With an enabled `policy`, every MULT is first resolved against its
-  /// operand data (ImcMacro::plan_mult): the add-shift loop runs only to the
-  /// max effectual bit depth (narrow_precision) and provably-zero products
-  /// skip staging and iterations outright (skip_zero). Outputs stay
-  /// bit-identical; the saved cycles land in adaptive_cycles_saved with
-  /// static == cycles + fused + adaptive asserted per instruction.
+  /// With an enabled `policy`, every MULT is resolved against its operand
+  /// data as it executes (ImcMacro::execute_mult): the add-shift loop runs
+  /// only to the max effectual bit depth (narrow_precision) and
+  /// provably-zero products skip staging and iterations outright
+  /// (skip_zero). Outputs stay bit-identical; the saved cycles land in
+  /// adaptive_cycles_saved with static == cycles + fused + adaptive asserted
+  /// per instruction.
   ProgramStats run(const Program& p, std::vector<TraceEntry>* trace = nullptr,
                    bool fuse_mac_chains = false, const AdaptivePolicy& policy = {});
 
@@ -150,10 +152,25 @@ class MacroController {
                    bool fuse_mac_chains = false, const AdaptivePolicy& policy = {});
 
  private:
+  /// The adaptive instruments of the running program, tallied per MULT and
+  /// published once at its end (reset when an adaptive program starts).
+  struct AdaptiveTally {
+    std::uint64_t mults = 0;
+    std::uint64_t skipped = 0;
+    std::array<std::uint64_t, 33> depth_counts{};  ///< MULTs per executed depth
+
+    void add(const MultPlan& plan) {
+      ++mults;
+      if (plan.skip) ++skipped;
+      ++depth_counts[plan.depth];
+    }
+  };
+
   ProgramStats execute(const Program& p, std::vector<TraceEntry>* trace, bool fuse_mac_chains,
                        const AdaptivePolicy& policy);
 
   ImcMacro& macro_;
+  AdaptiveTally tally_;
 };
 
 }  // namespace bpim::macro

@@ -92,11 +92,11 @@ class Histogram {
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
-  /// Two relaxed atomic adds. The event count is not kept apart:
-  /// snapshot() sums the buckets.
-  void observe(std::uint64_t v) {
-    buckets_[HistogramBuckets::index_of(v)].fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
+  /// Records `n` observations of `v`: two relaxed atomic adds. The event
+  /// count is not kept apart: snapshot() sums the buckets.
+  void observe(std::uint64_t v, std::uint64_t n = 1) {
+    buckets_[HistogramBuckets::index_of(v)].fetch_add(n, std::memory_order_relaxed);
+    sum_.fetch_add(v * n, std::memory_order_relaxed);
   }
 
   [[nodiscard]] HistogramSnapshot snapshot() const;

@@ -333,125 +333,6 @@ TEST(BitVectorStorage, EqualityAcrossModes) {
   EXPECT_EQ(reused, wide);
 }
 
-// Reference scans for the adaptive-path field helpers: per-bit walks with
-// none of the word-parallel folding.
-std::size_t ref_field_max_set_bit(const BitVector& v, std::size_t field) {
-  std::size_t best = BitVector::npos;
-  for (std::size_t i = 0; i < v.size(); ++i)
-    if (v.get(i)) {
-      const std::size_t in_field = i % field;
-      if (best == BitVector::npos || in_field > best) best = in_field;
-    }
-  return best;
-}
-
-BitVector ref_zero_field_mask(const BitVector& v, std::size_t field) {
-  BitVector out(v.size());
-  for (std::size_t p = 0; p < v.size(); p += field) {
-    bool zero = true;
-    for (std::size_t i = 0; i < field && zero; ++i) zero = !v.get(p + i);
-    if (zero) out.set(p, true);
-  }
-  return out;
-}
-
-TEST(BitVector, FieldMaxSetBitMatchesPerBitReference) {
-  Rng rng(23);
-  // Word-parallel fields are the MULT-unit widths of precisions 2..32
-  // (unit = 2*bits); 5/13/65 force the straddling fallback.
-  for (const std::size_t field : {4u, 8u, 16u, 32u, 64u, 5u, 13u, 65u}) {
-    for (const std::size_t fields : {1u, 2u, 3u, 7u, 16u, 33u}) {
-      const std::size_t width = field * fields;
-      for (int trial = 0; trial < 8; ++trial) {
-        BitVector v(width);
-        v.randomize(rng);
-        // Sparsify so npos and low-depth cases actually occur.
-        if (trial % 2 == 1) {
-          BitVector mask(width);
-          mask.randomize(rng);
-          v &= mask;
-          v &= mask;  // ~25% density
-        }
-        EXPECT_EQ(v.field_max_set_bit(field), ref_field_max_set_bit(v, field))
-            << "field=" << field << " width=" << width;
-      }
-    }
-  }
-}
-
-TEST(BitVector, FieldMaxSetBitEdgeCases) {
-  for (const std::size_t field : {1u, 4u, 8u, 16u, 64u, 13u}) {
-    const std::size_t width = field * 5;
-    BitVector zeros(width);
-    EXPECT_EQ(zeros.field_max_set_bit(field), BitVector::npos) << field;
-    BitVector ones(width);
-    ones.fill(true);
-    EXPECT_EQ(ones.field_max_set_bit(field), field - 1) << field;
-    // A single bit at the LSB of the last field: in-field index 0.
-    BitVector lsb(width);
-    lsb.set(width - field, true);
-    EXPECT_EQ(lsb.field_max_set_bit(field), 0u) << field;
-  }
-}
-
-TEST(BitVector, FieldMaxSetBitRejectsNonDividingField) {
-  BitVector v(96);
-  EXPECT_THROW((void)v.field_max_set_bit(7), std::invalid_argument);
-}
-
-TEST(BitVector, ZeroFieldMaskMatchesPerBitReference) {
-  Rng rng(31);
-  for (const std::size_t field : {4u, 8u, 16u, 32u, 64u, 5u, 13u, 65u}) {
-    for (const std::size_t fields : {1u, 2u, 3u, 7u, 16u, 33u}) {
-      const std::size_t width = field * fields;
-      for (int trial = 0; trial < 8; ++trial) {
-        BitVector v(width);
-        v.randomize(rng);
-        // Sparsify hard so a good share of the fields really are zero.
-        for (int s = 0; s < 2; ++s) {
-          BitVector mask(width);
-          mask.randomize(rng);
-          v &= mask;
-        }
-        EXPECT_EQ(v.zero_field_mask(field), ref_zero_field_mask(v, field))
-            << "field=" << field << " width=" << width;
-      }
-    }
-  }
-}
-
-TEST(BitVector, ZeroFieldMaskEdgeCases) {
-  for (const std::size_t field : {1u, 4u, 8u, 16u, 64u, 13u}) {
-    const std::size_t width = field * 5;
-    BitVector zeros(width);
-    EXPECT_EQ(zeros.zero_field_mask(field).popcount(), 5u) << field;
-    BitVector ones(width);
-    ones.fill(true);
-    EXPECT_EQ(ones.zero_field_mask(field).popcount(), 0u) << field;
-    // Exactly one nonzero field (its MSB) clears exactly that field's flag.
-    BitVector one(width);
-    one.set(2 * field + (field - 1), true);
-    const BitVector m = one.zero_field_mask(field);
-    EXPECT_EQ(m.popcount(), 4u) << field;
-    EXPECT_FALSE(m.get(2 * field)) << field;
-  }
-}
-
-TEST(BitVector, ZeroFieldMaskTrimsPhantomFieldsInLastWord) {
-  // width 96, field 8: the last word's upper half is past size(); its
-  // phantom zero fields must not leak set bits into the mask.
-  BitVector v(96);
-  v.fill(true);
-  EXPECT_EQ(v.zero_field_mask(8).popcount(), 0u);
-  BitVector z(96);
-  EXPECT_EQ(z.zero_field_mask(8).popcount(), 12u);
-}
-
-TEST(BitVector, ZeroFieldMaskRejectsNonDividingField) {
-  BitVector v(96);
-  EXPECT_THROW((void)v.zero_field_mask(7), std::invalid_argument);
-}
-
 TEST(BitVector, RandomizeIsDeterministicPerSeed) {
   Rng r1(7), r2(7), r3(8);
   BitVector a(200), b(200), c(200);

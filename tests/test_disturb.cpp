@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "macro/imc_macro.hpp"
 
@@ -108,6 +111,51 @@ TEST(Disturb, DeterministicPerSeed) {
     return m.disturb_flips();
   };
   EXPECT_EQ(run(5), run(5));
+}
+
+TEST(Disturb, UnprotectedMultFlipsCellsDeterministically) {
+  // Every MULT iteration senses D1 (the masked multiplicand) against D2 (the
+  // accumulator), so all-ones multiplicand halves over the zero-initialised
+  // accumulator are complementary columns: the add-shift loop replays cycle
+  // by cycle and disturb lands between iterations. Same seed, same flips,
+  // same D2.
+  auto run = [](std::uint64_t seed) {
+    MacroConfig cfg = scheme_cfg(WlScheme::FullSwingLong);
+    cfg.seed = seed;
+    ImcMacro m{cfg};
+    const unsigned bits = 8;
+    for (std::size_t u = 0; u < m.mult_units_per_row(bits); ++u) {
+      m.poke_mult_operand(0, u, bits, 0xFF);
+      m.poke_mult_operand(1, u, bits, 0xA5);
+    }
+    const BitVector d2 = m.mult_rows(RowRef::main(0), RowRef::main(1), bits);
+    return std::pair{d2, m.disturb_flips()};
+  };
+  const auto [d2, flips] = run(7);
+  EXPECT_GT(flips, 0u);
+  const auto [d2_again, flips_again] = run(7);
+  EXPECT_EQ(d2_again, d2);
+  EXPECT_EQ(flips_again, flips);
+}
+
+TEST(Disturb, ProposedSchemeMultIsExactUnderInjection) {
+  // Injection on, flip probability zero: products are the host products
+  // and no cell flips.
+  ImcMacro m{scheme_cfg(WlScheme::ShortPulseBoost)};
+  Rng rng(11);
+  const unsigned bits = 8;
+  const std::size_t units = m.mult_units_per_row(bits);
+  std::vector<std::uint64_t> a(units), b(units);
+  for (std::size_t u = 0; u < units; ++u) {
+    a[u] = rng.next_u64() & 0xFF;
+    b[u] = rng.next_u64() & 0xFF;
+    m.poke_mult_operand(0, u, bits, a[u]);
+    m.poke_mult_operand(1, u, bits, b[u]);
+  }
+  const BitVector product = m.mult_rows(RowRef::main(0), RowRef::main(1), bits);
+  for (std::size_t u = 0; u < units; ++u)
+    EXPECT_EQ(m.peek_mult_product(product, u, bits), a[u] * b[u]) << "unit=" << u;
+  EXPECT_EQ(m.disturb_flips(), 0u);
 }
 
 }  // namespace

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <string>
 #include <vector>
 
@@ -106,6 +108,11 @@ TEST(HotPathDiff, AddChainSpansFullField) {
   EXPECT_TRUE(fast.word_carry.get(127));
 }
 
+std::uint64_t sparse_operand(Rng& rng, unsigned bits, int zero_pct) {
+  if (static_cast<int>(rng.next_u64() % 100) < zero_pct) return 0;
+  return rng.next_u64() & ((1ull << bits) - 1);
+}
+
 macro::MacroConfig geometry_cfg(std::size_t cols) {
   macro::MacroConfig cfg;
   cfg.geometry.cols = cols;
@@ -113,13 +120,15 @@ macro::MacroConfig geometry_cfg(std::size_t cols) {
 }
 
 TEST(HotPathDiff, MultRowsMatchesReferenceAndHostProducts) {
-  // 512 columns take BitVector's heap storage; 2-bit is the MLP's narrowest
-  // layer. With `garbage`, the high half of every unit of both operand rows
-  // holds random bits: the datapath must read only the low halves (the
-  // multiplier's FF bits, the masked multiplicand), plain and adaptive alike.
+  // 288, 320 and 512 columns take BitVector's heap storage (288 is not a
+  // multiple of the 64-bit word); 2-bit is the MLP's narrowest layer and
+  // 32-bit fills a whole storage word per unit. With `garbage`, the high
+  // half of every unit of both operand rows holds random bits: the datapath
+  // must read only the low halves (the multiplier's FF bits, the masked
+  // multiplicand), plain and adaptive alike.
   Rng rng(0x3117);
-  for (const std::size_t cols : {128u, 96u, 256u, 512u}) {
-    for (const unsigned bits : {2u, 4u, 8u, 16u}) {
+  for (const std::size_t cols : {128u, 96u, 256u, 288u, 320u, 512u}) {
+    for (const unsigned bits : {2u, 4u, 8u, 16u, 32u}) {
       if (cols % (2 * bits) != 0) continue;
       macro::ImcMacro m{geometry_cfg(cols)};
       const std::size_t units = m.mult_units_per_row(bits);
@@ -144,11 +153,171 @@ TEST(HotPathDiff, MultRowsMatchesReferenceAndHostProducts) {
                                    std::to_string(bits) + (garbage ? " garbage" : "");
           const BitVector product = m.mult_rows(RowRef::main(0), RowRef::main(1), bits);
           EXPECT_EQ(product, naive_mult_datapath(row_a, row_b, bits)) << what;
-          for (std::size_t u = 0; u < units; ++u)
+          // Bulk extraction, whole row and a prefix, agrees with per unit.
+          std::vector<std::uint64_t> bulk(units), prefix(units / 2 + 1);
+          m.peek_mult_products(product, bits, bulk);
+          m.peek_mult_products(product, bits, prefix);
+          for (std::size_t u = 0; u < units; ++u) {
             EXPECT_EQ(m.peek_mult_product(product, u, bits), va[u] * vb[u])
                 << what << " unit=" << u;
+            EXPECT_EQ(bulk[u], va[u] * vb[u]) << what << " bulk unit=" << u;
+            if (u < prefix.size()) {
+              EXPECT_EQ(prefix[u], va[u] * vb[u]) << what << " unit=" << u;
+            }
+          }
           EXPECT_EQ(m.mult_rows(RowRef::main(0), RowRef::main(1), bits, {true, true}), product)
               << what << " adaptive";
+        }
+      }
+    }
+  }
+}
+
+// Max effectual multiplier depth of a MULT, straight from the definition:
+// the widest multiplier half of any unit whose (masked) multiplicand is
+// nonzero.
+unsigned host_effectual_depth(const BitVector& row_a, const BitVector& row_b, unsigned bits) {
+  unsigned depth = 0;
+  for (std::size_t base = 0; base < row_a.size(); base += 2 * bits)
+    if (row_a.extract_bits(base, bits) != 0)
+      depth = std::max(depth,
+                       static_cast<unsigned>(std::bit_width(row_b.extract_bits(base, bits))));
+  return depth;
+}
+
+TEST(HotPathDiff, ChainLinksAndAdaptivePlansMatchReference) {
+  // The closed-form product pass under every plan shape the controller can
+  // ask for: a chain head that stages D1, then a pipelined link and a
+  // d1-staged link reusing it, each under every policy -- against the
+  // per-bit oracle, host products, and a host-computed effectual depth.
+  // Operands are sparse and narrow so narrowed and skipped plans occur, and
+  // the high halves hold garbage the datapath must ignore.
+  const RowRef d1 = RowRef::dummy(macro::ImcMacro::kDummyOperand);
+  const RowRef d2 = RowRef::dummy(macro::ImcMacro::kDummyAccum);
+  const macro::AdaptivePolicy policies[] = {{}, {true, false}, {false, true}, {true, true}};
+  Rng rng(0xC4A1);
+  std::size_t narrowed = 0, skipped = 0;
+  for (const std::size_t cols : {96u, 128u, 288u, 320u}) {
+    for (const unsigned bits : {2u, 4u, 8u, 16u, 32u}) {
+      if (cols % (2 * bits) != 0) continue;
+      macro::ImcMacro m{geometry_cfg(cols)};
+      const std::size_t units = m.mult_units_per_row(bits);
+      for (int rep = 0; rep < 12; ++rep) {
+        // rep % 4: dense, narrow multipliers, all-zero multiplicand, zero
+        // multipliers wherever the multiplicand is nonzero.
+        const unsigned narrow = 1 + static_cast<unsigned>(rng.next_u64() % bits);
+        BitVector row_a(cols), row_b1(cols), row_b2(cols);
+        row_a.randomize(rng);
+        row_b1.randomize(rng);
+        row_b2.randomize(rng);
+        for (std::size_t u = 0; u < units; ++u) {
+          const std::size_t base = u * 2 * bits;
+          std::uint64_t a = rng.next_u64() & ((1ull << bits) - 1);
+          std::uint64_t b2 = rng.next_u64() & ((1ull << bits) - 1);
+          if (rep % 4 == 1) b2 &= (1ull << narrow) - 1;
+          if (rep % 4 == 2) a = 0;
+          if (rep % 4 == 3 && a != 0) b2 = 0;
+          row_a.deposit_bits(base, bits, a);
+          row_b2.deposit_bits(base, bits, b2);
+        }
+        m.poke_row(0, row_a);
+        m.poke_row(1, row_b1);
+        m.poke_row(2, row_b2);
+        BitVector masked_a(cols);
+        for (std::size_t base = 0; base < cols; base += 2 * bits)
+          masked_a.deposit_bits(base, bits, row_a.extract_bits(base, bits));
+        const unsigned depth = host_effectual_depth(row_a, row_b2, bits);
+        for (const macro::AdaptivePolicy policy : policies) {
+          for (const bool d1_staged : {false, true}) {
+            const std::string what = "cols=" + std::to_string(cols) +
+                                     " bits=" + std::to_string(bits) +
+                                     " rep=" + std::to_string(rep) +
+                                     " narrow=" + std::to_string(policy.narrow_precision) +
+                                     " skip=" + std::to_string(policy.skip_zero) +
+                                     (d1_staged ? " d1-staged" : " pipelined");
+            // The head stages the masked multiplicand in D1; the link either
+            // re-stages it or multiplies D1 as it stands.
+            (void)m.execute_mult(RowRef::main(0), RowRef::main(1), bits);
+            ASSERT_EQ(m.sram().row(d1), masked_a) << what;
+            const macro::MultPlan plan = m.execute_mult(
+                RowRef::main(0), RowRef::main(2), bits, policy,
+                d1_staged ? macro::MacLink::D1Staged : macro::MacLink::Pipelined);
+            const BitVector& product = m.sram().row(d2);
+            EXPECT_EQ(product, naive_mult_datapath(row_a, row_b2, bits)) << what;
+            for (std::size_t u = 0; u < units; ++u)
+              EXPECT_EQ(m.peek_mult_product(product, u, bits),
+                        masked_a.extract_bits(u * 2 * bits, bits) *
+                            row_b2.extract_bits(u * 2 * bits, bits))
+                  << what << " unit=" << u;
+            EXPECT_EQ(m.sram().row(d1), masked_a) << what;
+            const bool skip = policy.skip_zero && depth == 0;
+            EXPECT_EQ(plan.skip, skip) << what;
+            EXPECT_EQ(plan.depth, skip ? 0u : policy.narrow_precision ? depth : bits) << what;
+            EXPECT_EQ(plan.d1_staged, d1_staged) << what;
+            EXPECT_EQ(m.last_op().cycles, plan.cycles()) << what;
+            EXPECT_EQ(plan.cycles() + plan.fused_cycles_saved() + plan.adaptive_cycles_saved(bits),
+                      bits + 2)
+                << what;
+            narrowed += plan.depth > 0 && plan.depth < bits ? 1 : 0;
+            skipped += plan.skip ? 1 : 0;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(narrowed, 0u);
+  EXPECT_GT(skipped, 0u);
+}
+
+TEST(HotPathDiff, FusedAdaptiveProgramsPriceEveryTraceEntry) {
+  // Random fused, policy-on programs through the controller: MAC chains
+  // over a shared multiplicand (pipelined and d1-staged links), broken by
+  // SUBs that clobber D1 and by ADDs, at every precision. Every MULT's
+  // traced product matches the per-bit oracle, and every trace entry's
+  // cycles and energy equal CostModel::instruction_cost(inst, plan) bitwise.
+  Rng rng(0xF05E);
+  for (const std::size_t cols : {128u, 320u}) {
+    for (const unsigned bits : {2u, 4u, 8u, 16u, 32u}) {
+      const macro::MacroConfig cfg = geometry_cfg(cols);
+      macro::ImcMacro m{cfg};
+      macro::MacroController ctl(m);
+      const std::size_t units = m.mult_units_per_row(bits);
+      for (std::size_t r = 0; r < 8; ++r) {
+        for (std::size_t u = 0; u < units; ++u)
+          m.poke_mult_operand(r, u, bits, sparse_operand(rng, bits, 40));
+      }
+      for (int rep = 0; rep < 6; ++rep) {
+        macro::Program prog;
+        const RowRef a = RowRef::main(rng.next_u64() % 4);
+        for (int k = 0; k < 10; ++k) {
+          const std::uint64_t pick = rng.next_u64() % 8;
+          const RowRef b = RowRef::main(4 + rng.next_u64() % 4);
+          if (pick == 0) {
+            prog.sub(RowRef::main(4), RowRef::main(5), bits);
+          } else if (pick == 1) {
+            prog.add(RowRef::main(4), RowRef::main(6), bits);
+          } else {
+            prog.mult(pick == 2 ? RowRef::main(rng.next_u64() % 4) : a, b, bits);
+          }
+        }
+        for (const macro::AdaptivePolicy policy :
+             {macro::AdaptivePolicy{true, true}, macro::AdaptivePolicy{true, false},
+              macro::AdaptivePolicy{false, true}}) {
+          std::vector<macro::TraceEntry> trace;
+          const macro::ProgramStats st = ctl.run(prog, &trace, /*fuse_mac_chains=*/true, policy);
+          const std::string what = "cols=" + std::to_string(cols) +
+                                   " bits=" + std::to_string(bits) + " rep=" + std::to_string(rep);
+          ASSERT_EQ(trace.size(), prog.size()) << what;
+          macro::expect_priced_as_executed(cfg, trace, what);
+          EXPECT_EQ(st.cycles + st.fused_cycles_saved + st.adaptive_cycles_saved,
+                    prog.static_cycles())
+              << what;
+          for (const macro::TraceEntry& e : trace) {
+            if (e.inst.op != macro::Op::Mult) continue;
+            EXPECT_EQ(e.result, naive_mult_datapath(m.peek_row(e.inst.a.index),
+                                                    m.peek_row(e.inst.b.index), bits))
+                << what << " " << macro::to_string(e.inst);
+          }
         }
       }
     }
@@ -325,11 +494,6 @@ TEST(HotPathDiff, BulkPokeMatchesPerWordPokes) {
   EXPECT_THROW(bulk.poke_words(4, 16, bits, vals), std::invalid_argument);
   EXPECT_THROW(bulk.poke_words(4, 0, bits, std::vector<std::uint64_t>{1ull << bits}),
                std::invalid_argument);
-}
-
-std::uint64_t sparse_operand(Rng& rng, unsigned bits, int zero_pct) {
-  if (static_cast<int>(rng.next_u64() % 100) < zero_pct) return 0;
-  return rng.next_u64() & ((1ull << bits) - 1);
 }
 
 TEST(HotPathDiff, AdaptiveExecutionIsBitIdenticalAcrossOpsAndSparsity) {

@@ -154,8 +154,7 @@ TEST(MacroEnergyConservation, InstructionCostMatchesLedgerBitwise) {
 
         // Chained MULTs: pipelined, and pipelined + D1-staged.
         Instruction prev = inst;
-        m.mult_rows_chained(RowRef::main(2), RowRef::main(3), bits,
-                            /*d1_staged=*/false, /*pipelined=*/true);
+        m.execute_mult(RowRef::main(2), RowRef::main(3), bits, {}, MacLink::Pipelined);
         Instruction chained = inst;
         chained.a = RowRef::main(2);
         chained.b = RowRef::main(3);
@@ -164,8 +163,7 @@ TEST(MacroEnergyConservation, InstructionCostMatchesLedgerBitwise) {
         EXPECT_EQ(piped.energy.si(), m.last_op().op_energy.si()) << "MULT piped bits=" << bits;
 
         prev = chained;
-        m.mult_rows_chained(chained.a, RowRef::main(5), bits,
-                            /*d1_staged=*/true, /*pipelined=*/true);
+        m.execute_mult(chained.a, RowRef::main(5), bits, {}, MacLink::D1Staged);
         Instruction staged = chained;
         staged.b = RowRef::main(5);
         const InstructionCost st = cost.instruction_cost(staged, &prev);

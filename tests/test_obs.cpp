@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/json.hpp"
 #include "common/json_writer.hpp"
@@ -152,6 +155,44 @@ TEST(Histogram, EmptyAndSingleValue) {
   const obs::HistogramSnapshot s = h.snapshot();
   EXPECT_EQ(s.count, 1u);
   EXPECT_DOUBLE_EQ(s.quantile(0.5), 7.0);  // 0..7 buckets are exact
+}
+
+TEST(Histogram, WeightedObserveCountsEveryEvent) {
+  obs::Histogram h;
+  h.observe(9, 3);
+  h.observe(9);
+  const obs::HistogramSnapshot s = h.snapshot();
+  EXPECT_EQ(s.count, 4u);
+  EXPECT_DOUBLE_EQ(s.sum, 36.0);
+}
+
+TEST(Histogram, ConcurrentWritersSumExactly) {
+  // Two waves of writers race a reader; every observation lands exactly
+  // once.
+  obs::Histogram h;
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kPerThread = 5000;
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    while (!stop.load()) (void)h.snapshot();
+  });
+  for (int wave = 0; wave < 2; ++wave) {
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kThreads; ++t)
+      writers.emplace_back([&h, t] {
+        for (std::uint64_t i = 0; i < kPerThread; ++i)
+          h.observe(i % 64 + static_cast<std::uint64_t>(t));
+      });
+    for (auto& w : writers) w.join();
+  }
+  stop.store(true);
+  reader.join();
+  const obs::HistogramSnapshot s = h.snapshot();
+  EXPECT_EQ(s.count, 2 * kThreads * kPerThread);
+  double want = 0;
+  for (int t = 0; t < kThreads; ++t)
+    for (std::uint64_t i = 0; i < kPerThread; ++i) want += static_cast<double>(i % 64 + t);
+  EXPECT_DOUBLE_EQ(s.sum, 2 * want);
 }
 
 // ---- metrics registry ------------------------------------------------------
