@@ -317,11 +317,11 @@ OpResult ExecutionEngine::run_one(const VecOp& op) {
   const std::size_t transient = (ea != nullptr || eb != nullptr) ? 0 : layers;
   if (transient > 0) residency_.reserve_transient(transient);
   std::uint64_t load = transient > 0 ? rows_per_layer * layers : 0;
-  if (ea != nullptr && residency_.ensure_rows(*ea, eb)) {
+  if (ea != nullptr && residency_.ensure_rows(*ea, 0, eb)) {
     materialize(*ea);
     load += layers;  // the one materializing write, charged to this batch
   }
-  if (eb != nullptr && residency_.ensure_rows(*eb, ea)) {
+  if (eb != nullptr && residency_.ensure_rows(*eb, 0, ea)) {
     materialize(*eb);
     load += layers;
   }
@@ -462,18 +462,25 @@ ExecutionEngine::ForwardLayout ExecutionEngine::prepare_forward(
   // shape simply stays unfusable and run_forward falls back.
   if ((weights.size() + 1) * fl.layers > row_pair_capacity()) return fl;
 
+  // The activation's pairs [0, L) stay reserved while the weights are
+  // placed above them; the writes follow the placement, so a layout that
+  // has to be redone still writes each weight once.
   residency_.reserve_transient(fl.layers);
-  for (std::size_t j = 0; j < fl.entries.size(); ++j) {
-    if (residency_.ensure_rows(*fl.entries[j])) {
-      materialize(*fl.entries[j]);
-      fl.load_cycles += fl.layers;
-      fl.loaded[j] = 1;
-    }
+  const auto place_all = [&] {
+    for (std::size_t j = 0; j < fl.entries.size(); ++j)
+      if (residency_.ensure_rows(*fl.entries[j], fl.layers)) fl.loaded[j] = 1;
+    return std::ranges::all_of(fl.entries,
+                               [](const ResidencyManager::Entry* e) { return e->materialized; });
+  };
+  if (!place_all()) {
+    // Multi-layer weights found the pairs above the activation too
+    // fragmented, so placing a later weight evicted an earlier one. The
+    // shape fits an empty array: clear it and place every weight again.
+    residency_.reserve_transient(row_pair_capacity());
+    (void)place_all();
   }
-  // Fragmentation -- or a sibling evicted while materializing a later
-  // weight -- can still break the layout; check before committing to it.
-  for (const ResidencyManager::Entry* e : fl.entries)
-    if (!e->materialized || e->base_pair < fl.layers) return fl;
+  for (std::size_t j = 0; j < fl.entries.size(); ++j)
+    if (fl.loaded[j]) materialize(*fl.entries[j]);
   fl.fusable = true;
   return fl;
 }
@@ -496,20 +503,23 @@ FusedForward& ExecutionEngine::fused_program_for(const ForwardLayout& fl) {
                      {{"weights", static_cast<double>(fl.entries.size())},
                       {"layers", static_cast<double>(fl.layers)}});
 
+  // A macro's program depends only on how many chunks it holds: ceil(C/M)
+  // for the first C % M macros (all of them when M divides C), floor(C/M)
+  // for the rest. Compile and verify one program per distinct count.
   const std::size_t macros = mem_.macro_count();
-  const std::size_t active = std::min(fl.chunks, macros);
+  const std::size_t most = (fl.chunks + macros - 1) / macros;
+  const std::size_t shapes = fl.chunks % macros != 0 && fl.chunks > macros ? 2 : 1;
   const macro::FusionCompiler compiler(mem_.macro(0).config().geometry, pinned_rows());
   FusedForward next{.placements = {placements.begin(), placements.end()}, .programs = {}};
-  next.programs.reserve(active);
-  for (std::size_t m = 0; m < active; ++m) {
-    // Macro m owns chunks m, m + M, ...; its program walks them layer-major
-    // with the op loop inside, so every MULT of a layer shares the staged
-    // activation row and the chained datapath's D1-staging discount applies
-    // to all but the first.
-    const std::size_t layers_m = (fl.chunks - m - 1) / macros + 1;
+  next.programs.reserve(shapes);
+  for (std::size_t k = 0; k < shapes; ++k) {
+    // The program walks the macro's chunks layer-major with the op loop
+    // inside, so every MULT of a layer shares the staged activation row and
+    // the chained datapath's D1-staging discount applies to all but the
+    // first.
     macro::MacForwardSpec spec;
     spec.bits = fl.bits;
-    for (std::size_t l = 0; l < layers_m; ++l)
+    for (std::size_t l = 0; l < most - k; ++l)
       for (const ResidencyManager::Entry* e : fl.entries)
         spec.steps.push_back(macro::MacStep{2 * l, 2 * (e->base_pair + l)});
     next.programs.push_back(compiler.compile_mac_forward(spec));
@@ -546,13 +556,7 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
     for (std::size_t j = 0; j < weights.size(); ++j)
       ops[j] = VecOp{
           .kind = OpKind::Mult, .bits = fl.bits, .a = {}, .b = activation, .ra = weights[j]};
-    std::vector<OpResult> out = run_batch(ops);
-    // Weights prepare_forward already materialized load nothing inside
-    // run_batch; keep their writes on this batch's account.
-    batch_.load_cycles += fl.load_cycles;
-    batch_.serial_cycles += fl.load_cycles;
-    batch_.pipelined_cycles += fl.load_cycles;
-    return out;
+    return run_batch(ops);
   }
 
   // Stage the shared activation in the even row of transient pair l and run
@@ -562,8 +566,9 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
   const std::size_t ops = weights.size();
   std::vector<OpResult> results(ops);
   for (OpResult& r : results) r.values.assign(fl.elements, 0);
-  ExecPlan& plan = begin_plan(ff.programs.size());
-  for_each_chunk(fl.elements, fl.per_op, mem_.macro_count(),
+  const std::size_t macros = mem_.macro_count();
+  ExecPlan& plan = begin_plan(std::min(fl.chunks, macros));
+  for_each_chunk(fl.elements, fl.per_op, macros,
                  [&](std::size_t m, std::size_t l, std::size_t pos, std::size_t len) {
                    MacroPlan& mp = plan.macros[m];
                    mp.stage.push_back({2 * l, fl.bits, OperandLayout::MultUnit,
@@ -572,7 +577,11 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
                      mp.extract.push_back({l * ops + j, fl.bits, OperandLayout::MultUnit,
                                            std::span(results[j].values).subspan(pos, len)});
                  });
-  for (std::size_t m = 0; m < plan.active; ++m) plan.macros[m].programs.push_back(&ff.programs[m]);
+  // Macro m holds ceil(C/M) chunks (program 0) unless M does not divide C
+  // and m >= C % M, which holds one fewer (program 1).
+  const std::size_t rem = fl.chunks % macros;
+  for (std::size_t m = 0; m < plan.active; ++m)
+    plan.macros[m].programs.push_back(&ff.programs[rem != 0 && m >= rem ? 1 : 0]);
   const std::uint64_t adaptive = execute(plan);
 
   // Per-op accounting: cycles from macro 0 (the max-layer macro; instruction

@@ -146,16 +146,19 @@ class ExecutionEngine : public Executor {
   // ---- fusion (engine/fusion.hpp; compiler in macro/compiler.hpp) ---------
 
   /// Execute a whole forward -- every weight handle against one shared
-  /// activation -- as one fused macro program per macro. The activation is
-  /// staged once in the bottom transient pairs and every MULT reads it in
-  /// place, so consecutive ops run on the chained datapath (D1 staging
-  /// skipped within a layer, FF load pipelined across all of them) and the
-  /// activation loads once instead of once per op. Values are bit-identical
-  /// to the op-at-a-time path (the product is exact, so swapping
-  /// multiplicand and multiplier roles changes nothing). Falls back to
-  /// run_batch() transparently when the shape cannot fuse (weights +
-  /// activation exceed capacity, or fragmentation scattered the weights).
-  /// Results are in `weights` order; last_batch() covers the whole forward.
+  /// activation -- as one fused macro program on each macro. The activation
+  /// is staged once in the bottom transient pairs [0, L) and every MULT
+  /// reads it in place, so consecutive ops run on the chained datapath (D1
+  /// staging skipped within a layer, FF load pipelined across all of them)
+  /// and the activation loads once instead of once per op. The weights
+  /// materialize above that reserved region, evicting other handles LRU
+  /// first, so the fused layout survives residency churn. Macros holding the
+  /// same number of chunks share one compiled program. Values are
+  /// bit-identical to the op-at-a-time path (the product is exact, so
+  /// swapping multiplicand and multiplier roles changes nothing). Falls back
+  /// to run_batch() only when the shape cannot fit: (weights + 1) x L row
+  /// pairs exceed row_pair_capacity(). Results are in `weights` order;
+  /// last_batch() covers the whole forward.
   [[nodiscard]] std::vector<OpResult> run_forward(
       std::span<const ResidentOperand> weights,
       std::span<const std::uint64_t> activation) override;
@@ -164,7 +167,7 @@ class ExecutionEngine : public Executor {
   /// forward (run_forward otherwise compiles on first use). Materializes the
   /// weights now; each weight's load cycles are charged to its own op of the
   /// first fused run_forward() that uses it. False when the shape cannot
-  /// fuse (run_forward would fall back anyway).
+  /// fit (run_forward would fall back anyway).
   bool compile_forward(std::span<const ResidentOperand> weights);
 
   /// Execute one MULT->ADD(->ADD-Shift) dependency chain as a single fused
@@ -230,8 +233,8 @@ class ExecutionEngine : public Executor {
 
   /// Residency state of one run_forward()/compile_forward() call: the
   /// resolved weight entries, the shared chunk geometry, and whether the
-  /// fused layout holds (all weights materialized above the activation's
-  /// transient region).
+  /// shape fits the fused layout (then every weight is materialized above
+  /// the activation's transient region).
   struct ForwardLayout {
     std::vector<ResidencyManager::Entry*> entries;
     unsigned bits = 0;
@@ -239,16 +242,14 @@ class ExecutionEngine : public Executor {
     std::size_t per_op = 0;
     std::size_t chunks = 0;
     std::size_t layers = 0;            ///< L, per handle and for the activation
-    std::uint64_t load_cycles = 0;     ///< materializing writes this call
     std::vector<std::uint8_t> loaded;  ///< per weight: materialized this call
     bool fusable = false;
   };
   /// Resolve the (validated) weights, then, when the shape fits, reserve
-  /// the activation region and materialize every weight for the fused
-  /// layout.
+  /// the activation region and materialize every weight above it.
   ForwardLayout prepare_forward(std::span<const ResidentOperand> weights);
-  /// Cached per-macro programs for the layout, (re)compiled when the
-  /// weights moved since the last compile.
+  /// Cached programs for the layout, one per macro shape, (re)compiled
+  /// when the weights moved since the last compile.
   FusedForward& fused_program_for(const ForwardLayout& fl);
   /// The materialized pinned set as verifier row intervals.
   [[nodiscard]] std::vector<macro::PinnedRows> pinned_rows() const;

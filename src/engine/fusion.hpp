@@ -3,7 +3,7 @@
 // macro/compiler.hpp and knows nothing of the engine layer).
 //
 // run_forward() executes a whole-forward MAC program: J resident weight
-// handles against one shared activation, compiled per macro into a single
+// handles against one shared activation, each macro running a single
 // VerifiedProgram whose back-to-back MULTs run on the chained datapath.
 // run_chain() executes one MULT->ADD(->ADD-Shift) dependency chain without
 // spilling the intermediate product. FusionStats counts how often each path
@@ -46,14 +46,17 @@ struct FusionStats {
   std::uint64_t chain_runs = 0;     ///< fused chains executed
 };
 
-/// One cached whole-forward compilation: the per-macro programs plus the
-/// residency snapshot they were emitted against (a weight that has moved
-/// since -- eviction and re-materialization -- invalidates the cache). A
-/// handle id fixes its precision and shape, so the placements say it all.
+/// One cached whole-forward compilation: the programs plus the residency
+/// snapshot they were emitted against (a weight that has moved since --
+/// eviction and re-materialization -- invalidates the cache). A handle id
+/// fixes its precision and shape, so the placements say it all.
 struct FusedForward {
   /// (weight handle id, base pair at compile time), op order.
   std::vector<std::pair<std::uint64_t, std::size_t>> placements;
-  std::vector<macro::VerifiedProgram> programs;  ///< one per macro that owns a chunk
+  /// One per per-macro layer count, not one per macro: [0] for the macros
+  /// holding ceil(C/M) of the C chunks, [1] -- present only when M does not
+  /// divide C and C > M -- for those holding floor(C/M).
+  std::vector<macro::VerifiedProgram> programs;
 };
 
 }  // namespace bpim::engine

@@ -50,7 +50,7 @@ const char* to_string(OperandLayout layout) {
 }
 
 ResidencyManager::ResidencyManager(std::size_t row_pair_capacity)
-    : capacity_(row_pair_capacity) {
+    : capacity_(row_pair_capacity), owner_(row_pair_capacity, nullptr) {
   BPIM_REQUIRE(capacity_ > 0, "residency needs at least one row pair");
 }
 
@@ -84,22 +84,21 @@ ResidentOperand ResidencyManager::pin(std::span<const std::uint64_t> values, uns
 
 bool ResidencyManager::unpin(std::uint64_t id) {
   MutexLock lk(mutex_);
-  const bool erased = entries_.erase(id) > 0;
-  if (erased) {
-    residency_metrics().unpins.add();
-    BPIM_TRACE_INSTANT("residency.unpin", 0, {{"handle", static_cast<double>(id)}});
-  }
-  return erased;
+  const auto it = entries_.find(id);
+  if (it == entries_.end()) return false;
+  if (it->second->materialized) occupy(*it->second, nullptr);
+  entries_.erase(it);
+  residency_metrics().unpins.add();
+  BPIM_TRACE_INSTANT("residency.unpin", 0, {{"handle", static_cast<double>(id)}});
+  return true;
 }
 
 ResidencyStats ResidencyManager::stats() const {
   MutexLock lk(mutex_);
   ResidencyStats s;
   s.pinned = entries_.size();
-  for (const auto& [id, e] : entries_) {
-    s.pinned_layers += e->handle.layers;
-    if (e->materialized) s.resident_layers += e->handle.layers;
-  }
+  for (const auto& [id, e] : entries_) s.pinned_layers += e->handle.layers;
+  s.resident_layers = resident_layers_;
   s.materializations = materializations_;
   s.evictions = evictions_;
   s.load_cycles_saved = load_cycles_saved_;
@@ -108,10 +107,7 @@ ResidencyStats ResidencyManager::stats() const {
 
 std::size_t ResidencyManager::resident_layers() const {
   MutexLock lk(mutex_);
-  std::size_t total = 0;
-  for (const auto& [id, e] : entries_)
-    if (e->materialized) total += e->handle.layers;
-  return total;
+  return resident_layers_;
 }
 
 ResidencyManager::Entry* ResidencyManager::touch(std::uint64_t id) {
@@ -122,15 +118,31 @@ ResidencyManager::Entry* ResidencyManager::touch(std::uint64_t id) {
   return it->second.get();
 }
 
+void ResidencyManager::occupy(Entry& e, Entry* owner) {
+  std::fill_n(owner_.begin() + static_cast<std::ptrdiff_t>(e.base_pair), e.handle.layers, owner);
+  if (owner != nullptr)
+    resident_layers_ += e.handle.layers;
+  else
+    resident_layers_ -= e.handle.layers;
+  e.materialized = owner != nullptr;
+}
+
 template <class Pred>
-bool ResidencyManager::evict_lru(Pred&& victim_ok) {
+bool ResidencyManager::evict_lru(std::size_t below, Pred&& victim_ok) {
+  // Walk the map bottom-up one entry (not one pair) at a time. Ticks are
+  // unique, so the victim does not depend on the walk order.
   Entry* victim = nullptr;
-  for (const auto& [id, e] : entries_) {
-    if (!e->materialized || !victim_ok(*e)) continue;
-    if (victim == nullptr || e->last_use < victim->last_use) victim = e.get();
+  for (std::size_t p = 0; p < below;) {
+    Entry* e = owner_[p];
+    if (e == nullptr) {
+      ++p;
+      continue;
+    }
+    if (victim_ok(*e) && (victim == nullptr || e->last_use < victim->last_use)) victim = e;
+    p = e->base_pair + e->handle.layers;
   }
   if (victim == nullptr) return false;
-  victim->materialized = false;
+  occupy(*victim, nullptr);
   ++evictions_;
   residency_metrics().evictions.add();
   BPIM_TRACE_INSTANT("residency.evict", 0,
@@ -144,47 +156,45 @@ void ResidencyManager::reserve_transient(std::size_t transient_layers) {
   BPIM_REQUIRE(transient_layers <= capacity_, "vector exceeds memory capacity");
   // Handles allocate top-down, so a conflict with the bottom transient
   // region is exactly the "pinned + transient exceeds capacity" overflow;
-  // evict the conflicting handles LRU-first until the region is clear.
-  for (;;) {
-    const bool evicted = evict_lru(
-        [&](const Entry& e) { return e.base_pair < transient_layers; });
-    if (!evicted) return;
+  // evict the handles based inside the region LRU-first until it is clear.
+  while (evict_lru(transient_layers, [](const Entry&) { return true; })) {
   }
 }
 
-std::size_t ResidencyManager::find_gap(std::size_t layers) const {
-  // Occupied intervals, sorted descending by base: walk from the array top
-  // and take the first (highest) gap that fits.
-  std::vector<std::pair<std::size_t, std::size_t>> used;  // (base, layers)
-  for (const auto& [id, e] : entries_)
-    if (e->materialized) used.emplace_back(e->base_pair, e->handle.layers);
-  std::sort(used.begin(), used.end(), std::greater<>());
-  std::size_t ceiling = capacity_;
-  for (const auto& [base, len] : used) {
-    if (ceiling >= base + len && ceiling - (base + len) >= layers)
-      return ceiling - layers;
-    ceiling = std::min(ceiling, base);
+std::size_t ResidencyManager::find_gap(std::size_t layers, std::size_t floor) const {
+  // The first run to reach `layers` free pairs on the way down is the top
+  // of the highest gap that fits; an occupied pair skips its whole entry.
+  std::size_t run = 0;
+  for (std::size_t p = capacity_; p-- > floor;) {
+    if (const Entry* e = owner_[p]; e != nullptr) {
+      run = 0;
+      p = e->base_pair;
+    } else if (++run == layers) {
+      return p;
+    }
   }
-  return ceiling >= layers ? ceiling - layers : capacity_;
+  return capacity_;
 }
 
-bool ResidencyManager::ensure_rows(Entry& e, const Entry* keep) {
+bool ResidencyManager::ensure_rows(Entry& e, std::size_t floor, const Entry* keep) {
   MutexLock lk(mutex_);
   if (e.materialized) return false;
+  BPIM_REQUIRE(floor + e.handle.layers <= capacity_,
+               "pinned operand does not fit above the reserved transient region");
   for (;;) {
-    const std::size_t base = find_gap(e.handle.layers);
+    const std::size_t base = find_gap(e.handle.layers, floor);
     if (base < capacity_) {
       e.base_pair = base;
-      e.materialized = true;
+      occupy(e, &e);
       e.last_use = ++tick_;
       ++materializations_;
       residency_metrics().materializations.add();
       return true;
     }
     const bool evicted = evict_lru(
-        [&](const Entry& victim) { return &victim != &e && &victim != keep; });
-    // pin() bounds every handle at <= capacity, so an empty array always
-    // fits it; running out of victims here would be a bookkeeping defect.
+        capacity_, [&](const Entry& victim) { return &victim != &e && &victim != keep; });
+    // The floor check above leaves room for `e` in an otherwise empty
+    // array; running out of victims here would be a bookkeeping defect.
     BPIM_REQUIRE(evicted, "residency allocator found no gap and no victim");
   }
 }
@@ -198,9 +208,15 @@ std::vector<std::pair<std::size_t, std::size_t>> ResidencyManager::materialized_
     const {
   MutexLock lk(mutex_);
   std::vector<std::pair<std::size_t, std::size_t>> out;
-  for (const auto& [id, e] : entries_)
-    if (e->materialized) out.emplace_back(e->base_pair, e->handle.layers);
-  std::sort(out.begin(), out.end());
+  for (std::size_t p = 0; p < capacity_;) {
+    const Entry* e = owner_[p];
+    if (e == nullptr) {
+      ++p;
+      continue;
+    }
+    out.emplace_back(e->base_pair, e->handle.layers);
+    p += e->handle.layers;
+  }
   return out;
 }
 

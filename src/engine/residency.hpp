@@ -21,6 +21,13 @@
 // least-recently-used first among those whose rows conflict -- and
 // transparently re-materialized (and re-charged) on their next use.
 //
+// One reservation concept: a caller that keeps a transient region live
+// while it materializes handles (a fused forward's activation pairs)
+// passes that region's size to ensure_rows() as the floor, and no handle
+// is placed below it. The allocator reads an occupancy map -- the owning
+// entry of every row pair -- plus a running resident-layer count, so gap
+// search, LRU eviction and the budget queries neither allocate nor sort.
+//
 // Thread-safety: every method locks the manager's mutex. Entries live
 // behind stable unique_ptrs, so an Entry* held by the run thread survives
 // concurrent pin() calls. Do not unpin a handle while ops referencing it
@@ -122,10 +129,13 @@ class ResidencyManager {
   /// materialized handles whose rows conflict are evicted, LRU first.
   void reserve_transient(std::size_t transient_layers) BPIM_EXCLUDES(mutex_);
 
-  /// Give `e` rows if it has none, allocating top-down and evicting LRU
-  /// handles as needed (never `keep`, the other side of the same op).
-  /// Returns true when the caller must write the values into the rows.
-  [[nodiscard]] bool ensure_rows(Entry& e, const Entry* keep = nullptr) BPIM_EXCLUDES(mutex_);
+  /// Give `e` rows if it has none: the highest free run at or above pair
+  /// `floor` (the transient region the caller keeps reserved below it),
+  /// evicting LRU handles as needed (never `keep`, the other side of the
+  /// same op). Returns true when the caller must write the values into the
+  /// rows.
+  [[nodiscard]] bool ensure_rows(Entry& e, std::size_t floor, const Entry* keep = nullptr)
+      BPIM_EXCLUDES(mutex_);
 
   /// Accumulate the load cycles an op avoided by referencing handles.
   void note_saved(std::uint64_t cycles) BPIM_EXCLUDES(mutex_);
@@ -137,17 +147,26 @@ class ResidencyManager {
       BPIM_EXCLUDES(mutex_);
 
  private:
-  /// Highest-fitting base pair for `layers`, or capacity_ when nothing fits.
-  [[nodiscard]] std::size_t find_gap(std::size_t layers) const BPIM_REQUIRES(mutex_);
-  /// Evict the LRU materialized entry satisfying `victim_ok`; false if none.
+  /// Base of the highest free run of `layers` pairs at or above `floor`,
+  /// or capacity_ when none fits: one top-down walk of the occupancy map.
+  [[nodiscard]] std::size_t find_gap(std::size_t layers, std::size_t floor) const
+      BPIM_REQUIRES(mutex_);
+  /// Point the occupancy map's pairs of `e` at `owner` (e or null) and keep
+  /// the resident-layer count in step.
+  void occupy(Entry& e, Entry* owner) BPIM_REQUIRES(mutex_);
+  /// Evict the LRU materialized entry based below pair `below` that
+  /// satisfies `victim_ok`; false if none.
   template <class Pred>
-  bool evict_lru(Pred&& victim_ok) BPIM_REQUIRES(mutex_);
+  bool evict_lru(std::size_t below, Pred&& victim_ok) BPIM_REQUIRES(mutex_);
 
   static std::atomic<std::uint64_t> id_counter_;  ///< next_operand_id() stream
 
   const std::size_t capacity_;
   mutable Mutex mutex_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Entry>> entries_ BPIM_GUARDED_BY(mutex_);
+  /// Occupancy map: the materialized entry holding each row pair, or null.
+  std::vector<Entry*> owner_ BPIM_GUARDED_BY(mutex_);
+  std::size_t resident_layers_ BPIM_GUARDED_BY(mutex_) = 0;
   std::uint64_t tick_ BPIM_GUARDED_BY(mutex_) = 0;
   std::uint64_t materializations_ BPIM_GUARDED_BY(mutex_) = 0;
   std::uint64_t evictions_ BPIM_GUARDED_BY(mutex_) = 0;

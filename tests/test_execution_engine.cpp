@@ -154,14 +154,18 @@ TEST_P(EngineDeterminismP, AllOpsMatchSerialExactly) {
 TEST_P(EngineDeterminismP, FusedForwardMatchesSerialExactly) {
   const std::size_t threads = GetParam();
   // 32 MULT units per layer over 4 macros: 100 elements leave a partial last
-  // chunk on one macro. 2 x 699 elements need (2 + 1) x 22 > 64 row pairs,
-  // so that shape cannot fuse and falls back to op-at-a-time.
+  // chunk on one macro, and their 13 chunks give macro 0 four layers and
+  // the rest three -- two fused program shapes. 20 elements (3 chunks) and
+  // 5 elements (1 chunk) leave macros idle. 2 x 699 elements need (2 + 1) x
+  // 22 > 64 row pairs, so that shape cannot fuse and falls back to
+  // op-at-a-time.
   struct Shape {
     std::size_t ops, elements;
     bool adaptive;
   };
   for (const Shape& s : {Shape{3, 100, false}, Shape{3, 100, true}, Shape{1, 7, false},
-                         Shape{2, 699, false}, Shape{2, 699, true}}) {
+                         Shape{3, 20, false}, Shape{3, 20, true}, Shape{3, 5, false},
+                         Shape{3, 5, true}, Shape{2, 699, false}, Shape{2, 699, true}}) {
     const FusedRun serial = forward_fresh(s.ops, s.elements, s.adaptive, 1);
     const FusedRun parallel = forward_fresh(s.ops, s.elements, s.adaptive, threads);
     EXPECT_EQ(serial.fusion.fallback_runs, s.elements == 699 ? 2u : 0u);

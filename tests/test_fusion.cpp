@@ -4,17 +4,22 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "engine/execution_engine.hpp"
 #include "macro/memory.hpp"
+#include "obs/metrics.hpp"
 
 namespace bpim::engine {
 namespace {
 
-macro::MemoryConfig small_mem() {
+macro::MemoryConfig small_mem(std::size_t macros = 2) {
   macro::MemoryConfig cfg;
   cfg.banks = 1;
-  cfg.macros_per_bank = 2;
+  cfg.macros_per_bank = macros;
   return cfg;
 }
 
@@ -25,18 +30,50 @@ std::vector<std::uint64_t> random_codes(std::size_t n, unsigned bits, std::uint6
   return v;
 }
 
+/// Outputs and every RunStats/BatchStats field of two forwards, bitwise.
+void expect_same_forward(const std::vector<OpResult>& got, const BatchStats& got_batch,
+                         const std::vector<OpResult>& want, const BatchStats& want_batch,
+                         const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t j = 0; j < got.size(); ++j) {
+    const RunStats& g = got[j].stats;
+    const RunStats& e = want[j].stats;
+    EXPECT_EQ(got[j].values, want[j].values) << what << " op " << j;
+    EXPECT_EQ(g.elements, e.elements) << what;
+    EXPECT_EQ(g.instructions, e.instructions) << what;
+    EXPECT_EQ(g.elapsed_cycles, e.elapsed_cycles) << what;
+    EXPECT_EQ(g.energy.si(), e.energy.si()) << what;
+    EXPECT_EQ(g.elapsed_time.si(), e.elapsed_time.si()) << what;
+    EXPECT_EQ(g.load_cycles, e.load_cycles) << what;
+    EXPECT_EQ(g.load_cycles_saved, e.load_cycles_saved) << what;
+    EXPECT_EQ(g.fused_cycles_saved, e.fused_cycles_saved) << what;
+    EXPECT_EQ(g.adaptive_cycles_saved, e.adaptive_cycles_saved) << what;
+  }
+  EXPECT_EQ(got_batch.ops, want_batch.ops) << what;
+  EXPECT_EQ(got_batch.instructions, want_batch.instructions) << what;
+  EXPECT_EQ(got_batch.load_cycles, want_batch.load_cycles) << what;
+  EXPECT_EQ(got_batch.load_cycles_saved, want_batch.load_cycles_saved) << what;
+  EXPECT_EQ(got_batch.compute_cycles, want_batch.compute_cycles) << what;
+  EXPECT_EQ(got_batch.pipelined_cycles, want_batch.pipelined_cycles) << what;
+  EXPECT_EQ(got_batch.fused_cycles_saved, want_batch.fused_cycles_saved) << what;
+  EXPECT_EQ(got_batch.adaptive_cycles_saved, want_batch.adaptive_cycles_saved) << what;
+  EXPECT_EQ(got_batch.energy.si(), want_batch.energy.si()) << what;
+}
+
 TEST(Fusion, ForwardBitIdenticalAcrossPrecisionsAndShapes) {
   // The sweep the tentpole promises: fused and unfused engines compute the
   // same products at every precision and shape, with fewer fused cycles.
+  // Chunk counts that M macros do not divide (3 on 2, 5 on 4) run two
+  // program shapes; fewer chunks than macros (1 on 4) leave macros idle.
   struct Shape {
-    std::size_t ops, elements;
+    std::size_t ops, elements, macros;
   };
-  const Shape shapes[] = {{1, 16}, {4, 48}, {9, 96}};
+  const Shape shapes[] = {{1, 16, 2}, {4, 48, 2}, {9, 96, 2}, {3, 24, 2}, {3, 5, 4}, {5, 40, 4}};
   for (const unsigned bits : {2u, 4u, 8u}) {
     for (const Shape& s : shapes) {
-      macro::ImcMemory fused_mem(small_mem());
+      macro::ImcMemory fused_mem(small_mem(s.macros));
       ExecutionEngine fused(fused_mem);
-      macro::ImcMemory plain_mem(small_mem());
+      macro::ImcMemory plain_mem(small_mem(s.macros));
       ExecutionEngine plain(plain_mem);
 
       std::vector<std::vector<std::uint64_t>> w;
@@ -55,12 +92,37 @@ TEST(Fusion, ForwardBitIdenticalAcrossPrecisionsAndShapes) {
         ops[j].b = x;
       }
       const auto want = plain.run_batch(ops);
+      obs::Counter& compiled = obs::MetricsRegistry::global().counter("macro.programs.compiled");
+      const std::uint64_t compiled_before = compiled.value();
       const auto got = fused.run_forward(handles, x);
+      // One verified program per distinct per-macro chunk count, not one per
+      // macro.
+      const std::size_t units = fused.mult_units_per_row(bits);
+      const std::size_t chunks = (s.elements + units - 1) / units;
+      EXPECT_EQ(compiled.value() - compiled_before,
+                chunks > s.macros && chunks % s.macros != 0 ? 2u : 1u)
+          << bits << "b, " << chunks << " chunks on " << s.macros;
+      // Each macro runs the program of its own chunk count: with the policy
+      // off cycles do not depend on data, so a macro holding fewer chunks
+      // than macro 0 logs strictly fewer cycles, and an idle one none.
+      for (std::size_t m = 0; m < s.macros; ++m) {
+        const std::uint64_t cyc = fused_mem.macro(m).total_cycles();
+        const std::uint64_t cyc0 = fused_mem.macro(0).total_cycles();
+        const std::size_t held = m < chunks ? (chunks - m - 1) / s.macros + 1 : 0;
+        const std::size_t held0 = (chunks - 1) / s.macros + 1;
+        if (held == 0) {
+          EXPECT_EQ(cyc, 0u) << bits << "b, macro " << m;
+        } else if (held == held0) {
+          EXPECT_EQ(cyc, cyc0) << bits << "b, macro " << m;
+        } else {
+          EXPECT_LT(cyc, cyc0) << bits << "b, macro " << m;
+        }
+      }
       ASSERT_EQ(got.size(), want.size());
       std::uint64_t fused_cycles = 0, plain_cycles = 0, saved = 0;
       for (std::size_t j = 0; j < s.ops; ++j) {
         EXPECT_EQ(got[j].values, want[j].values)
-            << bits << "b, " << s.ops << "x" << s.elements << ", op " << j;
+            << bits << "b, " << s.ops << "x" << s.elements << " on " << s.macros << ", op " << j;
         fused_cycles += got[j].stats.elapsed_cycles;
         plain_cycles += want[j].stats.elapsed_cycles;
         saved += got[j].stats.fused_cycles_saved;
@@ -148,6 +210,123 @@ TEST(Fusion, EvictionUnderPressureRecompilesAndStaysCorrect) {
   for (std::size_t j = 0; j < 3; ++j)
     for (std::size_t i = 0; i < per_layer; ++i)
       EXPECT_EQ(results[j].values[i], w[j][i] * x[i]) << "op " << j << " elem " << i;
+}
+
+TEST(Fusion, ForwardsStayFusedUnderResidencyChurn) {
+  // Three tenants x 32 one-layer weights on a 64-pair memory: each forward
+  // needs 33 pairs (weights + activation), all three need 97, so every
+  // forward evicts the previous tenants and re-materializes its own
+  // weights. The allocator must keep the re-materialized weights out of the
+  // activation's reserved pair, so every forward runs fused, and each one
+  // must match -- outputs and every stats field, bitwise -- the same
+  // forward on a fresh serial engine that holds only that tenant's weights.
+  const unsigned bits = 8;
+  const std::size_t tenants = 3, weights = 32, elements = 12, rounds = 6;
+  for (const bool adaptive : {false, true}) {
+    const auto make_engine = [&](macro::ImcMemory& mem, std::size_t threads) {
+      auto eng = std::make_unique<ExecutionEngine>(mem, EngineConfig{threads});
+      if (adaptive) eng->set_adaptive_policy({.narrow_precision = true, .skip_zero = true});
+      return eng;
+    };
+    std::vector<std::vector<std::vector<std::uint64_t>>> w(tenants);
+    for (std::size_t t = 0; t < tenants; ++t)
+      for (std::size_t j = 0; j < weights; ++j)
+        w[t].push_back(random_codes(elements, bits, 1000 * (t + 1) + j));
+
+    macro::ImcMemory mem(small_mem());
+    const auto eng = make_engine(mem, 2);
+    ASSERT_EQ(eng->row_pair_capacity(), 64u);
+    std::vector<std::vector<ResidentOperand>> handles(tenants);
+    for (std::size_t t = 0; t < tenants; ++t)
+      for (const auto& wj : w[t]) handles[t].push_back(eng->pin(wj, bits, OperandLayout::MultUnit));
+
+    std::size_t forwards = 0;
+    for (std::size_t r = 0; r < rounds; ++r) {
+      for (std::size_t t = 0; t < tenants; ++t) {
+        const auto x = random_codes(elements, bits, 77 * r + t);
+        const auto got = eng->run_forward(handles[t], x);
+        const BatchStats got_batch = eng->last_batch();
+        ++forwards;
+
+        macro::ImcMemory ref_mem(small_mem());
+        const auto ref = make_engine(ref_mem, 1);
+        std::vector<ResidentOperand> ref_handles;
+        for (const auto& wj : w[t]) ref_handles.push_back(ref->pin(wj, bits, OperandLayout::MultUnit));
+        const auto want = ref->run_forward(ref_handles, x);
+        const BatchStats& want_batch = ref->last_batch();
+        ASSERT_EQ(ref->fusion_stats().fused_runs, 1u);
+
+        const std::string what = std::string(adaptive ? "adaptive" : "dense") + " round " +
+                                 std::to_string(r) + " tenant " + std::to_string(t);
+        expect_same_forward(got, got_batch, want, want_batch, what);
+        for (std::size_t j = 0; j < weights; ++j)
+          for (std::size_t i = 0; i < elements; ++i)
+            EXPECT_EQ(got[j].values[i], w[t][j][i] * x[i]) << what << " op " << j;
+      }
+    }
+    EXPECT_EQ(eng->fusion_stats().fused_runs, forwards);
+    EXPECT_EQ(eng->fusion_stats().fallback_runs, 0u);
+    // Round-robin over 97 pairs of demand on 64: every forward after the
+    // first round re-materializes all of its tenant's weights.
+    EXPECT_EQ(eng->residency_stats().materializations, forwards * weights);
+  }
+}
+
+TEST(Fusion, FragmentedArrayStillFusesAFittingShape) {
+  // 8 row pairs. One-layer handles X and Y pin the 2-layer weight W0 into
+  // the middle of the array; the forward W0, W1, W2 needs 2 + 3 x 2 = 8
+  // pairs. W1 fits above the activation, but W2 then finds no 2-pair gap
+  // and its evictions take W0. The layout is redone on an emptied array, so
+  // the forward runs fused and matches a fresh engine's first forward.
+  const unsigned bits = 8;
+  macro::MemoryConfig cfg = small_mem();
+  cfg.macro.geometry.rows = 16;
+  macro::ImcMemory mem(cfg);
+  ExecutionEngine eng(mem);
+  ASSERT_EQ(eng.row_pair_capacity(), 8u);
+  const std::size_t per_layer = eng.mult_units_per_row(bits) * mem.macro_count();
+  const auto x1 = random_codes(per_layer, bits, 1100);
+  const auto x2 = random_codes(2 * per_layer, bits, 1101);
+  const auto one_layer = [&](std::uint64_t seed) {
+    VecOp op;
+    op.kind = OpKind::Mult;
+    op.bits = bits;
+    op.ra = eng.pin(random_codes(per_layer, bits, seed), bits, OperandLayout::MultUnit);
+    op.b = x1;
+    return op;
+  };
+  const VecOp use_x = one_layer(1102);
+  std::vector<std::vector<std::uint64_t>> w;
+  std::vector<ResidentOperand> handles;
+  for (std::size_t j = 0; j < 3; ++j) {
+    w.push_back(random_codes(2 * per_layer, bits, 1110 + j));
+    handles.push_back(eng.pin(w.back(), bits, OperandLayout::MultUnit));
+  }
+  ASSERT_EQ(handles[0].layers, 2u);
+  const VecOp use_y = one_layer(1103);
+  VecOp use_w0;
+  use_w0.kind = OpKind::Mult;
+  use_w0.bits = bits;
+  use_w0.ra = handles[0];
+  use_w0.b = x2;
+  (void)eng.run(use_x);   // X at pair 7
+  (void)eng.run(use_w0);  // W0 at pairs 5-6
+  (void)eng.run(use_y);   // Y at pair 4
+  ASSERT_EQ(eng.resident_layers(), 4u);
+
+  const auto got = eng.run_forward(handles, x2);
+  EXPECT_EQ(eng.fusion_stats().fused_runs, 1u);
+  EXPECT_EQ(eng.fusion_stats().fallback_runs, 0u);
+  EXPECT_EQ(eng.resident_layers(), 6u);
+
+  macro::ImcMemory ref_mem(cfg);
+  ExecutionEngine ref(ref_mem);
+  std::vector<ResidentOperand> ref_handles;
+  for (const auto& wj : w) ref_handles.push_back(ref.pin(wj, bits, OperandLayout::MultUnit));
+  const auto want = ref.run_forward(ref_handles, x2);
+  expect_same_forward(got, eng.last_batch(), want, ref.last_batch(), "fragmented");
+  for (std::size_t j = 0; j < 3; ++j)
+    for (std::size_t i = 0; i < x2.size(); ++i) EXPECT_EQ(got[j].values[i], w[j][i] * x2[i]);
 }
 
 TEST(Fusion, UnfusableShapeFallsBackBitIdentical) {

@@ -496,6 +496,53 @@ TEST(HotPathDiff, BulkPokeMatchesPerWordPokes) {
                std::invalid_argument);
 }
 
+TEST(HotPathDiff, WordLevelStagingMatchesPerElementDeposits) {
+  // poke_words / poke_mult_operands assemble each storage word and write it
+  // once. The oracle deposits element by element into a copy of the same
+  // random row: spans start past slot 0 and stop short of the row end, so
+  // every column outside them must keep its bits -- on inline rows (128,
+  // 256 columns) and heap rows (320).
+  Rng rng(0x57A6);
+  for (const std::size_t cols : {128u, 256u, 320u}) {
+    macro::ImcMacro m{geometry_cfg(cols)};
+    for (const unsigned bits : {2u, 4u, 8u, 16u, 32u}) {
+      const std::uint64_t mask = (1ull << bits) - 1;
+      for (const bool mult : {false, true}) {
+        const std::size_t field = mult ? 2 * bits : bits;
+        const std::size_t slots = mult ? m.mult_units_per_row(bits) : m.words_per_row(bits);
+        for (int rep = 0; rep < 8; ++rep) {
+          const std::size_t first = rep == 0 ? 0 : 1 + rng.uniform_u64(slots - 1);
+          const std::size_t count = rep == 0 ? slots : rng.uniform_u64(slots - first + 1);
+          std::vector<std::uint64_t> vals(count);
+          for (auto& v : vals) v = rng.next_u64() & mask;
+          BitVector want(cols);
+          want.randomize(rng);
+          m.poke_row(7, want);
+          if (mult)
+            m.poke_mult_operands(7, first, bits, vals);
+          else
+            m.poke_words(7, first, bits, vals);
+          for (std::size_t i = 0; i < count; ++i)
+            want.deposit_bits((first + i) * field, field, vals[i]);
+          EXPECT_EQ(m.peek_row(7), want) << cols << " cols, " << bits << "b, "
+                                         << (mult ? "mult" : "word") << " [" << first << ", +"
+                                         << count << ")";
+        }
+        // One value too wide for the precision rejects the whole span
+        // before any bit is written.
+        BitVector before(cols);
+        before.randomize(rng);
+        m.poke_row(7, before);
+        std::vector<std::uint64_t> bad(slots - 1, 1);
+        bad.back() = mask + 1;
+        EXPECT_THROW(mult ? m.poke_mult_operands(7, 1, bits, bad) : m.poke_words(7, 1, bits, bad),
+                     std::invalid_argument);
+        EXPECT_EQ(m.peek_row(7), before) << cols << " cols, " << bits << "b rejected span";
+      }
+    }
+  }
+}
+
 TEST(HotPathDiff, AdaptiveExecutionIsBitIdenticalAcrossOpsAndSparsity) {
   // The adaptive policy may only move cycles, never bits: every op kind x
   // precision x operand sparsity, run policy-on against a policy-off twin

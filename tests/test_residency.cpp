@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <iterator>
+#include <map>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -361,6 +367,190 @@ TEST(Residency, ServerRejectsForeignAndConflictingHandles) {
   op.ra = foreign;
   EXPECT_THROW((void)server.submit(op), std::invalid_argument);
   server.stop();
+}
+
+/// The sort-based allocator the occupancy map replaced, kept as the
+/// differential oracle: find_gap collects the materialized intervals, sorts
+/// them descending and takes the highest gap that fits; evict_lru scans
+/// every entry for the oldest eligible one. The only addition is the
+/// `floor` bound on find_gap. The oracle mirrors the manager's LRU clock
+/// (pin, touch and each placement tick it once), so last_use compares too.
+class SortedAllocatorOracle {
+ public:
+  explicit SortedAllocatorOracle(std::size_t capacity) : capacity_(capacity) {}
+
+  struct Slot {
+    std::size_t layers = 0;
+    bool materialized = false;
+    std::size_t base_pair = 0;
+    std::uint64_t last_use = 0;
+  };
+
+  void pin(std::uint64_t id, std::size_t layers) { slots_[id] = Slot{layers, false, 0, ++tick_}; }
+  void unpin(std::uint64_t id) { slots_.erase(id); }
+  void touch(std::uint64_t id) { slots_.at(id).last_use = ++tick_; }
+
+  void reserve_transient(std::size_t transient_layers) {
+    while (evict_lru([&](const Slot& s) { return s.base_pair < transient_layers; })) {
+    }
+  }
+
+  /// False where the manager throws "no gap and no victim".
+  bool ensure_rows(std::uint64_t id, std::size_t floor, std::optional<std::uint64_t> keep) {
+    Slot& e = slots_.at(id);
+    if (e.materialized) return true;
+    for (;;) {
+      const std::size_t base = find_gap(e.layers, floor);
+      if (base < capacity_) {
+        e.base_pair = base;
+        e.materialized = true;
+        e.last_use = ++tick_;
+        ++materializations_;
+        return true;
+      }
+      if (!evict_lru([&](const Slot& s) { return &s != &e && (!keep || &s != &slots_.at(*keep)); }))
+        return false;
+    }
+  }
+
+  [[nodiscard]] std::vector<std::pair<std::size_t, std::size_t>> intervals() const {
+    std::vector<std::pair<std::size_t, std::size_t>> out;
+    for (const auto& [id, s] : slots_)
+      if (s.materialized) out.emplace_back(s.base_pair, s.layers);
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  std::map<std::uint64_t, Slot> slots_;
+  std::uint64_t materializations_ = 0;
+  std::uint64_t evictions_ = 0;
+
+ private:
+  [[nodiscard]] std::size_t find_gap(std::size_t layers, std::size_t floor) const {
+    std::vector<std::pair<std::size_t, std::size_t>> used;  // (base, layers)
+    for (const auto& [id, s] : slots_)
+      if (s.materialized) used.emplace_back(s.base_pair, s.layers);
+    std::sort(used.begin(), used.end(), std::greater<>());
+    std::size_t ceiling = capacity_;
+    for (const auto& [base, len] : used) {
+      if (ceiling >= base + len && ceiling - (base + len) >= layers)
+        return ceiling - layers >= floor ? ceiling - layers : capacity_;
+      ceiling = std::min(ceiling, base);
+    }
+    return ceiling >= layers + floor ? ceiling - layers : capacity_;
+  }
+
+  template <class Pred>
+  bool evict_lru(Pred&& victim_ok) {
+    Slot* victim = nullptr;
+    for (auto& [id, s] : slots_) {
+      if (!s.materialized || !victim_ok(s)) continue;
+      if (victim == nullptr || s.last_use < victim->last_use) victim = &s;
+    }
+    if (victim == nullptr) return false;
+    victim->materialized = false;
+    ++evictions_;
+    return true;
+  }
+
+  std::size_t capacity_;
+  std::uint64_t tick_ = 0;
+};
+
+TEST(Residency, OccupancyMapMatchesSortedAllocator) {
+  // Seeded random pin / unpin / touch / reserve_transient / ensure_rows
+  // sequences with mixed layer counts: at floor 0 placement, victims and
+  // counters must match the sort-based allocator exactly; at a floor > 0 no
+  // handle may land below it; resident_layers() must always equal the sum
+  // over materialized handles.
+  for (const std::size_t capacity : {7u, 16u, 64u}) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      bpim::Rng rng(seed * 7919 + capacity);
+      ResidencyManager mgr(capacity);
+      SortedAllocatorOracle oracle(capacity);
+      std::map<std::uint64_t, ResidencyManager::Entry*> live;
+      const std::vector<std::uint64_t> one_value = {1};
+      const auto pick = [&]() {
+        auto it = live.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(rng.uniform_u64(live.size())));
+        return it->first;
+      };
+      std::size_t floor_placements = 0;
+      for (int step = 0; step < 400; ++step) {
+        const std::string what = "cap " + std::to_string(capacity) + " seed " +
+                                 std::to_string(seed) + " step " + std::to_string(step);
+        const std::uint64_t action = live.size() < 3 ? 0 : rng.uniform_u64(8);
+        if (action == 0 || (action == 1 && live.size() < 12)) {
+          const std::size_t layers = 1 + rng.uniform_u64(std::min<std::size_t>(capacity, 4));
+          const ResidentOperand h = mgr.pin(one_value, 8, OperandLayout::MultUnit, layers);
+          oracle.pin(h.id, layers);
+          live[h.id] = mgr.touch(h.id);
+          oracle.touch(h.id);
+        } else if (action == 1) {
+          const std::uint64_t id = pick();
+          EXPECT_TRUE(mgr.unpin(id)) << what;
+          oracle.unpin(id);
+          live.erase(id);
+        } else if (action == 2) {
+          const std::uint64_t id = pick();
+          ASSERT_EQ(mgr.touch(id), live.at(id)) << what;
+          oracle.touch(id);
+        } else if (action == 3) {
+          const std::size_t t = rng.uniform_u64(capacity / 2 + 1);
+          mgr.reserve_transient(t);
+          oracle.reserve_transient(t);
+        } else {
+          // The engine's order: resolve (touch), reserve the floor, place.
+          const std::uint64_t id = pick();
+          ResidencyManager::Entry* e = mgr.touch(id);
+          oracle.touch(id);
+          std::size_t floor = 0;
+          if (rng.uniform_u64(2) == 0 && capacity > e->handle.layers) {
+            floor = 1 + rng.uniform_u64(std::min(capacity - e->handle.layers, capacity / 3 + 1));
+            mgr.reserve_transient(floor);
+            oracle.reserve_transient(floor);
+          }
+          std::optional<std::uint64_t> keep;
+          if (rng.uniform_u64(3) == 0) {
+            keep = pick();
+            if (*keep == id) keep.reset();
+          }
+          const bool was_resident = e->materialized;
+          bool placed = true;
+          try {
+            (void)mgr.ensure_rows(*e, floor, keep ? live.at(*keep) : nullptr);
+          } catch (const std::invalid_argument&) {
+            placed = false;
+          }
+          EXPECT_EQ(placed, oracle.ensure_rows(id, floor, keep)) << what;
+          if (placed && !was_resident && floor > 0) {
+            EXPECT_GE(e->base_pair, floor) << what;
+            ++floor_placements;
+          }
+        }
+
+        // Whole-state comparison after every step.
+        std::size_t resident = 0;
+        for (const auto& [id, e] : live) {
+          const SortedAllocatorOracle::Slot& s = oracle.slots_.at(id);
+          ASSERT_EQ(e->materialized, s.materialized) << what << " handle " << id;
+          if (e->materialized) {
+            EXPECT_EQ(e->base_pair, s.base_pair) << what << " handle " << id;
+            resident += e->handle.layers;
+          }
+          EXPECT_EQ(e->last_use, s.last_use) << what << " handle " << id;
+        }
+        ASSERT_EQ(mgr.resident_layers(), resident) << what;
+        const ResidencyStats rs = mgr.stats();
+        EXPECT_EQ(rs.resident_layers, resident) << what;
+        EXPECT_EQ(rs.pinned, live.size()) << what;
+        EXPECT_EQ(rs.materializations, oracle.materializations_) << what;
+        EXPECT_EQ(rs.evictions, oracle.evictions_) << what;
+        EXPECT_EQ(mgr.materialized_intervals(), oracle.intervals()) << what;
+      }
+      EXPECT_GT(floor_placements, 0u) << "cap " << capacity << " seed " << seed;
+    }
+  }
 }
 
 }  // namespace
