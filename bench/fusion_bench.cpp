@@ -87,7 +87,8 @@ PointResult run_point(unsigned bits, const Shape& shape, std::size_t forwards) {
   macro::ImcMemory plain_mem(node_memory());
   engine::ExecutionEngine plain_eng(plain_mem);
 
-  // Fused: weights pinned up front, program compiled at pin time.
+  // Fused: weights pinned up front; the first forward materializes them
+  // and compiles the shape's program.
   macro::ImcMemory fused_mem(node_memory());
   engine::ExecutionEngine fused_eng(fused_mem);
 
@@ -96,11 +97,6 @@ PointResult run_point(unsigned bits, const Shape& shape, std::size_t forwards) {
   for (std::size_t j = 0; j < shape.ops; ++j) {
     w.push_back(random_codes(shape.elements, bits, 1000 * bits + 10 * shape.ops + j));
     handles.push_back(fused_eng.pin(w.back(), bits, engine::OperandLayout::MultUnit));
-  }
-  if (!fused_eng.compile_forward(handles)) {
-    std::cerr << "FATAL: " << bits << "-bit " << shape.ops << "x" << shape.elements
-              << " did not compile to a fused program\n";
-    std::exit(1);
   }
 
   PointResult point;
@@ -133,8 +129,8 @@ PointResult run_point(unsigned bits, const Shape& shape, std::size_t forwards) {
         std::exit(1);
       }
 
-    // Forward 0 is the warm-up that pays the deferred materializing writes;
-    // the steady state is what repeated inference sees.
+    // Forward 0 is the warm-up that pays the materializing writes; the
+    // steady state is what repeated inference sees.
     if (f == 0) continue;
     point.plain.load_cycles += plain_batch.load_cycles;
     point.plain.compute_cycles += plain_batch.compute_cycles;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <ranges>
 #include <thread>
 #include <utility>
 
@@ -436,7 +435,7 @@ std::vector<OpResult> ExecutionEngine::run_batch(std::span<const VecOp> ops) {
   return results;
 }
 
-// ---- fusion (run_forward / compile_forward / run_chain) ---------------------
+// ---- fusion (run_forward / run_chain) ----------------------------------------
 
 std::vector<macro::PinnedRows> ExecutionEngine::pinned_rows() const {
   std::vector<macro::PinnedRows> out;
@@ -449,98 +448,56 @@ ExecutionEngine::ForwardLayout ExecutionEngine::prepare_forward(
     std::span<const ResidentOperand> weights) {
   ForwardLayout fl;
   fl.bits = weights.front().bits;
-  fl.entries.reserve(weights.size());
-  for (const ResidentOperand& w : weights) fl.entries.push_back(resolve(w));
   fl.elements = static_cast<std::size_t>(weights.front().elements);
   fl.per_op = mult_units_per_row(fl.bits);
   fl.chunks = (fl.elements + fl.per_op - 1) / fl.per_op;
   fl.layers = layers_for_elements(fl.elements, fl.bits, OperandLayout::MultUnit);
+  fl.entries.resize(weights.size());
   fl.loaded.assign(weights.size(), 0);
 
-  // The fused layout needs the activation region plus every weight resident
-  // at once; op-at-a-time dispatch has no such requirement, so an oversized
-  // shape simply stays unfusable and run_forward falls back.
-  if ((weights.size() + 1) * fl.layers > row_pair_capacity()) return fl;
-
   // The activation's pairs [0, L) stay reserved while the weights are
-  // placed above them; the writes follow the placement, so a layout that
-  // has to be redone still writes each weight once.
-  residency_.reserve_transient(fl.layers);
-  const auto place_all = [&] {
-    for (std::size_t j = 0; j < fl.entries.size(); ++j)
-      if (residency_.ensure_rows(*fl.entries[j], fl.layers)) fl.loaded[j] = 1;
-    return std::ranges::all_of(fl.entries,
-                               [](const ResidencyManager::Entry* e) { return e->materialized; });
-  };
-  if (!place_all()) {
-    // Multi-layer weights found the pairs above the activation too
-    // fragmented, so placing a later weight evicted an earlier one. The
-    // shape fits an empty array: clear it and place every weight again.
-    residency_.reserve_transient(row_pair_capacity());
-    (void)place_all();
-  }
-  for (std::size_t j = 0; j < fl.entries.size(); ++j)
+  // placed above them as one block. A shape whose weights and activation
+  // cannot co-reside stays unfusable (the weights only resolve), and
+  // run_forward falls back to op-at-a-time dispatch, which has no such
+  // requirement.
+  fl.fusable = residency_.ensure_block(weights, fl.layers, fl.entries, fl.loaded);
+  if (!fl.fusable) return fl;
+  fl.bases.resize(weights.size());
+  for (std::size_t j = 0; j < fl.entries.size(); ++j) {
     if (fl.loaded[j]) materialize(*fl.entries[j]);
-  fl.fusable = true;
+    fl.bases[j] = fl.entries[j]->base_pair;
+  }
   return fl;
 }
 
 FusedForward& ExecutionEngine::fused_program_for(const ForwardLayout& fl) {
-  // FNV-1a over the handle ids; a (vanishingly rare) colliding id list just
-  // recompiles every call, it can never run the wrong program.
-  std::uint64_t key = 1469598103934665603ull;
-  for (const ResidencyManager::Entry* e : fl.entries) {
-    key ^= e->handle.id;
-    key *= 1099511628211ull;
-  }
-  FusedForward& ff = fused_[key];
-  const auto placements = fl.entries | std::views::transform([](const ResidencyManager::Entry* e) {
-                            return std::pair(e->handle.id, e->base_pair);
-                          });
-  if (!ff.programs.empty() && std::ranges::equal(ff.placements, placements)) return ff;
-  const bool rebuild = !ff.programs.empty();
-  BPIM_TRACE_INSTANT(rebuild ? "fusion.recompile" : "fusion.compile", trace_track_,
-                     {{"weights", static_cast<double>(fl.entries.size())},
-                      {"layers", static_cast<double>(fl.layers)}});
-
   // A macro's program depends only on how many chunks it holds: ceil(C/M)
   // for the first C % M macros (all of them when M divides C), floor(C/M)
-  // for the rest. Compile and verify one program per distinct count.
+  // for the rest.
   const std::size_t macros = mem_.macro_count();
-  const std::size_t most = (fl.chunks + macros - 1) / macros;
-  const std::size_t shapes = fl.chunks % macros != 0 && fl.chunks > macros ? 2 : 1;
-  const macro::FusionCompiler compiler(mem_.macro(0).config().geometry, pinned_rows());
-  FusedForward next{.placements = {placements.begin(), placements.end()}, .programs = {}};
-  next.programs.reserve(shapes);
-  for (std::size_t k = 0; k < shapes; ++k) {
-    // The program walks the macro's chunks layer-major with the op loop
-    // inside, so every MULT of a layer shares the staged activation row and
-    // the chained datapath's D1-staging discount applies to all but the
-    // first.
-    macro::MacForwardSpec spec;
-    spec.bits = fl.bits;
-    for (std::size_t l = 0; l < most - k; ++l)
-      for (const ResidencyManager::Entry* e : fl.entries)
-        spec.steps.push_back(macro::MacStep{2 * l, 2 * (e->base_pair + l)});
-    next.programs.push_back(compiler.compile_mac_forward(spec));
-  }
-  ff = std::move(next);
-  if (rebuild)
-    ++fusion_stats_.recompiles;
-  else
+  const ForwardShape shape{.bits = fl.bits,
+                           .weights = fl.entries.size(),
+                           .layers = fl.layers,
+                           .short_tail = fl.chunks % macros != 0 && fl.chunks > macros};
+  FusedForward& ff = fused_[shape];
+  if (ff.programs.empty()) {
+    BPIM_TRACE_INSTANT("fusion.compile", trace_track_,
+                       {{"weights", static_cast<double>(shape.weights)},
+                        {"layers", static_cast<double>(shape.layers)}});
+    // Compile and verify one program per distinct chunk count. Each walks
+    // the macro's chunks layer-major with the op loop inside, so every MULT
+    // of a layer shares the staged activation row and the chained
+    // datapath's D1-staging discount applies to all but the first.
+    const macro::FusionCompiler compiler(mem_.macro(0).config().geometry);
+    std::vector<macro::RelocatableForward> programs;
+    for (std::size_t k = 0; k < (shape.short_tail ? 2u : 1u); ++k)
+      programs.push_back(
+          compiler.compile_relocatable_forward(fl.bits, shape.weights, fl.layers - k));
+    ff.programs = std::move(programs);
     ++fusion_stats_.compiles;
+  }
+  for (macro::RelocatableForward& p : ff.programs) (void)p.bind(fl.bases);
   return ff;
-}
-
-bool ExecutionEngine::compile_forward(std::span<const ResidentOperand> weights) {
-  // No activation yet: check the weights against the length they declare.
-  (void)validate_forward(weights, weights.empty() ? 0 : weights.front().elements);
-  ForwardLayout fl = prepare_forward(weights);
-  if (!fl.fusable) return false;
-  (void)fused_program_for(fl);
-  for (std::size_t j = 0; j < weights.size(); ++j)
-    if (fl.loaded[j]) fl.entries[j]->unbilled_load += fl.layers;
-  return true;
 }
 
 std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOperand> weights,
@@ -562,7 +519,7 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
   // Stage the shared activation in the even row of transient pair l and run
   // each macro's fused program on the chained datapath; macro m's trace
   // entry l*J + j is layer l of op j.
-  FusedForward& ff = fused_program_for(fl);
+  const FusedForward& ff = fused_program_for(fl);
   const std::size_t ops = weights.size();
   std::vector<OpResult> results(ops);
   for (OpResult& r : results) r.values.assign(fl.elements, 0);
@@ -581,15 +538,15 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
   // and m >= C % M, which holds one fewer (program 1).
   const std::size_t rem = fl.chunks % macros;
   for (std::size_t m = 0; m < plan.active; ++m)
-    plan.macros[m].programs.push_back(&ff.programs[rem != 0 && m >= rem ? 1 : 0]);
+    plan.macros[m].programs.push_back(&ff.programs[rem != 0 && m >= rem ? 1 : 0].program());
   const std::uint64_t adaptive = execute(plan);
 
   // Per-op accounting: cycles from macro 0 (the max-layer macro; instruction
   // costs match across macros, so its walk is the lock-step critical path
   // and the per-op shares sum to mem_.elapsed_cycles()); energy merged in
   // fixed macro-then-layer order. Load: the activation bills to op 0, a
-  // weight materialized this call or by compile_forward to its own op; the
-  // baseline is 2 row writes per layer per op.
+  // weight materialized this call to its own op; the baseline is 2 row
+  // writes per layer per op.
   const std::uint64_t table_mult = macro::op_cycles(macro::Op::Mult, fl.bits);
   const std::vector<macro::TraceEntry>& trace0 = plan.macros[0].trace;
   const std::size_t layers0 = trace0.size() / ops;
@@ -613,8 +570,7 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
     // ways exactly: executed + fused discount + adaptive discount.
     s.fused_cycles_saved = table_mult * layers0 - s.elapsed_cycles - s.adaptive_cycles_saved;
     fused_saved_total += s.fused_cycles_saved;
-    s.load_cycles = (j == 0 ? fl.layers : 0) + (fl.loaded[j] ? fl.layers : 0) +
-                    std::exchange(fl.entries[j]->unbilled_load, 0);
+    s.load_cycles = (j == 0 ? fl.layers : 0) + (fl.loaded[j] ? fl.layers : 0);
     load_total += s.load_cycles;
     const std::uint64_t baseline = 2 * fl.layers;
     s.load_cycles_saved = s.load_cycles >= baseline ? 0 : baseline - s.load_cycles;

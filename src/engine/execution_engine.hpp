@@ -41,8 +41,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/executor.hpp"
@@ -96,7 +96,8 @@ class ExecutionEngine : public Executor {
   /// one materializing write happens on first use inside run()/run_batch()
   /// and is charged to that batch's load cycles; later uses load nothing.
   /// Thread-safe (may race run_batch on a serving engine).
-  /// One memory: `colocate_key` has nothing to place and is ignored.
+  /// One memory: `colocate_key` (pool homing) has nothing to place and is
+  /// ignored; run_forward() places each forward's weights as one block.
   [[nodiscard]] ResidentOperand pin(std::span<const std::uint64_t> values, unsigned bits,
                                     OperandLayout layout,
                                     std::optional<std::uint64_t> colocate_key =
@@ -151,24 +152,20 @@ class ExecutionEngine : public Executor {
   /// reads it in place, so consecutive ops run on the chained datapath (D1
   /// staging skipped within a layer, FF load pipelined across all of them)
   /// and the activation loads once instead of once per op. The weights
-  /// materialize above that reserved region, evicting other handles LRU
-  /// first, so the fused layout survives residency churn. Macros holding the
-  /// same number of chunks share one compiled program. Values are
-  /// bit-identical to the op-at-a-time path (the product is exact, so
-  /// swapping multiplicand and multiplier roles changes nothing). Falls back
+  /// materialize above that reserved region as one block, evicting other
+  /// handles LRU first, so the fused layout survives residency churn. The
+  /// programs are cached per forward shape and rebound to wherever the
+  /// weights sit, so a moved weight or another forward of the same shape
+  /// compiles nothing; macros holding the same number of chunks share one
+  /// program. Values are bit-identical to the op-at-a-time path (the
+  /// product is exact, so swapping multiplicand and multiplier roles
+  /// changes nothing). Falls back
   /// to run_batch() only when the shape cannot fit: (weights + 1) x L row
   /// pairs exceed row_pair_capacity(). Results are in `weights` order;
   /// last_batch() covers the whole forward.
   [[nodiscard]] std::vector<OpResult> run_forward(
       std::span<const ResidentOperand> weights,
       std::span<const std::uint64_t> activation) override;
-
-  /// Compile (and cache) the fused program for `weights` ahead of the first
-  /// forward (run_forward otherwise compiles on first use). Materializes the
-  /// weights now; each weight's load cycles are charged to its own op of the
-  /// first fused run_forward() that uses it. False when the shape cannot
-  /// fit (run_forward would fall back anyway).
-  bool compile_forward(std::span<const ResidentOperand> weights);
 
   /// Execute one MULT->ADD(->ADD-Shift) dependency chain as a single fused
   /// program: the head products stay in the in-array accumulator and every
@@ -231,10 +228,10 @@ class ExecutionEngine : public Executor {
   /// compute.
   void publish_fused(BatchStats b);
 
-  /// Residency state of one run_forward()/compile_forward() call: the
-  /// resolved weight entries, the shared chunk geometry, and whether the
-  /// shape fits the fused layout (then every weight is materialized above
-  /// the activation's transient region).
+  /// Residency state of one run_forward() call: the resolved weight
+  /// entries, the shared chunk geometry, and whether the shape fits the
+  /// fused layout (then every weight is materialized above the activation's
+  /// transient region, at `bases`).
   struct ForwardLayout {
     std::vector<ResidencyManager::Entry*> entries;
     unsigned bits = 0;
@@ -243,13 +240,14 @@ class ExecutionEngine : public Executor {
     std::size_t chunks = 0;
     std::size_t layers = 0;            ///< L, per handle and for the activation
     std::vector<std::uint8_t> loaded;  ///< per weight: materialized this call
+    std::vector<std::size_t> bases;    ///< per weight: first row pair
     bool fusable = false;
   };
-  /// Resolve the (validated) weights, then, when the shape fits, reserve
-  /// the activation region and materialize every weight above it.
+  /// Resolve the (validated) weights and, when the shape fits, place them
+  /// as one block above the activation region and write the ones placed.
   ForwardLayout prepare_forward(std::span<const ResidentOperand> weights);
-  /// Cached programs for the layout, one per macro shape, (re)compiled
-  /// when the weights moved since the last compile.
+  /// The layout's shape-keyed programs (compiled on the shape's first
+  /// forward), bound to the layout's weight rows.
   FusedForward& fused_program_for(const ForwardLayout& fl);
   /// The materialized pinned set as verifier row intervals.
   [[nodiscard]] std::vector<macro::PinnedRows> pinned_rows() const;
@@ -270,7 +268,7 @@ class ExecutionEngine : public Executor {
   /// relaxed atomic so a serving thread can flip the policy while workers
   /// dispatch -- each run snapshots it once.
   std::atomic<std::uint8_t> adaptive_policy_{0};
-  std::unordered_map<std::uint64_t, FusedForward> fused_;  ///< by id-list hash
+  std::map<ForwardShape, FusedForward> fused_;
   ExecPlan plan_;
 };
 

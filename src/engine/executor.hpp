@@ -73,9 +73,12 @@ class Executor {
   [[nodiscard]] virtual std::vector<OpResult> run_forward(
       std::span<const ResidentOperand> weights, std::span<const std::uint64_t> activation) = 0;
 
-  /// Pin an operand resident. Handles pinned under one `colocate_key` share
-  /// a memory (what a fused forward's weights need); a single-memory
-  /// executor ignores the key.
+  /// Pin an operand resident. `colocate_key` is pool homing only: handles
+  /// pinned under one key share a memory (what a fused forward's weights
+  /// need), and a single-memory executor ignores it. Within a memory the
+  /// forward defines the block: the weight list passed to run_forward() is
+  /// placed as one contiguous run, whatever keys its handles were pinned
+  /// under.
   [[nodiscard]] virtual ResidentOperand pin(std::span<const std::uint64_t> values,
                                             unsigned bits, OperandLayout layout,
                                             std::optional<std::uint64_t> colocate_key =

@@ -5,14 +5,17 @@
 // run_forward() executes a whole-forward MAC program: J resident weight
 // handles against one shared activation, each macro running a single
 // VerifiedProgram whose back-to-back MULTs run on the chained datapath.
-// run_chain() executes one MULT->ADD(->ADD-Shift) dependency chain without
-// spilling the intermediate product. FusionStats counts how often each path
-// compiled, recompiled (after eviction moved a weight), ran fused, or fell
-// back to op-at-a-time dispatch.
+// The programs are keyed by the forward's shape, not by its weights, and
+// relocate: a forward whose weights moved (eviction and re-materialization)
+// or another tenant's forward of the same shape rebinds the cached
+// programs' weight rows and compiles nothing. run_chain() executes one
+// MULT->ADD(->ADD-Shift) dependency chain without spilling the
+// intermediate product. FusionStats counts how often each path compiled,
+// ran fused, or fell back to op-at-a-time dispatch.
 
+#include <compare>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "macro/compiler.hpp"
@@ -39,24 +42,33 @@ struct ChainRequest {
 
 /// Counters of the engine's fusion path (ExecutionEngine::fusion_stats()).
 struct FusionStats {
-  std::uint64_t compiles = 0;    ///< fused-forward programs built
-  std::uint64_t recompiles = 0;  ///< rebuilt after eviction moved a weight
+  std::uint64_t compiles = 0;  ///< forward shapes compiled (once per shape)
+  /// Always 0: a moved weight rebinds its program instead. Kept because
+  /// perfbench reports it by name (engine.recompiles_per_req).
+  std::uint64_t recompiles = 0;
   std::uint64_t fused_runs = 0;  ///< forwards served by a fused program
   std::uint64_t fallback_runs = 0;  ///< forwards routed to op-at-a-time
   std::uint64_t chain_runs = 0;     ///< fused chains executed
 };
 
-/// One cached whole-forward compilation: the programs plus the residency
-/// snapshot they were emitted against (a weight that has moved since --
-/// eviction and re-materialization -- invalidates the cache). A handle id
-/// fixes its precision and shape, so the placements say it all.
+/// The shape a fused forward's programs depend on: precision, weight count
+/// J, layers L per handle (the chunks the fullest macro holds), and whether
+/// some macros hold one chunk fewer.
+struct ForwardShape {
+  unsigned bits = 0;
+  std::size_t weights = 0;
+  std::size_t layers = 0;
+  bool short_tail = false;
+  auto operator<=>(const ForwardShape&) const = default;
+};
+
+/// One cached whole-forward compilation, shared by every forward of its
+/// ForwardShape whatever rows its weights occupy (each call rebinds them).
 struct FusedForward {
-  /// (weight handle id, base pair at compile time), op order.
-  std::vector<std::pair<std::uint64_t, std::size_t>> placements;
   /// One per per-macro layer count, not one per macro: [0] for the macros
-  /// holding ceil(C/M) of the C chunks, [1] -- present only when M does not
-  /// divide C and C > M -- for those holding floor(C/M).
-  std::vector<macro::VerifiedProgram> programs;
+  /// holding L = ceil(C/M) of the C chunks, [1] -- present only when
+  /// short_tail (M does not divide C and C > M) -- for those holding L - 1.
+  std::vector<macro::RelocatableForward> programs;
 };
 
 }  // namespace bpim::engine

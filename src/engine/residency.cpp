@@ -50,7 +50,10 @@ const char* to_string(OperandLayout layout) {
 }
 
 ResidencyManager::ResidencyManager(std::size_t row_pair_capacity)
-    : capacity_(row_pair_capacity), owner_(row_pair_capacity, nullptr) {
+    : capacity_(row_pair_capacity),
+      owner_(row_pair_capacity, nullptr),
+      run_begin_(row_pair_capacity),
+      run_end_(row_pair_capacity) {
   BPIM_REQUIRE(capacity_ > 0, "residency needs at least one row pair");
 }
 
@@ -127,6 +130,15 @@ void ResidencyManager::occupy(Entry& e, Entry* owner) {
   e.materialized = owner != nullptr;
 }
 
+void ResidencyManager::evict(Entry& e) {
+  occupy(e, nullptr);
+  ++evictions_;
+  residency_metrics().evictions.add();
+  BPIM_TRACE_INSTANT("residency.evict", 0,
+                     {{"handle", static_cast<double>(e.handle.id)},
+                      {"layers", static_cast<double>(e.handle.layers)}});
+}
+
 template <class Pred>
 bool ResidencyManager::evict_lru(std::size_t below, Pred&& victim_ok) {
   // Walk the map bottom-up one entry (not one pair) at a time. Ticks are
@@ -142,12 +154,7 @@ bool ResidencyManager::evict_lru(std::size_t below, Pred&& victim_ok) {
     p = e->base_pair + e->handle.layers;
   }
   if (victim == nullptr) return false;
-  occupy(*victim, nullptr);
-  ++evictions_;
-  residency_metrics().evictions.add();
-  BPIM_TRACE_INSTANT("residency.evict", 0,
-                     {{"handle", static_cast<double>(victim->handle.id)},
-                      {"layers", static_cast<double>(victim->handle.layers)}});
+  evict(*victim);
   return true;
 }
 
@@ -157,7 +164,11 @@ void ResidencyManager::reserve_transient(std::size_t transient_layers) {
   // Handles allocate top-down, so a conflict with the bottom transient
   // region is exactly the "pinned + transient exceeds capacity" overflow;
   // evict the handles based inside the region LRU-first until it is clear.
-  while (evict_lru(transient_layers, [](const Entry&) { return true; })) {
+  evict_below(transient_layers);
+}
+
+void ResidencyManager::evict_below(std::size_t pairs) {
+  while (evict_lru(pairs, [](const Entry&) { return true; })) {
   }
 }
 
@@ -197,6 +208,93 @@ bool ResidencyManager::ensure_rows(Entry& e, std::size_t floor, const Entry* kee
     // array; running out of victims here would be a bookkeeping defect.
     BPIM_REQUIRE(evicted, "residency allocator found no gap and no victim");
   }
+}
+
+std::size_t ResidencyManager::evict_for_run(std::size_t need, std::size_t floor,
+                                            std::uint64_t members_after) {
+  // One walk above the floor (nothing is left below it): collect the
+  // non-members and tag the ends of every free run.
+  victims_.clear();
+  for (std::size_t p = floor; p < capacity_;) {
+    if (Entry* e = owner_[p]; e != nullptr) {
+      if (e->last_use <= members_after) victims_.push_back(e);
+      p = e->base_pair + e->handle.layers;
+      continue;
+    }
+    std::size_t end = p;
+    while (end < capacity_ && owner_[end] == nullptr) ++end;
+    run_end_[p] = end;
+    run_begin_[end - 1] = p;
+    p = end;
+  }
+  std::sort(victims_.begin(), victims_.end(),
+            [](const Entry* a, const Entry* b) { return a->last_use < b->last_use; });
+  // Before any eviction no run fits, and each eviction changes only the run
+  // its pairs join, so the first run to reach `need` is the one
+  // find_gap(need, floor) would return -- the only one that fits.
+  for (Entry* v : victims_) {
+    std::size_t lo = v->base_pair;
+    std::size_t hi = lo + v->handle.layers;
+    evict(*v);
+    if (lo > floor && owner_[lo - 1] == nullptr) lo = run_begin_[lo - 1];
+    if (hi < capacity_ && owner_[hi] == nullptr) hi = run_end_[hi];
+    run_end_[lo] = hi;
+    run_begin_[hi - 1] = lo;
+    if (hi - lo >= need) return hi - need;
+  }
+  return capacity_;
+}
+
+bool ResidencyManager::ensure_block(std::span<const ResidentOperand> group, std::size_t floor,
+                                    std::span<Entry*> entries, std::span<std::uint8_t> loaded) {
+  MutexLock lk(mutex_);
+  // Every member's clock ticks past `before`; no other entry's does, so
+  // "last used after `before`" is membership, and a member's last
+  // occurrence in the group is the one whose tick matches its position.
+  const std::uint64_t before = tick_;
+  std::size_t layers = 0;
+  for (std::size_t j = 0; j < group.size(); ++j) {
+    const auto it = entries_.find(group[j].id);
+    BPIM_REQUIRE(it != entries_.end(),
+                 "unknown resident operand (unpinned, or pinned on another engine)");
+    entries[j] = it->second.get();
+    entries[j]->last_use = ++tick_;
+    layers += entries[j]->handle.layers;
+  }
+  if (floor + layers > capacity_) return false;
+  evict_below(floor);
+
+  std::size_t need = 0;   // pairs of the distinct members without rows
+  std::size_t whole = 0;  // pairs of all distinct members
+  for (std::size_t j = 0; j < group.size(); ++j) {
+    const Entry& e = *entries[j];
+    if (e.last_use != before + 1 + j) continue;
+    whole += e.handle.layers;
+    if (!e.materialized) need += e.handle.layers;
+  }
+  if (need == 0) return true;
+  std::size_t base = find_gap(need, floor);
+  if (base == capacity_) base = evict_for_run(need, floor, before);
+  if (base == capacity_) {
+    // The resident members fragment the pairs above the floor. The group
+    // fits an empty array: clear it and place every member again.
+    evict_below(capacity_);
+    need = whole;
+    base = capacity_ - need;
+  }
+  std::size_t top = base + need;
+  for (std::size_t j = 0; j < group.size(); ++j) {
+    Entry& e = *entries[j];
+    if (e.materialized) continue;
+    top -= e.handle.layers;
+    e.base_pair = top;
+    occupy(e, &e);
+    e.last_use = ++tick_;
+    ++materializations_;
+    residency_metrics().materializations.add();
+    loaded[j] = 1;
+  }
+  return true;
 }
 
 void ResidencyManager::note_saved(std::uint64_t cycles) {

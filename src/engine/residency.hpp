@@ -23,10 +23,19 @@
 //
 // One reservation concept: a caller that keeps a transient region live
 // while it materializes handles (a fused forward's activation pairs)
-// passes that region's size to ensure_rows() as the floor, and no handle
-// is placed below it. The allocator reads an occupancy map -- the owning
-// entry of every row pair -- plus a running resident-layer count, so gap
-// search, LRU eviction and the budget queries neither allocate nor sort.
+// passes that region's size as the floor, and no handle is placed below
+// it. The allocator reads an occupancy map -- the owning entry of every
+// row pair -- plus a running resident-layer count, so gap search, LRU
+// eviction and the budget queries neither allocate nor sort.
+//
+// A fused forward is one block: ensure_block() resolves all of its weight
+// handles and places every one without rows as a single contiguous run
+// above the floor, under one lock. One gap search; when nothing fits, one
+// walk collects the other handles, and they are evicted LRU first until
+// the free run their pairs join is long enough -- exactly the victims of
+// "evict the LRU non-member until a gap fits". Members still resident stay
+// where they are. ensure_rows() places the one or two handles of a single
+// op.
 //
 // Thread-safety: every method locks the manager's mutex. Entries live
 // behind stable unique_ptrs, so an Entry* held by the run thread survives
@@ -116,9 +125,6 @@ class ResidencyManager {
     bool materialized = false;
     std::size_t base_pair = 0;  ///< first row pair (per macro) when materialized
     std::uint64_t last_use = 0;
-    /// Materializing writes made ahead of any op (compile_forward), charged
-    /// to the first fused forward that uses the handle. Run thread only.
-    std::uint64_t unbilled_load = 0;
   };
 
   /// Resolve a handle for execution and bump its LRU clock. Null if the id
@@ -135,6 +141,21 @@ class ResidencyManager {
   /// same op). Returns true when the caller must write the values into the
   /// rows.
   [[nodiscard]] bool ensure_rows(Entry& e, std::size_t floor, const Entry* keep = nullptr)
+      BPIM_EXCLUDES(mutex_);
+
+  /// Place a fused forward's weights as one block, under one lock. Resolves
+  /// `group` into `entries` (bumping each LRU clock in order, as touch()
+  /// does; an unknown id throws). Returns false, placing nothing, when
+  /// `floor` plus the group's layers exceed the array. Otherwise evicts the
+  /// handles below `floor` and gives every member without rows pairs of one
+  /// contiguous run at or above it, first member on top: the highest gap
+  /// that fits, else the run that evicting other handles LRU first opens.
+  /// When the resident members leave no such run even with every other
+  /// handle gone, the array is cleared and the whole group placed again.
+  /// Sets `loaded[j]` when member j was placed here and the caller must
+  /// write its values. Both spans hold one slot per member.
+  [[nodiscard]] bool ensure_block(std::span<const ResidentOperand> group, std::size_t floor,
+                                  std::span<Entry*> entries, std::span<std::uint8_t> loaded)
       BPIM_EXCLUDES(mutex_);
 
   /// Accumulate the load cycles an op avoided by referencing handles.
@@ -154,10 +175,20 @@ class ResidencyManager {
   /// Point the occupancy map's pairs of `e` at `owner` (e or null) and keep
   /// the resident-layer count in step.
   void occupy(Entry& e, Entry* owner) BPIM_REQUIRES(mutex_);
+  /// Free `e`'s pairs and count the eviction.
+  void evict(Entry& e) BPIM_REQUIRES(mutex_);
   /// Evict the LRU materialized entry based below pair `below` that
   /// satisfies `victim_ok`; false if none.
   template <class Pred>
   bool evict_lru(std::size_t below, Pred&& victim_ok) BPIM_REQUIRES(mutex_);
+  /// Evict every materialized entry based below pair `pairs`, LRU first.
+  void evict_below(std::size_t pairs) BPIM_REQUIRES(mutex_);
+  /// ensure_block's sweep: evict entries last used at or before tick
+  /// `members_after` (the non-members) LRU first until a free run of
+  /// `need` pairs opens at or above `floor`; its base, or capacity_ when
+  /// the victims run out first.
+  [[nodiscard]] std::size_t evict_for_run(std::size_t need, std::size_t floor,
+                                          std::uint64_t members_after) BPIM_REQUIRES(mutex_);
 
   static std::atomic<std::uint64_t> id_counter_;  ///< next_operand_id() stream
 
@@ -166,6 +197,12 @@ class ResidencyManager {
   std::unordered_map<std::uint64_t, std::unique_ptr<Entry>> entries_ BPIM_GUARDED_BY(mutex_);
   /// Occupancy map: the materialized entry holding each row pair, or null.
   std::vector<Entry*> owner_ BPIM_GUARDED_BY(mutex_);
+  /// evict_for_run scratch: each maximal free run [a, b) is tagged at its
+  /// ends, run_end_[a] == b and run_begin_[b - 1] == a, so freeing a
+  /// victim's pairs merges its neighbour runs in O(1).
+  std::vector<std::size_t> run_begin_ BPIM_GUARDED_BY(mutex_);
+  std::vector<std::size_t> run_end_ BPIM_GUARDED_BY(mutex_);
+  std::vector<Entry*> victims_ BPIM_GUARDED_BY(mutex_);
   std::size_t resident_layers_ BPIM_GUARDED_BY(mutex_) = 0;
   std::uint64_t tick_ BPIM_GUARDED_BY(mutex_) = 0;
   std::uint64_t materializations_ BPIM_GUARDED_BY(mutex_) = 0;

@@ -1,5 +1,7 @@
 #include "macro/compiler.hpp"
 
+#include <algorithm>
+
 #include "common/require.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -39,6 +41,40 @@ VerifiedProgram FusionCompiler::compile_mac_forward(const MacForwardSpec& spec) 
     p.mult(RowRef::main(s.a_row), RowRef::main(s.b_row), spec.bits);
   }
   return seal(std::move(p), "compile_mac_forward");
+}
+
+RelocatableForward FusionCompiler::compile_relocatable_forward(unsigned bits,
+                                                              std::size_t weights,
+                                                              std::size_t layers) const {
+  BPIM_REQUIRE(weights > 0 && layers > 0, "fused forward needs at least one MAC");
+  std::vector<std::size_t> bases(weights);
+  for (std::size_t j = 0; j < weights; ++j) bases[j] = (j + 1) * layers;
+  MacForwardSpec spec;
+  spec.bits = bits;
+  for (std::size_t l = 0; l < layers; ++l)
+    for (const std::size_t base : bases) spec.steps.push_back(MacStep{2 * l, 2 * (base + l)});
+  return RelocatableForward(compile_mac_forward(spec), std::move(bases));
+}
+
+const VerifiedProgram& RelocatableForward::bind(std::span<const std::size_t> bases) {
+  BPIM_REQUIRE(bases.size() == bases_.size(), "relocation needs one base per weight");
+  if (std::ranges::equal(bases, bases_)) return program_;
+  std::vector<Instruction>& insts = program_.program_.instructions_;
+  const std::size_t weights = bases.size();
+  const std::size_t rows = program_.geometry().rows;
+  // Check every instruction before rewriting any, so a rejected binding
+  // leaves the sealed program as it was.
+  for (std::size_t k = 0; k < insts.size(); ++k) {
+    const std::size_t base = bases[k % weights];
+    BPIM_REQUIRE(base < rows && 2 * (base + k / weights) < rows,
+                 "relocated weight row lies outside the array");
+    BPIM_REQUIRE(2 * (base + k / weights) != insts[k].a.index,
+                 "relocated weight row is the activation row");
+  }
+  for (std::size_t k = 0; k < insts.size(); ++k)
+    insts[k].b = RowRef::main(2 * (bases[k % weights] + k / weights));
+  std::ranges::copy(bases, bases_.begin());
+  return program_;
 }
 
 VerifiedProgram FusionCompiler::compile_chain(const ChainSpec& spec) const {

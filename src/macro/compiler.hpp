@@ -16,6 +16,12 @@
 //                        overlapped, D1 staging skipped), which is where the
 //                        fused cycle win comes from.
 //
+//   compile_relocatable_forward
+//                        The same MAC program for one forward shape, with
+//                        every weight's rows relative to a base pair the
+//                        caller rebinds per call (RelocatableForward), so a
+//                        weight that moved costs no compile.
+//
 //   compile_chain        MULT -> ADD(-> ADD-Shift) dependency chains: the
 //                        head product stays in D2 and each link folds a
 //                        2N-bit operand row into it. The final link drives
@@ -30,6 +36,7 @@
 // back, which MacroController runs without verifying them again.
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -75,6 +82,35 @@ struct ChainSpec {
   std::vector<ChainLayerSpec> layers;
 };
 
+/// A verified whole-forward MAC program whose weight rows relocate. MAC
+/// (l, j) of a J-weight forward -- instruction l * J + j -- multiplies the
+/// activation in row 2l by weight j's row 2(base_j + l), so one program
+/// serves every placement of a forward of that shape. The program writes
+/// only the D2 accumulator, never a main row, so of all the verifier checks
+/// only two involve a weight row: it is in range, and it is not the
+/// activation row it is multiplied with. The compiler verifies the program
+/// once in full; bind() moves the weights under exactly those two checks,
+/// per instruction. Not thread-safe: a binding belongs to its caller's run.
+class RelocatableForward {
+ public:
+  /// Point weight j at row pair `bases[j]` and return the program: O(size),
+  /// and O(weights) when the binding is unchanged. Throws
+  /// std::invalid_argument, leaving the program as it was, when a weight
+  /// row would leave the array or land on its activation row.
+  const VerifiedProgram& bind(std::span<const std::size_t> bases);
+
+  [[nodiscard]] const VerifiedProgram& program() const { return program_; }
+  [[nodiscard]] std::span<const std::size_t> bases() const { return bases_; }
+
+ private:
+  friend class FusionCompiler;
+  RelocatableForward(VerifiedProgram p, std::vector<std::size_t> bases)
+      : program_(std::move(p)), bases_(std::move(bases)) {}
+
+  VerifiedProgram program_;
+  std::vector<std::size_t> bases_;  ///< the current binding, one per weight
+};
+
 class FusionCompiler {
  public:
   /// `pinned` is the residency map of the target macro's main rows; emitted
@@ -86,6 +122,15 @@ class FusionCompiler {
   /// std::invalid_argument (with annotated disassembly) if the emitted
   /// program draws any verifier diagnostic.
   [[nodiscard]] VerifiedProgram compile_mac_forward(const MacForwardSpec& spec) const;
+
+  /// Emit and verify the MAC-forward program of `weights` weights over
+  /// `layers` chunks at `bits`, bound to weights stacked above the
+  /// activation (weight j at pair (j + 1) * layers); rebind it with
+  /// RelocatableForward::bind. Throws like compile_mac_forward, and when
+  /// that stack does not fit the array.
+  [[nodiscard]] RelocatableForward compile_relocatable_forward(unsigned bits,
+                                                               std::size_t weights,
+                                                               std::size_t layers) const;
 
   /// Emit and verify a MULT->ADD(->ADD-Shift) chain program. The last link
   /// of an ADD chain carries no dest (result driven out and captured from

@@ -70,6 +70,8 @@ class Program {
   [[nodiscard]] std::string dump() const;
 
  private:
+  friend class RelocatableForward;  // rebinds weight rows of a verified forward
+
   std::vector<Instruction> instructions_;
 };
 

@@ -129,7 +129,10 @@ struct VerifyReport {
 /// geometry, which it records. Only VerifiedProgram::verify, OpCompiler and
 /// FusionCompiler make one, so holding one is proof the check ran;
 /// MacroController::run then only compares geometries. It reads as a const
-/// Program, but exposes none of Program's mutators.
+/// Program, but exposes none of Program's mutators. The one change a
+/// sealed program admits is RelocatableForward::bind (macro/compiler.hpp),
+/// which moves a fused forward's weight rows under the checks the verifier
+/// would make of them.
 class VerifiedProgram {
  public:
   /// Verify `p` against `g` (and the pinned map) and seal it. Throws
@@ -147,6 +150,7 @@ class VerifiedProgram {
  private:
   friend class OpCompiler;
   friend class FusionCompiler;
+  friend class RelocatableForward;
   VerifiedProgram(Program p, const array::ArrayGeometry& g)
       : program_(std::move(p)), geometry_(g) {}
 

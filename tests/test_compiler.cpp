@@ -1,7 +1,13 @@
 // FusionCompiler: emitted programs are verifier-clean, residency-aware,
-// and priced correctly on the chained-MAC path.
+// priced correctly on the chained-MAC path, and relocate under exactly the
+// checks the verifier makes.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "macro/compiler.hpp"
@@ -217,6 +223,55 @@ TEST(FusionCompiler, FuzzedForwardExecutesBitIdenticalToReference) {
         EXPECT_EQ(m.peek_mult_product(trace[j].result, i, 8),
                   activation[i] * weights[j][i])
             << "trial " << trial << " op " << j << " unit " << i;
+  }
+}
+
+TEST(FusionCompiler, RelocatedForwardEqualsAFreshCompileAtItsRows) {
+  // Seeded differential of RelocatableForward::bind against the full
+  // verifier: every legal binding (weight pairs above the activation's,
+  // rows in range) equals what compile_mac_forward emits for those rows and
+  // verifies with zero diagnostics; an out-of-range or activation-colliding
+  // base throws, leaves the program as last bound, and is a binding the
+  // verifier rejects too.
+  const ArrayGeometry g{};
+  const FusionCompiler fc(g);
+  const std::size_t pairs = g.rows / 2;
+  const unsigned precisions[] = {2, 4, 8};
+  bpim::Rng rng(0x4E10C);
+  const auto steps_at = [](std::span<const std::size_t> bases, std::size_t layers) {
+    std::vector<MacStep> steps;
+    for (std::size_t l = 0; l < layers; ++l)
+      for (const std::size_t b : bases) steps.push_back({2 * l, 2 * (b + l)});
+    return steps;
+  };
+  for (int trial = 0; trial < 100; ++trial) {
+    const unsigned bits = precisions[rng.uniform_u64(3)];
+    const std::size_t weights = 1 + rng.uniform_u64(8);
+    const std::size_t layers = 1 + rng.uniform_u64(4);
+    RelocatableForward rf = fc.compile_relocatable_forward(bits, weights, layers);
+    ASSERT_EQ(rf.program().size(), weights * layers);
+    std::vector<std::size_t> bases(weights);
+    for (int rebind = 0; rebind < 5; ++rebind) {
+      for (auto& b : bases) b = 1 + rng.uniform_u64(pairs - layers);
+      const VerifiedProgram& p = rf.bind(bases);
+      const VerifiedProgram fresh =
+          fc.compile_mac_forward({.bits = bits, .steps = steps_at(bases, layers)});
+      ASSERT_EQ(p.program().dump(), fresh.program().dump()) << "trial " << trial;
+      const VerifyReport rep = verify_program(p, g);
+      EXPECT_EQ(rep.errors + rep.warnings, 0u) << rep.annotate(p);
+    }
+
+    const std::string bound = rf.program().program().dump();
+    std::vector<std::size_t> bad = bases;
+    bad[rng.uniform_u64(weights)] =
+        rng.uniform_u64(2) == 0 ? 0 : pairs - layers + 1 + rng.uniform_u64(8);
+    EXPECT_THROW((void)rf.bind(bad), std::invalid_argument) << "trial " << trial;
+    EXPECT_EQ(rf.program().program().dump(), bound) << "trial " << trial;
+    EXPECT_TRUE(std::ranges::equal(rf.bases(), bases)) << "trial " << trial;
+    Program raw;
+    for (const MacStep& st : steps_at(bad, layers))
+      raw.push({.op = Op::Mult, .a = RowRef::main(st.a_row), .b = RowRef::main(st.b_row), .bits = bits});
+    EXPECT_GT(verify_program(raw, g).errors, 0u) << "trial " << trial;
   }
 }
 

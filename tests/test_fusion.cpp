@@ -1,6 +1,7 @@
-// Engine fusion path: run_forward / compile_forward / run_chain are
-// bit-identical to op-at-a-time execution, cheaper on the cycle model, and
-// recover from eviction and unfusable shapes transparently.
+// Engine fusion path: run_forward / run_chain are bit-identical to
+// op-at-a-time execution, cheaper on the cycle model, and recover from
+// eviction and unfusable shapes transparently. Fused-forward programs are
+// compiled once per shape and relocate with their weights.
 
 #include <gtest/gtest.h>
 
@@ -139,30 +140,7 @@ TEST(Fusion, ForwardBitIdenticalAcrossPrecisionsAndShapes) {
   }
 }
 
-TEST(Fusion, CompileAtPinAvoidsRecompileOnFirstRun) {
-  macro::ImcMemory mem(small_mem());
-  ExecutionEngine eng(mem);
-  std::vector<ResidentOperand> handles;
-  std::vector<std::vector<std::uint64_t>> w;
-  for (std::size_t j = 0; j < 3; ++j) {
-    w.push_back(random_codes(32, 8, 200 + j));
-    handles.push_back(eng.pin(w.back(), 8, OperandLayout::MultUnit));
-  }
-  EXPECT_TRUE(eng.compile_forward(handles));
-  EXPECT_EQ(eng.fusion_stats().compiles, 1u);
-
-  const auto x = random_codes(32, 8, 300);
-  const auto results = eng.run_forward(handles, x);
-  EXPECT_EQ(eng.fusion_stats().compiles, 1u);  // cache hit, no rebuild
-  EXPECT_EQ(eng.fusion_stats().recompiles, 0u);
-  for (std::size_t j = 0; j < 3; ++j)
-    for (std::size_t i = 0; i < 32; ++i) EXPECT_EQ(results[j].values[i], w[j][i] * x[i]);
-  // The weights materialized at compile time; their deferred load cycles
-  // land on this first forward.
-  EXPECT_GT(eng.last_batch().load_cycles, 0u);
-}
-
-TEST(Fusion, EvictionUnderPressureRecompilesAndStaysCorrect) {
+TEST(Fusion, EvictionUnderPressureRelocatesAndStaysCorrect) {
   macro::ImcMemory mem(small_mem());
   ExecutionEngine eng(mem);
   const unsigned bits = 8;
@@ -202,11 +180,15 @@ TEST(Fusion, EvictionUnderPressureRecompilesAndStaysCorrect) {
   occupy.b = x;
   (void)eng.run(occupy);
 
-  // The next forward re-materializes the weights at new rows, notices the
-  // residency snapshot moved, recompiles, and still computes the same
+  // The next forward re-materializes the weights at new rows, rebinds the
+  // cached program to them without compiling, and still computes the same
   // products.
+  const std::uint64_t loads_before = eng.residency_stats().materializations;
   const auto results = eng.run_forward(handles, x);
-  EXPECT_EQ(eng.fusion_stats().recompiles, 1u);
+  EXPECT_GT(eng.residency_stats().materializations, loads_before);
+  EXPECT_EQ(eng.fusion_stats().compiles, 1u);
+  EXPECT_EQ(eng.fusion_stats().recompiles, 0u);
+  EXPECT_EQ(eng.fusion_stats().fused_runs, 2u);
   for (std::size_t j = 0; j < 3; ++j)
     for (std::size_t i = 0; i < per_layer; ++i)
       EXPECT_EQ(results[j].values[i], w[j][i] * x[i]) << "op " << j << " elem " << i;
@@ -345,13 +327,42 @@ TEST(Fusion, UnfusableShapeFallsBackBitIdentical) {
     w.push_back(random_codes(elements, bits, 700 + j));
     handles.push_back(eng.pin(w.back(), bits, OperandLayout::MultUnit));
   }
-  EXPECT_FALSE(eng.compile_forward(handles));
   const auto x = random_codes(elements, bits, 800);
   const auto results = eng.run_forward(handles, x);
   EXPECT_EQ(eng.fusion_stats().fallback_runs, 1u);
   EXPECT_EQ(eng.fusion_stats().fused_runs, 0u);
   for (std::size_t j = 0; j < 2; ++j)
     for (std::size_t i = 0; i < elements; ++i) EXPECT_EQ(results[j].values[i], w[j][i] * x[i]);
+}
+
+TEST(Fusion, ProgramCacheIsBoundedByShape) {
+  // 500 distinct weight sets of one shape, each pinned, forwarded once and
+  // unpinned after the next set's forward (so consecutive sets sit at
+  // different rows): they share one compiled program, rebound to each set's
+  // rows, and every product stays exact.
+  macro::ImcMemory mem(small_mem());
+  ExecutionEngine eng(mem);
+  const unsigned bits = 8;
+  const std::size_t weights = 4, elements = 40;
+  std::vector<ResidentOperand> previous;
+  for (std::uint64_t set = 0; set < 500; ++set) {
+    std::vector<std::vector<std::uint64_t>> w;
+    std::vector<ResidentOperand> handles;
+    for (std::size_t j = 0; j < weights; ++j) {
+      w.push_back(random_codes(elements, bits, 5000 + weights * set + j));
+      handles.push_back(eng.pin(w.back(), bits, OperandLayout::MultUnit));
+    }
+    const auto x = random_codes(elements, bits, 9000 + set);
+    const auto results = eng.run_forward(handles, x);
+    for (std::size_t j = 0; j < weights; ++j)
+      for (std::size_t i = 0; i < elements; ++i)
+        ASSERT_EQ(results[j].values[i], w[j][i] * x[i]) << "set " << set << " op " << j;
+    for (const ResidentOperand& h : previous) EXPECT_TRUE(eng.unpin(h));
+    previous = handles;
+  }
+  EXPECT_EQ(eng.fusion_stats().fused_runs, 500u);
+  EXPECT_EQ(eng.fusion_stats().compiles, 1u);
+  EXPECT_EQ(eng.fusion_stats().recompiles, 0u);
 }
 
 TEST(Fusion, ChainMatchesHostReferenceAndSavesLoads) {

@@ -11,6 +11,7 @@
 #include <iterator>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -413,6 +414,54 @@ class SortedAllocatorOracle {
     }
   }
 
+  /// The block reference, one victim at a time: touch every member in
+  /// order; false when the group cannot fit above the floor; else clear the
+  /// floor, evict the LRU non-member until find_gap(need, floor) fits the
+  /// members without rows, and place them consecutively from the top of
+  /// that gap in group order. When the non-members run out first, clear the
+  /// array and place the whole group.
+  bool ensure_block(const std::vector<std::uint64_t>& group, std::size_t floor,
+                    std::vector<std::uint8_t>& loaded) {
+    std::size_t layers = 0;
+    for (const std::uint64_t id : group) {
+      touch(id);
+      layers += slots_.at(id).layers;
+    }
+    if (floor + layers > capacity_) return false;
+    reserve_transient(floor);
+    std::set<const Slot*> members;
+    for (const std::uint64_t id : group) members.insert(&slots_.at(id));
+    const auto missing = [&] {
+      std::size_t n = 0;
+      for (const Slot* m : members) n += m->materialized ? 0 : m->layers;
+      return n;
+    };
+    std::size_t need = missing();
+    if (need == 0) return true;
+    std::size_t base = find_gap(need, floor);
+    while (base == capacity_) {
+      if (!evict_lru([&](const Slot& s) { return members.count(&s) == 0; })) {
+        reserve_transient(capacity_);
+        need = missing();
+        base = find_gap(need, floor);
+        break;
+      }
+      base = find_gap(need, floor);
+    }
+    std::size_t top = base + need;
+    for (std::size_t j = 0; j < group.size(); ++j) {
+      Slot& e = slots_.at(group[j]);
+      if (e.materialized) continue;
+      top -= e.layers;
+      e.base_pair = top;
+      e.materialized = true;
+      e.last_use = ++tick_;
+      ++materializations_;
+      loaded[j] = 1;
+    }
+    return true;
+  }
+
   [[nodiscard]] std::vector<std::pair<std::size_t, std::size_t>> intervals() const {
     std::vector<std::pair<std::size_t, std::size_t>> out;
     for (const auto& [id, s] : slots_)
@@ -457,12 +506,13 @@ class SortedAllocatorOracle {
   std::uint64_t tick_ = 0;
 };
 
-TEST(Residency, OccupancyMapMatchesSortedAllocator) {
-  // Seeded random pin / unpin / touch / reserve_transient / ensure_rows
-  // sequences with mixed layer counts: at floor 0 placement, victims and
-  // counters must match the sort-based allocator exactly; at a floor > 0 no
-  // handle may land below it; resident_layers() must always equal the sum
-  // over materialized handles.
+/// Seeded random pin / unpin / touch / reserve_transient / ensure_rows
+/// sequences -- and, with `blocks`, ensure_block on groups of live handles
+/// (mixed layer counts, partly resident, now and then one handle twice) --
+/// against the oracle: placements, victims, LRU ticks and counters must
+/// match exactly after every step, no handle may land below its floor, and
+/// resident_layers() must always equal the sum over materialized handles.
+void allocator_matches_oracle(bool blocks) {
   for (const std::size_t capacity : {7u, 16u, 64u}) {
     for (std::uint64_t seed = 1; seed <= 12; ++seed) {
       bpim::Rng rng(seed * 7919 + capacity);
@@ -479,7 +529,7 @@ TEST(Residency, OccupancyMapMatchesSortedAllocator) {
       for (int step = 0; step < 400; ++step) {
         const std::string what = "cap " + std::to_string(capacity) + " seed " +
                                  std::to_string(seed) + " step " + std::to_string(step);
-        const std::uint64_t action = live.size() < 3 ? 0 : rng.uniform_u64(8);
+        const std::uint64_t action = live.size() < 3 ? 0 : rng.uniform_u64(blocks ? 10 : 8);
         if (action == 0 || (action == 1 && live.size() < 12)) {
           const std::size_t layers = 1 + rng.uniform_u64(std::min<std::size_t>(capacity, 4));
           const ResidentOperand h = mgr.pin(one_value, 8, OperandLayout::MultUnit, layers);
@@ -499,6 +549,29 @@ TEST(Residency, OccupancyMapMatchesSortedAllocator) {
           const std::size_t t = rng.uniform_u64(capacity / 2 + 1);
           mgr.reserve_transient(t);
           oracle.reserve_transient(t);
+        } else if (action >= 8) {
+          // A fused forward's block: the group is resolved, the floor
+          // reserved and the missing members placed in one call.
+          const std::size_t size = 1 + rng.uniform_u64(std::min<std::size_t>(live.size(), 6));
+          std::vector<std::uint64_t> ids;
+          std::vector<ResidentOperand> group;
+          for (std::size_t k = 0; k < size; ++k) {
+            ids.push_back(pick());
+            group.push_back(ResidentOperand{.id = ids.back()});
+          }
+          const std::size_t floor = rng.uniform_u64(capacity / 3 + 1);
+          std::vector<ResidencyManager::Entry*> entries(size, nullptr);
+          std::vector<std::uint8_t> loaded(size, 0), want_loaded(size, 0);
+          const bool placed = mgr.ensure_block(group, floor, entries, loaded);
+          ASSERT_EQ(placed, oracle.ensure_block(ids, floor, want_loaded)) << what;
+          EXPECT_EQ(loaded, want_loaded) << what;
+          for (std::size_t k = 0; k < size; ++k) {
+            ASSERT_EQ(entries[k], live.at(ids[k])) << what;
+            if (!placed) continue;
+            EXPECT_TRUE(entries[k]->materialized) << what;
+            EXPECT_GE(entries[k]->base_pair, floor) << what;
+          }
+          if (placed) ++floor_placements;
         } else {
           // The engine's order: resolve (touch), reserve the floor, place.
           const std::uint64_t id = pick();
@@ -552,6 +625,10 @@ TEST(Residency, OccupancyMapMatchesSortedAllocator) {
     }
   }
 }
+
+TEST(Residency, OccupancyMapMatchesSortedAllocator) { allocator_matches_oracle(false); }
+
+TEST(Residency, BlockPlacementMatchesOneVictimAtATime) { allocator_matches_oracle(true); }
 
 }  // namespace
 }  // namespace bpim::engine
