@@ -151,24 +151,6 @@ std::size_t validate(const VecOp& op, const ExecutionEngine& shape) {
   return layers;
 }
 
-std::size_t validate(const ChainRequest& req, const ExecutionEngine& shape) {
-  BPIM_REQUIRE(!req.links.empty(), "a chain needs at least one link");
-  BPIM_REQUIRE(macro::is_supported_precision(req.bits), "unsupported precision");
-  BPIM_REQUIRE(macro::is_supported_precision(2 * req.bits),
-               "chain links run at 2x the head precision, which the ISA lacks here");
-  BPIM_REQUIRE(!req.a.empty(), "chain operands must be non-empty");
-  BPIM_REQUIRE(req.a.size() == req.b.size(), "operand vectors must have equal length");
-  for (const ChainLink& link : req.links)
-    BPIM_REQUIRE(link.values.size() == req.a.size(),
-                 "link operand length must match the head operands");
-  // Rows per layer: head operands a + b plus one row per link operand.
-  const std::size_t layers = (2 + req.links.size() + 1) / 2 *
-                             shape.layers_for_elements(req.a.size(), req.bits,
-                                                       OperandLayout::MultUnit);
-  BPIM_REQUIRE(layers <= shape.row_pair_capacity(), "chain exceeds memory capacity");
-  return layers;
-}
-
 std::size_t validate_forward(std::span<const ResidentOperand> weights,
                              std::size_t activation_elements) {
   BPIM_REQUIRE(!weights.empty(), "fused forward needs at least one weight");
@@ -435,14 +417,7 @@ std::vector<OpResult> ExecutionEngine::run_batch(std::span<const VecOp> ops) {
   return results;
 }
 
-// ---- fusion (run_forward / run_chain) ----------------------------------------
-
-std::vector<macro::PinnedRows> ExecutionEngine::pinned_rows() const {
-  std::vector<macro::PinnedRows> out;
-  for (const auto& [base, layers] : residency_.materialized_intervals())
-    out.push_back(macro::PinnedRows{2 * base, 2 * layers});
-  return out;
-}
+// ---- fusion (run_forward) ---------------------------------------------------
 
 ExecutionEngine::ForwardLayout ExecutionEngine::prepare_forward(
     std::span<const ResidentOperand> weights) {
@@ -592,79 +567,6 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
   span.arg("pipelined_cycles", static_cast<double>(batch_.pipelined_cycles));
   span.arg("fused_cycles_saved", static_cast<double>(batch_.fused_cycles_saved));
   return results;
-}
-
-OpResult ExecutionEngine::run_chain(const ChainRequest& req) {
-  BPIM_TRACE_SPAN(span, "engine.run_chain", trace_track_);
-  (void)validate(req, *this);
-  const std::size_t n = req.a.size();
-  const std::size_t per_op = mult_units_per_row(req.bits);
-  const std::size_t macros = mem_.macro_count();
-  const std::size_t chunks = (n + per_op - 1) / per_op;
-  const std::size_t layers = (chunks + macros - 1) / macros;
-  const std::size_t links = req.links.size();
-  const std::size_t pairs_per_layer = (2 + links + 1) / 2;  // a, b and one row per link
-  residency_.reserve_transient(pairs_per_layer * layers);
-
-  // Layer l of macro m stages a, b and the link operands from row
-  // 2 * pairs_per_layer * l up; the last link of each layer block drives
-  // the chain's value out.
-  const std::size_t active = std::min(chunks, macros);
-  OpResult res;
-  res.values.assign(n, 0);
-  ExecPlan& plan = begin_plan(active);
-  std::vector<macro::ChainSpec> specs(active, macro::ChainSpec{.bits = req.bits, .layers = {}});
-  for_each_chunk(n, per_op, macros,
-                 [&](std::size_t m, std::size_t l, std::size_t pos, std::size_t len) {
-                   MacroPlan& mp = plan.macros[m];
-                   const std::size_t base = 2 * pairs_per_layer * l;
-                   const auto head = OperandLayout::MultUnit;
-                   specs[m].layers.push_back({.a_row = base, .b_row = base + 1, .links = {}});
-                   mp.stage.push_back({base, req.bits, head, req.a.subspan(pos, len)});
-                   mp.stage.push_back({base + 1, req.bits, head, req.b.subspan(pos, len)});
-                   // Link operands are full 2N-bit fields, aligned with the
-                   // product units (words_per_row(2N) == mult_units_per_row(N)).
-                   for (std::size_t j = 0; j < links; ++j) {
-                     specs[m].layers.back().links.emplace_back(req.links[j].kind, base + 2 + j);
-                     mp.stage.push_back({base + 2 + j, 2 * req.bits, OperandLayout::Word,
-                                         req.links[j].values.subspan(pos, len)});
-                   }
-                   mp.extract.push_back({l * (1 + links) + links, req.bits, head,
-                                         std::span(res.values).subspan(pos, len)});
-                 });
-  const macro::FusionCompiler compiler(mem_.macro(0).config().geometry, pinned_rows());
-  std::vector<macro::VerifiedProgram> programs;
-  programs.reserve(active);
-  for (std::size_t m = 0; m < active; ++m)
-    plan.macros[m].programs.push_back(&programs.emplace_back(compiler.compile_chain(specs[m])));
-  const std::uint64_t adaptive = execute(plan);
-
-  // Load account: a, b and each link operand stage once per layer. The
-  // op-at-a-time equivalent re-stages the spilled intermediate next to every
-  // link operand -- 2 rows per link per layer -- so the chain saves one row
-  // write per link per layer.
-  const std::uint64_t load = (2 + links) * layers;
-  const std::uint64_t saved = links * layers;
-  residency_.note_saved(saved);
-
-  res.stats.elements = n;
-  res.stats.instructions = chunks * (1 + links);  // a MULT and the links per chunk
-  res.stats.elapsed_cycles = mem_.elapsed_cycles();
-  res.stats.energy = mem_.total_energy();
-  res.stats.elapsed_time = cycles_to_time(res.stats.elapsed_cycles);
-  res.stats.load_cycles = load;
-  res.stats.load_cycles_saved = saved;
-  res.stats.adaptive_cycles_saved = adaptive;
-  publish_fused({.ops = 1,
-                 .elements = n,
-                 .instructions = res.stats.instructions,
-                 .load_cycles = load,
-                 .load_cycles_saved = saved,
-                 .compute_cycles = res.stats.elapsed_cycles,
-                 .adaptive_cycles_saved = adaptive,
-                 .energy = res.stats.energy});
-  ++fusion_stats_.chain_runs;
-  return res;
 }
 
 }  // namespace bpim::engine

@@ -2,8 +2,8 @@
 // ExecutionEngine: sharded, multi-threaded dispatch of vector workloads
 // across the macros of an ImcMemory.
 //
-// One dispatch core. run()/run_batch() (one op at a time), run_forward()
-// and run_chain() (fused) each validate their request, then build an
+// One dispatch core. run()/run_batch() (one op at a time) and
+// run_forward() (fused) each validate their request, then build an
 // ExecPlan: per active macro, the operand rows to stage, the
 // macro::VerifiedPrograms to run (cached single-instruction programs from
 // macro::OpCompiler, or one fused program from macro::FusionCompiler) and
@@ -19,9 +19,10 @@
 // independent object (SRAM state, RNG stream, energy ledger), so the
 // parallel walk is bit-identical to a serial one; stats merge after the
 // join as lock-step max (cycles) and fixed-order sum (energy). Staging
-// every chunk before running is safe: single-op programs write no main row
-// (see OpKind), and a fused chain writes back only into its own layer's
-// consumed activation row, never into another chunk's operands.
+// every chunk before running is safe: no engine-dispatched program writes a
+// main row -- single-op programs write only dummy rows (see OpKind) and a
+// fused forward's MULTs only D1/D2 -- so no chunk's operands are overwritten
+// before they are read.
 //
 // run_batch() models a double-buffered schedule: operands of op k+1 load
 // into ping-pong row pairs while op k computes, so the batch costs load(0)
@@ -125,8 +126,8 @@ class ExecutionEngine : public Executor {
 
   // ---- adaptive execution (macro::AdaptivePolicy) -------------------------
   /// Set the sparsity/precision-adaptive policy every subsequent dispatch
-  /// (run / run_batch / run_forward / run_chain) executes under. Outputs
-  /// are bit-identical at any setting; only the modeled cycle account moves
+  /// (run / run_batch / run_forward) executes under. Outputs are
+  /// bit-identical at any setting; only the modeled cycle account moves
   /// (the win lands in RunStats/BatchStats::adaptive_cycles_saved).
   /// Thread-safe: may race in-flight dispatches, each of which snapshots
   /// the policy once at entry.
@@ -166,12 +167,6 @@ class ExecutionEngine : public Executor {
   [[nodiscard]] std::vector<OpResult> run_forward(
       std::span<const ResidentOperand> weights,
       std::span<const std::uint64_t> activation) override;
-
-  /// Execute one MULT->ADD(->ADD-Shift) dependency chain as a single fused
-  /// program: the head products stay in the in-array accumulator and every
-  /// link folds its operand (2N-bit fields) into them, so intermediates are
-  /// never driven out and re-staged. Result elements are 2*bits wide.
-  [[nodiscard]] OpResult run_chain(const ChainRequest& req);
 
   [[nodiscard]] const FusionStats& fusion_stats() const { return fusion_stats_; }
 
@@ -249,17 +244,15 @@ class ExecutionEngine : public Executor {
   /// The layout's shape-keyed programs (compiled on the shape's first
   /// forward), bound to the layout's weight rows.
   FusedForward& fused_program_for(const ForwardLayout& fl);
-  /// The materialized pinned set as verifier row intervals.
-  [[nodiscard]] std::vector<macro::PinnedRows> pinned_rows() const;
 
   macro::ImcMemory& mem_;
   ThreadPool pool_;
   ResidencyManager residency_;
   /// Single-op program compiler/cache; thread-safe, shared by all workers.
-  /// Engine-dispatched programs only write dummy rows, so the cache never
-  /// needs residency-driven invalidation.
+  /// Built with no pinned map: single-op programs write only dummy rows, so
+  /// no residency change can make a cached program clobber a resident row.
   macro::OpCompiler op_compiler_;
-  /// Synthetic trace track "engine N": batch/forward/chain spans render on
+  /// Synthetic trace track "engine N": batch/forward spans render on
   /// one timeline row whichever host thread drives the engine.
   obs::TrackId trace_track_ = 0;
   BatchStats batch_{};
@@ -280,8 +273,6 @@ class ExecutionEngine : public Executor {
 
 /// Returns the row-pair layers `op` occupies per macro of `shape`.
 std::size_t validate(const VecOp& op, const ExecutionEngine& shape);
-/// Returns the row-pair layers the chain stages per macro of `shape`.
-std::size_t validate(const ChainRequest& req, const ExecutionEngine& shape);
 /// Fused-forward weights (one precision, MULT-unit layout, one length)
 /// against an activation of `activation_elements`; returns the weights'
 /// per-handle layers.

@@ -8,37 +8,16 @@
 // The programs are keyed by the forward's shape, not by its weights, and
 // relocate: a forward whose weights moved (eviction and re-materialization)
 // or another tenant's forward of the same shape rebinds the cached
-// programs' weight rows and compiles nothing. run_chain() executes one
-// MULT->ADD(->ADD-Shift) dependency chain without spilling the
-// intermediate product. FusionStats counts how often each path compiled,
-// ran fused, or fell back to op-at-a-time dispatch.
+// programs' weight rows and compiles nothing. FusionStats counts how often
+// the path compiled, ran fused, or fell back to op-at-a-time dispatch.
 
 #include <compare>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "macro/compiler.hpp"
 
 namespace bpim::engine {
-
-using macro::ChainLinkKind;
-
-/// One link of a fused chain: fold `values` -- 2N-bit fields aligned with
-/// the head MULT's product units -- into the in-array accumulator.
-struct ChainLink {
-  ChainLinkKind kind = ChainLinkKind::Add;
-  std::span<const std::uint64_t> values;
-};
-
-/// A MULT->links dependency chain over span operands. The head product
-/// a[i]*b[i] stays in the array; each link folds its operand into it.
-struct ChainRequest {
-  unsigned bits = 8;  ///< head precision; links run at 2*bits
-  std::span<const std::uint64_t> a;
-  std::span<const std::uint64_t> b;
-  std::vector<ChainLink> links;
-};
 
 /// Counters of the engine's fusion path (ExecutionEngine::fusion_stats()).
 struct FusionStats {
@@ -48,7 +27,6 @@ struct FusionStats {
   std::uint64_t recompiles = 0;
   std::uint64_t fused_runs = 0;  ///< forwards served by a fused program
   std::uint64_t fallback_runs = 0;  ///< forwards routed to op-at-a-time
-  std::uint64_t chain_runs = 0;     ///< fused chains executed
 };
 
 /// The shape a fused forward's programs depend on: precision, weight count

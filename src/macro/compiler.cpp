@@ -77,36 +77,6 @@ const VerifiedProgram& RelocatableForward::bind(std::span<const std::size_t> bas
   return program_;
 }
 
-VerifiedProgram FusionCompiler::compile_chain(const ChainSpec& spec) const {
-  BPIM_REQUIRE(!spec.layers.empty(), "chain needs at least one layer");
-  BPIM_REQUIRE(is_supported_precision(spec.bits), "unsupported chain head precision");
-  BPIM_REQUIRE(is_supported_precision(2 * spec.bits),
-               "chain links run at 2x the head precision, which the ISA lacks here");
-  const RowRef d2 = RowRef::dummy(ImcMacro::kDummyAccum);
-  Program p;
-  for (const ChainLayerSpec& layer : spec.layers) {
-    BPIM_REQUIRE(!layer.links.empty(), "chain layer needs at least one link");
-    BPIM_REQUIRE(layer.a_row != layer.b_row, "chain head needs two distinct rows");
-    p.mult(RowRef::main(layer.a_row), RowRef::main(layer.b_row), spec.bits);
-    for (std::size_t j = 0; j < layer.links.size(); ++j) {
-      const auto& [kind, operand_row] = layer.links[j];
-      const RowRef rb = RowRef::main(operand_row);
-      const bool last = j + 1 == layer.links.size();
-      if (kind == ChainLinkKind::Add) {
-        // Intermediate sums accumulate back into D2; the final sum is
-        // driven out for the trace to capture.
-        p.add(d2, rb, 2 * spec.bits, last ? std::nullopt : std::optional<RowRef>(d2));
-      } else {
-        // ADD-Shift must write back. Intermediates stay in D2; the final
-        // value retires into the layer's own activation row -- dead since
-        // the head MULT consumed it, and never pinned.
-        p.add_shift(d2, rb, 2 * spec.bits, last ? RowRef::main(layer.a_row) : d2);
-      }
-    }
-  }
-  return seal(std::move(p), "compile_chain");
-}
-
 std::uint64_t FusionCompiler::fused_static_cycles(const Program& p) {
   std::uint64_t c = 0;
   const Instruction* prev = nullptr;
@@ -123,7 +93,7 @@ std::uint64_t FusionCompiler::fused_static_cycles(const Program& p) {
 }
 
 VerifiedProgram FusionCompiler::seal(Program p, const char* what) const {
-  const VerifyReport rep = verify_program(p, geom_, pinned_);
+  const VerifyReport rep = verify_program(p, geom_);
   if (rep.errors == 0 && rep.warnings == 0) {
     programs_compiled_counter().add();
     BPIM_TRACE_INSTANT("macro.program.compile", 0,
@@ -150,8 +120,7 @@ std::uint64_t encode_row(RowRef r) {
 }  // namespace
 
 std::size_t OpCompiler::KeyHash::operator()(const Key& k) const {
-  // FNV-1a over the key fields, same recipe the engine's fused-program cache
-  // uses for its layer keys.
+  // FNV-1a over the key fields.
   std::uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](std::uint64_t v) {
     h ^= v;
@@ -194,7 +163,7 @@ const VerifiedProgram& OpCompiler::single(const Instruction& inst) {
   BPIM_TRACE_INSTANT("macro.program.compile", 0,
                      obs::EventArgs{{"instructions", 1.0}, {"fused", 0.0}});
   // unordered_map references are stable under rehash and nothing is ever
-  // erased outside set_pinned(), so the mapped program can be handed out.
+  // erased, so the mapped program can be handed out.
   return cache_.emplace(key, VerifiedProgram(std::move(p), geom_)).first->second;
 }
 
@@ -225,12 +194,6 @@ const VerifiedProgram& OpCompiler::logic(periph::LogicFn fn, RowRef a, RowRef b)
                "PassA/NotA are single-WL paths; use unary(COPY/NOT)");
   // Op::And is the representative dual-WL logic op; fn carries the function.
   return single({.op = Op::And, .logic_fn = fn, .a = a, .b = b});
-}
-
-void OpCompiler::set_pinned(std::vector<PinnedRows> pinned) {
-  MutexLock lock(mutex_);
-  pinned_ = std::move(pinned);
-  cache_.clear();
 }
 
 OpCompiler::CacheStats OpCompiler::cache_stats() const {

@@ -1,13 +1,12 @@
 #pragma once
-// Fusion compiler: turns dependent op chains into single verified macro ISA
-// programs, so a whole forward pass executes in-array -- intermediates live
-// in the dummy accumulator row (D2), never leaving the subarray. This is
-// the IMAC organization applied to the seed's row-level ISA: the multi-bit
-// MAC is the primitive, and the verifier (macro/verifier.hpp) is the
-// contract every emitted program is checked against before it ever reaches
-// a macro.
+// Fusion compiler: turns a whole forward pass into one verified macro ISA
+// program per macro, so the forward executes in-array as back-to-back
+// MULTs on the chained datapath. This is the IMAC organization applied to
+// the seed's row-level ISA: the multi-bit MAC is the primitive, and the
+// verifier (macro/verifier.hpp) is the contract every emitted program is
+// checked against before it ever reaches a macro.
 //
-// Two program shapes are emitted:
+// Two entry points emit that one program shape:
 //
 //   compile_mac_forward  One MULT per (activation row, weight row) pair.
 //                        The per-MAC products are captured from the
@@ -22,18 +21,13 @@
 //                        caller rebinds per call (RelocatableForward), so a
 //                        weight that moved costs no compile.
 //
-//   compile_chain        MULT -> ADD(-> ADD-Shift) dependency chains: the
-//                        head product stays in D2 and each link folds a
-//                        2N-bit operand row into it. The final link drives
-//                        the result out (ADD) or retires it into the layer's
-//                        own dead activation row (ADD-Shift needs a dest).
-//
-// The compiler knows the residency map: programs are verified against the
-// pinned intervals (DiagKind::ResidentClobber) and must come back with ZERO
-// diagnostics -- warnings included -- or compilation throws with the
-// annotated disassembly. Nothing here depends on the engine layer; the
-// engine hands in geometry + pinned intervals and gets VerifiedPrograms
-// back, which MacroController runs without verifying them again.
+// A MULT writes only the D1/D2 scratch rows, so emitted programs read
+// pinned weight rows in place and can never clobber a resident operand.
+// They must come back from the verifier with ZERO diagnostics -- warnings
+// included -- or compilation throws with the annotated disassembly. Nothing
+// here depends on the engine layer; the engine hands in the geometry and
+// gets VerifiedPrograms back, which MacroController runs without verifying
+// them again.
 
 #include <cstdint>
 #include <span>
@@ -61,25 +55,6 @@ struct MacStep {
 struct MacForwardSpec {
   unsigned bits = 8;
   std::vector<MacStep> steps;
-};
-
-/// How one chain link folds its operand into the D2 accumulator.
-enum class ChainLinkKind {
-  Add,       ///< acc += operand
-  AddShift,  ///< acc = (acc + operand) << 1 (in-field)
-};
-
-/// One MULT->links chain: the head MAC plus the rows folded into it. Link
-/// operands are 2N-bit fields (the product width).
-struct ChainLayerSpec {
-  std::size_t a_row = 0;
-  std::size_t b_row = 0;
-  std::vector<std::pair<ChainLinkKind, std::size_t>> links;
-};
-
-struct ChainSpec {
-  unsigned bits = 8;  ///< head MULT precision; links run at 2*bits
-  std::vector<ChainLayerSpec> layers;
 };
 
 /// A verified whole-forward MAC program whose weight rows relocate. MAC
@@ -113,10 +88,7 @@ class RelocatableForward {
 
 class FusionCompiler {
  public:
-  /// `pinned` is the residency map of the target macro's main rows; emitted
-  /// programs may read pinned rows (that is the point) but never write them.
-  explicit FusionCompiler(array::ArrayGeometry g, std::vector<PinnedRows> pinned = {})
-      : geom_(g), pinned_(std::move(pinned)) {}
+  explicit FusionCompiler(array::ArrayGeometry g) : geom_(g) {}
 
   /// Emit and verify the fused whole-forward MAC program. Throws
   /// std::invalid_argument (with annotated disassembly) if the emitted
@@ -132,38 +104,28 @@ class FusionCompiler {
                                                                std::size_t weights,
                                                                std::size_t layers) const;
 
-  /// Emit and verify a MULT->ADD(->ADD-Shift) chain program. The last link
-  /// of an ADD chain carries no dest (result driven out and captured from
-  /// the trace); a final ADD-Shift retires into the layer's own `a_row`,
-  /// dead since the head MULT consumed it.
-  [[nodiscard]] VerifiedProgram compile_chain(const ChainSpec& spec) const;
-
   /// Cycle cost of `p` on the chained-MAC execution path -- Table 1 minus
   /// the discounts MacroController::run applies with fuse_mac_chains set.
   [[nodiscard]] static std::uint64_t fused_static_cycles(const Program& p);
 
   [[nodiscard]] const array::ArrayGeometry& geometry() const { return geom_; }
-  [[nodiscard]] const std::vector<PinnedRows>& pinned() const { return pinned_; }
 
  private:
   /// Verify an emitted program to zero diagnostics and seal it.
   [[nodiscard]] VerifiedProgram seal(Program p, const char* what) const;
 
   array::ArrayGeometry geom_;
-  std::vector<PinnedRows> pinned_;
 };
 
 /// Single-op compiler: the FusionCompiler's sibling for everything that is
-/// not a fused chain. Each entry point emits the one-instruction Program for
-/// a VecOp-shaped request (ADD, SUB, MULT, ADD-Shift, unary, logic) against
-/// the array geometry + residency map, verifies it to zero diagnostics
-/// (warnings included, like the fusion path), and caches it by
+/// not a fused forward. Each entry point emits the one-instruction Program
+/// for a VecOp-shaped request (ADD, SUB, MULT, ADD-Shift, unary, logic)
+/// against the array geometry + residency map, verifies it to zero
+/// diagnostics (warnings included, like the fusion path), and caches it by
 /// (op, fn, bits, rows, dest) so hot-path dispatch is one hash lookup.
 ///
-/// Returned references stay valid for the compiler's lifetime (entries are
-/// never evicted); set_pinned() is the one invalidation point -- it clears
-/// the cache and must not race executions of previously returned programs,
-/// the same contract the fusion path has at recompile.
+/// Returned references stay valid for the compiler's lifetime: entries are
+/// never evicted, and the residency map is fixed at construction.
 ///
 /// Thread-safe: the engine compiles on the submitting thread, but a serving
 /// deployment may share one compiler across engines. Cache traffic feeds the
@@ -171,6 +133,8 @@ class FusionCompiler {
 /// instants on the trace timeline.
 class OpCompiler {
  public:
+  /// `pinned` is the residency map: an instruction whose write-back lands
+  /// in it is rejected (ResidentClobber).
   explicit OpCompiler(array::ArrayGeometry g, std::vector<PinnedRows> pinned = {})
       : geom_(g), pinned_(std::move(pinned)) {}
 
@@ -191,10 +155,6 @@ class OpCompiler {
   /// `inst`. Throws std::invalid_argument (with annotated disassembly) when
   /// the instruction draws any verifier diagnostic.
   const VerifiedProgram& single(const Instruction& inst) BPIM_EXCLUDES(mutex_);
-
-  /// Replace the residency map. Clears the cache (programs verified against
-  /// the old map are stale); must not race executions.
-  void set_pinned(std::vector<PinnedRows> pinned) BPIM_EXCLUDES(mutex_);
 
   struct CacheStats {
     std::uint64_t compiled = 0;  ///< cache misses: programs emitted + verified
@@ -220,8 +180,8 @@ class OpCompiler {
   };
 
   array::ArrayGeometry geom_;
+  const std::vector<PinnedRows> pinned_;
   mutable Mutex mutex_;
-  std::vector<PinnedRows> pinned_ BPIM_GUARDED_BY(mutex_);
   std::unordered_map<Key, VerifiedProgram, KeyHash> cache_ BPIM_GUARDED_BY(mutex_);
   CacheStats stats_ BPIM_GUARDED_BY(mutex_);
 };

@@ -64,19 +64,17 @@ class DeadlineExceeded : public std::runtime_error {
 namespace detail {
 
 /// What a ticket asks the engine for. Op is the classic single VecOp;
-/// Chain and Forward are fused requests (engine/fusion.hpp) that execute
-/// as one verified macro program and always dispatch as their own group.
-enum class ReqKind { Op, Chain, Forward };
+/// Forward is a fused whole-forward request (engine/fusion.hpp) that
+/// executes as one verified macro program and always dispatches as its own
+/// group.
+enum class ReqKind { Op, Forward };
 
-/// One admitted request in flight. Move-only; the op's and the chain's
-/// spans point into this ticket's own a/b/link storage.
+/// One admitted request in flight. Move-only; the op's spans point into
+/// this ticket's own a/b storage.
 struct Ticket {
   ReqKind kind = ReqKind::Op;
   engine::VecOp op;  ///< the op; fused kinds use only its kind/bits labels
   std::vector<std::uint64_t> a, b;
-  /// Chain requests: the request, and the owned link operands it spans.
-  engine::ChainRequest chain;
-  std::vector<std::vector<std::uint64_t>> link_values;
   /// Forward requests: the pinned weight handles, in op order.
   std::vector<engine::ResidentOperand> fwd_weights;
   int priority = 0;
@@ -88,14 +86,14 @@ struct Ticket {
   /// Pool memory that holds the op's resident operand(s); requests with a
   /// handle must run there, everything else is free for placement.
   std::optional<std::size_t> home;
-  std::promise<engine::OpResult> promise;  ///< Op and Chain results
+  std::promise<engine::OpResult> promise;  ///< Op results
   std::promise<std::vector<engine::OpResult>> fwd_promise;  ///< Forward results
 
-  /// Row-pair layers the request stages through the transient region: a
-  /// resident-operand Op computes in its handle's own pairs and consumes
-  /// none; a fused Forward stages its shared activation (`layers` counts
-  /// exactly that region) even though its weights are resident; a Chain is
-  /// fully transient (the coalescer's budget math packs against this).
+  /// Row-pair layers the request stages through the transient region (the
+  /// coalescer's budget math packs against this): a resident-operand Op
+  /// computes in its handle's own pairs and consumes none; a fused Forward
+  /// stages its shared activation (`layers` counts exactly that region) even
+  /// though its weights are resident.
   [[nodiscard]] std::size_t transient_layers() const {
     return kind == ReqKind::Op && home ? 0 : layers;
   }

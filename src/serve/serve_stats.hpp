@@ -84,8 +84,8 @@ struct ServeStats {
   /// and what resident operands (Server::pin) saved against re-poking.
   std::uint64_t modeled_load_cycles = 0;
   std::uint64_t modeled_load_cycles_saved = 0;
-  /// Compute cycles fused program execution (submit_forward / submit_chain,
-  /// chained-MAC datapath) saved vs op-at-a-time Table 1 issue; the
+  /// Compute cycles fused program execution (submit_forward, chained-MAC
+  /// datapath) saved vs running op-at-a-time at Table 1 cost; the
   /// pipelined/serial totals are already net of this.
   std::uint64_t modeled_fused_cycles_saved = 0;
   /// Compute cycles the adaptive policy (MULT operand narrowing / zero

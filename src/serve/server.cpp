@@ -162,23 +162,6 @@ detail::Ticket Server::make_forward_ticket(std::span<const engine::ResidentOpera
   return t;
 }
 
-detail::Ticket Server::make_chain_ticket(const engine::ChainRequest& chain) {
-  detail::Ticket t;
-  t.layers = engine::validate(chain, pool_->engine(0));
-  t.kind = detail::ReqKind::Chain;
-  t.a.assign(chain.a.begin(), chain.a.end());
-  t.b.assign(chain.b.begin(), chain.b.end());
-  t.op = engine::VecOp{.kind = OpKind::Mult, .bits = chain.bits, .a = t.a, .b = t.b};
-  t.chain = chain;
-  t.chain.a = t.a;
-  t.chain.b = t.b;
-  t.link_values.reserve(chain.links.size());
-  for (engine::ChainLink& link : t.chain.links)
-    link.values = t.link_values.emplace_back(link.values.begin(), link.values.end());
-  if (pool_->placement() == Placement::StickyByOperand) t.operand_hash = hash_operands(t.op);
-  return t;
-}
-
 void Server::stamp(detail::Ticket& t, SubmitOptions opts) {
   t.priority = opts.priority;
   t.deadline = opts.deadline;
@@ -218,16 +201,6 @@ std::future<std::vector<OpResult>> Server::submit_forward(
   BPIM_TRACE_SPAN(span, "serve.submit_forward");
   detail::Ticket t = make_forward_ticket(weights, activation);
   std::future<std::vector<OpResult>> fut = t.fwd_promise.get_future();
-  admit(std::move(t), opts);
-  return fut;
-}
-
-std::future<OpResult> Server::submit_chain(const engine::ChainRequest& chain,
-                                           SubmitOptions opts) {
-  if (stopped()) throw ServerStopped();
-  BPIM_TRACE_SPAN(span, "serve.submit_chain");
-  detail::Ticket t = make_chain_ticket(chain);
-  std::future<OpResult> fut = t.promise.get_future();
   admit(std::move(t), opts);
   return fut;
 }
@@ -396,9 +369,9 @@ void Server::scheduler_loop() {
     // Coalesce from the head: every compatible request (same kind and
     // precision, same logic fn) that still fits the group budget rides
     // along; the rest wait for a later group. The head always goes (the
-    // engine evicts pinned rows LRU-first if it must). A fused head
-    // (Chain/Forward) is already one whole program: nothing coalesces with
-    // it, and its home memory (a Forward's weights) binds placement.
+    // engine evicts pinned rows LRU-first if it must). A fused Forward head
+    // is already one whole program: nothing coalesces with it, and its home
+    // memory (its weights') binds placement.
     const bool fused_head = backlog.front().kind != detail::ReqKind::Op;
     const OpKind kind = backlog.front().op.kind;
     const unsigned bits = backlog.front().op.bits;
@@ -457,8 +430,8 @@ void Server::execute_group(std::vector<std::vector<detail::Ticket>>& subs,
   // Runs one sub-batch end to end -- engine call, accounting, promises --
   // so a lane releases its clients the moment it finishes instead of
   // waiting out the group's slowest lane, and the recorded host latency is
-  // exactly what the client waited. A fused request (Chain/Forward) is a
-  // sub-batch of one; only its engine call and promise type differ. Ledger
+  // exactly what the client waited. A fused Forward is a sub-batch of one;
+  // only its engine call and promise type differ. Ledger
   // and pool accounts are mutex-guarded, so lanes may complete
   // concurrently. Never throws.
   const auto run_sub = [&](std::size_t i) {
@@ -478,8 +451,6 @@ void Server::execute_group(std::vector<std::vector<detail::Ticket>>& subs,
     try {
       if (head.kind == detail::ReqKind::Forward) {
         results = eng.run_forward(head.fwd_weights, head.a);
-      } else if (head.kind == detail::ReqKind::Chain) {
-        results.push_back(eng.run_chain(head.chain));
       } else {
         std::vector<VecOp> ops;
         ops.reserve(batch.size());

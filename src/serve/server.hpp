@@ -100,13 +100,6 @@ class Server : public engine::Executor {
       std::span<const std::uint64_t> activation, SubmitOptions opts = {})
       BPIM_EXCLUDES(pin_mutex_);
 
-  /// Admit a fused MULT->ADD(->ADD-Shift) chain (ExecutionEngine::run_chain):
-  /// the head product never leaves the array while the links fold in. All
-  /// operand spans (head and links) are copied at admission.
-  [[nodiscard]] std::future<engine::OpResult> submit_chain(const engine::ChainRequest& chain,
-                                                           SubmitOptions opts = {})
-      BPIM_EXCLUDES(pin_mutex_);
-
   // ---- engine::Executor ----------------------------------------------------
   [[nodiscard]] std::vector<engine::OpResult> run_batch(std::span<const engine::VecOp> ops)
       BPIM_EXCLUDES(pin_mutex_) override;
@@ -177,7 +170,6 @@ class Server : public engine::Executor {
   detail::Ticket make_forward_ticket(std::span<const engine::ResidentOperand> weights,
                                      std::span<const std::uint64_t> activation)
       BPIM_EXCLUDES(pin_mutex_);
-  detail::Ticket make_chain_ticket(const engine::ChainRequest& chain);
   /// The pool memory holding `handles` (nullopt when none is set); throws
   /// unless every handle was pinned here, and `split_error` unless on one
   /// memory.

@@ -1,6 +1,7 @@
-// FusionCompiler: emitted programs are verifier-clean, residency-aware,
-// priced correctly on the chained-MAC path, and relocate under exactly the
-// checks the verifier makes.
+// FusionCompiler: emitted programs are verifier-clean (also against the
+// pinned rows they read), priced correctly on the chained-MAC path, and
+// relocate under exactly the checks the verifier makes. OpCompiler:
+// single-op programs are cached and reject pinned-row writes.
 
 #include <gtest/gtest.h>
 
@@ -53,60 +54,6 @@ TEST(FusionCompiler, FusedStaticCyclesDiscountsChainedMacs) {
   EXPECT_EQ(FusionCompiler::fused_static_cycles(p), 10u + 8u + 9u);
 }
 
-TEST(FusionCompiler, MacForwardMayReadPinnedRowsButChainMayNotClobber) {
-  const ArrayGeometry g{};
-  // Rows [100, 120) pinned, the residency map's shape.
-  const std::vector<PinnedRows> pinned{{100, 20}};
-  FusionCompiler fc(g, pinned);
-
-  // Reading pinned weight rows is the whole point: clean emission.
-  MacForwardSpec fwd;
-  fwd.bits = 8;
-  fwd.steps = {{0, 104}, {0, 106}};
-  EXPECT_NO_THROW((void)fc.compile_mac_forward(fwd));
-
-  // An ADD-Shift chain retires into its own a_row; pointing that at a
-  // pinned row must be rejected (ResidentClobber) with the disassembly.
-  ChainSpec chain;
-  chain.bits = 8;
-  ChainLayerSpec layer;
-  layer.a_row = 110;  // pinned -- the final write-back would corrupt it
-  layer.b_row = 0;
-  layer.links = {{ChainLinkKind::AddShift, 2}};
-  chain.layers = {layer};
-  try {
-    (void)fc.compile_chain(chain);
-    FAIL() << "expected compile_chain to reject the pinned-row write-back";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("resident-clobber"), std::string::npos) << e.what();
-    // The rejection text is the annotated disassembly.
-    EXPECT_NE(std::string(e.what()).find("ADD-Shift"), std::string::npos) << e.what();
-  }
-}
-
-TEST(FusionCompiler, ChainEmissionShapesLinksAroundD2) {
-  const ArrayGeometry g{};
-  FusionCompiler fc(g);
-  ChainSpec spec;
-  spec.bits = 4;  // links at 8-bit
-  ChainLayerSpec layer;
-  layer.a_row = 0;
-  layer.b_row = 1;
-  layer.links = {{ChainLinkKind::Add, 2}, {ChainLinkKind::Add, 3}};
-  spec.layers = {layer};
-  const Program p = fc.compile_chain(spec);
-  ASSERT_EQ(p.size(), 3u);
-  EXPECT_EQ(p.instructions()[0].op, Op::Mult);
-  // Intermediate link accumulates back into D2; final link drives out.
-  ASSERT_TRUE(p.instructions()[1].dest.has_value());
-  EXPECT_EQ(p.instructions()[1].dest->kind, RowRef::Kind::Dummy);
-  EXPECT_EQ(p.instructions()[1].bits, 8u);
-  EXPECT_FALSE(p.instructions()[2].dest.has_value());
-  const VerifyReport rep = verify_program(p, g);
-  EXPECT_EQ(rep.errors, 0u);
-  EXPECT_EQ(rep.warnings, 0u);
-}
-
 TEST(FusionCompiler, DumpNamesOpsRowsAndRoles) {
   const ArrayGeometry g{};
   FusionCompiler fc(g);
@@ -126,21 +73,14 @@ TEST(FusionCompiler, RejectsDegenerateSpecs) {
   EXPECT_THROW((void)fc.compile_mac_forward({8, {}}), std::invalid_argument);
   EXPECT_THROW((void)fc.compile_mac_forward({8, {{5, 5}}}), std::invalid_argument);
   EXPECT_THROW((void)fc.compile_mac_forward({3, {{0, 1}}}), std::invalid_argument);
-  ChainSpec no_links;
-  no_links.bits = 8;
-  no_links.layers = {{0, 1, {}}};
-  EXPECT_THROW((void)fc.compile_chain(no_links), std::invalid_argument);
-  ChainSpec wide;  // 32-bit head needs 64-bit links, which the ISA lacks
-  wide.bits = 32;
-  wide.layers = {{0, 1, {{ChainLinkKind::Add, 2}}}};
-  EXPECT_THROW((void)fc.compile_chain(wide), std::invalid_argument);
 }
 
 TEST(FusionCompiler, FuzzedSpecsAlwaysEmitZeroDiagnosticPrograms) {
-  // The tentpole's contract: whatever layout the engine asks for, the
-  // emitted program must survive the residency-aware verifier with zero
-  // diagnostics -- warnings included -- and execute under VerifyFirst.
+  // Whatever layout the engine asks for, the emitted program reads the
+  // weights' pinned band in place and must still verify against that band
+  // (residency-aware) with zero diagnostics -- warnings included.
   const ArrayGeometry g{};
+  FusionCompiler fc(g);
   bpim::Rng rng(0xF05Ed);
   const unsigned precisions[] = {2, 4, 8, 16};
   for (int trial = 0; trial < 200; ++trial) {
@@ -148,46 +88,20 @@ TEST(FusionCompiler, FuzzedSpecsAlwaysEmitZeroDiagnosticPrograms) {
     // Pinned band in the top half, like the residency allocator produces.
     const std::size_t pinned_rows = 2 * (1 + rng.uniform_u64(20));
     const std::size_t pinned_base = g.rows - pinned_rows;
-    FusionCompiler fc(g, {{pinned_base, pinned_rows}});
+    const std::vector<PinnedRows> pinned{{pinned_base, pinned_rows}};
 
-    if (trial % 2 == 0) {
-      MacForwardSpec spec;
-      spec.bits = bits;
-      const std::size_t layers = 1 + rng.uniform_u64(3);
-      const std::size_t ops = 1 + rng.uniform_u64(6);
-      for (std::size_t l = 0; l < layers; ++l)
-        for (std::size_t j = 0; j < ops; ++j)
-          spec.steps.push_back({2 * l, pinned_base + 2 * ((j + l) % (pinned_rows / 2))});
-      const Program p = fc.compile_mac_forward(spec);
-      const VerifyReport rep =
-          verify_program(p, g, std::span<const PinnedRows>(fc.pinned()));
-      EXPECT_EQ(rep.errors, 0u) << rep.annotate(p);
-      EXPECT_EQ(rep.warnings, 0u) << rep.annotate(p);
-      EXPECT_LE(FusionCompiler::fused_static_cycles(p), p.static_cycles());
-    } else if (2 * bits <= 32) {
-      ChainSpec spec;
-      spec.bits = bits;
-      const std::size_t links = 1 + rng.uniform_u64(3);
-      const std::size_t pairs = (2 + links + 1) / 2;
-      const std::size_t layers = 1 + rng.uniform_u64(3);
-      for (std::size_t l = 0; l < layers; ++l) {
-        ChainLayerSpec layer;
-        layer.a_row = 2 * pairs * l;
-        layer.b_row = layer.a_row + 1;
-        for (std::size_t j = 0; j < links; ++j) {
-          const bool last = j + 1 == links;
-          const bool shift = last && rng.uniform_u64(2) == 0;
-          layer.links.emplace_back(shift ? ChainLinkKind::AddShift : ChainLinkKind::Add,
-                                   layer.a_row + 2 + j);
-        }
-        spec.layers.push_back(std::move(layer));
-      }
-      const Program p = fc.compile_chain(spec);
-      const VerifyReport rep =
-          verify_program(p, g, std::span<const PinnedRows>(fc.pinned()));
-      EXPECT_EQ(rep.errors, 0u) << rep.annotate(p);
-      EXPECT_EQ(rep.warnings, 0u) << rep.annotate(p);
-    }
+    MacForwardSpec spec;
+    spec.bits = bits;
+    const std::size_t layers = 1 + rng.uniform_u64(3);
+    const std::size_t ops = 1 + rng.uniform_u64(6);
+    for (std::size_t l = 0; l < layers; ++l)
+      for (std::size_t j = 0; j < ops; ++j)
+        spec.steps.push_back({2 * l, pinned_base + 2 * ((j + l) % (pinned_rows / 2))});
+    const Program p = fc.compile_mac_forward(spec);
+    const VerifyReport rep = verify_program(p, g, std::span<const PinnedRows>(pinned));
+    EXPECT_EQ(rep.errors, 0u) << rep.annotate(p);
+    EXPECT_EQ(rep.warnings, 0u) << rep.annotate(p);
+    EXPECT_LE(FusionCompiler::fused_static_cycles(p), p.static_cycles());
   }
 }
 
@@ -329,19 +243,6 @@ TEST(OpCompiler, RejectsVerifierDiagnosticsAndPinnedClobber) {
     EXPECT_NE(std::string(e.what()).find("resident-clobber"), std::string::npos)
         << e.what();
   }
-}
-
-TEST(OpCompiler, SetPinnedClearsCache) {
-  const ArrayGeometry g{};
-  OpCompiler oc(g);
-  (void)oc.add(RowRef::main(0), RowRef::main(1), 8);
-  oc.set_pinned({{100, 20}});
-  // The stale program is gone: the same request recompiles against the new
-  // residency map instead of hitting the old entry.
-  (void)oc.add(RowRef::main(0), RowRef::main(1), 8);
-  const auto stats = oc.cache_stats();
-  EXPECT_EQ(stats.compiled, 2u);
-  EXPECT_EQ(stats.hits, 0u);
 }
 
 }  // namespace

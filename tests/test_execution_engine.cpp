@@ -108,16 +108,6 @@ FusedRun forward_fresh(std::size_t ops, std::size_t elements, bool adaptive,
   return run;
 }
 
-FusedRun chain_fresh(const ChainRequest& req, std::size_t threads) {
-  macro::ImcMemory mem(tiny_memory());
-  ExecutionEngine eng(mem, EngineConfig{threads});
-  FusedRun run;
-  run.results.push_back(eng.run_chain(req));
-  run.batch = eng.last_batch();
-  run.fusion = eng.fusion_stats();
-  return run;
-}
-
 class EngineDeterminismP : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(EngineDeterminismP, AllOpsMatchSerialExactly) {
@@ -172,28 +162,6 @@ TEST_P(EngineDeterminismP, FusedForwardMatchesSerialExactly) {
     expect_identical(serial, parallel,
                      "forward " + std::to_string(s.ops) + "x" + std::to_string(s.elements) +
                          (s.adaptive ? " adaptive" : ""));
-  }
-}
-
-TEST_P(EngineDeterminismP, ChainMatchesSerialExactly) {
-  const std::size_t threads = GetParam();
-  const unsigned bits = 4;
-  // 16 MULT units per row at 4 bits: 133 elements end in a partial chunk.
-  for (const std::size_t n : {5u, 133u}) {
-    const auto a = random_vec(n, bits, 0xC0 + n);
-    const auto b = random_vec(n, bits, 0xC1 + n);
-    const auto c = random_vec(n, 2 * bits, 0xC2 + n);
-    const auto d = random_vec(n, bits, 0xC3 + n);
-    for (const bool shift : {false, true}) {
-      ChainRequest req;
-      req.bits = bits;
-      req.a = a;
-      req.b = b;
-      req.links = {{ChainLinkKind::Add, c}};
-      if (shift) req.links.push_back({ChainLinkKind::AddShift, d});
-      expect_identical(chain_fresh(req, 1), chain_fresh(req, threads),
-                       "chain n=" + std::to_string(n) + (shift ? " add-shift" : " add"));
-    }
   }
 }
 

@@ -1,6 +1,6 @@
-// Engine fusion path: run_forward / run_chain are bit-identical to
-// op-at-a-time execution, cheaper on the cycle model, and recover from
-// eviction and unfusable shapes transparently. Fused-forward programs are
+// Engine fusion path: run_forward is bit-identical to op-at-a-time
+// execution, cheaper on the cycle model, and recovers from eviction and
+// unfusable shapes transparently. Fused-forward programs are
 // compiled once per shape and relocate with their weights.
 
 #include <gtest/gtest.h>
@@ -365,51 +365,6 @@ TEST(Fusion, ProgramCacheIsBoundedByShape) {
   EXPECT_EQ(eng.fusion_stats().recompiles, 0u);
 }
 
-TEST(Fusion, ChainMatchesHostReferenceAndSavesLoads) {
-  macro::ImcMemory mem(small_mem());
-  ExecutionEngine eng(mem);
-  const unsigned bits = 4;
-  const std::size_t n = 40;
-  const auto a = random_codes(n, bits, 900);
-  const auto b = random_codes(n, bits, 901);
-  const auto c = random_codes(n, 2 * bits, 902);
-  const auto d = random_codes(n, 2 * bits, 903);
-
-  ChainRequest req;
-  req.bits = bits;
-  req.a = a;
-  req.b = b;
-  req.links = {{ChainLinkKind::Add, c}, {ChainLinkKind::Add, d}};
-  const OpResult res = eng.run_chain(req);
-  ASSERT_EQ(res.values.size(), n);
-  const std::uint64_t mask = (1ull << (2 * bits)) - 1;
-  for (std::size_t i = 0; i < n; ++i)
-    EXPECT_EQ(res.values[i], (a[i] * b[i] + c[i] + d[i]) & mask) << i;
-  EXPECT_EQ(eng.fusion_stats().chain_runs, 1u);
-  // The in-array accumulator never spills: one saved re-stage per link row.
-  EXPECT_GT(res.stats.load_cycles_saved, 0u);
-}
-
-TEST(Fusion, ChainAddShiftAccumulatesInField) {
-  macro::ImcMemory mem(small_mem());
-  ExecutionEngine eng(mem);
-  const unsigned bits = 4;
-  const std::size_t n = 12;
-  const auto a = random_codes(n, bits, 910);
-  const auto b = random_codes(n, bits, 911);
-  const auto c = random_codes(n, bits, 912);  // small, so the shift stays in-field
-
-  ChainRequest req;
-  req.bits = bits;
-  req.a = a;
-  req.b = b;
-  req.links = {{ChainLinkKind::AddShift, c}};
-  const OpResult res = eng.run_chain(req);
-  const std::uint64_t mask = (1ull << (2 * bits)) - 1;
-  for (std::size_t i = 0; i < n; ++i)
-    EXPECT_EQ(res.values[i], ((a[i] * b[i] + c[i]) << 1) & mask) << i;
-}
-
 TEST(Fusion, RejectedForwardLeavesNoSideEffects) {
   // A forward rejected for its activation length must not materialize the
   // weights first: the next good forward then bills the same loads as on a
@@ -444,18 +399,6 @@ TEST(Fusion, RejectedForwardLeavesNoSideEffects) {
   EXPECT_EQ(bs.pipelined_cycles, fresh.pipelined_cycles);
   EXPECT_EQ(bs.compute_cycles, fresh.compute_cycles);
   EXPECT_EQ(bs.energy.si(), fresh.energy.si());
-}
-
-TEST(Fusion, ValidatesChainRequests) {
-  macro::ImcMemory mem(small_mem());
-  ExecutionEngine eng(mem);
-  const std::vector<std::uint64_t> a{1, 2}, b{3, 4}, short_link{5};
-  ChainRequest no_links{8, a, b, {}};
-  EXPECT_THROW((void)eng.run_chain(no_links), std::invalid_argument);
-  ChainRequest ragged{8, a, b, {{ChainLinkKind::Add, short_link}}};
-  EXPECT_THROW((void)eng.run_chain(ragged), std::invalid_argument);
-  ChainRequest wide{32, a, b, {{ChainLinkKind::Add, a}}};
-  EXPECT_THROW((void)eng.run_chain(wide), std::invalid_argument);
 }
 
 }  // namespace

@@ -125,6 +125,7 @@ class ReferenceMachine {
 
 TEST(FuzzPrograms, RandomStreamsMatchReferenceMachine) {
   Rng rng(0xF022);
+  std::size_t accum_reads = 0;  // ADD / ADD-Shift reading D2 after a MULT
   for (int round = 0; round < 12; ++round) {
     ImcMacro macro{MacroConfig{}};
     ReferenceMachine ref(macro.cols());
@@ -141,6 +142,15 @@ TEST(FuzzPrograms, RandomStreamsMatchReferenceMachine) {
     constexpr std::array<unsigned, 3> kBits{4, 8, 16};
     Program p;
     std::vector<Instruction> expected;
+    bool mult_emitted = false;
+    // Once a MULT has left its products in D2, ADD / ADD-Shift may fold a
+    // main row into that accumulator (the MAC-chain idiom) instead of
+    // reading a second main row.
+    const auto addend = [&](RowRef ra) {
+      if (!mult_emitted || rng.uniform_u64(2) == 0) return ra;
+      ++accum_reads;
+      return RowRef::dummy(ImcMacro::kDummyAccum);
+    };
     for (int n = 0; n < 30; ++n) {
       const unsigned bits = kBits[rng.uniform_u64(kBits.size())];
       const auto ra = RowRef::main(rng.uniform_u64(6));
@@ -149,10 +159,13 @@ TEST(FuzzPrograms, RandomStreamsMatchReferenceMachine) {
       switch (rng.uniform_u64(6)) {
         case 0: p.logic(LogicFn::Xor, ra, rb); break;
         case 1: p.unary(Op::Not, ra, RowRef::dummy(0), bits); break;
-        case 2: p.add(ra, rb, bits); break;
-        case 3: p.add_shift(ra, rb, bits, RowRef::dummy(2)); break;
+        case 2: p.add(addend(ra), rb, bits); break;
+        case 3: p.add_shift(addend(ra), rb, bits, RowRef::dummy(2)); break;
         case 4: p.sub(ra, rb, bits); break;
-        case 5: p.mult(ra, rb, bits); break;
+        case 5:
+          p.mult(ra, rb, bits);
+          mult_emitted = true;
+          break;
       }
     }
 
@@ -173,6 +186,8 @@ TEST(FuzzPrograms, RandomStreamsMatchReferenceMachine) {
       break;  // stop at first divergence; states are now unrelated
     }
   }
+  // The seeded rounds must reach the accumulator operand at all.
+  EXPECT_GT(accum_reads, 0u);
 }
 
 TEST(FuzzPrograms, CorruptedStreamsAreRejectedBeforeExecution) {

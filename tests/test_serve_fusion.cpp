@@ -1,7 +1,7 @@
-// serve::Server fusion routes: submit_forward / submit_chain through the
-// admission queue -- single- and multi-memory -- must be bit-identical to
-// the direct engine, account the fused discount in ServeStats, and survive
-// concurrent clients (the fused serving stress the TSan CI job runs).
+// serve::Server's fusion route: submit_forward through the admission
+// queue -- single- and multi-memory -- must be bit-identical to the direct
+// engine, account the fused discount in ServeStats, and survive concurrent
+// clients (the fused serving stress the TSan CI job runs).
 
 #include <gtest/gtest.h>
 
@@ -17,8 +17,6 @@
 namespace bpim::serve {
 namespace {
 
-using engine::ChainLinkKind;
-using engine::ChainRequest;
 using engine::EngineConfig;
 using engine::ExecutionEngine;
 using engine::OperandLayout;
@@ -133,28 +131,29 @@ TEST(ServeFusion, SplitHomesAreRejectedWithColocateHint) {
 TEST(ServeFusion, FusedFailureSettlesLikeABatch) {
   // A forward whose weight was unpinned after admission throws inside the
   // engine: the one settle path fails the forward's future and counts it,
-  // and a chain queued behind it still completes.
+  // and a plain MULT queued behind it still completes.
   macro::ImcMemory mem(tiny_memory());
   ExecutionEngine eng(mem, EngineConfig{1});
   Server server(eng);
   const auto w = random_vec(32, 8, 60);
   const auto x = random_vec(32, 8, 61);
   const std::vector<ResidentOperand> handles{server.pin(w, 8, OperandLayout::MultUnit)};
-  ChainRequest chain;
-  chain.bits = 4;
   const auto a = random_vec(16, 4, 62);
-  const auto c = random_vec(16, 8, 63);
-  chain.a = a;
-  chain.b = a;
-  chain.links = {{ChainLinkKind::Add, c}};
+  const auto b = random_vec(16, 4, 63);
+  VecOp op;
+  op.kind = OpKind::Mult;
+  op.bits = 4;
+  op.a = a;
+  op.b = b;
   server.pause();
   auto fwd = server.submit_forward(handles, x);
-  auto fut = server.submit_chain(chain);
+  auto fut = server.submit(op);
   ASSERT_TRUE(server.unpin(handles[0]));
   server.resume();
   EXPECT_THROW((void)fwd.get(), std::invalid_argument);
   const OpResult r = fut.get();
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(r.values[i], (a[i] * a[i] + c[i]) & 0xFF);
+  ASSERT_EQ(r.values.size(), a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(r.values[i], a[i] * b[i]) << i;
   server.stop();
   const ServeStats s = server.stats();
   EXPECT_EQ(s.failed, 1u);
@@ -162,36 +161,8 @@ TEST(ServeFusion, FusedFailureSettlesLikeABatch) {
   EXPECT_EQ(s.submitted, s.completed + s.expired + s.failed);
 }
 
-TEST(ServeFusion, SubmitChainMatchesDirectEngine) {
-  macro::ImcMemory direct_mem(tiny_memory());
-  ExecutionEngine direct(direct_mem, EngineConfig{1});
-
-  macro::ImcMemory served_mem(tiny_memory());
-  ExecutionEngine served_eng(served_mem, EngineConfig{1});
-  Server server(served_eng);
-
-  const unsigned bits = 4;
-  const std::size_t n = 56;
-  const auto a = random_vec(n, bits, 30);
-  const auto b = random_vec(n, bits, 31);
-  const auto c = random_vec(n, 2 * bits, 32);
-
-  ChainRequest req;
-  req.bits = bits;
-  req.a = a;
-  req.b = b;
-  req.links = {{ChainLinkKind::Add, c}};
-  const OpResult want = direct.run_chain(req);
-  const OpResult got = server.submit_chain(req).get();
-  EXPECT_EQ(want.values, got.values);
-  EXPECT_EQ(want.stats.elapsed_cycles, got.stats.elapsed_cycles);
-  EXPECT_EQ(want.stats.load_cycles_saved, got.stats.load_cycles_saved);
-  server.stop();
-  EXPECT_EQ(server.stats().completed, 1u);
-}
-
 TEST(ServeFusion, ConcurrentFusedAndPlainClientsStayBitIdentical) {
-  // The fused serving stress: forward, chain and plain-op clients hammer
+  // The fused serving stress: forward and plain-op clients hammer
   // one server concurrently; every result must match a serial reference.
   macro::ImcMemory served_mem(tiny_memory());
   ExecutionEngine served_eng(served_mem, EngineConfig{2});
