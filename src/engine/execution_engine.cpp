@@ -220,16 +220,12 @@ std::uint64_t ExecutionEngine::execute(ExecPlan& plan) {
     macro::MacroController ctl(mac);
     mp.trace.clear();
     mp.adaptive = 0;
-    for (const macro::VerifiedProgram* p : mp.programs)
-      mp.adaptive += ctl.run(*p, &mp.trace, /*fuse_mac_chains=*/true, pol).adaptive_cycles_saved;
-    for (const auto& x : mp.extract) {
-      const BitVector& result = mp.trace[x.index].result;
-      if (x.layout == OperandLayout::MultUnit) {
-        mac.peek_mult_products(result, x.bits, x.values);
-      } else {
-        for (std::size_t i = 0; i < x.values.size(); ++i)
-          x.values[i] = result.extract_bits(i * x.bits, x.bits);
-      }
+    std::span<const macro::Extract> extract(mp.extract);
+    for (const macro::VerifiedProgram* p : mp.programs) {
+      mp.adaptive += ctl.run(*p, &mp.trace, /*fuse_mac_chains=*/true, pol,
+                             extract.first(p->size()))
+                         .adaptive_cycles_saved;
+      extract = extract.subspan(p->size());
     }
   });
   // Per macro, ledger cycles plus the adaptive savings of its programs is
@@ -330,8 +326,7 @@ OpResult ExecutionEngine::run_one(const VecOp& op) {
                      mp.stage.push_back({r_a, op.bits, layout, a.subspan(pos, len)});
                    if (!unary && eb == nullptr)
                      mp.stage.push_back({r_b, op.bits, layout, b.subspan(pos, len)});
-                   mp.extract.push_back({mp.programs.size(), op.bits, layout,
-                                         std::span(res.values).subspan(pos, len)});
+                   mp.extract.push_back({op.bits, std::span(res.values).subspan(pos, len)});
                    mp.programs.push_back(prog);
                  });
   const std::uint64_t adaptive = execute(plan);
@@ -506,8 +501,8 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
                    mp.stage.push_back({2 * l, fl.bits, OperandLayout::MultUnit,
                                        activation.subspan(pos, len)});
                    for (std::size_t j = 0; j < ops; ++j)
-                     mp.extract.push_back({l * ops + j, fl.bits, OperandLayout::MultUnit,
-                                           std::span(results[j].values).subspan(pos, len)});
+                     mp.extract.push_back(
+                         {fl.bits, std::span(results[j].values).subspan(pos, len)});
                  });
   // Macro m holds ceil(C/M) chunks (program 0) unless M does not divide C
   // and m >= C % M, which holds one fewer (program 1).

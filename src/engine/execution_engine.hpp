@@ -7,11 +7,11 @@
 // ExecPlan: per active macro, the operand rows to stage, the
 // macro::VerifiedPrograms to run (cached single-instruction programs from
 // macro::OpCompiler, or one fused program from macro::FusionCompiler) and
-// the trace entries to extract into which output positions. execute()
-// resets the memory ledger and, per macro on the thread pool, stages, runs
-// one MacroController and extracts. The entry points keep only their plan
-// building and their accounting; RunStats come from the memory ledger, the
-// one runtime account. The engine never calls the macro row-op datapath
+// the output positions each instruction's values go to. execute() resets
+// the memory ledger and, per macro on the thread pool, stages and runs one
+// MacroController, which extracts each instruction's values as it retires.
+// The entry points keep only their plan building and their accounting;
+// RunStats come from the memory ledger, the one runtime account. The engine never calls the macro row-op datapath
 // directly (a CI grep gate enforces this).
 //
 // Chunk c of a vector goes to macro c % M at row-pair layer c / M, so every
@@ -177,20 +177,19 @@ class ExecutionEngine : public Executor {
   }
 
  private:
-  /// One row of a macro's dispatch in `layout` at `bits`: main row `index`
-  /// staged from `values`, or trace entry `index` extracted into `values`.
-  template <class T>
-  struct RowIo {
+  /// Main row `index` of a macro, staged from `values` in `layout` at `bits`.
+  struct StageRow {
     std::size_t index;
     unsigned bits;
     OperandLayout layout;
-    std::span<T> values;
+    std::span<const std::uint64_t> values;
   };
   /// One macro's share of a dispatch; `trace` and `adaptive` are outputs.
+  /// `extract` holds one entry per instruction of `programs`, in order.
   struct MacroPlan {
-    std::vector<RowIo<const std::uint64_t>> stage;
+    std::vector<StageRow> stage;
     std::vector<const macro::VerifiedProgram*> programs;
-    std::vector<RowIo<std::uint64_t>> extract;
+    std::vector<macro::Extract> extract;
     std::vector<macro::TraceEntry> trace;
     std::uint64_t adaptive = 0;  ///< adaptive cycles its controller reported
   };

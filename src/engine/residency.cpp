@@ -302,20 +302,4 @@ void ResidencyManager::note_saved(std::uint64_t cycles) {
   load_cycles_saved_ += cycles;
 }
 
-std::vector<std::pair<std::size_t, std::size_t>> ResidencyManager::materialized_intervals()
-    const {
-  MutexLock lk(mutex_);
-  std::vector<std::pair<std::size_t, std::size_t>> out;
-  for (std::size_t p = 0; p < capacity_;) {
-    const Entry* e = owner_[p];
-    if (e == nullptr) {
-      ++p;
-      continue;
-    }
-    out.emplace_back(e->base_pair, e->handle.layers);
-    p += e->handle.layers;
-  }
-  return out;
-}
-
 }  // namespace bpim::engine

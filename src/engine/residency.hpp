@@ -161,12 +161,6 @@ class ResidencyManager {
   /// Accumulate the load cycles an op avoided by referencing handles.
   void note_saved(std::uint64_t cycles) BPIM_EXCLUDES(mutex_);
 
-  /// Snapshot of the materialized intervals as (base_pair, layers) pairs,
-  /// bottom up: the occupancy map read as intervals, which the allocator
-  /// tests check against a sorted-allocator oracle.
-  [[nodiscard]] std::vector<std::pair<std::size_t, std::size_t>> materialized_intervals() const
-      BPIM_EXCLUDES(mutex_);
-
  private:
   /// Base of the highest free run of `layers` pairs at or above `floor`,
   /// or capacity_ when none fits: one top-down walk of the occupancy map.

@@ -132,16 +132,74 @@ DisturbModel DisturbModel::for_scheme(WlScheme scheme) {
   return {0.0};
 }
 
-ImcMacro::ImcMacro(const MacroConfig& cfg)
+MultPrices::Pricing MultPrices::pricing_of(const MacroConfig& cfg) {
+  const energy::EnergyModel model(cfg.energy_params);
+  Pricing p;
+  for (std::size_t c = 0; c < p.price.size(); ++c)
+    p.price[c] = model.price(static_cast<Component>(c), cfg.vdd);
+  p.zero_init_activity = cfg.energy_params.zero_init_activity;
+  p.mult_wb_activity = cfg.energy_params.mult_wb_activity;
+  p.cols = cfg.geometry.cols;
+  p.wb = cfg.separator == SeparatorMode::Enabled ? Component::WriteBackNear
+                                                 : Component::WriteBackFull;
+  return p;
+}
+
+MultPrices::MultPrices(const Pricing& pricing) : pricing_(pricing) {
+  // Per precision and staging, fold the setup charges, then one add-shift
+  // iteration at a time: the tally after `depth` iterations is that plan's
+  // whole charge. The sequence and arithmetic are ImcMacro::charge()'s in
+  // the sequencer's order (zero-init, FF load, staging, iterations), so
+  // each entry equals the per-charge fold bit for bit.
+  charges_.reserve(kFirst.back() + 2 * (32 + 1));
+  const double n = static_cast<double>(pricing.cols);
+  for (unsigned bits = 2; bits <= 32; bits *= 2) {
+    const double n_units = static_cast<double>(pricing.cols / (2 * static_cast<std::size_t>(bits)));
+    const double operand_bits = static_cast<double>(bits) * n_units;
+    for (unsigned staging = 0; staging < 2; ++staging) {
+      Charge t;
+      const auto charge = [&](Component c, double charged_bits) {
+        const auto k = static_cast<std::size_t>(c);
+        const Joule e = pricing.price[k] * charged_bits;
+        t.energy += e;
+        t.by_component[k] += e;
+      };
+      charge(pricing.wb, n * pricing.zero_init_activity);
+      charge(Component::SingleWlRead, operand_bits);
+      charge(Component::FlipFlop, operand_bits);
+      if (staging > 0) {
+        charge(Component::SingleWlRead, operand_bits);
+        charge(pricing.wb, operand_bits);
+      }
+      charges_.push_back(t);
+      for (unsigned k = 0; k < bits; ++k) {
+        // Every iteration senses D1 and D2: a dummy-segment compute.
+        charge(Component::DualWlComputeNear, n);
+        charge(Component::FaLogic, n);
+        charge(Component::FlipFlop, n_units);
+        charge(pricing.wb, n * pricing.mult_wb_activity);
+        charges_.push_back(t);
+      }
+    }
+  }
+}
+
+ImcMacro::ImcMacro(const MacroConfig& cfg, std::shared_ptr<const MultPrices> mult_prices)
     : cfg_(cfg),
       array_(cfg.geometry),
       energy_(cfg.energy_params),
       cycle_time_(scheme_cycle_time(cfg, timing::FreqModel(cfg.freq))),
+      mult_prices_(std::move(mult_prices)),
       disturb_(DisturbModel::for_scheme(cfg.wl_scheme)),
-      rng_(cfg.seed) {
+      rng_(cfg.seed),
+      wb_(cfg.geometry.cols),
+      stage_(cfg.geometry.cols) {
   BPIM_REQUIRE(cfg.geometry.dummy_rows >= 3, "the sequencer needs three dummy rows");
-  for (std::size_t c = 0; c < price_.size(); ++c)
-    price_[c] = energy_.price(static_cast<Component>(c), cfg.vdd);
+  const MultPrices::Pricing pricing = MultPrices::pricing_of(cfg);
+  price_ = pricing.price;
+  if (!mult_prices_) mult_prices_ = std::make_shared<const MultPrices>(pricing);
+  BPIM_REQUIRE(mult_prices_->pricing() == pricing,
+               "MULT price table was built for a different pricing");
 }
 
 // ---- uncharged data access --------------------------------------------------
@@ -235,11 +293,15 @@ void ImcMacro::finish_op(unsigned cycles) {
   pending_energy_ = Joule(0.0);
 }
 
-void ImcMacro::write_back(RowRef dest, const BitVector& data, double charged_bits) {
+void ImcMacro::store(RowRef dest, const BitVector& data) {
   if (cfg_.separator == SeparatorMode::Enabled && dest.is_dummy())
     array_.set_separated(true);  // adaptive: cut the heavy main-segment BL
   array_.write_row(dest, data);
   array_.set_separated(false);
+}
+
+void ImcMacro::write_back(RowRef dest, const BitVector& data, double charged_bits) {
+  store(dest, data);
   const Component wb = dest.is_dummy() ? wb_price() : Component::WriteBackFull;
   charge(wb, charged_bits);
 }
@@ -418,7 +480,7 @@ BitVector ImcMacro::mult_rows(RowRef a, RowRef b, unsigned bits, const AdaptiveP
 MultPlan ImcMacro::execute_mult(const RowRef& a, const RowRef& b, unsigned bits,
                                 const AdaptivePolicy& policy, MacLink link) {
   const bool d1_staged = link == MacLink::D1Staged;
-  const std::size_t units = mult_units_per_row(bits);
+  (void)mult_units_per_row(bits);  // precision and unit-width validation
   const std::uint64_t low_halves = unit_masks(bits).low_halves;
   const RowRef d1 = RowRef::dummy(kDummyOperand);
   const RowRef d2 = RowRef::dummy(kDummyAccum);
@@ -429,8 +491,6 @@ MultPlan ImcMacro::execute_mult(const RowRef& a, const RowRef& b, unsigned bits,
   // happens after the pass has read both rows, so aliasing is harmless.
   const std::uint64_t mcand_keep = d1_staged ? ~0ull : (a == d2 ? 0 : low_halves);
   const std::uint64_t mplier_keep = b == d2 ? 0 : low_halves;
-  wb_.reset(cols());
-  stage_.reset(cols());
   const std::uint64_t effectual =
       kProductPass[static_cast<std::size_t>(std::countr_zero(bits)) - 1](
           array_.row(d1_staged ? d1 : a), mcand_keep, array_.row(b), mplier_keep, stage_, wb_);
@@ -448,27 +508,18 @@ MultPlan ImcMacro::execute_mult(const RowRef& a, const RowRef& b, unsigned bits,
     return plan;
   }
 
-  // Closed form: the loop's charges in its order, then D1/D2 written once.
-  // The leading iterations a narrowed or skipped plan drops are per-unit
-  // no-ops (a zero multiplier bit keeps the still-zero accumulator, whose
-  // shift is zero; a zero-multiplicand unit sees sum == accumulator == 0
-  // either way), so the pass's full-depth products are the plan's products.
-  const auto& p = energy_.params();
-  const double n = static_cast<double>(cols());
-  const double n_units = static_cast<double>(units);
-  charge(wb_price(), n * p.zero_init_activity);
-  charge(Component::SingleWlRead, static_cast<double>(bits) * n_units);
-  charge(Component::FlipFlop, static_cast<double>(bits) * n_units);
-  if (plan.staging_cycles() > 0) {
-    charge(Component::SingleWlRead, static_cast<double>(bits) * n_units);
-    write_back(d1, stage_, static_cast<double>(bits) * n_units);
-  }
-  for (unsigned k = 0; k < plan.depth; ++k) {
-    charge(compute_price(d1, d2), n);
-    charge(Component::FaLogic, n);
-    charge(Component::FlipFlop, n_units);
-    charge(wb_price(), n * p.mult_wb_activity);
-  }
+  // Closed form: the loop's charges as the plan's one priced fold (an op
+  // starts with nothing pending, so op_energy is that fold exactly), then
+  // D1/D2 written once. The leading iterations a narrowed or skipped plan
+  // drops are per-unit no-ops (a zero multiplier bit keeps the still-zero
+  // accumulator, whose shift is zero; a zero-multiplicand unit sees sum ==
+  // accumulator == 0 either way), so the pass's full-depth products are the
+  // plan's products.
+  const MultPrices::Charge& priced = mult_prices_->charge(bits, plan);
+  pending_energy_ += priced.energy;
+  for (std::size_t c = 0; c < component_energy_.size(); ++c)
+    component_energy_[c] += priced.by_component[c];
+  if (plan.staging_cycles() > 0) store(d1, stage_);
   array_.write_row(d2, wb_);
   finish_op(plan.cycles());
   return plan;

@@ -30,8 +30,10 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "array/sram_array.hpp"
 #include "common/bitvec.hpp"
@@ -78,9 +80,60 @@ struct ExecStats {
   Joule op_energy{0.0};
 };
 
+/// The ledger charge of every closed-form MULT plan at one pricing.
+///
+/// A closed-form MULT charges its plan's micro-actions in sequencer order:
+/// D2 zero-init, FF load, D1 staging when it runs, then `depth` add-shift
+/// iterations. That left fold depends only on (bits, depth, staging) and on
+/// prices fixed at construction, so the table folds it once per plan, with
+/// the ledger's per-charge arithmetic, and each MULT adds the stored result:
+/// its op_energy is bitwise the per-charge fold (CostModel's price), and
+/// each component's running total gains one subtotal per MULT instead of
+/// one term per charge. Immutable once built: an ImcMemory shares one table
+/// among its macros, which price identically.
+class MultPrices {
+ public:
+  /// Everything the charges depend on; equal pricings give equal tables.
+  struct Pricing {
+    std::array<Joule, 8> price{};  ///< per-bit price, indexed by energy::Component
+    double zero_init_activity = 0.0;
+    double mult_wb_activity = 0.0;
+    std::size_t cols = 0;
+    energy::Component wb{};  ///< the dummy-row write-back component
+    bool operator==(const Pricing&) const = default;
+  };
+  /// One plan's whole charge: its total and the total's split by component.
+  struct Charge {
+    Joule energy{0.0};
+    std::array<Joule, 8> by_component{};
+  };
+
+  explicit MultPrices(const Pricing& pricing);
+  /// The pricing of a macro built with `cfg`.
+  [[nodiscard]] static Pricing pricing_of(const MacroConfig& cfg);
+
+  [[nodiscard]] const Pricing& pricing() const { return pricing_; }
+  /// The charge of `plan` at a supported precision `bits`.
+  [[nodiscard]] const Charge& charge(unsigned bits, const MultPlan& plan) const {
+    return charges_[kFirst[static_cast<std::size_t>(std::countr_zero(bits)) - 1] +
+                    plan.staging_cycles() * (bits + 1) + plan.depth];
+  }
+
+ private:
+  /// Index of each precision's first entry: 2 * (bits + 1) entries per
+  /// precision (staging 0/1, depth 0..bits), precisions 2..32 in order.
+  static constexpr std::array<std::size_t, 5> kFirst = {0, 6, 16, 34, 68};
+
+  Pricing pricing_;
+  std::vector<Charge> charges_;
+};
+
 class ImcMacro {
  public:
-  explicit ImcMacro(const MacroConfig& cfg);
+  /// `mult_prices`, when given, must have been built for the pricing of
+  /// `cfg` (checked); an ImcMemory passes its macros one shared table.
+  /// Without it the macro builds its own.
+  explicit ImcMacro(const MacroConfig& cfg, std::shared_ptr<const MultPrices> mult_prices = {});
 
   [[nodiscard]] const MacroConfig& config() const { return cfg_; }
   [[nodiscard]] std::size_t cols() const { return cfg_.geometry.cols; }
@@ -166,9 +219,10 @@ class ImcMacro {
   /// peripheral's zero/msb detectors reading the operands as they stream
   /// through the FF load and staging cycles the op performs anyway.
   ///
-  /// Execution: the ledger is charged the plan's micro-actions in sequencer
-  /// order (zero-init, FF load, staging, `depth` add-shift iterations), and
-  /// D1/D2 are written once from the closed-form products. Only under live
+  /// Execution: the ledger is charged the plan's micro-actions (zero-init,
+  /// FF load, staging, `depth` add-shift iterations) as the one fold
+  /// MultPrices holds for the plan, and D1/D2 are written once from the
+  /// closed-form products. Only under live
   /// disturb injection (inject_disturb with a nonzero flip probability),
   /// where flips change D1/D2 between iterations, is the loop replayed cycle
   /// by cycle.
@@ -204,7 +258,10 @@ class ImcMacro {
   [[nodiscard]] energy::Component wb_price() const;
   void charge(energy::Component c, double bits);
   void finish_op(unsigned cycles);
-  /// Write with separator management + write-back energy for `bits` bits.
+  /// Write with separator management (a dummy row behind an enabled
+  /// separator drives only the short BL segment); charges nothing.
+  void store(array::RowRef dest, const BitVector& data);
+  /// store() + write-back energy for `charged_bits` bits.
   void write_back(array::RowRef dest, const BitVector& data, double charged_bits);
   /// Dual-WL sense into the SA latch (sense_), valid until the next sense.
   /// Single-WL reads (array_.read_single) land in the same latch.
@@ -218,6 +275,7 @@ class ImcMacro {
   Second cycle_time_;
   /// Per-bit price of each component at cfg_.vdd (fixed by the config).
   std::array<Joule, 8> price_{};
+  std::shared_ptr<const MultPrices> mult_prices_;
   DisturbModel disturb_;
   Rng rng_;
 
@@ -225,7 +283,9 @@ class ImcMacro {
   // the result row an op returns may): SA outputs, FA-Logics outputs, the
   // MULT multiplier FFs, the row a MULT cycle writes back (zero-init,
   // masked multiplicand, next accumulator or closed-form products), and the
-  // masked multiplicand the closed form stages into D1.
+  // masked multiplicand the closed form stages into D1. wb_ and stage_ are
+  // row-wide from construction; the closed form's product pass writes
+  // every word of both.
   array::BlReadout sense_;
   periph::AddResult fa_;
   BitVector ff_;

@@ -6,13 +6,14 @@
 
 namespace bpim::macro {
 
-Bank::Bank(const MacroConfig& macro_cfg, std::size_t macro_count, std::uint64_t seed_base) {
+Bank::Bank(const MacroConfig& macro_cfg, std::size_t macro_count, std::uint64_t seed_base,
+           const std::shared_ptr<const MultPrices>& mult_prices) {
   BPIM_REQUIRE(macro_count > 0, "bank needs at least one macro");
   macros_.reserve(macro_count);
   for (std::size_t i = 0; i < macro_count; ++i) {
     MacroConfig c = macro_cfg;
     c.seed = seed_base + i;  // decorrelate disturb injection across macros
-    macros_.push_back(std::make_unique<ImcMacro>(c));
+    macros_.push_back(std::make_unique<ImcMacro>(c, mult_prices));
   }
 }
 
@@ -45,9 +46,13 @@ void Bank::reset_counters() {
 ImcMemory::ImcMemory(const MemoryConfig& cfg) : cfg_(cfg) {
   BPIM_REQUIRE(cfg.banks > 0, "memory needs at least one bank");
   banks_.reserve(cfg.banks);
+  // The macros differ only in their seeds, so they price identically and
+  // share one MULT price table.
+  const auto mult_prices = std::make_shared<const MultPrices>(MultPrices::pricing_of(cfg.macro));
   for (std::size_t b = 0; b < cfg.banks; ++b)
-    banks_.push_back(std::make_unique<Bank>(
-        cfg.macro, cfg.macros_per_bank, cfg.macro.seed + cfg.seed_offset + b * 1000));
+    banks_.push_back(std::make_unique<Bank>(cfg.macro, cfg.macros_per_bank,
+                                            cfg.macro.seed + cfg.seed_offset + b * 1000,
+                                            mult_prices));
 }
 
 Bank& ImcMemory::bank(std::size_t b) {

@@ -27,7 +27,9 @@ struct MemoryConfig {
 
 class Bank {
  public:
-  Bank(const MacroConfig& macro_cfg, std::size_t macro_count, std::uint64_t seed_base);
+  /// `mult_prices` is shared by every macro (see ImcMacro's constructor).
+  Bank(const MacroConfig& macro_cfg, std::size_t macro_count, std::uint64_t seed_base,
+       const std::shared_ptr<const MultPrices>& mult_prices);
 
   [[nodiscard]] std::size_t macro_count() const { return macros_.size(); }
   [[nodiscard]] ImcMacro& macro(std::size_t i);

@@ -126,16 +126,18 @@ std::string Program::dump() const {
 }
 
 ProgramStats MacroController::run(const Program& p, std::vector<TraceEntry>* trace,
-                                  bool fuse_mac_chains, const AdaptivePolicy& policy) {
+                                  bool fuse_mac_chains, const AdaptivePolicy& policy,
+                                  std::span<const Extract> extract) {
   verify_program(p, macro_).require_ok(p);
-  return execute(p, trace, fuse_mac_chains, policy);
+  return execute(p, trace, fuse_mac_chains, policy, extract);
 }
 
 ProgramStats MacroController::run(const VerifiedProgram& p, std::vector<TraceEntry>* trace,
-                                  bool fuse_mac_chains, const AdaptivePolicy& policy) {
+                                  bool fuse_mac_chains, const AdaptivePolicy& policy,
+                                  std::span<const Extract> extract) {
   BPIM_REQUIRE(p.geometry() == macro_.config().geometry,
                "program was verified for a different array geometry");
-  return execute(p, trace, fuse_mac_chains, policy);
+  return execute(p, trace, fuse_mac_chains, policy, extract);
 }
 
 namespace {
@@ -172,10 +174,19 @@ void record(std::vector<TraceEntry>& trace, const Instruction& i, const ExecStat
   trace.push_back(TraceEntry{i, es.cycles, es.op_energy, std::move(result), adaptive, plan});
 }
 
+/// Words [0, x.values.size()) of `row` at x.bits into x.values.
+void extract_words(const BitVector& row, const Extract& x) {
+  for (std::size_t i = 0; i < x.values.size(); ++i)
+    x.values[i] = row.extract_bits(i * x.bits, x.bits);
+}
+
 }  // namespace
 
 ProgramStats MacroController::execute(const Program& p, std::vector<TraceEntry>* trace,
-                                      bool fuse_mac_chains, const AdaptivePolicy& policy) {
+                                      bool fuse_mac_chains, const AdaptivePolicy& policy,
+                                      std::span<const Extract> extract) {
+  BPIM_REQUIRE(extract.empty() || extract.size() == p.size(),
+               "extract holds one entry per instruction, or none");
   // The macro ledger is the account: each instruction's cycles and energy
   // are read back from last_op(). CostModel prices the same stream
   // statically, and the conservation tests hold the two equal. The sums
@@ -197,7 +208,9 @@ ProgramStats MacroController::execute(const Program& p, std::vector<TraceEntry>*
   // may not have -- reusing D1 then would multiply by stale data.
   const Instruction* staged = nullptr;
   const array::RowRef d1_row = array::RowRef::dummy(ImcMacro::kDummyOperand);
-  for (const Instruction& i : p.instructions()) {
+  const std::vector<Instruction>& insts = p.instructions();
+  for (std::size_t k = 0; k < insts.size(); ++k) {
+    const Instruction& i = insts[k];
     if (i.op == Op::Mult) {
       // Chain discount: a MULT directly after a MULT at the same precision
       // loads its FF while the predecessor's final D2 write-back drains; if
@@ -222,10 +235,11 @@ ProgramStats MacroController::execute(const Program& p, std::vector<TraceEntry>*
       if (plan.staging_cycles() > 0) staged = &i;
       prev_mult_bits = i.bits;
       if (adaptive_on) tally_.add(plan);
-      // The product row (D2) is copied out only for a trace.
-      if (trace)
-        record(*trace, i, es, macro_.sram().row(array::RowRef::dummy(ImcMacro::kDummyAccum)),
-               adaptive, plan);
+      // The products are read out of D2 where they lie; the row itself is
+      // copied only for a trace that extracts nothing.
+      const BitVector& d2 = macro_.sram().row(array::RowRef::dummy(ImcMacro::kDummyAccum));
+      if (!extract.empty()) macro_.peek_mult_products(d2, extract[k].bits, extract[k].values);
+      if (trace) record(*trace, i, es, extract.empty() ? d2 : BitVector{}, adaptive, plan);
     } else {
       BitVector result = row_op(macro_, i);
       if (i.op == Op::Sub || (i.dest && *i.dest == d1_row))
@@ -234,6 +248,10 @@ ProgramStats MacroController::execute(const Program& p, std::vector<TraceEntry>*
       const ExecStats es = macro_.last_op();
       cycles += es.cycles;
       energy += es.op_energy;
+      if (!extract.empty()) {
+        extract_words(result, extract[k]);
+        result = {};
+      }
       if (trace) record(*trace, i, es, std::move(result), 0, {});
     }
   }

@@ -11,6 +11,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -81,13 +82,23 @@ struct TraceEntry {
   Instruction inst;
   unsigned cycles = 0;
   Joule op_energy{0.0};
-  BitVector result;  ///< row-wide result driven out (empty for pure WB ops)
+  /// Row-wide result driven out (a MULT's: the product row D2). Empty when
+  /// the run extracted the instruction's values in place (Extract).
+  BitVector result;
   /// Cycles the adaptive policy saved on this instruction (MULT narrowing/
   /// skipping; 0 for other ops or when the policy is off).
   unsigned adaptive_cycles_saved = 0;
   /// The resolved plan a MULT executed under (default for other ops): what
   /// CostModel::instruction_cost(inst, plan) prices to exactly this entry.
   MultPlan plan{};
+};
+
+/// Where one instruction's values go as it retires: `values[i]` receives
+/// word i of its result row at `bits` -- for a MULT, the 2N-bit product of
+/// MULT unit i (N = `bits`, the MULT's precision).
+struct Extract {
+  unsigned bits = 8;
+  std::span<std::uint64_t> values;
 };
 
 /// Per-program account, summed from the macro ledger instruction by
@@ -128,6 +139,9 @@ class MacroController {
 
   /// Verifies `p` against the macro's geometry, then runs it; returns
   /// stats. If `trace` is non-null, appends one entry per instruction.
+  /// `extract` is empty or holds one Extract per instruction, in program
+  /// order: each instruction's values are then written out of its result
+  /// row as it retires, and its trace entry carries no row copy.
   /// Rejected programs leave the macro untouched.
   ///
   /// With `fuse_mac_chains` set, back-to-back MULTs at one precision run on
@@ -145,13 +159,15 @@ class MacroController {
   /// adaptive_cycles_saved with static == cycles + fused + adaptive asserted
   /// per instruction.
   ProgramStats run(const Program& p, std::vector<TraceEntry>* trace = nullptr,
-                   bool fuse_mac_chains = false, const AdaptivePolicy& policy = {});
+                   bool fuse_mac_chains = false, const AdaptivePolicy& policy = {},
+                   std::span<const Extract> extract = {});
 
   /// Runs an already-verified program without verifying it again. Throws
   /// std::invalid_argument, leaving the macro untouched, when `p` was
   /// verified for a different array geometry.
   ProgramStats run(const VerifiedProgram& p, std::vector<TraceEntry>* trace = nullptr,
-                   bool fuse_mac_chains = false, const AdaptivePolicy& policy = {});
+                   bool fuse_mac_chains = false, const AdaptivePolicy& policy = {},
+                   std::span<const Extract> extract = {});
 
  private:
   /// The adaptive instruments of the running program, tallied per MULT and
@@ -169,7 +185,7 @@ class MacroController {
   };
 
   ProgramStats execute(const Program& p, std::vector<TraceEntry>* trace, bool fuse_mac_chains,
-                       const AdaptivePolicy& policy);
+                       const AdaptivePolicy& policy, std::span<const Extract> extract);
 
   ImcMacro& macro_;
   AdaptiveTally tally_;

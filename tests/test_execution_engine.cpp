@@ -165,7 +165,52 @@ TEST_P(EngineDeterminismP, FusedForwardMatchesSerialExactly) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(ThreadCounts, EngineDeterminismP, ::testing::Values(2u, 8u));
+TEST_P(EngineDeterminismP, MixedExtractBatchMatchesSerialExactly) {
+  // One batch whose ops extract MULT-unit products and plain words, at two
+  // precisions and with partial last chunks, on one engine: every value
+  // lands where the serial walk puts it, and it is the host's answer.
+  const auto a8 = random_vec(300, 8, 0x51);
+  const auto b8 = random_vec(300, 8, 0x52);
+  const auto a4 = random_vec(77, 4, 0x53);
+  const auto b4 = random_vec(77, 4, 0x54);
+  const std::vector<VecOp> ops = {
+      {OpKind::Mult, 8, periph::LogicFn::And, a8, b8},
+      {OpKind::Add, 8, periph::LogicFn::And, a8, b8},
+      {OpKind::Mult, 4, periph::LogicFn::And, a4, b4},
+      {OpKind::Logic, 4, periph::LogicFn::Xor, a4, b4},
+      {OpKind::Not, 4, periph::LogicFn::And, a4, {}},
+      {OpKind::Mult, 8, periph::LogicFn::And, a8, b8},
+      {OpKind::Sub, 8, periph::LogicFn::And, a8, b8},
+  };
+  const auto run_on = [&](std::size_t threads) {
+    macro::ImcMemory mem(tiny_memory());
+    ExecutionEngine eng(mem, EngineConfig{threads});
+    std::pair<std::vector<OpResult>, BatchStats> out;
+    out.first = eng.run_batch(ops);
+    out.second = eng.last_batch();
+    return out;
+  };
+  const auto [serial, serial_batch] = run_on(1);
+  const auto [parallel, parallel_batch] = run_on(GetParam());
+  ASSERT_EQ(serial.size(), ops.size());
+  ASSERT_EQ(parallel.size(), ops.size());
+  for (std::size_t k = 0; k < ops.size(); ++k)
+    expect_identical(serial[k], parallel[k], ("mixed op " + std::to_string(k)).c_str());
+  expect_identical(serial_batch, parallel_batch, "mixed batch");
+  for (std::size_t i = 0; i < a8.size(); ++i) {
+    EXPECT_EQ(parallel[0].values[i], a8[i] * b8[i]) << i;
+    EXPECT_EQ(parallel[1].values[i], (a8[i] + b8[i]) & 0xFF) << i;
+    EXPECT_EQ(parallel[5].values[i], a8[i] * b8[i]) << i;
+    EXPECT_EQ(parallel[6].values[i], (a8[i] - b8[i]) & 0xFF) << i;
+  }
+  for (std::size_t i = 0; i < a4.size(); ++i) {
+    EXPECT_EQ(parallel[2].values[i], a4[i] * b4[i]) << i;
+    EXPECT_EQ(parallel[3].values[i], a4[i] ^ b4[i]) << i;
+    EXPECT_EQ(parallel[4].values[i], ~a4[i] & 0xF) << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, EngineDeterminismP, ::testing::Values(2u, 4u, 8u));
 
 TEST(ExecutionEngine, MatchesScalarReference) {
   macro::ImcMemory mem(tiny_memory());

@@ -619,7 +619,20 @@ void allocator_matches_oracle(bool blocks) {
         EXPECT_EQ(rs.pinned, live.size()) << what;
         EXPECT_EQ(rs.materializations, oracle.materializations_) << what;
         EXPECT_EQ(rs.evictions, oracle.evictions_) << what;
-        EXPECT_EQ(mgr.materialized_intervals(), oracle.intervals()) << what;
+        // The materialized intervals, bottom up, read from the live entries:
+        // disjoint, inside the array, and placed as the oracle placed them.
+        std::vector<std::pair<std::size_t, std::size_t>> intervals;
+        for (const auto& [id, e] : live)
+          if (e->materialized) intervals.emplace_back(e->base_pair, e->handle.layers);
+        std::sort(intervals.begin(), intervals.end());
+        for (std::size_t k = 0; k < intervals.size(); ++k) {
+          const auto [base, layers] = intervals[k];
+          EXPECT_LE(base + layers, capacity) << what;
+          if (k + 1 < intervals.size()) {
+            EXPECT_LE(base + layers, intervals[k + 1].first) << what;
+          }
+        }
+        EXPECT_EQ(intervals, oracle.intervals()) << what;
       }
       EXPECT_GT(floor_placements, 0u) << "cap " << capacity << " seed " << seed;
     }
