@@ -204,7 +204,7 @@ ExecutionEngine::ExecPlan& ExecutionEngine::begin_plan(std::size_t active) {
   return plan_;
 }
 
-std::uint64_t ExecutionEngine::execute(ExecPlan& plan) {
+std::uint64_t ExecutionEngine::execute(ExecPlan& plan, bool trace) {
   mem_.reset_counters();
   // Macro m owns its chunks outright (own rows, RNG stream and ledger), so
   // any thread count gives bit-identical results. The memory ledger is the
@@ -222,7 +222,7 @@ std::uint64_t ExecutionEngine::execute(ExecPlan& plan) {
     mp.adaptive = 0;
     std::span<const macro::Extract> extract(mp.extract);
     for (const macro::VerifiedProgram* p : mp.programs) {
-      mp.adaptive += ctl.run(*p, &mp.trace, /*fuse_mac_chains=*/true, pol,
+      mp.adaptive += ctl.run(*p, trace ? &mp.trace : nullptr, /*fuse_mac_chains=*/true, pol,
                              extract.first(p->size()))
                          .adaptive_cycles_saved;
       extract = extract.subspan(p->size());
@@ -329,7 +329,7 @@ OpResult ExecutionEngine::run_one(const VecOp& op) {
                    mp.extract.push_back({op.bits, std::span(res.values).subspan(pos, len)});
                    mp.programs.push_back(prog);
                  });
-  const std::uint64_t adaptive = execute(plan);
+  const std::uint64_t adaptive = execute(plan, /*trace=*/false);
 
   // The memory ledger is the op's account: cycles are the lock-step max
   // across macros, energy the fixed bank-then-macro sum. Each chunk ran one
@@ -509,7 +509,7 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
   const std::size_t rem = fl.chunks % macros;
   for (std::size_t m = 0; m < plan.active; ++m)
     plan.macros[m].programs.push_back(&ff.programs[rem != 0 && m >= rem ? 1 : 0].program());
-  const std::uint64_t adaptive = execute(plan);
+  const std::uint64_t adaptive = execute(plan, /*trace=*/true);
 
   // Per-op accounting: cycles from macro 0 (the max-layer macro; instruction
   // costs match across macros, so its walk is the lock-step critical path

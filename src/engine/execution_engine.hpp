@@ -11,8 +11,9 @@
 // the memory ledger and, per macro on the thread pool, stages and runs one
 // MacroController, which extracts each instruction's values as it retires.
 // The entry points keep only their plan building and their accounting;
-// RunStats come from the memory ledger, the one runtime account. The engine never calls the macro row-op datapath
-// directly (a CI grep gate enforces this).
+// RunStats come from the memory ledger, the one runtime account. The engine
+// never calls the macro row-op datapath directly (a CI grep gate enforces
+// this).
 //
 // Chunk c of a vector goes to macro c % M at row-pair layer c / M, so every
 // macro sees the same chunk sequence at any thread count. Each macro is an
@@ -184,8 +185,9 @@ class ExecutionEngine : public Executor {
     OperandLayout layout;
     std::span<const std::uint64_t> values;
   };
-  /// One macro's share of a dispatch; `trace` and `adaptive` are outputs.
-  /// `extract` holds one entry per instruction of `programs`, in order.
+  /// One macro's share of a dispatch; `trace` (recorded only when
+  /// execute() is asked to) and `adaptive` are outputs. `extract` holds one
+  /// entry per instruction of `programs`, in order.
   struct MacroPlan {
     std::vector<StageRow> stage;
     std::vector<const macro::VerifiedProgram*> programs;
@@ -203,9 +205,11 @@ class ExecutionEngine : public Executor {
   /// Clear the scratch plan for a dispatch over `active` macros.
   ExecPlan& begin_plan(std::size_t active);
   /// The dispatch core: reset the memory ledger, then per active macro (on
-  /// the pool) stage, run on the chained datapath and extract. Returns the
+  /// the pool) stage, run on the chained datapath and extract, recording
+  /// each macro's trace when `trace` is set (run_forward's per-op
+  /// accounting reads it; single-op dispatch reads none). Returns the
   /// lock-step cycles the adaptive policy took off the makespan.
-  std::uint64_t execute(ExecPlan& plan);
+  std::uint64_t execute(ExecPlan& plan, bool trace);
 
   /// Execute one validated op of a batch.
   OpResult run_one(const VecOp& op);
@@ -248,8 +252,8 @@ class ExecutionEngine : public Executor {
   ThreadPool pool_;
   ResidencyManager residency_;
   /// Single-op program compiler/cache; thread-safe, shared by all workers.
-  /// Built with no pinned map: single-op programs write only dummy rows, so
-  /// no residency change can make a cached program clobber a resident row.
+  /// Single-op programs write only dummy rows, so no residency change can
+  /// make a cached program clobber a resident row.
   macro::OpCompiler op_compiler_;
   /// Synthetic trace track "engine N": batch/forward spans render on
   /// one timeline row whichever host thread drives the engine.

@@ -1,6 +1,7 @@
 #include "macro/compiler.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/require.hpp"
 #include "obs/metrics.hpp"
@@ -24,24 +25,31 @@ obs::Counter& program_cache_hits_counter() {
   return c;
 }
 
-obs::Counter& compile_rejected_counter() {
-  static obs::Counter& c = obs::MetricsRegistry::global().counter(
-      "macro.verify.rejected", "programs rejected before execution (VerifyFirst or compile)");
-  return c;
+/// Row encoding for the cache key: the dummy bit rides above any plausible
+/// row index; absent operands get a sentinel no RowRef can produce.
+constexpr std::uint64_t kNoRow = ~0ull;
+
+std::uint64_t encode_row(RowRef r) {
+  return (r.is_dummy() ? (1ull << 63) : 0ull) | static_cast<std::uint64_t>(r.index);
+}
+
+/// The one strict seal check: an emitted program must draw no verifier
+/// diagnostic at all. A warning flags a schedule no compiler should emit, so
+/// it rejects the program as an error does (require_ok counts and throws).
+/// An accepted program is counted and marked on the trace timeline; the
+/// caller then seals it.
+void require_clean(const Program& p, const array::ArrayGeometry& g, bool fused) {
+  VerifyReport rep = verify_program(p, g);
+  for (Diagnostic& d : rep.diagnostics) d.severity = Severity::Error;
+  rep.errors += std::exchange(rep.warnings, 0);
+  rep.require_ok(p);
+  programs_compiled_counter().add();
+  BPIM_TRACE_INSTANT("macro.program.compile", 0,
+                     obs::EventArgs{{"instructions", static_cast<double>(p.size())},
+                                    {"fused", fused ? 1.0 : 0.0}});
 }
 
 }  // namespace
-
-VerifiedProgram FusionCompiler::compile_mac_forward(const MacForwardSpec& spec) const {
-  BPIM_REQUIRE(!spec.steps.empty(), "fused forward needs at least one MAC");
-  BPIM_REQUIRE(is_supported_precision(spec.bits), "unsupported MAC precision");
-  Program p;
-  for (const MacStep& s : spec.steps) {
-    BPIM_REQUIRE(s.a_row != s.b_row, "MAC needs two distinct rows");
-    p.mult(RowRef::main(s.a_row), RowRef::main(s.b_row), spec.bits);
-  }
-  return seal(std::move(p), "compile_mac_forward");
-}
 
 RelocatableForward FusionCompiler::compile_relocatable_forward(unsigned bits,
                                                               std::size_t weights,
@@ -49,11 +57,12 @@ RelocatableForward FusionCompiler::compile_relocatable_forward(unsigned bits,
   BPIM_REQUIRE(weights > 0 && layers > 0, "fused forward needs at least one MAC");
   std::vector<std::size_t> bases(weights);
   for (std::size_t j = 0; j < weights; ++j) bases[j] = (j + 1) * layers;
-  MacForwardSpec spec;
-  spec.bits = bits;
+  Program p;
   for (std::size_t l = 0; l < layers; ++l)
-    for (const std::size_t base : bases) spec.steps.push_back(MacStep{2 * l, 2 * (base + l)});
-  return RelocatableForward(compile_mac_forward(spec), std::move(bases));
+    for (const std::size_t base : bases)
+      p.mult(RowRef::main(2 * l), RowRef::main(2 * (base + l)), bits);
+  require_clean(p, geom_, /*fused=*/true);
+  return RelocatableForward(VerifiedProgram(std::move(p), geom_), std::move(bases));
 }
 
 const VerifiedProgram& RelocatableForward::bind(std::span<const std::size_t> bases) {
@@ -76,48 +85,6 @@ const VerifiedProgram& RelocatableForward::bind(std::span<const std::size_t> bas
   std::ranges::copy(bases, bases_.begin());
   return program_;
 }
-
-std::uint64_t FusionCompiler::fused_static_cycles(const Program& p) {
-  std::uint64_t c = 0;
-  const Instruction* prev = nullptr;
-  for (const Instruction& i : p.instructions()) {
-    std::uint64_t cost = op_cycles(i.op, i.bits);
-    if (i.op == Op::Mult && prev != nullptr && prev->op == Op::Mult && prev->bits == i.bits) {
-      --cost;                          // FF load pipelined behind prior write-back
-      if (prev->a == i.a) --cost;      // D1 already staged with this multiplicand
-    }
-    c += cost;
-    prev = &i;
-  }
-  return c;
-}
-
-VerifiedProgram FusionCompiler::seal(Program p, const char* what) const {
-  const VerifyReport rep = verify_program(p, geom_);
-  if (rep.errors == 0 && rep.warnings == 0) {
-    programs_compiled_counter().add();
-    BPIM_TRACE_INSTANT("macro.program.compile", 0,
-                       obs::EventArgs{{"instructions", static_cast<double>(p.size())},
-                                      {"fused", 1.0}});
-    return VerifiedProgram(std::move(p), geom_);
-  }
-  compile_rejected_counter().add();
-  throw std::invalid_argument(std::string(what) +
-                              ": emitted program drew verifier diagnostics:\n" +
-                              rep.annotate(p));
-}
-
-namespace {
-
-/// Row encoding for the cache key: the dummy bit rides above any plausible
-/// row index; absent operands get a sentinel no RowRef can produce.
-constexpr std::uint64_t kNoRow = ~0ull;
-
-std::uint64_t encode_row(RowRef r) {
-  return (r.is_dummy() ? (1ull << 63) : 0ull) | static_cast<std::uint64_t>(r.index);
-}
-
-}  // namespace
 
 std::size_t OpCompiler::KeyHash::operator()(const Key& k) const {
   // FNV-1a over the key fields.
@@ -152,16 +119,8 @@ const VerifiedProgram& OpCompiler::single(const Instruction& inst) {
   }
   Program p;
   p.push(inst);
-  const VerifyReport rep = verify_program(p, geom_, pinned_);
-  if (rep.errors + rep.warnings != 0) {
-    compile_rejected_counter().add();
-    throw std::invalid_argument(
-        "OpCompiler: single-op program drew verifier diagnostics:\n" + rep.annotate(p));
-  }
+  require_clean(p, geom_, /*fused=*/false);
   ++stats_.compiled;
-  programs_compiled_counter().add();
-  BPIM_TRACE_INSTANT("macro.program.compile", 0,
-                     obs::EventArgs{{"instructions", 1.0}, {"fused", 0.0}});
   // unordered_map references are stable under rehash and nothing is ever
   // erased, so the mapped program can be handed out.
   return cache_.emplace(key, VerifiedProgram(std::move(p), geom_)).first->second;

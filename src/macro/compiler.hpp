@@ -6,28 +6,21 @@
 // verifier (macro/verifier.hpp) is the contract every emitted program is
 // checked against before it ever reaches a macro.
 //
-// Two entry points emit that one program shape:
-//
-//   compile_mac_forward  One MULT per (activation row, weight row) pair.
-//                        The per-MAC products are captured from the
-//                        execution trace; back-to-back MULTs of one staged
-//                        activation row run on the chained datapath (FF load
-//                        overlapped, D1 staging skipped), which is where the
-//                        fused cycle win comes from.
-//
-//   compile_relocatable_forward
-//                        The same MAC program for one forward shape, with
-//                        every weight's rows relative to a base pair the
-//                        caller rebinds per call (RelocatableForward), so a
-//                        weight that moved costs no compile.
+// One entry point, compile_relocatable_forward, emits a forward shape's
+// program: one MULT per (activation row, weight row) pair, layer-major, so
+// back-to-back MULTs of one staged activation row run on the chained
+// datapath (FF load overlapped, D1 staging skipped) -- where the fused cycle
+// win comes from. Every weight's rows are relative to a base pair the caller
+// rebinds per call (RelocatableForward), so a weight that moved costs no
+// compile. CostModel::program_cost(p, /*fuse_mac_chains=*/true) prices it.
 //
 // A MULT writes only the D1/D2 scratch rows, so emitted programs read
-// pinned weight rows in place and can never clobber a resident operand.
-// They must come back from the verifier with ZERO diagnostics -- warnings
-// included -- or compilation throws with the annotated disassembly. Nothing
-// here depends on the engine layer; the engine hands in the geometry and
-// gets VerifiedPrograms back, which MacroController runs without verifying
-// them again.
+// pinned weight rows in place and never write a main row. Both compilers
+// seal a program only when the verifier reports ZERO diagnostics --
+// warnings included -- and otherwise throw with the annotated disassembly.
+// Nothing here depends on the engine layer; the engine hands in the
+// geometry and gets VerifiedPrograms back, which MacroController runs
+// without verifying them again.
 
 #include <cstdint>
 #include <span>
@@ -42,20 +35,6 @@
 #include "macro/verifier.hpp"
 
 namespace bpim::macro {
-
-/// One MAC of a fused forward: MULT of two staged main rows, product in D2.
-struct MacStep {
-  std::size_t a_row = 0;  ///< multiplicand row (the shared activation)
-  std::size_t b_row = 0;  ///< multiplier row (typically a resident weight)
-};
-
-/// A whole forward at one precision: the per-macro MAC sequence, in issue
-/// order. Steps sharing `a_row` should be adjacent -- the chained datapath
-/// only discounts back-to-back repeats.
-struct MacForwardSpec {
-  unsigned bits = 8;
-  std::vector<MacStep> steps;
-};
 
 /// A verified whole-forward MAC program whose weight rows relocate. MAC
 /// (l, j) of a J-weight forward -- instruction l * J + j -- multiplies the
@@ -90,42 +69,31 @@ class FusionCompiler {
  public:
   explicit FusionCompiler(array::ArrayGeometry g) : geom_(g) {}
 
-  /// Emit and verify the fused whole-forward MAC program. Throws
-  /// std::invalid_argument (with annotated disassembly) if the emitted
-  /// program draws any verifier diagnostic.
-  [[nodiscard]] VerifiedProgram compile_mac_forward(const MacForwardSpec& spec) const;
-
   /// Emit and verify the MAC-forward program of `weights` weights over
   /// `layers` chunks at `bits`, bound to weights stacked above the
   /// activation (weight j at pair (j + 1) * layers); rebind it with
-  /// RelocatableForward::bind. Throws like compile_mac_forward, and when
-  /// that stack does not fit the array.
+  /// RelocatableForward::bind. Throws std::invalid_argument (with annotated
+  /// disassembly) if the program draws any verifier diagnostic -- an
+  /// unsupported precision, or a stack that does not fit the array.
   [[nodiscard]] RelocatableForward compile_relocatable_forward(unsigned bits,
                                                                std::size_t weights,
                                                                std::size_t layers) const;
 
-  /// Cycle cost of `p` on the chained-MAC execution path -- Table 1 minus
-  /// the discounts MacroController::run applies with fuse_mac_chains set.
-  [[nodiscard]] static std::uint64_t fused_static_cycles(const Program& p);
-
   [[nodiscard]] const array::ArrayGeometry& geometry() const { return geom_; }
 
  private:
-  /// Verify an emitted program to zero diagnostics and seal it.
-  [[nodiscard]] VerifiedProgram seal(Program p, const char* what) const;
-
   array::ArrayGeometry geom_;
 };
 
 /// Single-op compiler: the FusionCompiler's sibling for everything that is
 /// not a fused forward. Each entry point emits the one-instruction Program
 /// for a VecOp-shaped request (ADD, SUB, MULT, ADD-Shift, unary, logic)
-/// against the array geometry + residency map, verifies it to zero
-/// diagnostics (warnings included, like the fusion path), and caches it by
-/// (op, fn, bits, rows, dest) so hot-path dispatch is one hash lookup.
+/// against the array geometry, verifies it to zero diagnostics (warnings
+/// included, like the fusion path), and caches it by (op, fn, bits, rows,
+/// dest) so hot-path dispatch is one hash lookup.
 ///
 /// Returned references stay valid for the compiler's lifetime: entries are
-/// never evicted, and the residency map is fixed at construction.
+/// never evicted.
 ///
 /// Thread-safe: the engine compiles on the submitting thread, but a serving
 /// deployment may share one compiler across engines. Cache traffic feeds the
@@ -133,10 +101,7 @@ class FusionCompiler {
 /// instants on the trace timeline.
 class OpCompiler {
  public:
-  /// `pinned` is the residency map: an instruction whose write-back lands
-  /// in it is rejected (ResidentClobber).
-  explicit OpCompiler(array::ArrayGeometry g, std::vector<PinnedRows> pinned = {})
-      : geom_(g), pinned_(std::move(pinned)) {}
+  explicit OpCompiler(array::ArrayGeometry g) : geom_(g) {}
 
   const VerifiedProgram& add(array::RowRef a, array::RowRef b, unsigned bits)
       BPIM_EXCLUDES(mutex_);
@@ -180,7 +145,6 @@ class OpCompiler {
   };
 
   array::ArrayGeometry geom_;
-  const std::vector<PinnedRows> pinned_;
   mutable Mutex mutex_;
   std::unordered_map<Key, VerifiedProgram, KeyHash> cache_ BPIM_GUARDED_BY(mutex_);
   CacheStats stats_ BPIM_GUARDED_BY(mutex_);

@@ -54,9 +54,8 @@ struct RowState {
 
 class Checker {
  public:
-  Checker(const Program& p, const array::ArrayGeometry& g, const VerifyLimits& limits,
-          std::span<const PinnedRows> pinned = {})
-      : prog_(p), geom_(g), limits_(limits), pinned_(pinned) {}
+  Checker(const Program& p, const array::ArrayGeometry& g, const VerifyLimits& limits)
+      : prog_(p), geom_(g), limits_(limits) {}
 
   VerifyReport run() {
     const auto& insts = prog_.instructions();
@@ -151,20 +150,6 @@ class Checker {
     st.write_bits = 0;
   }
 
-  /// Residency discipline: explicit write-back into a pinned main row.
-  void check_resident(std::size_t k, const array::RowRef& r) {
-    if (r.is_dummy() || pinned_.empty()) return;
-    for (const PinnedRows& iv : pinned_) {
-      if (r.index < iv.first_row || r.index >= iv.first_row + iv.row_count) continue;
-      std::ostringstream os;
-      os << "destination " << row_name(r) << " lies inside the pinned interval ["
-         << iv.first_row << ", " << iv.first_row + iv.row_count
-         << ") -- the write would corrupt a resident operand";
-      diag(Severity::Error, DiagKind::ResidentClobber, k, os.str());
-      return;
-    }
-  }
-
   void check_instruction(std::size_t k, const Instruction& i) {
     const bool dual = is_dual_wl(i.op);
 
@@ -245,7 +230,6 @@ class Checker {
     if (i.dest && !(i.op == Op::Sub || i.op == Op::Mult || is_dual_logic(i.op))) {
       // NOT/COPY write bitwise images; SHIFT/ADD/ADD-Shift write N-bit fields.
       const unsigned wb = (i.op == Op::Not || i.op == Op::Copy) ? 0 : i.bits;
-      check_resident(k, *i.dest);
       note_write(k, *i.dest, wb);
     }
 
@@ -267,7 +251,6 @@ class Checker {
   const Program& prog_;
   const array::ArrayGeometry& geom_;
   const VerifyLimits& limits_;
-  std::span<const PinnedRows> pinned_;
   VerifyReport report_;
   std::unordered_map<std::size_t, RowState> rows_;
   bool cycle_budget_reported_ = false;
@@ -292,7 +275,6 @@ const char* to_string(DiagKind k) {
     case DiagKind::PrecisionMismatch: return "precision-mismatch";
     case DiagKind::CycleBudget: return "cycle-budget";
     case DiagKind::InstructionBudget: return "instruction-budget";
-    case DiagKind::ResidentClobber: return "resident-clobber";
   }
   return "unknown";
 }
@@ -350,19 +332,13 @@ VerifyReport verify_program(const Program& p, const array::ArrayGeometry& g,
   return Checker(p, g, limits).run();
 }
 
-VerifyReport verify_program(const Program& p, const array::ArrayGeometry& g,
-                            std::span<const PinnedRows> pinned, const VerifyLimits& limits) {
-  return Checker(p, g, limits, pinned).run();
-}
-
 VerifyReport verify_program(const Program& p, const ImcMacro& m, const VerifyLimits& limits) {
   return verify_program(p, m.config().geometry, limits);
 }
 
 VerifiedProgram VerifiedProgram::verify(Program p, const array::ArrayGeometry& g,
-                                        std::span<const PinnedRows> pinned,
                                         const VerifyLimits& limits) {
-  verify_program(p, g, pinned, limits).require_ok(p);
+  verify_program(p, g, limits).require_ok(p);
   return VerifiedProgram(std::move(p), g);
 }
 

@@ -8,7 +8,14 @@
 //
 // A program that passed is sealed as a VerifiedProgram: the verification
 // travels with the program, and MacroController runs it without verifying
-// it again.
+// it again. The compilers (macro/compiler.hpp) seal theirs strictly, to
+// zero diagnostics.
+//
+// There is no residency map: the verifier never learns which main rows hold
+// pinned operands. It needs none, because no program the engine dispatches
+// writes a main row -- ADD/SUB/logic drive their result out, ADD-Shift
+// retires into D2, NOT into D1, and MULT (single or fused) into D1/D2 --
+// which test_residency checks on every op kind with resident operands.
 //
 // Checked, per instruction:
 //   * row bounds against the geometry (main rows and dummy rows);
@@ -35,7 +42,6 @@
 // Errors is accepted: report.ok().
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,7 +67,6 @@ enum class DiagKind {
   PrecisionMismatch,  ///< field-structured read at a different width than the write
   CycleBudget,        ///< static cycles exceed VerifyLimits::max_cycles
   InstructionBudget,  ///< instruction count exceeds VerifyLimits::max_instructions
-  ResidentClobber,    ///< explicit write into a row the residency map pins
 };
 
 [[nodiscard]] const char* to_string(Severity s);
@@ -78,15 +83,6 @@ struct Diagnostic {
 struct VerifyLimits {
   std::uint64_t max_cycles = 0;       ///< Table-1 static cycle budget
   std::size_t max_instructions = 0;   ///< program length budget
-};
-
-/// One interval of main rows the ResidencyManager has pinned (weights kept
-/// materialized across calls). A program may *read* these rows -- that is
-/// the whole point of residency -- but an explicit write-back into one is an
-/// Error (ResidentClobber): it would silently corrupt a pinned operand.
-struct PinnedRows {
-  std::size_t first_row = 0;  ///< first main-row index of the interval
-  std::size_t row_count = 0;  ///< rows covered (contiguous)
 };
 
 struct VerifyReport {
@@ -115,12 +111,6 @@ struct VerifyReport {
 [[nodiscard]] VerifyReport verify_program(const Program& p, const array::ArrayGeometry& g,
                                           const VerifyLimits& limits = {});
 
-/// Residency-aware verify: additionally flags explicit main-row writes that
-/// land inside any pinned interval (ResidentClobber, Error).
-[[nodiscard]] VerifyReport verify_program(const Program& p, const array::ArrayGeometry& g,
-                                          std::span<const PinnedRows> pinned,
-                                          const VerifyLimits& limits = {});
-
 /// Convenience: verify against a live macro's geometry.
 [[nodiscard]] VerifyReport verify_program(const Program& p, const ImcMacro& m,
                                           const VerifyLimits& limits = {});
@@ -135,11 +125,10 @@ struct VerifyReport {
 /// would make of them.
 class VerifiedProgram {
  public:
-  /// Verify `p` against `g` (and the pinned map) and seal it. Throws
-  /// std::invalid_argument, with the errors and the annotated listing, when
-  /// the report has Errors; Warnings pass.
+  /// Verify `p` against `g` and seal it. Throws std::invalid_argument, with
+  /// the errors and the annotated listing, when the report has Errors;
+  /// Warnings pass.
   [[nodiscard]] static VerifiedProgram verify(Program p, const array::ArrayGeometry& g,
-                                              std::span<const PinnedRows> pinned = {},
                                               const VerifyLimits& limits = {});
 
   operator const Program&() const { return program_; }

@@ -1,7 +1,7 @@
-// FusionCompiler: emitted programs are verifier-clean (also against the
-// pinned rows they read), priced correctly on the chained-MAC path, and
-// relocate under exactly the checks the verifier makes. OpCompiler:
-// single-op programs are cached and reject pinned-row writes.
+// FusionCompiler: emitted programs are verifier-clean, priced on the
+// chained-MAC path by CostModel::program_cost, and relocate under exactly the
+// checks the verifier makes. OpCompiler: single-op programs are cached and
+// sealed only with zero diagnostics.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 
 #include "common/rng.hpp"
 #include "macro/compiler.hpp"
+#include "macro/cost_model.hpp"
 #include "macro/program.hpp"
 #include "macro/verifier.hpp"
 
@@ -21,19 +22,30 @@ namespace {
 using array::ArrayGeometry;
 using array::RowRef;
 
+/// The MAC forward of weights stacked at `bases` over `layers` chunks, built
+/// instruction by instruction: MAC (l, j) multiplies activation row 2l by
+/// weight row 2(bases[j] + l).
+Program forward_at(unsigned bits, std::span<const std::size_t> bases, std::size_t layers) {
+  Program p;
+  for (std::size_t l = 0; l < layers; ++l)
+    for (const std::size_t b : bases) p.mult(RowRef::main(2 * l), RowRef::main(2 * (b + l)), bits);
+  return p;
+}
+
 TEST(FusionCompiler, MacForwardEmitsOneMultPerStepZeroDiagnostics) {
   const ArrayGeometry g{};
   FusionCompiler fc(g);
-  MacForwardSpec spec;
-  spec.bits = 8;
   // One activation row (0) against three weight rows -- the adjacency that
   // unlocks the chained-datapath discount.
-  spec.steps = {{0, 10}, {0, 12}, {0, 14}};
-  const Program p = fc.compile_mac_forward(spec);
+  const RelocatableForward rf = fc.compile_relocatable_forward(8, 3, 1);
+  const Program& p = rf.program();
   ASSERT_EQ(p.size(), 3u);
-  for (const Instruction& i : p.instructions()) {
+  for (std::size_t j = 0; j < p.size(); ++j) {
+    const Instruction& i = p.instructions()[j];
     EXPECT_EQ(i.op, Op::Mult);
     EXPECT_EQ(i.bits, 8u);
+    EXPECT_EQ(i.a, RowRef::main(0));
+    EXPECT_EQ(i.b, RowRef::main(2 * (j + 1)));
     EXPECT_FALSE(i.dest.has_value());
   }
   const VerifyReport rep = verify_program(p, g);
@@ -44,64 +56,61 @@ TEST(FusionCompiler, MacForwardEmitsOneMultPerStepZeroDiagnostics) {
 TEST(FusionCompiler, FusedStaticCyclesDiscountsChainedMacs) {
   const ArrayGeometry g{};
   FusionCompiler fc(g);
-  MacForwardSpec spec;
-  spec.bits = 8;  // MULT = N + 2 = 10 cycles per Table 1
-  spec.steps = {{0, 10}, {0, 12}, {2, 14}};
-  const Program p = fc.compile_mac_forward(spec);
-  // #0 full price; #1 pipelined (-1) and D1-staged (-1, same a_row); #2
-  // pipelined only (new activation row re-stages D1).
-  EXPECT_EQ(p.static_cycles(), 30u);
-  EXPECT_EQ(FusionCompiler::fused_static_cycles(p), 10u + 8u + 9u);
+  // J = 2 weights over L = 2 layers at 8 bits (MULT = N + 2 = 10 cycles per
+  // Table 1): (0, 0) full price; (0, 1) pipelined (-1) and D1-staged (-1,
+  // same activation row); (1, 0) pipelined only (the next layer's activation
+  // re-stages D1); (1, 1) pipelined and D1-staged.
+  const RelocatableForward rf = fc.compile_relocatable_forward(8, 2, 2);
+  const Program& p = rf.program();
+  ASSERT_EQ(p.size(), 4u);
+  EXPECT_EQ(p.static_cycles(), 40u);
+  const ProgramStats fused = CostModel(MacroConfig{}).program_cost(p, /*fuse_mac_chains=*/true);
+  EXPECT_EQ(fused.cycles, 10u + 8u + 9u + 8u);
+  EXPECT_EQ(fused.cycles + fused.fused_cycles_saved, p.static_cycles());
 }
 
 TEST(FusionCompiler, DumpNamesOpsRowsAndRoles) {
   const ArrayGeometry g{};
   FusionCompiler fc(g);
-  MacForwardSpec spec;
-  spec.bits = 8;
-  spec.steps = {{0, 10}};
-  const std::string text = fc.compile_mac_forward(spec).program().dump();
+  const std::string text = fc.compile_relocatable_forward(8, 1, 1).program().program().dump();
   EXPECT_NE(text.find("MULT"), std::string::npos) << text;
   EXPECT_NE(text.find("R0"), std::string::npos) << text;
-  EXPECT_NE(text.find("R10"), std::string::npos) << text;
+  EXPECT_NE(text.find("R2"), std::string::npos) << text;
   EXPECT_NE(text.find("D2"), std::string::npos) << text;  // product role
 }
 
 TEST(FusionCompiler, RejectsDegenerateSpecs) {
   const ArrayGeometry g{};
   FusionCompiler fc(g);
-  EXPECT_THROW((void)fc.compile_mac_forward({8, {}}), std::invalid_argument);
-  EXPECT_THROW((void)fc.compile_mac_forward({8, {{5, 5}}}), std::invalid_argument);
-  EXPECT_THROW((void)fc.compile_mac_forward({3, {{0, 1}}}), std::invalid_argument);
+  EXPECT_THROW((void)fc.compile_relocatable_forward(8, 0, 1), std::invalid_argument);
+  EXPECT_THROW((void)fc.compile_relocatable_forward(8, 1, 0), std::invalid_argument);
+  EXPECT_THROW((void)fc.compile_relocatable_forward(3, 1, 1), std::invalid_argument);
+  // Weights stacked above the activation past the array's last row.
+  EXPECT_THROW((void)fc.compile_relocatable_forward(8, g.rows / 2, 1), std::invalid_argument);
 }
 
 TEST(FusionCompiler, FuzzedSpecsAlwaysEmitZeroDiagnosticPrograms) {
-  // Whatever layout the engine asks for, the emitted program reads the
-  // weights' pinned band in place and must still verify against that band
-  // (residency-aware) with zero diagnostics -- warnings included.
+  // Whatever shape and placement the engine asks for, the bound program
+  // must verify with zero diagnostics -- warnings included -- and the
+  // chained datapath never prices it above Table 1.
   const ArrayGeometry g{};
-  FusionCompiler fc(g);
+  const FusionCompiler fc(g);
+  const CostModel cost{MacroConfig{}};
+  const std::size_t pairs = g.rows / 2;
   bpim::Rng rng(0xF05Ed);
   const unsigned precisions[] = {2, 4, 8, 16};
   for (int trial = 0; trial < 200; ++trial) {
     const unsigned bits = precisions[rng.uniform_u64(4)];
-    // Pinned band in the top half, like the residency allocator produces.
-    const std::size_t pinned_rows = 2 * (1 + rng.uniform_u64(20));
-    const std::size_t pinned_base = g.rows - pinned_rows;
-    const std::vector<PinnedRows> pinned{{pinned_base, pinned_rows}};
-
-    MacForwardSpec spec;
-    spec.bits = bits;
+    const std::size_t weights = 1 + rng.uniform_u64(6);
     const std::size_t layers = 1 + rng.uniform_u64(3);
-    const std::size_t ops = 1 + rng.uniform_u64(6);
-    for (std::size_t l = 0; l < layers; ++l)
-      for (std::size_t j = 0; j < ops; ++j)
-        spec.steps.push_back({2 * l, pinned_base + 2 * ((j + l) % (pinned_rows / 2))});
-    const Program p = fc.compile_mac_forward(spec);
-    const VerifyReport rep = verify_program(p, g, std::span<const PinnedRows>(pinned));
+    RelocatableForward rf = fc.compile_relocatable_forward(bits, weights, layers);
+    std::vector<std::size_t> bases(weights);
+    for (auto& b : bases) b = layers + rng.uniform_u64(pairs - 2 * layers + 1);
+    const Program& p = rf.bind(bases);
+    const VerifyReport rep = verify_program(p, g);
     EXPECT_EQ(rep.errors, 0u) << rep.annotate(p);
     EXPECT_EQ(rep.warnings, 0u) << rep.annotate(p);
-    EXPECT_LE(FusionCompiler::fused_static_cycles(p), p.static_cycles());
+    EXPECT_LE(cost.program_cost(p, /*fuse_mac_chains=*/true).cycles, p.static_cycles());
   }
 }
 
@@ -118,15 +127,14 @@ TEST(FusionCompiler, FuzzedForwardExecutesBitIdenticalToReference) {
     m.poke_mult_operands(0, 0, 8, activation);
     std::vector<std::vector<std::uint64_t>> weights(ops,
                                                     std::vector<std::uint64_t>(units));
-    MacForwardSpec spec;
-    spec.bits = 8;
+    // One layer: weight j sits at row 2(j + 1), the compiler's default stack.
     for (std::size_t j = 0; j < ops; ++j) {
       for (auto& v : weights[j]) v = rng.uniform_u64(256);
       m.poke_mult_operands(2 * (j + 1), 0, 8, weights[j]);
-      spec.steps.push_back({0, 2 * (j + 1)});
     }
     const FusionCompiler fc(m.config().geometry);
-    const VerifiedProgram p = fc.compile_mac_forward(spec);
+    const RelocatableForward rf = fc.compile_relocatable_forward(8, ops, 1);
+    const VerifiedProgram& p = rf.program();
     MacroController ctl(m);
     std::vector<TraceEntry> trace;
     const ProgramStats stats = ctl.run(p, &trace, /*fuse_mac_chains=*/true);
@@ -143,7 +151,7 @@ TEST(FusionCompiler, FuzzedForwardExecutesBitIdenticalToReference) {
 TEST(FusionCompiler, RelocatedForwardEqualsAFreshCompileAtItsRows) {
   // Seeded differential of RelocatableForward::bind against the full
   // verifier: every legal binding (weight pairs above the activation's,
-  // rows in range) equals what compile_mac_forward emits for those rows and
+  // rows in range) equals the MAC program built directly at those rows and
   // verifies with zero diagnostics; an out-of-range or activation-colliding
   // base throws, leaves the program as last bound, and is a binding the
   // verifier rejects too.
@@ -152,12 +160,6 @@ TEST(FusionCompiler, RelocatedForwardEqualsAFreshCompileAtItsRows) {
   const std::size_t pairs = g.rows / 2;
   const unsigned precisions[] = {2, 4, 8};
   bpim::Rng rng(0x4E10C);
-  const auto steps_at = [](std::span<const std::size_t> bases, std::size_t layers) {
-    std::vector<MacStep> steps;
-    for (std::size_t l = 0; l < layers; ++l)
-      for (const std::size_t b : bases) steps.push_back({2 * l, 2 * (b + l)});
-    return steps;
-  };
   for (int trial = 0; trial < 100; ++trial) {
     const unsigned bits = precisions[rng.uniform_u64(3)];
     const std::size_t weights = 1 + rng.uniform_u64(8);
@@ -168,9 +170,7 @@ TEST(FusionCompiler, RelocatedForwardEqualsAFreshCompileAtItsRows) {
     for (int rebind = 0; rebind < 5; ++rebind) {
       for (auto& b : bases) b = 1 + rng.uniform_u64(pairs - layers);
       const VerifiedProgram& p = rf.bind(bases);
-      const VerifiedProgram fresh =
-          fc.compile_mac_forward({.bits = bits, .steps = steps_at(bases, layers)});
-      ASSERT_EQ(p.program().dump(), fresh.program().dump()) << "trial " << trial;
+      ASSERT_EQ(p.program().dump(), forward_at(bits, bases, layers).dump()) << "trial " << trial;
       const VerifyReport rep = verify_program(p, g);
       EXPECT_EQ(rep.errors + rep.warnings, 0u) << rep.annotate(p);
     }
@@ -182,10 +182,7 @@ TEST(FusionCompiler, RelocatedForwardEqualsAFreshCompileAtItsRows) {
     EXPECT_THROW((void)rf.bind(bad), std::invalid_argument) << "trial " << trial;
     EXPECT_EQ(rf.program().program().dump(), bound) << "trial " << trial;
     EXPECT_TRUE(std::ranges::equal(rf.bases(), bases)) << "trial " << trial;
-    Program raw;
-    for (const MacStep& st : steps_at(bad, layers))
-      raw.push({.op = Op::Mult, .a = RowRef::main(st.a_row), .b = RowRef::main(st.b_row), .bits = bits});
-    EXPECT_GT(verify_program(raw, g).errors, 0u) << "trial " << trial;
+    EXPECT_GT(verify_program(forward_at(bits, bad, layers), g).errors, 0u) << "trial " << trial;
   }
 }
 
@@ -226,23 +223,21 @@ TEST(OpCompiler, CachesByKindBitsAndPlacement) {
   EXPECT_EQ(stats.hits, 1u);
 }
 
-TEST(OpCompiler, RejectsVerifierDiagnosticsAndPinnedClobber) {
+TEST(OpCompiler, RejectsVerifierDiagnostics) {
   const ArrayGeometry g{};
-  // Dual-WL compute needs two distinct rows; same-row draws a diagnostic.
-  OpCompiler plain(g);
-  EXPECT_THROW((void)plain.add(RowRef::main(3), RowRef::main(3), 8),
-               std::invalid_argument);
-
-  // Rows [100, 120) pinned: reading them is fine, writing them is not.
-  OpCompiler oc(g, {{100, 20}});
-  EXPECT_NO_THROW((void)oc.mult(RowRef::main(0), RowRef::main(104), 8));
+  OpCompiler oc(g);
+  // Dual-WL compute needs two distinct rows; same-row draws an error.
+  EXPECT_THROW((void)oc.add(RowRef::main(3), RowRef::main(3), 8), std::invalid_argument);
+  // A warning rejects a compiled program too: SUB drives its result out, so
+  // a destination is ignored (dest-ignored).
   try {
-    (void)oc.unary(Op::Copy, RowRef::main(0), RowRef::main(104), 8);
-    FAIL() << "expected the pinned-row write to be rejected";
+    (void)oc.single({.op = Op::Sub, .a = RowRef::main(0), .b = RowRef::main(1),
+                     .dest = RowRef::main(2), .bits = 8});
+    FAIL() << "expected the ignored destination to be rejected";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("resident-clobber"), std::string::npos)
-        << e.what();
+    EXPECT_NE(std::string(e.what()).find("dest-ignored"), std::string::npos) << e.what();
   }
+  EXPECT_EQ(oc.cache_stats().compiled, 0u);
 }
 
 }  // namespace

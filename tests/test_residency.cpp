@@ -243,6 +243,111 @@ TEST(Residency, BatchOverlapAccounting) {
   EXPECT_LT(distinct.pipelined_cycles, distinct.load_cycles + distinct.compute_cycles);
 }
 
+/// A pinned operand's rows as materialize() writes them: chunk c sits on
+/// macro c % M in even row 2(base + c / M). Holds one operand whose chunks
+/// fill their rows, so each row image is exact.
+struct PinnedImage {
+  ResidentOperand handle;
+  std::vector<BitVector> rows;  ///< one per chunk
+  std::optional<std::size_t> base;  ///< located base pair, once found
+
+  PinnedImage(ResidentOperand h, std::span<const std::uint64_t> values,
+              const ExecutionEngine& eng, const macro::MacroConfig& cfg)
+      : handle(h) {
+    macro::ImcMacro ref(cfg);
+    const std::size_t per_op = eng.elements_per_chunk(h.bits, h.layout);
+    for (std::size_t pos = 0; pos < values.size(); pos += per_op) {
+      const auto chunk = values.subspan(pos, per_op);
+      if (h.layout == OperandLayout::MultUnit)
+        ref.poke_mult_operands(0, 0, h.bits, chunk);
+      else
+        ref.poke_words(0, 0, h.bits, chunk);
+      rows.push_back(ref.peek_row(0));
+    }
+  }
+
+  [[nodiscard]] bool at(macro::ImcMemory& mem, std::size_t b) const {
+    const std::size_t m = mem.macro_count();
+    for (std::size_t c = 0; c < rows.size(); ++c)
+      if (mem.macro(c % m).peek_row(2 * (b + c / m)) != rows[c]) return false;
+    return true;
+  }
+};
+
+TEST(Residency, EngineProgramsNeverWriteAResidentRow) {
+  // Why the verifier keeps no residency map: no program the engine
+  // dispatches writes a main row. ADD/SUB/logic drive their result out,
+  // ADD-Shift retires into D2, NOT into D1, MULT and a fused forward's MULTs
+  // into D1/D2. So after every op kind with a resident operand on side a,
+  // on side b and on both, and after a fused forward, every pinned handle's
+  // rows on every macro read back bit-identical, where they were placed.
+  macro::MemoryConfig cfg = tiny_memory(512);
+  macro::ImcMemory mem(cfg);
+  ExecutionEngine eng(mem);
+  std::vector<PinnedImage> pinned;
+  std::vector<std::vector<std::uint64_t>> spans;
+  std::uint64_t seed = 600;
+  const auto operand = [&](unsigned bits, OperandLayout layout) -> std::span<const std::uint64_t> {
+    const std::size_t n = 2 * eng.elements_per_chunk(bits, layout) * mem.macro_count();
+    return spans.emplace_back(random_vec(n, bits, ++seed));
+  };
+  const auto pin = [&](unsigned bits, OperandLayout layout) {
+    const auto values = operand(bits, layout);
+    pinned.emplace_back(eng.pin(values, bits, layout), values, eng, cfg.macro);
+    return pinned.back().handle;
+  };
+  const auto check = [&](const std::string& what) {
+    for (PinnedImage& img : pinned) {
+      if (img.base) {
+        EXPECT_TRUE(img.at(mem, *img.base)) << what << ": handle " << img.handle.id;
+        continue;
+      }
+      for (std::size_t b = 0; b + img.handle.layers <= eng.row_pair_capacity() && !img.base; ++b)
+        if (img.at(mem, b)) img.base = b;
+      EXPECT_TRUE(img.base.has_value()) << what << ": handle " << img.handle.id << " not found";
+    }
+  };
+
+  struct Kind {
+    OpKind kind;
+    unsigned bits;
+    periph::LogicFn fn = periph::LogicFn::And;
+  };
+  const Kind kinds[] = {{OpKind::Add, 8},      {OpKind::Sub, 8},
+                        {OpKind::Mult, 8},     {OpKind::AddShift, 8},
+                        {OpKind::Not, 8},      {OpKind::Logic, 4, periph::LogicFn::Xor}};
+  for (const Kind& k : kinds) {
+    const OperandLayout layout =
+        k.kind == OpKind::Mult ? OperandLayout::MultUnit : OperandLayout::Word;
+    const bool unary = k.kind == OpKind::Not;
+    for (const char* sides : {"a", "b", "ab"}) {
+      const std::string side(sides);
+      if (unary && side != "a") continue;  // NOT has no side b
+      VecOp op = span_op(k.kind, k.bits, {}, {});
+      op.fn = k.fn;
+      if (side.find('a') != std::string::npos)
+        op.ra = pin(k.bits, layout);
+      else
+        op.a = operand(k.bits, layout);
+      if (side.find('b') != std::string::npos)
+        op.rb = pin(k.bits, layout);
+      else if (!unary)
+        op.b = operand(k.bits, layout);
+      (void)eng.run(op);
+      check(std::string(to_string(k.kind)) + " resident " + side);
+    }
+  }
+
+  const std::vector<ResidentOperand> weights = {pin(8, OperandLayout::MultUnit),
+                                                pin(8, OperandLayout::MultUnit),
+                                                pin(8, OperandLayout::MultUnit)};
+  (void)eng.run_forward(weights, operand(8, OperandLayout::MultUnit));
+  EXPECT_EQ(eng.fusion_stats().fused_runs, 1u);
+  check("fused forward");
+  // Nothing moved: every handle was checked where it was first placed.
+  EXPECT_EQ(eng.residency_stats().evictions, 0u);
+}
+
 TEST(Residency, GuardsMisuse) {
   const unsigned bits = 8;
   const std::size_t n = 64;

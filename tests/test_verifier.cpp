@@ -189,32 +189,6 @@ TEST(Verifier, WarnsOnPrecisionReinterpretation) {
   EXPECT_FALSE(has(verify_program(same, default_geometry()), DiagKind::PrecisionMismatch));
 }
 
-TEST(Verifier, FlagsExplicitWritesIntoPinnedRows) {
-  // Residency-aware pass: reading pinned weight rows is the fused
-  // forward's whole point; writing into the pinned interval is corruption.
-  const std::vector<PinnedRows> pinned{{100, 20}};
-
-  Program reads;
-  reads.mult(RowRef::main(104), RowRef::main(0), 8)
-      .add(RowRef::main(110), RowRef::main(1), 8);
-  EXPECT_TRUE(verify_program(reads, default_geometry(),
-                             std::span<const PinnedRows>(pinned))
-                  .ok());
-
-  Program clobber;
-  clobber.add_shift(RowRef::main(0), RowRef::main(1), 8, RowRef::main(110));
-  const auto rep =
-      verify_program(clobber, default_geometry(), std::span<const PinnedRows>(pinned));
-  EXPECT_FALSE(rep.ok());
-  ASSERT_TRUE(has(rep, DiagKind::ResidentClobber));
-  EXPECT_EQ(first(rep, DiagKind::ResidentClobber).instruction, 0u);
-  EXPECT_NE(rep.annotate(clobber).find("resident-clobber"), std::string::npos)
-      << rep.annotate(clobber);
-
-  // Without the pinned map the same program is clean: the check is opt-in.
-  EXPECT_TRUE(verify_program(clobber, default_geometry()).ok());
-}
-
 TEST(Verifier, EnforcesStaticBudgets) {
   Program p;
   p.add(RowRef::main(0), RowRef::main(1), 8)
