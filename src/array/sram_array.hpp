@@ -24,6 +24,10 @@
 #include "common/bitvec.hpp"
 #include "common/require.hpp"
 
+namespace bpim::macro {
+class ImcMacro;
+}  // namespace bpim::macro
+
 namespace bpim::array {
 
 struct ArrayGeometry {
@@ -92,6 +96,10 @@ class SramArray {
   [[nodiscard]] std::size_t toggle_count(RowRef r, const BitVector& incoming) const;
 
  private:
+  /// The macro's closed-form MULT writes its products straight into D2's
+  /// storage through row_mut(), word by word as its product pass runs.
+  friend class macro::ImcMacro;
+
   BitVector& row_mut(RowRef r) { return const_cast<BitVector&>(std::as_const(*this).row(r)); }
   /// SA outputs of the cells ra and rb sharing every column's BL pair.
   static void sense(const BitVector& ra, const BitVector& rb, BlReadout& out);

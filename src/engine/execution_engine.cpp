@@ -204,7 +204,7 @@ ExecutionEngine::ExecPlan& ExecutionEngine::begin_plan(std::size_t active) {
   return plan_;
 }
 
-std::uint64_t ExecutionEngine::execute(ExecPlan& plan, bool trace) {
+std::uint64_t ExecutionEngine::execute(ExecPlan& plan) {
   mem_.reset_counters();
   // Macro m owns its chunks outright (own rows, RNG stream and ledger), so
   // any thread count gives bit-identical results. The memory ledger is the
@@ -218,12 +218,10 @@ std::uint64_t ExecutionEngine::execute(ExecPlan& plan, bool trace) {
     MacroPlan& mp = plan.macros[m];
     for (const auto& s : mp.stage) stage_row(mac, s.index, s.bits, s.layout, s.values);
     macro::MacroController ctl(mac);
-    mp.trace.clear();
     mp.adaptive = 0;
-    std::span<const macro::Extract> extract(mp.extract);
+    std::span<macro::Extract> extract(mp.extract);
     for (const macro::VerifiedProgram* p : mp.programs) {
-      mp.adaptive += ctl.run(*p, trace ? &mp.trace : nullptr, /*fuse_mac_chains=*/true, pol,
-                             extract.first(p->size()))
+      mp.adaptive += ctl.run(*p, nullptr, /*fuse_mac_chains=*/true, pol, extract.first(p->size()))
                          .adaptive_cycles_saved;
       extract = extract.subspan(p->size());
     }
@@ -329,7 +327,7 @@ OpResult ExecutionEngine::run_one(const VecOp& op) {
                    mp.extract.push_back({op.bits, std::span(res.values).subspan(pos, len)});
                    mp.programs.push_back(prog);
                  });
-  const std::uint64_t adaptive = execute(plan, /*trace=*/false);
+  const std::uint64_t adaptive = execute(plan);
 
   // The memory ledger is the op's account: cycles are the lock-step max
   // across macros, energy the fixed bank-then-macro sum. Each chunk ran one
@@ -487,8 +485,8 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
   }
 
   // Stage the shared activation in the even row of transient pair l and run
-  // each macro's fused program on the chained datapath; macro m's trace
-  // entry l*J + j is layer l of op j.
+  // each macro's fused program on the chained datapath; macro m's retire
+  // record l*J + j is layer l of op j.
   const FusedForward& ff = fused_program_for(fl);
   const std::size_t ops = weights.size();
   std::vector<OpResult> results(ops);
@@ -509,17 +507,17 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
   const std::size_t rem = fl.chunks % macros;
   for (std::size_t m = 0; m < plan.active; ++m)
     plan.macros[m].programs.push_back(&ff.programs[rem != 0 && m >= rem ? 1 : 0].program());
-  const std::uint64_t adaptive = execute(plan, /*trace=*/true);
+  const std::uint64_t adaptive = execute(plan);
 
-  // Per-op accounting: cycles from macro 0 (the max-layer macro; instruction
-  // costs match across macros, so its walk is the lock-step critical path
-  // and the per-op shares sum to mem_.elapsed_cycles()); energy merged in
-  // fixed macro-then-layer order. Load: the activation bills to op 0, a
-  // weight materialized this call to its own op; the baseline is 2 row
-  // writes per layer per op.
+  // Per-op accounting from the retire records: cycles from macro 0 (the
+  // max-layer macro; instruction costs match across macros, so its walk is
+  // the lock-step critical path and the per-op shares sum to
+  // mem_.elapsed_cycles()); energy merged in fixed macro-then-layer order.
+  // Load: the activation bills to op 0, a weight materialized this call to
+  // its own op; the baseline is 2 row writes per layer per op.
   const std::uint64_t table_mult = macro::op_cycles(macro::Op::Mult, fl.bits);
-  const std::vector<macro::TraceEntry>& trace0 = plan.macros[0].trace;
-  const std::size_t layers0 = trace0.size() / ops;
+  const std::vector<macro::Extract>& retired0 = plan.macros[0].extract;
+  const std::size_t layers0 = retired0.size() / ops;
   std::uint64_t load_total = 0;
   std::uint64_t saved_total = 0;
   std::uint64_t fused_saved_total = 0;
@@ -528,12 +526,12 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
     s.elements = fl.elements;
     s.instructions = fl.chunks;  // one MULT per chunk
     for (std::size_t l = 0; l < layers0; ++l) {
-      s.elapsed_cycles += trace0[l * ops + j].cycles;
-      s.adaptive_cycles_saved += trace0[l * ops + j].adaptive_cycles_saved;
+      s.elapsed_cycles += retired0[l * ops + j].cycles;
+      s.adaptive_cycles_saved += retired0[l * ops + j].adaptive_cycles_saved;
     }
     for (std::size_t m = 0; m < plan.active; ++m) {
-      const std::vector<macro::TraceEntry>& trace = plan.macros[m].trace;
-      for (std::size_t e = j; e < trace.size(); e += ops) s.energy += trace[e].op_energy;
+      const std::vector<macro::Extract>& retired = plan.macros[m].extract;
+      for (std::size_t e = j; e < retired.size(); e += ops) s.energy += retired[e].op_energy;
     }
     s.elapsed_time = cycles_to_time(s.elapsed_cycles);
     // Per-instruction conservation splits each MULT's Table 1 cost three

@@ -7,11 +7,13 @@
 // ExecPlan: per active macro, the operand rows to stage, the
 // macro::VerifiedPrograms to run (cached single-instruction programs from
 // macro::OpCompiler, or one fused program from macro::FusionCompiler) and
-// the output positions each instruction's values go to. execute() resets
-// the memory ledger and, per macro on the thread pool, stages and runs one
-// MacroController, which extracts each instruction's values as it retires.
-// The entry points keep only their plan building and their accounting;
-// RunStats come from the memory ledger, the one runtime account. The engine
+// one retire record (macro::Extract) per instruction, naming where its
+// values go. execute() resets the memory ledger and, per macro on the
+// thread pool, stages and runs one MacroController, which writes each
+// instruction's values and its ledger entry through its record as it
+// retires. The entry points keep only their plan building and their
+// accounting; RunStats come from the memory ledger, the one runtime
+// account, split per op from the records' ledger entries. The engine
 // never calls the macro row-op datapath directly (a CI grep gate enforces
 // this).
 //
@@ -185,14 +187,14 @@ class ExecutionEngine : public Executor {
     OperandLayout layout;
     std::span<const std::uint64_t> values;
   };
-  /// One macro's share of a dispatch; `trace` (recorded only when
-  /// execute() is asked to) and `adaptive` are outputs. `extract` holds one
-  /// entry per instruction of `programs`, in order.
+  /// One macro's share of a dispatch. `extract` holds one retire record
+  /// per instruction of `programs`, in order: the plan fills in where each
+  /// instruction's values go, execute() its ledger entry. `adaptive` is an
+  /// output.
   struct MacroPlan {
     std::vector<StageRow> stage;
     std::vector<const macro::VerifiedProgram*> programs;
     std::vector<macro::Extract> extract;
-    std::vector<macro::TraceEntry> trace;
     std::uint64_t adaptive = 0;  ///< adaptive cycles its controller reported
   };
   /// What one dispatch does on macros [0, active). Engine-owned scratch:
@@ -205,11 +207,11 @@ class ExecutionEngine : public Executor {
   /// Clear the scratch plan for a dispatch over `active` macros.
   ExecPlan& begin_plan(std::size_t active);
   /// The dispatch core: reset the memory ledger, then per active macro (on
-  /// the pool) stage, run on the chained datapath and extract, recording
-  /// each macro's trace when `trace` is set (run_forward's per-op
-  /// accounting reads it; single-op dispatch reads none). Returns the
-  /// lock-step cycles the adaptive policy took off the makespan.
-  std::uint64_t execute(ExecPlan& plan, bool trace);
+  /// the pool) stage, run on the chained datapath and retire every
+  /// instruction into its record (values and ledger entry; run_forward's
+  /// per-op accounting reads the entries). Returns the lock-step cycles
+  /// the adaptive policy took off the makespan.
+  std::uint64_t execute(ExecPlan& plan);
 
   /// Execute one validated op of a batch.
   OpResult run_one(const VecOp& op);

@@ -113,6 +113,30 @@ constexpr std::array<ProductPass, 5> kProductPass = {&product_pass<2>, &product_
                                                      &product_pass<8>, &product_pass<16>,
                                                      &product_pass<32>};
 
+/// Bulk product extraction at precision N: out[i] = the 2N-bit unit i of
+/// `row`. Whole storage words first, then the partial last one; templated
+/// on N so the per-word unit loop unrolls over constant shifts.
+template <unsigned N>
+void product_extract(const BitVector& row, std::span<std::uint64_t> out) {
+  constexpr unsigned kUnitBits = 2 * N;
+  constexpr std::size_t kPerWord = 64 / kUnitBits;
+  constexpr std::uint64_t kFill = unit_masks_of(N).field_fill;
+  std::size_t i = 0;
+  for (std::size_t w = 0; i + kPerWord <= out.size(); ++w, i += kPerWord) {
+    const std::uint64_t word = row.word(w);
+    for (std::size_t u = 0; u < kPerWord; ++u)
+      out[i + u] = unit_field(word, static_cast<unsigned>(u * kUnitBits), kFill);
+  }
+  if (i == out.size()) return;
+  const std::uint64_t word = row.word(i / kPerWord);
+  for (unsigned s = 0; i < out.size(); ++i, s += kUnitBits) out[i] = unit_field(word, s, kFill);
+}
+
+using ProductExtract = void (*)(const BitVector&, std::span<std::uint64_t>);
+constexpr std::array<ProductExtract, 5> kProductExtract = {
+    &product_extract<2>, &product_extract<4>, &product_extract<8>, &product_extract<16>,
+    &product_extract<32>};
+
 }  // namespace
 
 DisturbModel DisturbModel::for_scheme(WlScheme scheme) {
@@ -252,14 +276,7 @@ void ImcMacro::peek_mult_products(const BitVector& row, unsigned bits,
                                   std::span<std::uint64_t> out) const {
   BPIM_REQUIRE(out.size() <= mult_units_per_row(bits), "unit range out of range");
   BPIM_REQUIRE(row.size() == cols(), "row width mismatch");
-  const unsigned unit_bits = 2 * bits;
-  const std::uint64_t fill = unit_masks(bits).field_fill;
-  std::size_t i = 0;
-  for (std::size_t w = 0; i < out.size(); ++w) {
-    const std::uint64_t word = row.word(w);
-    for (unsigned s = 0; s < 64 && i < out.size(); s += unit_bits)
-      out[i++] = unit_field(word, s, fill);
-  }
+  kProductExtract[static_cast<std::size_t>(std::countr_zero(bits)) - 1](row, out);
 }
 
 // ---- accounting helpers -----------------------------------------------------
@@ -487,13 +504,20 @@ MultPlan ImcMacro::execute_mult(const RowRef& a, const RowRef& b, unsigned bits,
 
   // Read the operands as the sequencer would: the multiplier FFs and the
   // staging read both see row b / row a *after* cycle 1 zero-initialises
-  // D2, and a d1-staged link multiplies D1 as it stands. Every write-back
-  // happens after the pass has read both rows, so aliasing is harmless.
+  // D2, and a d1-staged link multiplies D1 as it stands. The closed form
+  // writes its products straight into D2's storage; the pass reads word w
+  // of both operands before it writes word w, so an operand held in D2
+  // (masked to the zero-initialised row anyway) is read intact. The
+  // masked multiplicand goes to the stage_ latch, and reaches D1 only when
+  // the plan stages. Only the disturb replay, which rebuilds D2 cycle by
+  // cycle, leaves D2 alone here and takes the products into wb_.
+  const bool replay = cfg_.inject_disturb && disturb_.flip_probability > 0.0;
   const std::uint64_t mcand_keep = d1_staged ? ~0ull : (a == d2 ? 0 : low_halves);
   const std::uint64_t mplier_keep = b == d2 ? 0 : low_halves;
   const std::uint64_t effectual =
       kProductPass[static_cast<std::size_t>(std::countr_zero(bits)) - 1](
-          array_.row(d1_staged ? d1 : a), mcand_keep, array_.row(b), mplier_keep, stage_, wb_);
+          array_.row(d1_staged ? d1 : a), mcand_keep, array_.row(b), mplier_keep, stage_,
+          replay ? wb_ : array_.row_mut(d2));
 
   MultPlan plan = MultPlan::full(bits, d1_staged, link != MacLink::Head);
   const auto eff = static_cast<unsigned>(std::bit_width(effectual));
@@ -503,24 +527,23 @@ MultPlan ImcMacro::execute_mult(const RowRef& a, const RowRef& b, unsigned bits,
     plan.depth = 0;
   }
 
-  if (cfg_.inject_disturb && disturb_.flip_probability > 0.0) {
+  if (replay) {
     mult_loop(a, b, bits, plan);
     return plan;
   }
 
   // Closed form: the loop's charges as the plan's one priced fold (an op
-  // starts with nothing pending, so op_energy is that fold exactly), then
-  // D1/D2 written once. The leading iterations a narrowed or skipped plan
-  // drops are per-unit no-ops (a zero multiplier bit keeps the still-zero
-  // accumulator, whose shift is zero; a zero-multiplicand unit sees sum ==
-  // accumulator == 0 either way), so the pass's full-depth products are the
-  // plan's products.
+  // starts with nothing pending, so op_energy is that fold exactly), D2
+  // already holding the products and D1 written once when the plan stages.
+  // The leading iterations a narrowed or skipped plan drops are per-unit
+  // no-ops (a zero multiplier bit keeps the still-zero accumulator, whose
+  // shift is zero; a zero-multiplicand unit sees sum == accumulator == 0
+  // either way), so the pass's full-depth products are the plan's products.
   const MultPrices::Charge& priced = mult_prices_->charge(bits, plan);
   pending_energy_ += priced.energy;
   for (std::size_t c = 0; c < component_energy_.size(); ++c)
     component_energy_[c] += priced.by_component[c];
   if (plan.staging_cycles() > 0) store(d1, stage_);
-  array_.write_row(d2, wb_);
   finish_op(plan.cycles());
   return plan;
 }

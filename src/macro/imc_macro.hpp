@@ -17,8 +17,9 @@
 // sequence would (dummy-row traffic included), charges the energy ledger
 // with the same component prices, in the same order, as the sequence's
 // micro-actions, and advances the cycle counter per Table 1. MULT computes
-// its products in closed form and writes D1/D2 once, replaying the
-// add-shift cycles only when injected disturb can change D1/D2 between them.
+// its products in closed form straight into D2 and writes D1 once when its
+// plan stages, replaying the add-shift cycles only when injected disturb
+// can change D1/D2 between them.
 //
 // Execution contract: the compute entry points below are the *controller's*
 // surface. Everything above the macro layer (engine/serve/app) executes
@@ -170,8 +171,9 @@ class ImcMacro {
   [[nodiscard]] std::uint64_t peek_mult_product(const BitVector& row, std::size_t unit,
                                                 unsigned bits) const;
   /// Bulk extraction of the 2N-bit products: out[i] = product of unit i.
-  /// One range/precision validation for the whole span (the engine's
-  /// result-extraction path, mirroring poke_mult_operands).
+  /// One range/precision validation for the whole span, then a
+  /// per-precision pass with constant unit shifts (the controller's MULT
+  /// retire path, mirroring poke_mult_operands).
   void peek_mult_products(const BitVector& row, unsigned bits, std::span<std::uint64_t> out) const;
   [[nodiscard]] const array::SramArray& sram() const { return array_; }
 
@@ -221,11 +223,13 @@ class ImcMacro {
   ///
   /// Execution: the ledger is charged the plan's micro-actions (zero-init,
   /// FF load, staging, `depth` add-shift iterations) as the one fold
-  /// MultPrices holds for the plan, and D1/D2 are written once from the
-  /// closed-form products. Only under live
-  /// disturb injection (inject_disturb with a nonzero flip probability),
-  /// where flips change D1/D2 between iterations, is the loop replayed cycle
-  /// by cycle.
+  /// MultPrices holds for the plan. The planning pass writes the
+  /// closed-form products straight into D2 (any operand row, D2 included,
+  /// is read before it is overwritten), and D1 receives the masked
+  /// multiplicand only when the plan stages: a skipped or d1-staged MULT
+  /// leaves D1 untouched. Only under live disturb injection (inject_disturb
+  /// with a nonzero flip probability), where flips change D1/D2 between
+  /// iterations, is the loop replayed cycle by cycle.
   MultPlan execute_mult(const array::RowRef& a, const array::RowRef& b, unsigned bits,
                         const AdaptivePolicy& policy = {}, MacLink link = MacLink::Head);
 
@@ -281,11 +285,11 @@ class ImcMacro {
 
   // Peripheral latches, reused cycle to cycle so no cycle allocates (only
   // the result row an op returns may): SA outputs, FA-Logics outputs, the
-  // MULT multiplier FFs, the row a MULT cycle writes back (zero-init,
-  // masked multiplicand, next accumulator or closed-form products), and the
-  // masked multiplicand the closed form stages into D1. wb_ and stage_ are
-  // row-wide from construction; the closed form's product pass writes
-  // every word of both.
+  // MULT multiplier FFs, the row a replayed MULT cycle writes back
+  // (zero-init, masked multiplicand or next accumulator), and the masked
+  // multiplicand the closed form stages into D1. wb_ and stage_ are
+  // row-wide from construction; the product pass writes every word of
+  // stage_ and of its product target (D2, or wb_ under the replay).
   array::BlReadout sense_;
   periph::AddResult fa_;
   BitVector ff_;

@@ -127,14 +127,14 @@ std::string Program::dump() const {
 
 ProgramStats MacroController::run(const Program& p, std::vector<TraceEntry>* trace,
                                   bool fuse_mac_chains, const AdaptivePolicy& policy,
-                                  std::span<const Extract> extract) {
+                                  std::span<Extract> extract) {
   verify_program(p, macro_).require_ok(p);
   return execute(p, trace, fuse_mac_chains, policy, extract);
 }
 
 ProgramStats MacroController::run(const VerifiedProgram& p, std::vector<TraceEntry>* trace,
                                   bool fuse_mac_chains, const AdaptivePolicy& policy,
-                                  std::span<const Extract> extract) {
+                                  std::span<Extract> extract) {
   BPIM_REQUIRE(p.geometry() == macro_.config().geometry,
                "program was verified for a different array geometry");
   return execute(p, trace, fuse_mac_chains, policy, extract);
@@ -180,11 +180,18 @@ void extract_words(const BitVector& row, const Extract& x) {
     x.values[i] = row.extract_bits(i * x.bits, x.bits);
 }
 
+/// The ledger entry of a retiring instruction into its retire record.
+void retire(Extract& x, const ExecStats& es, unsigned adaptive) {
+  x.cycles = es.cycles;
+  x.adaptive_cycles_saved = adaptive;
+  x.op_energy = es.op_energy;
+}
+
 }  // namespace
 
 ProgramStats MacroController::execute(const Program& p, std::vector<TraceEntry>* trace,
                                       bool fuse_mac_chains, const AdaptivePolicy& policy,
-                                      std::span<const Extract> extract) {
+                                      std::span<Extract> extract) {
   BPIM_REQUIRE(extract.empty() || extract.size() == p.size(),
                "extract holds one entry per instruction, or none");
   // The macro ledger is the account: each instruction's cycles and energy
@@ -238,7 +245,10 @@ ProgramStats MacroController::execute(const Program& p, std::vector<TraceEntry>*
       // The products are read out of D2 where they lie; the row itself is
       // copied only for a trace that extracts nothing.
       const BitVector& d2 = macro_.sram().row(array::RowRef::dummy(ImcMacro::kDummyAccum));
-      if (!extract.empty()) macro_.peek_mult_products(d2, extract[k].bits, extract[k].values);
+      if (!extract.empty()) {
+        macro_.peek_mult_products(d2, extract[k].bits, extract[k].values);
+        retire(extract[k], es, adaptive);
+      }
       if (trace) record(*trace, i, es, extract.empty() ? d2 : BitVector{}, adaptive, plan);
     } else {
       BitVector result = row_op(macro_, i);
@@ -250,6 +260,7 @@ ProgramStats MacroController::execute(const Program& p, std::vector<TraceEntry>*
       energy += es.op_energy;
       if (!extract.empty()) {
         extract_words(result, extract[k]);
+        retire(extract[k], es, 0);
         result = {};
       }
       if (trace) record(*trace, i, es, std::move(result), 0, {});

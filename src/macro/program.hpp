@@ -76,8 +76,10 @@ class Program {
   std::vector<Instruction> instructions_;
 };
 
-/// Per-instruction execution record; cycles and energy are the macro
-/// ledger's entry for the instruction (ImcMacro::last_op()).
+/// Per-instruction execution record for direct controller users (tests,
+/// benches): the instruction, its result row and resolved plan beside the
+/// macro ledger's entry for it (ImcMacro::last_op()). The engine records
+/// none; it reads the ledger entry from its Extract retire records.
 struct TraceEntry {
   Instruction inst;
   unsigned cycles = 0;
@@ -93,12 +95,19 @@ struct TraceEntry {
   MultPlan plan{};
 };
 
-/// Where one instruction's values go as it retires: `values[i]` receives
-/// word i of its result row at `bits` -- for a MULT, the 2N-bit product of
-/// MULT unit i (N = `bits`, the MULT's precision).
+/// One instruction's retire record. The caller sets where its values go:
+/// `values[i]` receives word i of its result row at `bits` -- for a MULT,
+/// the 2N-bit product of MULT unit i (N = `bits`, the MULT's precision).
+/// As the instruction retires, the controller writes them there and fills
+/// in the macro ledger's entry for it (ImcMacro::last_op()) beside them.
 struct Extract {
   unsigned bits = 8;
   std::span<std::uint64_t> values;
+  // Written by the controller at retire:
+  unsigned cycles = 0;
+  /// Cycles the adaptive policy saved on this instruction (MULT only).
+  unsigned adaptive_cycles_saved = 0;
+  Joule op_energy{0.0};
 };
 
 /// Per-program account, summed from the macro ledger instruction by
@@ -139,9 +148,10 @@ class MacroController {
 
   /// Verifies `p` against the macro's geometry, then runs it; returns
   /// stats. If `trace` is non-null, appends one entry per instruction.
-  /// `extract` is empty or holds one Extract per instruction, in program
-  /// order: each instruction's values are then written out of its result
-  /// row as it retires, and its trace entry carries no row copy.
+  /// `extract` is empty or holds one retire record per instruction, in
+  /// program order: each instruction's values are then written out of its
+  /// result row as it retires, its ledger entry is written into the
+  /// record, and its trace entry carries no row copy.
   /// Rejected programs leave the macro untouched.
   ///
   /// With `fuse_mac_chains` set, back-to-back MULTs at one precision run on
@@ -160,14 +170,14 @@ class MacroController {
   /// per instruction.
   ProgramStats run(const Program& p, std::vector<TraceEntry>* trace = nullptr,
                    bool fuse_mac_chains = false, const AdaptivePolicy& policy = {},
-                   std::span<const Extract> extract = {});
+                   std::span<Extract> extract = {});
 
   /// Runs an already-verified program without verifying it again. Throws
   /// std::invalid_argument, leaving the macro untouched, when `p` was
   /// verified for a different array geometry.
   ProgramStats run(const VerifiedProgram& p, std::vector<TraceEntry>* trace = nullptr,
                    bool fuse_mac_chains = false, const AdaptivePolicy& policy = {},
-                   std::span<const Extract> extract = {});
+                   std::span<Extract> extract = {});
 
  private:
   /// The adaptive instruments of the running program, tallied per MULT and
@@ -185,7 +195,7 @@ class MacroController {
   };
 
   ProgramStats execute(const Program& p, std::vector<TraceEntry>* trace, bool fuse_mac_chains,
-                       const AdaptivePolicy& policy, std::span<const Extract> extract);
+                       const AdaptivePolicy& policy, std::span<Extract> extract);
 
   ImcMacro& macro_;
   AdaptiveTally tally_;

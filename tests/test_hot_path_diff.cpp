@@ -269,6 +269,93 @@ TEST(HotPathDiff, ChainLinksAndAdaptivePlansMatchReference) {
   EXPECT_GT(skipped, 0u);
 }
 
+TEST(HotPathDiff, MultOperandsAliasingScratchRowsMatchReference) {
+  // The closed form writes its products straight into D2 and stages D1
+  // only when its plan stages. An operand held in one of those rows must
+  // still read as the sequencer sees it: D2 as cycle 1 zero-initialised it
+  // (a D2 multiplicand or multiplier multiplies zero), D1 as it stands (a
+  // d1-staged multiplicand). Each case runs after a MULT that leaves
+  // nonzero products in D2 and a different masked multiplicand in D1, under
+  // every policy, against the per-bit oracle; a MULT that does not stage
+  // (skipped or d1-staged) must leave D1 bit for bit as it was.
+  const RowRef d1 = RowRef::dummy(macro::ImcMacro::kDummyOperand);
+  const RowRef d2 = RowRef::dummy(macro::ImcMacro::kDummyAccum);
+  const macro::AdaptivePolicy policies[] = {{}, {true, false}, {false, true}, {true, true}};
+  Rng rng(0xA11A5);
+  std::size_t skipped = 0, kept_d1 = 0;
+  for (const std::size_t cols : {96u, 128u, 320u}) {
+    for (const unsigned bits : {2u, 4u, 8u, 16u, 32u}) {
+      if (cols % (2 * bits) != 0) continue;
+      macro::ImcMacro m{geometry_cfg(cols)};
+      const auto masked = [&](const BitVector& row) {
+        BitVector out(cols);
+        for (std::size_t base = 0; base < cols; base += 2 * bits)
+          out.deposit_bits(base, bits, row.extract_bits(base, bits));
+        return out;
+      };
+      for (int rep = 0; rep < 4; ++rep) {
+        // Rows 0, 1, 3 hold random operands (garbage in the high halves);
+        // row 2 is an all-zero multiplicand.
+        BitVector row0(cols), row1(cols), row3(cols);
+        const BitVector zero(cols);
+        row0.randomize(rng);
+        row1.randomize(rng);
+        row3.randomize(rng);
+        m.poke_row(0, row0);
+        m.poke_row(1, row1);
+        m.poke_row(2, zero);
+        m.poke_row(3, row3);
+        const BitVector primed_d1 = masked(row3);
+        struct Case {
+          const char* name;
+          RowRef a, b;
+          macro::MacLink link;
+          const BitVector& mcand;   // the multiplicand as the sequencer reads it
+          const BitVector& mplier;  // the multiplier as the FFs load it
+        };
+        const Case cases[] = {
+            {"multiplicand D2", d2, RowRef::main(1), macro::MacLink::Head, zero, row1},
+            {"multiplier D2", RowRef::main(0), d2, macro::MacLink::Head, row0, zero},
+            {"both D2", d2, d2, macro::MacLink::Pipelined, zero, zero},
+            {"d1-staged multiplicand D1", d1, RowRef::main(1), macro::MacLink::D1Staged,
+             primed_d1, row1},
+            {"d1-staged D1 x D2", d1, d2, macro::MacLink::D1Staged, primed_d1, zero},
+            {"restaged multiplicand D1", d1, RowRef::main(1), macro::MacLink::Pipelined,
+             primed_d1, row1},
+            {"zero multiplicand", RowRef::main(2), RowRef::main(1), macro::MacLink::Head, zero,
+             row1},
+        };
+        for (const macro::AdaptivePolicy policy : policies) {
+          for (const Case& c : cases) {
+            const std::string what = std::string(c.name) + " cols=" + std::to_string(cols) +
+                                     " bits=" + std::to_string(bits) +
+                                     " rep=" + std::to_string(rep) +
+                                     " narrow=" + std::to_string(policy.narrow_precision) +
+                                     " skip=" + std::to_string(policy.skip_zero);
+            // Prime: D1 <- masked row 3, D2 <- row 3 x row 1.
+            (void)m.execute_mult(RowRef::main(3), RowRef::main(1), bits);
+            ASSERT_EQ(m.sram().row(d1), primed_d1) << what;
+            ASSERT_EQ(m.sram().row(d2), naive_mult_datapath(row3, row1, bits)) << what;
+            const macro::MultPlan plan = m.execute_mult(c.a, c.b, bits, policy, c.link);
+            EXPECT_EQ(m.sram().row(d2), naive_mult_datapath(c.mcand, c.mplier, bits)) << what;
+            const bool stages = plan.staging_cycles() > 0;
+            EXPECT_EQ(m.sram().row(d1), stages ? masked(c.mcand) : primed_d1) << what;
+            EXPECT_EQ(plan.skip,
+                      policy.skip_zero && host_effectual_depth(c.mcand, c.mplier, bits) == 0)
+                << what;
+            EXPECT_EQ(plan.d1_staged, c.link == macro::MacLink::D1Staged) << what;
+            EXPECT_EQ(m.last_op().cycles, plan.cycles()) << what;
+            skipped += plan.skip ? 1 : 0;
+            kept_d1 += stages ? 0 : 1;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(skipped, 0u);
+  EXPECT_GT(kept_d1, skipped);  // d1-staged links keep D1 too
+}
+
 TEST(HotPathDiff, FusedAdaptiveProgramsPriceEveryTraceEntry) {
   // Random fused, policy-on programs through the controller: MAC chains
   // over a shared multiplicand (pipelined and d1-staged links), broken by

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "macro/program.hpp"
 #include "macro/verifier.hpp"
 #include "obs/metrics.hpp"
@@ -125,6 +127,60 @@ TEST(Controller, ProgramCyclesHistogramSeesEveryProgram) {
   const obs::HistogramSnapshot after = h.snapshot();
   EXPECT_EQ(after.count - before.count, 3u);
   EXPECT_DOUBLE_EQ(after.sum - before.sum, 2 * 10.0 + 1.0);
+}
+
+TEST(Controller, AdaptiveInstrumentsMatchTracedPlans) {
+  // engine.adaptive.* count every MULT run under an enabled policy, exactly
+  // as the traced plans resolved it: skipped MULTs, cycles saved and one
+  // narrowed_depth observation per executed depth. MULTs run with the
+  // policy off add nothing.
+  obs::MetricsRegistry& r = obs::MetricsRegistry::global();
+  obs::Counter& mults = r.counter("engine.adaptive.mults");
+  obs::Counter& skipped = r.counter("engine.adaptive.skipped");
+  obs::Counter& saved = r.counter("engine.adaptive.cycles_saved");
+  obs::Histogram& depth = r.histogram("engine.adaptive.narrowed_depth");
+  const auto upper_of = [](std::uint64_t v) {
+    return obs::HistogramBuckets::upper_bound(obs::HistogramBuckets::index_of(v));
+  };
+  const auto bucket_count = [](const obs::HistogramSnapshot& s, std::uint64_t upper) {
+    for (const auto& b : s.buckets)
+      if (b.upper == upper) return b.count;
+    return std::uint64_t{0};
+  };
+  ImcMacro m{MacroConfig{}};
+  m.poke_mult_operand(0, 0, 8, 3);    // narrow multiplicand
+  m.poke_mult_operand(1, 0, 8, 5);    // narrow multiplier
+  m.poke_mult_operand(3, 0, 8, 255);  // dense
+  m.poke_mult_operand(4, 0, 8, 201);  // dense
+  Program p;  // row 2 is all zero: its MULTs skip
+  p.mult(RowRef::main(0), RowRef::main(1), 8)
+      .mult(RowRef::main(0), RowRef::main(2), 8)
+      .mult(RowRef::main(3), RowRef::main(4), 8)
+      .mult(RowRef::main(2), RowRef::main(1), 8);
+  const std::uint64_t mults0 = mults.value(), skipped0 = skipped.value(), saved0 = saved.value();
+  const obs::HistogramSnapshot depth0 = depth.snapshot();
+  std::vector<TraceEntry> trace;
+  MacroController ctl(m);
+  ctl.run(p, &trace, /*fuse_mac_chains=*/false, AdaptivePolicy{true, true});
+  ctl.run(p, &trace, /*fuse_mac_chains=*/true, AdaptivePolicy{true, true});
+  ctl.run(p);  // policy off: not an adaptive MULT
+  ASSERT_EQ(trace.size(), 2 * p.size());
+  std::uint64_t want_skipped = 0, want_saved = 0;
+  std::map<std::uint64_t, std::uint64_t> want_depth;  // bucket upper -> count
+  for (const TraceEntry& e : trace) {
+    want_skipped += e.plan.skip ? 1 : 0;
+    want_saved += e.adaptive_cycles_saved;
+    ++want_depth[upper_of(e.plan.depth)];
+  }
+  ASSERT_GT(want_skipped, 0u);
+  ASSERT_GT(want_saved, 0u);
+  EXPECT_EQ(mults.value() - mults0, trace.size());
+  EXPECT_EQ(skipped.value() - skipped0, want_skipped);
+  EXPECT_EQ(saved.value() - saved0, want_saved);
+  const obs::HistogramSnapshot depth1 = depth.snapshot();
+  EXPECT_EQ(depth1.count - depth0.count, trace.size());
+  for (const auto& [upper, n] : want_depth)
+    EXPECT_EQ(bucket_count(depth1, upper) - bucket_count(depth0, upper), n) << "bucket " << upper;
 }
 
 TEST(Controller, InstructionToStringReadable) {
