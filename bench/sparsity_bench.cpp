@@ -85,6 +85,10 @@ SweepPoint run_point(unsigned bits, int sparsity_pct, std::size_t ops) {
   const macro::VerifiedProgram prog =
       macro::VerifiedProgram::verify(std::move(mult), dense_m.config().geometry);
 
+  // Each run retires every product of the row into its own vector.
+  std::vector<std::uint64_t> dense_products(units), adapt_products(units);
+  macro::Extract dense_rec{.bits = bits, .values = dense_products};
+  macro::Extract adapt_rec{.bits = bits, .values = adapt_products};
   std::uint64_t dense_cycles = 0, adapt_cycles = 0;
   const double sparsity = static_cast<double>(sparsity_pct) / 100.0;
   for (std::size_t op = 0; op < ops; ++op) {
@@ -98,10 +102,9 @@ SweepPoint run_point(unsigned bits, int sparsity_pct, std::size_t ops) {
         m->poke_mult_operand(1, u, bits, x);
       }
     }
-    std::vector<macro::TraceEntry> dt, at;
-    const macro::ProgramStats ds = dense_ctl.run(prog, &dt);
-    const macro::ProgramStats as = adapt_ctl.run(prog, &at, false, policy);
-    if (at.back().result != dt.back().result) {
+    const macro::ProgramStats ds = dense_ctl.run(prog, {}, {&dense_rec, 1});
+    const macro::ProgramStats as = adapt_ctl.run(prog, policy, {&adapt_rec, 1});
+    if (adapt_products != dense_products) {
       std::cerr << "FATAL: adaptive result diverged from dense (bits=" << bits
                 << " sparsity=" << sparsity_pct << "%)\n";
       std::exit(1);

@@ -209,9 +209,8 @@ std::uint64_t ExecutionEngine::execute(ExecPlan& plan) {
   // Macro m owns its chunks outright (own rows, RNG stream and ledger), so
   // any thread count gives bit-identical results. The memory ledger is the
   // dispatch's account; each worker only keeps the adaptive savings its
-  // controller reports. The chained-MAC discount applies only between
-  // back-to-back MULTs inside one program, so it leaves single-instruction
-  // programs alone.
+  // controller reports. The controller chains back-to-back MULTs inside one
+  // program only, so single-instruction programs run unchained.
   const macro::AdaptivePolicy pol = adaptive_policy();
   pool_.parallel_for(plan.active, [&](std::size_t m) {
     auto& mac = mem_.macro(m);
@@ -221,8 +220,7 @@ std::uint64_t ExecutionEngine::execute(ExecPlan& plan) {
     mp.adaptive = 0;
     std::span<macro::Extract> extract(mp.extract);
     for (const macro::VerifiedProgram* p : mp.programs) {
-      mp.adaptive += ctl.run(*p, nullptr, /*fuse_mac_chains=*/true, pol, extract.first(p->size()))
-                         .adaptive_cycles_saved;
+      mp.adaptive += ctl.run(*p, pol, extract.first(p->size())).adaptive_cycles_saved;
       extract = extract.subspan(p->size());
     }
   });
@@ -509,15 +507,18 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
     plan.macros[m].programs.push_back(&ff.programs[rem != 0 && m >= rem ? 1 : 0].program());
   const std::uint64_t adaptive = execute(plan);
 
-  // Per-op accounting from the retire records: cycles from macro 0 (the
-  // max-layer macro; instruction costs match across macros, so its walk is
-  // the lock-step critical path and the per-op shares sum to
-  // mem_.elapsed_cycles()); energy merged in fixed macro-then-layer order.
-  // Load: the activation bills to op 0, a weight materialized this call to
-  // its own op; the baseline is 2 row writes per layer per op.
+  // Per-op accounting from the retire records: cycles from the makespan
+  // macro (the largest ledger total, lowest index on a tie; under the
+  // adaptive policy it need not hold the most layers), so the per-op shares
+  // sum to mem_.elapsed_cycles(); energy merged in fixed macro-then-layer
+  // order. Load: the activation bills to op 0, a weight materialized this
+  // call to its own op; the baseline is 2 row writes per layer per op.
   const std::uint64_t table_mult = macro::op_cycles(macro::Op::Mult, fl.bits);
-  const std::vector<macro::Extract>& retired0 = plan.macros[0].extract;
-  const std::size_t layers0 = retired0.size() / ops;
+  std::size_t critical = 0;
+  for (std::size_t m = 1; m < plan.active; ++m)
+    if (mem_.macro(m).total_cycles() > mem_.macro(critical).total_cycles()) critical = m;
+  const std::vector<macro::Extract>& retired_c = plan.macros[critical].extract;
+  const std::size_t layers_c = retired_c.size() / ops;
   std::uint64_t load_total = 0;
   std::uint64_t saved_total = 0;
   std::uint64_t fused_saved_total = 0;
@@ -525,9 +526,9 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
     RunStats& s = results[j].stats;
     s.elements = fl.elements;
     s.instructions = fl.chunks;  // one MULT per chunk
-    for (std::size_t l = 0; l < layers0; ++l) {
-      s.elapsed_cycles += retired0[l * ops + j].cycles;
-      s.adaptive_cycles_saved += retired0[l * ops + j].adaptive_cycles_saved;
+    for (std::size_t l = 0; l < layers_c; ++l) {
+      s.elapsed_cycles += retired_c[l * ops + j].cycles;
+      s.adaptive_cycles_saved += retired_c[l * ops + j].adaptive_cycles_saved;
     }
     for (std::size_t m = 0; m < plan.active; ++m) {
       const std::vector<macro::Extract>& retired = plan.macros[m].extract;
@@ -536,7 +537,7 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
     s.elapsed_time = cycles_to_time(s.elapsed_cycles);
     // Per-instruction conservation splits each MULT's Table 1 cost three
     // ways exactly: executed + fused discount + adaptive discount.
-    s.fused_cycles_saved = table_mult * layers0 - s.elapsed_cycles - s.adaptive_cycles_saved;
+    s.fused_cycles_saved = table_mult * layers_c - s.elapsed_cycles - s.adaptive_cycles_saved;
     fused_saved_total += s.fused_cycles_saved;
     s.load_cycles = (j == 0 ? fl.layers : 0) + (fl.loaded[j] ? fl.layers : 0);
     load_total += s.load_cycles;

@@ -166,7 +166,9 @@ class ExecutionEngine : public Executor {
   /// changes nothing). Falls back
   /// to run_batch() only when the shape cannot fit: (weights + 1) x L row
   /// pairs exceed row_pair_capacity(). Results are in `weights` order;
-  /// last_batch() covers the whole forward.
+  /// last_batch() covers the whole forward. An op's cycles are its share of
+  /// the makespan macro's retire records, so the ops' elapsed cycles sum to
+  /// last_batch().compute_cycles.
   [[nodiscard]] std::vector<OpResult> run_forward(
       std::span<const ResidentOperand> weights,
       std::span<const std::uint64_t> activation) override;

@@ -12,7 +12,7 @@
 // datapath (FF load overlapped, D1 staging skipped) -- where the fused cycle
 // win comes from. Every weight's rows are relative to a base pair the caller
 // rebinds per call (RelocatableForward), so a weight that moved costs no
-// compile. CostModel::program_cost(p, /*fuse_mac_chains=*/true) prices it.
+// compile. CostModel::program_cost(p) prices it as the controller runs it.
 //
 // A MULT writes only the D1/D2 scratch rows, so emitted programs read
 // pinned weight rows in place and never write a main row. Both compilers

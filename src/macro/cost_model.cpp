@@ -137,11 +137,11 @@ InstructionCost CostModel::mult_cost(unsigned bits, const MultPlan& plan) const 
   return c;
 }
 
-ProgramStats CostModel::program_cost(const Program& p, bool fuse_mac_chains) const {
+ProgramStats CostModel::program_cost(const Program& p) const {
   ProgramStats stats;
   const Instruction* prev = nullptr;
   for (const Instruction& i : p.instructions()) {
-    const InstructionCost c = instruction_cost(i, fuse_mac_chains ? prev : nullptr);
+    const InstructionCost c = instruction_cost(i, prev);
     ++stats.instructions;
     stats.cycles += c.cycles;
     const unsigned table_cycles = op_cycles(i.op, i.bits);

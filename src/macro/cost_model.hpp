@@ -14,11 +14,11 @@
 // conservation law (priced == executed) on every instruction: cycles
 // exactly, energy bitwise.
 //
-// Chained-MAC pricing: pass the predecessor instruction to instruction_cost
-// (or set fuse_mac_chains on program_cost) and back-to-back MULTs at one
-// precision get the pipelined FF-load discount (-1 cycle); a repeated
-// multiplicand row additionally skips the D1 staging cycle and its energy
-// (-1 cycle more) -- the same discounts MacroController::run applies.
+// Chained-MAC pricing: program_cost always prices the chained datapath the
+// controller always runs -- back-to-back MULTs at one precision get the
+// pipelined FF-load discount (-1 cycle), and a repeated multiplicand row
+// additionally skips the D1 staging cycle and its energy (-1 cycle more).
+// instruction_cost applies the same discounts when handed the predecessor.
 
 #include <cstdint>
 
@@ -39,9 +39,9 @@ class CostModel {
   explicit CostModel(const MacroConfig& cfg);
 
   /// Price one instruction. `prev` (may be null) is the immediately
-  /// preceding instruction *on the chained datapath*: pass it only when the
-  /// executing controller runs with fuse_mac_chains, so the MULT discounts
-  /// here match the execution path cycle for cycle.
+  /// preceding instruction of the program: a MULT after a MULT at its
+  /// precision is priced as the chained link the controller runs it as.
+  /// Null prices the instruction as a program's first.
   [[nodiscard]] InstructionCost instruction_cost(const Instruction& inst,
                                                  const Instruction* prev = nullptr) const;
 
@@ -54,11 +54,11 @@ class CostModel {
   [[nodiscard]] InstructionCost instruction_cost(const Instruction& inst,
                                                  const MultPlan& plan) const;
 
-  /// Price a whole program, accumulating in instruction order (the same
-  /// left-fold the execution ledger performs). With `fuse_mac_chains`, MULT
-  /// chains are priced on the chained datapath and the discount lands in
-  /// fused_cycles_saved, exactly as MacroController::run books it.
-  [[nodiscard]] ProgramStats program_cost(const Program& p, bool fuse_mac_chains = false) const;
+  /// Price a whole program with the adaptive policy off, accumulating in
+  /// instruction order (the same left-fold the execution ledger performs).
+  /// MULT chains are priced on the chained datapath and the discount lands
+  /// in fused_cycles_saved, exactly as MacroController::run books it.
+  [[nodiscard]] ProgramStats program_cost(const Program& p) const;
 
   /// Cycle time under the config's WL scheme and separator mode -- the same
   /// tick ImcMacro::cycle_time() reports (shared scheme_cycle_time helper).

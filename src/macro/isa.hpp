@@ -80,7 +80,7 @@ enum class MacLink { Head, Pipelined, D1Staged };
 /// Resolved execution plan of one MULT: how many add-shift iterations run
 /// and which setup cycles are elided. Resolved by ImcMacro::execute_mult
 /// from the operand data + policy in the same pass that executes it and
-/// returned to the controller, which books the savings split and traces the
+/// returned to the controller, which books the savings split and retires the
 /// plan for CostModel to price -- so priced == executed cycles holds by
 /// construction and the split
 ///   op_cycles(MULT, bits) == cycles() + fused_cycles_saved()

@@ -125,19 +125,17 @@ std::string Program::dump() const {
   return os.str();
 }
 
-ProgramStats MacroController::run(const Program& p, std::vector<TraceEntry>* trace,
-                                  bool fuse_mac_chains, const AdaptivePolicy& policy,
-                                  std::span<Extract> extract) {
+ProgramStats MacroController::run(const Program& p, const AdaptivePolicy& policy,
+                                  std::span<Extract> records) {
   verify_program(p, macro_).require_ok(p);
-  return execute(p, trace, fuse_mac_chains, policy, extract);
+  return execute(p, policy, records);
 }
 
-ProgramStats MacroController::run(const VerifiedProgram& p, std::vector<TraceEntry>* trace,
-                                  bool fuse_mac_chains, const AdaptivePolicy& policy,
-                                  std::span<Extract> extract) {
+ProgramStats MacroController::run(const VerifiedProgram& p, const AdaptivePolicy& policy,
+                                  std::span<Extract> records) {
   BPIM_REQUIRE(p.geometry() == macro_.config().geometry,
                "program was verified for a different array geometry");
-  return execute(p, trace, fuse_mac_chains, policy, extract);
+  return execute(p, policy, records);
 }
 
 namespace {
@@ -169,31 +167,28 @@ BitVector row_op(ImcMacro& m, const Instruction& i) {
   return {};
 }
 
-void record(std::vector<TraceEntry>& trace, const Instruction& i, const ExecStats& es,
-            BitVector result, unsigned adaptive, const MultPlan& plan) {
-  trace.push_back(TraceEntry{i, es.cycles, es.op_energy, std::move(result), adaptive, plan});
-}
-
 /// Words [0, x.values.size()) of `row` at x.bits into x.values.
 void extract_words(const BitVector& row, const Extract& x) {
+  BPIM_REQUIRE(x.bits >= 1 && x.bits <= 64 && x.values.size() * x.bits <= row.size(),
+               "retire record reaches past its result row");
   for (std::size_t i = 0; i < x.values.size(); ++i)
     x.values[i] = row.extract_bits(i * x.bits, x.bits);
 }
 
 /// The ledger entry of a retiring instruction into its retire record.
-void retire(Extract& x, const ExecStats& es, unsigned adaptive) {
+void retire(Extract& x, const ExecStats& es, unsigned adaptive, const MultPlan& plan) {
   x.cycles = es.cycles;
   x.adaptive_cycles_saved = adaptive;
   x.op_energy = es.op_energy;
+  x.plan = plan;
 }
 
 }  // namespace
 
-ProgramStats MacroController::execute(const Program& p, std::vector<TraceEntry>* trace,
-                                      bool fuse_mac_chains, const AdaptivePolicy& policy,
-                                      std::span<Extract> extract) {
-  BPIM_REQUIRE(extract.empty() || extract.size() == p.size(),
-               "extract holds one entry per instruction, or none");
+ProgramStats MacroController::execute(const Program& p, const AdaptivePolicy& policy,
+                                      std::span<Extract> records) {
+  BPIM_REQUIRE(records.empty() || records.size() == p.size(),
+               "records hold one entry per instruction, or none");
   // The macro ledger is the account: each instruction's cycles and energy
   // are read back from last_op(). CostModel prices the same stream
   // statically, and the conservation tests hold the two equal. The sums
@@ -225,7 +220,7 @@ ProgramStats MacroController::execute(const Program& p, std::vector<TraceEntry>*
       // drops out as well. The macro resolves the adaptive plan against the
       // operand data as it executes; the plan it returns drives the split.
       MacLink link = MacLink::Head;
-      if (fuse_mac_chains && prev_mult_bits == i.bits)
+      if (prev_mult_bits == i.bits)
         link = staged != nullptr && staged->a == i.a && staged->bits == i.bits
                    ? MacLink::D1Staged
                    : MacLink::Pipelined;
@@ -242,28 +237,25 @@ ProgramStats MacroController::execute(const Program& p, std::vector<TraceEntry>*
       if (plan.staging_cycles() > 0) staged = &i;
       prev_mult_bits = i.bits;
       if (adaptive_on) tally_.add(plan);
-      // The products are read out of D2 where they lie; the row itself is
-      // copied only for a trace that extracts nothing.
-      const BitVector& d2 = macro_.sram().row(array::RowRef::dummy(ImcMacro::kDummyAccum));
-      if (!extract.empty()) {
-        macro_.peek_mult_products(d2, extract[k].bits, extract[k].values);
-        retire(extract[k], es, adaptive);
+      // The products are read out of D2 where they lie.
+      if (!records.empty()) {
+        macro_.peek_mult_products(
+            macro_.sram().row(array::RowRef::dummy(ImcMacro::kDummyAccum)), records[k].bits,
+            records[k].values);
+        retire(records[k], es, adaptive, plan);
       }
-      if (trace) record(*trace, i, es, extract.empty() ? d2 : BitVector{}, adaptive, plan);
     } else {
-      BitVector result = row_op(macro_, i);
+      const BitVector result = row_op(macro_, i);
       if (i.op == Op::Sub || (i.dest && *i.dest == d1_row))
         staged = nullptr;  // D1 clobbered (SUB stages ~b there; dest hit it)
       prev_mult_bits = 0;
       const ExecStats es = macro_.last_op();
       cycles += es.cycles;
       energy += es.op_energy;
-      if (!extract.empty()) {
-        extract_words(result, extract[k]);
-        retire(extract[k], es, 0);
-        result = {};
+      if (!records.empty()) {
+        extract_words(result, records[k]);
+        retire(records[k], es, 0, {});
       }
-      if (trace) record(*trace, i, es, std::move(result), 0, {});
     }
   }
   const ProgramStats stats{p.size(), cycles, fused_saved, adaptive_saved, energy,

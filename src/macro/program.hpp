@@ -3,10 +3,13 @@
 // the "Ctrl." block in the paper's Fig 3.
 //
 // A Program is a validated list of instructions (op, operand rows, precision,
-// destination); the MacroController executes it on an ImcMacro, accumulating
-// per-program cycle/energy statistics and recording an optional trace. This
-// is how a host integrates the macro: build row-level programs, run them,
-// read results -- without touching the per-op C++ API directly.
+// destination); the MacroController issues each one once on an ImcMacro, in
+// one mode: back-to-back MULTs at one precision always run on the chained
+// datapath. It returns per-program cycle/energy statistics and, on request,
+// one retire record per instruction (Extract: the instruction's values and
+// its ledger entry). This is how a host integrates the macro: build
+// row-level programs, run them, read results -- without touching the per-op
+// C++ API directly.
 
 #include <array>
 #include <cstdint>
@@ -76,30 +79,15 @@ class Program {
   std::vector<Instruction> instructions_;
 };
 
-/// Per-instruction execution record for direct controller users (tests,
-/// benches): the instruction, its result row and resolved plan beside the
-/// macro ledger's entry for it (ImcMacro::last_op()). The engine records
-/// none; it reads the ledger entry from its Extract retire records.
-struct TraceEntry {
-  Instruction inst;
-  unsigned cycles = 0;
-  Joule op_energy{0.0};
-  /// Row-wide result driven out (a MULT's: the product row D2). Empty when
-  /// the run extracted the instruction's values in place (Extract).
-  BitVector result;
-  /// Cycles the adaptive policy saved on this instruction (MULT narrowing/
-  /// skipping; 0 for other ops or when the policy is off).
-  unsigned adaptive_cycles_saved = 0;
-  /// The resolved plan a MULT executed under (default for other ops): what
-  /// CostModel::instruction_cost(inst, plan) prices to exactly this entry.
-  MultPlan plan{};
-};
-
-/// One instruction's retire record. The caller sets where its values go:
-/// `values[i]` receives word i of its result row at `bits` -- for a MULT,
-/// the 2N-bit product of MULT unit i (N = `bits`, the MULT's precision).
-/// As the instruction retires, the controller writes them there and fills
-/// in the macro ledger's entry for it (ImcMacro::last_op()) beside them.
+/// One instruction's retire record, the controller's only per-instruction
+/// output. The caller sets where its values go: `values[i]` receives word i
+/// of its result row at `bits` (1..64 bits, every word inside the row) --
+/// for a MULT, the 2N-bit product of MULT unit i (N = `bits`, the MULT's
+/// precision). Values sized to the row capture the whole row; empty values
+/// capture none; a record reaching past the row throws when it retires. As
+/// the instruction retires, the controller writes them there and fills in
+/// the macro ledger's entry for it (ImcMacro::last_op()) and the plan it
+/// executed under beside them.
 struct Extract {
   unsigned bits = 8;
   std::span<std::uint64_t> values;
@@ -108,6 +96,9 @@ struct Extract {
   /// Cycles the adaptive policy saved on this instruction (MULT only).
   unsigned adaptive_cycles_saved = 0;
   Joule op_energy{0.0};
+  /// The resolved plan a MULT executed under (default for other ops): what
+  /// CostModel::instruction_cost(inst, plan) prices to exactly this record.
+  MultPlan plan{};
 };
 
 /// Per-program account, summed from the macro ledger instruction by
@@ -116,8 +107,8 @@ struct Extract {
 struct ProgramStats {
   std::uint64_t instructions = 0;
   std::uint64_t cycles = 0;
-  /// Cycles the chained-MAC execution path saved vs Table 1's per-op cost
-  /// (0 unless run() was asked to fuse). `cycles` is already net of this.
+  /// Cycles the chained-MAC links saved vs Table 1's per-op cost (0 unless
+  /// the program has back-to-back MULTs). `cycles` is already net of this.
   std::uint64_t fused_cycles_saved = 0;
   /// Cycles the adaptive policy saved (MULT iteration narrowing + zero
   /// skipping; 0 unless run() was given an enabled AdaptivePolicy).
@@ -147,19 +138,18 @@ class MacroController {
   explicit MacroController(ImcMacro& m, VerifyMode = VerifyMode::VerifyFirst) : macro_(m) {}
 
   /// Verifies `p` against the macro's geometry, then runs it; returns
-  /// stats. If `trace` is non-null, appends one entry per instruction.
-  /// `extract` is empty or holds one retire record per instruction, in
-  /// program order: each instruction's values are then written out of its
-  /// result row as it retires, its ledger entry is written into the
-  /// record, and its trace entry carries no row copy.
-  /// Rejected programs leave the macro untouched.
+  /// stats. Rejected programs leave the macro untouched.
   ///
-  /// With `fuse_mac_chains` set, back-to-back MULTs at one precision run on
-  /// the chained datapath: the FF load of cycle 1 overlaps the predecessor's
-  /// final D2 write-back (-1 cycle), and when the multiplier row repeats the
-  /// D1 staging cycle is skipped too (-1 more). Results are bit-identical;
-  /// only the cycle/energy account changes (fused_cycles_saved reports the
-  /// discount).
+  /// `records` is empty or holds one retire record per instruction, in
+  /// program order: each instruction's values are written out of its result
+  /// row as it retires, beside its ledger entry and MULT plan.
+  ///
+  /// Back-to-back MULTs at one precision run on the chained datapath: the
+  /// FF load of cycle 1 overlaps the predecessor's final D2 write-back
+  /// (-1 cycle, a Pipelined link), and when D1 still holds this MULT's
+  /// masked multiplicand the staging cycle is skipped too (-1 more, a
+  /// D1Staged link). Results are bit-identical to unchained MULTs; only the
+  /// cycle/energy account changes (fused_cycles_saved reports the discount).
   ///
   /// With an enabled `policy`, every MULT is resolved against its operand
   /// data as it executes (ImcMacro::execute_mult): the add-shift loop runs
@@ -168,16 +158,14 @@ class MacroController {
   /// (skip_zero). Outputs stay bit-identical; the saved cycles land in
   /// adaptive_cycles_saved with static == cycles + fused + adaptive asserted
   /// per instruction.
-  ProgramStats run(const Program& p, std::vector<TraceEntry>* trace = nullptr,
-                   bool fuse_mac_chains = false, const AdaptivePolicy& policy = {},
-                   std::span<Extract> extract = {});
+  ProgramStats run(const Program& p, const AdaptivePolicy& policy = {},
+                   std::span<Extract> records = {});
 
   /// Runs an already-verified program without verifying it again. Throws
   /// std::invalid_argument, leaving the macro untouched, when `p` was
   /// verified for a different array geometry.
-  ProgramStats run(const VerifiedProgram& p, std::vector<TraceEntry>* trace = nullptr,
-                   bool fuse_mac_chains = false, const AdaptivePolicy& policy = {},
-                   std::span<Extract> extract = {});
+  ProgramStats run(const VerifiedProgram& p, const AdaptivePolicy& policy = {},
+                   std::span<Extract> records = {});
 
  private:
   /// The adaptive instruments of the running program, tallied per MULT and
@@ -194,8 +182,8 @@ class MacroController {
     }
   };
 
-  ProgramStats execute(const Program& p, std::vector<TraceEntry>* trace, bool fuse_mac_chains,
-                       const AdaptivePolicy& policy, std::span<Extract> extract);
+  ProgramStats execute(const Program& p, const AdaptivePolicy& policy,
+                       std::span<Extract> records);
 
   ImcMacro& macro_;
   AdaptiveTally tally_;

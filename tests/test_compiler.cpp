@@ -15,6 +15,7 @@
 #include "macro/cost_model.hpp"
 #include "macro/program.hpp"
 #include "macro/verifier.hpp"
+#include "priced_ledger.hpp"
 
 namespace bpim::macro {
 namespace {
@@ -64,7 +65,7 @@ TEST(FusionCompiler, FusedStaticCyclesDiscountsChainedMacs) {
   const Program& p = rf.program();
   ASSERT_EQ(p.size(), 4u);
   EXPECT_EQ(p.static_cycles(), 40u);
-  const ProgramStats fused = CostModel(MacroConfig{}).program_cost(p, /*fuse_mac_chains=*/true);
+  const ProgramStats fused = CostModel(MacroConfig{}).program_cost(p);
   EXPECT_EQ(fused.cycles, 10u + 8u + 9u + 8u);
   EXPECT_EQ(fused.cycles + fused.fused_cycles_saved, p.static_cycles());
 }
@@ -110,13 +111,13 @@ TEST(FusionCompiler, FuzzedSpecsAlwaysEmitZeroDiagnosticPrograms) {
     const VerifyReport rep = verify_program(p, g);
     EXPECT_EQ(rep.errors, 0u) << rep.annotate(p);
     EXPECT_EQ(rep.warnings, 0u) << rep.annotate(p);
-    EXPECT_LE(cost.program_cost(p, /*fuse_mac_chains=*/true).cycles, p.static_cycles());
+    EXPECT_LE(cost.program_cost(p).cycles, p.static_cycles());
   }
 }
 
 TEST(FusionCompiler, FuzzedForwardExecutesBitIdenticalToReference) {
   // Execute fuzzed MAC-forward programs on a live macro under VerifyFirst
-  // and check every traced product against host arithmetic.
+  // and check every retired product against host arithmetic.
   ImcMacro m{MacroConfig{}};
   const std::size_t units = m.mult_units_per_row(8);
   bpim::Rng rng(0xBEEF);
@@ -136,14 +137,13 @@ TEST(FusionCompiler, FuzzedForwardExecutesBitIdenticalToReference) {
     const RelocatableForward rf = fc.compile_relocatable_forward(8, ops, 1);
     const VerifiedProgram& p = rf.program();
     MacroController ctl(m);
-    std::vector<TraceEntry> trace;
-    const ProgramStats stats = ctl.run(p, &trace, /*fuse_mac_chains=*/true);
+    RowCapture cap(p.program(), m.cols());
+    const ProgramStats stats = ctl.run(p, {}, cap.records());
     EXPECT_EQ(stats.cycles + stats.fused_cycles_saved, p.program().static_cycles());
-    ASSERT_EQ(trace.size(), ops);
+    ASSERT_EQ(cap.size(), ops);
     for (std::size_t j = 0; j < ops; ++j)
       for (std::size_t i = 0; i < units; ++i)
-        EXPECT_EQ(m.peek_mult_product(trace[j].result, i, 8),
-                  activation[i] * weights[j][i])
+        EXPECT_EQ(cap[j].values[i], activation[i] * weights[j][i])
             << "trial " << trial << " op " << j << " unit " << i;
   }
 }

@@ -369,85 +369,121 @@ TEST(Fusion, ProgramCacheIsBoundedByShape) {
   EXPECT_EQ(eng.fusion_stats().recompiles, 0u);
 }
 
-TEST(Fusion, PerOpStatsSumTracedReplayInMacroThenLayerOrder) {
-  // run_forward splits its account per op from each MULT's retire record:
-  // cycles and savings over macro 0's layers, energy summed macro by
-  // macro, layer by layer. A traced controller replay of the same programs
-  // on a twin memory, summed in that order, must give the same per-op
-  // RunStats -- energy bitwise. Ten chunks on four macros hold 3, 3, 2 and
-  // 2 layers, which one-layer forwards cannot tell apart; narrow weights
-  // and an all-zero activation chunk make the adaptive policy narrow and
-  // skip, so every split is nonzero.
+/// run_forward's per-op account against a controller replay of the same
+/// programs on a twin memory. Ten chunks on four macros hold 3, 3, 2 and 2
+/// layers; narrow weights make the adaptive policy narrow, and the
+/// activation chunks in `zeroed` make it skip. Returns the index of the
+/// macro whose retire records the engine's per-op cycles must come from.
+std::size_t expect_per_op_stats_match_replay(const std::vector<std::size_t>& zeroed,
+                                             std::size_t threads) {
   const unsigned bits = 8;
   const std::size_t macros = 4, ops = 3;
   const macro::AdaptivePolicy policy{true, true};
-  for (const std::size_t threads : {1u, 4u}) {
-    macro::ImcMemory mem(small_mem(macros));
-    ExecutionEngine eng(mem, EngineConfig{threads});
-    eng.set_adaptive_policy(policy);
-    const std::size_t units = eng.mult_units_per_row(bits);
-    const std::size_t chunks = 10, elements = chunks * units - 3;
-    std::vector<std::vector<std::uint64_t>> w;
-    std::vector<ResidentOperand> handles;
-    for (std::size_t j = 0; j < ops; ++j) {
-      w.push_back(random_codes(elements, 2 + 2 * static_cast<unsigned>(j), 300 + j));
-      handles.push_back(eng.pin(w.back(), bits, OperandLayout::MultUnit));
-    }
-    auto x = random_codes(elements, bits, 399);
-    std::fill(x.begin() + static_cast<std::ptrdiff_t>(5 * units),
-              x.begin() + static_cast<std::ptrdiff_t>(6 * units), 0);
-    const auto got = eng.run_forward(handles, x);
-    ASSERT_EQ(eng.fusion_stats().fused_runs, 1u);
-    ASSERT_EQ(got.size(), ops);
-
-    // The replay: macro m holds chunks m, m + M, ...; its activation chunk
-    // l sits in row 2l and weight j's in the compiler's default stack.
-    macro::ImcMemory twin(small_mem(macros));
-    const macro::FusionCompiler compiler(twin.macro(0).config().geometry);
-    std::vector<std::vector<macro::TraceEntry>> traces(macros);
-    for (std::size_t m = 0; m < macros; ++m) {
-      const std::size_t held = (chunks - m + macros - 1) / macros;
-      macro::ImcMacro& mac = twin.macro(m);
-      for (std::size_t l = 0; l < held; ++l) {
-        const std::size_t pos = (l * macros + m) * units;
-        const std::size_t len = std::min(units, elements - pos);
-        mac.poke_mult_operands(2 * l, 0, bits, std::span(x).subspan(pos, len));
-        for (std::size_t j = 0; j < ops; ++j)
-          mac.poke_mult_operands(2 * ((j + 1) * held + l), 0, bits,
-                                 std::span(w[j]).subspan(pos, len));
-      }
-      const macro::RelocatableForward prog = compiler.compile_relocatable_forward(bits, ops, held);
-      (void)macro::MacroController(mac).run(prog.program(), &traces[m],
-                                            /*fuse_mac_chains=*/true, policy);
-      EXPECT_EQ(mac.total_cycles(), mem.macro(m).total_cycles()) << "macro " << m;
-      EXPECT_EQ(mac.total_energy().si(), mem.macro(m).total_energy().si()) << "macro " << m;
-    }
-
-    std::uint64_t adaptive_total = 0, fused_total = 0;
-    for (std::size_t j = 0; j < ops; ++j) {
-      const std::string what = std::to_string(threads) + " threads, op " + std::to_string(j);
-      std::uint64_t elapsed = 0, adaptive = 0, fused = 0;
-      for (std::size_t e = j; e < traces[0].size(); e += ops) {
-        elapsed += traces[0][e].cycles;
-        adaptive += traces[0][e].adaptive_cycles_saved;
-        fused += traces[0][e].plan.fused_cycles_saved();
-      }
-      Joule energy{0.0};
-      for (std::size_t m = 0; m < macros; ++m)
-        for (std::size_t e = j; e < traces[m].size(); e += ops) energy += traces[m][e].op_energy;
-      const RunStats& s = got[j].stats;
-      EXPECT_EQ(s.elapsed_cycles, elapsed) << what;
-      EXPECT_EQ(s.adaptive_cycles_saved, adaptive) << what;
-      EXPECT_EQ(s.fused_cycles_saved, fused) << what;
-      EXPECT_EQ(s.energy.si(), energy.si()) << what;
-      for (std::size_t i = 0; i < elements; ++i)
-        ASSERT_EQ(got[j].values[i], w[j][i] * x[i]) << what << " element " << i;
-      adaptive_total += adaptive;
-      fused_total += fused;
-    }
-    EXPECT_GT(adaptive_total, 0u);
-    EXPECT_GT(fused_total, 0u);
+  const std::string where = std::to_string(threads) + " threads";
+  macro::ImcMemory mem(small_mem(macros));
+  ExecutionEngine eng(mem, EngineConfig{threads});
+  eng.set_adaptive_policy(policy);
+  const std::size_t units = eng.mult_units_per_row(bits);
+  const std::size_t chunks = 10, elements = chunks * units - 3;
+  std::vector<std::vector<std::uint64_t>> w;
+  std::vector<ResidentOperand> handles;
+  for (std::size_t j = 0; j < ops; ++j) {
+    w.push_back(random_codes(elements, 2 + 2 * static_cast<unsigned>(j), 300 + j));
+    handles.push_back(eng.pin(w.back(), bits, OperandLayout::MultUnit));
   }
+  auto x = random_codes(elements, bits, 399);
+  for (const std::size_t c : zeroed)
+    std::fill(x.begin() + static_cast<std::ptrdiff_t>(c * units),
+              x.begin() + static_cast<std::ptrdiff_t>(std::min(elements, (c + 1) * units)), 0);
+  const auto got = eng.run_forward(handles, x);
+  EXPECT_EQ(eng.fusion_stats().fused_runs, 1u) << where;
+  EXPECT_EQ(got.size(), ops) << where;
+  if (got.size() != ops) return 0;
+
+  // The replay: macro m holds chunks m, m + M, ...; its activation chunk
+  // l sits in row 2l and weight j's in the compiler's default stack.
+  macro::ImcMemory twin(small_mem(macros));
+  const macro::FusionCompiler compiler(twin.macro(0).config().geometry);
+  std::vector<std::vector<macro::Extract>> records(macros);
+  for (std::size_t m = 0; m < macros; ++m) {
+    const std::size_t held = (chunks - m + macros - 1) / macros;
+    macro::ImcMacro& mac = twin.macro(m);
+    for (std::size_t l = 0; l < held; ++l) {
+      const std::size_t pos = (l * macros + m) * units;
+      const std::size_t len = std::min(units, elements - pos);
+      mac.poke_mult_operands(2 * l, 0, bits, std::span(x).subspan(pos, len));
+      for (std::size_t j = 0; j < ops; ++j)
+        mac.poke_mult_operands(2 * ((j + 1) * held + l), 0, bits,
+                               std::span(w[j]).subspan(pos, len));
+    }
+    const macro::RelocatableForward prog = compiler.compile_relocatable_forward(bits, ops, held);
+    records[m].resize(prog.program().size());
+    (void)macro::MacroController(mac).run(prog.program(), policy, records[m]);
+    EXPECT_EQ(mac.total_cycles(), mem.macro(m).total_cycles()) << where << ", macro " << m;
+    EXPECT_EQ(mac.total_energy().si(), mem.macro(m).total_energy().si())
+        << where << ", macro " << m;
+  }
+  // Cycles come from the makespan macro: the largest ledger total, the
+  // lowest index on a tie.
+  std::size_t critical = 0;
+  for (std::size_t m = 1; m < macros; ++m)
+    if (twin.macro(m).total_cycles() > twin.macro(critical).total_cycles()) critical = m;
+
+  const std::uint64_t table_mult = macro::op_cycles(macro::Op::Mult, bits);
+  const std::size_t layers = records[critical].size() / ops;
+  std::uint64_t elapsed_total = 0, adaptive_total = 0, fused_total = 0;
+  for (std::size_t j = 0; j < ops; ++j) {
+    const std::string what = where + ", op " + std::to_string(j);
+    std::uint64_t elapsed = 0, adaptive = 0, fused = 0;
+    for (std::size_t e = j; e < records[critical].size(); e += ops) {
+      elapsed += records[critical][e].cycles;
+      adaptive += records[critical][e].adaptive_cycles_saved;
+      fused += records[critical][e].plan.fused_cycles_saved();
+    }
+    Joule energy{0.0};
+    for (std::size_t m = 0; m < macros; ++m)
+      for (std::size_t e = j; e < records[m].size(); e += ops) energy += records[m][e].op_energy;
+    const RunStats& s = got[j].stats;
+    EXPECT_EQ(s.elapsed_cycles, elapsed) << what;
+    EXPECT_EQ(s.adaptive_cycles_saved, adaptive) << what;
+    EXPECT_EQ(s.fused_cycles_saved, fused) << what;
+    EXPECT_EQ(s.energy.si(), energy.si()) << what;
+    // Each op's Table 1 price over the makespan macro's layers splits three
+    // ways exactly.
+    EXPECT_EQ(s.elapsed_cycles + s.fused_cycles_saved + s.adaptive_cycles_saved,
+              table_mult * layers)
+        << what;
+    for (std::size_t i = 0; i < elements; ++i)
+      EXPECT_EQ(got[j].values[i], w[j][i] * x[i]) << what << " element " << i;
+    elapsed_total += s.elapsed_cycles;
+    adaptive_total += adaptive;
+    fused_total += fused;
+  }
+  // The per-op shares reconcile with the forward's makespan.
+  EXPECT_EQ(elapsed_total, eng.last_batch().compute_cycles) << where;
+  EXPECT_EQ(fused_total, eng.last_batch().fused_cycles_saved) << where;
+  EXPECT_GT(adaptive_total, 0u) << where;
+  EXPECT_GT(fused_total, 0u) << where;
+  return critical;
+}
+
+TEST(Fusion, PerOpStatsSumTracedReplayInMacroThenLayerOrder) {
+  // run_forward splits its account per op from each MULT's retire record:
+  // cycles and savings over the makespan macro's layers, energy summed
+  // macro by macro, layer by layer. A controller replay of the same
+  // programs on a twin memory, summed in that order, must give the same
+  // per-op RunStats -- energy bitwise. One all-zero activation chunk (on
+  // macro 1) makes the adaptive policy skip, so every split is nonzero.
+  for (const std::size_t threads : {1u, 4u})
+    EXPECT_EQ(expect_per_op_stats_match_replay({5}, threads), 0u);
+}
+
+TEST(Fusion, PerOpCyclesComeFromTheMakespanMacro) {
+  // With every activation chunk of macro 0 zero, its MULTs all skip and
+  // another macro sets the forward's makespan; the per-op cycle shares must
+  // still sum to the batch's compute cycles.
+  for (const std::size_t threads : {1u, 4u})
+    EXPECT_NE(expect_per_op_stats_match_replay({0, 4, 8}, threads), 0u);
 }
 
 TEST(Fusion, RejectedForwardLeavesNoSideEffects) {

@@ -126,6 +126,9 @@ class ReferenceMachine {
 TEST(FuzzPrograms, RandomStreamsMatchReferenceMachine) {
   Rng rng(0xF022);
   std::size_t accum_reads = 0;  // ADD / ADD-Shift reading D2 after a MULT
+  // Chain links the controller ran: MULT after MULT at one precision, with
+  // D1 restaged (Pipelined) or reused (D1Staged).
+  std::size_t pipelined = 0, d1_staged = 0;
   for (int round = 0; round < 12; ++round) {
     ImcMacro macro{MacroConfig{}};
     ReferenceMachine ref(macro.cols());
@@ -151,11 +154,22 @@ TEST(FuzzPrograms, RandomStreamsMatchReferenceMachine) {
       ++accum_reads;
       return RowRef::dummy(ImcMacro::kDummyAccum);
     };
+    // The MULT just emitted (precision 0: the last instruction was none):
+    // half the time the next one chains onto it at its precision, reusing
+    // its multiplicand row half of those times.
+    RowRef prev_a{};
+    unsigned prev_bits = 0;
     for (int n = 0; n < 30; ++n) {
       const unsigned bits = kBits[rng.uniform_u64(kBits.size())];
       const auto ra = RowRef::main(rng.uniform_u64(6));
       auto rb = RowRef::main(rng.uniform_u64(6));
       if (rb == ra) rb = RowRef::main((rb.index + 1) % 6);
+      if (prev_bits != 0 && rng.uniform_u64(2) == 0) {
+        prev_a = rng.uniform_u64(2) == 0 ? prev_a : ra;
+        p.mult(prev_a, RowRef::main((prev_a.index + 1 + rng.uniform_u64(5)) % 6), prev_bits);
+        continue;
+      }
+      prev_bits = 0;
       switch (rng.uniform_u64(6)) {
         case 0: p.logic(LogicFn::Xor, ra, rb); break;
         case 1: p.unary(Op::Not, ra, RowRef::dummy(0), bits); break;
@@ -165,6 +179,8 @@ TEST(FuzzPrograms, RandomStreamsMatchReferenceMachine) {
         case 5:
           p.mult(ra, rb, bits);
           mult_emitted = true;
+          prev_a = ra;
+          prev_bits = bits;
           break;
       }
     }
@@ -174,20 +190,25 @@ TEST(FuzzPrograms, RandomStreamsMatchReferenceMachine) {
     const VerifyReport rep = verify_program(p, macro);
     ASSERT_TRUE(rep.ok()) << "round " << round << ":\n" << rep.to_string();
 
-    std::vector<TraceEntry> trace;
-    ctl.run(p, &trace);
-    ASSERT_EQ(trace.size(), p.size());
-    expect_priced_as_executed(macro.config(), trace, "round " + std::to_string(round));
-    for (std::size_t k = 0; k < trace.size(); ++k) {
-      const BitVector want = ref.exec(trace[k].inst);
-      EXPECT_EQ(trace[k].result, want)
-          << "round " << round << " instr " << k << ": " << to_string(trace[k].inst);
-      if (trace[k].result == want) continue;
+    RowCapture cap(p, macro.cols());
+    ctl.run(p, {}, cap.records());
+    expect_priced_as_executed(macro.config(), p, cap.records(), "round " + std::to_string(round));
+    for (std::size_t k = 0; k < p.size(); ++k) {
+      const Instruction& inst = p.instructions()[k];
+      pipelined += cap[k].plan.pipelined && !cap[k].plan.d1_staged ? 1 : 0;
+      d1_staged += cap[k].plan.d1_staged ? 1 : 0;
+      const BitVector want = ref.exec(inst);
+      const BitVector got = cap.row(k);
+      EXPECT_EQ(got, want) << "round " << round << " instr " << k << ": " << to_string(inst);
+      if (got == want) continue;
       break;  // stop at first divergence; states are now unrelated
     }
   }
-  // The seeded rounds must reach the accumulator operand at all.
+  // The seeded rounds must reach the accumulator operand and both kinds of
+  // chain link at all.
   EXPECT_GT(accum_reads, 0u);
+  EXPECT_GT(pipelined, 0u);
+  EXPECT_GT(d1_staged, 0u);
 }
 
 TEST(FuzzPrograms, CorruptedStreamsAreRejectedBeforeExecution) {

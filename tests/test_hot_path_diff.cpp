@@ -356,12 +356,13 @@ TEST(HotPathDiff, MultOperandsAliasingScratchRowsMatchReference) {
   EXPECT_GT(kept_d1, skipped);  // d1-staged links keep D1 too
 }
 
-TEST(HotPathDiff, FusedAdaptiveProgramsPriceEveryTraceEntry) {
+TEST(HotPathDiff, FusedAdaptiveProgramsPriceEveryRetireRecord) {
   // Random fused, policy-on programs through the controller: MAC chains
   // over a shared multiplicand (pipelined and d1-staged links), broken by
   // SUBs that clobber D1 and by ADDs, at every precision. Every MULT's
-  // traced product matches the per-bit oracle, and every trace entry's
-  // cycles and energy equal CostModel::instruction_cost(inst, plan) bitwise.
+  // retired product row matches the per-bit oracle, and every retire
+  // record's cycles and energy equal CostModel::instruction_cost(inst,
+  // plan) bitwise.
   Rng rng(0xF05E);
   for (const std::size_t cols : {128u, 320u}) {
     for (const unsigned bits : {2u, 4u, 8u, 16u, 32u}) {
@@ -390,20 +391,20 @@ TEST(HotPathDiff, FusedAdaptiveProgramsPriceEveryTraceEntry) {
         for (const macro::AdaptivePolicy policy :
              {macro::AdaptivePolicy{true, true}, macro::AdaptivePolicy{true, false},
               macro::AdaptivePolicy{false, true}}) {
-          std::vector<macro::TraceEntry> trace;
-          const macro::ProgramStats st = ctl.run(prog, &trace, /*fuse_mac_chains=*/true, policy);
+          macro::RowCapture cap(prog, cols);
+          const macro::ProgramStats st = ctl.run(prog, policy, cap.records());
           const std::string what = "cols=" + std::to_string(cols) +
                                    " bits=" + std::to_string(bits) + " rep=" + std::to_string(rep);
-          ASSERT_EQ(trace.size(), prog.size()) << what;
-          macro::expect_priced_as_executed(cfg, trace, what);
+          macro::expect_priced_as_executed(cfg, prog, cap.records(), what);
           EXPECT_EQ(st.cycles + st.fused_cycles_saved + st.adaptive_cycles_saved,
                     prog.static_cycles())
               << what;
-          for (const macro::TraceEntry& e : trace) {
-            if (e.inst.op != macro::Op::Mult) continue;
-            EXPECT_EQ(e.result, naive_mult_datapath(m.peek_row(e.inst.a.index),
-                                                    m.peek_row(e.inst.b.index), bits))
-                << what << " " << macro::to_string(e.inst);
+          for (std::size_t k = 0; k < prog.size(); ++k) {
+            const macro::Instruction& inst = prog.instructions()[k];
+            if (inst.op != macro::Op::Mult) continue;
+            EXPECT_EQ(cap.row(k), naive_mult_datapath(m.peek_row(inst.a.index),
+                                                      m.peek_row(inst.b.index), bits))
+                << what << " " << macro::to_string(inst);
           }
         }
       }
@@ -501,17 +502,16 @@ TEST(HotPathDiff, ProgramPathMatchesDirectDatapathAndOracles) {
             want = direct.logic_rows(periph::LogicFn::Nor, a, b);
             break;
         }
-        std::vector<macro::TraceEntry> trace;
-        (void)ctl.run(*prog, &trace);
-        ASSERT_EQ(trace.size(), 1u);
-        const BitVector& got = trace.back().result;
+        macro::RowCapture cap(prog->program(), cols);
+        (void)ctl.run(*prog, {}, cap.records());
+        const BitVector got = cap.row(0);
         const std::string what = "kind=" + std::string(1, "ASMXNL"[static_cast<int>(kind)]) +
                                  " bits=" + std::to_string(bits) + " rows=(" +
                                  std::to_string(ri_a) + "," + std::to_string(ri_b) + ")";
         EXPECT_EQ(got, want) << what;
-        EXPECT_EQ(trace.back().cycles, direct.last_op().cycles) << what;
-        EXPECT_EQ(trace.back().op_energy.si(), direct.last_op().op_energy.si()) << what;
-        macro::expect_priced_as_executed(cfg, trace, what);
+        EXPECT_EQ(cap[0].cycles, direct.last_op().cycles) << what;
+        EXPECT_EQ(cap[0].op_energy.si(), direct.last_op().op_energy.si()) << what;
+        macro::expect_priced_as_executed(cfg, prog->program(), cap.records(), what);
 
         switch (kind) {
           case K::Add:
@@ -683,31 +683,29 @@ TEST(HotPathDiff, AdaptiveExecutionIsBitIdenticalAcrossOpsAndSparsity) {
               case K::Not: prog = &compiler.unary(macro::Op::Not, a, d1, bits); break;
               case K::Logic: prog = &compiler.logic(periph::LogicFn::Nor, a, b); break;
             }
-            std::vector<macro::TraceEntry> ft, at;
-            const macro::ProgramStats fs = full_ctl.run(*prog, &ft);
-            const macro::ProgramStats as = adapt_ctl.run(*prog, &at, false, policy);
-            ASSERT_EQ(ft.size(), 1u);
-            ASSERT_EQ(at.size(), 1u);
+            macro::RowCapture ft(prog->program(), cols), at(prog->program(), cols);
+            const macro::ProgramStats fs = full_ctl.run(*prog, {}, ft.records());
+            const macro::ProgramStats as = adapt_ctl.run(*prog, policy, at.records());
             const std::string what = "kind=" +
                                      std::string(1, "ASMXNL"[static_cast<int>(kind)]) +
                                      " bits=" + std::to_string(bits) +
                                      " zero%=" + std::to_string(zero_pct) +
                                      " narrow=" + std::to_string(policy.narrow_precision) +
                                      " skip=" + std::to_string(policy.skip_zero);
-            EXPECT_EQ(at.back().result, ft.back().result) << what;
-            macro::expect_priced_as_executed(cfg, ft, what);
-            macro::expect_priced_as_executed(cfg, at, what);
+            EXPECT_EQ(at.row(0), ft.row(0)) << what;
+            macro::expect_priced_as_executed(cfg, prog->program(), ft.records(), what);
+            macro::expect_priced_as_executed(cfg, prog->program(), at.records(), what);
             // Exact cycle conservation: the policy-off twin pays Table 1 in
             // full, and the adaptive run splits the same total.
             EXPECT_EQ(fs.adaptive_cycles_saved, 0u) << what;
             EXPECT_EQ(fs.cycles, prog->program().static_cycles()) << what;
             EXPECT_EQ(as.cycles + as.adaptive_cycles_saved, fs.cycles) << what;
-            EXPECT_EQ(at.back().adaptive_cycles_saved, as.adaptive_cycles_saved) << what;
+            EXPECT_EQ(at[0].adaptive_cycles_saved, as.adaptive_cycles_saved) << what;
             EXPECT_LE(as.energy.si(), fs.energy.si()) << what;
             if (kind != K::Mult) {
               EXPECT_EQ(as.adaptive_cycles_saved, 0u) << what;
             } else {
-              EXPECT_EQ(at.back().result, naive_mult_datapath(row_a, row_b, bits)) << what;
+              EXPECT_EQ(at.row(0), naive_mult_datapath(row_a, row_b, bits)) << what;
             }
           }
         }
@@ -732,13 +730,13 @@ TEST(HotPathDiff, AdaptiveNarrowingAndSkipSaveExactCycles) {
     m.poke_mult_operand(0, u, bits, 0);
     m.poke_mult_operand(1, u, bits, 0xFF);
   }
-  std::vector<macro::TraceEntry> t;
-  macro::ProgramStats s = ctl.run(prog, &t, false, policy);
+  macro::RowCapture skip(prog, cfg.geometry.cols);
+  macro::ProgramStats s = ctl.run(prog, policy, skip.records());
   EXPECT_EQ(s.cycles, 1u);
   EXPECT_EQ(s.adaptive_cycles_saved, bits + 1u);
-  EXPECT_EQ(t.back().result.popcount(), 0u);
-  EXPECT_TRUE(t.back().plan.skip);
-  macro::expect_priced_as_executed(cfg, t, "skip");
+  EXPECT_EQ(skip.row(0).popcount(), 0u);
+  EXPECT_TRUE(skip[0].plan.skip);
+  macro::expect_priced_as_executed(cfg, prog, skip.records(), "skip");
 
   // Narrow multiplier: every effectual product has b <= 3, so only the two
   // low add-shift iterations run (staging still pays its cycle).
@@ -746,14 +744,13 @@ TEST(HotPathDiff, AdaptiveNarrowingAndSkipSaveExactCycles) {
     m.poke_mult_operand(0, u, bits, 5);
     m.poke_mult_operand(1, u, bits, 3);
   }
-  t.clear();
-  s = ctl.run(prog, &t, false, policy);
+  macro::RowCapture narrow(prog, cfg.geometry.cols);
+  s = ctl.run(prog, policy, narrow.records());
   EXPECT_EQ(s.cycles, 4u);  // zero-init + staging + 2 iterations
   EXPECT_EQ(s.adaptive_cycles_saved, bits - 2u);
-  EXPECT_EQ(t.back().plan.depth, 2u);
-  macro::expect_priced_as_executed(cfg, t, "narrow");
-  for (std::size_t u = 0; u < units; ++u)
-    EXPECT_EQ(m.peek_mult_product(t.back().result, u, bits), 15u);
+  EXPECT_EQ(narrow[0].plan.depth, 2u);
+  macro::expect_priced_as_executed(cfg, prog, narrow.records(), "narrow");
+  for (std::size_t u = 0; u < units; ++u) EXPECT_EQ(narrow[0].values[u], 15u);
 }
 
 TEST(HotPathDiff, AdaptiveFusedChainStaysBitIdenticalAndConserving) {
@@ -784,21 +781,21 @@ TEST(HotPathDiff, AdaptiveFusedChainStaysBitIdenticalAndConserving) {
   for (std::size_t r = 1; r <= 3; ++r)
     prog.mult(RowRef::main(0), RowRef::main(r), bits);
 
-  std::vector<macro::TraceEntry> ft, at;
-  const macro::ProgramStats fs = full_ctl.run(prog, &ft);
+  macro::RowCapture ft(prog, cfg.geometry.cols), at(prog, cfg.geometry.cols);
+  const macro::ProgramStats fs = full_ctl.run(prog, {}, ft.records());
   const macro::ProgramStats as =
-      adapt_ctl.run(prog, &at, /*fuse_mac_chains=*/true, macro::AdaptivePolicy{true, true});
-  ASSERT_EQ(ft.size(), 3u);
-  ASSERT_EQ(at.size(), 3u);
-  macro::expect_priced_as_executed(cfg, ft, "dense");
-  macro::expect_priced_as_executed(cfg, at, "adaptive fused");
+      adapt_ctl.run(prog, macro::AdaptivePolicy{true, true}, at.records());
+  macro::expect_priced_as_executed(cfg, prog, ft.records(), "dense");
+  macro::expect_priced_as_executed(cfg, prog, at.records(), "adaptive fused");
   for (std::size_t k = 0; k < 3; ++k) {
-    EXPECT_EQ(at[k].result, ft[k].result) << "link " << k;
-    EXPECT_EQ(at[k].result,
-              naive_mult_datapath(full.peek_row(0), full.peek_row(k + 1), bits))
+    EXPECT_EQ(at.row(k), ft.row(k)) << "link " << k;
+    EXPECT_EQ(at.row(k), naive_mult_datapath(full.peek_row(0), full.peek_row(k + 1), bits))
         << "link " << k;
   }
-  EXPECT_EQ(fs.cycles, prog.static_cycles());
+  // The dense twin runs the same chain: a head and two d1-staged links.
+  EXPECT_EQ(fs.adaptive_cycles_saved, 0u);
+  EXPECT_EQ(fs.fused_cycles_saved, 4u);
+  EXPECT_EQ(fs.cycles + fs.fused_cycles_saved, prog.static_cycles());
   EXPECT_EQ(as.cycles + as.fused_cycles_saved + as.adaptive_cycles_saved,
             prog.static_cycles());
   EXPECT_GT(as.fused_cycles_saved, 0u);

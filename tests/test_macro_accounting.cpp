@@ -80,10 +80,9 @@ TEST(MacroAccounting, ProgramTotalsConserveLedgerTotalsExactly) {
   p.unary(Op::Not, RowRef::main(8), RowRef::dummy(ImcMacro::kDummyOperand), 8);
   p.unary(Op::Shift, RowRef::main(9), RowRef::dummy(ImcMacro::kDummyOperand), 8);
   p.logic(periph::LogicFn::Xor, RowRef::main(10), RowRef::main(11));
-  std::vector<TraceEntry> trace;
-  const ProgramStats stats = ctl.run(p, &trace);
-  ASSERT_EQ(trace.size(), 7u);
-  expect_priced_as_executed(m.config(), trace);
+  std::vector<Extract> records(p.size());
+  const ProgramStats stats = ctl.run(p, {}, records);
+  expect_priced_as_executed(m.config(), p, records);
   EXPECT_EQ(stats.instructions, 7u);
   EXPECT_EQ(stats.cycles, m.total_cycles());
   EXPECT_EQ(stats.energy.si(), m.total_energy().si());  // bitwise, not NEAR
@@ -108,19 +107,18 @@ TEST(MacroAccounting, FusedChainTotalsConserveLedgerTotals) {
   p.mult(RowRef::main(0), RowRef::main(1), 8);  // full price (N + 2)
   p.mult(RowRef::main(0), RowRef::main(3), 8);  // pipelined + D1-staged (-2)
   p.mult(RowRef::main(4), RowRef::main(5), 8);  // pipelined only (-1)
-  std::vector<TraceEntry> trace;
-  const ProgramStats stats = ctl.run(p, &trace, /*fuse_mac_chains=*/true);
-  ASSERT_EQ(trace.size(), 3u);
-  expect_priced_as_executed(m.config(), trace);
-  EXPECT_TRUE(trace[1].plan.d1_staged && trace[1].plan.pipelined);
-  EXPECT_TRUE(!trace[2].plan.d1_staged && trace[2].plan.pipelined);
+  std::vector<Extract> records(p.size());
+  const ProgramStats stats = ctl.run(p, {}, records);
+  expect_priced_as_executed(m.config(), p, records);
+  EXPECT_TRUE(records[1].plan.d1_staged && records[1].plan.pipelined);
+  EXPECT_TRUE(!records[2].plan.d1_staged && records[2].plan.pipelined);
   EXPECT_EQ(stats.cycles, m.total_cycles());
   EXPECT_EQ(stats.energy.si(), m.total_energy().si());
   EXPECT_EQ(stats.fused_cycles_saved, 3u);
   EXPECT_EQ(stats.cycles, 3u * 10u - 3u);
 
   const CostModel cost(m.config());
-  const ProgramStats priced = cost.program_cost(p, /*fuse_mac_chains=*/true);
+  const ProgramStats priced = cost.program_cost(p);
   EXPECT_EQ(priced.cycles, stats.cycles);
   EXPECT_EQ(priced.fused_cycles_saved, stats.fused_cycles_saved);
   EXPECT_EQ(priced.energy.si(), stats.energy.si());

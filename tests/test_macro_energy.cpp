@@ -184,7 +184,7 @@ TEST(MacroEnergyConservation, ControllerLedgerPricesExactlyOnEveryInstruction) {
   // The same law through the controller, whose account is the ledger alone:
   // every executed instruction, priced under the MULT plan it resolved to,
   // matches its ledger entry exactly -- across separator modes, supply
-  // voltages, operand sparsity, fused chains, the adaptive policy, the op
+  // voltages, operand sparsity, chained MULTs, the adaptive policy, the op
   // a program's first MULT directly follows, and a fresh macro beside a
   // warm one: macro 1 of a memory whose macros share one MULT price table,
   // which has run the same program (every plan it charges) before.
@@ -198,64 +198,58 @@ TEST(MacroEnergyConservation, ControllerLedgerPricesExactlyOnEveryInstruction) {
       cfg.separator = sep;
       cfg.vdd = Volt(vdd);
       for (const int zero_pct : {0, 50, 95}) {
-        for (const bool fuse : {false, true}) {
-          for (const AdaptivePolicy policy : {AdaptivePolicy{}, AdaptivePolicy{true, true}}) {
-            for (const unsigned bits : {4u, 8u}) {
-              for (const Op lead : {Op::Add, Op::Sub, Op::Not}) {
-                ImcMacro fresh{cfg};
-                ImcMemory mem({.macro = cfg, .banks = 1, .macros_per_bank = 2});
-                ImcMacro& warm = mem.macro(1);
-                for (std::size_t r = 0; r < 6; ++r)
-                  for (std::size_t u = 0; u < fresh.mult_units_per_row(bits); ++u) {
-                    const std::uint64_t v = sparse_operand(rng, bits, zero_pct);
-                    fresh.poke_mult_operand(r, u, bits, v);
-                    warm.poke_mult_operand(r, u, bits, v);
-                  }
-                // A MULT right after `lead`, then MULT links that reuse D1,
-                // re-stage it, and lose it to a SUB or a NOT into D1, around
-                // every other op kind.
-                Program p;
-                if (lead == Op::Add) p.add(m(2), m(3), bits);
-                if (lead == Op::Sub) p.sub(m(2), m(3), bits);
-                if (lead == Op::Not) p.unary(Op::Not, m(4), d1, bits);
-                p.mult(m(0), m(1), bits).mult(m(0), m(2), bits).mult(m(3), m(4), bits);
-                p.sub(m(1), m(2), bits).mult(m(3), m(5), bits).mult(m(3), m(1), bits);
-                p.add(m(0), m(1), bits, d2).add_shift(m(2), m(3), bits, d2);
-                p.unary(Op::Not, m(4), d1, bits).mult(m(0), m(5), bits);
-                p.logic(periph::LogicFn::Xor, m(0), m(1)).add(m(2), m(3), bits);
-                const std::string what =
-                    "sep=" + std::to_string(sep == SeparatorMode::Enabled) +
-                    " vdd=" + std::to_string(vdd) + " zero%=" + std::to_string(zero_pct) +
-                    " fuse=" + std::to_string(fuse) +
-                    " adaptive=" + std::to_string(policy.enabled()) +
-                    " bits=" + std::to_string(bits) + " lead=" + to_string(lead);
-
-                std::vector<TraceEntry> trace;
-                const ProgramStats st = MacroController(fresh).run(p, &trace, fuse, policy);
-                ASSERT_EQ(trace.size(), p.size());
-                expect_priced_as_executed(cfg, trace, what + " fresh");
-                EXPECT_EQ(st.cycles + st.fused_cycles_saved + st.adaptive_cycles_saved,
-                          p.static_cycles())
-                    << what;
-                EXPECT_EQ(st.cycles, fresh.total_cycles()) << what;
-                EXPECT_EQ(st.energy.si(), fresh.total_energy().si()) << what;
-
-                (void)MacroController(mem.macro(0)).run(p, nullptr, fuse, policy);
-                (void)MacroController(warm).run(p, nullptr, fuse, policy);
-                warm.reset_counters();
-                std::vector<TraceEntry> warm_trace;
-                const ProgramStats wst =
-                    MacroController(warm).run(p, &warm_trace, fuse, policy);
-                ASSERT_EQ(warm_trace.size(), p.size());
-                expect_priced_as_executed(cfg, warm_trace, what + " warm");
-                for (std::size_t k = 0; k < p.size(); ++k) {
-                  EXPECT_EQ(warm_trace[k].cycles, trace[k].cycles) << what << " #" << k;
-                  EXPECT_EQ(warm_trace[k].op_energy.si(), trace[k].op_energy.si())
-                      << what << " #" << k;
-                  EXPECT_EQ(warm_trace[k].result, trace[k].result) << what << " #" << k;
+        for (const AdaptivePolicy policy : {AdaptivePolicy{}, AdaptivePolicy{true, true}}) {
+          for (const unsigned bits : {4u, 8u}) {
+            for (const Op lead : {Op::Add, Op::Sub, Op::Not}) {
+              ImcMacro fresh{cfg};
+              ImcMemory mem({.macro = cfg, .banks = 1, .macros_per_bank = 2});
+              ImcMacro& warm = mem.macro(1);
+              for (std::size_t r = 0; r < 6; ++r)
+                for (std::size_t u = 0; u < fresh.mult_units_per_row(bits); ++u) {
+                  const std::uint64_t v = sparse_operand(rng, bits, zero_pct);
+                  fresh.poke_mult_operand(r, u, bits, v);
+                  warm.poke_mult_operand(r, u, bits, v);
                 }
-                EXPECT_EQ(wst.energy.si(), warm.total_energy().si()) << what;
+              // A MULT right after `lead`, then MULT links that reuse D1,
+              // re-stage it, and lose it to a SUB or a NOT into D1, around
+              // every other op kind.
+              Program p;
+              if (lead == Op::Add) p.add(m(2), m(3), bits);
+              if (lead == Op::Sub) p.sub(m(2), m(3), bits);
+              if (lead == Op::Not) p.unary(Op::Not, m(4), d1, bits);
+              p.mult(m(0), m(1), bits).mult(m(0), m(2), bits).mult(m(3), m(4), bits);
+              p.sub(m(1), m(2), bits).mult(m(3), m(5), bits).mult(m(3), m(1), bits);
+              p.add(m(0), m(1), bits, d2).add_shift(m(2), m(3), bits, d2);
+              p.unary(Op::Not, m(4), d1, bits).mult(m(0), m(5), bits);
+              p.logic(periph::LogicFn::Xor, m(0), m(1)).add(m(2), m(3), bits);
+              const std::string what =
+                  "sep=" + std::to_string(sep == SeparatorMode::Enabled) +
+                  " vdd=" + std::to_string(vdd) + " zero%=" + std::to_string(zero_pct) +
+                  " adaptive=" + std::to_string(policy.enabled()) +
+                  " bits=" + std::to_string(bits) + " lead=" + to_string(lead);
+
+              RowCapture cap(p, cfg.geometry.cols);
+              const ProgramStats st = MacroController(fresh).run(p, policy, cap.records());
+              expect_priced_as_executed(cfg, p, cap.records(), what + " fresh");
+              EXPECT_EQ(st.cycles + st.fused_cycles_saved + st.adaptive_cycles_saved,
+                        p.static_cycles())
+                  << what;
+              EXPECT_EQ(st.cycles, fresh.total_cycles()) << what;
+              EXPECT_EQ(st.energy.si(), fresh.total_energy().si()) << what;
+
+              (void)MacroController(mem.macro(0)).run(p, policy);
+              (void)MacroController(warm).run(p, policy);
+              warm.reset_counters();
+              RowCapture warm_cap(p, cfg.geometry.cols);
+              const ProgramStats wst = MacroController(warm).run(p, policy, warm_cap.records());
+              expect_priced_as_executed(cfg, p, warm_cap.records(), what + " warm");
+              for (std::size_t k = 0; k < p.size(); ++k) {
+                EXPECT_EQ(warm_cap[k].cycles, cap[k].cycles) << what << " #" << k;
+                EXPECT_EQ(warm_cap[k].op_energy.si(), cap[k].op_energy.si())
+                    << what << " #" << k;
+                EXPECT_EQ(warm_cap.row(k), cap.row(k)) << what << " #" << k;
               }
+              EXPECT_EQ(wst.energy.si(), warm.total_energy().si()) << what;
             }
           }
         }

@@ -1,4 +1,4 @@
-// Program / MacroController: verification, execution, tracing.
+// Program / MacroController: verification, execution, retire records.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +7,7 @@
 #include "macro/program.hpp"
 #include "macro/verifier.hpp"
 #include "obs/metrics.hpp"
+#include "priced_ledger.hpp"
 
 namespace bpim::macro {
 namespace {
@@ -83,7 +84,7 @@ TEST(Controller, RunsAndAggregatesStats) {
   EXPECT_GT(st.elapsed.si(), 0.0);
 }
 
-TEST(Controller, TraceRecordsResultsPerInstruction) {
+TEST(Controller, RetireRecordsCaptureResultsPerInstruction) {
   ImcMacro m{MacroConfig{}};
   m.poke_word(0, 0, 8, 5);
   m.poke_word(1, 0, 8, 6);
@@ -91,12 +92,11 @@ TEST(Controller, TraceRecordsResultsPerInstruction) {
   Program p;
   p.add(RowRef::main(0), RowRef::main(1), 8);
   p.logic(LogicFn::Xor, RowRef::main(0), RowRef::main(1));
-  std::vector<TraceEntry> trace;
-  ctl.run(p, &trace);
-  ASSERT_EQ(trace.size(), 2u);
-  EXPECT_EQ(trace[0].result.to_u64() & 0xFF, 11u);
-  EXPECT_EQ(trace[1].result.to_u64() & 0xFF, 5u ^ 6u);
-  EXPECT_EQ(trace[0].cycles, 1u);
+  RowCapture cap(p, m.cols());
+  ctl.run(p, {}, cap.records());
+  EXPECT_EQ(cap.row(0).to_u64() & 0xFF, 11u);
+  EXPECT_EQ(cap.row(1).to_u64() & 0xFF, 5u ^ 6u);
+  EXPECT_EQ(cap[0].cycles, 1u);
 }
 
 TEST(Controller, MultThroughProgramMatchesDirectCall) {
@@ -106,9 +106,27 @@ TEST(Controller, MultThroughProgramMatchesDirectCall) {
   MacroController ctl(m);
   Program p;
   p.mult(RowRef::main(0), RowRef::main(1), 8);
-  std::vector<TraceEntry> trace;
-  ctl.run(p, &trace);
-  EXPECT_EQ(m.peek_mult_product(trace[0].result, 0, 8), 143u);
+  RowCapture cap(p, m.cols());
+  ctl.run(p, {}, cap.records());
+  EXPECT_EQ(cap[0].values[0], 143u);
+  EXPECT_EQ(m.peek_mult_product(cap.row(0), 0, 8), 143u);
+}
+
+TEST(Controller, WordRecordsPastTheRowAreRejected) {
+  // A word record must fit its result row at a width of 1..64 bits; one
+  // that does not throws before any value is read, in every build type.
+  ImcMacro m{MacroConfig{}};
+  MacroController ctl(m);
+  Program p;
+  p.add(RowRef::main(0), RowRef::main(1), 8);
+  std::vector<std::uint64_t> fits(m.cols() / 8), past(m.cols() / 8 + 1);
+  for (const Extract bad : {Extract{.bits = 8, .values = past}, Extract{.bits = 0, .values = fits},
+                            Extract{.bits = 65, .values = fits}}) {
+    Extract x = bad;
+    EXPECT_THROW(ctl.run(p, {}, {&x, 1}), std::invalid_argument) << "bits " << bad.bits;
+  }
+  Extract ok{.bits = 8, .values = fits};
+  EXPECT_NO_THROW(ctl.run(p, {}, {&ok, 1}));
 }
 
 TEST(Controller, ProgramCyclesHistogramSeesEveryProgram) {
@@ -131,7 +149,7 @@ TEST(Controller, ProgramCyclesHistogramSeesEveryProgram) {
 
 TEST(Controller, AdaptiveInstrumentsMatchTracedPlans) {
   // engine.adaptive.* count every MULT run under an enabled policy, exactly
-  // as the traced plans resolved it: skipped MULTs, cycles saved and one
+  // as the retired plans resolved it: skipped MULTs, cycles saved and one
   // narrowed_depth observation per executed depth. MULTs run with the
   // policy off add nothing.
   obs::MetricsRegistry& r = obs::MetricsRegistry::global();
@@ -159,26 +177,26 @@ TEST(Controller, AdaptiveInstrumentsMatchTracedPlans) {
       .mult(RowRef::main(2), RowRef::main(1), 8);
   const std::uint64_t mults0 = mults.value(), skipped0 = skipped.value(), saved0 = saved.value();
   const obs::HistogramSnapshot depth0 = depth.snapshot();
-  std::vector<TraceEntry> trace;
+  // Two adaptive runs add up; the policy-off run adds nothing.
+  std::vector<Extract> records(2 * p.size());
   MacroController ctl(m);
-  ctl.run(p, &trace, /*fuse_mac_chains=*/false, AdaptivePolicy{true, true});
-  ctl.run(p, &trace, /*fuse_mac_chains=*/true, AdaptivePolicy{true, true});
+  ctl.run(p, AdaptivePolicy{true, true}, std::span(records).first(p.size()));
+  ctl.run(p, AdaptivePolicy{true, true}, std::span(records).last(p.size()));
   ctl.run(p);  // policy off: not an adaptive MULT
-  ASSERT_EQ(trace.size(), 2 * p.size());
   std::uint64_t want_skipped = 0, want_saved = 0;
   std::map<std::uint64_t, std::uint64_t> want_depth;  // bucket upper -> count
-  for (const TraceEntry& e : trace) {
+  for (const Extract& e : records) {
     want_skipped += e.plan.skip ? 1 : 0;
     want_saved += e.adaptive_cycles_saved;
     ++want_depth[upper_of(e.plan.depth)];
   }
   ASSERT_GT(want_skipped, 0u);
   ASSERT_GT(want_saved, 0u);
-  EXPECT_EQ(mults.value() - mults0, trace.size());
+  EXPECT_EQ(mults.value() - mults0, records.size());
   EXPECT_EQ(skipped.value() - skipped0, want_skipped);
   EXPECT_EQ(saved.value() - saved0, want_saved);
   const obs::HistogramSnapshot depth1 = depth.snapshot();
-  EXPECT_EQ(depth1.count - depth0.count, trace.size());
+  EXPECT_EQ(depth1.count - depth0.count, records.size());
   for (const auto& [upper, n] : want_depth)
     EXPECT_EQ(bucket_count(depth1, upper) - bucket_count(depth0, upper), n) << "bucket " << upper;
 }

@@ -304,9 +304,9 @@ TEST(VerifiedProgram, RunRejectsAnotherGeometryBeforeTouchingTheMacro) {
   narrow.poke_mult_operand(0, 0, 8, 7);
   narrow.poke_mult_operand(1, 0, 8, 6);
   MacroController ctl(narrow);
-  std::vector<TraceEntry> trace;
-  EXPECT_THROW(ctl.run(p, &trace), std::invalid_argument);
-  EXPECT_TRUE(trace.empty());
+  Extract record;
+  EXPECT_THROW(ctl.run(p, {}, {&record, 1}), std::invalid_argument);
+  EXPECT_EQ(record.cycles, 0u);
   EXPECT_EQ(narrow.total_cycles(), 0u);
   EXPECT_EQ(narrow.total_energy().si(), 0.0);
   EXPECT_EQ(narrow.sram().row(RowRef::dummy(ImcMacro::kDummyAccum)).popcount(), 0u);
@@ -318,8 +318,11 @@ TEST(VerifiedProgram, RunRejectsAnotherGeometryBeforeTouchingTheMacro) {
   match.poke_mult_operand(0, 0, 8, 7);
   match.poke_mult_operand(1, 0, 8, 6);
   MacroController match_ctl(match);
-  EXPECT_EQ(match_ctl.run(p, &trace).cycles, 10u);
-  EXPECT_EQ(match.peek_mult_product(trace.back().result, 0, 8), 42u);
+  std::uint64_t product = 0;
+  record = Extract{.bits = 8, .values = {&product, 1}};
+  EXPECT_EQ(match_ctl.run(p, {}, {&record, 1}).cycles, 10u);
+  EXPECT_EQ(product, 42u);
+  EXPECT_EQ(record.cycles, 10u);
 }
 
 }  // namespace
