@@ -12,6 +12,8 @@
 //   mult_program  the same MULT dispatched the way the engine issues every
 //              op: a cached OpCompiler VerifiedProgram run by a
 //              MacroController (no re-verification, ledger-only account).
+//              The controller publishes no instruments (the engine does,
+//              once per dispatch), so the ratio leaves their cost out.
 //              Its reference is the direct mult_rows call, timed in
 //              alternating blocks with it (median of 31 each), so
 //              ns/ref-ns IS the unified-dispatch overhead (must stay within

@@ -11,7 +11,10 @@
 // a bench result that fails either check exits nonzero.
 //
 // Results land in BENCH_sparsity.json (schema bpim.sparsity.v1); the CI
-// release-bench job runs the smoke mode and uploads the JSON.
+// release-bench job runs the smoke mode and uploads the JSON. The sweep
+// drives bare MacroControllers, which publish no instruments: the
+// engine.adaptive.* metrics and macro.program instants come from engine
+// dispatches only, so --metrics and --trace-macros record none here.
 //
 // Usage: sparsity_bench [--smoke] [--out <path>] [--trace <path>]
 //                       [--metrics <path>] [--trace-macros]

@@ -1,12 +1,14 @@
 #include "engine/execution_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <thread>
 #include <utility>
 
 #include "common/require.hpp"
 #include "macro/isa.hpp"
+#include "obs/metrics.hpp"
 
 namespace bpim::engine {
 
@@ -31,6 +33,31 @@ const char* to_string(OpKind kind) {
 }
 
 namespace {
+
+// Program-path instruments, resolved once and published by execute()
+// after the join: per-program cycles (the adoption signal of the unified
+// execution model), and how often the adaptive policy fires, what it saves
+// and the depths it narrows to.
+struct Instruments {
+  obs::Histogram& program_cycles;
+  obs::Counter& adaptive_mults;
+  obs::Counter& adaptive_skipped;
+  obs::Counter& adaptive_saved;
+  obs::Histogram& adaptive_depth;
+};
+
+const Instruments& instruments() {
+  obs::MetricsRegistry& r = obs::MetricsRegistry::global();
+  static const Instruments i{
+      r.histogram("macro.program.cycles", "modeled cycles per executed macro program"),
+      r.counter("engine.adaptive.mults", "MULTs executed under an enabled adaptive policy"),
+      r.counter("engine.adaptive.skipped", "MULTs skipped outright (all products provably zero)"),
+      r.counter("engine.adaptive.cycles_saved",
+                "modeled cycles saved by adaptive narrowing/skipping"),
+      r.histogram("engine.adaptive.narrowed_depth", "executed add-shift depth per adaptive MULT"),
+  };
+  return i;
+}
 
 // More workers than macros can never help: the macro is the unit of
 // parallelism, so cap the pool and spare the surplus threads the wake-up
@@ -208,8 +235,8 @@ std::uint64_t ExecutionEngine::execute(ExecPlan& plan) {
   mem_.reset_counters();
   // Macro m owns its chunks outright (own rows, RNG stream and ledger), so
   // any thread count gives bit-identical results. The memory ledger is the
-  // dispatch's account; each worker only keeps the adaptive savings its
-  // controller reports. The controller chains back-to-back MULTs inside one
+  // dispatch's account; each worker keeps the stats of every program its
+  // controller ran. The controller chains back-to-back MULTs inside one
   // program only, so single-instruction programs run unchained.
   const macro::AdaptivePolicy pol = adaptive_policy();
   pool_.parallel_for(plan.active, [&](std::size_t m) {
@@ -217,20 +244,62 @@ std::uint64_t ExecutionEngine::execute(ExecPlan& plan) {
     MacroPlan& mp = plan.macros[m];
     for (const auto& s : mp.stage) stage_row(mac, s.index, s.bits, s.layout, s.values);
     macro::MacroController ctl(mac);
-    mp.adaptive = 0;
+    mp.ran.clear();
     std::span<macro::Extract> extract(mp.extract);
     for (const macro::VerifiedProgram* p : mp.programs) {
-      mp.adaptive += ctl.run(*p, pol, extract.first(p->size())).adaptive_cycles_saved;
+      mp.ran.push_back(ctl.run(*p, pol, extract.first(p->size())));
       extract = extract.subspan(p->size());
     }
   });
-  // Per macro, ledger cycles plus the adaptive savings of its programs is
-  // its policy-off walk under the same fusion pattern (per-instruction
-  // conservation is exact), so the max over macros is the policy-off
-  // makespan and dense == elapsed + adaptive_cycles_saved holds exactly.
-  std::uint64_t dense = 0;
-  for (std::size_t m = 0; m < plan.active; ++m)
-    dense = std::max(dense, mem_.macro(m).total_cycles() + plan.macros[m].adaptive);
+
+  // After the join, one walk over what the macros returned. Per macro,
+  // ledger cycles plus its programs' adaptive savings is its policy-off
+  // walk under the same fusion pattern (per-instruction conservation is
+  // exact), so the max over macros is the policy-off makespan and dense ==
+  // elapsed + adaptive_cycles_saved holds exactly. The same walk publishes
+  // the program-path instruments: each program's cycles, its macro.program
+  // instant behind the macro-events gate, and every MULT run under an
+  // enabled policy as its retire record resolved it.
+  const Instruments& ins = instruments();
+  const bool events = BPIM_TRACE_ON() && obs::TraceSession::global().macro_events_on();
+  std::uint64_t dense = 0, mults = 0, skipped = 0, saved = 0;
+  std::array<std::uint64_t, 33> depth_counts{};  // adaptive MULTs per executed depth
+  for (std::size_t m = 0; m < plan.active; ++m) {
+    const MacroPlan& mp = plan.macros[m];
+    std::span<const macro::Extract> retired(mp.extract);
+    std::uint64_t adaptive = 0;
+    for (std::size_t k = 0; k < mp.programs.size(); ++k) {
+      const macro::ProgramStats& st = mp.ran[k];
+      adaptive += st.adaptive_cycles_saved;
+      ins.program_cycles.observe(st.cycles);
+      if (events)
+        obs::TraceSession::global().instant(
+            "macro.program", trace_track_,
+            {{"instructions", static_cast<double>(st.instructions)},
+             {"cycles", static_cast<double>(st.cycles)},
+             {"fused_cycles_saved", static_cast<double>(st.fused_cycles_saved)},
+             {"adaptive_cycles_saved", static_cast<double>(st.adaptive_cycles_saved)}});
+      const std::vector<macro::Instruction>& insts = mp.programs[k]->program().instructions();
+      if (pol.enabled()) {
+        for (std::size_t i = 0; i < insts.size(); ++i) {
+          if (insts[i].op != macro::Op::Mult) continue;
+          ++mults;
+          if (retired[i].plan.skip) ++skipped;
+          ++depth_counts[retired[i].plan.depth];
+        }
+      }
+      retired = retired.subspan(insts.size());
+    }
+    dense = std::max(dense, mem_.macro(m).total_cycles() + adaptive);
+    saved += adaptive;
+  }
+  if (pol.enabled()) {
+    ins.adaptive_mults.add(mults);
+    if (skipped > 0) ins.adaptive_skipped.add(skipped);
+    if (saved > 0) ins.adaptive_saved.add(saved);
+    for (std::size_t d = 0; d < depth_counts.size(); ++d)
+      if (depth_counts[d] > 0) ins.adaptive_depth.observe(d, depth_counts[d]);
+  }
   return dense - mem_.elapsed_cycles();
 }
 

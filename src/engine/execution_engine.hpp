@@ -11,7 +11,10 @@
 // values go. execute() resets the memory ledger and, per macro on the
 // thread pool, stages and runs one MacroController, which writes each
 // instruction's values and its ledger entry through its record as it
-// retires. The entry points keep only their plan building and their
+// retires; after the join it publishes the program-path instruments
+// (macro.program.cycles, engine.adaptive.*, the macro.program instant)
+// from the programs' stats and records -- the controller publishes
+// nothing. The entry points keep only their plan building and their
 // accounting; RunStats come from the memory ledger, the one runtime
 // account, split per op from the records' ledger entries. The engine
 // never calls the macro row-op datapath directly (a CI grep gate enforces
@@ -191,13 +194,13 @@ class ExecutionEngine : public Executor {
   };
   /// One macro's share of a dispatch. `extract` holds one retire record
   /// per instruction of `programs`, in order: the plan fills in where each
-  /// instruction's values go, execute() its ledger entry. `adaptive` is an
-  /// output.
+  /// instruction's values go, execute() its ledger entry. `ran` is an
+  /// output: the stats of each program, in order.
   struct MacroPlan {
     std::vector<StageRow> stage;
     std::vector<const macro::VerifiedProgram*> programs;
     std::vector<macro::Extract> extract;
-    std::uint64_t adaptive = 0;  ///< adaptive cycles its controller reported
+    std::vector<macro::ProgramStats> ran;
   };
   /// What one dispatch does on macros [0, active). Engine-owned scratch:
   /// the vectors keep their capacity across calls.
@@ -211,8 +214,9 @@ class ExecutionEngine : public Executor {
   /// The dispatch core: reset the memory ledger, then per active macro (on
   /// the pool) stage, run on the chained datapath and retire every
   /// instruction into its record (values and ledger entry; run_forward's
-  /// per-op accounting reads the entries). Returns the lock-step cycles
-  /// the adaptive policy took off the makespan.
+  /// per-op accounting reads the entries); after the join, publish the
+  /// program-path instruments from the programs' stats and records.
+  /// Returns the lock-step cycles the adaptive policy took off the makespan.
   std::uint64_t execute(ExecPlan& plan);
 
   /// Execute one validated op of a batch.

@@ -211,7 +211,6 @@ MultPrices::MultPrices(const Pricing& pricing) : pricing_(pricing) {
 ImcMacro::ImcMacro(const MacroConfig& cfg, std::shared_ptr<const MultPrices> mult_prices)
     : cfg_(cfg),
       array_(cfg.geometry),
-      energy_(cfg.energy_params),
       cycle_time_(scheme_cycle_time(cfg, timing::FreqModel(cfg.freq))),
       mult_prices_(std::move(mult_prices)),
       disturb_(DisturbModel::for_scheme(cfg.wl_scheme)),
@@ -277,6 +276,11 @@ void ImcMacro::peek_mult_products(const BitVector& row, unsigned bits,
   BPIM_REQUIRE(out.size() <= mult_units_per_row(bits), "unit range out of range");
   BPIM_REQUIRE(row.size() == cols(), "row width mismatch");
   kProductExtract[static_cast<std::size_t>(std::countr_zero(bits)) - 1](row, out);
+}
+
+void ImcMacro::retire_products(unsigned bits, std::span<std::uint64_t> out) const {
+  kProductExtract[static_cast<std::size_t>(std::countr_zero(bits)) - 1](
+      array_.row(RowRef::dummy(kDummyAccum)), out);
 }
 
 // ---- accounting helpers -----------------------------------------------------
@@ -527,59 +531,57 @@ MultPlan ImcMacro::execute_mult(const RowRef& a, const RowRef& b, unsigned bits,
     plan.depth = 0;
   }
 
-  if (replay) {
-    mult_loop(a, b, bits, plan);
-    return plan;
-  }
-
-  // Closed form: the loop's charges as the plan's one priced fold (an op
-  // starts with nothing pending, so op_energy is that fold exactly), D2
-  // already holding the products and D1 written once when the plan stages.
+  // The data: the replay rebuilds D1 and D2 cycle by cycle; otherwise D2
+  // already holds the products and D1 is written once when the plan stages.
   // The leading iterations a narrowed or skipped plan drops are per-unit
   // no-ops (a zero multiplier bit keeps the still-zero accumulator, whose
   // shift is zero; a zero-multiplicand unit sees sum == accumulator == 0
   // either way), so the pass's full-depth products are the plan's products.
+  if (replay)
+    mult_loop(a, b, bits, plan);
+  else if (plan.staging_cycles() > 0)
+    store(d1, stage_);
+
+  // The account, on either path: the plan's micro-actions as the one fold
+  // MultPrices holds for it (an op starts with nothing pending, so
+  // op_energy is that fold exactly). The plan owns the cycle split:
+  // op_cycles(MULT, bits) == plan.cycles() + plan.fused_cycles_saved() +
+  // plan.adaptive_cycles_saved(bits) exactly (the controller asserts it per
+  // instruction).
   const MultPrices::Charge& priced = mult_prices_->charge(bits, plan);
   pending_energy_ += priced.energy;
   for (std::size_t c = 0; c < component_energy_.size(); ++c)
     component_energy_[c] += priced.by_component[c];
-  if (plan.staging_cycles() > 0) store(d1, stage_);
   finish_op(plan.cycles());
   return plan;
 }
 
 void ImcMacro::mult_loop(RowRef a, RowRef b, unsigned bits, const MultPlan& plan) {
-  const std::size_t units = mult_units_per_row(bits);
   const unsigned unit_bits = 2 * bits;
   const auto [low_halves, unit_lsbs, unit_msbs, field_fill] = unit_masks(bits);
   const RowRef d1 = RowRef::dummy(kDummyOperand);
   const RowRef d2 = RowRef::dummy(kDummyAccum);
-  const auto& p = energy_.params();
-  const double n_units = static_cast<double>(units);
 
   // Cycle 1: zero-init the accumulator row; load the multiplier FFs
   // (MSB-first release order -- the reversed B[3:0] -> B[0:3] of Fig 5).
   // The FFs hold row b as read after the zero-init; only the low half of
   // each unit is ever selected from it.
   wb_.reset(cols());
-  write_back(d2, wb_, static_cast<double>(cols()) * p.zero_init_activity);
+  store(d2, wb_);
   ff_ = array_.row(b);
-  charge(Component::SingleWlRead, static_cast<double>(bits) * n_units);
-  charge(Component::FlipFlop, static_cast<double>(bits) * n_units);
 
   // Cycle 2: copy the multiplicand into the dummy operand row (low halves):
   // mask off the high half of every unit in one word-parallel AND. A
   // d1-staged chain link skips the whole cycle -- the previous MULT of the
   // same multiplicand left exactly this masked copy in D1 (the add-shift
-  // iterations only write D2), so neither the read nor the staging
-  // write-back happens. A skipped MULT (all products provably zero) elides
-  // it too: the zero-initialised accumulator row already IS the result.
+  // iterations only write D2). A skipped MULT (all products provably zero)
+  // elides it too: the zero-initialised accumulator row already IS the
+  // result.
   if (plan.staging_cycles() > 0) {
     const BitVector& row_a = array_.row(a);
     for (std::size_t w = 0, n = wb_.word_count(); w < n; ++w)
       wb_.set_word(w, row_a.word(w) & low_halves);
-    charge(Component::SingleWlRead, static_cast<double>(bits) * n_units);
-    write_back(d1, wb_, static_cast<double>(bits) * n_units);
+    store(d1, wb_);
   }
 
   // Cycles 3..N+2: (N-1) add-and-shift iterations plus the final ADD.
@@ -601,16 +603,8 @@ void ImcMacro::mult_loop(RowRef a, RowRef b, unsigned bits, const MultPlan& plan
       const std::uint64_t v = (fa_.sum.word(w) & sel) | (acc.word(w) & ~sel);
       wb_.set_word(w, last ? v : (v << 1) & ~unit_lsbs);  // <<1 via the propagation path
     }
-    charge(compute_price(d1, d2), static_cast<double>(cols()));
-    charge(Component::FaLogic, static_cast<double>(cols()));
-    charge(Component::FlipFlop, n_units);
-    write_back(d2, wb_, static_cast<double>(cols()) * p.mult_wb_activity);
+    store(d2, wb_);
   }
-
-  // The plan owns the cycle split; op_cycles(MULT, bits) == plan.cycles()
-  // + plan.fused_cycles_saved() + plan.adaptive_cycles_saved(bits) exactly
-  // (the controller asserts it per instruction).
-  finish_op(plan.cycles());
 }
 
 }  // namespace bpim::macro

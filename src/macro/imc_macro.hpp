@@ -19,7 +19,7 @@
 // micro-actions, and advances the cycle counter per Table 1. MULT computes
 // its products in closed form straight into D2 and writes D1 once when its
 // plan stages, replaying the add-shift cycles only when injected disturb
-// can change D1/D2 between them.
+// can change D1/D2 between them; either way one MultPrices entry prices it.
 //
 // Execution contract: the compute entry points below are the *controller's*
 // surface. Everything above the macro layer (engine/serve/app) executes
@@ -81,16 +81,17 @@ struct ExecStats {
   Joule op_energy{0.0};
 };
 
-/// The ledger charge of every closed-form MULT plan at one pricing.
+/// The ledger charge of every MULT plan at one pricing; it prices closed
+/// form and disturb replay alike.
 ///
-/// A closed-form MULT charges its plan's micro-actions in sequencer order:
-/// D2 zero-init, FF load, D1 staging when it runs, then `depth` add-shift
-/// iterations. That left fold depends only on (bits, depth, staging) and on
-/// prices fixed at construction, so the table folds it once per plan, with
-/// the ledger's per-charge arithmetic, and each MULT adds the stored result:
-/// its op_energy is bitwise the per-charge fold (CostModel's price), and
-/// each component's running total gains one subtotal per MULT instead of
-/// one term per charge. Immutable once built: an ImcMemory shares one table
+/// A MULT's plan performs its micro-actions in sequencer order: D2
+/// zero-init, FF load, D1 staging when it runs, then `depth` add-shift
+/// iterations. Their charge is a left fold that depends only on (bits,
+/// depth, staging) and on prices fixed at construction, so the table folds
+/// it once per plan, with the ledger's per-charge arithmetic, and each MULT
+/// adds the stored result: its op_energy is bitwise the per-charge fold
+/// (CostModel's price), and each component's running total gains one
+/// subtotal per MULT. Immutable once built: an ImcMemory shares one table
 /// among its macros, which price identically.
 class MultPrices {
  public:
@@ -172,8 +173,8 @@ class ImcMacro {
                                                 unsigned bits) const;
   /// Bulk extraction of the 2N-bit products: out[i] = product of unit i.
   /// One range/precision validation for the whole span, then a
-  /// per-precision pass with constant unit shifts (the controller's MULT
-  /// retire path, mirroring poke_mult_operands).
+  /// per-precision pass with constant unit shifts (mirroring
+  /// poke_mult_operands).
   void peek_mult_products(const BitVector& row, unsigned bits, std::span<std::uint64_t> out) const;
   [[nodiscard]] const array::SramArray& sram() const { return array_; }
 
@@ -221,15 +222,16 @@ class ImcMacro {
   /// peripheral's zero/msb detectors reading the operands as they stream
   /// through the FF load and staging cycles the op performs anyway.
   ///
-  /// Execution: the ledger is charged the plan's micro-actions (zero-init,
-  /// FF load, staging, `depth` add-shift iterations) as the one fold
-  /// MultPrices holds for the plan. The planning pass writes the
-  /// closed-form products straight into D2 (any operand row, D2 included,
-  /// is read before it is overwritten), and D1 receives the masked
-  /// multiplicand only when the plan stages: a skipped or d1-staged MULT
-  /// leaves D1 untouched. Only under live disturb injection (inject_disturb
-  /// with a nonzero flip probability), where flips change D1/D2 between
-  /// iterations, is the loop replayed cycle by cycle.
+  /// Execution: the planning pass writes the closed-form products straight
+  /// into D2 (any operand row, D2 included, is read before it is
+  /// overwritten), and D1 receives the masked multiplicand only when the
+  /// plan stages: a skipped or d1-staged MULT leaves D1 untouched. Only
+  /// under live disturb injection (inject_disturb with a nonzero flip
+  /// probability), where flips change D1/D2 between iterations, is the
+  /// loop's data movement replayed cycle by cycle (mult_loop). On both
+  /// paths the ledger is charged the plan's micro-actions (zero-init, FF
+  /// load, staging, `depth` add-shift iterations) once, as the fold
+  /// MultPrices holds for the plan.
   MultPlan execute_mult(const array::RowRef& a, const array::RowRef& b, unsigned bits,
                         const AdaptivePolicy& policy = {}, MacLink link = MacLink::Head);
 
@@ -256,8 +258,14 @@ class ImcMacro {
   static constexpr std::size_t kDummyAccum = 2;    ///< MULT accumulator / results
 
  private:
-  /// The add-shift loop replayed cycle by cycle (disturb injection only).
+  friend class MacroController;  // retires MULT records through retire_products
+
+  /// The add-shift loop's data movement replayed cycle by cycle (disturb
+  /// injection only). It charges nothing; execute_mult prices the plan.
   void mult_loop(array::RowRef a, array::RowRef b, unsigned bits, const MultPlan& plan);
+  /// peek_mult_products of D2 without its checks: MacroController::run
+  /// checked every retire record before the program's first instruction.
+  void retire_products(unsigned bits, std::span<std::uint64_t> out) const;
   [[nodiscard]] energy::Component compute_price(array::RowRef a, array::RowRef b) const;
   [[nodiscard]] energy::Component wb_price() const;
   void charge(energy::Component c, double bits);
@@ -275,7 +283,6 @@ class ImcMacro {
 
   MacroConfig cfg_;
   array::SramArray array_;
-  energy::EnergyModel energy_;
   Second cycle_time_;
   /// Per-bit price of each component at cfg_.vdd (fixed by the config).
   std::array<Joule, 8> price_{};

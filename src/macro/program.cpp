@@ -4,46 +4,8 @@
 
 #include "common/require.hpp"
 #include "macro/verifier.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace bpim::macro {
-
-namespace {
-
-// Program-path instruments, resolved once (stable addresses, lock-free
-// updates thereafter). Per-program cycles are the adoption signal of the
-// unified execution model; the adaptive ones show how often the policy
-// fires, what it saves, and the narrowed-depth distribution (full-depth
-// MULTs observe bits). One struct behind one guard: one lookup per program.
-struct Instruments {
-  obs::Histogram& program_cycles;
-  obs::Counter& adaptive_mults;
-  obs::Counter& adaptive_skipped;
-  obs::Counter& adaptive_saved;
-  obs::Histogram& adaptive_depth;
-  obs::TraceSession& session;
-};
-
-Instruments resolve_instruments() {
-  obs::MetricsRegistry& r = obs::MetricsRegistry::global();
-  return {
-      r.histogram("macro.program.cycles", "modeled cycles per executed macro program"),
-      r.counter("engine.adaptive.mults", "MULTs executed under an enabled adaptive policy"),
-      r.counter("engine.adaptive.skipped", "MULTs skipped outright (all products provably zero)"),
-      r.counter("engine.adaptive.cycles_saved",
-                "modeled cycles saved by adaptive narrowing/skipping"),
-      r.histogram("engine.adaptive.narrowed_depth", "executed add-shift depth per adaptive MULT"),
-      obs::TraceSession::global(),
-  };
-}
-
-const Instruments& instruments() {
-  static const Instruments i = resolve_instruments();
-  return i;
-}
-
-}  // namespace
 
 std::string to_string(const Instruction& inst) {
   std::ostringstream os;
@@ -127,7 +89,7 @@ std::string Program::dump() const {
 
 ProgramStats MacroController::run(const Program& p, const AdaptivePolicy& policy,
                                   std::span<Extract> records) {
-  verify_program(p, macro_).require_ok(p);
+  verify_program(p, macro_.config().geometry).require_ok(p);
   return execute(p, policy, records);
 }
 
@@ -167,10 +129,27 @@ BitVector row_op(ImcMacro& m, const Instruction& i) {
   return {};
 }
 
+/// Every retire record against its instruction, before the first one runs:
+/// a MULT's names a MULT precision whose 2N-bit units tile the row and at
+/// most a row of those units; any other's 1..64 bits and at most a row of
+/// words. The retire path reads values without checking again.
+void check_records(const Program& p, std::span<const Extract> records, std::size_t cols) {
+  if (records.empty()) return;
+  BPIM_REQUIRE(records.size() == p.size(), "records hold one entry per instruction, or none");
+  const std::vector<Instruction>& insts = p.instructions();
+  for (std::size_t k = 0; k < insts.size(); ++k) {
+    const Extract& x = records[k];
+    const std::size_t field = insts[k].op == Op::Mult ? 2 * std::size_t{x.bits} : x.bits;
+    const bool width_ok = insts[k].op == Op::Mult
+                              ? is_supported_precision(x.bits) && cols % field == 0
+                              : x.bits >= 1 && x.bits <= 64;
+    BPIM_REQUIRE(width_ok && x.values.size() * field <= cols,
+                 "retire record does not fit its instruction's result row");
+  }
+}
+
 /// Words [0, x.values.size()) of `row` at x.bits into x.values.
 void extract_words(const BitVector& row, const Extract& x) {
-  BPIM_REQUIRE(x.bits >= 1 && x.bits <= 64 && x.values.size() * x.bits <= row.size(),
-               "retire record reaches past its result row");
   for (std::size_t i = 0; i < x.values.size(); ++i)
     x.values[i] = row.extract_bits(i * x.bits, x.bits);
 }
@@ -187,8 +166,7 @@ void retire(Extract& x, const ExecStats& es, unsigned adaptive, const MultPlan& 
 
 ProgramStats MacroController::execute(const Program& p, const AdaptivePolicy& policy,
                                       std::span<Extract> records) {
-  BPIM_REQUIRE(records.empty() || records.size() == p.size(),
-               "records hold one entry per instruction, or none");
+  check_records(p, records, macro_.cols());
   // The macro ledger is the account: each instruction's cycles and energy
   // are read back from last_op(). CostModel prices the same stream
   // statically, and the conservation tests hold the two equal. The sums
@@ -196,8 +174,6 @@ ProgramStats MacroController::execute(const Program& p, const AdaptivePolicy& po
   // update through memory.
   std::uint64_t cycles = 0, fused_saved = 0, adaptive_saved = 0;
   Joule energy{0.0};
-  const bool adaptive_on = policy.enabled();
-  if (adaptive_on) tally_ = {};
   // Precision of the immediately preceding instruction if it was a MULT
   // (0 otherwise): a chain link must follow a MULT at its own precision.
   unsigned prev_mult_bits = 0;
@@ -236,12 +212,9 @@ ProgramStats MacroController::execute(const Program& p, const AdaptivePolicy& po
       adaptive_saved += adaptive;
       if (plan.staging_cycles() > 0) staged = &i;
       prev_mult_bits = i.bits;
-      if (adaptive_on) tally_.add(plan);
       // The products are read out of D2 where they lie.
       if (!records.empty()) {
-        macro_.peek_mult_products(
-            macro_.sram().row(array::RowRef::dummy(ImcMacro::kDummyAccum)), records[k].bits,
-            records[k].values);
+        macro_.retire_products(records[k].bits, records[k].values);
         retire(records[k], es, adaptive, plan);
       }
     } else {
@@ -258,32 +231,8 @@ ProgramStats MacroController::execute(const Program& p, const AdaptivePolicy& po
       }
     }
   }
-  const ProgramStats stats{p.size(), cycles, fused_saved, adaptive_saved, energy,
-                           macro_.cycle_time() * static_cast<double>(cycles)};
-  const Instruments& ins = instruments();
-  if (adaptive_on) {
-    ins.adaptive_mults.add(tally_.mults);
-    if (tally_.skipped > 0) ins.adaptive_skipped.add(tally_.skipped);
-    if (adaptive_saved > 0) ins.adaptive_saved.add(adaptive_saved);
-    for (std::size_t d = 0; d < tally_.depth_counts.size(); ++d)
-      if (tally_.depth_counts[d] > 0) ins.adaptive_depth.observe(d, tally_.depth_counts[d]);
-  }
-  ins.program_cycles.observe(stats.cycles);
-#if BPIM_OBS_ENABLED
-  // Per-program events are high volume (one per macro per batch step), so
-  // they stay behind the extra macro-events gate; a bench opts in when it
-  // wants the microscope view.
-  if (ins.session.macro_events_on()) {
-    ins.session.instant("macro.program", 0,
-                        obs::EventArgs{{"instructions", static_cast<double>(stats.instructions)},
-                                       {"cycles", static_cast<double>(stats.cycles)},
-                                       {"fused_cycles_saved",
-                                        static_cast<double>(stats.fused_cycles_saved)},
-                                       {"adaptive_cycles_saved",
-                                        static_cast<double>(stats.adaptive_cycles_saved)}});
-  }
-#endif
-  return stats;
+  return {p.size(), cycles, fused_saved, adaptive_saved, energy,
+          macro_.cycle_time() * static_cast<double>(cycles)};
 }
 
 }  // namespace bpim::macro

@@ -10,8 +10,13 @@
 // its ledger entry). This is how a host integrates the macro: build
 // row-level programs, run them, read results -- without touching the per-op
 // C++ API directly.
+//
+// The controller only executes: it publishes no metric and records no trace
+// event. engine::ExecutionEngine publishes the program-path instruments
+// (macro.program.cycles, engine.adaptive.*, the macro.program instant) from
+// the ProgramStats and retire records it gets back, so a direct controller
+// caller moves none of them.
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -84,10 +89,13 @@ class Program {
 /// of its result row at `bits` (1..64 bits, every word inside the row) --
 /// for a MULT, the 2N-bit product of MULT unit i (N = `bits`, the MULT's
 /// precision). Values sized to the row capture the whole row; empty values
-/// capture none; a record reaching past the row throws when it retires. As
-/// the instruction retires, the controller writes them there and fills in
-/// the macro ledger's entry for it (ImcMacro::last_op()) and the plan it
-/// executed under beside them.
+/// capture none. MacroController::run checks every record against its
+/// instruction before the first instruction executes, so a malformed one
+/// (bits outside 1..64, not a MULT precision for a MULT, or values reaching
+/// past the row) throws with the macro untouched. As the instruction
+/// retires, the controller writes the values there and fills in the macro
+/// ledger's entry for it (ImcMacro::last_op()) and the plan it executed
+/// under beside them.
 struct Extract {
   unsigned bits = 8;
   std::span<std::uint64_t> values;
@@ -132,7 +140,7 @@ enum class VerifyMode {
 /// before any state is touched; a VerifiedProgram was verified when it was
 /// made and only has its geometry checked. The macro ledger is the one
 /// runtime account: each instruction's cycles and energy are read back from
-/// ImcMacro::last_op().
+/// ImcMacro::last_op(). The controller holds nothing but its macro.
 class MacroController {
  public:
   explicit MacroController(ImcMacro& m, VerifyMode = VerifyMode::VerifyFirst) : macro_(m) {}
@@ -142,7 +150,9 @@ class MacroController {
   ///
   /// `records` is empty or holds one retire record per instruction, in
   /// program order: each instruction's values are written out of its result
-  /// row as it retires, beside its ledger entry and MULT plan.
+  /// row as it retires, beside its ledger entry and MULT plan. A bad
+  /// record (see Extract) is rejected like a program error: it throws
+  /// std::invalid_argument before any instruction runs.
   ///
   /// Back-to-back MULTs at one precision run on the chained datapath: the
   /// FF load of cycle 1 overlaps the predecessor's final D2 write-back
@@ -163,30 +173,15 @@ class MacroController {
 
   /// Runs an already-verified program without verifying it again. Throws
   /// std::invalid_argument, leaving the macro untouched, when `p` was
-  /// verified for a different array geometry.
+  /// verified for a different array geometry or a record does not fit.
   ProgramStats run(const VerifiedProgram& p, const AdaptivePolicy& policy = {},
                    std::span<Extract> records = {});
 
  private:
-  /// The adaptive instruments of the running program, tallied per MULT and
-  /// published once at its end (reset when an adaptive program starts).
-  struct AdaptiveTally {
-    std::uint64_t mults = 0;
-    std::uint64_t skipped = 0;
-    std::array<std::uint64_t, 33> depth_counts{};  ///< MULTs per executed depth
-
-    void add(const MultPlan& plan) {
-      ++mults;
-      if (plan.skip) ++skipped;
-      ++depth_counts[plan.depth];
-    }
-  };
-
   ProgramStats execute(const Program& p, const AdaptivePolicy& policy,
                        std::span<Extract> records);
 
   ImcMacro& macro_;
-  AdaptiveTally tally_;
 };
 
 }  // namespace bpim::macro

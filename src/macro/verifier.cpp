@@ -54,18 +54,11 @@ struct RowState {
 
 class Checker {
  public:
-  Checker(const Program& p, const array::ArrayGeometry& g, const VerifyLimits& limits)
-      : prog_(p), geom_(g), limits_(limits) {}
+  Checker(const Program& p, const array::ArrayGeometry& g) : prog_(p), geom_(g) {}
 
   VerifyReport run() {
     const auto& insts = prog_.instructions();
     for (std::size_t k = 0; k < insts.size(); ++k) check_instruction(k, insts[k]);
-    if (limits_.max_instructions > 0 && insts.size() > limits_.max_instructions) {
-      std::ostringstream os;
-      os << "program has " << insts.size() << " instructions, budget is "
-         << limits_.max_instructions;
-      diag(Severity::Error, DiagKind::InstructionBudget, limits_.max_instructions, os.str());
-    }
     return std::move(report_);
   }
 
@@ -235,25 +228,13 @@ class Checker {
 
     // Cycle account (Table 1). op_cycles rejects degenerate widths, so only
     // price instructions a real sequencer could issue.
-    if (i.bits >= 1) {
-      report_.static_cycles += op_cycles(i.op, i.bits);
-      if (limits_.max_cycles > 0 && !cycle_budget_reported_ &&
-          report_.static_cycles > limits_.max_cycles) {
-        std::ostringstream os;
-        os << "static cycles reach " << report_.static_cycles << " here, budget is "
-           << limits_.max_cycles;
-        diag(Severity::Error, DiagKind::CycleBudget, k, os.str());
-        cycle_budget_reported_ = true;
-      }
-    }
+    if (i.bits >= 1) report_.static_cycles += op_cycles(i.op, i.bits);
   }
 
   const Program& prog_;
   const array::ArrayGeometry& geom_;
-  const VerifyLimits& limits_;
   VerifyReport report_;
   std::unordered_map<std::size_t, RowState> rows_;
-  bool cycle_budget_reported_ = false;
 };
 
 }  // namespace
@@ -273,8 +254,6 @@ const char* to_string(DiagKind k) {
     case DiagKind::RawHazard: return "raw-hazard";
     case DiagKind::WawHazard: return "waw-hazard";
     case DiagKind::PrecisionMismatch: return "precision-mismatch";
-    case DiagKind::CycleBudget: return "cycle-budget";
-    case DiagKind::InstructionBudget: return "instruction-budget";
   }
   return "unknown";
 }
@@ -312,9 +291,6 @@ std::string VerifyReport::annotate(const Program& p) const {
         format_diag(os, d);
       }
   }
-  // Budget faults indexed past the last instruction (whole-program).
-  for (const auto& d : diagnostics)
-    if (d.instruction >= p.size()) format_diag(os, d);
   return os.str();
 }
 
@@ -327,18 +303,12 @@ void VerifyReport::require_ok(const Program& p) const {
                               annotate(p));
 }
 
-VerifyReport verify_program(const Program& p, const array::ArrayGeometry& g,
-                            const VerifyLimits& limits) {
-  return Checker(p, g, limits).run();
+VerifyReport verify_program(const Program& p, const array::ArrayGeometry& g) {
+  return Checker(p, g).run();
 }
 
-VerifyReport verify_program(const Program& p, const ImcMacro& m, const VerifyLimits& limits) {
-  return verify_program(p, m.config().geometry, limits);
-}
-
-VerifiedProgram VerifiedProgram::verify(Program p, const array::ArrayGeometry& g,
-                                        const VerifyLimits& limits) {
-  verify_program(p, g, limits).require_ok(p);
+VerifiedProgram VerifiedProgram::verify(Program p, const array::ArrayGeometry& g) {
+  verify_program(p, g).require_ok(p);
   return VerifiedProgram(std::move(p), g);
 }
 

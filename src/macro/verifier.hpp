@@ -32,9 +32,7 @@
 //     dest overwritten before anything read it) and RAW (reading a row
 //     whose explicit definition was clobbered by a later instruction's
 //     implicit scratch-row traffic), plus precision reinterpretation
-//     (a row written as N-bit fields read back at a different width);
-//   * whole-program budgets: Table-1 static cycles and instruction count
-//     against caller-supplied limits.
+//     (a row written as N-bit fields read back at a different width).
 //
 // Hazard diagnostics are Warnings (the program still executes exactly as
 // written -- these flag *suspect* schedules for the compiler); everything
@@ -65,8 +63,6 @@ enum class DiagKind {
   RawHazard,          ///< read of a row clobbered by implicit scratch traffic
   WawHazard,          ///< explicit dest overwritten before any read
   PrecisionMismatch,  ///< field-structured read at a different width than the write
-  CycleBudget,        ///< static cycles exceed VerifyLimits::max_cycles
-  InstructionBudget,  ///< instruction count exceeds VerifyLimits::max_instructions
 };
 
 [[nodiscard]] const char* to_string(Severity s);
@@ -79,14 +75,8 @@ struct Diagnostic {
   std::string message;
 };
 
-/// Whole-program static budgets; 0 means unlimited.
-struct VerifyLimits {
-  std::uint64_t max_cycles = 0;       ///< Table-1 static cycle budget
-  std::size_t max_instructions = 0;   ///< program length budget
-};
-
 struct VerifyReport {
-  std::vector<Diagnostic> diagnostics;  ///< program order, then budgets
+  std::vector<Diagnostic> diagnostics;  ///< program order
   std::uint64_t static_cycles = 0;      ///< Table-1 total (malformed ops priced 0)
   std::size_t errors = 0;
   std::size_t warnings = 0;
@@ -108,12 +98,7 @@ struct VerifyReport {
 
 /// Verify `p` against an array geometry (no macro instance needed -- a
 /// compiler can check emitted programs before the target array exists).
-[[nodiscard]] VerifyReport verify_program(const Program& p, const array::ArrayGeometry& g,
-                                          const VerifyLimits& limits = {});
-
-/// Convenience: verify against a live macro's geometry.
-[[nodiscard]] VerifyReport verify_program(const Program& p, const ImcMacro& m,
-                                          const VerifyLimits& limits = {});
+[[nodiscard]] VerifyReport verify_program(const Program& p, const array::ArrayGeometry& g);
 
 /// An immutable Program that passed verify_program against one array
 /// geometry, which it records. Only VerifiedProgram::verify, OpCompiler and
@@ -128,8 +113,7 @@ class VerifiedProgram {
   /// Verify `p` against `g` and seal it. Throws std::invalid_argument, with
   /// the errors and the annotated listing, when the report has Errors;
   /// Warnings pass.
-  [[nodiscard]] static VerifiedProgram verify(Program p, const array::ArrayGeometry& g,
-                                              const VerifyLimits& limits = {});
+  [[nodiscard]] static VerifiedProgram verify(Program p, const array::ArrayGeometry& g);
 
   operator const Program&() const { return program_; }
   [[nodiscard]] const Program& program() const { return program_; }

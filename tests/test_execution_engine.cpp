@@ -4,14 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "app/vector_engine.hpp"
 #include "common/rng.hpp"
 #include "engine/execution_engine.hpp"
+#include "macro/compiler.hpp"
 #include "macro/cost_model.hpp"
 #include "macro/program.hpp"
+#include "obs/metrics.hpp"
 
 namespace bpim::engine {
 namespace {
@@ -462,6 +467,196 @@ TEST(ExecutionEngine, InstructionStreamConservesLedger) {
       want += bank;
     }
     EXPECT_EQ(res.stats.energy.si(), want.si()) << to_string(c.op.kind);
+  }
+}
+
+/// The program-path instruments as they stand: macro.program.cycles and
+/// engine.adaptive.*.
+struct ProgramInstruments {
+  obs::HistogramSnapshot cycles, depth;
+  std::uint64_t mults = 0, skipped = 0, saved = 0;
+
+  static ProgramInstruments now() {
+    obs::MetricsRegistry& r = obs::MetricsRegistry::global();
+    return {r.histogram("macro.program.cycles").snapshot(),
+            r.histogram("engine.adaptive.narrowed_depth").snapshot(),
+            r.counter("engine.adaptive.mults").value(),
+            r.counter("engine.adaptive.skipped").value(),
+            r.counter("engine.adaptive.cycles_saved").value()};
+  }
+};
+
+/// Bucket upper bound -> events, of `after` less `before`.
+std::map<std::uint64_t, std::uint64_t> bucket_delta(const obs::HistogramSnapshot& before,
+                                                    const obs::HistogramSnapshot& after) {
+  std::map<std::uint64_t, std::uint64_t> d;
+  for (const auto& b : after.buckets) d[b.upper] += b.count;
+  for (const auto& b : before.buckets) d[b.upper] -= b.count;
+  std::erase_if(d, [](const auto& kv) { return kv.second == 0; });
+  return d;
+}
+
+/// What a dispatch's programs imply for those instruments, from a
+/// controller replay of the same programs with retire records (the
+/// controller publishes nothing, so the replay moves none of them): one
+/// cycles observation per program and, under an enabled policy, every
+/// MULT's plan.
+struct ImpliedInstruments {
+  obs::Histogram cycles, depth;
+  std::uint64_t mults = 0, skipped = 0, saved = 0;
+
+  void add(const macro::Program& p, std::span<const macro::Extract> records, bool adaptive) {
+    std::uint64_t program_cycles = 0;
+    for (std::size_t k = 0; k < p.size(); ++k) {
+      program_cycles += records[k].cycles;
+      if (!adaptive || p.instructions()[k].op != macro::Op::Mult) continue;
+      ++mults;
+      skipped += records[k].plan.skip ? 1 : 0;
+      saved += records[k].adaptive_cycles_saved;
+      depth.observe(records[k].plan.depth);
+    }
+    cycles.observe(program_cycles);
+  }
+
+  void expect_published_since(const ProgramInstruments& before, const std::string& what) const {
+    const ProgramInstruments after = ProgramInstruments::now();
+    for (const auto& [got0, got1, want] :
+         {std::tuple{&before.cycles, &after.cycles, cycles.snapshot()},
+          std::tuple{&before.depth, &after.depth, depth.snapshot()}}) {
+      EXPECT_EQ(got1->count - got0->count, want.count) << what;
+      EXPECT_EQ(got1->sum - got0->sum, want.sum) << what;
+      EXPECT_EQ(bucket_delta(*got0, *got1), bucket_delta({}, want)) << what;
+    }
+    EXPECT_EQ(after.mults - before.mults, mults) << what;
+    EXPECT_EQ(after.skipped - before.skipped, skipped) << what;
+    EXPECT_EQ(after.saved - before.saved, saved) << what;
+  }
+};
+
+TEST(ExecutionEngine, ProgramInstrumentsMatchRetiredPrograms) {
+  // The engine publishes macro.program.cycles and engine.adaptive.* after
+  // each dispatch's join, from the programs it ran and their retire
+  // records: count, sum and every bucket are what a controller replay of
+  // the same programs implies -- for every single-op kind and a fused
+  // forward, with the adaptive policy on and off, at 1 and 4 threads.
+  const unsigned bits = 8;
+  const std::size_t n = 100;  // a partial last chunk at every layout
+  std::vector<std::uint64_t> a = random_vec(n, bits, 0x1A);
+  std::vector<std::uint64_t> b = random_vec(n, bits, 0x1B);
+  // Narrow multipliers and a zero multiplicand chunk: the policy narrows
+  // and skips.
+  for (std::size_t i = 0; i < n; i += 2) b[i] &= 0x0F;
+  std::fill(a.begin(), a.begin() + 8, 0);
+  const array::RowRef r0 = array::RowRef::main(0), r1 = array::RowRef::main(1);
+  const auto inst_of = [&](OpKind kind) {
+    macro::Instruction i{.a = r0, .b = r1, .bits = bits};
+    switch (kind) {
+      case OpKind::Add: i.op = macro::Op::Add; break;
+      case OpKind::Sub: i.op = macro::Op::Sub; break;
+      case OpKind::Mult: i.op = macro::Op::Mult; break;
+      case OpKind::AddShift:
+        i.op = macro::Op::AddShift;
+        i.dest = array::RowRef::dummy(macro::ImcMacro::kDummyAccum);
+        break;
+      case OpKind::Not:
+        i.op = macro::Op::Not;
+        i.dest = array::RowRef::dummy(macro::ImcMacro::kDummyOperand);
+        break;
+      case OpKind::Logic:
+        i.op = macro::Op::And;
+        i.logic_fn = periph::LogicFn::Xor;
+        break;
+    }
+    return i;
+  };
+
+  for (const std::size_t threads : {1u, 4u}) {
+    for (const bool adaptive : {false, true}) {
+      const macro::AdaptivePolicy policy =
+          adaptive ? macro::AdaptivePolicy{true, true} : macro::AdaptivePolicy{};
+      const std::string where =
+          std::to_string(threads) + " threads" + (adaptive ? ", adaptive" : "");
+      for (const OpKind kind : {OpKind::Add, OpKind::Sub, OpKind::Mult, OpKind::AddShift,
+                                OpKind::Not, OpKind::Logic}) {
+        const bool unary = kind == OpKind::Not;
+        const VecOp op{kind, bits, periph::LogicFn::Xor, a,
+                       unary ? std::span<const std::uint64_t>{}
+                             : std::span<const std::uint64_t>(b)};
+        macro::ImcMemory mem(tiny_memory());
+        ExecutionEngine eng(mem, EngineConfig{threads});
+        eng.set_adaptive_policy(policy);
+        const ProgramInstruments before = ProgramInstruments::now();
+        (void)eng.run(op);
+
+        // Replay: each chunk is one single-instruction program over
+        // otherwise-zero operand rows.
+        macro::ImcMacro twin{mem.macro(0).config()};
+        macro::OpCompiler oc(twin.config().geometry);
+        const macro::VerifiedProgram& prog = oc.single(inst_of(kind));
+        const std::size_t per = eng.elements_per_chunk(op);
+        ImpliedInstruments want;
+        for (std::size_t pos = 0; pos < n; pos += per) {
+          const std::size_t len = std::min(per, n - pos);
+          for (const std::size_t r : {0u, 1u}) twin.poke_row(r, BitVector(twin.cols()));
+          const auto stage = [&](std::size_t r, std::span<const std::uint64_t> v) {
+            if (kind == OpKind::Mult)
+              twin.poke_mult_operands(r, 0, bits, v.subspan(pos, len));
+            else
+              twin.poke_words(r, 0, bits, v.subspan(pos, len));
+          };
+          stage(0, a);
+          if (!unary) stage(1, b);
+          std::vector<std::uint64_t> values(len);
+          macro::Extract rec{.bits = bits, .values = values};
+          (void)macro::MacroController(twin).run(prog, policy, {&rec, 1});
+          want.add(prog, {&rec, 1}, adaptive);
+        }
+        want.expect_published_since(before, where + ", " + to_string(kind));
+      }
+
+      // A fused forward: macro m runs one program over its chunks m, m + M,
+      // ...; the replay stacks the same operands in the compiler's default
+      // rows on a twin memory.
+      const std::size_t ops = 3;
+      macro::ImcMemory mem(tiny_memory());
+      ExecutionEngine eng(mem, EngineConfig{threads});
+      eng.set_adaptive_policy(policy);
+      std::vector<std::vector<std::uint64_t>> w;
+      std::vector<ResidentOperand> handles;
+      for (std::size_t j = 0; j < ops; ++j) {
+        w.push_back(random_vec(n, 2 + 2 * static_cast<unsigned>(j), 0x2A + j));
+        handles.push_back(eng.pin(w.back(), bits, OperandLayout::MultUnit));
+      }
+      const ProgramInstruments before = ProgramInstruments::now();
+      (void)eng.run_forward(handles, a);
+      ASSERT_EQ(eng.fusion_stats().fused_runs, 1u) << where;
+
+      const std::size_t macros = mem.macro_count(), units = eng.mult_units_per_row(bits);
+      const std::size_t chunks = (n + units - 1) / units;
+      macro::ImcMemory twin(tiny_memory());
+      const macro::FusionCompiler compiler(twin.macro(0).config().geometry);
+      ImpliedInstruments want;
+      for (std::size_t m = 0; m < std::min(macros, chunks); ++m) {
+        const std::size_t held = (chunks - m + macros - 1) / macros;
+        macro::ImcMacro& mac = twin.macro(m);
+        for (std::size_t l = 0; l < held; ++l) {
+          const std::size_t pos = (l * macros + m) * units;
+          const std::size_t len = std::min(units, n - pos);
+          mac.poke_mult_operands(2 * l, 0, bits, std::span(a).subspan(pos, len));
+          for (std::size_t j = 0; j < ops; ++j)
+            mac.poke_mult_operands(2 * ((j + 1) * held + l), 0, bits,
+                                   std::span(w[j]).subspan(pos, len));
+        }
+        const macro::RelocatableForward prog = compiler.compile_relocatable_forward(bits, ops, held);
+        std::vector<macro::Extract> records(prog.program().size());
+        (void)macro::MacroController(mac).run(prog.program(), policy, records);
+        want.add(prog.program(), records, adaptive);
+      }
+      if (adaptive) {
+        EXPECT_GT(want.skipped, 0u) << where;
+      }
+      want.expect_published_since(before, where + ", fused forward");
+    }
   }
 }
 

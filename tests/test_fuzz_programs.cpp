@@ -187,7 +187,7 @@ TEST(FuzzPrograms, RandomStreamsMatchReferenceMachine) {
 
     // Every builder-produced stream must pass the static verifier before it
     // executes -- and then execute identically to the reference machine.
-    const VerifyReport rep = verify_program(p, macro);
+    const VerifyReport rep = verify_program(p, macro.config().geometry);
     ASSERT_TRUE(rep.ok()) << "round " << round << ":\n" << rep.to_string();
 
     RowCapture cap(p, macro.cols());
@@ -249,7 +249,7 @@ TEST(FuzzPrograms, CorruptedStreamsAreRejectedBeforeExecution) {
     for (int n = 0; n < 5; ++n)
       p.add(RowRef::main(rng.uniform_u64(6)), RowRef::main(6 + rng.uniform_u64(6)), 8);
 
-    const VerifyReport rep = verify_program(p, macro);
+    const VerifyReport rep = verify_program(p, macro.config().geometry);
     EXPECT_FALSE(rep.ok()) << "round " << round << ": corruption not caught";
     EXPECT_THROW(ctl.run(p), std::invalid_argument);
     // Rejected whole: the valid prefix never executed either.

@@ -258,6 +258,46 @@ TEST(MacroEnergyConservation, ControllerLedgerPricesExactlyOnEveryInstruction) {
   }
 }
 
+TEST(MacroEnergyConservation, DisturbReplayPricesExactlyOnEveryInstruction) {
+  // Under live disturb injection a MULT's add-shift loop is replayed cycle
+  // by cycle, and it is priced like the closed form: by its plan's one
+  // MultPrices entry. Every retired instruction of a chain with D1-staged
+  // links, a SUB that takes D1 away and links that re-stage it is priced
+  // as executed. (Kept out of the fresh-vs-warm sweep above: each macro of
+  // a memory draws its own disturb stream, so the twins' rows diverge.)
+  const auto m = [](std::size_t r) { return RowRef::main(r); };
+  Rng rng(0xD157);
+  for (const AdaptivePolicy policy : {AdaptivePolicy{}, AdaptivePolicy{true, true}}) {
+    for (const unsigned bits : {4u, 8u}) {
+      MacroConfig cfg;
+      cfg.wl_scheme = WlScheme::FullSwingLong;
+      cfg.inject_disturb = true;
+      ImcMacro mac{cfg};
+      for (std::size_t r = 0; r < 6; ++r)
+        for (std::size_t u = 0; u < mac.mult_units_per_row(bits); ++u)
+          mac.poke_mult_operand(r, u, bits, sparse_operand(rng, bits, 25));
+      Program p;
+      p.mult(m(0), m(1), bits).mult(m(0), m(2), bits).mult(m(0), m(3), bits);
+      p.sub(m(1), m(2), bits).mult(m(0), m(4), bits).mult(m(0), m(5), bits);
+      p.mult(m(3), m(4), bits).add(m(2), m(3), bits);
+      const std::string what =
+          "adaptive=" + std::to_string(policy.enabled()) + " bits=" + std::to_string(bits);
+
+      RowCapture cap(p, cfg.geometry.cols);
+      const ProgramStats st = MacroController(mac).run(p, policy, cap.records());
+      EXPECT_GT(mac.disturb_flips(), 0u) << what;
+      std::size_t staged_links = 0;
+      for (std::size_t k = 0; k < cap.size(); ++k) staged_links += cap[k].plan.d1_staged ? 1 : 0;
+      EXPECT_GT(staged_links, 0u) << what;
+      expect_priced_as_executed(cfg, p, cap.records(), what);
+      EXPECT_EQ(st.cycles + st.fused_cycles_saved + st.adaptive_cycles_saved, p.static_cycles())
+          << what;
+      EXPECT_EQ(st.cycles, mac.total_cycles()) << what;
+      EXPECT_EQ(st.energy.si(), mac.total_energy().si()) << what;
+    }
+  }
+}
+
 TEST(MacroEnergyProperties, EnergyIndependentOfDataValues) {
   // The structural ledger charges by bits touched, not data (activity
   // factors are modelled as constants) -- two different operand sets must

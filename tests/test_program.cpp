@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "macro/program.hpp"
 #include "macro/verifier.hpp"
-#include "obs/metrics.hpp"
 #include "priced_ledger.hpp"
 
 namespace bpim::macro {
@@ -42,7 +42,8 @@ TEST(Controller, VerifierChecksRowsUpfront) {
   const ImcMacro m{MacroConfig{}};
   const auto kinds = [&](const Program& p) {
     std::vector<DiagKind> out;
-    for (const Diagnostic& d : verify_program(p, m).diagnostics) out.push_back(d.kind);
+    for (const Diagnostic& d : verify_program(p, m.config().geometry).diagnostics)
+      out.push_back(d.kind);
     return out;
   };
 
@@ -112,93 +113,62 @@ TEST(Controller, MultThroughProgramMatchesDirectCall) {
   EXPECT_EQ(m.peek_mult_product(cap.row(0), 0, 8), 143u);
 }
 
-TEST(Controller, WordRecordsPastTheRowAreRejected) {
-  // A word record must fit its result row at a width of 1..64 bits; one
-  // that does not throws before any value is read, in every build type.
+TEST(Controller, MalformedRecordsLeaveMacroUntouched) {
+  // Every retire record is checked against its instruction before the
+  // first instruction runs, in every build type: a bad record on a
+  // program's last instruction throws with nothing executed or charged and
+  // every main and dummy row as it was -- like a verifier rejection.
   ImcMacro m{MacroConfig{}};
-  MacroController ctl(m);
-  Program p;
-  p.add(RowRef::main(0), RowRef::main(1), 8);
-  std::vector<std::uint64_t> fits(m.cols() / 8), past(m.cols() / 8 + 1);
-  for (const Extract bad : {Extract{.bits = 8, .values = past}, Extract{.bits = 0, .values = fits},
-                            Extract{.bits = 65, .values = fits}}) {
-    Extract x = bad;
-    EXPECT_THROW(ctl.run(p, {}, {&x, 1}), std::invalid_argument) << "bits " << bad.bits;
+  Rng rng(0x8EC);
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    BitVector row(m.cols());
+    row.randomize(rng);
+    m.poke_row(r, row);
   }
-  Extract ok{.bits = 8, .values = fits};
-  EXPECT_NO_THROW(ctl.run(p, {}, {&ok, 1}));
-}
-
-TEST(Controller, ProgramCyclesHistogramSeesEveryProgram) {
-  // One observation per executed program; the count is the bucket total.
-  obs::Histogram& h = obs::MetricsRegistry::global().histogram("macro.program.cycles");
-  const obs::HistogramSnapshot before = h.snapshot();
-  ImcMacro m{MacroConfig{}};
-  Program mult;
-  mult.mult(RowRef::main(0), RowRef::main(1), 8);
-  Program add;
-  add.add(RowRef::main(0), RowRef::main(1), 8);
   MacroController ctl(m);
-  ctl.run(mult);
-  ctl.run(add);
-  ctl.run(mult);
-  const obs::HistogramSnapshot after = h.snapshot();
-  EXPECT_EQ(after.count - before.count, 3u);
-  EXPECT_DOUBLE_EQ(after.sum - before.sum, 2 * 10.0 + 1.0);
-}
+  Program stage;  // leaves D1 and D2 holding data
+  stage.mult(RowRef::main(6), RowRef::main(7), 8).sub(RowRef::main(0), RowRef::main(1), 8);
+  ctl.run(stage);
+  m.reset_counters();
+  const auto rows = [&] {
+    std::vector<BitVector> out;
+    for (std::size_t r = 0; r < m.rows(); ++r) out.push_back(m.sram().row(RowRef::main(r)));
+    for (std::size_t d = 0; d < m.config().geometry.dummy_rows; ++d)
+      out.push_back(m.sram().row(RowRef::dummy(d)));
+    return out;
+  };
+  const std::vector<BitVector> before = rows();
 
-TEST(Controller, AdaptiveInstrumentsMatchTracedPlans) {
-  // engine.adaptive.* count every MULT run under an enabled policy, exactly
-  // as the retired plans resolved it: skipped MULTs, cycles saved and one
-  // narrowed_depth observation per executed depth. MULTs run with the
-  // policy off add nothing.
-  obs::MetricsRegistry& r = obs::MetricsRegistry::global();
-  obs::Counter& mults = r.counter("engine.adaptive.mults");
-  obs::Counter& skipped = r.counter("engine.adaptive.skipped");
-  obs::Counter& saved = r.counter("engine.adaptive.cycles_saved");
-  obs::Histogram& depth = r.histogram("engine.adaptive.narrowed_depth");
-  const auto upper_of = [](std::uint64_t v) {
-    return obs::HistogramBuckets::upper_bound(obs::HistogramBuckets::index_of(v));
+  Program word_last;  // the bad record sits on the ADD
+  word_last.mult(RowRef::main(0), RowRef::main(1), 8)
+      .sub(RowRef::main(2), RowRef::main(3), 8)
+      .add(RowRef::main(4), RowRef::main(5), 8);
+  Program mult_last;  // the bad record sits on the MULT
+  mult_last.add(RowRef::main(4), RowRef::main(5), 8)
+      .sub(RowRef::main(2), RowRef::main(3), 8)
+      .mult(RowRef::main(0), RowRef::main(1), 8);
+  std::vector<std::uint64_t> words(m.cols() / 8), past(m.cols() / 8 + 1);
+  std::vector<std::uint64_t> units(m.mult_units_per_row(8) + 1);
+  struct Case {
+    const Program* p;
+    Extract bad;
+    const char* what;
   };
-  const auto bucket_count = [](const obs::HistogramSnapshot& s, std::uint64_t upper) {
-    for (const auto& b : s.buckets)
-      if (b.upper == upper) return b.count;
-    return std::uint64_t{0};
-  };
-  ImcMacro m{MacroConfig{}};
-  m.poke_mult_operand(0, 0, 8, 3);    // narrow multiplicand
-  m.poke_mult_operand(1, 0, 8, 5);    // narrow multiplier
-  m.poke_mult_operand(3, 0, 8, 255);  // dense
-  m.poke_mult_operand(4, 0, 8, 201);  // dense
-  Program p;  // row 2 is all zero: its MULTs skip
-  p.mult(RowRef::main(0), RowRef::main(1), 8)
-      .mult(RowRef::main(0), RowRef::main(2), 8)
-      .mult(RowRef::main(3), RowRef::main(4), 8)
-      .mult(RowRef::main(2), RowRef::main(1), 8);
-  const std::uint64_t mults0 = mults.value(), skipped0 = skipped.value(), saved0 = saved.value();
-  const obs::HistogramSnapshot depth0 = depth.snapshot();
-  // Two adaptive runs add up; the policy-off run adds nothing.
-  std::vector<Extract> records(2 * p.size());
-  MacroController ctl(m);
-  ctl.run(p, AdaptivePolicy{true, true}, std::span(records).first(p.size()));
-  ctl.run(p, AdaptivePolicy{true, true}, std::span(records).last(p.size()));
-  ctl.run(p);  // policy off: not an adaptive MULT
-  std::uint64_t want_skipped = 0, want_saved = 0;
-  std::map<std::uint64_t, std::uint64_t> want_depth;  // bucket upper -> count
-  for (const Extract& e : records) {
-    want_skipped += e.plan.skip ? 1 : 0;
-    want_saved += e.adaptive_cycles_saved;
-    ++want_depth[upper_of(e.plan.depth)];
+  for (const Case& c : {Case{&word_last, {.bits = 8, .values = past}, "word record past the row"},
+                        Case{&word_last, {.bits = 0, .values = words}, "word bits 0"},
+                        Case{&word_last, {.bits = 65, .values = words}, "word bits 65"},
+                        Case{&mult_last, {.bits = 3, .values = words}, "MULT bits 3"},
+                        Case{&mult_last, {.bits = 8, .values = units}, "MULT units past the row"}}) {
+    RowCapture cap(*c.p, m.cols());
+    cap.records()[2] = c.bad;
+    EXPECT_THROW(ctl.run(*c.p, {}, cap.records()), std::invalid_argument) << c.what;
+    EXPECT_EQ(m.total_cycles(), 0u) << c.what;
+    EXPECT_EQ(m.total_energy().si(), 0.0) << c.what;
+    EXPECT_TRUE(rows() == before) << c.what;
   }
-  ASSERT_GT(want_skipped, 0u);
-  ASSERT_GT(want_saved, 0u);
-  EXPECT_EQ(mults.value() - mults0, records.size());
-  EXPECT_EQ(skipped.value() - skipped0, want_skipped);
-  EXPECT_EQ(saved.value() - saved0, want_saved);
-  const obs::HistogramSnapshot depth1 = depth.snapshot();
-  EXPECT_EQ(depth1.count - depth0.count, records.size());
-  for (const auto& [upper, n] : want_depth)
-    EXPECT_EQ(bucket_count(depth1, upper) - bucket_count(depth0, upper), n) << "bucket " << upper;
+  RowCapture ok(word_last, m.cols());
+  EXPECT_NO_THROW(ctl.run(word_last, {}, ok.records()));
+  EXPECT_EQ(m.total_cycles(), word_last.static_cycles());
 }
 
 TEST(Controller, InstructionToStringReadable) {

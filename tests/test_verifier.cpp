@@ -189,27 +189,6 @@ TEST(Verifier, WarnsOnPrecisionReinterpretation) {
   EXPECT_FALSE(has(verify_program(same, default_geometry()), DiagKind::PrecisionMismatch));
 }
 
-TEST(Verifier, EnforcesStaticBudgets) {
-  Program p;
-  p.add(RowRef::main(0), RowRef::main(1), 8)
-      .add(RowRef::main(1), RowRef::main(2), 8)
-      .add(RowRef::main(2), RowRef::main(3), 8);
-
-  VerifyLimits cycles;
-  cycles.max_cycles = 2;
-  const auto rep = verify_program(p, default_geometry(), cycles);
-  EXPECT_FALSE(rep.ok());
-  ASSERT_TRUE(has(rep, DiagKind::CycleBudget));
-  EXPECT_EQ(first(rep, DiagKind::CycleBudget).instruction, 2u);  // the crossing instruction
-
-  VerifyLimits count;
-  count.max_instructions = 2;
-  EXPECT_TRUE(has(verify_program(p, default_geometry(), count), DiagKind::InstructionBudget));
-
-  // Zero limits mean unlimited.
-  EXPECT_TRUE(verify_program(p, default_geometry()).ok());
-}
-
 TEST(Verifier, ReportsFormatAsText) {
   Program p;
   p.add(RowRef::main(0), RowRef::main(300), 8);
