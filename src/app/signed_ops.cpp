@@ -101,35 +101,6 @@ bool SignedVectorOps::unpin(const engine::ResidentOperand& handle) {
   return engine_.unpin(handle);
 }
 
-std::vector<std::vector<std::int64_t>> SignedVectorOps::mult_batch_resident(
-    const std::vector<std::vector<std::int64_t>>& as,
-    const std::vector<engine::ResidentOperand>& b_handles,
-    const std::vector<bool>& b_negative) {
-  BPIM_REQUIRE(as.size() == b_handles.size() && as.size() == b_negative.size(),
-               "batch operand lists must have equal length");
-  // Magnitude storage must outlive the engine call (ops borrow spans).
-  std::vector<std::vector<std::uint64_t>> ma;
-  ma.reserve(as.size());
-  std::vector<engine::VecOp> ops;
-  ops.reserve(as.size());
-  for (std::size_t k = 0; k < as.size(); ++k) {
-    ma.push_back(magnitudes(as[k], bits_));
-    engine::VecOp op;
-    op.kind = engine::OpKind::Mult;
-    op.bits = bits_;
-    op.a = ma.back();
-    op.rb = b_handles[k];
-    ops.push_back(op);
-  }
-  const std::vector<engine::OpResult> results = engine_.run_ops(ops);
-  batch_runs_.clear();
-  std::vector<std::vector<std::int64_t>> out;
-  out.reserve(results.size());
-  for (std::size_t k = 0; k < results.size(); ++k)
-    out.push_back(signed_product(results[k], as[k], b_negative[k]));
-  return out;
-}
-
 std::vector<std::vector<std::int64_t>> SignedVectorOps::mult_forward_resident(
     const std::vector<std::int64_t>& a,
     const std::vector<engine::ResidentOperand>& b_handles,

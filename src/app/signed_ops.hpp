@@ -48,30 +48,21 @@ class SignedVectorOps {
 
   // ---- persistent operand residency ---------------------------------------
   /// Pin |b| resident as a MULT operand (engine/residency.hpp): the
-  /// magnitude rows stay in the array and mult_batch_resident() references
-  /// them by handle. The sign is the caller's to re-apply -- pass
+  /// magnitude rows stay in the array and mult_forward_resident()
+  /// references them by handle. The sign is the caller's to re-apply -- pass
   /// b_negative below. `colocate_key` as in VectorEngine::pin_operand.
   [[nodiscard]] engine::ResidentOperand pin_mult_magnitudes(
       const std::vector<std::int64_t>& b,
       std::optional<std::uint64_t> colocate_key = std::nullopt);
   bool unpin(const engine::ResidentOperand& handle);
 
-  /// Batched sign-magnitude multiply against resident b-side magnitudes:
-  /// op k multiplies |as[k]| by the pinned rows of b_handles[k], and
-  /// b_negative[k] says whether the pinned operand was negative (one
-  /// broadcast sign per op, the FIR-tap shape). Bit-identical to
-  /// mult_batch() on the equivalent spans.
-  [[nodiscard]] std::vector<std::vector<std::int64_t>> mult_batch_resident(
-      const std::vector<std::vector<std::int64_t>>& as,
-      const std::vector<engine::ResidentOperand>& b_handles,
-      const std::vector<bool>& b_negative);
-
   /// Fused sign-magnitude forward: |a| is staged once and multiplied against
   /// every resident magnitude handle in one compiled macro program
   /// (VectorEngine::run_forward). out[k][i] = sign * (|a[i]| * |b_k[i]|)
   /// with the sign from a[i] and b_negative[k] -- the per-handle products a
   /// caller with broadcast constants (FIR taps) reassembles at any delay.
-  /// Bit-identical products to mult_batch_resident on the same operands.
+  /// Bit-identical to mult(a, b_k) for the signed operand b_k that handle
+  /// k pins.
   [[nodiscard]] std::vector<std::vector<std::int64_t>> mult_forward_resident(
       const std::vector<std::int64_t>& a,
       const std::vector<engine::ResidentOperand>& b_handles,

@@ -104,12 +104,20 @@ void for_each_chunk(std::size_t n, std::size_t per_op, std::size_t macros, Fn&& 
     fn(c % macros, c / macros, pos, std::min(per_op, n - pos));
 }
 
+/// Write a whole operand row, as a hardware row write drives every column:
+/// the values, then zeros to the row's end, so nothing an earlier op left in
+/// the row's tail reaches the next op (the adaptive MULT planner scans the
+/// whole row). Most staged rows are full, so only a short one pays for the
+/// tail.
 void stage_row(macro::ImcMacro& mac, std::size_t row, unsigned bits, OperandLayout layout,
                std::span<const std::uint64_t> src) {
-  if (layout == OperandLayout::MultUnit)
+  const bool units = layout == OperandLayout::MultUnit;
+  if (units)
     mac.poke_mult_operands(row, 0, bits, src);
   else
     mac.poke_words(row, 0, bits, src);
+  const std::size_t end = src.size() * (units ? 2 * bits : bits);
+  if (end < mac.cols()) mac.poke_zero_tail(row, end);
 }
 
 }  // namespace

@@ -33,20 +33,16 @@ std::uint64_t encode_row(RowRef r) {
   return (r.is_dummy() ? (1ull << 63) : 0ull) | static_cast<std::uint64_t>(r.index);
 }
 
-/// The one strict seal check: an emitted program must draw no verifier
-/// diagnostic at all. A warning flags a schedule no compiler should emit, so
-/// it rejects the program as an error does (require_ok counts and throws).
-/// An accepted program is counted and marked on the trace timeline; the
-/// caller then seals it.
-void require_clean(const Program& p, const array::ArrayGeometry& g, bool fused) {
-  VerifyReport rep = verify_program(p, g);
-  for (Diagnostic& d : rep.diagnostics) d.severity = Severity::Error;
-  rep.errors += std::exchange(rep.warnings, 0);
-  rep.require_ok(p);
+/// Seal an emitted program through VerifiedProgram::verify, the one seal
+/// check (it counts and throws on any diagnostic). An accepted program is
+/// counted and marked on the trace timeline.
+VerifiedProgram seal(Program p, const array::ArrayGeometry& g, [[maybe_unused]] bool fused) {
+  VerifiedProgram v = VerifiedProgram::verify(std::move(p), g);
   programs_compiled_counter().add();
   BPIM_TRACE_INSTANT("macro.program.compile", 0,
-                     obs::EventArgs{{"instructions", static_cast<double>(p.size())},
+                     obs::EventArgs{{"instructions", static_cast<double>(v.size())},
                                     {"fused", fused ? 1.0 : 0.0}});
+  return v;
 }
 
 }  // namespace
@@ -61,8 +57,7 @@ RelocatableForward FusionCompiler::compile_relocatable_forward(unsigned bits,
   for (std::size_t l = 0; l < layers; ++l)
     for (const std::size_t base : bases)
       p.mult(RowRef::main(2 * l), RowRef::main(2 * (base + l)), bits);
-  require_clean(p, geom_, /*fused=*/true);
-  return RelocatableForward(VerifiedProgram(std::move(p), geom_), std::move(bases));
+  return RelocatableForward(seal(std::move(p), geom_, /*fused=*/true), std::move(bases));
 }
 
 const VerifiedProgram& RelocatableForward::bind(std::span<const std::size_t> bases) {
@@ -119,11 +114,11 @@ const VerifiedProgram& OpCompiler::single(const Instruction& inst) {
   }
   Program p;
   p.push(inst);
-  require_clean(p, geom_, /*fused=*/false);
+  VerifiedProgram v = seal(std::move(p), geom_, /*fused=*/false);
   ++stats_.compiled;
   // unordered_map references are stable under rehash and nothing is ever
   // erased, so the mapped program can be handed out.
-  return cache_.emplace(key, VerifiedProgram(std::move(p), geom_)).first->second;
+  return cache_.emplace(key, std::move(v)).first->second;
 }
 
 const VerifiedProgram& OpCompiler::add(RowRef a, RowRef b, unsigned bits) {

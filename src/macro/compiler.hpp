@@ -16,8 +16,8 @@
 //
 // A MULT writes only the D1/D2 scratch rows, so emitted programs read
 // pinned weight rows in place and never write a main row. Both compilers
-// seal a program only when the verifier reports ZERO diagnostics --
-// warnings included -- and otherwise throw with the annotated disassembly.
+// seal through VerifiedProgram::verify: a program that draws any verifier
+// diagnostic is rejected with the annotated disassembly.
 // Nothing here depends on the engine layer; the engine hands in the
 // geometry and gets VerifiedPrograms back, which MacroController runs
 // without verifying them again.
@@ -88,9 +88,9 @@ class FusionCompiler {
 /// Single-op compiler: the FusionCompiler's sibling for everything that is
 /// not a fused forward. Each entry point emits the one-instruction Program
 /// for a VecOp-shaped request (ADD, SUB, MULT, ADD-Shift, unary, logic)
-/// against the array geometry, verifies it to zero diagnostics (warnings
-/// included, like the fusion path), and caches it by (op, fn, bits, rows,
-/// dest) so hot-path dispatch is one hash lookup.
+/// against the array geometry, seals it through VerifiedProgram::verify
+/// (like the fusion path), and caches it by (op, fn, bits, rows, dest) so
+/// hot-path dispatch is one hash lookup.
 ///
 /// Returned references stay valid for the compiler's lifetime: entries are
 /// never evicted.

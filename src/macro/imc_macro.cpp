@@ -1,5 +1,6 @@
 #include "macro/imc_macro.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -248,6 +249,14 @@ void ImcMacro::poke_words(std::size_t r, std::size_t first_word, unsigned bits,
                           std::span<const std::uint64_t> values) {
   BPIM_REQUIRE(first_word + values.size() <= words_per_row(bits), "word range out of range");
   deposit_fields(array_, r, first_word * bits, bits, bits, values);
+}
+
+void ImcMacro::poke_zero_tail(std::size_t r, std::size_t col) {
+  BPIM_REQUIRE(col <= cols(), "column out of range");
+  for (std::size_t len = 0; col < cols(); col += len) {
+    len = std::min(64 - col % 64, cols() - col);
+    array_.deposit_bits(RowRef::main(r), col, len, 0);
+  }
 }
 
 void ImcMacro::poke_mult_operand(std::size_t r, std::size_t unit, unsigned bits,

@@ -164,6 +164,9 @@ class ImcMacro {
   /// validation for the whole span (the engine's operand-load path).
   void poke_words(std::size_t r, std::size_t first_word, unsigned bits,
                   std::span<const std::uint64_t> values);
+  /// Zero columns [col, cols()) of row r: the tail a staged row write
+  /// drives along with its values.
+  void poke_zero_tail(std::size_t r, std::size_t col);
   /// Low half of MULT unit `u` (operand slot).
   void poke_mult_operand(std::size_t r, std::size_t unit, unsigned bits, std::uint64_t value);
   /// Bulk poke of MULT operands: values[i] goes to unit `first_unit + i`.

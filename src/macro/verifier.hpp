@@ -1,15 +1,15 @@
 #pragma once
 // Static verifier for macro::Program -- the compile-time contract of the
 // row-level ISA. The verifier checks a whole program against an array
-// geometry *before* any state is touched and returns a structured
-// diagnostics list (severity, instruction index, message), so a macro
+// geometry *before* any state is touched and returns every fault it finds
+// as a list of errors (kind, instruction index, message), so a macro
 // compiler can report every fault of an emitted program at once and tests
 // can assert on diagnostic kinds instead of string-matching exception text.
 //
 // A program that passed is sealed as a VerifiedProgram: the verification
 // travels with the program, and MacroController runs it without verifying
-// it again. The compilers (macro/compiler.hpp) seal theirs strictly, to
-// zero diagnostics.
+// it again. The compilers (macro/compiler.hpp) seal theirs through
+// VerifiedProgram::verify, the same check a raw run makes.
 //
 // There is no residency map: the verifier never learns which main rows hold
 // pinned operands. It needs none, because no program the engine dispatches
@@ -17,29 +17,20 @@
 // retires into D2, NOT into D1, and MULT (single or fused) into D1/D2 --
 // which test_residency checks on every op kind with resident operands.
 //
-// Checked, per instruction:
+// Every check is per instruction; nothing is carried between instructions:
 //   * row bounds against the geometry (main rows and dummy rows);
 //   * role rules of the sequencer's scratch rows: dual-WL ops need two
 //     distinct rows; MULT must not source D1/D2 (it zero-inits D2 and
 //     stages the multiplicand in D1 before reading its operands); SUB must
 //     not source `a` from D1 (cycle 2 senses a against ~b staged there);
 //   * destination discipline: NOT/COPY/SHIFT/ADD-Shift require a dest,
-//     SUB/MULT/logic ignore one (warning -- SUB drives its result out,
-//     MULT leaves it in D2);
+//     SUB/MULT/logic take none (SUB drives its result out, MULT leaves it
+//     in D2);
 //   * precision: supported width, and the operand field span (2N for MULT)
-//     must fit (FieldOverflow) and divide (WidthMismatch) the row width;
-//   * data hazards across instructions sharing rows: WAW (an explicit
-//     dest overwritten before anything read it) and RAW (reading a row
-//     whose explicit definition was clobbered by a later instruction's
-//     implicit scratch-row traffic), plus precision reinterpretation
-//     (a row written as N-bit fields read back at a different width).
+//     must fit (FieldOverflow) and divide (WidthMismatch) the row width.
 //
-// Hazard diagnostics are Warnings (the program still executes exactly as
-// written -- these flag *suspect* schedules for the compiler); everything
-// the hardware cannot execute faithfully is an Error. A program with no
-// Errors is accepted: report.ok().
+// A program is accepted when it draws no diagnostic: report.ok().
 
-#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -49,27 +40,21 @@
 
 namespace bpim::macro {
 
-enum class Severity { Warning, Error };
-
 enum class DiagKind {
-  RowOutOfRange,      ///< row index beyond the geometry's main/dummy rows
-  IdenticalRows,      ///< dual-WL op sensing the same row twice
-  RoleViolation,      ///< operand overlaps the op's implicit scratch rows
-  MissingDest,        ///< NOT/COPY/SHIFT/ADD-Shift without a destination
-  DestIgnored,        ///< dest on an op that discards it (SUB/MULT/logic)
-  BadPrecision,       ///< unsupported operand width
-  FieldOverflow,      ///< operand field span wider than the row
-  WidthMismatch,      ///< field span does not divide the row width
-  RawHazard,          ///< read of a row clobbered by implicit scratch traffic
-  WawHazard,          ///< explicit dest overwritten before any read
-  PrecisionMismatch,  ///< field-structured read at a different width than the write
+  RowOutOfRange,  ///< row index beyond the geometry's main/dummy rows
+  IdenticalRows,  ///< dual-WL op sensing the same row twice
+  RoleViolation,  ///< operand overlaps the op's implicit scratch rows
+  MissingDest,    ///< NOT/COPY/SHIFT/ADD-Shift without a destination
+  DestIgnored,    ///< dest on an op that discards it (SUB/MULT/logic)
+  BadPrecision,   ///< unsupported operand width
+  FieldOverflow,  ///< operand field span wider than the row
+  WidthMismatch,  ///< field span does not divide the row width
 };
 
-[[nodiscard]] const char* to_string(Severity s);
 [[nodiscard]] const char* to_string(DiagKind k);
 
+/// One error: the instruction cannot be executed faithfully as written.
 struct Diagnostic {
-  Severity severity = Severity::Error;
   DiagKind kind = DiagKind::RowOutOfRange;
   std::size_t instruction = 0;  ///< index into Program::instructions()
   std::string message;
@@ -77,16 +62,11 @@ struct Diagnostic {
 
 struct VerifyReport {
   std::vector<Diagnostic> diagnostics;  ///< program order
-  std::uint64_t static_cycles = 0;      ///< Table-1 total (malformed ops priced 0)
-  std::size_t errors = 0;
-  std::size_t warnings = 0;
 
-  /// Accepted: free of Errors (Warnings allowed).
-  [[nodiscard]] bool ok() const { return errors == 0; }
+  /// Accepted: no diagnostics.
+  [[nodiscard]] bool ok() const { return diagnostics.empty(); }
   /// One line per diagnostic ("error[kind] @#i: message").
   [[nodiscard]] std::string to_string() const;
-  /// Like to_string() but Errors only -- the verify-first rejection text.
-  [[nodiscard]] std::string error_summary() const;
   /// Program::dump() with each instruction's diagnostics interleaved under
   /// it -- the debuggable form of a rejected fused program.
   [[nodiscard]] std::string annotate(const Program& p) const;
@@ -101,8 +81,8 @@ struct VerifyReport {
 [[nodiscard]] VerifyReport verify_program(const Program& p, const array::ArrayGeometry& g);
 
 /// An immutable Program that passed verify_program against one array
-/// geometry, which it records. Only VerifiedProgram::verify, OpCompiler and
-/// FusionCompiler make one, so holding one is proof the check ran;
+/// geometry, which it records. Only VerifiedProgram::verify makes one (the
+/// compilers seal through it), so holding one is proof the check ran;
 /// MacroController::run then only compares geometries. It reads as a const
 /// Program, but exposes none of Program's mutators. The one change a
 /// sealed program admits is RelocatableForward::bind (macro/compiler.hpp),
@@ -111,8 +91,7 @@ struct VerifyReport {
 class VerifiedProgram {
  public:
   /// Verify `p` against `g` and seal it. Throws std::invalid_argument, with
-  /// the errors and the annotated listing, when the report has Errors;
-  /// Warnings pass.
+  /// the errors and the annotated listing, unless the report is ok().
   [[nodiscard]] static VerifiedProgram verify(Program p, const array::ArrayGeometry& g);
 
   operator const Program&() const { return program_; }
@@ -121,8 +100,6 @@ class VerifiedProgram {
   [[nodiscard]] std::size_t size() const { return program_.size(); }
 
  private:
-  friend class OpCompiler;
-  friend class FusionCompiler;
   friend class RelocatableForward;
   VerifiedProgram(Program p, const array::ArrayGeometry& g)
       : program_(std::move(p)), geometry_(g) {}

@@ -50,8 +50,7 @@ TEST(FusionCompiler, MacForwardEmitsOneMultPerStepZeroDiagnostics) {
     EXPECT_FALSE(i.dest.has_value());
   }
   const VerifyReport rep = verify_program(p, g);
-  EXPECT_EQ(rep.errors, 0u);
-  EXPECT_EQ(rep.warnings, 0u);
+  EXPECT_TRUE(rep.ok()) << rep.annotate(p);
 }
 
 TEST(FusionCompiler, FusedStaticCyclesDiscountsChainedMacs) {
@@ -92,8 +91,8 @@ TEST(FusionCompiler, RejectsDegenerateSpecs) {
 
 TEST(FusionCompiler, FuzzedSpecsAlwaysEmitZeroDiagnosticPrograms) {
   // Whatever shape and placement the engine asks for, the bound program
-  // must verify with zero diagnostics -- warnings included -- and the
-  // chained datapath never prices it above Table 1.
+  // must verify with zero diagnostics, and the chained datapath never
+  // prices it above Table 1.
   const ArrayGeometry g{};
   const FusionCompiler fc(g);
   const CostModel cost{MacroConfig{}};
@@ -109,8 +108,7 @@ TEST(FusionCompiler, FuzzedSpecsAlwaysEmitZeroDiagnosticPrograms) {
     for (auto& b : bases) b = layers + rng.uniform_u64(pairs - 2 * layers + 1);
     const Program& p = rf.bind(bases);
     const VerifyReport rep = verify_program(p, g);
-    EXPECT_EQ(rep.errors, 0u) << rep.annotate(p);
-    EXPECT_EQ(rep.warnings, 0u) << rep.annotate(p);
+    EXPECT_TRUE(rep.ok()) << rep.annotate(p);
     EXPECT_LE(cost.program_cost(p).cycles, p.static_cycles());
   }
 }
@@ -172,7 +170,7 @@ TEST(FusionCompiler, RelocatedForwardEqualsAFreshCompileAtItsRows) {
       const VerifiedProgram& p = rf.bind(bases);
       ASSERT_EQ(p.program().dump(), forward_at(bits, bases, layers).dump()) << "trial " << trial;
       const VerifyReport rep = verify_program(p, g);
-      EXPECT_EQ(rep.errors + rep.warnings, 0u) << rep.annotate(p);
+      EXPECT_TRUE(rep.ok()) << rep.annotate(p);
     }
 
     const std::string bound = rf.program().program().dump();
@@ -182,7 +180,7 @@ TEST(FusionCompiler, RelocatedForwardEqualsAFreshCompileAtItsRows) {
     EXPECT_THROW((void)rf.bind(bad), std::invalid_argument) << "trial " << trial;
     EXPECT_EQ(rf.program().program().dump(), bound) << "trial " << trial;
     EXPECT_TRUE(std::ranges::equal(rf.bases(), bases)) << "trial " << trial;
-    EXPECT_GT(verify_program(forward_at(bits, bad, layers), g).errors, 0u) << "trial " << trial;
+    EXPECT_FALSE(verify_program(forward_at(bits, bad, layers), g).ok()) << "trial " << trial;
   }
 }
 
@@ -202,8 +200,7 @@ TEST(OpCompiler, EmitsVerifiedSingleOpProgramsForEveryKind) {
   for (const VerifiedProgram* p : programs) {
     ASSERT_EQ(p->size(), 1u);
     const VerifyReport rep = verify_program(*p, g);
-    EXPECT_EQ(rep.errors, 0u) << rep.annotate(*p);
-    EXPECT_EQ(rep.warnings, 0u) << rep.annotate(*p);
+    EXPECT_TRUE(rep.ok()) << rep.annotate(*p);
   }
   EXPECT_EQ(oc.cache_stats().compiled, 6u);
   EXPECT_EQ(oc.cache_stats().hits, 0u);
@@ -228,8 +225,8 @@ TEST(OpCompiler, RejectsVerifierDiagnostics) {
   OpCompiler oc(g);
   // Dual-WL compute needs two distinct rows; same-row draws an error.
   EXPECT_THROW((void)oc.add(RowRef::main(3), RowRef::main(3), 8), std::invalid_argument);
-  // A warning rejects a compiled program too: SUB drives its result out, so
-  // a destination is ignored (dest-ignored).
+  // SUB drives its result out, so a destination would be ignored
+  // (dest-ignored): rejected too.
   try {
     (void)oc.single({.op = Op::Sub, .a = RowRef::main(0), .b = RowRef::main(1),
                      .dest = RowRef::main(2), .bits = 8});

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -658,6 +659,32 @@ TEST(ExecutionEngine, ProgramInstrumentsMatchRetiredPrograms) {
       want.expect_published_since(before, where + ", fused forward");
     }
   }
+}
+
+TEST(ExecutionEngine, AdaptiveMultIgnoresStaleRowTail) {
+  // A staged row is written whole, values then zeros, so a short MULT plans
+  // from its own operands only: after a full-row ADD through the same rows
+  // it runs in the cycles a fresh engine's does.
+  macro::MemoryConfig cfg;
+  cfg.banks = 1;
+  cfg.macros_per_bank = 1;
+  const auto a = random_vec(16, 8, 0x5A);
+  const auto b = random_vec(16, 8, 0x5B);
+  const std::vector<std::uint64_t> zeros(4, 0);
+  const auto b4 = std::span<const std::uint64_t>(b).first(4);
+  const VecOp mult{OpKind::Mult, 8, periph::LogicFn::And, zeros, b4};
+  const auto run_mult = [&](bool add_first) {
+    macro::ImcMemory mem(cfg);
+    ExecutionEngine eng(mem, EngineConfig{1});
+    eng.set_adaptive_policy(macro::AdaptivePolicy{true, true});
+    if (add_first) (void)eng.run(VecOp{OpKind::Add, 8, periph::LogicFn::And, a, b});
+    return eng.run(mult);
+  };
+  const OpResult fresh = run_mult(false);
+  const OpResult after_add = run_mult(true);
+  EXPECT_EQ(fresh.values, zeros);
+  EXPECT_GT(fresh.stats.adaptive_cycles_saved, 0u);
+  expect_identical(fresh, after_add, "MULT after a full-row ADD");
 }
 
 TEST(ExecutionEngine, SingleOpProgramsAreCachedAcrossRuns) {

@@ -45,9 +45,6 @@ TEST(Verifier, AcceptsBuilderProgramCleanly) {
       .mult(RowRef::main(4), RowRef::main(5), 8);
   const auto rep = verify_program(p, default_geometry());
   EXPECT_TRUE(rep.ok()) << rep.to_string();
-  EXPECT_EQ(rep.errors, 0u);
-  EXPECT_EQ(rep.warnings, 0u);
-  EXPECT_EQ(rep.static_cycles, p.static_cycles());
 }
 
 TEST(Verifier, FlagsRowsOutOfRange) {
@@ -56,7 +53,7 @@ TEST(Verifier, FlagsRowsOutOfRange) {
       .unary(Op::Not, RowRef::main(1), RowRef::dummy(7), 8);  // dummy beyond dummy_rows
   const auto rep = verify_program(p, default_geometry());
   EXPECT_FALSE(rep.ok());
-  EXPECT_EQ(rep.errors, 2u);
+  EXPECT_EQ(rep.diagnostics.size(), 2u);
   EXPECT_TRUE(has(rep, DiagKind::RowOutOfRange));
   EXPECT_EQ(first(rep, DiagKind::RowOutOfRange).instruction, 0u);
 }
@@ -100,18 +97,24 @@ TEST(Verifier, FlagsMissingDest) {
   EXPECT_TRUE(has(rep, DiagKind::MissingDest));
 }
 
-TEST(Verifier, WarnsOnIgnoredDest) {
-  Program p;
-  Instruction i;
-  i.op = Op::Sub;
-  i.a = RowRef::main(0);
-  i.b = RowRef::main(1);
-  i.dest = RowRef::dummy(0);
-  p.push(i);
-  const auto rep = verify_program(p, default_geometry());
-  EXPECT_TRUE(rep.ok());  // a warning, not an error
-  EXPECT_EQ(rep.warnings, 1u);
-  EXPECT_TRUE(has(rep, DiagKind::DestIgnored));
+TEST(Verifier, FlagsIgnoredDest) {
+  // SUB drives its result out, MULT leaves it in D2, logic drives it out:
+  // a destination on any of them is an error.
+  Instruction sub{.op = Op::Sub, .a = RowRef::main(0), .b = RowRef::main(1),
+                  .dest = RowRef::dummy(0), .bits = 8};
+  Instruction mult = sub;
+  mult.op = Op::Mult;
+  Instruction logic = sub;
+  logic.op = Op::And;
+  logic.logic_fn = LogicFn::Xor;
+  for (const Instruction& i : {sub, mult, logic}) {
+    Program p;
+    p.push(i);
+    const auto rep = verify_program(p, default_geometry());
+    EXPECT_FALSE(rep.ok()) << to_string(i);
+    ASSERT_EQ(rep.diagnostics.size(), 1u) << rep.to_string();
+    EXPECT_EQ(rep.diagnostics[0].kind, DiagKind::DestIgnored);
+  }
 }
 
 TEST(Verifier, FlagsUnsupportedPrecision) {
@@ -126,10 +129,8 @@ TEST(Verifier, FlagsUnsupportedPrecision) {
   z.bits = 0;
   p.push(z);
   const auto rep = verify_program(p, default_geometry());
-  EXPECT_EQ(rep.errors, 2u);
+  EXPECT_EQ(rep.diagnostics.size(), 2u);
   EXPECT_TRUE(has(rep, DiagKind::BadPrecision));
-  // Degenerate widths are priced at zero instead of tripping Table 1.
-  EXPECT_EQ(rep.static_cycles, 1u);
 }
 
 TEST(Verifier, FlagsFieldOverflowAndWidthMismatch) {
@@ -146,56 +147,12 @@ TEST(Verifier, FlagsFieldOverflowAndWidthMismatch) {
   EXPECT_TRUE(has(verify_program(mismatch, odd), DiagKind::WidthMismatch));
 }
 
-TEST(Verifier, WarnsOnRawThroughScratchClobber) {
-  Program p;
-  p.unary(Op::Not, RowRef::main(0), RowRef::dummy(1), 8)  // explicit def of D1
-      .sub(RowRef::main(1), RowRef::main(2), 8)           // SUB stages ~b in D1
-      .add(RowRef::dummy(1), RowRef::main(3), 8);         // reads the lost def
-  const auto rep = verify_program(p, default_geometry());
-  EXPECT_TRUE(rep.ok());
-  ASSERT_TRUE(has(rep, DiagKind::RawHazard));
-  EXPECT_EQ(first(rep, DiagKind::RawHazard).instruction, 2u);
-}
-
-TEST(Verifier, WarnsOnWawDeadStore) {
-  Program p;
-  p.unary(Op::Not, RowRef::main(0), RowRef::dummy(0), 8)
-      .unary(Op::Not, RowRef::main(1), RowRef::dummy(0), 8);  // first def never read
-  const auto rep = verify_program(p, default_geometry());
-  EXPECT_TRUE(rep.ok());
-  ASSERT_TRUE(has(rep, DiagKind::WawHazard));
-  EXPECT_EQ(first(rep, DiagKind::WawHazard).instruction, 1u);
-
-  Program read_between;
-  read_between.unary(Op::Not, RowRef::main(0), RowRef::dummy(0), 8)
-      .add(RowRef::dummy(0), RowRef::main(1), 8)
-      .unary(Op::Not, RowRef::main(2), RowRef::dummy(0), 8);
-  EXPECT_FALSE(has(verify_program(read_between, default_geometry()), DiagKind::WawHazard));
-}
-
-TEST(Verifier, WarnsOnPrecisionReinterpretation) {
-  Program p;
-  p.add(RowRef::main(0), RowRef::main(1), 8, RowRef::dummy(0))
-      .add(RowRef::dummy(0), RowRef::main(2), 4);  // 8-bit fields read as 4-bit
-  const auto rep = verify_program(p, default_geometry());
-  EXPECT_TRUE(rep.ok());
-  ASSERT_TRUE(has(rep, DiagKind::PrecisionMismatch));
-  EXPECT_EQ(first(rep, DiagKind::PrecisionMismatch).instruction, 1u);
-
-  // Same width back-to-back is silent.
-  Program same;
-  same.add(RowRef::main(0), RowRef::main(1), 8, RowRef::dummy(0))
-      .add(RowRef::dummy(0), RowRef::main(2), 8);
-  EXPECT_FALSE(has(verify_program(same, default_geometry()), DiagKind::PrecisionMismatch));
-}
-
 TEST(Verifier, ReportsFormatAsText) {
   Program p;
   p.add(RowRef::main(0), RowRef::main(300), 8);
   const auto rep = verify_program(p, default_geometry());
   const std::string text = rep.to_string();
   EXPECT_NE(text.find("error[row-out-of-range] @#0"), std::string::npos) << text;
-  EXPECT_NE(rep.error_summary().find("1 error(s)"), std::string::npos);
 }
 
 TEST(Verifier, AcceptsRandomBuilderPrograms) {
@@ -231,6 +188,14 @@ TEST(Verifier, VerifyFirstRejectsBeforeTouchingTheMacro) {
   MacroController ctl(macro, VerifyMode::VerifyFirst);
   EXPECT_THROW(ctl.run(p), std::invalid_argument);
   EXPECT_EQ(macro.total_cycles(), 0u);  // nothing executed, not even #0
+
+  // A raw SUB with a destination is rejected too: the destination would be
+  // silently ignored.
+  Program sub_dest;
+  sub_dest.push({.op = Op::Sub, .a = RowRef::main(0), .b = RowRef::main(1),
+                 .dest = RowRef::main(2), .bits = 8});
+  EXPECT_THROW(ctl.run(sub_dest), std::invalid_argument);
+  EXPECT_EQ(macro.total_cycles(), 0u);
 }
 
 // A VerifiedProgram only comes out of the verifier or a compiler, and none
@@ -257,16 +222,24 @@ TEST(VerifiedProgram, VerifySealsOnlyAcceptedPrograms) {
     EXPECT_NE(std::string(e.what()).find("identical-rows"), std::string::npos) << e.what();
   }
 
-  // Warnings pass, as they do for MacroController::run(const Program&).
-  Program warned;
+  // An ignored destination is rejected as well.
+  Program ignored;
   Instruction sub;
   sub.op = Op::Sub;
   sub.a = RowRef::main(0);
   sub.b = RowRef::main(1);
-  sub.dest = RowRef::main(2);  // DestIgnored: a Warning
-  warned.push(sub);
-  ASSERT_TRUE(has(verify_program(warned, g), DiagKind::DestIgnored));
-  const VerifiedProgram v = VerifiedProgram::verify(warned, g);
+  sub.dest = RowRef::main(2);  // DestIgnored
+  ignored.push(sub);
+  try {
+    (void)VerifiedProgram::verify(ignored, g);
+    FAIL() << "expected the verifier to reject the ignored destination";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("dest-ignored"), std::string::npos) << e.what();
+  }
+
+  Program accepted;
+  accepted.sub(RowRef::main(0), RowRef::main(1), 8);
+  const VerifiedProgram v = VerifiedProgram::verify(accepted, g);
   EXPECT_EQ(v.size(), 1u);
   EXPECT_EQ(v.geometry(), g);
 }
