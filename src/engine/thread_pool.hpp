@@ -57,7 +57,9 @@ class ThreadPool {
   void start_workers();
 
   std::size_t target_threads_ = 1;
-  std::vector<std::thread> workers_;  ///< caller-thread only (lazy start, dtor join)
+  /// Caller-thread only (lazy start, dtor join); for a server's lane pool that
+  /// is one dispatcher at a time, the scheduler or a submitting thread holding the token.
+  std::vector<std::thread> workers_;
 
   Mutex mutex_;
   CondVar work_cv_;  ///< wakes workers for a new job

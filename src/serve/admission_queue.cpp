@@ -36,9 +36,13 @@ bool AdmissionQueue::wait_pop_all(std::vector<detail::Ticket>& out,
                                   std::chrono::microseconds coalesce_window,
                                   std::size_t fill_target) {
   MutexLock lk(mutex_);
+  // The consumer's last drain is done; a producer's token stays its own.
+  if (holder_ == Holder::Consumer) holder_ = Holder::None;
   for (;;) {
-    // Closed overrides pause: shutdown must drain even a paused queue.
-    while (!closed_ && (paused_ || queue_.empty())) not_empty_.wait(mutex_);
+    // Closed overrides pause: shutdown must drain even a paused queue. A
+    // producer dispatching in place holds off both the drain and the end.
+    while (holder_ == Holder::Producer || (!closed_ && (paused_ || queue_.empty())))
+      not_empty_.wait(mutex_);
     if (queue_.empty()) return false;  // closed and fully drained
     if (coalesce_window.count() > 0 && !closed_ && queue_.size() < fill_target) {
       const auto until = Clock::now() + coalesce_window;
@@ -49,6 +53,7 @@ bool AdmissionQueue::wait_pop_all(std::vector<detail::Ticket>& out,
     // A pause landing mid-linger freezes the drain too: back to the outer
     // wait so the stage-then-release contract holds.
     if (paused_ && !closed_) continue;
+    holder_ = Holder::Consumer;
     drain_locked(out);
     return true;
   }
@@ -58,6 +63,21 @@ void AdmissionQueue::try_pop_all(std::vector<detail::Ticket>& out) {
   MutexLock lk(mutex_);
   if (paused_ && !closed_) return;
   drain_locked(out);
+}
+
+bool AdmissionQueue::try_take_token() {
+  MutexLock lk(mutex_);
+  if (closed_ || paused_ || holder_ != Holder::None || !queue_.empty()) return false;
+  holder_ = Holder::Producer;
+  return true;
+}
+
+void AdmissionQueue::give_token() {
+  MutexLock lk(mutex_);
+  BPIM_REQUIRE(holder_ == Holder::Producer, "give_token without try_take_token");
+  holder_ = Holder::None;
+  // The consumer waits on the token only with work queued or a close.
+  if (closed_ || !queue_.empty()) not_empty_.notify_one();
 }
 
 void AdmissionQueue::drain_locked(std::vector<detail::Ticket>& out) {

@@ -12,6 +12,11 @@
 // everyone; the consumer keeps draining until the queue is empty, so
 // accepted work is never dropped.
 //
+// A dispatch token keeps one dispatcher at a time: wait_pop_all() takes it
+// with what it drains and gives it back on its next call; a producer may
+// take it on an open, unpaused, empty queue (try_take_token()) to dispatch
+// in place until give_token(), and wait_pop_all() waits that out.
+//
 // pause() freezes the consumer side only (admission stays open). It exists
 // so tests and diagnostics can stage a known set of requests and then
 // release them as one deterministic coalescing decision.
@@ -39,16 +44,23 @@ class AdmissionQueue {
   /// untouched) when full or closed.
   [[nodiscard]] bool try_push(detail::Ticket&& t) BPIM_EXCLUDES(mutex_);
 
-  /// Consumer: block until at least one ticket is available (and the queue
-  /// is not paused), linger up to `coalesce_window` for the depth to reach
-  /// `fill_target`, then append every queued ticket to `out`. Returns false
-  /// -- with nothing appended -- only when the queue is closed and empty:
-  /// the drain is complete.
+  /// Consumer: give back the dispatch token if the last call took it, block
+  /// until a ticket is queued (unpaused) and no producer holds the token,
+  /// linger up to `coalesce_window` for the depth to reach `fill_target`,
+  /// then take the token and append every queued ticket to `out`. Returns
+  /// false -- with nothing appended -- only when the queue is closed and
+  /// empty and no producer holds the token: the drain is complete.
   [[nodiscard]] bool wait_pop_all(std::vector<detail::Ticket>& out,
                                   std::chrono::microseconds coalesce_window,
                                   std::size_t fill_target) BPIM_EXCLUDES(mutex_);
   /// Consumer: append whatever is queued right now (nothing while paused).
   void try_pop_all(std::vector<detail::Ticket>& out) BPIM_EXCLUDES(mutex_);
+
+  /// Producer: take the dispatch token (one dispatcher at a time) if the
+  /// queue is open, unpaused, empty and the token free, to run in place.
+  [[nodiscard]] bool try_take_token() BPIM_EXCLUDES(mutex_);
+  /// Producer: hand back the token taken by try_take_token.
+  void give_token() BPIM_EXCLUDES(mutex_);
 
   /// Stop admitting; wakes blocked producers (push fails) and the consumer
   /// (which drains the remainder). Idempotent.
@@ -74,6 +86,8 @@ class AdmissionQueue {
   std::size_t peak_depth_ BPIM_GUARDED_BY(mutex_) = 0;
   bool closed_ BPIM_GUARDED_BY(mutex_) = false;
   bool paused_ BPIM_GUARDED_BY(mutex_) = false;
+  enum class Holder : unsigned char { None, Consumer, Producer };  ///< of the dispatch token
+  Holder holder_ BPIM_GUARDED_BY(mutex_) = Holder::None;
 };
 
 }  // namespace bpim::serve

@@ -97,7 +97,8 @@ class MemoryPool {
   /// Completion feedback: `pipelined_cycles` ran on memory `mem`. Keeps the
   /// least-loaded account honest. Called concurrently from the server's
   /// lane workers as each sub-batch finishes; the load account is
-  /// mutex-guarded (unlike rr_next_, which really is scheduler-only).
+  /// mutex-guarded (unlike rr_next_: one dispatcher at a time, the scheduler
+  /// or a submitting thread holding the token).
   void on_batch_done(std::size_t mem, std::size_t layers, std::uint64_t pipelined_cycles)
       BPIM_EXCLUDES(mutex_);
 
@@ -119,8 +120,8 @@ class MemoryPool {
   std::vector<Node> nodes_;
   std::vector<engine::ExecutionEngine*> engines_;  ///< flat view, index == memory id
   Placement placement_ = Placement::LeastLoaded;
-  std::size_t rr_next_ = 0;  ///< RoundRobin cursor (scheduler-thread only)
-  /// Guards the load account (written by the scheduler and lane workers,
+  std::size_t rr_next_ = 0;  ///< RoundRobin cursor (one dispatcher at a time)
+  /// Guards the load account (written by the dispatcher and lane workers,
   /// read by stats).
   mutable Mutex mutex_;
   /// Completed pipelined cycles per memory.

@@ -45,7 +45,8 @@ struct ServerConfig {
   std::size_t max_batch_ops = 64;
   /// When > 0, the scheduler waits up to this long after finding the queue
   /// non-empty for more arrivals to coalesce (it stops waiting early once
-  /// max_batch_ops requests are queued). 0 = schedule immediately.
+  /// max_batch_ops requests are queued). 0 = schedule immediately; it also
+  /// lets an idle server run a forward on the submitting thread.
   std::chrono::microseconds coalesce_window{0};
 };
 

@@ -63,7 +63,7 @@ struct MemoryLaneStats {
 };
 
 struct ServeStats {
-  std::uint64_t submitted = 0;  ///< admitted into the queue
+  std::uint64_t submitted = 0;  ///< admitted: queued, or dispatched in place
   std::uint64_t rejected = 0;   ///< try_submit() refused: queue full
   std::uint64_t expired = 0;    ///< failed with DeadlineExceeded
   std::uint64_t completed = 0;  ///< futures fulfilled with a result

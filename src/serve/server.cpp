@@ -162,20 +162,21 @@ detail::Ticket Server::make_forward_ticket(std::span<const engine::ResidentOpera
   return t;
 }
 
-void Server::stamp(detail::Ticket& t, SubmitOptions opts) {
+std::uint64_t Server::stamp(detail::Ticket& t, SubmitOptions opts) {
   t.priority = opts.priority;
   t.deadline = opts.deadline;
   t.seq = seq_.fetch_add(1, std::memory_order_relaxed);
   t.submit_time = Clock::now();
+  const std::uint64_t rid = trace_id(t.seq);
+  trace_request_admitted(rid, t);
+  // Count before the ticket can run: once it is queued or dispatched it may
+  // complete, and a stats() snapshot must never show completed > submitted.
+  ledger_.on_submitted();
+  return rid;
 }
 
 void Server::admit(detail::Ticket&& t, SubmitOptions opts) {
-  stamp(t, opts);
-  const std::uint64_t rid = trace_id(t.seq);
-  trace_request_admitted(rid, t);
-  // Count before the push: once the ticket is in the queue the scheduler may
-  // complete it, and a stats() snapshot must never show completed > submitted.
-  ledger_.on_submitted();
+  const std::uint64_t rid = stamp(t, opts);
   if (!queue_.push(std::move(t))) {
     // The queue closed while we were blocked on backpressure: the request
     // was never accepted, so its future carries the stop.
@@ -201,7 +202,17 @@ std::future<std::vector<OpResult>> Server::submit_forward(
   BPIM_TRACE_SPAN(span, "serve.submit_forward");
   detail::Ticket t = make_forward_ticket(weights, activation);
   std::future<std::vector<OpResult>> fut = t.fwd_promise.get_future();
-  admit(std::move(t), opts);
+  // A forward always dispatches as a group of its own: on an idle server
+  // this thread makes the scheduler's decision and skips two handoffs.
+  if (cfg_.coalesce_window.count() > 0 || !queue_.try_take_token()) {
+    admit(std::move(t), opts);
+    return fut;
+  }
+  const struct GiveBack { AdmissionQueue& q; ~GiveBack() { q.give_token(); } } give{queue_};
+  stamp(t, opts);
+  std::vector<detail::Ticket> backlog;
+  backlog.push_back(std::move(t));
+  dispatch(backlog);
   return fut;
 }
 
@@ -230,11 +241,8 @@ std::optional<std::future<OpResult>> Server::try_submit(const VecOp& op, SubmitO
   }
   BPIM_TRACE_SPAN(span, "serve.submit");
   detail::Ticket t = make_ticket(op);
-  stamp(t, opts);
   std::future<OpResult> fut = t.promise.get_future();
-  const std::uint64_t rid = trace_id(t.seq);
-  trace_request_admitted(rid, t);
-  ledger_.on_submitted();
+  const std::uint64_t rid = stamp(t, opts);
   if (!queue_.try_push(std::move(t))) {
     ledger_.on_submit_rescinded();
     if (queue_.closed()) {
@@ -305,124 +313,122 @@ void Server::scheduler_loop() {
 #if BPIM_OBS_ENABLED
   obs::TraceSession::global().set_thread_name("scheduler");
 #endif
+  const std::size_t fill_target = cfg_.max_batch_ops * pool_->size();
+  std::vector<detail::Ticket> backlog;
+  for (;;) {
+    // Top up the backlog: block only when there is nothing left to run.
+    if (!backlog.empty())
+      queue_.try_pop_all(backlog);
+    else if (!queue_.wait_pop_all(backlog, cfg_.coalesce_window, fill_target))
+      break;  // closed and fully drained
+    dispatch(backlog);
+  }
+}
+
+void Server::dispatch(std::vector<detail::Ticket>& backlog) {
   // One dispatch group spans the whole pool: up to max_batch_ops requests
   // and one array's worth of layers per memory.
   const std::size_t capacity = pool_->row_pair_capacity();
   const std::size_t group_op_budget = cfg_.max_batch_ops * pool_->size();
 
-  std::vector<detail::Ticket> backlog;
-  std::vector<detail::Ticket> incoming;
-  for (;;) {
-    // Top up the backlog: block only when there is nothing left to run.
-    incoming.clear();
-    if (backlog.empty()) {
-      if (!queue_.wait_pop_all(incoming, cfg_.coalesce_window, group_op_budget))
-        break;  // closed and fully drained
-    } else {
-      queue_.try_pop_all(incoming);
+  // One scheduling decision: sort, expire, coalesce, place, dispatch.
+  BPIM_TRACE_SPAN(sched_span, "serve.schedule");
+  sched_span.arg("backlog", static_cast<double>(backlog.size()));
+
+  // Serve order: priority desc, admission order within a priority level.
+  std::sort(backlog.begin(), backlog.end(),
+            [](const detail::Ticket& x, const detail::Ticket& y) {
+              return x.priority != y.priority ? x.priority > y.priority : x.seq < y.seq;
+            });
+
+  // Deadlines are (re-)checked at batch-build time with a fresh clock: a
+  // request that expired while queued, while held in the coalesce window,
+  // or while an earlier batch ran fails here instead of executing. Ledger
+  // before promises: a client that wakes on its future must already see
+  // its expiry in stats().
+  const auto now = Clock::now();
+  std::vector<detail::Ticket> lapsed;
+  std::erase_if(backlog, [&](detail::Ticket& t) {
+    if (!t.deadline || now <= *t.deadline) return false;
+    lapsed.push_back(std::move(t));
+    return true;
+  });
+  if (!lapsed.empty()) {
+    ledger_.on_expired(lapsed.size());
+    for (auto& t : lapsed) {
+      trace_request_dropped(trace_id(t.seq), "expired");
+      t.fail(std::make_exception_ptr(DeadlineExceeded()));
     }
-    for (auto& t : incoming) backlog.push_back(std::move(t));
-    if (backlog.empty()) continue;
-
-    // One scheduling decision: sort, expire, coalesce, place, dispatch.
-    BPIM_TRACE_SPAN(sched_span, "serve.schedule");
-    sched_span.arg("backlog", static_cast<double>(backlog.size()));
-
-    // Serve order: priority desc, admission order within a priority level.
-    std::sort(backlog.begin(), backlog.end(),
-              [](const detail::Ticket& x, const detail::Ticket& y) {
-                return x.priority != y.priority ? x.priority > y.priority : x.seq < y.seq;
-              });
-
-    // Deadlines are (re-)checked at batch-build time with a fresh clock: a
-    // request that expired while queued, while held in the coalesce window,
-    // or while an earlier batch ran fails here instead of executing. Ledger
-    // before promises: a client that wakes on its future must already see
-    // its expiry in stats().
-    const auto now = Clock::now();
-    std::vector<detail::Ticket> lapsed;
-    std::erase_if(backlog, [&](detail::Ticket& t) {
-      if (!t.deadline || now <= *t.deadline) return false;
-      lapsed.push_back(std::move(t));
-      return true;
-    });
-    if (!lapsed.empty()) {
-      ledger_.on_expired(lapsed.size());
-      for (auto& t : lapsed) {
-        trace_request_dropped(trace_id(t.seq), "expired");
-        t.fail(std::make_exception_ptr(DeadlineExceeded()));
-      }
-    }
-    if (backlog.empty()) continue;
-
-    // Budgets account for pinned layers: transient (span) operands can only
-    // stage into capacity minus each memory's resident set, while requests
-    // referencing a handle ride free -- their rows are already down on
-    // their home memory. Recomputed per group, since materialization and
-    // eviction move the resident set between wakeups.
-    std::size_t group_layer_budget = 0;
-    for (std::size_t m = 0; m < pool_->size(); ++m)
-      group_layer_budget += capacity - std::min(capacity, pool_->resident_layers(m));
-    const std::size_t unhomed_budget =
-        capacity - std::min(capacity, pool_->max_resident_layers());
-
-    // Coalesce from the head: every compatible request (same kind and
-    // precision, same logic fn) that still fits the group budget rides
-    // along; the rest wait for a later group. The head always goes (the
-    // engine evicts pinned rows LRU-first if it must). A fused Forward head
-    // is already one whole program: nothing coalesces with it, and its home
-    // memory (its weights') binds placement.
-    const bool fused_head = backlog.front().kind != detail::ReqKind::Op;
-    const OpKind kind = backlog.front().op.kind;
-    const unsigned bits = backlog.front().op.bits;
-    const periph::LogicFn fn = backlog.front().op.fn;
-    std::vector<detail::Ticket> selected;
-    std::vector<detail::Ticket> rest;
-    std::size_t transient_layers = 0;
-    for (auto& t : backlog) {
-      const bool compatible = !fused_head && t.kind == detail::ReqKind::Op &&
-                              t.op.kind == kind && t.op.bits == bits &&
-                              (kind != OpKind::Logic || t.op.fn == fn);
-      if (selected.empty() ||
-          (compatible && selected.size() < group_op_budget &&
-           transient_layers + t.transient_layers() <= group_layer_budget)) {
-        transient_layers += t.transient_layers();
-        selected.push_back(std::move(t));
-      } else {
-        rest.push_back(std::move(t));
-      }
-    }
-    backlog = std::move(rest);
-
-    // Split the selection into per-memory sub-batches: greedy in serve
-    // order, each within one array's transient budget and the per-batch op
-    // cap. Requests that reference resident operands must run on their
-    // home memory, so a home change also cuts a sub-batch; homed
-    // sub-batches stage nothing transient and pack by op count alone. On a
-    // pool of one with nothing pinned this is the original single
-    // sub-batch.
-    std::vector<std::vector<detail::Ticket>> subs;
-    std::vector<MemoryPool::Slot> slots;
-    std::size_t sub_transient = 0;
-    for (auto& t : selected) {
-      const std::size_t tl = t.transient_layers();
-      const std::size_t sub_budget =
-          t.home ? capacity : std::max<std::size_t>(unhomed_budget, 1);
-      if (subs.empty() || slots.back().home != t.home ||
-          subs.back().size() >= cfg_.max_batch_ops ||
-          (!subs.back().empty() && sub_transient + tl > sub_budget)) {
-        subs.emplace_back();
-        slots.emplace_back();
-        slots.back().home = t.home;
-        sub_transient = 0;
-      }
-      sub_transient += tl;
-      slots.back().layers += t.layers;
-      if (subs.back().empty()) slots.back().operand_hash = t.operand_hash;
-      subs.back().push_back(std::move(t));
-    }
-    execute_group(subs, pool_->place(slots));
   }
+  if (backlog.empty()) return;
+
+  // Budgets account for pinned layers: transient (span) operands can only
+  // stage into capacity minus each memory's resident set, while requests
+  // referencing a handle ride free -- their rows are already down on
+  // their home memory. Recomputed per group, since materialization and
+  // eviction move the resident set between wakeups.
+  std::size_t group_layer_budget = 0;
+  for (std::size_t m = 0; m < pool_->size(); ++m)
+    group_layer_budget += capacity - std::min(capacity, pool_->resident_layers(m));
+  const std::size_t unhomed_budget =
+      capacity - std::min(capacity, pool_->max_resident_layers());
+
+  // Coalesce from the head: every compatible request (same kind and
+  // precision, same logic fn) that still fits the group budget rides
+  // along; the rest wait for a later group. The head always goes (the
+  // engine evicts pinned rows LRU-first if it must). A fused Forward head
+  // is already one whole program: nothing coalesces with it, and its home
+  // memory (its weights') binds placement.
+  const bool fused_head = backlog.front().kind != detail::ReqKind::Op;
+  const OpKind kind = backlog.front().op.kind;
+  const unsigned bits = backlog.front().op.bits;
+  const periph::LogicFn fn = backlog.front().op.fn;
+  std::vector<detail::Ticket> selected;
+  std::vector<detail::Ticket> rest;
+  std::size_t transient_layers = 0;
+  for (auto& t : backlog) {
+    const bool compatible = !fused_head && t.kind == detail::ReqKind::Op &&
+                            t.op.kind == kind && t.op.bits == bits &&
+                            (kind != OpKind::Logic || t.op.fn == fn);
+    if (selected.empty() ||
+        (compatible && selected.size() < group_op_budget &&
+         transient_layers + t.transient_layers() <= group_layer_budget)) {
+      transient_layers += t.transient_layers();
+      selected.push_back(std::move(t));
+    } else {
+      rest.push_back(std::move(t));
+    }
+  }
+  backlog = std::move(rest);
+
+  // Split the selection into per-memory sub-batches: greedy in serve
+  // order, each within one array's transient budget and the per-batch op
+  // cap. Requests that reference resident operands must run on their
+  // home memory, so a home change also cuts a sub-batch; homed
+  // sub-batches stage nothing transient and pack by op count alone. On a
+  // pool of one with nothing pinned this is the original single
+  // sub-batch.
+  std::vector<std::vector<detail::Ticket>> subs;
+  std::vector<MemoryPool::Slot> slots;
+  std::size_t sub_transient = 0;
+  for (auto& t : selected) {
+    const std::size_t tl = t.transient_layers();
+    const std::size_t sub_budget =
+        t.home ? capacity : std::max<std::size_t>(unhomed_budget, 1);
+    if (subs.empty() || slots.back().home != t.home ||
+        subs.back().size() >= cfg_.max_batch_ops ||
+        (!subs.back().empty() && sub_transient + tl > sub_budget)) {
+      subs.emplace_back();
+      slots.emplace_back();
+      slots.back().home = t.home;
+      sub_transient = 0;
+    }
+    sub_transient += tl;
+    slots.back().layers += t.layers;
+    if (subs.back().empty()) slots.back().operand_hash = t.operand_hash;
+    subs.back().push_back(std::move(t));
+  }
+  execute_group(subs, pool_->place(slots));
 }
 
 void Server::execute_group(std::vector<std::vector<detail::Ticket>>& subs,

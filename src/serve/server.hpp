@@ -32,11 +32,11 @@
 // and every pool memory is shape-identical. Coalescing and placement change
 // only the batch-level cycle account, never a client's values or RunStats.
 //
-// Exactly one thread (the scheduler) owns scheduling state; sub-batch
-// worker threads it spawns touch only their own memory's engine. Clients
-// only rendezvous through the queue and their futures. stop() (and the
-// destructor) closes admission, drains everything already accepted, and
-// joins -- no accepted future is ever abandoned.
+// One dispatcher at a time, the scheduler or a submitting thread holding
+// the token, owns scheduling state: a submit_forward on an idle server takes
+// the queue's dispatch token and runs dispatch() itself. stop() (and the
+// destructor) closes admission, drains everything already accepted, waits
+// out an in-place dispatch, and joins -- no accepted future is abandoned.
 
 #include <atomic>
 #include <cstdint>
@@ -94,7 +94,10 @@ class Server : public engine::Executor {
   /// activation, executed as one fused macro program on the weights' home
   /// memory (ExecutionEngine::run_forward; falls back to op-at-a-time there
   /// when the shape cannot fuse -- values are identical either way). The
-  /// activation is copied; results come back in `weights` order.
+  /// activation is copied; results come back in `weights` order. On an
+  /// idle server (zero coalesce window, empty unpaused queue) the call runs
+  /// the forward itself and returns once it is done, future ready; to
+  /// overlap own work with a forward, set a nonzero coalesce_window.
   [[nodiscard]] std::future<std::vector<engine::OpResult>> submit_forward(
       std::span<const engine::ResidentOperand> weights,
       std::span<const std::uint64_t> activation, SubmitOptions opts = {})
@@ -115,8 +118,9 @@ class Server : public engine::Executor {
   /// operand hash picks the pool memory (so re-pinning the same values
   /// lands on the same node), the handle is registered there, and every
   /// later request referencing it is routed to that memory. The values are
-  /// copied; the materializing write happens on the scheduler side at
-  /// first use. Thread-safe; throws ServerStopped after stop().
+  /// copied; the materializing write happens at first use, on one
+  /// dispatcher at a time, the scheduler or a submitting thread holding the
+  /// token. Thread-safe; throws ServerStopped after stop().
   /// `colocate_key`, when set, overrides the hash placement: handles pinned
   /// with the same key land on the same pool memory. submit_forward needs
   /// every weight of a layer on one node, so callers pin them under one key
@@ -175,12 +179,16 @@ class Server : public engine::Executor {
   /// memory.
   std::optional<std::size_t> home_of(std::span<const engine::ResidentOperand> handles,
                                      const char* split_error) BPIM_EXCLUDES(pin_mutex_);
-  /// Stamp the scheduling fields: priority, deadline, seq, submit time.
-  void stamp(detail::Ticket& t, SubmitOptions opts);
+  /// Stamp the scheduling fields, trace and count the admission; returns
+  /// the request's trace id.
+  std::uint64_t stamp(detail::Ticket& t, SubmitOptions opts);
   /// Stamp, count and push (blocking on backpressure); a queue closed
   /// meanwhile rescinds the admission and fails the ticket's future.
   void admit(detail::Ticket&& t, SubmitOptions opts);
   void scheduler_loop();
+  /// One scheduling decision: sort, expire, coalesce the head's group, place
+  /// and execute it; the rest stays in `backlog`. Needs the dispatch token.
+  void dispatch(std::vector<detail::Ticket>& backlog);
   /// Run one dispatch group: sub-batch i on pool memory where[i], distinct
   /// memories concurrently; each lane accounts and fulfills its own
   /// promises as it finishes (no cross-lane barrier for clients).
@@ -205,7 +213,7 @@ class Server : public engine::Executor {
   /// handle id -> pool memory, for routing resident-operand requests.
   mutable Mutex pin_mutex_;
   std::unordered_map<std::uint64_t, std::size_t> pin_home_ BPIM_GUARDED_BY(pin_mutex_);
-  /// Persistent lane workers for multi-memory dispatch groups (scheduler
+  /// Persistent lane workers for multi-memory dispatch groups (dispatching
   /// thread included); workers start lazily, so a pool-of-one server never
   /// spawns any.
   engine::ThreadPool lane_pool_;

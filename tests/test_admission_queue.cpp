@@ -1,5 +1,5 @@
-// AdmissionQueue unit tests: FIFO drain, bounded backpressure, close and
-// pause semantics. Tickets here are empty shells (no ops) -- the queue only
+// AdmissionQueue unit tests: FIFO drain, bounded backpressure, close, pause
+// and dispatch-token semantics. Tickets here are empty shells (no ops) -- the queue only
 // moves them.
 
 #include <gtest/gtest.h>
@@ -162,6 +162,48 @@ TEST(AdmissionQueue, CoalesceWindowCollectsLateArrivals) {
   ASSERT_TRUE(q.wait_pop_all(out, std::chrono::microseconds(500000), 3));
   late.join();
   EXPECT_EQ(out.size(), 3u);
+}
+
+TEST(AdmissionQueue, DispatchTokenKeepsOneDispatcherAtATime) {
+  AdmissionQueue q(4);
+  // A producer may take the token before the consumer has ever waited, and
+  // the consumer's first wait must leave it with the producer.
+  ASSERT_TRUE(q.try_take_token());
+  std::atomic<bool> drained{false};
+  std::vector<Ticket> out;
+  std::thread first([&] {
+    EXPECT_TRUE(q.wait_pop_all(out, kNoWindow, 1));
+    drained.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(q.try_take_token()) << "one holder at a time";
+  EXPECT_TRUE(q.push(ticket(0)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(drained.load()) << "nothing drains while a producer holds the token";
+  q.give_token();
+  first.join();
+  EXPECT_EQ(seqs(out), (std::vector<std::uint64_t>{0}));
+
+  // The consumer holds the token from its drain to its next wait, which
+  // lends it out again; a close then waits for the producer to give it back.
+  EXPECT_FALSE(q.try_take_token());
+  std::atomic<bool> ended{false};
+  std::thread second([&] {
+    std::vector<Ticket> more;
+    EXPECT_FALSE(q.wait_pop_all(more, kNoWindow, 1));
+    ended.store(true);
+  });
+  bool taken = false;
+  for (int i = 0; i < 2000 && !(taken = q.try_take_token()); ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_TRUE(taken);
+  q.close();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(ended.load() && taken) << "the drain ended while a producer held the token";
+  if (taken) q.give_token();
+  second.join();
+  EXPECT_TRUE(ended.load());
+  EXPECT_FALSE(q.try_take_token()) << "a closed queue lends no token";
 }
 
 }  // namespace

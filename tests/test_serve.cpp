@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -367,6 +368,186 @@ TEST(Server, StopWhileClientsAreSubmitting) {
   // Every accepted request completed; only post-stop submissions failed.
   EXPECT_EQ(h.server.stats().completed, completed.load());
   EXPECT_GT(completed.load(), 0u);
+}
+
+TEST(Server, StopMidStreamSettlesInPlaceForwardsAndQueuedOps) {
+  // Four clients mix forwards (run in place whenever the server is idle),
+  // blocking and non-blocking ops with random priorities and deadlines
+  // while another thread stops the server. Every future resolves, values
+  // match a serial engine, the ledger settles, and nothing settles after
+  // stop() returns: an in-place forward holds stop() off until it is done.
+  Harness h(ServerConfig{/*queue_capacity=*/16, /*max_batch_ops=*/8, {}});
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t n = 32;
+
+  const std::vector<std::vector<std::uint64_t>> operands{
+      random_vec(n, 8, 60), random_vec(n, 8, 61), random_vec(n, 4, 62),
+      random_vec(n, 4, 63), random_vec(n, 8, 64), random_vec(n, 8, 65)};
+  const std::vector<VecOp> ops{
+      VecOp{OpKind::Add, 8, periph::LogicFn::And, operands[0], operands[1]},
+      VecOp{OpKind::Mult, 4, periph::LogicFn::And, operands[2], operands[3]},
+      VecOp{OpKind::Logic, 8, periph::LogicFn::Xor, operands[4], operands[5]}};
+  std::vector<OpResult> want;
+  for (const VecOp& op : ops) want.push_back(run_serial_reference(op));
+
+  std::vector<std::vector<std::vector<std::uint64_t>>> w(kClients), x(kClients);
+  std::vector<std::vector<engine::ResidentOperand>> handles(kClients);
+  for (std::size_t c = 0; c < kClients; ++c) {
+    for (std::size_t j = 0; j < 2; ++j) {
+      w[c].push_back(random_vec(n, 8, 100 + 10 * c + j));
+      handles[c].push_back(h.server.pin(w[c].back(), 8, engine::OperandLayout::MultUnit));
+    }
+    for (std::size_t k = 0; k < 3; ++k) x[c].push_back(random_vec(n, 8, 200 + 10 * c + k));
+  }
+
+  struct Tally {
+    std::uint64_t completed = 0, expired = 0, rescinded = 0, rejected = 0, wrong = 0, other = 0;
+  };
+  std::vector<Tally> tallies(kClients);
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      bpim::Rng rng(0xF0D + c);
+      Tally& tally = tallies[c];
+      // Settle one future: a value checked against its reference, or one of
+      // the two documented failures. Anything else is a defect.
+      const auto settle = [&](auto& fut, const auto& check) {
+        try {
+          check(fut.get());
+          ++tally.completed;
+        } catch (const DeadlineExceeded&) {
+          ++tally.expired;
+        } catch (const ServerStopped&) {
+          ++tally.rescinded;
+        } catch (...) {
+          ++tally.other;
+        }
+      };
+      std::vector<std::pair<std::size_t, std::future<OpResult>>> pending;
+      const auto settle_ops = [&] {
+        for (auto& [k, fut] : pending)
+          settle(fut, [&](const OpResult& r) {
+            if (r.values != want[k].values || r.stats.elapsed_cycles != want[k].stats.elapsed_cycles)
+              ++tally.wrong;
+          });
+        pending.clear();
+      };
+      for (;;) {
+        const std::uint64_t roll = rng.next_u64();
+        std::optional<Clock::time_point> deadline;
+        if (roll % 4 == 2) deadline = Clock::now() - std::chrono::milliseconds(1);
+        if (roll % 4 == 3) deadline = Clock::now() + std::chrono::microseconds(200);
+        const SubmitOptions opts{static_cast<int>((roll >> 8) % 4), deadline};
+        const std::size_t k = (roll >> 16) % 3;
+        try {
+          switch ((roll >> 24) % 3) {
+            case 0: {
+              auto fut = h.server.submit_forward(handles[c], x[c][k], opts);
+              settle(fut, [&](const std::vector<OpResult>& rs) {
+                for (std::size_t j = 0; j < rs.size(); ++j)
+                  for (std::size_t i = 0; i < n; ++i)
+                    if (rs[j].values[i] != w[c][j][i] * x[c][k][i]) ++tally.wrong;
+              });
+              break;
+            }
+            case 1:
+              pending.emplace_back(k, h.server.submit(ops[k], opts));
+              break;
+            default:
+              if (auto fut = h.server.try_submit(ops[k], opts))
+                pending.emplace_back(k, std::move(*fut));
+              else
+                ++tally.rejected;
+          }
+        } catch (const ServerStopped&) {
+          break;
+        }
+        if (pending.size() >= 4) settle_ops();
+      }
+      settle_ops();
+    });
+  }
+
+  ServeStats at_stop;
+  std::thread stopper([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    h.server.stop();
+    at_stop = h.server.stats();
+    // The engine is idle once stop() returns: running on it here races any
+    // dispatch still in flight, which TSan reports.
+    const OpResult again = h.eng.run(ops[0]);
+    EXPECT_EQ(again.values, want[0].values);
+  });
+  stopper.join();
+  for (auto& t : clients) t.join();
+
+  Tally sum;
+  for (const Tally& t : tallies) {
+    sum.completed += t.completed;
+    sum.expired += t.expired;
+    sum.rejected += t.rejected;
+    sum.wrong += t.wrong;
+    sum.other += t.other;
+  }
+  const ServeStats s = h.server.stats();
+  EXPECT_EQ(sum.wrong, 0u);
+  EXPECT_EQ(sum.other, 0u);
+  EXPECT_GT(sum.completed, 0u);
+  EXPECT_EQ(s.completed, sum.completed);
+  EXPECT_EQ(s.expired, sum.expired);
+  EXPECT_EQ(s.rejected, sum.rejected);
+  EXPECT_EQ(s.failed, 0u);
+  EXPECT_EQ(s.submitted, s.completed + s.expired + s.failed);
+  EXPECT_EQ(s.completed, at_stop.completed) << "a request settled after stop() returned";
+  EXPECT_EQ(s.expired, at_stop.expired);
+  EXPECT_EQ(s.failed, at_stop.failed);
+}
+
+TEST(Server, ConcurrentForwardsOnAFreshServerKeepOneDispatcher) {
+  // Clients already waiting pin their weights and fire forwards the moment
+  // a new server exists, racing each other and the scheduler's start-up for
+  // the dispatch token. Only one may dispatch at a time (TSan reports any
+  // overlap on the engine), every forward is exact, and the ledger settles.
+  // The token's start-up rule itself is pinned down deterministically in
+  // AdmissionQueue.DispatchTokenKeepsOneDispatcherAtATime.
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kForwards = 3;
+  constexpr std::size_t kWeights = 4;
+  constexpr std::size_t n = 256;
+  for (std::size_t round = 0; round < 6; ++round) {
+    std::optional<Harness> h;
+    const auto x = random_vec(n, 8, 500 + round);
+    std::atomic<std::size_t> wrong{0};
+    // Clients spin rather than block so they start within the scheduler
+    // thread's start-up.
+    std::atomic<Server*> server{nullptr};
+    std::vector<std::thread> clients;
+    for (std::size_t c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        std::vector<std::vector<std::uint64_t>> w;
+        for (std::size_t j = 0; j < kWeights; ++j) w.push_back(random_vec(n, 8, 600 + 10 * c + j));
+        Server* srv = nullptr;
+        while ((srv = server.load(std::memory_order_acquire)) == nullptr) {
+        }
+        std::vector<engine::ResidentOperand> handles;
+        for (const auto& wj : w) handles.push_back(srv->pin(wj, 8, engine::OperandLayout::MultUnit));
+        for (std::size_t f = 0; f < kForwards; ++f) {
+          const auto rs = srv->submit_forward(handles, x).get();
+          for (std::size_t j = 0; j < rs.size(); ++j)
+            for (std::size_t i = 0; i < n; ++i)
+              if (rs[j].values[i] != w[j][i] * x[i]) wrong.fetch_add(1);
+        }
+      });
+    }
+    h.emplace(ServerConfig{}, /*threads=*/1);
+    server.store(&h->server, std::memory_order_release);
+    for (auto& t : clients) t.join();
+    h->server.stop();
+    EXPECT_EQ(wrong.load(), 0u);
+    const ServeStats s = h->server.stats();
+    EXPECT_EQ(s.submitted, kClients * kForwards);
+    EXPECT_EQ(s.completed, kClients * kForwards);
+  }
 }
 
 TEST(Server, MalformedOpsThrowAtSubmit) {

@@ -1,10 +1,13 @@
 // serve::Server's fusion route: submit_forward through the admission
 // queue -- single- and multi-memory -- must be bit-identical to the direct
 // engine, account the fused discount in ServeStats, and survive concurrent
-// clients (the fused serving stress the TSan CI job runs).
+// clients (the fused serving stress the TSan CI job runs). A forward
+// submitted to an idle server runs on the submitting thread; everywhere
+// else it queues, with the same ordering, deadline and stop semantics.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
 #include <thread>
 #include <vector>
@@ -221,6 +224,162 @@ TEST(ServeFusion, ConcurrentFusedAndPlainClientsStayBitIdentical) {
   const ServeStats s = server.stats();
   EXPECT_EQ(s.completed, kClients * kCallsPerClient);
   EXPECT_GT(s.modeled_fused_cycles_saved, 0u);
+}
+
+void expect_same_run(const OpResult& want, const OpResult& got, std::size_t j) {
+  EXPECT_EQ(want.values, got.values) << "op " << j;
+  EXPECT_EQ(want.stats.elements, got.stats.elements) << "op " << j;
+  EXPECT_EQ(want.stats.instructions, got.stats.instructions) << "op " << j;
+  EXPECT_EQ(want.stats.elapsed_cycles, got.stats.elapsed_cycles) << "op " << j;
+  EXPECT_EQ(want.stats.energy.si(), got.stats.energy.si()) << "op " << j;
+  EXPECT_EQ(want.stats.elapsed_time.si(), got.stats.elapsed_time.si()) << "op " << j;
+  EXPECT_EQ(want.stats.load_cycles, got.stats.load_cycles) << "op " << j;
+  EXPECT_EQ(want.stats.load_cycles_saved, got.stats.load_cycles_saved) << "op " << j;
+  EXPECT_EQ(want.stats.fused_cycles_saved, got.stats.fused_cycles_saved) << "op " << j;
+  EXPECT_EQ(want.stats.adaptive_cycles_saved, got.stats.adaptive_cycles_saved) << "op " << j;
+}
+
+bool ready(const auto& fut) {
+  return fut.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+}
+
+/// A single-memory server with `n`-wide `bits`-bit weights pinned, plus a
+/// serial single-memory engine holding the same weights.
+struct ForwardRig {
+  ForwardRig(unsigned bits, std::size_t n, std::size_t weights, ServerConfig cfg = {})
+      : direct_mem(tiny_memory()),
+        direct(direct_mem, EngineConfig{1}),
+        served_mem(tiny_memory()),
+        served_eng(served_mem, EngineConfig{1}),
+        server(served_eng, cfg) {
+    for (std::size_t j = 0; j < weights; ++j) {
+      const auto w = random_vec(n, bits, 700 + 10 * bits + j);
+      direct_handles.push_back(direct.pin(w, bits, OperandLayout::MultUnit));
+      served_handles.push_back(server.pin(w, bits, OperandLayout::MultUnit));
+    }
+  }
+  macro::ImcMemory direct_mem;
+  ExecutionEngine direct;
+  macro::ImcMemory served_mem;
+  ExecutionEngine served_eng;
+  Server server;
+  std::vector<ResidentOperand> direct_handles, served_handles;
+};
+
+TEST(ServeFusion, IdleServerRunsForwardOnTheSubmittingThread) {
+  ForwardRig rig(8, 48, 3);
+  const auto x = random_vec(48, 8, 71);
+  auto fut = rig.server.submit_forward(rig.served_handles, x);
+  ASSERT_TRUE(ready(fut)) << "an idle server's forward must be done on return";
+  const ServeStats s = rig.server.stats();
+  EXPECT_EQ(s.submitted, 1u);
+  EXPECT_EQ(s.completed, 1u);
+  EXPECT_EQ(s.peak_queue_depth, 0u) << "the forward never touched the queue";
+  const auto want = rig.direct.run_forward(rig.direct_handles, x);
+  const auto got = fut.get();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t j = 0; j < want.size(); ++j) expect_same_run(want[j], got[j], j);
+}
+
+TEST(ServeFusion, PausedServerQueuesForwardsInPriorityThenAdmissionOrder) {
+  // A staged op holds the queue: forwards behind it must queue (not run in
+  // place) and dispatch in (priority desc, admission) order on resume().
+  macro::ImcMemory mem(tiny_memory());
+  ExecutionEngine eng(mem, EngineConfig{1});
+  Server server(eng);
+  const std::vector<ResidentOperand> w4{server.pin(random_vec(32, 4, 80), 4,
+                                                   OperandLayout::MultUnit)};
+  const std::vector<ResidentOperand> w8{server.pin(random_vec(32, 8, 81), 8,
+                                                   OperandLayout::MultUnit)};
+  const auto x4 = random_vec(32, 4, 82);
+  const auto x8 = random_vec(32, 8, 83);
+  const auto a = random_vec(16, 8, 84);
+  const auto b = random_vec(16, 8, 85);
+
+  server.pause();
+  auto op = server.submit(VecOp{OpKind::Add, 8, periph::LogicFn::And, a, b},
+                          SubmitOptions{/*priority=*/0, {}});
+  auto urgent = server.submit_forward(w4, x4, SubmitOptions{/*priority=*/5, {}});
+  auto later = server.submit_forward(w8, x8, SubmitOptions{/*priority=*/0, {}});
+  EXPECT_FALSE(ready(urgent));
+  EXPECT_FALSE(ready(later));
+  EXPECT_EQ(server.stats().queue_depth, 3u);
+  server.resume();
+  (void)op.get();
+  (void)urgent.get();
+  (void)later.get();
+
+  const ServeStats s = server.stats();
+  ASSERT_EQ(s.recent_batches.size(), 3u);
+  EXPECT_EQ(s.recent_batches[0].kind, OpKind::Mult);  // urgent forward first
+  EXPECT_EQ(s.recent_batches[0].bits, 4u);
+  EXPECT_EQ(s.recent_batches[1].kind, OpKind::Add);  // then admission order
+  EXPECT_EQ(s.recent_batches[2].kind, OpKind::Mult);
+  EXPECT_EQ(s.recent_batches[2].bits, 8u);
+}
+
+TEST(ServeFusion, CoalesceWindowSendsForwardThroughTheQueue) {
+  // The window outlasts the test: the scheduler lingers until stop()
+  // closes the queue, so the queued forward is still pending on return.
+  ForwardRig rig(8, 32, 2,
+                 ServerConfig{/*queue_capacity=*/16, /*max_batch_ops=*/64,
+                              /*coalesce_window=*/std::chrono::hours(1)});
+  const auto x = random_vec(32, 8, 90);
+  auto fut = rig.server.submit_forward(rig.served_handles, x);
+  EXPECT_FALSE(ready(fut));
+  rig.server.stop();  // closing ends the linger and drains the forward
+  const auto want = rig.direct.run_forward(rig.direct_handles, x);
+  const auto got = fut.get();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t j = 0; j < want.size(); ++j) EXPECT_EQ(want[j].values, got[j].values);
+  EXPECT_EQ(rig.server.stats().peak_queue_depth, 1u);
+}
+
+TEST(ServeFusion, LapsedForwardFailsOnIdleServerWithoutRunning) {
+  ForwardRig rig(8, 32, 2);
+  const std::uint64_t fused_before = rig.served_eng.fusion_stats().fused_runs;
+  auto fut = rig.server.submit_forward(
+      rig.served_handles, random_vec(32, 8, 91),
+      SubmitOptions{0, Clock::now() - std::chrono::milliseconds(1)});
+  ASSERT_TRUE(ready(fut));
+  EXPECT_THROW((void)fut.get(), DeadlineExceeded);
+  const ServeStats s = rig.server.stats();
+  EXPECT_EQ(s.expired, 1u);
+  EXPECT_EQ(s.completed, 0u);
+  EXPECT_EQ(rig.served_eng.fusion_stats().fused_runs, fused_before);
+}
+
+TEST(ServeFusion, StopWaitsOutAForwardRunningInPlace) {
+  // stop() must not return while a submitting thread still dispatches. A
+  // long forward starts in place on an idle server (its admission shows in
+  // stats() only once its thread holds the dispatch token), stop() lands
+  // mid-run, and the forward has settled by the time stop() returns.
+  macro::ImcMemory mem{macro::MemoryConfig{}};
+  ExecutionEngine eng(mem, EngineConfig{1});
+  Server server(eng);
+  const unsigned bits = 8;
+  const std::size_t n = 512;
+  std::vector<ResidentOperand> handles;
+  for (std::size_t j = 0; j < 32; ++j)
+    handles.push_back(server.pin(random_vec(n, bits, 300 + j), bits, OperandLayout::MultUnit));
+  const auto x = random_vec(n, bits, 399);
+  std::future<std::vector<OpResult>> fut;
+  std::thread client([&] { fut = server.submit_forward(handles, x); });
+  while (server.stats().submitted == 0) std::this_thread::yield();
+  server.stop();
+  const ServeStats s = server.stats();
+  EXPECT_EQ(s.completed, 1u) << "stop() returned before the in-place forward settled";
+  EXPECT_EQ(s.peak_queue_depth, 0u);
+  client.join();
+  EXPECT_EQ(fut.get().size(), handles.size());
+}
+
+TEST(ServeFusion, SubmitForwardAfterStopThrows) {
+  ForwardRig rig(8, 32, 2);
+  rig.server.stop();
+  EXPECT_THROW((void)rig.server.submit_forward(rig.served_handles, random_vec(32, 8, 92)),
+               ServerStopped);
+  EXPECT_EQ(rig.server.stats().submitted, 0u);
 }
 
 }  // namespace
