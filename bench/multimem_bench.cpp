@@ -8,21 +8,20 @@
 // ops per million modeled cycles of makespan, where the makespan is the
 // busiest memory's pipelined-cycle total (memories run in parallel in the
 // cycle model). Every result is verified against the scalar reference, and
-// per-memory occupancy shows how evenly the placement policy spread the
-// load.
+// per-memory occupancy shows how evenly the server's least-loaded placement
+// spread the load.
 //
 // Results land in BENCH_multimem.json (schema bpim.multimem.v1). The bench
 // exits non-zero when the 4-memory pool fails to reach 2x the 1-memory
 // modeled throughput -- the acceptance gate CI smoke runs check.
 //
 // Usage: multimem_bench [--clients C] [--ops K] [--layers L] [--bits B]
-//                       [--window US] [--placement P] [--smoke] [--out <path>]
+//                       [--window US] [--smoke] [--out <path>]
 //   --clients    concurrent closed-loop clients         (default 16)
 //   --ops        ops per client                         (default 24; smoke 6)
 //   --layers     row-pair layers per op                 (default 16)
 //   --bits       operand precision                      (default 8)
 //   --window     scheduler coalesce window, us          (default 200)
-//   --placement  round-robin | least-loaded | sticky    (default least-loaded)
 //   --smoke      CI-sized run; same JSON shape
 
 #include <algorithm>
@@ -57,7 +56,6 @@ struct Options {
   std::size_t layers_per_op = 16;
   unsigned bits = 8;
   std::chrono::microseconds window{200};
-  serve::Placement placement = serve::Placement::LeastLoaded;
   bool smoke = false;
   std::string out_path = "BENCH_multimem.json";
 };
@@ -127,7 +125,6 @@ SweepPoint run_pool(const std::vector<ClientLoad>& loads, const Options& opt,
   pcfg.memories = memories;
   pcfg.memory = node_memory();
   pcfg.threads_per_memory = 2;
-  pcfg.placement = opt.placement;
   serve::MemoryPool pool(pcfg);
 
   serve::ServerConfig cfg;
@@ -174,7 +171,6 @@ void write_json(const Options& opt, std::size_t elements,
   w.field("layers_per_op", opt.layers_per_op);
   w.field("macros_per_memory", kMacrosPerMemory);
   w.field("window_us", opt.window.count());
-  w.field("placement", serve::to_string(opt.placement));
   w.key("sweep");
   w.begin_array();
   for (const SweepPoint& p : sweep) {
@@ -222,25 +218,13 @@ int main(int argc, char** argv) {
         opt.bits = static_cast<unsigned>(std::stoul(value()));
       } else if (arg == "--window") {
         opt.window = std::chrono::microseconds(std::stoul(value()));
-      } else if (arg == "--placement") {
-        const std::string p = value();
-        if (p == "round-robin") {
-          opt.placement = serve::Placement::RoundRobin;
-        } else if (p == "least-loaded") {
-          opt.placement = serve::Placement::LeastLoaded;
-        } else if (p == "sticky") {
-          opt.placement = serve::Placement::StickyByOperand;
-        } else {
-          std::cerr << "--placement must be round-robin|least-loaded|sticky\n";
-          return 2;
-        }
       } else if (arg == "--smoke") {
         opt.smoke = true;
       } else if (arg == "--out") {
         opt.out_path = value();
       } else {
         std::cerr << "usage: multimem_bench [--clients C] [--ops K] [--layers L] "
-                     "[--bits B] [--window US] [--placement P] [--smoke] [--out <path>]"
+                     "[--bits B] [--window US] [--smoke] [--out <path>]"
                   << bench::ObsFlags::kUsage << "\n";
         return 2;
       }
@@ -273,8 +257,7 @@ int main(int argc, char** argv) {
   const auto loads = make_loads(opt, elements);
   std::cout << opt.clients << " closed-loop clients x " << opt.ops_per_client << " ops, "
             << elements << " x " << opt.bits << "-bit MULT (" << opt.layers_per_op
-            << " layers) each, " << kMacrosPerMemory << " macros/memory, placement "
-            << serve::to_string(opt.placement) << ", coalesce window "
+            << " layers) each, " << kMacrosPerMemory << " macros/memory, coalesce window "
             << opt.window.count() << " us\n";
 
   obs.arm();

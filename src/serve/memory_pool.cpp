@@ -7,19 +7,7 @@
 
 namespace bpim::serve {
 
-const char* to_string(Placement p) {
-  switch (p) {
-    case Placement::RoundRobin:
-      return "round-robin";
-    case Placement::LeastLoaded:
-      return "least-loaded";
-    case Placement::StickyByOperand:
-      return "sticky-by-operand";
-  }
-  return "?";
-}
-
-MemoryPool::MemoryPool(const MemoryPoolConfig& cfg) : placement_(cfg.placement) {
+MemoryPool::MemoryPool(const MemoryPoolConfig& cfg) {
   BPIM_REQUIRE(cfg.memories > 0, "pool needs at least one memory");
   std::size_t threads = cfg.threads_per_memory;
   if (threads == 0) {
@@ -41,16 +29,14 @@ MemoryPool::MemoryPool(const MemoryPoolConfig& cfg) : placement_(cfg.placement) 
     engines_.push_back(node.engine);
     nodes_.push_back(std::move(node));
   }
-  load_cycles_.assign(engines_.size(), 0);
   check_homogeneous();
 }
 
-MemoryPool::MemoryPool(std::vector<engine::ExecutionEngine*> engines, Placement placement)
-    : engines_(std::move(engines)), placement_(placement) {
+MemoryPool::MemoryPool(std::vector<engine::ExecutionEngine*> engines)
+    : engines_(std::move(engines)) {
   BPIM_REQUIRE(!engines_.empty(), "pool needs at least one engine");
   for (engine::ExecutionEngine* e : engines_)
     BPIM_REQUIRE(e != nullptr, "pool engine must not be null");
-  load_cycles_.assign(engines_.size(), 0);
   check_homogeneous();
 }
 
@@ -58,10 +44,9 @@ void MemoryPool::check_homogeneous() const {
   // Placement must be free to put any sub-batch on any memory, so every
   // node has to agree on the residency geometry an op maps to (macro count,
   // rows, columns) and on the result-affecting config knobs (WL scheme,
-  // supply, cycle time, disturb mode). Energy-parameter equality is the
-  // caller's responsibility on a non-owning pool; the owning constructor
-  // builds every node from one config.
+  // supply, cycle time, disturb mode, MULT pricing).
   const macro::MacroConfig& head = engines_.front()->memory().config().macro;
+  const macro::MultPrices::Pricing pricing = macro::MultPrices::pricing_of(head);
   const std::size_t macros = engines_.front()->memory().macro_count();
   const std::size_t capacity = engines_.front()->row_pair_capacity();
   const double cycle_time = engines_.front()->memory().macro(0).cycle_time().si();
@@ -77,8 +62,12 @@ void MemoryPool::check_homogeneous() const {
                  "pool memories must use the same WL scheme");
     BPIM_REQUIRE(c.vdd.si() == head.vdd.si(),
                  "pool memories must run at the same supply voltage");
+    // Per-component prices at vdd, activities and the write-back component:
+    // equal pricings charge every op the same energy on every node.
+    BPIM_REQUIRE(macro::MultPrices::pricing_of(c) == pricing,
+                 "pool memories must price energy identically");
     // With injection on, per-node RNG streams (and their histories) make
-    // results depend on which memory place() chose -- the bit-identity
+    // results depend on which memory a sub-batch landed on -- the bit-identity
     // guarantee cannot hold, so refuse rather than silently break it. A
     // pool of one has no placement choice, so a single disturb-injected
     // memory (the seed's experiment setup) stays servable.
@@ -109,67 +98,6 @@ std::size_t MemoryPool::max_resident_layers() const {
   for (const engine::ExecutionEngine* e : engines_)
     worst = std::max(worst, e->resident_layers());
   return worst;
-}
-
-std::vector<std::size_t> MemoryPool::place(const std::vector<Slot>& group) {
-  // Residency overrides policy: a sub-batch whose requests reference
-  // pinned operands runs on the memory that holds them. Only the free
-  // slots go through the configured policy.
-  std::vector<std::size_t> where;
-  where.reserve(group.size());
-  const std::size_t n = engines_.size();
-  switch (placement_) {
-    case Placement::RoundRobin:
-      for (const Slot& s : group) {
-        if (s.home) {
-          where.push_back(*s.home);
-          continue;
-        }
-        where.push_back(rr_next_);
-        rr_next_ = (rr_next_ + 1) % n;
-      }
-      break;
-    case Placement::StickyByOperand:
-      // Pure function of the operands: the same weight rows always land on
-      // the same memory, whatever ran before. Handle-backed sub-batches
-      // are stickier still -- their home memory holds the rows.
-      for (const Slot& s : group) where.push_back(s.home ? *s.home : s.operand_hash % n);
-      break;
-    case Placement::LeastLoaded: {
-      MutexLock lk(mutex_);
-      // Charge each assignment an in-flight estimate right away, so the
-      // sub-batches of one concurrent dispatch group spread across
-      // memories instead of all chasing the same minimum. Homed slots are
-      // charged too -- their load is just as real to later free slots.
-      const std::uint64_t cycles_per_layer =
-          total_layers_ == 0 ? 1 : std::max<std::uint64_t>(1, total_cycles_ / total_layers_);
-      std::vector<std::uint64_t> load = load_cycles_;
-      for (const Slot& s : group) {
-        const std::size_t m = s.home ? *s.home
-                                     : static_cast<std::size_t>(std::min_element(
-                                           load.begin(), load.end()) -
-                                       load.begin());
-        where.push_back(m);
-        load[m] += std::max<std::uint64_t>(1, s.layers * cycles_per_layer);
-      }
-      break;
-    }
-  }
-  return where;
-}
-
-void MemoryPool::on_batch_done(std::size_t mem, std::size_t layers,
-                               std::uint64_t pipelined_cycles) {
-  MutexLock lk(mutex_);
-  BPIM_REQUIRE(mem < load_cycles_.size(), "pool memory index out of range");
-  load_cycles_[mem] += pipelined_cycles;
-  total_cycles_ += pipelined_cycles;
-  total_layers_ += layers;
-}
-
-std::vector<std::uint64_t> MemoryPool::dispatched_cycles() const {
-  MutexLock lk(mutex_);
-  return load_cycles_;
 }
 
 }  // namespace bpim::serve

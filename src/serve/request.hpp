@@ -82,8 +82,7 @@ struct Ticket {
   std::optional<Clock::time_point> deadline;
   std::uint64_t seq = 0;  ///< admission order, the FIFO tiebreak
   Clock::time_point submit_time{};
-  std::size_t layers = 0;         ///< row-pair layers, precomputed at submit
-  std::uint64_t operand_hash = 0;  ///< FNV-1a over kind/bits/fn/operands (sticky placement)
+  std::size_t layers = 0;  ///< row-pair layers, precomputed at submit
   /// Pool memory that holds the op's resident operand(s); requests with a
   /// handle must run there, everything else is free for placement.
   std::optional<std::size_t> home;

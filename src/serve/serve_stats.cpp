@@ -127,6 +127,11 @@ void ServeLedger::on_batch(const BatchRecord& rec, const engine::BatchStats& bs,
   }
 }
 
+std::vector<MemoryLaneStats> ServeLedger::lanes() const {
+  MutexLock lk(mutex_);
+  return totals_.per_memory;
+}
+
 ServeStats ServeLedger::snapshot(std::size_t queue_depth,
                                  std::size_t peak_queue_depth) const {
   MutexLock lk(mutex_);

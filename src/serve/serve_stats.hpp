@@ -17,7 +17,8 @@
 //
 // With a multi-memory pool the ledger also keeps one lane per memory
 // (NUMA node). Memories run in parallel in the cycle model, so the
-// aggregate makespan is the busiest lane's total, not the sum.
+// aggregate makespan is the busiest lane's total, not the sum. The lanes
+// are also the server's only placement input (Server::place).
 
 #include <cstdint>
 #include <vector>
@@ -166,6 +167,9 @@ class ServeLedger {
 
   [[nodiscard]] ServeStats snapshot(std::size_t queue_depth,
                                     std::size_t peak_queue_depth) const BPIM_EXCLUDES(mutex_);
+  /// The per-memory lanes alone, index == memory id: one lock and no
+  /// sample copy, cheap enough for the dispatcher to read per group.
+  [[nodiscard]] std::vector<MemoryLaneStats> lanes() const BPIM_EXCLUDES(mutex_);
 
  private:
   /// Global obs instruments mirroring the ledger (resolved once at

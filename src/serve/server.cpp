@@ -14,42 +14,21 @@ using engine::VecOp;
 
 namespace {
 
-/// FNV-1a word mixer shared by the placement hashes below.
-struct Fnv1a {
+/// Pin placement key: FNV-1a over the pinned values and shape, so the same
+/// weights always pin to the same pool memory.
+std::uint64_t hash_pin(std::span<const std::uint64_t> values, unsigned bits,
+                       engine::OperandLayout layout) {
   std::uint64_t h = 0xcbf29ce484222325ull;
-  void mix(std::uint64_t x) {
+  const auto mix = [&h](std::uint64_t x) {
     for (int i = 0; i < 8; ++i) {
       h ^= (x >> (8 * i)) & 0xFF;
       h *= 0x100000001b3ull;
     }
-  }
-};
-
-/// FNV-1a over the op's full identity and operand bytes: the sticky
-/// placement key. Repeated weight rows hash identically, so they land on
-/// the same pool memory every time. The logic function is part of the
-/// identity -- And/Or requests on identical operands must not alias.
-std::uint64_t hash_operands(const VecOp& op) {
-  Fnv1a f;
-  f.mix(static_cast<std::uint64_t>(op.kind));
-  f.mix(op.bits);
-  f.mix(static_cast<std::uint64_t>(op.fn));
-  f.mix(op.ra.id);
-  f.mix(op.rb.id);
-  for (const std::uint64_t x : op.a) f.mix(x);
-  for (const std::uint64_t x : op.b) f.mix(x);
-  return f.h;
-}
-
-/// Pin placement key: a pure function of the pinned values and shape, so
-/// the same weights always pin to the same pool memory.
-std::uint64_t hash_pin(std::span<const std::uint64_t> values, unsigned bits,
-                       engine::OperandLayout layout) {
-  Fnv1a f;
-  f.mix(bits);
-  f.mix(static_cast<std::uint64_t>(layout));
-  for (const std::uint64_t x : values) f.mix(x);
-  return f.h;
+  };
+  mix(bits);
+  mix(static_cast<std::uint64_t>(layout));
+  for (const std::uint64_t x : values) mix(x);
+  return h;
 }
 
 /// Trace lineage of one request: an async "request" bar from admission to
@@ -85,8 +64,7 @@ void Server::init_tracing() {
 }
 
 Server::Server(engine::ExecutionEngine& eng, ServerConfig cfg)
-    : owned_pool_(std::in_place, std::vector<engine::ExecutionEngine*>{&eng},
-                  Placement::RoundRobin),
+    : owned_pool_(std::in_place, std::vector<engine::ExecutionEngine*>{&eng}),
       pool_(&*owned_pool_),
       cfg_(cfg),
       queue_(cfg.queue_capacity),
@@ -139,9 +117,6 @@ detail::Ticket Server::make_ticket(const VecOp& op) {
   t.op = op;
   t.op.a = t.a;
   t.op.b = t.b;
-  // Only sticky placement reads the hash; spare the other policies the
-  // extra operand pass on the client's critical path.
-  if (pool_->placement() == Placement::StickyByOperand) t.operand_hash = hash_operands(t.op);
   return t;
 }
 
@@ -261,9 +236,8 @@ engine::ResidentOperand Server::pin(std::span<const std::uint64_t> values, unsig
                                     std::optional<std::uint64_t> colocate_key) {
   if (stopped()) throw ServerStopped();
   // Deterministic hash placement: the same weight values always pin to the
-  // same node, whatever the batch placement policy is -- exactly the
-  // affinity the sticky policy approximates for span operands. A colocate
-  // key overrides the value hash so a fused forward's weights share a node.
+  // same node, whatever ran before. A colocate key overrides the value hash
+  // so a fused forward's weights share a node.
   const std::size_t m = pool_->size() == 1 ? 0
                         : colocate_key     ? *colocate_key % pool_->size()
                                            : hash_pin(values, bits, layout) % pool_->size();
@@ -409,26 +383,53 @@ void Server::dispatch(std::vector<detail::Ticket>& backlog) {
   // pool of one with nothing pinned this is the original single
   // sub-batch.
   std::vector<std::vector<detail::Ticket>> subs;
-  std::vector<MemoryPool::Slot> slots;
   std::size_t sub_transient = 0;
   for (auto& t : selected) {
     const std::size_t tl = t.transient_layers();
     const std::size_t sub_budget =
         t.home ? capacity : std::max<std::size_t>(unhomed_budget, 1);
-    if (subs.empty() || slots.back().home != t.home ||
-        subs.back().size() >= cfg_.max_batch_ops ||
-        (!subs.back().empty() && sub_transient + tl > sub_budget)) {
+    if (subs.empty() || subs.back().front().home != t.home ||
+        subs.back().size() >= cfg_.max_batch_ops || sub_transient + tl > sub_budget) {
       subs.emplace_back();
-      slots.emplace_back();
-      slots.back().home = t.home;
       sub_transient = 0;
     }
     sub_transient += tl;
-    slots.back().layers += t.layers;
-    if (subs.back().empty()) slots.back().operand_hash = t.operand_hash;
     subs.back().push_back(std::move(t));
   }
-  execute_group(subs, pool_->place(slots));
+  execute_group(subs, place(subs));
+}
+
+std::vector<std::size_t> Server::place(
+    const std::vector<std::vector<detail::Ticket>>& subs) const {
+  // A homed sub-batch runs on the memory holding its resident operands. Any
+  // other runs on the memory with the fewest modeled pipelined cycles in
+  // this server's ledger, ties to the lowest index. Each assignment is
+  // charged at once -- its layers at the lanes' mean cycles per layer -- so
+  // the sub-batches of one group spread out instead of all chasing the same
+  // minimum; homed ones are charged too, their load is just as real.
+  if (pool_->size() == 1) return std::vector<std::size_t>(subs.size(), 0);
+  std::vector<std::uint64_t> load;
+  std::uint64_t total_cycles = 0, total_layers = 0;
+  for (const MemoryLaneStats& lane : ledger_.lanes()) {
+    load.push_back(lane.modeled_pipelined_cycles);
+    total_cycles += lane.modeled_pipelined_cycles;
+    total_layers += lane.layers;
+  }
+  const std::uint64_t cycles_per_layer =
+      total_layers == 0 ? 1 : std::max<std::uint64_t>(1, total_cycles / total_layers);
+  std::vector<std::size_t> where;
+  where.reserve(subs.size());
+  for (const auto& sub : subs) {
+    const std::size_t m =
+        sub.front().home ? *sub.front().home
+                         : static_cast<std::size_t>(
+                               std::min_element(load.begin(), load.end()) - load.begin());
+    std::uint64_t layers = 0;
+    for (const auto& t : sub) layers += t.layers;
+    load[m] += std::max<std::uint64_t>(1, layers * cycles_per_layer);
+    where.push_back(m);
+  }
+  return where;
 }
 
 void Server::execute_group(std::vector<std::vector<detail::Ticket>>& subs,
@@ -437,9 +438,8 @@ void Server::execute_group(std::vector<std::vector<detail::Ticket>>& subs,
   // so a lane releases its clients the moment it finishes instead of
   // waiting out the group's slowest lane, and the recorded host latency is
   // exactly what the client waited. A fused Forward is a sub-batch of one;
-  // only its engine call and promise type differ. Ledger
-  // and pool accounts are mutex-guarded, so lanes may complete
-  // concurrently. Never throws.
+  // only its engine call and promise type differ. The ledger is
+  // mutex-guarded, so lanes may complete concurrently. Never throws.
   const auto run_sub = [&](std::size_t i) {
     auto& batch = subs[i];
     const std::size_t mem = where[i];
@@ -495,7 +495,6 @@ void Server::execute_group(std::vector<std::vector<detail::Ticket>>& subs,
       op_layers.push_back(t.layers);
       rec.layers += t.layers;
     }
-    pool_->on_batch_done(mem, rec.layers, bs.pipelined_cycles);
     // Ledger before promises: a client that wakes on its future and asks for
     // stats() must already see its own batch.
     ledger_.on_batch(rec, bs, host_us, op_layers);
@@ -533,9 +532,9 @@ void Server::execute_group(std::vector<std::vector<detail::Ticket>>& subs,
   };
 
   // Distinct memories run concurrently on the persistent lane workers;
-  // sub-batches that share a memory (sticky hash collisions) stay
-  // serialized inside one lane, since an engine admits only one run_batch
-  // at a time.
+  // sub-batches that share a memory (one home, or more sub-batches than
+  // memories) stay serialized inside one lane, since an engine admits only
+  // one run_batch at a time.
   std::vector<std::vector<std::size_t>> by_memory(pool_->size());
   for (std::size_t i = 0; i < subs.size(); ++i) by_memory[where[i]].push_back(i);
   std::erase_if(by_memory, [](const std::vector<std::size_t>& lane) { return lane.empty(); });

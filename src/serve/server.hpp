@@ -13,24 +13,26 @@
 // single-memory server the group is one run_batch call, as before. Over a
 // serve::MemoryPool the group's layer budget is N memories' worth: a group
 // whose summed row-pair layers exceed a single array's residency budget is
-// split into per-memory sub-batches, placed by the pool's policy
-// (round-robin / least-loaded / sticky-by-operand-hash), and sub-batches on
-// distinct memories execute concurrently. Operands pinned through pin()
-// constrain both sides of that math: the coalescer budgets transient
-// layers against capacity minus the pinned set, and a request referencing
-// a handle is routed to the memory that holds it (the pin-per-memory
-// registry; pin placement itself is by operand hash, so identical weights
-// always pin to the same node). Within the backlog the scheduler
-// serves strictly by (priority desc, admission order); deadlines are
-// re-checked with a fresh clock at batch-build time, so a request that
+// split into per-memory sub-batches, each placed on the memory with the
+// fewest modeled cycles in this server's ledger (least-loaded; the history
+// is per server, so a second server on the same pool starts from empty
+// lanes), and sub-batches on distinct memories execute concurrently.
+// Operands pinned through pin() constrain both sides of that math: the
+// coalescer budgets transient layers against capacity minus the pinned set,
+// and a request referencing a handle is routed to the memory that holds it
+// (the pin-per-memory registry; pin placement itself is by operand hash, so
+// identical weights always pin to the same node). Within the backlog the
+// scheduler serves strictly by (priority desc, admission order); deadlines
+// are re-checked with a fresh clock at batch-build time, so a request that
 // expired while held in the coalesce window or while an earlier batch ran
 // fails with DeadlineExceeded instead of executing.
 //
 // Results are bit-identical to submitting each op alone through a serial
 // engine on one memory: run_batch executes ops one after another with the
 // same per-op chunk walk, per-op results do not depend on what ran before,
-// and every pool memory is shape-identical. Coalescing and placement change
-// only the batch-level cycle account, never a client's values or RunStats.
+// and every pool memory is configuration-identical. Coalescing and
+// placement change only the batch-level cycle account, never a client's
+// values or RunStats.
 //
 // One dispatcher at a time, the scheduler or a submitting thread holding
 // the token, owns scheduling state: a submit_forward on an idle server takes
@@ -189,6 +191,10 @@ class Server : public engine::Executor {
   /// One scheduling decision: sort, expire, coalesce the head's group, place
   /// and execute it; the rest stays in `backlog`. Needs the dispatch token.
   void dispatch(std::vector<detail::Ticket>& backlog);
+  /// Pool memory for each sub-batch of one group: a homed one's home, any
+  /// other the least-loaded lane of the ledger (ties to the lowest index).
+  [[nodiscard]] std::vector<std::size_t> place(
+      const std::vector<std::vector<detail::Ticket>>& subs) const;
   /// Run one dispatch group: sub-batch i on pool memory where[i], distinct
   /// memories concurrently; each lane accounts and fulfills its own
   /// promises as it finishes (no cross-lane barrier for clients).

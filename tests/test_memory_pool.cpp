@@ -1,9 +1,10 @@
 // serve::MemoryPool: multi-memory scale-out behind serve::Server. Placement
-// policies must be deterministic, oversized dispatch groups must split
-// across memories, per-memory stats must reconcile, and -- the contract
-// everything rests on -- every served result must be bit-identical to
-// running the op alone through a serial engine on one memory. The stress
-// test here joins test_serve in the TSan CI job.
+// must follow the server's ledger (least-loaded, ties to the lowest index),
+// oversized dispatch groups must split across memories, per-memory stats
+// must reconcile, and -- the contract everything rests on -- every served
+// result must be bit-identical to running the op alone through a serial
+// engine on one memory. The stress test here joins test_serve in the TSan
+// CI job.
 
 #include <gtest/gtest.h>
 
@@ -37,12 +38,11 @@ macro::MemoryConfig node_memory() {
   return cfg;
 }
 
-MemoryPoolConfig pool_config(std::size_t memories, Placement placement) {
+MemoryPoolConfig pool_config(std::size_t memories) {
   MemoryPoolConfig cfg;
   cfg.memories = memories;
   cfg.memory = node_memory();
   cfg.threads_per_memory = 1;
-  cfg.placement = placement;
   return cfg;
 }
 
@@ -72,9 +72,8 @@ void expect_identical(const OpResult& want, const OpResult& got, const std::stri
 
 /// Pooled server kept alive with its pool.
 struct Harness {
-  explicit Harness(std::size_t memories, Placement placement = Placement::LeastLoaded,
-                   ServerConfig cfg = {})
-      : pool(pool_config(memories, placement)), server(pool, cfg) {}
+  explicit Harness(std::size_t memories, ServerConfig cfg = {})
+      : pool(pool_config(memories)), server(pool, cfg) {}
   MemoryPool pool;
   Server server;
 };
@@ -104,9 +103,11 @@ TEST(MemoryPool, PoolOfOneMatchesSerialReference) {
   EXPECT_DOUBLE_EQ(s.scaleout_speedup(), 1.0);
 }
 
-TEST(MemoryPool, RoundRobinRotatesAcrossMemories) {
-  Harness h(3, Placement::RoundRobin);
-  h.server.pause();  // stage three incompatible ops -> three dispatch groups
+TEST(MemoryPool, LeastLoadedSpreadsStagedGroupsAcrossMemories) {
+  // Three incompatible ops -> three dispatch groups, run one after another:
+  // each lands on a memory the ones before it left idle.
+  Harness h(3);
+  h.server.pause();
   const auto a4 = random_vec(16, 4, 3), b4 = random_vec(16, 4, 4);
   const auto a8 = random_vec(16, 8, 5), b8 = random_vec(16, 8, 6);
   const auto a16 = random_vec(16, 16, 7), b16 = random_vec(16, 16, 8);
@@ -125,24 +126,8 @@ TEST(MemoryPool, RoundRobinRotatesAcrossMemories) {
   for (std::size_t m = 0; m < 3; ++m) EXPECT_EQ(s.per_memory[m].batches, 1u);
 }
 
-TEST(MemoryPool, StickyPlacementPinsRepeatedOperands) {
-  Harness h(4, Placement::StickyByOperand);
-  const auto a = random_vec(32, 8, 9);
-  const auto b = random_vec(32, 8, 10);
-  const VecOp op{OpKind::Mult, 8, periph::LogicFn::And, a, b};
-  for (int i = 0; i < 5; ++i)
-    expect_identical(run_serial_reference(op), h.server.submit(op).get(), "sticky repeat");
-
-  const ServeStats s = h.server.stats();
-  ASSERT_EQ(s.recent_batches.size(), 5u);
-  const std::size_t home = s.recent_batches[0].memory;
-  for (const BatchRecord& rec : s.recent_batches)
-    EXPECT_EQ(rec.memory, home) << "repeated operands must stay on one memory";
-  EXPECT_EQ(s.per_memory[home].ops, 5u);
-}
-
 TEST(MemoryPool, LeastLoadedAvoidsTheBusyMemory) {
-  Harness h(2, Placement::LeastLoaded);
+  Harness h(2);
   std::vector<std::uint64_t> a, b;
   const VecOp heavy = mult_op_of_layers(32, a, b, 11);
   (void)h.server.submit(heavy).get();  // ties break to memory 0
@@ -155,12 +140,58 @@ TEST(MemoryPool, LeastLoadedAvoidsTheBusyMemory) {
   EXPECT_EQ(s.recent_batches[1].memory, 1u) << "second batch must dodge the loaded memory";
 }
 
+TEST(MemoryPool, PlacementFollowsTheLedger) {
+  MemoryPool pool(pool_config(3));
+  {
+    Server server(pool);
+    // A heavy op first (every lane empty: memory 0), then random unhomed ops
+    // one at a time: each must land on the lane with the fewest modeled
+    // pipelined cycles as stats() read them before its submit, ties to the
+    // lowest index.
+    std::vector<std::uint64_t> ha, hb;
+    std::vector<VecOp> ops{mult_op_of_layers(64, ha, hb, 60)};
+    std::vector<std::vector<std::uint64_t>> storage;
+    bpim::Rng rng(0x1ED6E2);
+    for (int i = 0; i < 24; ++i) {
+      const unsigned bits = std::array<unsigned, 3>{4, 8, 16}[rng.next_u64() % 3];
+      const OpKind kind = std::array<OpKind, 4>{OpKind::Add, OpKind::Sub, OpKind::Mult,
+                                                OpKind::Logic}[rng.next_u64() % 4];
+      const std::size_t n = 1 + rng.next_u64() % 64;
+      storage.push_back(random_vec(n, bits, rng.next_u64()));
+      storage.push_back(random_vec(n, bits, rng.next_u64()));
+      ops.push_back(VecOp{kind, bits, periph::LogicFn::Or, storage[storage.size() - 2],
+                          storage.back()});
+    }
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      const std::vector<MemoryLaneStats> lanes = server.stats().per_memory;
+      std::size_t want = 0;
+      for (std::size_t m = 1; m < lanes.size(); ++m)
+        if (lanes[m].modeled_pipelined_cycles < lanes[want].modeled_pipelined_cycles) want = m;
+      expect_identical(run_serial_reference(ops[i]), server.submit(ops[i]).get(),
+                       "op " + std::to_string(i));
+      EXPECT_EQ(server.stats().recent_batches.back().memory, want) << "op " << i;
+    }
+    const ServeStats s = server.stats();
+    ASSERT_GT(s.per_memory[0].modeled_pipelined_cycles, s.per_memory[1].modeled_pipelined_cycles);
+    ASSERT_GT(s.per_memory[0].modeled_pipelined_cycles, s.per_memory[2].modeled_pipelined_cycles);
+  }
+  // Placement history belongs to the server, not the pool: a second server
+  // starts from empty lanes, so its first batch goes to memory 0 even though
+  // the first server left memory 0 the busiest.
+  Server second(pool);
+  const auto a = random_vec(16, 8, 61), b = random_vec(16, 8, 62);
+  (void)second.submit(VecOp{OpKind::Add, 8, periph::LogicFn::And, a, b}).get();
+  const ServeStats s = second.stats();
+  ASSERT_EQ(s.recent_batches.size(), 1u);
+  EXPECT_EQ(s.recent_batches[0].memory, 0u);
+}
+
 TEST(MemoryPool, OversizedGroupSplitsAcrossMemories) {
   // Four 24-layer ops coalesce into one 96-layer group: over one array's
   // 64-pair budget, within the pool's 128. The scheduler must split it into
   // two concurrent sub-batches on distinct memories -- and the results must
   // still match the serial reference exactly.
-  Harness h(2, Placement::LeastLoaded);
+  Harness h(2);
   h.server.pause();
   std::vector<std::vector<std::uint64_t>> storage(8);
   std::vector<VecOp> ops;
@@ -191,7 +222,7 @@ TEST(MemoryPool, OversizedGroupSplitsAcrossMemories) {
 TEST(MemoryPool, NonOwningPoolOverCallerEngines) {
   macro::ImcMemory mem_a(node_memory()), mem_b(node_memory());
   ExecutionEngine eng_a(mem_a, EngineConfig{1}), eng_b(mem_b, EngineConfig{1});
-  MemoryPool pool({&eng_a, &eng_b}, Placement::RoundRobin);
+  MemoryPool pool({&eng_a, &eng_b});
   EXPECT_EQ(pool.size(), 2u);
   EXPECT_EQ(&pool.engine(0), &eng_a);
   EXPECT_EQ(&pool.engine(1), &eng_b);
@@ -211,8 +242,7 @@ TEST(MemoryPool, RejectsHeterogeneousEngines) {
   more_macros.macros_per_bank = 4;
   macro::ImcMemory big(more_macros);
   ExecutionEngine eng_big(big, EngineConfig{1});
-  EXPECT_THROW(MemoryPool({&eng_small, &eng_big}, Placement::RoundRobin),
-               std::invalid_argument);
+  EXPECT_THROW(MemoryPool({&eng_small, &eng_big}), std::invalid_argument);
 
   // Same macro count and rows but different columns: an op would map to a
   // different layer count depending on placement, so the pool must refuse.
@@ -220,15 +250,22 @@ TEST(MemoryPool, RejectsHeterogeneousEngines) {
   wider.macro.geometry.cols *= 2;
   macro::ImcMemory wide(wider);
   ExecutionEngine eng_wide(wide, EngineConfig{1});
-  EXPECT_THROW(MemoryPool({&eng_small, &eng_wide}, Placement::RoundRobin),
-               std::invalid_argument);
+  EXPECT_THROW(MemoryPool({&eng_small, &eng_wide}), std::invalid_argument);
+
+  // Same shape but a different flip-flop energy: the same op would report a
+  // different RunStats::energy depending on placement.
+  macro::MemoryConfig pricier = node_memory();
+  pricier.macro.energy_params.ff_fj = 3.0;
+  macro::ImcMemory costly(pricier);
+  ExecutionEngine eng_costly(costly, EngineConfig{1});
+  EXPECT_THROW(MemoryPool({&eng_small, &eng_costly}), std::invalid_argument);
 }
 
 TEST(MemoryPool, RefusesDisturbInjectionOnlyWhenPlacementCanVary) {
   // With injection on, per-node RNG streams make results depend on
   // placement; a multi-memory pool must refuse at construction instead of
   // silently breaking the bit-identity guarantee.
-  MemoryPoolConfig cfg = pool_config(2, Placement::RoundRobin);
+  MemoryPoolConfig cfg = pool_config(2);
   cfg.memory.macro.inject_disturb = true;
   EXPECT_THROW(MemoryPool pool(cfg), std::invalid_argument);
 
@@ -251,19 +288,21 @@ TEST(MemoryPool, DecorrelatedNodeSeedsDoNotChangeResults) {
   // Each node gets its own disturb-RNG seed offset; with injection off
   // (enforced at construction) placement on any node is bit-identical to
   // the reference memory.
-  Harness h(4, Placement::RoundRobin);
+  Harness h(4);
   const auto a = random_vec(64, 16, 17);
   const auto b = random_vec(64, 16, 18);
   const VecOp op{OpKind::Sub, 16, periph::LogicFn::And, a, b};
   const OpResult want = run_serial_reference(op);
-  for (int i = 0; i < 4; ++i)  // round-robin lands on every node once
-    expect_identical(want, h.server.submit(op).get(), "node " + std::to_string(i));
+  for (int i = 0; i < 4; ++i)  // each repeat dodges the nodes already busy
+    expect_identical(want, h.server.submit(op).get(), "repeat " + std::to_string(i));
+  const ServeStats s = h.server.stats();
+  for (std::size_t m = 0; m < 4; ++m)
+    EXPECT_GE(s.per_memory[m].ops, 1u) << "node " << m << " served nothing";
 }
 
 TEST(MemoryPool, StressMultiClientBitIdenticalWithDeadlines) {
-  Harness h(3, Placement::LeastLoaded,
-            ServerConfig{/*queue_capacity=*/64, /*max_batch_ops=*/8,
-                         /*coalesce_window=*/std::chrono::microseconds(50)});
+  Harness h(3, ServerConfig{/*queue_capacity=*/64, /*max_batch_ops=*/8,
+                            /*coalesce_window=*/std::chrono::microseconds(50)});
   constexpr std::size_t kClients = 6;
   constexpr std::size_t kOpsPerClient = 12;
 
@@ -339,11 +378,6 @@ TEST(MemoryPool, StressMultiClientBitIdenticalWithDeadlines) {
   EXPECT_EQ(lane_batches, s.batches);
   EXPECT_EQ(lane_cycles, s.modeled_pipelined_cycles);
   EXPECT_EQ(max_lane, s.modeled_makespan_cycles);
-  // The pool's own dispatch account agrees with the ledger's lanes.
-  const std::vector<std::uint64_t> dispatched = h.pool.dispatched_cycles();
-  ASSERT_EQ(dispatched.size(), 3u);
-  for (std::size_t m = 0; m < 3; ++m)
-    EXPECT_EQ(dispatched[m], s.per_memory[m].modeled_pipelined_cycles);
 }
 
 }  // namespace
