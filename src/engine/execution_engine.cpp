@@ -260,24 +260,21 @@ std::uint64_t ExecutionEngine::execute(ExecPlan& plan) {
     }
   });
 
-  // After the join, one walk over what the macros returned. Per macro,
-  // ledger cycles plus its programs' adaptive savings is its policy-off
-  // walk under the same fusion pattern (per-instruction conservation is
-  // exact), so the max over macros is the policy-off makespan and dense ==
-  // elapsed + adaptive_cycles_saved holds exactly. The same walk publishes
-  // the program-path instruments: each program's cycles, its macro.program
-  // instant behind the macro-events gate, and every MULT run under an
-  // enabled policy as its retire record resolved it.
+  // After the join, one walk over the programs' stats. Per macro, ledger
+  // cycles plus its programs' adaptive savings is its policy-off walk under
+  // the same fusion pattern (per-instruction conservation is exact), so the
+  // max over macros is the policy-off makespan and dense == elapsed +
+  // adaptive_cycles_saved holds exactly. The same walk publishes the
+  // program-path instruments: each program's cycles, its macro.program
+  // instant behind the macro-events gate, and, under an enabled policy, the
+  // adaptive tallies the controller counted as each MULT retired.
   const Instruments& ins = instruments();
   const bool events = BPIM_TRACE_ON() && obs::TraceSession::global().macro_events_on();
   std::uint64_t dense = 0, mults = 0, skipped = 0, saved = 0;
   std::array<std::uint64_t, 33> depth_counts{};  // adaptive MULTs per executed depth
   for (std::size_t m = 0; m < plan.active; ++m) {
-    const MacroPlan& mp = plan.macros[m];
-    std::span<const macro::Extract> retired(mp.extract);
     std::uint64_t adaptive = 0;
-    for (std::size_t k = 0; k < mp.programs.size(); ++k) {
-      const macro::ProgramStats& st = mp.ran[k];
+    for (const macro::ProgramStats& st : plan.macros[m].ran) {
       adaptive += st.adaptive_cycles_saved;
       ins.program_cycles.observe(st.cycles);
       if (events)
@@ -287,16 +284,11 @@ std::uint64_t ExecutionEngine::execute(ExecPlan& plan) {
              {"cycles", static_cast<double>(st.cycles)},
              {"fused_cycles_saved", static_cast<double>(st.fused_cycles_saved)},
              {"adaptive_cycles_saved", static_cast<double>(st.adaptive_cycles_saved)}});
-      const std::vector<macro::Instruction>& insts = mp.programs[k]->program().instructions();
-      if (pol.enabled()) {
-        for (std::size_t i = 0; i < insts.size(); ++i) {
-          if (insts[i].op != macro::Op::Mult) continue;
-          ++mults;
-          if (retired[i].plan.skip) ++skipped;
-          ++depth_counts[retired[i].plan.depth];
-        }
+      if (pol.enabled() && st.mults > 0) {
+        mults += st.mults;
+        skipped += st.skipped;
+        for (std::size_t d = 0; d < depth_counts.size(); ++d) depth_counts[d] += st.depths[d];
       }
-      retired = retired.subspan(insts.size());
     }
     dense = std::max(dense, mem_.macro(m).total_cycles() + adaptive);
     saved += adaptive;
@@ -594,8 +586,20 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
   std::size_t critical = 0;
   for (std::size_t m = 1; m < plan.active; ++m)
     if (mem_.macro(m).total_cycles() > mem_.macro(critical).total_cycles()) critical = m;
-  const std::vector<macro::Extract>& retired_c = plan.macros[critical].extract;
-  const std::size_t layers_c = retired_c.size() / ops;
+  const std::size_t layers_c = plan.macros[critical].extract.size() / ops;
+  // One ordered pass per macro: record l * J + j is op j's.
+  for (std::size_t m = 0; m < plan.active; ++m) {
+    std::size_t j = 0;
+    for (const macro::Extract& x : plan.macros[m].extract) {
+      RunStats& s = results[j].stats;
+      s.energy += x.op_energy;
+      if (m == critical) {
+        s.elapsed_cycles += x.cycles;
+        s.adaptive_cycles_saved += x.adaptive_cycles_saved;
+      }
+      if (++j == ops) j = 0;
+    }
+  }
   std::uint64_t load_total = 0;
   std::uint64_t saved_total = 0;
   std::uint64_t fused_saved_total = 0;
@@ -603,14 +607,6 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
     RunStats& s = results[j].stats;
     s.elements = fl.elements;
     s.instructions = fl.chunks;  // one MULT per chunk
-    for (std::size_t l = 0; l < layers_c; ++l) {
-      s.elapsed_cycles += retired_c[l * ops + j].cycles;
-      s.adaptive_cycles_saved += retired_c[l * ops + j].adaptive_cycles_saved;
-    }
-    for (std::size_t m = 0; m < plan.active; ++m) {
-      const std::vector<macro::Extract>& retired = plan.macros[m].extract;
-      for (std::size_t e = j; e < retired.size(); e += ops) s.energy += retired[e].op_energy;
-    }
     s.elapsed_time = cycles_to_time(s.elapsed_cycles);
     // Per-instruction conservation splits each MULT's Table 1 cost three
     // ways exactly: executed + fused discount + adaptive discount.

@@ -13,8 +13,9 @@
 // instruction's values and its ledger entry through its record as it
 // retires; after the join it publishes the program-path instruments
 // (macro.program.cycles, engine.adaptive.*, the macro.program instant)
-// from the programs' stats and records -- the controller publishes
-// nothing. The entry points keep only their plan building and their
+// from the programs' stats alone, whose adaptive tallies (MULTs, skips,
+// executed depths) the controller counted as each MULT retired -- it walks
+// no instruction or record again, and the controller publishes nothing. The entry points keep only their plan building and their
 // accounting; RunStats come from the memory ledger, the one runtime
 // account, split per op from the records' ledger entries. The engine
 // never calls the macro row-op datapath directly (a CI grep gate enforces
@@ -215,7 +216,7 @@ class ExecutionEngine : public Executor {
   /// the pool) stage, run on the chained datapath and retire every
   /// instruction into its record (values and ledger entry; run_forward's
   /// per-op accounting reads the entries); after the join, publish the
-  /// program-path instruments from the programs' stats and records.
+  /// program-path instruments from the programs' stats and their tallies.
   /// Returns the lock-step cycles the adaptive policy took off the makespan.
   std::uint64_t execute(ExecPlan& plan);
 

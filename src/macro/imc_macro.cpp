@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <utility>
 
 #include "common/require.hpp"
+#include "macro/program.hpp"
 
 namespace bpim::macro {
 
@@ -74,45 +76,78 @@ void deposit_fields(array::SramArray& array, std::size_t r, std::size_t col, uns
   }
 }
 
-/// The MULT product pass at precision N, one storage word at a time:
-///   stage[w] = mcand[w] & mcand_keep        (the multiplicand as multiplied)
-///   prod[w]  = per unit, stage * (mplier & mplier_keep) mod 2^2N
-/// Returns the OR of the multiplier halves of every unit whose multiplicand
-/// is nonzero, folded onto unit 0: its bit width is the max effectual depth.
-/// Templated on N so the per-unit loop unrolls over constant shifts.
-template <unsigned N>
-std::uint64_t product_pass(const BitVector& mcand, std::uint64_t mcand_keep,
-                           const BitVector& mplier, std::uint64_t mplier_keep, BitVector& stage,
-                           BitVector& prod) {
-  constexpr unsigned kUnitBits = 2 * N;
-  constexpr UnitMasks m = unit_masks_of(N);
-  std::uint64_t acc = 0;
-  for (std::size_t w = 0, n = mcand.word_count(); w < n; ++w) {
-    const std::uint64_t a = mcand.word(w) & mcand_keep;
-    const std::uint64_t b = mplier.word(w) & mplier_keep;
-    // Nonzero-unit flags: adding (2^(2N-1) - 1) to every unit's low 2N-1
-    // bits carries into the unit's MSB iff they are nonzero, and never out
-    // of the unit; OR-ing the unit's own MSB covers the rest.
-    const std::uint64_t nonzero = ((((a & ~m.unit_msbs) + ~m.unit_msbs) | a) & m.unit_msbs);
-    acc |= b & ((nonzero >> (kUnitBits - 1)) * m.field_fill);
-    std::uint64_t p = 0;
-    for (unsigned s = 0; s < 64; s += kUnitBits)
-      p |= ((unit_field(a, s, m.field_fill) * unit_field(b, s, m.field_fill)) & m.field_fill)
-           << s;
+/// A MULT run's masked multiplicand, stage[w] = src[w] & keep, and its
+/// nonzero-unit mask: adding (2^(2N-1) - 1) to every unit's low 2N-1 bits
+/// carries into the unit's MSB iff they are nonzero, never out of the unit.
+void stage_multiplicand(const BitVector& src, std::uint64_t keep, unsigned bits,
+                        BitVector& stage, BitVector& nonzero) {
+  const UnitMasks& m = unit_masks(bits);
+  for (std::size_t w = 0, n = src.word_count(); w < n; ++w) {
+    const std::uint64_t a = src.word(w) & keep;
+    const std::uint64_t msbs = ((((a & ~m.unit_msbs) + ~m.unit_msbs) | a) & m.unit_msbs);
     stage.set_word(w, a);
-    prod.set_word(w, p);
+    nonzero.set_word(w, (msbs >> (2 * bits - 1)) * m.field_fill);
+  }
+}
+
+// A storage word as native lanes where a 2N-bit unit is one: 16-bit lanes
+// for 8-bit MULTs, 32-bit lanes for 16-bit MULTs (GCC vector extensions;
+// on the SSE2 baseline the 16-bit product is one pmullw).
+using U16x4 [[gnu::vector_size(8)]] = std::uint16_t;
+using U32x2 [[gnu::vector_size(8)]] = std::uint32_t;
+
+/// Every 2N-bit unit's product of two storage words, mod 2^2N.
+template <unsigned N>
+std::uint64_t unit_products(std::uint64_t a, std::uint64_t b) {
+  if constexpr (N == 8) {
+    return std::bit_cast<std::uint64_t>(std::bit_cast<U16x4>(a) * std::bit_cast<U16x4>(b));
+  } else if constexpr (N == 16) {
+    return std::bit_cast<std::uint64_t>(std::bit_cast<U32x2>(a) * std::bit_cast<U32x2>(b));
+  } else {  // 2- and 4-bit units, and one 64-bit unit at N == 32
+    constexpr std::uint64_t kFill = unit_masks_of(N).field_fill;
+    std::uint64_t p = 0;
+    for (unsigned s = 0; s < 64; s += 2 * N)
+      p |= ((unit_field(a, s, kFill) * unit_field(b, s, kFill)) & kFill) << s;
+    return p;
+  }
+}
+
+/// The 2N-bit units U... of a product word into out[U...], unrolled.
+template <unsigned N, std::size_t... U>
+void put_units(std::uint64_t p, std::uint64_t* out, std::index_sequence<U...>) {
+  ((out[U] = unit_field(p, U * 2 * N, unit_masks_of(N).field_fill)), ...);
+}
+
+/// The MULT product kernel at precision N: per word w and unit, p[w] =
+/// stage[w] * (mplier[w] & keep) mod 2^2N into word w of `prod` when given
+/// (after reading mplier's) and unit i into out[i] for i < out.size().
+/// Returns the OR of the multiplier halves of every unit with a nonzero
+/// multiplicand, folded onto unit 0: its bit width is the effectual depth.
+template <unsigned N>
+std::uint64_t mult_kernel(const BitVector& stage, const BitVector& nonzero,
+                          const BitVector& mplier, std::uint64_t keep, BitVector* prod,
+                          std::span<std::uint64_t> out) {
+  constexpr unsigned kUnitBits = 2 * N;
+  constexpr std::size_t kPerWord = 64 / kUnitBits;
+  constexpr std::uint64_t kFill = unit_masks_of(N).field_fill;
+  std::uint64_t acc = 0;
+  for (std::size_t w = 0, n = stage.word_count(); w < n; ++w) {
+    const std::uint64_t b = mplier.word(w) & keep;
+    acc |= b & nonzero.word(w);
+    const std::uint64_t p = unit_products<N>(stage.word(w), b);
+    if (prod != nullptr) prod->set_word(w, p);
+    const std::size_t first = w * kPerWord;
+    if (first + kPerWord <= out.size())
+      put_units<N>(p, &out[first], std::make_index_sequence<kPerWord>{});
+    else
+      for (std::size_t i = first, s = 0; i < out.size(); ++i, s += kUnitBits)
+        out[i] = unit_field(p, static_cast<unsigned>(s), kFill);
   }
   // Fold every unit onto the low one (unit-multiple shifts preserve in-field
   // positions).
   for (unsigned s = kUnitBits; s < 64; s <<= 1) acc |= acc >> s;
-  return acc & m.field_fill;
+  return acc & kFill;
 }
-
-using ProductPass = std::uint64_t (*)(const BitVector&, std::uint64_t, const BitVector&,
-                                      std::uint64_t, BitVector&, BitVector&);
-constexpr std::array<ProductPass, 5> kProductPass = {&product_pass<2>, &product_pass<4>,
-                                                     &product_pass<8>, &product_pass<16>,
-                                                     &product_pass<32>};
 
 /// Bulk product extraction at precision N: out[i] = the 2N-bit unit i of
 /// `row`. Whole storage words first, then the partial last one; templated
@@ -217,7 +252,8 @@ ImcMacro::ImcMacro(const MacroConfig& cfg, std::shared_ptr<const MultPrices> mul
       disturb_(DisturbModel::for_scheme(cfg.wl_scheme)),
       rng_(cfg.seed),
       wb_(cfg.geometry.cols),
-      stage_(cfg.geometry.cols) {
+      stage_(cfg.geometry.cols),
+      stage_nonzero_(cfg.geometry.cols) {
   BPIM_REQUIRE(cfg.geometry.dummy_rows >= 3, "the sequencer needs three dummy rows");
   const MultPrices::Pricing pricing = MultPrices::pricing_of(cfg);
   price_ = pricing.price;
@@ -285,11 +321,6 @@ void ImcMacro::peek_mult_products(const BitVector& row, unsigned bits,
   BPIM_REQUIRE(out.size() <= mult_units_per_row(bits), "unit range out of range");
   BPIM_REQUIRE(row.size() == cols(), "row width mismatch");
   kProductExtract[static_cast<std::size_t>(std::countr_zero(bits)) - 1](row, out);
-}
-
-void ImcMacro::retire_products(unsigned bits, std::span<std::uint64_t> out) const {
-  kProductExtract[static_cast<std::size_t>(std::countr_zero(bits)) - 1](
-      array_.row(RowRef::dummy(kDummyAccum)), out);
 }
 
 // ---- accounting helpers -----------------------------------------------------
@@ -509,59 +540,116 @@ BitVector ImcMacro::mult_rows(RowRef a, RowRef b, unsigned bits, const AdaptiveP
 
 MultPlan ImcMacro::execute_mult(const RowRef& a, const RowRef& b, unsigned bits,
                                 const AdaptivePolicy& policy, MacLink link) {
-  const bool d1_staged = link == MacLink::D1Staged;
+  const Instruction one{.op = Op::Mult, .a = a, .b = b, .bits = bits};
+  ProgramStats stats;
+  return execute_mult_run({&one, 1}, policy, link != MacLink::Head, link == MacLink::D1Staged,
+                          {}, stats);
+}
+
+MultPlan ImcMacro::execute_mult_run(std::span<const Instruction> run,
+                                    const AdaptivePolicy& policy, bool pipelined, bool d1_holds,
+                                    std::span<Extract> records, ProgramStats& stats) {
+  const unsigned bits = run.front().bits;
   (void)mult_units_per_row(bits);  // precision and unit-width validation
-  const std::uint64_t low_halves = unit_masks(bits).low_halves;
+  static constexpr std::array<decltype(&ImcMacro::mult_run<2>), 5> kMultRun = {
+      &ImcMacro::mult_run<2>, &ImcMacro::mult_run<4>, &ImcMacro::mult_run<8>,
+      &ImcMacro::mult_run<16>, &ImcMacro::mult_run<32>};
+  return (this->*kMultRun[static_cast<std::size_t>(std::countr_zero(bits)) - 1])(
+      run, policy, pipelined, d1_holds, records, stats);
+}
+
+template <unsigned N>
+MultPlan ImcMacro::mult_run(std::span<const Instruction> run, const AdaptivePolicy& policy,
+                            bool pipelined, bool d1_holds, std::span<Extract> records,
+                            ProgramStats& stats) {
+  constexpr std::uint64_t kLowHalves = unit_masks_of(N).low_halves;
+  const RowRef a = run.front().a;
   const RowRef d1 = RowRef::dummy(kDummyOperand);
   const RowRef d2 = RowRef::dummy(kDummyAccum);
-
-  // Read the operands as the sequencer would: the multiplier FFs and the
-  // staging read both see row b / row a *after* cycle 1 zero-initialises
-  // D2, and a d1-staged link multiplies D1 as it stands. The closed form
-  // writes its products straight into D2's storage; the pass reads word w
-  // of both operands before it writes word w, so an operand held in D2
-  // (masked to the zero-initialised row anyway) is read intact. The
-  // masked multiplicand goes to the stage_ latch, and reaches D1 only when
-  // the plan stages. Only the disturb replay, which rebuilds D2 cycle by
-  // cycle, leaves D2 alone here and takes the products into wb_.
   const bool replay = cfg_.inject_disturb && disturb_.flip_probability > 0.0;
-  const std::uint64_t mcand_keep = d1_staged ? ~0ull : (a == d2 ? 0 : low_halves);
-  const std::uint64_t mplier_keep = b == d2 ? 0 : low_halves;
-  const std::uint64_t effectual =
-      kProductPass[static_cast<std::size_t>(std::countr_zero(bits)) - 1](
-          array_.row(d1_staged ? d1 : a), mcand_keep, array_.row(b), mplier_keep, stage_,
-          replay ? wb_ : array_.row_mut(d2));
+  const MultPrices::Charge* charges = mult_prices_->charges(N);
+  // The ledger's and program's sums, in locals; energies stay left folds.
+  std::uint64_t cycles = 0;
+  Joule ledger_energy = total_energy_;
+  Joule program_energy = stats.energy;
+  std::array<Joule, 8> components = component_energy_;
 
-  MultPlan plan = MultPlan::full(bits, d1_staged, link != MacLink::Head);
-  const auto eff = static_cast<unsigned>(std::bit_width(effectual));
-  if (policy.narrow_precision) plan.depth = eff;
-  if (policy.skip_zero && eff == 0) {
-    plan.skip = true;
-    plan.depth = 0;
+  // The multiplicand as the sequencer reads it (row a after cycle 1 zeroes
+  // D2, or D1 as it stands on a d1-staged link) goes to stage_, and to D1
+  // when a plan stages. A run resolves it once, since its one D1 write is
+  // that copy; again only when a head MULT read row a without staging
+  // before a d1-staged one, and per MULT under the disturb replay.
+  bool latched = false;  // stage_ holds what the next MULT multiplies
+  const MultPrices::Charge* priced = nullptr;
+  MultPlan plan;
+  for (std::size_t k = 0; k < run.size(); ++k) {
+    const bool d1_staged = d1_holds && (k > 0 || pipelined);
+    if (!latched || replay)
+      stage_multiplicand(array_.row(d1_staged ? d1 : a),
+                         d1_staged ? ~0ull : (a == d2 ? 0 : kLowHalves), N, stage_,
+                         stage_nonzero_);
+    const RowRef b = run[k].b;
+    Extract* x = records.empty() ? nullptr : &records[k];
+    // Products retire straight into a record at the MULT's precision. D2 is
+    // written where it is read: by the run's last MULT and for a record at
+    // another precision. The replay rebuilds D2 itself.
+    const bool direct = x != nullptr && x->bits == N && !replay;
+    BitVector* prod =
+        !replay && (k + 1 == run.size() || (x != nullptr && !direct)) ? &array_.row_mut(d2)
+                                                                      : nullptr;
+    const std::uint64_t effectual =
+        mult_kernel<N>(stage_, stage_nonzero_, array_.row(b), b == d2 ? 0 : kLowHalves, prod,
+                       direct ? x->values : std::span<std::uint64_t>{});
+
+    plan = MultPlan::full(N, d1_staged, k > 0 || pipelined);
+    const auto eff = static_cast<unsigned>(std::bit_width(effectual));
+    if (policy.narrow_precision) plan.depth = eff;
+    if (policy.skip_zero && eff == 0) {
+      plan.skip = true;
+      plan.depth = 0;
+    }
+
+    // The data: the replay rebuilds D1 and D2 cycle by cycle; otherwise D1
+    // is written once when the plan stages. The leading iterations a
+    // narrowed or skipped plan drops are per-unit no-ops, so the kernel's
+    // full-depth products are the plan's products.
+    if (replay)
+      mult_loop(a, b, N, plan);
+    else if (plan.staging_cycles() > 0)
+      store(d1, stage_);
+    latched = plan.staging_cycles() > 0 || d1_staged || !d1_holds;
+    d1_holds = d1_holds || plan.staging_cycles() > 0;
+
+    // The account, on either path: the plan's MultPrices fold, booked into
+    // the ledger and the program; its cycle split must conserve Table 1's.
+    priced = &charges[plan.staging_cycles() * (N + 1) + plan.depth];
+    const unsigned fused = plan.fused_cycles_saved();
+    const unsigned adaptive = plan.adaptive_cycles_saved(N);
+    BPIM_REQUIRE(plan.cycles() + fused + adaptive == op_cycles(Op::Mult, N),
+                 "MULT cycle conservation violated (static != cycles + fused + adaptive)");
+    cycles += plan.cycles();
+    stats.fused_cycles_saved += fused;
+    stats.adaptive_cycles_saved += adaptive;
+    stats.skipped += plan.skip ? 1 : 0;
+    ++stats.depths[plan.depth];
+    ledger_energy += priced->energy;
+    program_energy += priced->energy;
+    for (std::size_t c = 0; c < components.size(); ++c) components[c] += priced->by_component[c];
+    if (x != nullptr) {
+      if (!direct) peek_mult_products(array_.row(d2), x->bits, x->values);
+      x->cycles = plan.cycles();
+      x->adaptive_cycles_saved = adaptive;
+      x->op_energy = priced->energy;
+      x->plan = plan;
+    }
   }
-
-  // The data: the replay rebuilds D1 and D2 cycle by cycle; otherwise D2
-  // already holds the products and D1 is written once when the plan stages.
-  // The leading iterations a narrowed or skipped plan drops are per-unit
-  // no-ops (a zero multiplier bit keeps the still-zero accumulator, whose
-  // shift is zero; a zero-multiplicand unit sees sum == accumulator == 0
-  // either way), so the pass's full-depth products are the plan's products.
-  if (replay)
-    mult_loop(a, b, bits, plan);
-  else if (plan.staging_cycles() > 0)
-    store(d1, stage_);
-
-  // The account, on either path: the plan's micro-actions as the one fold
-  // MultPrices holds for it (an op starts with nothing pending, so
-  // op_energy is that fold exactly). The plan owns the cycle split:
-  // op_cycles(MULT, bits) == plan.cycles() + plan.fused_cycles_saved() +
-  // plan.adaptive_cycles_saved(bits) exactly (the controller asserts it per
-  // instruction).
-  const MultPrices::Charge& priced = mult_prices_->charge(bits, plan);
-  pending_energy_ += priced.energy;
-  for (std::size_t c = 0; c < component_energy_.size(); ++c)
-    component_energy_[c] += priced.by_component[c];
-  finish_op(plan.cycles());
+  last_ = ExecStats{plan.cycles(), priced->energy};
+  total_cycles_ += cycles;
+  total_energy_ = ledger_energy;
+  component_energy_ = components;
+  stats.cycles += cycles;
+  stats.energy = program_energy;
+  stats.mults += run.size();
   return plan;
 }
 

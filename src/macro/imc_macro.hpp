@@ -16,10 +16,11 @@
 // Every compute entry point leaves the array in the state the hardware
 // sequence would (dummy-row traffic included), charges the energy ledger
 // with the same component prices, in the same order, as the sequence's
-// micro-actions, and advances the cycle counter per Table 1. MULT computes
-// its products in closed form straight into D2 and writes D1 once when its
-// plan stages, replaying the add-shift cycles only when injected disturb
-// can change D1/D2 between them; either way one MultPrices entry prices it.
+// micro-actions, and advances the cycle counter per Table 1. MULT executes
+// runs (MULTs at one precision sharing one multiplicand row; a single MULT
+// is a run of one) through one closed-form kernel, replaying the add-shift
+// cycles only when injected disturb can change D1/D2 between them; either
+// way one MultPrices entry prices each MULT.
 //
 // Execution contract: the compute entry points below are the *controller's*
 // surface. Everything above the macro layer (engine/serve/app) executes
@@ -47,6 +48,10 @@
 #include "timing/freq_model.hpp"
 
 namespace bpim::macro {
+
+struct Instruction;   // macro/program.hpp
+struct Extract;       // macro/program.hpp
+struct ProgramStats;  // macro/program.hpp
 
 struct MacroConfig {
   array::ArrayGeometry geometry{};
@@ -115,10 +120,10 @@ class MultPrices {
   [[nodiscard]] static Pricing pricing_of(const MacroConfig& cfg);
 
   [[nodiscard]] const Pricing& pricing() const { return pricing_; }
-  /// The charge of `plan` at a supported precision `bits`.
-  [[nodiscard]] const Charge& charge(unsigned bits, const MultPlan& plan) const {
-    return charges_[kFirst[static_cast<std::size_t>(std::countr_zero(bits)) - 1] +
-                    plan.staging_cycles() * (bits + 1) + plan.depth];
+  /// The charges of every plan at a supported precision `bits`: a plan's
+  /// is entry plan.staging_cycles() * (bits + 1) + plan.depth.
+  [[nodiscard]] const Charge* charges(unsigned bits) const {
+    return &charges_[kFirst[static_cast<std::size_t>(std::countr_zero(bits)) - 1]];
   }
 
  private:
@@ -202,20 +207,21 @@ class ImcMacro {
   /// Two's-complement SUB: a - b (2 cycles: NOT -> dummy, ADD with cin=1).
   BitVector sub_rows(array::RowRef a, array::RowRef b, unsigned bits);
   /// Bit-parallel MULT on 2N-bit units (N+2 cycles static; fewer under an
-  /// enabled AdaptivePolicy -- see execute_mult). Operands in the low halves
-  /// of each unit of rows a (multiplicand) and b (multiplier); returns the
-  /// row of 2N-bit products (also left in dummy row D2).
+  /// enabled AdaptivePolicy): execute_mult, a run of one, at a head link.
+  /// Operands in the low halves of each unit of rows a (multiplicand) and b
+  /// (multiplier); returns the row of 2N-bit products (also left in D2).
   BitVector mult_rows(array::RowRef a, array::RowRef b, unsigned bits,
                       const AdaptivePolicy& policy = {});
-  /// The controller's MULT entry: resolves the plan from the operand data,
-  /// executes it, and returns it; the products are left in dummy row D2.
+  /// One MULT as a run of one (execute_mult_run): resolves the plan from
+  /// the operand data, executes it and returns it. The products are left in
+  /// D2, and D1 holds the masked multiplicand when the plan staged it.
   ///
   /// Chain links: a pipelined link overlaps cycle 1 (D2 zero-init + FF load)
   /// with the predecessor MULT's final write-back (-1 cycle, same energy); a
   /// d1-staged link additionally skips the D1 staging cycle and multiplies
   /// D1 as it stands -- valid only when the immediately preceding op was a
-  /// MULT of the same multiplicand row at the same precision, so D1 still
-  /// holds the masked copy (-1 cycle and its staging energy).
+  /// MULT at the same precision and D1 still holds this multiplicand row's
+  /// masked copy (-1 cycle and its staging energy).
   ///
   /// Planning: one pass over the operand words computes every unit's product
   /// and the max effectual multiplier depth E (the widest multiplier half of
@@ -225,16 +231,11 @@ class ImcMacro {
   /// peripheral's zero/msb detectors reading the operands as they stream
   /// through the FF load and staging cycles the op performs anyway.
   ///
-  /// Execution: the planning pass writes the closed-form products straight
-  /// into D2 (any operand row, D2 included, is read before it is
-  /// overwritten), and D1 receives the masked multiplicand only when the
-  /// plan stages: a skipped or d1-staged MULT leaves D1 untouched. Only
-  /// under live disturb injection (inject_disturb with a nonzero flip
-  /// probability), where flips change D1/D2 between iterations, is the
-  /// loop's data movement replayed cycle by cycle (mult_loop). On both
-  /// paths the ledger is charged the plan's micro-actions (zero-init, FF
-  /// load, staging, `depth` add-shift iterations) once, as the fold
-  /// MultPrices holds for the plan.
+  /// Execution: the products are computed in closed form, and D1 receives
+  /// the masked multiplicand only when the plan stages (a skipped or
+  /// d1-staged MULT leaves it untouched); only live disturb injection
+  /// replays the loop cycle by cycle (mult_loop). Either way the ledger is
+  /// charged the plan's micro-actions once, as MultPrices folds them.
   MultPlan execute_mult(const array::RowRef& a, const array::RowRef& b, unsigned bits,
                         const AdaptivePolicy& policy = {}, MacLink link = MacLink::Head);
 
@@ -261,14 +262,26 @@ class ImcMacro {
   static constexpr std::size_t kDummyAccum = 2;    ///< MULT accumulator / results
 
  private:
-  friend class MacroController;  // retires MULT records through retire_products
+  friend class MacroController;  // hands MULT runs to execute_mult_run
 
+  /// The MULT entry: executes `run`, MULTs at one precision sharing one
+  /// multiplicand row. `pipelined`: the run directly follows a MULT at its
+  /// precision; `d1_holds`: D1 holds its masked multiplicand. Later MULTs
+  /// are pipelined, and d1-staged once D1 holds it. Each MULT is booked into
+  /// the ledger and `stats` (sums, tallies) and, with `records`, retires
+  /// into records[k]. D2 is left holding the last MULT's products; returns
+  /// the last MULT's plan.
+  MultPlan execute_mult_run(std::span<const Instruction> run, const AdaptivePolicy& policy,
+                            bool pipelined, bool d1_holds, std::span<Extract> records,
+                            ProgramStats& stats);
+  /// execute_mult_run at precision N, the product kernel's one caller.
+  template <unsigned N>
+  MultPlan mult_run(std::span<const Instruction> run, const AdaptivePolicy& policy,
+                    bool pipelined, bool d1_holds, std::span<Extract> records,
+                    ProgramStats& stats);
   /// The add-shift loop's data movement replayed cycle by cycle (disturb
   /// injection only). It charges nothing; execute_mult prices the plan.
   void mult_loop(array::RowRef a, array::RowRef b, unsigned bits, const MultPlan& plan);
-  /// peek_mult_products of D2 without its checks: MacroController::run
-  /// checked every retire record before the program's first instruction.
-  void retire_products(unsigned bits, std::span<std::uint64_t> out) const;
   [[nodiscard]] energy::Component compute_price(array::RowRef a, array::RowRef b) const;
   [[nodiscard]] energy::Component wb_price() const;
   void charge(energy::Component c, double bits);
@@ -296,15 +309,16 @@ class ImcMacro {
   // Peripheral latches, reused cycle to cycle so no cycle allocates (only
   // the result row an op returns may): SA outputs, FA-Logics outputs, the
   // MULT multiplier FFs, the row a replayed MULT cycle writes back
-  // (zero-init, masked multiplicand or next accumulator), and the masked
-  // multiplicand the closed form stages into D1. wb_ and stage_ are
-  // row-wide from construction; the product pass writes every word of
-  // stage_ and of its product target (D2, or wb_ under the replay).
+  // (zero-init, masked multiplicand or next accumulator), and a MULT run's
+  // masked multiplicand (staged into D1 when a plan stages) with its
+  // nonzero-unit mask. wb_, stage_ and stage_nonzero_ are row-wide from
+  // construction, and a run resolves every word of the last two.
   array::BlReadout sense_;
   periph::AddResult fa_;
   BitVector ff_;
   BitVector wb_;
   BitVector stage_;
+  BitVector stage_nonzero_;
 
   ExecStats last_{};
   Joule pending_energy_{0.0};

@@ -140,8 +140,9 @@ void check_records(const Program& p, std::span<const Extract> records, std::size
   for (std::size_t k = 0; k < insts.size(); ++k) {
     const Extract& x = records[k];
     const std::size_t field = insts[k].op == Op::Mult ? 2 * std::size_t{x.bits} : x.bits;
+    // MULT fields are powers of two, so "units tile the row" is a mask.
     const bool width_ok = insts[k].op == Op::Mult
-                              ? is_supported_precision(x.bits) && cols % field == 0
+                              ? is_supported_precision(x.bits) && (cols & (field - 1)) == 0
                               : x.bits >= 1 && x.bits <= 64;
     BPIM_REQUIRE(width_ok && x.values.size() * field <= cols,
                  "retire record does not fit its instruction's result row");
@@ -154,26 +155,15 @@ void extract_words(const BitVector& row, const Extract& x) {
     x.values[i] = row.extract_bits(i * x.bits, x.bits);
 }
 
-/// The ledger entry of a retiring instruction into its retire record.
-void retire(Extract& x, const ExecStats& es, unsigned adaptive, const MultPlan& plan) {
-  x.cycles = es.cycles;
-  x.adaptive_cycles_saved = adaptive;
-  x.op_energy = es.op_energy;
-  x.plan = plan;
-}
-
 }  // namespace
 
 ProgramStats MacroController::execute(const Program& p, const AdaptivePolicy& policy,
                                       std::span<Extract> records) {
   check_records(p, records, macro_.cols());
   // The macro ledger is the account: each instruction's cycles and energy
-  // are read back from last_op(). CostModel prices the same stream
-  // statically, and the conservation tests hold the two equal. The sums
-  // live in locals until the end, so the loop's calls do not force every
-  // update through memory.
-  std::uint64_t cycles = 0, fused_saved = 0, adaptive_saved = 0;
-  Joule energy{0.0};
+  // are read back from it, and CostModel prices the same stream statically;
+  // the conservation tests hold the two equal.
+  ProgramStats stats;
   // Precision of the immediately preceding instruction if it was a MULT
   // (0 otherwise): a chain link must follow a MULT at its own precision.
   unsigned prev_mult_bits = 0;
@@ -186,53 +176,43 @@ ProgramStats MacroController::execute(const Program& p, const AdaptivePolicy& po
   // may not have -- reusing D1 then would multiply by stale data.
   const Instruction* staged = nullptr;
   const array::RowRef d1_row = array::RowRef::dummy(ImcMacro::kDummyOperand);
-  const std::vector<Instruction>& insts = p.instructions();
-  for (std::size_t k = 0; k < insts.size(); ++k) {
+  const std::span<const Instruction> insts(p.instructions());
+  for (std::size_t k = 0; k < insts.size();) {
     const Instruction& i = insts[k];
     if (i.op == Op::Mult) {
-      // Chain discount: a MULT directly after a MULT at the same precision
-      // loads its FF while the predecessor's final D2 write-back drains; if
-      // D1 still holds this multiplicand's masked copy, the staging cycle
-      // drops out as well. The macro resolves the adaptive plan against the
-      // operand data as it executes; the plan it returns drives the split.
-      MacLink link = MacLink::Head;
-      if (prev_mult_bits == i.bits)
-        link = staged != nullptr && staged->a == i.a && staged->bits == i.bits
-                   ? MacLink::D1Staged
-                   : MacLink::Pipelined;
-      const MultPlan plan = macro_.execute_mult(i.a, i.b, i.bits, policy, link);
-      const ExecStats es = macro_.last_op();
-      const unsigned adaptive = plan.adaptive_cycles_saved(i.bits);
-      const unsigned fused = plan.fused_cycles_saved();
-      BPIM_REQUIRE(es.cycles + fused + adaptive == op_cycles(Op::Mult, i.bits),
-                   "MULT cycle conservation violated (static != cycles + fused + adaptive)");
-      cycles += es.cycles;
-      energy += es.op_energy;
-      fused_saved += fused;
-      adaptive_saved += adaptive;
-      if (plan.staging_cycles() > 0) staged = &i;
+      // The maximal run from k, chained onto a predecessor MULT at its
+      // precision; the macro resolves each plan as it executes.
+      std::size_t end = k + 1;
+      while (end < insts.size() && insts[end].op == Op::Mult && insts[end].bits == i.bits &&
+             insts[end].a == i.a)
+        ++end;
+      const MultPlan last = macro_.execute_mult_run(
+          insts.subspan(k, end - k), policy, prev_mult_bits == i.bits,
+          staged != nullptr && staged->a == i.a && staged->bits == i.bits,
+          records.empty() ? records : records.subspan(k, end - k), stats);
+      // D1 holds the run's multiplicand if its last MULT staged or read it.
+      if (last.staging_cycles() > 0 || last.d1_staged) staged = &insts[end - 1];
       prev_mult_bits = i.bits;
-      // The products are read out of D2 where they lie.
-      if (!records.empty()) {
-        macro_.retire_products(records[k].bits, records[k].values);
-        retire(records[k], es, adaptive, plan);
-      }
+      k = end;
     } else {
       const BitVector result = row_op(macro_, i);
       if (i.op == Op::Sub || (i.dest && *i.dest == d1_row))
         staged = nullptr;  // D1 clobbered (SUB stages ~b there; dest hit it)
       prev_mult_bits = 0;
       const ExecStats es = macro_.last_op();
-      cycles += es.cycles;
-      energy += es.op_energy;
+      stats.cycles += es.cycles;
+      stats.energy += es.op_energy;
       if (!records.empty()) {
         extract_words(result, records[k]);
-        retire(records[k], es, 0, {});
+        records[k] = {.bits = records[k].bits, .values = records[k].values,
+                      .cycles = es.cycles, .op_energy = es.op_energy};
       }
+      ++k;
     }
   }
-  return {p.size(), cycles, fused_saved, adaptive_saved, energy,
-          macro_.cycle_time() * static_cast<double>(cycles)};
+  stats.instructions = p.size();
+  stats.elapsed = macro_.cycle_time() * static_cast<double>(stats.cycles);
+  return stats;
 }
 
 }  // namespace bpim::macro

@@ -17,6 +17,7 @@
 // the ProgramStats and retire records it gets back, so a direct controller
 // caller moves none of them.
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -123,8 +124,14 @@ struct ProgramStats {
   /// `cycles` is already net of this, and the three-way split is exact:
   /// static_cycles == cycles + fused_cycles_saved + adaptive_cycles_saved.
   std::uint64_t adaptive_cycles_saved = 0;
+  /// The instructions' energies as one left fold in program order.
   Joule energy{0.0};
   Second elapsed{0.0};
+  /// Adaptive tallies, counted as each MULT retires (CostModel leaves them
+  /// zero): MULTs, MULTs skipped outright, MULTs per executed depth.
+  std::uint64_t mults = 0;
+  std::uint64_t skipped = 0;
+  std::array<std::uint32_t, 33> depths{};
 };
 
 class VerifiedProgram;  // macro/verifier.hpp
@@ -161,13 +168,17 @@ class MacroController {
   /// D1Staged link). Results are bit-identical to unchained MULTs; only the
   /// cycle/energy account changes (fused_cycles_saved reports the discount).
   ///
+  /// Each maximal run of MULTs at one precision sharing one multiplicand
+  /// row (a fused forward's J MULTs per activation row) is one macro call.
+  ///
   /// With an enabled `policy`, every MULT is resolved against its operand
   /// data as it executes (ImcMacro::execute_mult): the add-shift loop runs
   /// only to the max effectual bit depth (narrow_precision) and
   /// provably-zero products skip staging and iterations outright
   /// (skip_zero). Outputs stay bit-identical; the saved cycles land in
   /// adaptive_cycles_saved with static == cycles + fused + adaptive asserted
-  /// per instruction.
+  /// per instruction, and the returned stats tally the MULTs, the skips and
+  /// the executed depths.
   ProgramStats run(const Program& p, const AdaptivePolicy& policy = {},
                    std::span<Extract> records = {});
 

@@ -211,6 +211,213 @@ TEST(FuzzPrograms, RandomStreamsMatchReferenceMachine) {
   EXPECT_GT(d1_staged, 0u);
 }
 
+/// One program issued instruction by instruction through the public row-op
+/// API, each MULT through ImcMacro::execute_mult (a run of one), under the
+/// controller's link rules: a MULT directly after a MULT at its precision is
+/// pipelined, and d1-staged when D1 holds its multiplicand row's masked
+/// copy (staged by a MULT whose plan staged, not since clobbered by SUB or a
+/// write to D1). Fills `records` as the controller would and returns the
+/// ProgramStats it should report.
+ProgramStats run_as_runs_of_one(ImcMacro& m, const Program& p, const AdaptivePolicy& policy,
+                                std::span<Extract> records) {
+  ProgramStats st;
+  unsigned prev_mult_bits = 0;
+  const Instruction* staged = nullptr;
+  const RowRef d1 = RowRef::dummy(ImcMacro::kDummyOperand);
+  for (std::size_t k = 0; k < p.size(); ++k) {
+    const Instruction& i = p.instructions()[k];
+    MultPlan plan{};
+    BitVector result;
+    if (i.op == Op::Mult) {
+      MacLink link = MacLink::Head;
+      if (prev_mult_bits == i.bits)
+        link = staged != nullptr && staged->a == i.a && staged->bits == i.bits
+                   ? MacLink::D1Staged
+                   : MacLink::Pipelined;
+      plan = m.execute_mult(i.a, i.b, i.bits, policy, link);
+      if (plan.staging_cycles() > 0) staged = &i;
+      prev_mult_bits = i.bits;
+      st.fused_cycles_saved += plan.fused_cycles_saved();
+      st.adaptive_cycles_saved += plan.adaptive_cycles_saved(i.bits);
+      ++st.mults;
+      st.skipped += plan.skip ? 1 : 0;
+      ++st.depths[plan.depth];
+    } else {
+      switch (i.op) {
+        case Op::Not: case Op::Copy: case Op::Shift:
+          result = m.unary_row(i.op, i.a, *i.dest, i.bits);
+          break;
+        case Op::Add: result = m.add_rows(i.a, i.b, i.bits, i.dest); break;
+        case Op::AddShift: result = m.add_shift_rows(i.a, i.b, i.bits, *i.dest); break;
+        case Op::Sub: result = m.sub_rows(i.a, i.b, i.bits); break;
+        default: result = m.logic_rows(i.logic_fn, i.a, i.b); break;
+      }
+      if (i.op == Op::Sub || (i.dest && *i.dest == d1)) staged = nullptr;
+      prev_mult_bits = 0;
+    }
+    const ExecStats es = m.last_op();
+    st.cycles += es.cycles;
+    st.energy += es.op_energy;
+    if (records.empty()) continue;
+    Extract& x = records[k];
+    if (i.op == Op::Mult)
+      m.peek_mult_products(m.sram().row(RowRef::dummy(ImcMacro::kDummyAccum)), x.bits, x.values);
+    else
+      for (std::size_t w = 0; w < x.values.size(); ++w)
+        x.values[w] = result.extract_bits(w * x.bits, x.bits);
+    x.cycles = es.cycles;
+    x.adaptive_cycles_saved = i.op == Op::Mult ? plan.adaptive_cycles_saved(i.bits) : 0;
+    x.op_energy = es.op_energy;
+    x.plan = plan;
+  }
+  st.instructions = p.size();
+  st.elapsed = m.cycle_time() * static_cast<double>(st.cycles);
+  return st;
+}
+
+TEST(FuzzPrograms, WholeRunsMatchRunsOfOne) {
+  Rng rng(0x5EED);
+  constexpr std::array<unsigned, 5> kBits{2, 4, 8, 16, 32};
+  // What the seeded rounds must reach: MULTs inside a run, d1-staged,
+  // skipped and narrowed plans, and records at another precision.
+  std::size_t long_runs = 0, d1_staged = 0, skipped = 0, narrowed = 0, other_bits = 0;
+  for (int round = 0; round < 64; ++round) {
+    MacroConfig cfg;
+    cfg.geometry.cols = round % 2 == 0 ? 128 : 320;
+    const std::size_t cols = cfg.geometry.cols;
+    ImcMacro whole(cfg), ones(cfg);
+
+    // Rows 0..7 hold zero, narrow (bit 0 of every nibble), sparse and dense
+    // data; D0 gets data through NOT ops below.
+    for (std::size_t r = 0; r < 8; ++r) {
+      BitVector data(cols), mask(cols);
+      data.randomize(rng);
+      const std::uint64_t m = r == 0 ? 0 : r < 3 ? 0x1111111111111111ull : ~0ull;
+      for (std::size_t w = 0; w < mask.word_count(); ++w) mask.set_word(w, m);
+      data &= mask;
+      if (r == 3) {
+        BitVector sparse(cols);
+        sparse.randomize(rng);
+        data &= sparse;
+      }
+      whole.poke_row(r, data);
+      ones.poke_row(r, data);
+    }
+
+    // Runs of MULTs at one precision against one of two multiplicands,
+    // broken by SUB, by writes to D1, by precision changes, by a new
+    // multiplicand, and by ops that leave D1 alone (so a later head MULT
+    // may find its multiplicand still staged, possibly from before its row
+    // was rewritten).
+    const auto row = [&] {
+      const std::uint64_t r = rng.uniform_u64(9);
+      return r == 8 ? RowRef::dummy(0) : RowRef::main(r);
+    };
+    Program p;
+    RowRef mcand = RowRef::main(4);
+    unsigned bits = kBits[rng.uniform_u64(kBits.size())];
+    for (int n = 0; n < 40; ++n) {
+      switch (rng.uniform_u64(12)) {
+        case 0: p.sub(RowRef::main(rng.uniform_u64(5)), RowRef::main(5), 8); break;
+        case 1: p.unary(Op::Not, RowRef::main(rng.uniform_u64(8)), RowRef::dummy(1), 8); break;
+        case 2: p.unary(Op::Not, RowRef::main(rng.uniform_u64(8)), RowRef::dummy(0), 4); break;
+        case 3: p.add(RowRef::main(6), RowRef::main(7), 16); break;
+        case 4: p.unary(Op::Copy, RowRef::main(rng.uniform_u64(4)), RowRef::main(4), 8); break;
+        case 5: bits = kBits[rng.uniform_u64(kBits.size())]; break;
+        case 6: mcand = rng.uniform_u64(2) == 0 ? RowRef::main(4) : row(); break;
+        default: {
+          RowRef b = row();
+          if (b == mcand) b = RowRef::main((mcand.index + 1) % 8);
+          p.mult(mcand, b, bits);
+        }
+      }
+    }
+    const VerifyReport rep = verify_program(p, cfg.geometry);
+    ASSERT_TRUE(rep.ok()) << "round " << round << ":\n" << rep.to_string();
+
+    // Records: none at all, or one per instruction, a MULT's at its own or
+    // another precision (every one tiles both widths), a word op's at 1..64
+    // bits, each holding anything from no values to a whole row.
+    const bool with_records = rng.uniform_u64(4) != 0;
+    std::vector<std::vector<std::uint64_t>> vw, vo;
+    std::vector<Extract> rw, ro;
+    if (with_records) {
+      vw.reserve(p.size());  // the records hold spans into these vectors
+      vo.reserve(p.size());
+      for (const Instruction& i : p.instructions()) {
+        const bool mult = i.op == Op::Mult;
+        unsigned rb = mult ? i.bits : 1 + static_cast<unsigned>(rng.uniform_u64(64));
+        if (mult && rng.uniform_u64(3) == 0) rb = kBits[rng.uniform_u64(kBits.size())];
+        other_bits += mult && rb != i.bits ? 1 : 0;
+        const std::size_t n = rng.uniform_u64(cols / (mult ? 2 * rb : rb) + 1);
+        vw.emplace_back(n, 0xDEAD);
+        vo.emplace_back(n, 0xDEAD);
+        rw.push_back({.bits = rb, .values = vw.back()});
+        ro.push_back({.bits = rb, .values = vo.back()});
+      }
+    }
+    AdaptivePolicy policy;
+    policy.narrow_precision = rng.uniform_u64(2) == 0;
+    policy.skip_zero = rng.uniform_u64(2) == 0;
+
+    const ProgramStats got = MacroController(whole).run(p, policy, rw);
+    const ProgramStats want = run_as_runs_of_one(ones, p, policy, ro);
+    const std::string at = "round " + std::to_string(round) + " (" + std::to_string(cols) +
+                           " cols)\n" + p.dump();
+
+    for (std::size_t k = 0; k < rw.size(); ++k) {
+      EXPECT_EQ(vw[k], vo[k]) << at << "values of #" << k;
+      EXPECT_EQ(rw[k].cycles, ro[k].cycles) << at << "#" << k;
+      EXPECT_EQ(rw[k].adaptive_cycles_saved, ro[k].adaptive_cycles_saved) << at << "#" << k;
+      EXPECT_EQ(rw[k].op_energy.si(), ro[k].op_energy.si()) << at << "#" << k;
+      const MultPlan& a = rw[k].plan;
+      const MultPlan& b = ro[k].plan;
+      EXPECT_TRUE(a.depth == b.depth && a.skip == b.skip && a.d1_staged == b.d1_staged &&
+                  a.pipelined == b.pipelined)
+          << at << "plan of #" << k;
+    }
+    for (std::size_t r = 0; r < cfg.geometry.rows; ++r)
+      ASSERT_EQ(whole.peek_row(r), ones.peek_row(r)) << at << "main row " << r;
+    for (std::size_t r = 0; r < cfg.geometry.dummy_rows; ++r)
+      ASSERT_EQ(whole.sram().row(RowRef::dummy(r)), ones.sram().row(RowRef::dummy(r)))
+          << at << "dummy row " << r;
+    EXPECT_EQ(whole.last_op().cycles, ones.last_op().cycles) << at;
+    EXPECT_EQ(whole.last_op().op_energy.si(), ones.last_op().op_energy.si()) << at;
+    EXPECT_EQ(whole.total_cycles(), ones.total_cycles()) << at;
+    EXPECT_EQ(whole.total_energy().si(), ones.total_energy().si()) << at;
+    for (std::size_t c = 0; c < 8; ++c) {
+      const auto comp = static_cast<energy::Component>(c);
+      EXPECT_EQ(whole.component_energy(comp).si(), ones.component_energy(comp).si()) << at;
+    }
+    EXPECT_EQ(got.instructions, want.instructions) << at;
+    EXPECT_EQ(got.cycles, want.cycles) << at;
+    EXPECT_EQ(got.fused_cycles_saved, want.fused_cycles_saved) << at;
+    EXPECT_EQ(got.adaptive_cycles_saved, want.adaptive_cycles_saved) << at;
+    EXPECT_EQ(got.energy.si(), want.energy.si()) << at;
+    EXPECT_EQ(got.elapsed.si(), want.elapsed.si()) << at;
+    EXPECT_EQ(got.mults, want.mults) << at;
+    EXPECT_EQ(got.skipped, want.skipped) << at;
+    EXPECT_EQ(got.depths, want.depths) << at;
+
+    for (std::size_t k = 0; k < rw.size(); ++k) {
+      const MultPlan& plan = rw[k].plan;
+      const unsigned b = p.instructions()[k].bits;
+      if (p.instructions()[k].op != Op::Mult) continue;
+      d1_staged += plan.d1_staged ? 1 : 0;
+      skipped += plan.skip ? 1 : 0;
+      narrowed += !plan.skip && plan.depth < b ? 1 : 0;
+      if (k > 0 && p.instructions()[k - 1].op == Op::Mult && p.instructions()[k - 1].bits == b &&
+          p.instructions()[k - 1].a == p.instructions()[k].a)
+        ++long_runs;
+    }
+  }
+  EXPECT_GT(long_runs, 0u);
+  EXPECT_GT(d1_staged, 0u);
+  EXPECT_GT(skipped, 0u);
+  EXPECT_GT(narrowed, 0u);
+  EXPECT_GT(other_bits, 0u);
+}
+
 TEST(FuzzPrograms, CorruptedStreamsAreRejectedBeforeExecution) {
   Rng rng(0xDEAD);
   for (int round = 0; round < 12; ++round) {
