@@ -150,9 +150,20 @@ std::size_t ExecutionEngine::row_pair_capacity() const { return mem_.macro(0).ro
 ResidentOperand ExecutionEngine::pin(std::span<const std::uint64_t> values, unsigned bits,
                                      OperandLayout layout, std::optional<std::uint64_t>) {
   BPIM_REQUIRE(macro::is_supported_precision(bits), "unsupported precision");
-  for (const std::uint64_t v : values)
-    BPIM_REQUIRE(BitVector::fits_u64(v, bits), "value does not fit precision");
-  return residency_.pin(values, bits, layout,
+  // Each chunk's row image, as stage_row stages it: the values, then the
+  // zero tail of a fresh row. A function of the values and the geometry
+  // alone that touches no array, so clients may pin while the run thread
+  // dispatches.
+  const std::size_t per_op = elements_per_chunk(bits, layout);
+  const unsigned field = layout == OperandLayout::MultUnit ? 2 * bits : bits;
+  std::vector<BitVector> rows;
+  rows.reserve((values.size() + per_op - 1) / per_op);
+  for_each_chunk(values.size(), per_op, 1, [&](std::size_t, std::size_t, std::size_t pos,
+                                               std::size_t len) {
+    macro::deposit_fields(rows.emplace_back(mem_.macro(0).cols()), 0, field, bits,
+                          values.subspan(pos, len));
+  });
+  return residency_.pin(std::move(rows), values.size(), bits, layout,
                         layers_for_elements(values.size(), bits, layout));
 }
 
@@ -207,13 +218,14 @@ void ExecutionEngine::materialize(ResidencyManager::Entry& entry) {
   BPIM_TRACE_INSTANT("residency.materialize", trace_track_,
                      {{"handle", static_cast<double>(entry.handle.id)},
                       {"layers", static_cast<double>(entry.handle.layers)}});
-  const ResidentOperand& h = entry.handle;
-  const std::span<const std::uint64_t> values(entry.values);
-  for_each_chunk(values.size(), elements_per_chunk(h.bits, h.layout), mem_.macro_count(),
-                 [&](std::size_t m, std::size_t l, std::size_t pos, std::size_t len) {
-                   stage_row(mem_.macro(m), 2 * (entry.base_pair + l), h.bits, h.layout,
-                             values.subspan(pos, len));
-                 });
+  // Chunk c's image is the even row of pair base + c / M on macro c % M:
+  // one row copy each.
+  const std::size_t macros = mem_.macro_count();
+  for (std::size_t m = 0; m < macros && m < entry.rows.size(); ++m) {
+    macro::ImcMacro& mac = mem_.macro(m);
+    for (std::size_t c = m; c < entry.rows.size(); c += macros)
+      mac.poke_row(2 * (entry.base_pair + c / macros), entry.rows[c]);
+  }
 }
 
 ResidencyManager::Entry* ExecutionEngine::resolve(const ResidentOperand& handle) {
@@ -342,9 +354,7 @@ OpResult ExecutionEngine::run_one(const VecOp& op) {
   const OperandLayout layout = layout_of(op.kind);
   ResidencyManager::Entry* ea = resolve(op.ra);
   ResidencyManager::Entry* eb = resolve(op.rb);
-  const std::span<const std::uint64_t> a = ea != nullptr ? ea->values : op.a;
-  const std::span<const std::uint64_t> b = eb != nullptr ? eb->values : op.b;
-  const std::size_t n = a.size();
+  const std::size_t n = ea != nullptr ? ea->handle.elements : op.a.size();
   const std::size_t per_op = elements_per_chunk(op);
   const std::size_t macros = mem_.macro_count();
   const std::size_t chunks = (n + per_op - 1) / per_op;
@@ -388,9 +398,9 @@ OpResult ExecutionEngine::run_one(const VecOp& op) {
                    if (m == 0) prog = &program_for(op, r_a, r_b);
                    MacroPlan& mp = plan.macros[m];
                    if (ea == nullptr)
-                     mp.stage.push_back({r_a, op.bits, layout, a.subspan(pos, len)});
+                     mp.stage.push_back({r_a, op.bits, layout, op.a.subspan(pos, len)});
                    if (!unary && eb == nullptr)
-                     mp.stage.push_back({r_b, op.bits, layout, b.subspan(pos, len)});
+                     mp.stage.push_back({r_b, op.bits, layout, op.b.subspan(pos, len)});
                    mp.extract.push_back({op.bits, std::span(res.values).subspan(pos, len)});
                    mp.programs.push_back(prog);
                  });

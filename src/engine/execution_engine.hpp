@@ -99,9 +99,10 @@ class ExecutionEngine : public Executor {
   [[nodiscard]] std::size_t row_pair_capacity() const;
 
   // ---- persistent operand residency (engine/residency.hpp) ----------------
-  /// Pin an operand resident: registers the values with the memory's
-  /// ResidencyManager and returns a handle usable as VecOp::ra / rb. The
-  /// one materializing write happens on first use inside run()/run_batch()
+  /// Pin an operand resident: packs the values into one row image per
+  /// chunk, registers them with the memory's ResidencyManager and returns a
+  /// handle usable as VecOp::ra / rb. The one materializing write -- a row
+  /// copy per chunk -- happens on first use inside run()/run_batch()
   /// and is charged to that batch's load cycles; later uses load nothing.
   /// Thread-safe (may race run_batch on a serving engine).
   /// One memory: `colocate_key` (pool homing) has nothing to place and is
@@ -227,7 +228,7 @@ class ExecutionEngine : public Executor {
   /// The cached single-instruction program for `op` at one concrete row
   /// placement (compiled + verified on first use).
   const macro::VerifiedProgram& program_for(const VecOp& op, std::size_t r_a, std::size_t r_b);
-  /// Write a pinned operand's values into its allocated rows.
+  /// Copy a pinned operand's row images into its allocated rows.
   void materialize(ResidencyManager::Entry& entry);
   [[nodiscard]] Second cycles_to_time(std::uint64_t cycles) const;
   /// Publish a fused dispatch's account: one program per macro leaves no op

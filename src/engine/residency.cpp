@@ -57,21 +57,21 @@ ResidencyManager::ResidencyManager(std::size_t row_pair_capacity)
   BPIM_REQUIRE(capacity_ > 0, "residency needs at least one row pair");
 }
 
-ResidentOperand ResidencyManager::pin(std::span<const std::uint64_t> values, unsigned bits,
-                                      OperandLayout layout, std::size_t layers) {
-  BPIM_REQUIRE(!values.empty(), "cannot pin an empty operand");
+ResidentOperand ResidencyManager::pin(std::vector<BitVector> rows, std::uint64_t elements,
+                                      unsigned bits, OperandLayout layout, std::size_t layers) {
+  BPIM_REQUIRE(!rows.empty(), "cannot pin an empty operand");
   BPIM_REQUIRE(layers > 0 && layers <= capacity_,
                "pinned operand exceeds the array's row-pair capacity");
   ResidentOperand h;
   h.id = next_operand_id();
-  h.elements = values.size();
+  h.elements = elements;
   h.bits = bits;
   h.layout = layout;
   h.layers = layers;
 
   auto entry = std::make_unique<Entry>();
   entry->handle = h;
-  entry->values.assign(values.begin(), values.end());
+  entry->rows = std::move(rows);
 
   residency_metrics().pins.add();
   BPIM_TRACE_INSTANT("residency.pin", 0,

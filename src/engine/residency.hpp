@@ -13,13 +13,15 @@
 // no transient pairs at all, and the cycle model charges only the
 // activation load (1 row write per layer instead of 2).
 //
-// pin() only registers: the single materializing write happens on first
-// use inside run()/run_batch() (on the engine's run thread, so clients of a
-// serve::Server may pin concurrently with dispatch) and is charged to that
-// batch's load cycles. When the pinned set plus a batch's transient
-// operands exceed row_pair_capacity(), materialized handles are evicted --
-// least-recently-used first among those whose rows conflict -- and
-// transparently re-materialized (and re-charged) on their next use.
+// A pinned operand is its row images: pin() packs one per chunk on the
+// caller's thread, touching no array, so clients of a serve::Server may pin
+// concurrently with dispatch. The single materializing write -- one row
+// copy per chunk -- happens on first use inside run()/run_batch() on the
+// engine's run thread and is charged to that batch's load cycles. When the
+// pinned set plus a batch's transient operands exceed row_pair_capacity(),
+// materialized handles are evicted -- least-recently-used first among
+// those whose rows conflict -- and transparently re-materialized (the same
+// copy, re-charged) on their next use.
 //
 // One reservation concept: a caller that keeps a transient region live
 // while it materializes handles (a fused forward's activation pairs)
@@ -49,6 +51,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/bitvec.hpp"
 #include "common/thread_annotations.hpp"
 
 namespace bpim::engine {
@@ -90,11 +93,11 @@ class ResidencyManager {
   ResidencyManager(const ResidencyManager&) = delete;
   ResidencyManager& operator=(const ResidencyManager&) = delete;
 
-  /// Register a pinned operand (values are copied; no SRAM traffic here --
-  /// materialization is lazy, see file header). `layers` must fit the
-  /// array on its own.
-  [[nodiscard]] ResidentOperand pin(std::span<const std::uint64_t> values, unsigned bits,
-                                    OperandLayout layout, std::size_t layers)
+  /// Register a pinned operand of `elements` values by its packed row
+  /// images, one per chunk (no SRAM traffic here -- materialization is
+  /// lazy, see file header). `layers` must fit the array on its own.
+  [[nodiscard]] ResidentOperand pin(std::vector<BitVector> rows, std::uint64_t elements,
+                                    unsigned bits, OperandLayout layout, std::size_t layers)
       BPIM_EXCLUDES(mutex_);
   /// Drop a handle (false when unknown). The rows are simply freed; the
   /// data is abandoned in place like any other stale SRAM content.
@@ -116,12 +119,12 @@ class ResidencyManager {
 
   // ---- run-thread side (the engine, inside run()/run_batch()) -------------
 
-  /// One pinned operand's live state. Fields other than `values` are
+  /// One pinned operand's live state. Fields other than `rows` are
   /// guarded by the manager's mutex; the run thread reads them between
   /// manager calls under the single-run_batch-at-a-time engine contract.
   struct Entry {
     ResidentOperand handle;
-    std::vector<std::uint64_t> values;
+    std::vector<BitVector> rows;  ///< chunk c's row image; immutable after pin
     bool materialized = false;
     std::size_t base_pair = 0;  ///< first row pair (per macro) when materialized
     std::uint64_t last_use = 0;
@@ -138,8 +141,8 @@ class ResidencyManager {
   /// Give `e` rows if it has none: the highest free run at or above pair
   /// `floor` (the transient region the caller keeps reserved below it),
   /// evicting LRU handles as needed (never `keep`, the other side of the
-  /// same op). Returns true when the caller must write the values into the
-  /// rows.
+  /// same op). Returns true when the caller must copy the row images into
+  /// the rows.
   [[nodiscard]] bool ensure_rows(Entry& e, std::size_t floor, const Entry* keep = nullptr)
       BPIM_EXCLUDES(mutex_);
 
@@ -153,7 +156,7 @@ class ResidencyManager {
   /// When the resident members leave no such run even with every other
   /// handle gone, the array is cleared and the whole group placed again.
   /// Sets `loaded[j]` when member j was placed here and the caller must
-  /// write its values. Both spans hold one slot per member.
+  /// copy its row images. Both spans hold one slot per member.
   [[nodiscard]] bool ensure_block(std::span<const ResidentOperand> group, std::size_t floor,
                                   std::span<Entry*> entries, std::span<std::uint8_t> loaded)
       BPIM_EXCLUDES(mutex_);

@@ -55,27 +55,6 @@ constexpr std::uint64_t unit_field(std::uint64_t word, unsigned shift, std::uint
   return (word >> shift) & fill;
 }
 
-/// Bulk operand staging, the inverse of peek_mult_products: values[i] goes
-/// zero-extended into the `field`-bit field at column col + i * field of
-/// main row r. Fields divide 64 at every supported precision, so no field
-/// straddles a storage word; each word's fields are assembled and written
-/// with one deposit, and columns outside the range keep their bits. Every
-/// value is checked against `bits` before any bit is written.
-void deposit_fields(array::SramArray& array, std::size_t r, std::size_t col, unsigned field,
-                    unsigned bits, std::span<const std::uint64_t> values) {
-  std::uint64_t any = 0;
-  for (const std::uint64_t v : values) any |= v;
-  BPIM_REQUIRE(BitVector::fits_u64(any, bits), "value does not fit precision");
-  const RowRef row = RowRef::main(r);
-  for (std::size_t i = 0; i < values.size();) {
-    const std::size_t start = col + i * field;
-    std::uint64_t word = 0;
-    std::size_t len = 0;
-    for (; i < values.size() && start % 64 + len < 64; ++i, len += field) word |= values[i] << len;
-    array.deposit_bits(row, start, len, word);
-  }
-}
-
 /// A MULT run's masked multiplicand, stage[w] = src[w] & keep, and its
 /// nonzero-unit mask: adding (2^(2N-1) - 1) to every unit's low 2N-1 bits
 /// carries into the unit's MSB iff they are nonzero, never out of the unit.
@@ -281,10 +260,25 @@ std::uint64_t ImcMacro::peek_word(std::size_t r, std::size_t word, unsigned bits
   return array_.extract_bits(RowRef::main(r), word * bits, bits);
 }
 
+void deposit_fields(BitVector& row, std::size_t col, unsigned field, unsigned bits,
+                    std::span<const std::uint64_t> values) {
+  BPIM_REQUIRE(col + values.size() * field <= row.size(), "column range out of range");
+  std::uint64_t any = 0;
+  for (const std::uint64_t v : values) any |= v;
+  BPIM_REQUIRE(BitVector::fits_u64(any, bits), "value does not fit precision");
+  for (std::size_t i = 0; i < values.size();) {
+    const std::size_t start = col + i * field;
+    std::uint64_t word = 0;
+    std::size_t len = 0;
+    for (; i < values.size() && start % 64 + len < 64; ++i, len += field) word |= values[i] << len;
+    row.deposit_bits(start, len, word);
+  }
+}
+
 void ImcMacro::poke_words(std::size_t r, std::size_t first_word, unsigned bits,
                           std::span<const std::uint64_t> values) {
   BPIM_REQUIRE(first_word + values.size() <= words_per_row(bits), "word range out of range");
-  deposit_fields(array_, r, first_word * bits, bits, bits, values);
+  deposit_fields(array_.row_mut(RowRef::main(r)), first_word * bits, bits, bits, values);
 }
 
 void ImcMacro::poke_zero_tail(std::size_t r, std::size_t col) {
@@ -307,7 +301,7 @@ void ImcMacro::poke_mult_operands(std::size_t r, std::size_t first_unit, unsigne
                                   std::span<const std::uint64_t> values) {
   BPIM_REQUIRE(first_unit + values.size() <= mult_units_per_row(bits), "unit range out of range");
   // Operand in each unit's low half, zeros above.
-  deposit_fields(array_, r, first_unit * 2 * bits, 2 * bits, bits, values);
+  deposit_fields(array_.row_mut(RowRef::main(r)), first_unit * 2 * bits, 2 * bits, bits, values);
 }
 
 std::uint64_t ImcMacro::peek_mult_product(const BitVector& row, std::size_t unit,

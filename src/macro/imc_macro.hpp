@@ -53,6 +53,16 @@ struct Instruction;   // macro/program.hpp
 struct Extract;       // macro/program.hpp
 struct ProgramStats;  // macro/program.hpp
 
+/// The one operand packer, the inverse of ImcMacro::peek_mult_products:
+/// values[i] goes zero-extended into the `field`-bit field at column
+/// col + i * field of `row` (an array row or a pinned row image). Fields
+/// divide 64 at every supported precision, so no field straddles a storage
+/// word; each word's fields are assembled and written with one deposit, and
+/// columns outside the range keep their bits. Every value is checked
+/// against `bits` before any bit is written.
+void deposit_fields(BitVector& row, std::size_t col, unsigned field, unsigned bits,
+                    std::span<const std::uint64_t> values);
+
 struct MacroConfig {
   array::ArrayGeometry geometry{};
   Volt vdd{0.9};

@@ -49,10 +49,13 @@ ImcMemory::ImcMemory(const MemoryConfig& cfg) : cfg_(cfg) {
   // The macros differ only in their seeds, so they price identically and
   // share one MULT price table.
   const auto mult_prices = std::make_shared<const MultPrices>(MultPrices::pricing_of(cfg.macro));
-  for (std::size_t b = 0; b < cfg.banks; ++b)
+  for (std::size_t b = 0; b < cfg.banks; ++b) {
     banks_.push_back(std::make_unique<Bank>(cfg.macro, cfg.macros_per_bank,
                                             cfg.macro.seed + cfg.seed_offset + b * 1000,
                                             mult_prices));
+    for (std::size_t i = 0; i < cfg.macros_per_bank; ++i)
+      macros_.push_back(&banks_.back()->macro(i));
+  }
 }
 
 Bank& ImcMemory::bank(std::size_t b) {
@@ -64,12 +67,6 @@ const Bank& ImcMemory::bank(std::size_t b) const {
   BPIM_REQUIRE(b < banks_.size(), "bank index out of range");
   return *banks_[b];
 }
-
-ImcMacro& ImcMemory::macro(std::size_t flat) {
-  return bank(flat / cfg_.macros_per_bank).macro(flat % cfg_.macros_per_bank);
-}
-
-std::size_t ImcMemory::macro_count() const { return cfg_.banks * cfg_.macros_per_bank; }
 
 std::size_t ImcMemory::capacity_bytes() const {
   const auto& g = cfg_.macro.geometry;

@@ -10,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/require.hpp"
 #include "macro/imc_macro.hpp"
 
 namespace bpim::macro {
@@ -52,9 +53,13 @@ class ImcMemory {
   [[nodiscard]] std::size_t bank_count() const { return banks_.size(); }
   [[nodiscard]] Bank& bank(std::size_t b);
   [[nodiscard]] const Bank& bank(std::size_t b) const;
-  /// Macro by flat index across banks.
-  [[nodiscard]] ImcMacro& macro(std::size_t flat);
-  [[nodiscard]] std::size_t macro_count() const;
+  /// Macro by flat index across banks: one lookup in a table built at
+  /// construction.
+  [[nodiscard]] ImcMacro& macro(std::size_t flat) {
+    BPIM_REQUIRE(flat < macros_.size(), "macro index out of range");
+    return *macros_[flat];
+  }
+  [[nodiscard]] std::size_t macro_count() const { return macros_.size(); }
 
   /// Storage capacity in bytes (main arrays only, dummy rows excluded).
   [[nodiscard]] std::size_t capacity_bytes() const;
@@ -67,6 +72,7 @@ class ImcMemory {
  private:
   MemoryConfig cfg_;
   std::vector<std::unique_ptr<Bank>> banks_;
+  std::vector<ImcMacro*> macros_;  ///< every bank's macros in flat order
 };
 
 }  // namespace bpim::macro

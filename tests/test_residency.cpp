@@ -244,8 +244,9 @@ TEST(Residency, BatchOverlapAccounting) {
 }
 
 /// A pinned operand's rows as materialize() writes them: chunk c sits on
-/// macro c % M in even row 2(base + c / M). Holds one operand whose chunks
-/// fill their rows, so each row image is exact.
+/// macro c % M in even row 2(base + c / M). Each image is a fresh staging of
+/// the chunk -- poke, then zero tail -- over an all-ones scratch row, so it
+/// is exact for a short last chunk too.
 struct PinnedImage {
   ResidentOperand handle;
   std::vector<BitVector> rows;  ///< one per chunk
@@ -255,13 +256,18 @@ struct PinnedImage {
               const ExecutionEngine& eng, const macro::MacroConfig& cfg)
       : handle(h) {
     macro::ImcMacro ref(cfg);
+    BitVector dirty(cfg.geometry.cols);
+    dirty.fill(true);
+    const bool units = h.layout == OperandLayout::MultUnit;
     const std::size_t per_op = eng.elements_per_chunk(h.bits, h.layout);
     for (std::size_t pos = 0; pos < values.size(); pos += per_op) {
-      const auto chunk = values.subspan(pos, per_op);
-      if (h.layout == OperandLayout::MultUnit)
+      const auto chunk = values.subspan(pos, std::min(per_op, values.size() - pos));
+      ref.poke_row(0, dirty);
+      if (units)
         ref.poke_mult_operands(0, 0, h.bits, chunk);
       else
         ref.poke_words(0, 0, h.bits, chunk);
+      ref.poke_zero_tail(0, chunk.size() * (units ? 2 * h.bits : h.bits));
       rows.push_back(ref.peek_row(0));
     }
   }
@@ -346,6 +352,46 @@ TEST(Residency, EngineProgramsNeverWriteAResidentRow) {
   check("fused forward");
   // Nothing moved: every handle was checked where it was first placed.
   EXPECT_EQ(eng.residency_stats().evictions, 0u);
+}
+
+TEST(Residency, RematerializedRowsMatchAFreshStaging) {
+  // A pinned operand keeps its packed row images and every materialization
+  // copies them. Pin, run, let a full-capacity transient op evict the
+  // handle and leave every row all-ones, run again: each row of the handle
+  // must then equal a fresh staging (PinnedImage), and both runs must match
+  // an unpinned engine bit for bit. Every length leaves a short last chunk
+  // and has more chunks than macros.
+  const macro::MemoryConfig cfg = tiny_memory(32);
+  for (const OperandLayout layout : {OperandLayout::Word, OperandLayout::MultUnit}) {
+    for (const unsigned bits : {2u, 4u, 8u, 16u, 32u}) {
+      const std::string what = std::string(to_string(layout)) + " " + std::to_string(bits) + "-bit";
+      macro::ImcMemory mem(cfg);
+      ExecutionEngine eng(mem);
+      macro::ImcMemory plain_mem(cfg);
+      ExecutionEngine plain(plain_mem);
+      const OpKind kind = layout == OperandLayout::MultUnit ? OpKind::Mult : OpKind::Add;
+      const std::size_t per_op = eng.elements_per_chunk(bits, layout);
+      const std::size_t n = (mem.macro_count() + 1) * per_op + per_op / 2;
+      const auto w = random_vec(n, bits, 700 + bits);
+      PinnedImage img(eng.pin(w, bits, layout), w, eng, cfg.macro);
+      const std::vector<std::uint64_t> ones(
+          eng.row_pair_capacity() * eng.words_per_row(8) * mem.macro_count(), 0xff);
+
+      for (std::uint64_t round = 0; round < 2; ++round) {
+        const auto x = random_vec(n, bits, 800 + 2 * bits + round);
+        VecOp op = span_op(kind, bits, {}, x);
+        op.ra = img.handle;
+        expect_identical(plain.run(span_op(kind, bits, w, x)), eng.run(op), what.c_str());
+        if (round == 0) (void)eng.run(span_op(OpKind::Add, 8, ones, ones));
+      }
+      const ResidencyStats rs = eng.residency_stats();
+      EXPECT_EQ(rs.materializations, 2u) << what;
+      EXPECT_EQ(rs.evictions, 1u) << what;
+      for (std::size_t b = 0; b + img.handle.layers <= eng.row_pair_capacity(); ++b)
+        if (img.at(mem, b)) img.base = b;
+      EXPECT_TRUE(img.base.has_value()) << what << ": rows differ from a fresh staging";
+    }
+  }
 }
 
 TEST(Residency, GuardsMisuse) {
@@ -624,7 +670,7 @@ void allocator_matches_oracle(bool blocks) {
       ResidencyManager mgr(capacity);
       SortedAllocatorOracle oracle(capacity);
       std::map<std::uint64_t, ResidencyManager::Entry*> live;
-      const std::vector<std::uint64_t> one_value = {1};
+      const std::vector<BitVector> one_row = {BitVector(16, 1)};
       const auto pick = [&]() {
         auto it = live.begin();
         std::advance(it, static_cast<std::ptrdiff_t>(rng.uniform_u64(live.size())));
@@ -637,7 +683,7 @@ void allocator_matches_oracle(bool blocks) {
         const std::uint64_t action = live.size() < 3 ? 0 : rng.uniform_u64(blocks ? 10 : 8);
         if (action == 0 || (action == 1 && live.size() < 12)) {
           const std::size_t layers = 1 + rng.uniform_u64(std::min<std::size_t>(capacity, 4));
-          const ResidentOperand h = mgr.pin(one_value, 8, OperandLayout::MultUnit, layers);
+          const ResidentOperand h = mgr.pin(one_row, 1, 8, OperandLayout::MultUnit, layers);
           oracle.pin(h.id, layers);
           live[h.id] = mgr.touch(h.id);
           oracle.touch(h.id);
