@@ -1,7 +1,6 @@
 #include "app/nn.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "common/require.hpp"
@@ -24,9 +23,13 @@ Quantized quantize(const std::vector<double>& x, unsigned bits) {
   Quantized q;
   q.scale = scale;
   q.values.reserve(x.size());
+  // clamp(round(v / scale), 0, levels) without the libm call: clamping
+  // first to integer bounds commutes with rounding, and on [0, levels]
+  // truncation is floor, whose remainder y - t is exact.
   for (const double v : x) {
-    const double code = std::clamp(std::round(v / scale), 0.0, levels);
-    q.values.push_back(static_cast<std::uint64_t>(code));
+    const double y = std::clamp(v / scale, 0.0, levels);
+    const auto t = static_cast<std::uint64_t>(y);
+    q.values.push_back(y - static_cast<double>(t) >= 0.5 ? t + 1 : t);
   }
   return q;
 }

@@ -246,6 +246,7 @@ ExecutionEngine::ExecPlan& ExecutionEngine::begin_plan(std::size_t active) {
     mp.stage.clear();
     mp.programs.clear();
     mp.extract.clear();
+    mp.records = {};
   }
   plan_.active = active;
   return plan_;
@@ -265,10 +266,10 @@ std::uint64_t ExecutionEngine::execute(ExecPlan& plan) {
     for (const auto& s : mp.stage) stage_row(mac, s.index, s.bits, s.layout, s.values);
     macro::MacroController ctl(mac);
     mp.ran.clear();
-    std::span<macro::Extract> extract(mp.extract);
+    std::span<macro::Extract> records = mp.records;
     for (const macro::VerifiedProgram* p : mp.programs) {
-      mp.ran.push_back(ctl.run(*p, pol, extract.first(p->size())));
-      extract = extract.subspan(p->size());
+      mp.ran.push_back(ctl.run(*p, pol, records.first(p->size())));
+      records = records.subspan(p->size());
     }
   });
 
@@ -404,6 +405,7 @@ OpResult ExecutionEngine::run_one(const VecOp& op) {
                    mp.extract.push_back({op.bits, std::span(res.values).subspan(pos, len)});
                    mp.programs.push_back(prog);
                  });
+  for (std::size_t m = 0; m < plan.active; ++m) plan.macros[m].records = plan.macros[m].extract;
   const std::uint64_t adaptive = execute(plan);
 
   // The memory ledger is the op's account: cycles are the lock-step max
@@ -489,9 +491,9 @@ std::vector<OpResult> ExecutionEngine::run_batch(std::span<const VecOp> ops) {
 
 // ---- fusion (run_forward) ---------------------------------------------------
 
-ExecutionEngine::ForwardLayout ExecutionEngine::prepare_forward(
+const ExecutionEngine::ForwardLayout& ExecutionEngine::prepare_forward(
     std::span<const ResidentOperand> weights) {
-  ForwardLayout fl;
+  ForwardLayout& fl = layout_;
   fl.bits = weights.front().bits;
   fl.elements = static_cast<std::size_t>(weights.front().elements);
   fl.per_op = mult_units_per_row(fl.bits);
@@ -542,6 +544,22 @@ FusedForward& ExecutionEngine::fused_program_for(const ForwardLayout& fl) {
     ++fusion_stats_.compiles;
   }
   for (macro::RelocatableForward& p : ff.programs) (void)p.bind(fl.bases);
+  if (ff.elements != fl.elements) {
+    // The dispatch plan of this element count: macro m's record l * J + j
+    // retires layer l of op j into row j of the slab. Built aside and moved
+    // in (a moved vector keeps its buffer, so the spans stay valid).
+    const std::size_t n = fl.elements;
+    std::vector<std::uint64_t> slab(shape.weights * n);
+    std::vector<std::vector<macro::Extract>> records(std::min(fl.chunks, macros));
+    for_each_chunk(n, fl.per_op, macros,
+                   [&](std::size_t m, std::size_t, std::size_t pos, std::size_t len) {
+                     for (std::size_t j = 0; j < shape.weights; ++j)
+                       records[m].push_back({fl.bits, std::span(slab).subspan(j * n + pos, len)});
+                   });
+    ff.slab = std::move(slab);
+    ff.records = std::move(records);
+    ff.elements = n;
+  }
   return ff;
 }
 
@@ -549,7 +567,7 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
                                                    std::span<const std::uint64_t> activation) {
   BPIM_TRACE_SPAN(span, "engine.run_forward", trace_track_);
   (void)validate_forward(weights, activation.size());
-  ForwardLayout fl = prepare_forward(weights);
+  const ForwardLayout& fl = prepare_forward(weights);
   if (!fl.fusable) {
     ++fusion_stats_.fallback_runs;
     BPIM_TRACE_INSTANT("fusion.fallback", trace_track_,
@@ -562,28 +580,24 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
   }
 
   // Stage the shared activation in the even row of transient pair l and run
-  // each macro's fused program on the chained datapath; macro m's retire
-  // record l*J + j is layer l of op j.
-  const FusedForward& ff = fused_program_for(fl);
+  // each macro's fused program on the chained datapath into the shape's
+  // cached records; macro m's record l*J + j is layer l of op j.
+  FusedForward& ff = fused_program_for(fl);
   const std::size_t ops = weights.size();
-  std::vector<OpResult> results(ops);
-  for (OpResult& r : results) r.values.assign(fl.elements, 0);
   const std::size_t macros = mem_.macro_count();
-  ExecPlan& plan = begin_plan(std::min(fl.chunks, macros));
+  ExecPlan& plan = begin_plan(ff.records.size());
   for_each_chunk(fl.elements, fl.per_op, macros,
                  [&](std::size_t m, std::size_t l, std::size_t pos, std::size_t len) {
-                   MacroPlan& mp = plan.macros[m];
-                   mp.stage.push_back({2 * l, fl.bits, OperandLayout::MultUnit,
-                                       activation.subspan(pos, len)});
-                   for (std::size_t j = 0; j < ops; ++j)
-                     mp.extract.push_back(
-                         {fl.bits, std::span(results[j].values).subspan(pos, len)});
+                   plan.macros[m].stage.push_back({2 * l, fl.bits, OperandLayout::MultUnit,
+                                                   activation.subspan(pos, len)});
                  });
   // Macro m holds ceil(C/M) chunks (program 0) unless M does not divide C
   // and m >= C % M, which holds one fewer (program 1).
   const std::size_t rem = fl.chunks % macros;
-  for (std::size_t m = 0; m < plan.active; ++m)
+  for (std::size_t m = 0; m < plan.active; ++m) {
     plan.macros[m].programs.push_back(&ff.programs[rem != 0 && m >= rem ? 1 : 0].program());
+    plan.macros[m].records = ff.records[m];
+  }
   const std::uint64_t adaptive = execute(plan);
 
   // Per-op accounting from the retire records: cycles from the makespan
@@ -596,11 +610,12 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
   std::size_t critical = 0;
   for (std::size_t m = 1; m < plan.active; ++m)
     if (mem_.macro(m).total_cycles() > mem_.macro(critical).total_cycles()) critical = m;
-  const std::size_t layers_c = plan.macros[critical].extract.size() / ops;
+  const std::size_t layers_c = ff.records[critical].size() / ops;
   // One ordered pass per macro: record l * J + j is op j's.
+  std::vector<OpResult> results(ops);
   for (std::size_t m = 0; m < plan.active; ++m) {
     std::size_t j = 0;
-    for (const macro::Extract& x : plan.macros[m].extract) {
+    for (const macro::Extract& x : ff.records[m]) {
       RunStats& s = results[j].stats;
       s.energy += x.op_energy;
       if (m == critical) {
@@ -614,6 +629,8 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
   std::uint64_t saved_total = 0;
   std::uint64_t fused_saved_total = 0;
   for (std::size_t j = 0; j < ops; ++j) {
+    const auto row = std::span(ff.slab).subspan(j * fl.elements, fl.elements);
+    results[j].values.assign(row.begin(), row.end());
     RunStats& s = results[j].stats;
     s.elements = fl.elements;
     s.instructions = fl.chunks;  // one MULT per chunk

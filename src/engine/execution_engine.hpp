@@ -8,15 +8,17 @@
 // macro::VerifiedPrograms to run (cached single-instruction programs from
 // macro::OpCompiler, or one fused program from macro::FusionCompiler) and
 // one retire record (macro::Extract) per instruction, naming where its
-// values go. execute() resets the memory ledger and, per macro on the
-// thread pool, stages and runs one MacroController, which writes each
-// instruction's values and its ledger entry through its record as it
-// retires; after the join it publishes the program-path instruments
-// (macro.program.cycles, engine.adaptive.*, the macro.program instant)
-// from the programs' stats alone, whose adaptive tallies (MULTs, skips,
-// executed depths) the controller counted as each MULT retired -- it walks
-// no instruction or record again, and the controller publishes nothing. The entry points keep only their plan building and their
-// accounting; RunStats come from the memory ledger, the one runtime
+// values go (a fused forward's records are its shape's cached plan, see
+// engine/fusion.hpp; run() builds its own per op). execute() resets the
+// memory ledger and, per macro on the thread pool, stages and runs one
+// MacroController, which writes each instruction's values and its ledger
+// entry through its record as it retires; after the join it publishes the
+// program-path instruments (macro.program.cycles, engine.adaptive.*, the
+// macro.program instant) from the programs' stats alone, whose adaptive
+// tallies (MULTs, skips, executed depths) the controller counted as each
+// MULT retired -- it walks no instruction or record again, and the
+// controller publishes nothing. The entry points keep only their plan
+// building and their accounting; RunStats come from the memory ledger, the one runtime
 // account, split per op from the records' ledger entries. The engine
 // never calls the macro row-op datapath directly (a CI grep gate enforces
 // this).
@@ -194,18 +196,22 @@ class ExecutionEngine : public Executor {
     OperandLayout layout;
     std::span<const std::uint64_t> values;
   };
-  /// One macro's share of a dispatch. `extract` holds one retire record
+  /// One macro's share of a dispatch. `records` holds one retire record
   /// per instruction of `programs`, in order: the plan fills in where each
-  /// instruction's values go, execute() its ledger entry. `ran` is an
-  /// output: the stats of each program, in order.
+  /// instruction's values go, execute() its ledger entry. A run() op's
+  /// records live in `extract`, rebuilt per call; a fused forward's are
+  /// its shape's cached ones (FusedForward::records), referenced in place.
+  /// `ran` is an output: the stats of each program, in order.
   struct MacroPlan {
     std::vector<StageRow> stage;
     std::vector<const macro::VerifiedProgram*> programs;
     std::vector<macro::Extract> extract;
+    std::span<macro::Extract> records;
     std::vector<macro::ProgramStats> ran;
   };
   /// What one dispatch does on macros [0, active). Engine-owned scratch:
-  /// the vectors keep their capacity across calls.
+  /// the vectors keep their capacity across calls, so a dispatch whose
+  /// shape repeats allocates nothing here.
   struct ExecPlan {
     std::vector<MacroPlan> macros;
     std::size_t active = 0;
@@ -239,7 +245,7 @@ class ExecutionEngine : public Executor {
   /// Residency state of one run_forward() call: the resolved weight
   /// entries, the shared chunk geometry, and whether the shape fits the
   /// fused layout (then every weight is materialized above the activation's
-  /// transient region, at `bases`).
+  /// transient region, at `bases`). Engine-owned scratch, like ExecPlan.
   struct ForwardLayout {
     std::vector<ResidencyManager::Entry*> entries;
     unsigned bits = 0;
@@ -251,11 +257,13 @@ class ExecutionEngine : public Executor {
     std::vector<std::size_t> bases;    ///< per weight: first row pair
     bool fusable = false;
   };
-  /// Resolve the (validated) weights and, when the shape fits, place them
-  /// as one block above the activation region and write the ones placed.
-  ForwardLayout prepare_forward(std::span<const ResidentOperand> weights);
+  /// Resolve the (validated) weights into the scratch layout and, when the
+  /// shape fits, place them as one block above the activation region and
+  /// write the ones placed.
+  const ForwardLayout& prepare_forward(std::span<const ResidentOperand> weights);
   /// The layout's shape-keyed programs (compiled on the shape's first
-  /// forward), bound to the layout's weight rows.
+  /// forward), bound to the layout's weight rows, with the shape's dispatch
+  /// plan for the layout's element count (built when that count changes).
   FusedForward& fused_program_for(const ForwardLayout& fl);
 
   macro::ImcMemory& mem_;
@@ -276,6 +284,7 @@ class ExecutionEngine : public Executor {
   std::atomic<std::uint8_t> adaptive_policy_{0};
   std::map<ForwardShape, FusedForward> fused_;
   ExecPlan plan_;
+  ForwardLayout layout_;
 };
 
 // ---- request validation -----------------------------------------------------

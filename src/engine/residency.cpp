@@ -217,7 +217,7 @@ std::size_t ResidencyManager::evict_for_run(std::size_t need, std::size_t floor,
   victims_.clear();
   for (std::size_t p = floor; p < capacity_;) {
     if (Entry* e = owner_[p]; e != nullptr) {
-      if (e->last_use <= members_after) victims_.push_back(e);
+      if (e->last_use <= members_after) victims_.emplace_back(e->last_use, e);
       p = e->base_pair + e->handle.layers;
       continue;
     }
@@ -227,12 +227,13 @@ std::size_t ResidencyManager::evict_for_run(std::size_t need, std::size_t floor,
     run_begin_[end - 1] = p;
     p = end;
   }
+  // LRU first, by key: ticks are unique, so no comparison reads an entry.
   std::sort(victims_.begin(), victims_.end(),
-            [](const Entry* a, const Entry* b) { return a->last_use < b->last_use; });
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   // Before any eviction no run fits, and each eviction changes only the run
   // its pairs join, so the first run to reach `need` is the one
   // find_gap(need, floor) would return -- the only one that fits.
-  for (Entry* v : victims_) {
+  for (const auto& [tick, v] : victims_) {
     std::size_t lo = v->base_pair;
     std::size_t hi = lo + v->handle.layers;
     evict(*v);

@@ -49,6 +49,7 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/bitvec.hpp"
@@ -199,7 +200,8 @@ class ResidencyManager {
   /// victim's pairs merges its neighbour runs in O(1).
   std::vector<std::size_t> run_begin_ BPIM_GUARDED_BY(mutex_);
   std::vector<std::size_t> run_end_ BPIM_GUARDED_BY(mutex_);
-  std::vector<Entry*> victims_ BPIM_GUARDED_BY(mutex_);
+  /// evict_for_run scratch: the non-member victims keyed by last use.
+  std::vector<std::pair<std::uint64_t, Entry*>> victims_ BPIM_GUARDED_BY(mutex_);
   std::size_t resident_layers_ BPIM_GUARDED_BY(mutex_) = 0;
   std::uint64_t tick_ BPIM_GUARDED_BY(mutex_) = 0;
   std::uint64_t materializations_ BPIM_GUARDED_BY(mutex_) = 0;

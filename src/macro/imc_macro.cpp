@@ -595,13 +595,12 @@ MultPlan ImcMacro::mult_run(std::span<const Instruction> run, const AdaptivePoli
         mult_kernel<N>(stage_, stage_nonzero_, array_.row(b), b == d2 ? 0 : kLowHalves, prod,
                        direct ? x->values : std::span<std::uint64_t>{});
 
-    plan = MultPlan::full(N, d1_staged, k > 0 || pipelined);
+    // Built as one value: field-by-field byte stores read back as one
+    // wider load stall the store-to-load forward.
     const auto eff = static_cast<unsigned>(std::bit_width(effectual));
-    if (policy.narrow_precision) plan.depth = eff;
-    if (policy.skip_zero && eff == 0) {
-      plan.skip = true;
-      plan.depth = 0;
-    }
+    const bool skip = policy.skip_zero && eff == 0;
+    plan = MultPlan{skip ? 0 : policy.narrow_precision ? eff : N, skip, d1_staged,
+                    k > 0 || pipelined};
 
     // The data: the replay rebuilds D1 and D2 cycle by cycle; otherwise D1
     // is written once when the plan stages. The leading iterations a

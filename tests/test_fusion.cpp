@@ -522,5 +522,83 @@ TEST(Fusion, RejectedForwardLeavesNoSideEffects) {
   EXPECT_EQ(bs.energy.si(), fresh.energy.si());
 }
 
+TEST(Fusion, CachedPlanFollowsElementCount) {
+  // Each pair of weight sets shares a ForwardShape but not an element count:
+  // 32 full chunks and 32 with a short last one on the default 64 macros,
+  // then 70 and 69 chunks, a short_tail shape whose one-layer macros differ.
+  // Alternating the two rebuilds the shape's cached dispatch plan on every
+  // forward. Each forward must match, values and every stats field bitwise,
+  // a reference engine that only ever forwards its own set (so it builds
+  // its plan once), and its products a fresh unpinned engine's run_batch.
+  // A rejected forward between two good ones leaves the next identical.
+  const unsigned bits = 8;
+  const std::size_t weights = 4;
+  for (const bool adaptive : {false, true}) {
+    const auto make_engine = [&](macro::ImcMemory& mem) {
+      auto eng = std::make_unique<ExecutionEngine>(mem);
+      if (adaptive) eng->set_adaptive_policy({.narrow_precision = true, .skip_zero = true});
+      return eng;
+    };
+    macro::ImcMemory mem{macro::MemoryConfig{}};
+    const auto eng = make_engine(mem);
+    const std::size_t units = eng->mult_units_per_row(bits);
+    ASSERT_EQ(units, 8u);
+    ASSERT_EQ(mem.macro_count(), 64u);
+    struct Set {
+      std::vector<std::vector<std::uint64_t>> w;
+      std::vector<ResidentOperand> handles;
+      std::unique_ptr<macro::ImcMemory> ref_mem;
+      std::unique_ptr<ExecutionEngine> ref;
+      std::vector<ResidentOperand> ref_handles;
+    };
+    std::vector<Set> sets;
+    for (const std::size_t elements : {32 * units, 32 * units - 6, 70 * units, 69 * units}) {
+      Set& s = sets.emplace_back();
+      s.ref_mem = std::make_unique<macro::ImcMemory>(macro::MemoryConfig{});
+      s.ref = make_engine(*s.ref_mem);
+      for (std::size_t j = 0; j < weights; ++j) {
+        s.w.push_back(random_codes(elements, bits, 1500 + 10 * sets.size() + j));
+        s.handles.push_back(eng->pin(s.w.back(), bits, OperandLayout::MultUnit));
+        s.ref_handles.push_back(s.ref->pin(s.w.back(), bits, OperandLayout::MultUnit));
+      }
+    }
+    std::uint64_t seed = 1600;
+    const auto forward = [&](Set& s, const std::string& what) {
+      const auto x = random_codes(s.w.front().size(), bits, ++seed);
+      const auto got = eng->run_forward(s.handles, x);
+      const auto want = s.ref->run_forward(s.ref_handles, x);
+      expect_same_forward(got, eng->last_batch(), want, s.ref->last_batch(), what);
+      macro::ImcMemory plain_mem{macro::MemoryConfig{}};
+      ExecutionEngine plain(plain_mem);
+      std::vector<VecOp> ops(weights);
+      for (std::size_t j = 0; j < weights; ++j)
+        ops[j] = VecOp{.kind = OpKind::Mult, .bits = bits, .a = s.w[j], .b = x};
+      const auto products = plain.run_batch(ops);
+      for (std::size_t j = 0; j < weights; ++j) {
+        EXPECT_EQ(got[j].values, products[j].values) << what << " op " << j;
+        EXPECT_EQ(got[j].stats.elements, products[j].stats.elements) << what;
+        EXPECT_EQ(got[j].stats.instructions, products[j].stats.instructions) << what;
+      }
+    };
+    for (const std::size_t first : {0u, 2u}) {
+      Set& a = sets[first];
+      Set& b = sets[first + 1];
+      const std::string where = std::string(adaptive ? "adaptive" : "dense") + ", sets " +
+                                std::to_string(first) + "/" + std::to_string(first + 1);
+      for (int r = 0; r < 2; ++r) {
+        forward(a, where + " A round " + std::to_string(r));
+        forward(b, where + " B round " + std::to_string(r));
+      }
+      const auto short_x = random_codes(a.w.front().size() - 1, bits, ++seed);
+      EXPECT_THROW((void)eng->run_forward(a.handles, short_x), std::invalid_argument) << where;
+      forward(a, where + " A after a rejected forward");
+      forward(b, where + " B after a rejected forward");
+    }
+    EXPECT_EQ(eng->fusion_stats().compiles, 2u);
+    EXPECT_EQ(eng->fusion_stats().fused_runs, 12u);
+    EXPECT_EQ(eng->fusion_stats().fallback_runs, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace bpim::engine

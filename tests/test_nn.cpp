@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "app/nn.hpp"
@@ -47,6 +48,41 @@ TEST(Quantize, CodesFitWidth) {
 TEST(Quantize, GuardsBadInput) {
   EXPECT_THROW(quantize({}, 8), std::invalid_argument);
   EXPECT_THROW(quantize({1.0}, 1), std::invalid_argument);
+}
+
+TEST(Quantize, MatchesStdRoundHalfAway) {
+  // quantize rounds without a libm call; its codes must equal
+  // clamp(std::round(v / scale), 0, levels) at every width: on exact ties
+  // (a top value of `levels` makes the scale exactly 1), the largest double
+  // below 0.5 and the smallest above it, negatives, and random vectors,
+  // whose top value may round v / scale past `levels`.
+  const auto expect_matches_std_round = [](const std::vector<double>& x, unsigned bits) {
+    const Quantized q = quantize(x, bits);
+    const double levels = static_cast<double>((1ull << bits) - 1);
+    ASSERT_EQ(q.values.size(), x.size());
+    for (std::size_t i = 0; i < x.size(); ++i)
+      ASSERT_EQ(q.values[i],
+                static_cast<std::uint64_t>(std::clamp(std::round(x[i] / q.scale), 0.0, levels)))
+          << bits << "b, x = " << x[i] << ", scale " << q.scale;
+  };
+  for (unsigned bits = 2; bits <= 32; ++bits) {
+    const double levels = static_cast<double>((1ull << bits) - 1);
+    std::vector<double> ties{levels};
+    for (const double k : {0.0, 1.0, 2.0, std::floor(levels / 2), levels - 2, levels - 1, levels})
+      for (const double f : {0.0, 0.25, 0.49999999999999994, 0.5, std::nextafter(0.5, 1.0), 0.75})
+        for (const double v : {k + f, -(k + f)})
+          if (v <= levels) ties.push_back(v);
+    expect_matches_std_round(ties, bits);
+    EXPECT_EQ(quantize(ties, bits).scale, 1.0);
+    bpim::Rng rng(40 + bits);
+    for (int trial = 0; trial < 20; ++trial) {
+      const double top = rng.uniform(1e-3, 1e6);
+      std::vector<double> x(200);
+      for (auto& v : x) v = rng.uniform(-0.25 * top, top);
+      x[trial % x.size()] = top;
+      expect_matches_std_round(x, bits);
+    }
+  }
 }
 
 TEST(QuantizedLinear, ImcMatchesReferenceExactly) {
