@@ -517,7 +517,8 @@ const ExecutionEngine::ForwardLayout& ExecutionEngine::prepare_forward(
   return fl;
 }
 
-FusedForward& ExecutionEngine::fused_program_for(const ForwardLayout& fl) {
+std::pair<const FusedForward&, ForwardPlan&> ExecutionEngine::fused_program_for(
+    const ForwardLayout& fl) {
   // A macro's program depends only on how many chunks it holds: ceil(C/M)
   // for the first C % M macros (all of them when M divides C), floor(C/M)
   // for the rest.
@@ -544,23 +545,24 @@ FusedForward& ExecutionEngine::fused_program_for(const ForwardLayout& fl) {
     ++fusion_stats_.compiles;
   }
   for (macro::RelocatableForward& p : ff.programs) (void)p.bind(fl.bases);
-  if (ff.elements != fl.elements) {
+  auto it = ff.plans.find(fl.elements);
+  if (it == ff.plans.end()) {
     // The dispatch plan of this element count: macro m's record l * J + j
-    // retires layer l of op j into row j of the slab. Built aside and moved
-    // in (a moved vector keeps its buffer, so the spans stay valid).
+    // retires layer l of op j into row j of the slab. Built aside, so a
+    // failed build leaves no partial plan, and moved in (a moved vector
+    // keeps its buffer, so the spans stay valid).
     const std::size_t n = fl.elements;
-    std::vector<std::uint64_t> slab(shape.weights * n);
-    std::vector<std::vector<macro::Extract>> records(std::min(fl.chunks, macros));
+    ForwardPlan fp{.slab = std::vector<std::uint64_t>(shape.weights * n), .records = {}};
+    fp.records.resize(std::min(fl.chunks, macros));
     for_each_chunk(n, fl.per_op, macros,
                    [&](std::size_t m, std::size_t, std::size_t pos, std::size_t len) {
                      for (std::size_t j = 0; j < shape.weights; ++j)
-                       records[m].push_back({fl.bits, std::span(slab).subspan(j * n + pos, len)});
+                       fp.records[m].push_back(
+                           {fl.bits, std::span(fp.slab).subspan(j * n + pos, len)});
                    });
-    ff.slab = std::move(slab);
-    ff.records = std::move(records);
-    ff.elements = n;
+    it = ff.plans.emplace(n, std::move(fp)).first;
   }
-  return ff;
+  return {ff, it->second};
 }
 
 std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOperand> weights,
@@ -582,10 +584,10 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
   // Stage the shared activation in the even row of transient pair l and run
   // each macro's fused program on the chained datapath into the shape's
   // cached records; macro m's record l*J + j is layer l of op j.
-  FusedForward& ff = fused_program_for(fl);
+  const auto [ff, fp] = fused_program_for(fl);
   const std::size_t ops = weights.size();
   const std::size_t macros = mem_.macro_count();
-  ExecPlan& plan = begin_plan(ff.records.size());
+  ExecPlan& plan = begin_plan(fp.records.size());
   for_each_chunk(fl.elements, fl.per_op, macros,
                  [&](std::size_t m, std::size_t l, std::size_t pos, std::size_t len) {
                    plan.macros[m].stage.push_back({2 * l, fl.bits, OperandLayout::MultUnit,
@@ -596,7 +598,7 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
   const std::size_t rem = fl.chunks % macros;
   for (std::size_t m = 0; m < plan.active; ++m) {
     plan.macros[m].programs.push_back(&ff.programs[rem != 0 && m >= rem ? 1 : 0].program());
-    plan.macros[m].records = ff.records[m];
+    plan.macros[m].records = fp.records[m];
   }
   const std::uint64_t adaptive = execute(plan);
 
@@ -610,12 +612,12 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
   std::size_t critical = 0;
   for (std::size_t m = 1; m < plan.active; ++m)
     if (mem_.macro(m).total_cycles() > mem_.macro(critical).total_cycles()) critical = m;
-  const std::size_t layers_c = ff.records[critical].size() / ops;
+  const std::size_t layers_c = fp.records[critical].size() / ops;
   // One ordered pass per macro: record l * J + j is op j's.
   std::vector<OpResult> results(ops);
   for (std::size_t m = 0; m < plan.active; ++m) {
     std::size_t j = 0;
-    for (const macro::Extract& x : ff.records[m]) {
+    for (const macro::Extract& x : fp.records[m]) {
       RunStats& s = results[j].stats;
       s.energy += x.op_energy;
       if (m == critical) {
@@ -629,7 +631,7 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
   std::uint64_t saved_total = 0;
   std::uint64_t fused_saved_total = 0;
   for (std::size_t j = 0; j < ops; ++j) {
-    const auto row = std::span(ff.slab).subspan(j * fl.elements, fl.elements);
+    const auto row = std::span(fp.slab).subspan(j * fl.elements, fl.elements);
     results[j].values.assign(row.begin(), row.end());
     RunStats& s = results[j].stats;
     s.elements = fl.elements;

@@ -18,10 +18,10 @@
 // tallies (MULTs, skips, executed depths) the controller counted as each
 // MULT retired -- it walks no instruction or record again, and the
 // controller publishes nothing. The entry points keep only their plan
-// building and their accounting; RunStats come from the memory ledger, the one runtime
-// account, split per op from the records' ledger entries. The engine
-// never calls the macro row-op datapath directly (a CI grep gate enforces
-// this).
+// building and their accounting; RunStats come from the memory ledger,
+// the one runtime account, split per op from the records' ledger entries.
+// The engine never calls the macro row-op datapath directly (a CI grep
+// gate enforces this).
 //
 // Chunk c of a vector goes to macro c % M at row-pair layer c / M, so every
 // macro sees the same chunk sequence at any thread count. Each macro is an
@@ -53,6 +53,7 @@
 #include <cstdint>
 #include <map>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "engine/executor.hpp"
@@ -200,7 +201,7 @@ class ExecutionEngine : public Executor {
   /// per instruction of `programs`, in order: the plan fills in where each
   /// instruction's values go, execute() its ledger entry. A run() op's
   /// records live in `extract`, rebuilt per call; a fused forward's are
-  /// its shape's cached ones (FusedForward::records), referenced in place.
+  /// its shape's cached ones (ForwardPlan::records), referenced in place.
   /// `ran` is an output: the stats of each program, in order.
   struct MacroPlan {
     std::vector<StageRow> stage;
@@ -262,9 +263,10 @@ class ExecutionEngine : public Executor {
   /// write the ones placed.
   const ForwardLayout& prepare_forward(std::span<const ResidentOperand> weights);
   /// The layout's shape-keyed programs (compiled on the shape's first
-  /// forward), bound to the layout's weight rows, with the shape's dispatch
-  /// plan for the layout's element count (built when that count changes).
-  FusedForward& fused_program_for(const ForwardLayout& fl);
+  /// forward), bound to the layout's weight rows, and the shape's dispatch
+  /// plan for the layout's element count (built on that count's first
+  /// forward).
+  std::pair<const FusedForward&, ForwardPlan&> fused_program_for(const ForwardLayout& fl);
 
   macro::ImcMemory& mem_;
   ThreadPool pool_;

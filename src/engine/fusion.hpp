@@ -8,15 +8,16 @@
 // The programs are keyed by the forward's shape, not by its weights, and
 // relocate: a forward whose weights moved (eviction and re-materialization)
 // or another tenant's forward of the same shape rebinds the cached
-// programs' weight rows and compiles nothing. Each shape also caches its
-// dispatch plan -- every macro's retire records, writing into one product
-// slab -- built on the shape's first forward and rebuilt only when a
-// forward of that shape carries another element count. FusionStats counts
-// how often the path compiled, ran fused, or fell back to op-at-a-time
-// dispatch.
+// programs' weight rows and compiles nothing. Each shape also caches one
+// dispatch plan per element count it runs -- every macro's retire records,
+// writing into one product slab -- built on the first forward of that
+// count and never rebuilt, so forwards that alternate counts under one
+// shape build nothing either. FusionStats counts how often the path
+// compiled, ran fused, or fell back to op-at-a-time dispatch.
 
 #include <compare>
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "macro/compiler.hpp"
@@ -45,25 +46,29 @@ struct ForwardShape {
   auto operator<=>(const ForwardShape&) const = default;
 };
 
-/// One cached whole-forward compilation and dispatch plan, shared by every
-/// forward of its ForwardShape whatever rows its weights occupy (each call
-/// rebinds them).
+/// The dispatch plan of one element count under a shape: an op-major
+/// product slab (op j's element i is slab[j * elements + i]) and, per
+/// active macro, one retire record per instruction of its program, record
+/// l * J + j retiring layer l of op j into the slab. Every forward of that
+/// count overwrites the whole slab, and the controller rewrites every
+/// record's ledger fields as it retires, so a forward that throws
+/// mid-dispatch leaves the plan valid for the next.
+struct ForwardPlan {
+  std::vector<std::uint64_t> slab;
+  std::vector<std::vector<macro::Extract>> records;
+};
+
+/// One cached whole-forward compilation, shared by every forward of its
+/// ForwardShape whatever rows its weights occupy (each call rebinds them),
+/// with one dispatch plan per element count the shape has run.
 struct FusedForward {
   /// One per per-macro layer count, not one per macro: [0] for the macros
   /// holding L = ceil(C/M) of the C chunks, [1] -- present only when
   /// short_tail (M does not divide C and C > M) -- for those holding L - 1.
   std::vector<macro::RelocatableForward> programs;
-  /// Elements per op the plan below was built for (rebuilt when a forward
-  /// of this shape carries another count).
-  std::size_t elements = 0;
-  /// Op-major products of the last forward: op j's element i is
-  /// slab[j * elements + i]. Every forward overwrites all of it.
-  std::vector<std::uint64_t> slab;
-  /// Per active macro, one retire record per instruction of its program:
-  /// record l * J + j retires layer l of op j into the slab. The controller
-  /// rewrites every record's ledger fields as it retires, so a forward that
-  /// throws mid-dispatch leaves the plan valid for the next.
-  std::vector<std::vector<macro::Extract>> records;
+  /// Keyed by elements per op, built on the first forward of that count
+  /// and kept: map nodes do not move, so the records' spans stay valid.
+  std::map<std::size_t, ForwardPlan> plans;
 };
 
 }  // namespace bpim::engine

@@ -526,10 +526,10 @@ TEST(Fusion, CachedPlanFollowsElementCount) {
   // Each pair of weight sets shares a ForwardShape but not an element count:
   // 32 full chunks and 32 with a short last one on the default 64 macros,
   // then 70 and 69 chunks, a short_tail shape whose one-layer macros differ.
-  // Alternating the two rebuilds the shape's cached dispatch plan on every
-  // forward. Each forward must match, values and every stats field bitwise,
-  // a reference engine that only ever forwards its own set (so it builds
-  // its plan once), and its products a fresh unpinned engine's run_batch.
+  // Alternating the two runs both of the shape's cached dispatch plans, one
+  // per element count. Each forward must match, values and every stats
+  // field bitwise, a reference engine that only ever forwards its own set,
+  // and its products a fresh unpinned engine's run_batch.
   // A rejected forward between two good ones leaves the next identical.
   const unsigned bits = 8;
   const std::size_t weights = 4;
