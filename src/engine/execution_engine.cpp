@@ -120,6 +120,12 @@ void stage_row(macro::ImcMacro& mac, std::size_t row, unsigned bits, OperandLayo
   if (end < mac.cols()) mac.poke_zero_tail(row, end);
 }
 
+/// Macro m of M holds ceil(C/M) of C chunks (fused program 0) unless M
+/// does not divide C and m >= C % M, which holds one fewer (program 1).
+std::size_t program_of(std::size_t m, std::size_t chunks, std::size_t macros) {
+  return chunks % macros != 0 && m >= chunks % macros ? 1 : 0;
+}
+
 }  // namespace
 
 std::size_t ExecutionEngine::elements_per_chunk(const VecOp& op) const {
@@ -246,7 +252,7 @@ ExecutionEngine::ExecPlan& ExecutionEngine::begin_plan(std::size_t active) {
     mp.stage.clear();
     mp.programs.clear();
     mp.extract.clear();
-    mp.records = {};
+    mp.sealed = nullptr;
   }
   plan_.active = active;
   return plan_;
@@ -266,7 +272,9 @@ std::uint64_t ExecutionEngine::execute(ExecPlan& plan) {
     for (const auto& s : mp.stage) stage_row(mac, s.index, s.bits, s.layout, s.values);
     macro::MacroController ctl(mac);
     mp.ran.clear();
-    std::span<macro::Extract> records = mp.records;
+    if (mp.sealed != nullptr)
+      return mp.ran.push_back(ctl.run(*mp.programs.front(), pol, *mp.sealed));
+    std::span<macro::Extract> records = mp.extract;
     for (const macro::VerifiedProgram* p : mp.programs) {
       mp.ran.push_back(ctl.run(*p, pol, records.first(p->size())));
       records = records.subspan(p->size());
@@ -405,7 +413,6 @@ OpResult ExecutionEngine::run_one(const VecOp& op) {
                    mp.extract.push_back({op.bits, std::span(res.values).subspan(pos, len)});
                    mp.programs.push_back(prog);
                  });
-  for (std::size_t m = 0; m < plan.active; ++m) plan.macros[m].records = plan.macros[m].extract;
   const std::uint64_t adaptive = execute(plan);
 
   // The memory ledger is the op's account: cycles are the lock-step max
@@ -548,18 +555,21 @@ std::pair<const FusedForward&, ForwardPlan&> ExecutionEngine::fused_program_for(
   auto it = ff.plans.find(fl.elements);
   if (it == ff.plans.end()) {
     // The dispatch plan of this element count: macro m's record l * J + j
-    // retires layer l of op j into row j of the slab. Built aside, so a
-    // failed build leaves no partial plan, and moved in (a moved vector
-    // keeps its buffer, so the spans stay valid).
+    // retires layer l of op j into row j of the slab. Built and checked
+    // aside, so a failure leaves no partial plan, and moved in (a moved
+    // vector keeps its buffer, so the spans stay valid).
     const std::size_t n = fl.elements;
     ForwardPlan fp{.slab = std::vector<std::uint64_t>(shape.weights * n), .records = {}};
-    fp.records.resize(std::min(fl.chunks, macros));
+    std::vector<std::vector<macro::Extract>> raw(std::min(fl.chunks, macros));
     for_each_chunk(n, fl.per_op, macros,
                    [&](std::size_t m, std::size_t, std::size_t pos, std::size_t len) {
                      for (std::size_t j = 0; j < shape.weights; ++j)
-                       fp.records[m].push_back(
-                           {fl.bits, std::span(fp.slab).subspan(j * n + pos, len)});
+                       raw[m].push_back({fl.bits, std::span(fp.slab).subspan(j * n + pos, len)});
                    });
+    fp.records.reserve(raw.size());
+    for (std::size_t m = 0; m < raw.size(); ++m)
+      fp.records.emplace_back(ff.programs[program_of(m, fl.chunks, macros)].program(),
+                              std::move(raw[m]));
     it = ff.plans.emplace(n, std::move(fp)).first;
   }
   return {ff, it->second};
@@ -593,12 +603,9 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
                    plan.macros[m].stage.push_back({2 * l, fl.bits, OperandLayout::MultUnit,
                                                    activation.subspan(pos, len)});
                  });
-  // Macro m holds ceil(C/M) chunks (program 0) unless M does not divide C
-  // and m >= C % M, which holds one fewer (program 1).
-  const std::size_t rem = fl.chunks % macros;
   for (std::size_t m = 0; m < plan.active; ++m) {
-    plan.macros[m].programs.push_back(&ff.programs[rem != 0 && m >= rem ? 1 : 0].program());
-    plan.macros[m].records = fp.records[m];
+    plan.macros[m].programs.push_back(&ff.programs[program_of(m, fl.chunks, macros)].program());
+    plan.macros[m].sealed = &fp.records[m];
   }
   const std::uint64_t adaptive = execute(plan);
 

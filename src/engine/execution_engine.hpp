@@ -197,17 +197,16 @@ class ExecutionEngine : public Executor {
     OperandLayout layout;
     std::span<const std::uint64_t> values;
   };
-  /// One macro's share of a dispatch. `records` holds one retire record
-  /// per instruction of `programs`, in order: the plan fills in where each
-  /// instruction's values go, execute() its ledger entry. A run() op's
-  /// records live in `extract`, rebuilt per call; a fused forward's are
-  /// its shape's cached ones (ForwardPlan::records), referenced in place.
-  /// `ran` is an output: the stats of each program, in order.
+  /// One macro's share of a dispatch: one retire record per instruction of
+  /// `programs`, in order (the plan sets where values go, execute() the
+  /// ledger entry) -- `extract`, rebuilt per call for a run() op, or the
+  /// shape's cached `sealed` ones (ForwardPlan::records) for a fused
+  /// forward's one program. `ran` is an output: each program's stats.
   struct MacroPlan {
     std::vector<StageRow> stage;
     std::vector<const macro::VerifiedProgram*> programs;
     std::vector<macro::Extract> extract;
-    std::span<macro::Extract> records;
+    macro::CheckedRecords* sealed = nullptr;
     std::vector<macro::ProgramStats> ran;
   };
   /// What one dispatch does on macros [0, active). Engine-owned scratch:

@@ -10,10 +10,10 @@
 // or another tenant's forward of the same shape rebinds the cached
 // programs' weight rows and compiles nothing. Each shape also caches one
 // dispatch plan per element count it runs -- every macro's retire records,
-// writing into one product slab -- built on the first forward of that
-// count and never rebuilt, so forwards that alternate counts under one
-// shape build nothing either. FusionStats counts how often the path
-// compiled, ran fused, or fell back to op-at-a-time dispatch.
+// writing into one product slab and checked once -- built on the first
+// forward of that count and never rebuilt, so forwards that alternate counts
+// under one shape build and check nothing either. FusionStats counts how
+// often the path compiled, ran fused, or fell back to op-at-a-time dispatch.
 
 #include <compare>
 #include <cstdint>
@@ -49,13 +49,13 @@ struct ForwardShape {
 /// The dispatch plan of one element count under a shape: an op-major
 /// product slab (op j's element i is slab[j * elements + i]) and, per
 /// active macro, one retire record per instruction of its program, record
-/// l * J + j retiring layer l of op j into the slab. Every forward of that
-/// count overwrites the whole slab, and the controller rewrites every
-/// record's ledger fields as it retires, so a forward that throws
-/// mid-dispatch leaves the plan valid for the next.
+/// l * J + j retiring layer l of op j into the slab, checked against the
+/// program as the plan is built. Every forward of that count overwrites the
+/// whole slab, and the controller rewrites every record's ledger fields as
+/// it retires, so a forward that throws mid-dispatch leaves the plan valid.
 struct ForwardPlan {
   std::vector<std::uint64_t> slab;
-  std::vector<std::vector<macro::Extract>> records;
+  std::vector<macro::CheckedRecords> records;
 };
 
 /// One cached whole-forward compilation, shared by every forward of its

@@ -562,8 +562,8 @@ MultPlan ImcMacro::mult_run(std::span<const Instruction> run, const AdaptivePoli
   const RowRef d2 = RowRef::dummy(kDummyAccum);
   const bool replay = cfg_.inject_disturb && disturb_.flip_probability > 0.0;
   const MultPrices::Charge* charges = mult_prices_->charges(N);
-  // The ledger's and program's sums, in locals; energies stay left folds.
-  std::uint64_t cycles = 0;
+  // The ledger's and program's sums and tallies; energies stay left folds.
+  std::uint64_t cycles = 0, fused = 0, adaptive = 0, skipped = 0;
   Joule ledger_energy = total_energy_;
   Joule program_energy = stats.energy;
   std::array<Joule, 8> components = component_energy_;
@@ -595,8 +595,8 @@ MultPlan ImcMacro::mult_run(std::span<const Instruction> run, const AdaptivePoli
         mult_kernel<N>(stage_, stage_nonzero_, array_.row(b), b == d2 ? 0 : kLowHalves, prod,
                        direct ? x->values : std::span<std::uint64_t>{});
 
-    // Built as one value: field-by-field byte stores read back as one
-    // wider load stall the store-to-load forward.
+    // The plan stays in registers (mult_loop takes it by value): a plan
+    // stored bytewise and read back as wider loads stalls store forwarding.
     const auto eff = static_cast<unsigned>(std::bit_width(effectual));
     const bool skip = policy.skip_zero && eff == 0;
     plan = MultPlan{skip ? 0 : policy.narrow_precision ? eff : N, skip, d1_staged,
@@ -616,14 +616,14 @@ MultPlan ImcMacro::mult_run(std::span<const Instruction> run, const AdaptivePoli
     // The account, on either path: the plan's MultPrices fold, booked into
     // the ledger and the program; its cycle split must conserve Table 1's.
     priced = &charges[plan.staging_cycles() * (N + 1) + plan.depth];
-    const unsigned fused = plan.fused_cycles_saved();
-    const unsigned adaptive = plan.adaptive_cycles_saved(N);
-    BPIM_REQUIRE(plan.cycles() + fused + adaptive == op_cycles(Op::Mult, N),
+    const unsigned op_fused = plan.fused_cycles_saved();
+    const unsigned op_adaptive = plan.adaptive_cycles_saved(N);
+    BPIM_REQUIRE(plan.cycles() + op_fused + op_adaptive == op_cycles(Op::Mult, N),
                  "MULT cycle conservation violated (static != cycles + fused + adaptive)");
     cycles += plan.cycles();
-    stats.fused_cycles_saved += fused;
-    stats.adaptive_cycles_saved += adaptive;
-    stats.skipped += plan.skip ? 1 : 0;
+    fused += op_fused;
+    adaptive += op_adaptive;
+    skipped += skip ? 1 : 0;
     ++stats.depths[plan.depth];
     ledger_energy += priced->energy;
     program_energy += priced->energy;
@@ -631,7 +631,7 @@ MultPlan ImcMacro::mult_run(std::span<const Instruction> run, const AdaptivePoli
     if (x != nullptr) {
       if (!direct) peek_mult_products(array_.row(d2), x->bits, x->values);
       x->cycles = plan.cycles();
-      x->adaptive_cycles_saved = adaptive;
+      x->adaptive_cycles_saved = op_adaptive;
       x->op_energy = priced->energy;
       x->plan = plan;
     }
@@ -641,12 +641,15 @@ MultPlan ImcMacro::mult_run(std::span<const Instruction> run, const AdaptivePoli
   total_energy_ = ledger_energy;
   component_energy_ = components;
   stats.cycles += cycles;
+  stats.fused_cycles_saved += fused;
+  stats.adaptive_cycles_saved += adaptive;
+  stats.skipped += skipped;
   stats.energy = program_energy;
   stats.mults += run.size();
   return plan;
 }
 
-void ImcMacro::mult_loop(RowRef a, RowRef b, unsigned bits, const MultPlan& plan) {
+void ImcMacro::mult_loop(RowRef a, RowRef b, unsigned bits, MultPlan plan) {
   const unsigned unit_bits = 2 * bits;
   const auto [low_halves, unit_lsbs, unit_msbs, field_fill] = unit_masks(bits);
   const RowRef d1 = RowRef::dummy(kDummyOperand);

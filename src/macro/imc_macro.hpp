@@ -291,7 +291,7 @@ class ImcMacro {
                     ProgramStats& stats);
   /// The add-shift loop's data movement replayed cycle by cycle (disturb
   /// injection only). It charges nothing; execute_mult prices the plan.
-  void mult_loop(array::RowRef a, array::RowRef b, unsigned bits, const MultPlan& plan);
+  void mult_loop(array::RowRef a, array::RowRef b, unsigned bits, MultPlan plan);
   [[nodiscard]] energy::Component compute_price(array::RowRef a, array::RowRef b) const;
   [[nodiscard]] energy::Component wb_price() const;
   void charge(energy::Component c, double bits);

@@ -87,19 +87,6 @@ std::string Program::dump() const {
   return os.str();
 }
 
-ProgramStats MacroController::run(const Program& p, const AdaptivePolicy& policy,
-                                  std::span<Extract> records) {
-  verify_program(p, macro_.config().geometry).require_ok(p);
-  return execute(p, policy, records);
-}
-
-ProgramStats MacroController::run(const VerifiedProgram& p, const AdaptivePolicy& policy,
-                                  std::span<Extract> records) {
-  BPIM_REQUIRE(p.geometry() == macro_.config().geometry,
-               "program was verified for a different array geometry");
-  return execute(p, policy, records);
-}
-
 namespace {
 
 /// Executes one non-MULT instruction; returns the row it drives out.
@@ -134,7 +121,6 @@ BitVector row_op(ImcMacro& m, const Instruction& i) {
 /// most a row of those units; any other's 1..64 bits and at most a row of
 /// words. The retire path reads values without checking again.
 void check_records(const Program& p, std::span<const Extract> records, std::size_t cols) {
-  if (records.empty()) return;
   BPIM_REQUIRE(records.size() == p.size(), "records hold one entry per instruction, or none");
   const std::vector<Instruction>& insts = p.instructions();
   for (std::size_t k = 0; k < insts.size(); ++k) {
@@ -157,9 +143,33 @@ void extract_words(const BitVector& row, const Extract& x) {
 
 }  // namespace
 
-ProgramStats MacroController::execute(const Program& p, const AdaptivePolicy& policy,
+CheckedRecords::CheckedRecords(const VerifiedProgram& p, std::vector<Extract> records)
+    : seal_id_(p.seal_id()), records_(std::move(records)) {
+  if (!records_.empty()) check_records(p, records_, p.geometry().cols);
+}
+
+ProgramStats MacroController::run(const Program& p, const AdaptivePolicy& policy,
+                                  std::span<Extract> records) {
+  return run(VerifiedProgram::verify(p, macro_.config().geometry), policy, records);
+}
+
+ProgramStats MacroController::run(const VerifiedProgram& p, const AdaptivePolicy& policy,
+                                  std::span<Extract> records) {
+  if (!records.empty()) check_records(p, records, p.geometry().cols);
+  return execute(p, policy, records);
+}
+
+ProgramStats MacroController::run(const VerifiedProgram& p, const AdaptivePolicy& policy,
+                                  CheckedRecords& records) {
+  BPIM_REQUIRE(records.seal_id_ == p.seal_id(),
+               "retire records were checked against another program");
+  return execute(p, policy, records.records_);
+}
+
+ProgramStats MacroController::execute(const VerifiedProgram& p, const AdaptivePolicy& policy,
                                       std::span<Extract> records) {
-  check_records(p, records, macro_.cols());
+  BPIM_REQUIRE(p.geometry() == macro_.config().geometry,
+               "program was verified for a different array geometry");
   // The macro ledger is the account: each instruction's cycles and energy
   // are read back from it, and CostModel prices the same stream statically;
   // the conservation tests hold the two equal.
@@ -176,16 +186,13 @@ ProgramStats MacroController::execute(const Program& p, const AdaptivePolicy& po
   // may not have -- reusing D1 then would multiply by stale data.
   const Instruction* staged = nullptr;
   const array::RowRef d1_row = array::RowRef::dummy(ImcMacro::kDummyOperand);
-  const std::span<const Instruction> insts(p.instructions());
+  const std::span<const Instruction> insts(p.program().instructions());
   for (std::size_t k = 0; k < insts.size();) {
     const Instruction& i = insts[k];
     if (i.op == Op::Mult) {
-      // The maximal run from k, chained onto a predecessor MULT at its
-      // precision; the macro resolves each plan as it executes.
-      std::size_t end = k + 1;
-      while (end < insts.size() && insts[end].op == Op::Mult && insts[end].bits == i.bits &&
-             insts[end].a == i.a)
-        ++end;
+      // The sealed run from k, chained onto a predecessor MULT at its bits;
+      // a last instruction ends its own, so a lone MULT reads no partition.
+      const std::size_t end = k + 1 == insts.size() ? k + 1 : p.run_end(k);
       const MultPlan last = macro_.execute_mult_run(
           insts.subspan(k, end - k), policy, prev_mult_bits == i.bits,
           staged != nullptr && staged->a == i.a && staged->bits == i.bits,

@@ -9,7 +9,9 @@
 // one retire record per instruction (Extract: the instruction's values and
 // its ledger entry). This is how a host integrates the macro: build
 // row-level programs, run them, read results -- without touching the per-op
-// C++ API directly.
+// C++ API directly. Every check runs before the first instruction, once per
+// thing checked: a raw Program and a span of retire records per run, a
+// VerifiedProgram (its MULT runs too) once at sealing, CheckedRecords once.
 //
 // The controller only executes: it publishes no metric and records no trace
 // event. engine::ExecutionEngine publishes the program-path instruments
@@ -90,13 +92,13 @@ class Program {
 /// of its result row at `bits` (1..64 bits, every word inside the row) --
 /// for a MULT, the 2N-bit product of MULT unit i (N = `bits`, the MULT's
 /// precision). Values sized to the row capture the whole row; empty values
-/// capture none. MacroController::run checks every record against its
-/// instruction before the first instruction executes, so a malformed one
-/// (bits outside 1..64, not a MULT precision for a MULT, or values reaching
-/// past the row) throws with the macro untouched. As the instruction
-/// retires, the controller writes the values there and fills in the macro
-/// ledger's entry for it (ImcMacro::last_op()) and the plan it executed
-/// under beside them.
+/// capture none. Every record is checked against its instruction before the
+/// first one executes (a span on every run, CheckedRecords once), so a
+/// malformed one (bits outside 1..64, not a MULT precision for a MULT, or
+/// values reaching past the row) throws with the macro untouched. As the
+/// instruction retires, the controller writes the values there and fills in
+/// the macro ledger's entry for it (ImcMacro::last_op()) and the plan it
+/// executed under beside them.
 struct Extract {
   unsigned bits = 8;
   std::span<std::uint64_t> values;
@@ -136,6 +138,23 @@ struct ProgramStats {
 
 class VerifiedProgram;  // macro/verifier.hpp
 
+/// Retire records checked once against one sealing, for a program run many
+/// times (a fused forward's cached plan); run() compares only seal ids. They
+/// read as const: only the controller writes the ledger fields, at retire.
+class CheckedRecords {
+ public:
+  /// The check run(span) makes per run; throws std::invalid_argument.
+  CheckedRecords(const VerifiedProgram& p, std::vector<Extract> records);
+  [[nodiscard]] std::size_t size() const { return records_.size(); }
+  [[nodiscard]] auto begin() const { return records_.cbegin(); }
+  [[nodiscard]] auto end() const { return records_.cend(); }
+
+ private:
+  friend class MacroController;  // writes the ledger fields at retire
+  std::uint64_t seal_id_;
+  std::vector<Extract> records_;
+};
+
 /// How MacroController checks a program before execution. One mode is
 /// left: run the static verifier (macro/verifier.hpp) over the whole
 /// program first and reject it with every error listed.
@@ -143,17 +162,20 @@ enum class VerifyMode {
   VerifyFirst,
 };
 
-/// Executes programs against a macro. A raw Program is verified whole
-/// before any state is touched; a VerifiedProgram was verified when it was
-/// made and only has its geometry checked. The macro ledger is the one
-/// runtime account: each instruction's cycles and energy are read back from
-/// ImcMacro::last_op(). The controller holds nothing but its macro.
+/// Executes programs against a macro, every run() through one execute()
+/// that makes each sealed MULT run (VerifiedProgram::run_end; a fused
+/// forward's J MULTs per activation row) one macro call. A raw Program is
+/// verified whole before any state is touched; a VerifiedProgram was
+/// verified when it was made and only has its geometry checked. The macro
+/// ledger is the one runtime account: each instruction's cycles and energy
+/// are read back from ImcMacro::last_op(). The controller holds nothing but
+/// its macro.
 class MacroController {
  public:
   explicit MacroController(ImcMacro& m, VerifyMode = VerifyMode::VerifyFirst) : macro_(m) {}
 
-  /// Verifies `p` against the macro's geometry, then runs it; returns
-  /// stats. Rejected programs leave the macro untouched.
+  /// Verifies `p` against the macro's geometry, then runs a sealed copy;
+  /// returns stats. Rejected programs leave the macro untouched.
   ///
   /// `records` is empty or holds one retire record per instruction, in
   /// program order: each instruction's values are written out of its result
@@ -167,9 +189,6 @@ class MacroController {
   /// masked multiplicand the staging cycle is skipped too (-1 more, a
   /// D1Staged link). Results are bit-identical to unchained MULTs; only the
   /// cycle/energy account changes (fused_cycles_saved reports the discount).
-  ///
-  /// Each maximal run of MULTs at one precision sharing one multiplicand
-  /// row (a fused forward's J MULTs per activation row) is one macro call.
   ///
   /// With an enabled `policy`, every MULT is resolved against its operand
   /// data as it executes (ImcMacro::execute_mult): the add-shift loop runs
@@ -188,8 +207,13 @@ class MacroController {
   ProgramStats run(const VerifiedProgram& p, const AdaptivePolicy& policy = {},
                    std::span<Extract> records = {});
 
+  /// The same into records checked once: throws, leaving the macro
+  /// untouched, when they were checked against another sealing.
+  ProgramStats run(const VerifiedProgram& p, const AdaptivePolicy& policy,
+                   CheckedRecords& records);
+
  private:
-  ProgramStats execute(const Program& p, const AdaptivePolicy& policy,
+  ProgramStats execute(const VerifiedProgram& p, const AdaptivePolicy& policy,
                        std::span<Extract> records);
 
   ImcMacro& macro_;

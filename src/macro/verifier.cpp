@@ -1,5 +1,6 @@
 #include "macro/verifier.hpp"
 
+#include <atomic>
 #include <sstream>
 #include <stdexcept>
 
@@ -160,6 +161,19 @@ VerifyReport verify_program(const Program& p, const array::ArrayGeometry& g) {
   const auto& insts = p.instructions();
   for (std::size_t k = 0; k < insts.size(); ++k) check_instruction(g, k, insts[k], rep.diagnostics);
   return rep;
+}
+
+VerifiedProgram::VerifiedProgram(Program p, const array::ArrayGeometry& g)
+    : program_(std::move(p)), geometry_(g), run_ends_(program_.size()) {
+  static std::atomic<std::uint64_t> seals{0};
+  seal_id_ = seals.fetch_add(1, std::memory_order_relaxed);
+  // Back to front: a MULT joins a next MULT's run at its bits and row a.
+  const std::vector<Instruction>& i = program_.instructions();
+  for (std::size_t k = i.size(); k-- > 0;)
+    run_ends_[k] = k + 1 < i.size() && i[k].op == Op::Mult && i[k + 1].op == Op::Mult &&
+                           i[k + 1].bits == i[k].bits && i[k + 1].a == i[k].a
+                       ? run_ends_[k + 1]
+                       : k + 1;
 }
 
 VerifiedProgram VerifiedProgram::verify(Program p, const array::ArrayGeometry& g) {

@@ -83,11 +83,12 @@ struct VerifyReport {
 /// An immutable Program that passed verify_program against one array
 /// geometry, which it records. Only VerifiedProgram::verify makes one (the
 /// compilers seal through it), so holding one is proof the check ran;
-/// MacroController::run then only compares geometries. It reads as a const
-/// Program, but exposes none of Program's mutators. The one change a
-/// sealed program admits is RelocatableForward::bind (macro/compiler.hpp),
-/// which moves a fused forward's weight rows under the checks the verifier
-/// would make of them.
+/// MacroController::run then only compares geometries; sealing also fixes
+/// its MULT runs (run_end) and seal id. It reads as a const Program, but
+/// exposes none of Program's mutators. The one change a sealed program
+/// admits is RelocatableForward::bind (macro/compiler.hpp), which moves a
+/// fused forward's weight rows under the checks the verifier would make of
+/// them: only multiplier rows, so the runs and the seal id survive.
 class VerifiedProgram {
  public:
   /// Verify `p` against `g` and seal it. Throws std::invalid_argument, with
@@ -98,14 +99,19 @@ class VerifiedProgram {
   [[nodiscard]] const Program& program() const { return program_; }
   [[nodiscard]] const array::ArrayGeometry& geometry() const { return geometry_; }
   [[nodiscard]] std::size_t size() const { return program_.size(); }
+  /// One past the MULT run from instruction k (k + 1 for any other op).
+  [[nodiscard]] std::size_t run_end(std::size_t k) const { return run_ends_[k]; }
+  /// Distinct per sealing, shared by copies of it.
+  [[nodiscard]] std::uint64_t seal_id() const { return seal_id_; }
 
  private:
   friend class RelocatableForward;
-  VerifiedProgram(Program p, const array::ArrayGeometry& g)
-      : program_(std::move(p)), geometry_(g) {}
+  VerifiedProgram(Program p, const array::ArrayGeometry& g);
 
   Program program_;
   array::ArrayGeometry geometry_;
+  std::vector<std::size_t> run_ends_;
+  std::uint64_t seal_id_;
 };
 
 }  // namespace bpim::macro

@@ -164,6 +164,16 @@ TEST(FusionCompiler, RelocatedForwardEqualsAFreshCompileAtItsRows) {
     const std::size_t layers = 1 + rng.uniform_u64(4);
     RelocatableForward rf = fc.compile_relocatable_forward(bits, weights, layers);
     ASSERT_EQ(rf.program().size(), weights * layers);
+    // Sealed runs: layer l's J MULTs share activation row 2l, and a bind
+    // moves only weight rows, so the partition and the seal survive it.
+    const std::uint64_t seal = rf.program().seal_id();
+    const auto expect_layer_runs = [&] {
+      for (std::size_t k = 0; k < weights * layers; ++k)
+        EXPECT_EQ(rf.program().run_end(k), (k / weights + 1) * weights)
+            << "trial " << trial << " #" << k;
+      EXPECT_EQ(rf.program().seal_id(), seal) << "trial " << trial;
+    };
+    expect_layer_runs();
     std::vector<std::size_t> bases(weights);
     for (int rebind = 0; rebind < 5; ++rebind) {
       for (auto& b : bases) b = 1 + rng.uniform_u64(pairs - layers);
@@ -171,6 +181,7 @@ TEST(FusionCompiler, RelocatedForwardEqualsAFreshCompileAtItsRows) {
       ASSERT_EQ(p.program().dump(), forward_at(bits, bases, layers).dump()) << "trial " << trial;
       const VerifyReport rep = verify_program(p, g);
       EXPECT_TRUE(rep.ok()) << rep.annotate(p);
+      expect_layer_runs();
     }
 
     const std::string bound = rf.program().program().dump();

@@ -418,6 +418,48 @@ TEST(FuzzPrograms, WholeRunsMatchRunsOfOne) {
   EXPECT_GT(other_bits, 0u);
 }
 
+TEST(FuzzPrograms, SealedRunsMatchScan) {
+  // The MULT-run partition fixed at sealing equals a brute-force scan from
+  // every instruction: the maximal stretch of MULTs at its precision
+  // sharing its multiplicand row (k + 1 for any other op). Runs break at
+  // SUB, at writes to D1, at precision changes and at a new multiplicand.
+  Rng rng(0x5EA1);
+  constexpr std::array<unsigned, 5> kBits{2, 4, 8, 16, 32};
+  const array::ArrayGeometry g{};
+  std::size_t long_runs = 0;
+  for (int round = 0; round < 200; ++round) {
+    // Multiplicands in R0..R3 or D0, multipliers in R4..R7.
+    const auto mcand_row = [&] {
+      const std::uint64_t r = rng.uniform_u64(5);
+      return r == 4 ? RowRef::dummy(0) : RowRef::main(r);
+    };
+    Program p;
+    RowRef mcand = mcand_row();
+    unsigned bits = kBits[rng.uniform_u64(kBits.size())];
+    const std::size_t n = rng.uniform_u64(48);
+    while (p.size() < n) {
+      switch (rng.uniform_u64(10)) {
+        case 0: p.sub(RowRef::main(rng.uniform_u64(5)), RowRef::main(5), 8); break;
+        case 1: p.unary(Op::Not, RowRef::main(rng.uniform_u64(8)), RowRef::dummy(1), 8); break;
+        case 2: bits = kBits[rng.uniform_u64(kBits.size())]; break;
+        case 3: mcand = mcand_row(); break;
+        default: p.mult(mcand, RowRef::main(4 + rng.uniform_u64(4)), bits);
+      }
+    }
+    const VerifiedProgram sealed = VerifiedProgram::verify(p, g);
+    const std::vector<Instruction>& insts = p.instructions();
+    for (std::size_t k = 0; k < insts.size(); ++k) {
+      std::size_t end = k + 1;
+      while (insts[k].op == Op::Mult && end < insts.size() && insts[end].op == Op::Mult &&
+             insts[end].bits == insts[k].bits && insts[end].a == insts[k].a)
+        ++end;
+      EXPECT_EQ(sealed.run_end(k), end) << "round " << round << " #" << k << "\n" << p.dump();
+      long_runs += end > k + 1 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(long_runs, 0u);
+}
+
 TEST(FuzzPrograms, CorruptedStreamsAreRejectedBeforeExecution) {
   Rng rng(0xDEAD);
   for (int round = 0; round < 12; ++round) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -169,6 +171,95 @@ TEST(Controller, MalformedRecordsLeaveMacroUntouched) {
   RowCapture ok(word_last, m.cols());
   EXPECT_NO_THROW(ctl.run(word_last, {}, ok.records()));
   EXPECT_EQ(m.total_cycles(), word_last.static_cycles());
+}
+
+TEST(Controller, CheckedRecordsRunOnlyTheProgramTheyWereCheckedAgainst) {
+  // CheckedRecords are checked once, against one sealing: run with another
+  // program -- even one sealed from the same instructions -- they throw
+  // with every row, last_op and the ledger as they were. A malformed record
+  // throws at the factory.
+  ImcMacro m{MacroConfig{}};
+  Rng rng(0xC4EC);
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    BitVector row(m.cols());
+    row.randomize(rng);
+    m.poke_row(r, row);
+  }
+  MacroController ctl(m);
+  Program stage;  // leaves D1, D2 and the ledger holding data
+  stage.mult(RowRef::main(6), RowRef::main(7), 8).sub(RowRef::main(0), RowRef::main(1), 8);
+  ctl.run(stage);
+  const auto state = [&] {
+    std::vector<BitVector> rows;
+    for (std::size_t r = 0; r < m.rows(); ++r) rows.push_back(m.sram().row(RowRef::main(r)));
+    for (std::size_t d = 0; d < m.config().geometry.dummy_rows; ++d)
+      rows.push_back(m.sram().row(RowRef::dummy(d)));
+    std::vector<double> ledger{m.total_energy().si(), m.last_op().op_energy.si()};
+    for (std::size_t c = 0; c < 8; ++c)
+      ledger.push_back(m.component_energy(static_cast<energy::Component>(c)).si());
+    return std::tuple(rows, ledger, m.total_cycles(), m.last_op().cycles);
+  };
+
+  Program a;
+  a.mult(RowRef::main(0), RowRef::main(1), 8)
+      .mult(RowRef::main(0), RowRef::main(2), 8)
+      .add(RowRef::main(4), RowRef::main(5), 8);
+  Program c;
+  c.add(RowRef::main(4), RowRef::main(5), 8)
+      .mult(RowRef::main(0), RowRef::main(1), 8)
+      .mult(RowRef::main(0), RowRef::main(2), 8);
+  const array::ArrayGeometry& g = m.config().geometry;
+  const VerifiedProgram va = VerifiedProgram::verify(a, g);
+  const VerifiedProgram resealed = VerifiedProgram::verify(a, g);
+  const VerifiedProgram vc = VerifiedProgram::verify(c, g);
+  RowCapture cap(a, m.cols());
+  const std::vector<Extract> raw(cap.records().begin(), cap.records().end());
+  CheckedRecords recs(va, raw);
+  ASSERT_EQ(recs.size(), a.size());
+
+  const auto before = state();
+  for (const VerifiedProgram* other : {&resealed, &vc}) {
+    EXPECT_THROW(ctl.run(*other, {}, recs), std::invalid_argument);
+    EXPECT_TRUE(state() == before);
+  }
+  MacroConfig wide;
+  wide.geometry.cols = 256;
+  ImcMacro wide_macro{wide};
+  EXPECT_THROW(MacroController(wide_macro).run(va, {}, recs), std::invalid_argument);
+  EXPECT_EQ(wide_macro.total_cycles(), 0u);
+
+  // A malformed record, or a record count that is not the program's.
+  std::vector<Extract> bad = raw;
+  bad[0].bits = 3;
+  EXPECT_THROW((void)CheckedRecords(va, bad), std::invalid_argument);
+  std::vector<std::uint64_t> past(m.cols() / 8 + 1);
+  bad = raw;
+  bad[2] = {.bits = 8, .values = past};
+  EXPECT_THROW((void)CheckedRecords(va, bad), std::invalid_argument);
+  bad = raw;
+  bad.pop_back();
+  EXPECT_THROW((void)CheckedRecords(va, bad), std::invalid_argument);
+  EXPECT_NO_THROW((void)CheckedRecords(va, {}));
+  EXPECT_TRUE(state() == before);
+
+  // Its own program runs, retiring exactly what a checked-per-call span
+  // retires on a twin macro.
+  ImcMacro twin{MacroConfig{}};
+  for (std::size_t r = 0; r < m.rows(); ++r) twin.poke_row(r, m.peek_row(r));
+  RowCapture twin_cap(a, twin.cols());
+  const ProgramStats want = MacroController(twin).run(va, {}, twin_cap.records());
+  const ProgramStats got = ctl.run(va, {}, recs);
+  EXPECT_EQ(got.cycles, want.cycles);
+  EXPECT_EQ(got.fused_cycles_saved, want.fused_cycles_saved);
+  EXPECT_EQ(got.energy.si(), want.energy.si());
+  std::size_t k = 0;
+  for (const Extract& x : recs) {
+    EXPECT_TRUE(std::ranges::equal(x.values, twin_cap[k].values)) << "#" << k;
+    EXPECT_EQ(x.cycles, twin_cap[k].cycles) << "#" << k;
+    EXPECT_EQ(x.op_energy.si(), twin_cap[k].op_energy.si()) << "#" << k;
+    ++k;
+  }
+  EXPECT_EQ(k, a.size());
 }
 
 TEST(Controller, InstructionToStringReadable) {
